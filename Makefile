@@ -3,11 +3,12 @@ GO ?= go
 .PHONY: check vet lint lint-json lint-audit build build-obsv-off test race alloc-gates bench bench-sim bench-transport bench-sched bench-trace microbench fuzz
 
 # check is the one-command gate: static analysis (stock vet plus the
-# project analyzers in cmd/aapcvet), full build (with and without the
-# observability layer), the test suite under the race detector, and the
-# allocation-regression gates (which need a race-free build: the race
-# runtime drops sync.Pool puts).
-check: vet lint build build-obsv-off race alloc-gates
+# project analyzers in cmd/aapcvet, and the audit that fails on
+# //aapc:allow comments a refactor has orphaned), full build (with and
+# without the observability layer), the test suite under the race detector,
+# and the allocation-regression gates (which need a race-free build: the
+# race runtime drops sync.Pool puts).
+check: vet lint lint-audit build build-obsv-off race alloc-gates
 
 # alloc-gates are the steady-state budgets for the hot paths: zero allocs
 # per Scheduled.Fn run, amortized sub-0.1 allocs per instrumented operation,
@@ -30,9 +31,9 @@ bin/aapcvet: $(AAPCVET_SRCS)
 	$(GO) build -o $@ ./cmd/aapcvet
 
 # lint runs the project-specific analyzers (poolsafe, determinism,
-# waitcheck, noalloc, copycount, lockorder, spscsafe, shadow, copylocks,
-# loopclosure) over both build configurations via the go vet -vettool
-# protocol. Suppress a deliberate violation with an
+# waitcheck, noalloc, copycount, lockorder, spscsafe, shadow) over both
+# build configurations via the go vet -vettool protocol; copylocks and
+# loopclosure come from stock `go vet` (the vet target). Suppress a deliberate violation with an
 # //aapc:allow <analyzer> <reason> comment on (or one line above) the
 # flagged line; `make lint-audit` flags suppressions that have gone stale.
 lint: bin/aapcvet

@@ -128,8 +128,8 @@ func TestReportTransportStats(t *testing.T) {
 			}
 			defer closeFn()
 			me := c.Rank()
-			rr := c.Irecv(make([]byte, 2048), 1-me, 0)
-			sr := c.Isend(make([]byte, 2048), 1-me, 0)
+			rr := mpi.Irecv(c, make([]byte, 2048), 1-me, 0)
+			sr := mpi.Isend(c, make([]byte, 2048), 1-me, 0)
 			if err := mpi.WaitAll([]mpi.Request{rr, sr}); err != nil {
 				errs <- err
 				return

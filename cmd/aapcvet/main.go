@@ -5,8 +5,8 @@
 //	go vet -vettool=$PWD/bin/aapcvet ./...
 //
 // It enforces the project invariants (poolsafe, determinism, waitcheck,
-// noalloc, copycount, lockorder, spscsafe) plus ports of the stock
-// shadow, copylocks, and loopclosure passes. Function summaries flow
+// noalloc, copycount, lockorder, spscsafe) plus a refined port of the
+// stock shadow pass. Function summaries flow
 // across package boundaries through vet's facts channel, so poolsafe,
 // waitcheck, copycount, and lockorder see through call sites.
 //

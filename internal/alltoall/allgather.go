@@ -63,7 +63,7 @@ func (sc *Scheduled) AllgatherFn() Func {
 
 		recvReqs := make([]mpi.Request, len(prog.recvSrcs))
 		for i, src := range prog.recvSrcs {
-			recvReqs[i] = c.Irecv(b.RecvBlock(src), src, tagData)
+			recvReqs[i] = mpi.Irecv(c, b.RecvBlock(src), src, tagData)
 		}
 		var syncSends []mpi.Request
 		syncByte := []byte{1}
@@ -87,7 +87,7 @@ func (sc *Scheduled) AllgatherFn() Func {
 				return fmt.Errorf("alltoall: allgather send phase %d to %d: %w", st.phase, st.dst, err)
 			}
 			for _, e := range prog.emits[st.emitLo:st.emitHi] {
-				syncSends = append(syncSends, c.Isend(syncByte, e.peer, e.tag))
+				syncSends = append(syncSends, mpi.Isend(c, syncByte, e.peer, e.tag))
 			}
 		}
 		if sc.mode == BarrierSync {

@@ -105,13 +105,13 @@ func Simple(c mpi.Comm, b Buffers, msize int) error {
 		if p == me {
 			continue
 		}
-		reqs = append(reqs, c.Irecv(b.RecvBlock(p), p, tagData))
+		reqs = append(reqs, mpi.Irecv(c, b.RecvBlock(p), p, tagData))
 	}
 	for p := 0; p < n; p++ {
 		if p == me {
 			continue
 		}
-		reqs = append(reqs, c.Isend(b.SendBlock(p), p, tagData))
+		reqs = append(reqs, mpi.Isend(c, b.SendBlock(p), p, tagData))
 	}
 	copySelf(c, b)
 	return mpi.WaitAll(reqs)
@@ -126,11 +126,11 @@ func SimpleOffset(c mpi.Comm, b Buffers, msize int) error {
 	reqs := make([]mpi.Request, 0, 2*(n-1))
 	for off := 1; off < n; off++ {
 		p := (me + off) % n
-		reqs = append(reqs, c.Irecv(b.RecvBlock(p), p, tagData))
+		reqs = append(reqs, mpi.Irecv(c, b.RecvBlock(p), p, tagData))
 	}
 	for off := 1; off < n; off++ {
 		p := (me + off) % n
-		reqs = append(reqs, c.Isend(b.SendBlock(p), p, tagData))
+		reqs = append(reqs, mpi.Isend(c, b.SendBlock(p), p, tagData))
 	}
 	copySelf(c, b)
 	return mpi.WaitAll(reqs)

@@ -298,9 +298,8 @@ func (sc *Scheduled) FnTimeout(d time.Duration) Func {
 		marker := obsv.MarkerFor(c)
 		phaser := obsv.PhaserFor(c)
 
-		// Typed buffers + typed transport is the zero-copy fast path; the
-		// mpi package-level helpers fall back to pack/unpack transparently
-		// on transports without datatype support.
+		// Typed buffers hand the transport views into application storage:
+		// the zero-copy path on every transport.
 		tb, typed := b.(TypedBuffers)
 		// A Flusher transport lets emit-after-complete ride the wire-entry
 		// watermark (bytes handed to the kernel) instead of the delivery
@@ -322,7 +321,7 @@ func (sc *Scheduled) FnTimeout(d time.Duration) Func {
 				base, dt := tb.RecvView(src)
 				recvReqs = append(recvReqs, mpi.IrecvTyped(c, base, dt, src, tagData))
 			} else {
-				recvReqs = append(recvReqs, c.Irecv(b.RecvBlock(src), src, tagData))
+				recvReqs = append(recvReqs, mpi.Irecv(c, b.RecvBlock(src), src, tagData))
 			}
 		}
 
@@ -383,7 +382,7 @@ func (sc *Scheduled) FnTimeout(d time.Duration) Func {
 				base, dt := tb.SendView(st.dst)
 				req = mpi.IsendTyped(c, base, dt, st.dst, tagData)
 			} else {
-				req = c.Isend(b.SendBlock(st.dst), st.dst, tagData)
+				req = mpi.Isend(c, b.SendBlock(st.dst), st.dst, tagData)
 			}
 			if st.emitHi > st.emitLo {
 				// Emit-after-complete: later messages are ordered on this
@@ -402,7 +401,7 @@ func (sc *Scheduled) FnTimeout(d time.Duration) Func {
 					return fmt.Errorf("alltoall: send phase %d to %d: %w", st.phase, st.dst, err)
 				}
 				for _, e := range prog.emits[st.emitLo:st.emitHi] {
-					syncSends = append(syncSends, c.Isend(scr.syncByte[:], e.peer, e.tag))
+					syncSends = append(syncSends, mpi.Isend(c, scr.syncByte[:], e.peer, e.tag))
 				}
 			} else {
 				dataSends = append(dataSends, req)

@@ -21,14 +21,14 @@ type nopComm struct {
 
 type nopReq struct{}
 
-func (nopReq) Wait() error { return nil }
+func (nopReq) Wait(time.Duration) (mpi.TraceInfo, error) { return mpi.TraceInfo{}, nil }
 
-func (c *nopComm) Rank() int                                  { return c.rank }
-func (c *nopComm) Size() int                                  { return c.size }
-func (c *nopComm) Now() float64                               { return time.Since(c.start).Seconds() }
-func (c *nopComm) Isend(buf []byte, dst, tag int) mpi.Request { return nopReq{} }
-func (c *nopComm) Irecv(buf []byte, src, tag int) mpi.Request { return nopReq{} }
-func (c *nopComm) Barrier() error                             { return nil }
+func (c *nopComm) Rank() int                { return c.rank }
+func (c *nopComm) Size() int                { return c.size }
+func (c *nopComm) Now() float64             { return time.Since(c.start).Seconds() }
+func (c *nopComm) Isend(mpi.Op) mpi.Request { return nopReq{} }
+func (c *nopComm) Irecv(mpi.Op) mpi.Request { return nopReq{} }
+func (c *nopComm) Barrier() error           { return nil }
 
 // allocTestScheduled compiles the pairwise-synchronized routine for a
 // two-switch cluster small enough for a unit test but wide enough that the

@@ -86,12 +86,12 @@ func SimpleV(c mpi.Comm, b VBuffers) error {
 	reqs := make([]mpi.Request, 0, 2*(n-1))
 	for p := 0; p < n; p++ {
 		if p != me {
-			reqs = append(reqs, c.Irecv(b.RecvBlockV(p), p, tagData))
+			reqs = append(reqs, mpi.Irecv(c, b.RecvBlockV(p), p, tagData))
 		}
 	}
 	for p := 0; p < n; p++ {
 		if p != me {
-			reqs = append(reqs, c.Isend(b.SendBlockV(p), p, tagData))
+			reqs = append(reqs, mpi.Isend(c, b.SendBlockV(p), p, tagData))
 		}
 	}
 	return mpi.WaitAll(reqs)
@@ -153,7 +153,7 @@ func (sc *Scheduled) FnV() VFunc {
 		}
 		recvReqs := make([]mpi.Request, len(prog.recvSrcs))
 		for i, src := range prog.recvSrcs {
-			recvReqs[i] = c.Irecv(b.RecvBlockV(src), src, tagData)
+			recvReqs[i] = mpi.Irecv(c, b.RecvBlockV(src), src, tagData)
 		}
 		var syncSends []mpi.Request
 		syncByte := []byte{1}
@@ -177,7 +177,7 @@ func (sc *Scheduled) FnV() VFunc {
 				return fmt.Errorf("alltoall: send phase %d to %d: %w", st.phase, st.dst, err)
 			}
 			for _, e := range prog.emits[st.emitLo:st.emitHi] {
-				syncSends = append(syncSends, c.Isend(syncByte, e.peer, e.tag))
+				syncSends = append(syncSends, mpi.Isend(c, syncByte, e.peer, e.tag))
 			}
 		}
 		if sc.mode == BarrierSync {

@@ -4,11 +4,9 @@ import "github.com/aapc-sched/aapcsched/internal/mpi"
 
 // TypedBuffers is the optional Buffers extension for the zero-copy data
 // path: each block is exposed as an (base, datatype) view into application
-// storage instead of a materialized contiguous slice. Transports that
-// implement mpi.TypedComm gather a strided send view straight into their
-// wire batches and scatter receives straight into the destination layout;
-// on other transports the mpi.IsendTyped/IrecvTyped fallbacks pack and
-// unpack transparently.
+// storage instead of a materialized contiguous slice. Every transport
+// gathers a strided send view straight into its wire batches (or the peer's
+// layout) and scatters receives straight into the destination layout.
 type TypedBuffers interface {
 	Buffers
 	// SendView returns the layout of the block this rank sends to dst.
@@ -32,8 +30,8 @@ func (b *Contig) RecvView(src int) ([]byte, mpi.Datatype) {
 // the block destined to peer p is the W-byte-wide column strip p — R rows
 // spaced a full matrix row apart. An all-to-all over a Window is therefore
 // a blockwise matrix transpose performed straight out of matrix storage:
-// with a typed transport the strips are gathered into the wire batch block
-// by block and no pack buffer ever exists.
+// the strips are gathered into the wire batch block by block and no pack
+// buffer ever exists.
 //
 // Receives land in contiguous per-peer blocks (Recv, N blocks of R*W
 // bytes), so the strided-send → contiguous-recv round trip is exercised end

@@ -25,20 +25,20 @@ func Windowed(window int) Func {
 		recvReqs := make([]mpi.Request, 0, n-1)
 		for off := 1; off < n; off++ {
 			p := (me + off) % n
-			recvReqs = append(recvReqs, c.Irecv(b.RecvBlock(p), p, tagData))
+			recvReqs = append(recvReqs, mpi.Irecv(c, b.RecvBlock(p), p, tagData))
 		}
 		// Sliding window of outstanding sends.
 		inFlight := make([]mpi.Request, 0, window)
 		for off := 1; off < n; off++ {
 			p := (me + off) % n
 			if len(inFlight) == window {
-				if err := inFlight[0].Wait(); err != nil {
+				if err := mpi.Wait(inFlight[0]); err != nil {
 					//aapc:allow waitcheck on error the collective aborts; outstanding requests are abandoned to the transport shutdown path
 					return err
 				}
 				inFlight = inFlight[1:]
 			}
-			inFlight = append(inFlight, c.Isend(b.SendBlock(p), p, tagData))
+			inFlight = append(inFlight, mpi.Isend(c, b.SendBlock(p), p, tagData))
 		}
 		if err := mpi.WaitAll(inFlight); err != nil {
 			//aapc:allow waitcheck on error the collective aborts; outstanding requests are abandoned to the transport shutdown path

@@ -11,8 +11,9 @@
 //   - noalloc: functions annotated //aapc:noalloc must not contain
 //     allocating constructs outside cold (early-exit) paths;
 //
-// together with lightweight ports of the stock vet passes the repo does not
-// get by default (shadow, copylocks, loopclosure).
+// together with the fact-driven copycount, lockorder and spscsafe passes
+// and a refined port of shadow, the one stock-style pass `go vet ./...` does
+// not run by default.
 //
 // The framework is built on the standard library's go/ast and go/types
 // only. The build environment pins no external modules, so rather than
@@ -79,9 +80,6 @@ type Pass struct {
 	Info  *types.Info
 	// PkgPath is the import path the package was loaded under.
 	PkgPath string
-	// GoVersion is the module's language version ("go1.22"); version-gated
-	// analyzers (loopclosure) consult it.
-	GoVersion string
 	// Facts is the interprocedural fact universe: summaries for every
 	// function of this package plus everything imported from dependencies.
 	// Nil when no enabled analyzer declared NeedsFacts.
@@ -158,10 +156,6 @@ type Result struct {
 type RunConfig struct {
 	// Imported seeds the fact engine with dependency summaries.
 	Imported *FactSet
-	// NoFacts disables the fact engine even for NeedsFacts analyzers,
-	// reducing them to their legacy function-local behavior (used by the
-	// test suite to prove what the block-scoped passes miss).
-	NoFacts bool
 }
 
 // Run executes the analyzers over the package and returns the surviving
@@ -193,7 +187,7 @@ func RunWith(pkg *PackageInfo, analyzers []*Analyzer, cfg RunConfig) (*Result, e
 		}
 	}
 	var facts *FactSet
-	if needFacts && !cfg.NoFacts {
+	if needFacts {
 		facts = ComputeFacts(pkg, cfg.Imported)
 		res.Facts = facts
 	}
@@ -216,15 +210,14 @@ func RunWith(pkg *PackageInfo, analyzers []*Analyzer, cfg RunConfig) (*Result, e
 		}
 		var diags []Diagnostic
 		pass := &Pass{
-			Analyzer:  a,
-			Fset:      pkg.Fset,
-			Files:     files,
-			Pkg:       pkg.Pkg,
-			Info:      pkg.Info,
-			PkgPath:   pkg.PkgPath,
-			GoVersion: pkg.GoVersion,
-			Facts:     facts,
-			diags:     &diags,
+			Analyzer: a,
+			Fset:     pkg.Fset,
+			Files:    files,
+			Pkg:      pkg.Pkg,
+			Info:     pkg.Info,
+			PkgPath:  pkg.PkgPath,
+			Facts:    facts,
+			diags:    &diags,
 		}
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("%s: %w", a.Name, err)

@@ -35,14 +35,7 @@ import (
 // Run analyzes testdata/src/<pkg> with the module's language version.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkg string) {
 	t.Helper()
-	RunWithVersion(t, testdata, a, pkg, "go1.22")
-}
-
-// RunWithVersion analyzes the corpus under an explicit language version,
-// for version-gated analyzers like loopclosure.
-func RunWithVersion(t *testing.T, testdata string, a *analysis.Analyzer, pkg, goVersion string) {
-	t.Helper()
-	pi := LoadCorpus(t, testdata, pkg, goVersion)
+	pi := LoadCorpus(t, testdata, pkg, "go1.22")
 	diags, err := analysis.Run(pi, []*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatalf("running %s: %v", a.Name, err)
@@ -63,8 +56,7 @@ func RunWithVersion(t *testing.T, testdata string, a *analysis.Analyzer, pkg, go
 }
 
 // LoadCorpus parses and typechecks testdata/src/<pkg> into a PackageInfo,
-// for tests that drive analysis.RunWith directly (legacy-mode comparisons,
-// unused-allow audits).
+// for tests that drive analysis.RunWith directly (unused-allow audits).
 func LoadCorpus(t *testing.T, testdata, pkg, goVersion string) *analysis.PackageInfo {
 	t.Helper()
 	dir := filepath.Join(testdata, "src", pkg)
@@ -106,25 +98,6 @@ func LoadCorpus(t *testing.T, testdata, pkg, goVersion string) *analysis.Package
 		PkgPath:   pkg,
 		GoVersion: goVersion,
 	}
-}
-
-// Diagnostics runs one analyzer over the corpus and returns the surviving
-// (unsuppressed) diagnostics, with the fact engine optionally disabled —
-// the raw material for proving what the legacy block-scoped passes miss.
-func Diagnostics(t *testing.T, testdata string, a *analysis.Analyzer, pkg string, noFacts bool) []analysis.Diagnostic {
-	t.Helper()
-	pi := LoadCorpus(t, testdata, pkg, "go1.22")
-	res, err := analysis.RunWith(pi, []*analysis.Analyzer{a}, analysis.RunConfig{NoFacts: noFacts})
-	if err != nil {
-		t.Fatalf("running %s: %v", a.Name, err)
-	}
-	var out []analysis.Diagnostic
-	for _, d := range res.Diags {
-		if !d.Suppressed {
-			out = append(out, d)
-		}
-	}
-	return out
 }
 
 // expectation is one quoted regexp of a want comment.

@@ -325,8 +325,8 @@ func checkBoxing(pass *Pass, fb funcBody, call *ast.CallExpr) {
 		if isPointerShaped(at) {
 			continue // pointers box without allocating
 		}
-		if tv, ok := pass.Info.Types[arg]; ok && tv.Value != nil {
-			continue // untyped constants often intern (and signal intent)
+		if tv, ok := pass.Info.Types[arg]; ok && (tv.Value != nil || tv.IsNil()) {
+			continue // untyped constants often intern (and signal intent); nil is no value at all
 		}
 		report(pass, fb, arg.Pos(), "boxing %s into an interface argument allocates", at.String())
 	}

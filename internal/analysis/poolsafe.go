@@ -34,8 +34,8 @@ var Poolsafe = &Analyzer{
 // isPoolRelease reports whether call returns a value to a pool, and if so
 // which expression was released. Recognized shapes:
 //
-//	pool.put(x), pool.Put(x)      -> x   (receiver type name contains "pool")
-//	x.Release(), x.release()      -> x
+//	pool.put(x), pool.Put(x)      -> x   (receiver is a pool or freelist type)
+//	x.Release(), x.Recycle()      -> x
 func isPoolRelease(pass *Pass, call *ast.CallExpr) (ast.Expr, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -51,7 +51,7 @@ func isPoolRelease(pass *Pass, call *ast.CallExpr) (ast.Expr, bool) {
 			return nil, false
 		}
 		return call.Args[0], true
-	case "release", "Release":
+	case "release", "Release", "Recycle":
 		if len(call.Args) != 0 {
 			return nil, false
 		}
@@ -61,7 +61,7 @@ func isPoolRelease(pass *Pass, call *ast.CallExpr) (ast.Expr, bool) {
 }
 
 // isPoolType reports whether t names a pool: a defined type whose name
-// contains "pool" (bufPool, recvOpPool, sync.Pool, ...).
+// contains "pool" or "freelist" (bufPool, sync.Pool, mpi.Freelist[T], ...).
 func isPoolType(t types.Type) bool {
 	if t == nil {
 		return false
@@ -73,7 +73,8 @@ func isPoolType(t types.Type) bool {
 	if !ok {
 		return false
 	}
-	return strings.Contains(strings.ToLower(named.Obj().Name()), "pool")
+	name := strings.ToLower(named.Obj().Name())
+	return strings.Contains(name, "pool") || strings.Contains(name, "freelist")
 }
 
 func runPoolsafe(pass *Pass) error {

@@ -3,7 +3,8 @@ package analysis
 // Suite returns every analyzer enforced by aapcvet, in report order: the
 // project invariants first (the fact-driven passes among them are marked
 // NeedsFacts and share one interprocedural summary computation per
-// package), then the stock-style safety passes.
+// package), then the refined shadow pass. copylocks and loopclosure are not
+// here: `make vet` runs stock `go vet ./...`, which has both.
 func Suite() []*Analyzer {
 	return []*Analyzer{
 		Poolsafe,
@@ -14,7 +15,5 @@ func Suite() []*Analyzer {
 		Lockorder,
 		Spscsafe,
 		Shadow,
-		Copylocks,
-		Loopclosure,
 	}
 }

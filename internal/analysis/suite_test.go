@@ -52,37 +52,8 @@ func TestPoolsafeInterprocedural(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.Poolsafe, "poolsafeinter")
 }
 
-// TestPoolsafeLegacyMiss proves the interprocedural cases are exactly that:
-// with the fact engine disabled, the block-scoped pass reports nothing on
-// the poolsafeinter corpus — every finding there is new precision, not a
-// restatement of what the old pass caught.
-func TestPoolsafeLegacyMiss(t *testing.T) {
-	diags := analysistest.Diagnostics(t, "testdata", analysis.Poolsafe, "poolsafeinter", true)
-	for _, d := range diags {
-		t.Errorf("legacy poolsafe unexpectedly found: %s", d.Message)
-	}
-	with := analysistest.Diagnostics(t, "testdata", analysis.Poolsafe, "poolsafeinter", false)
-	if len(with) == 0 {
-		t.Fatalf("fact-driven poolsafe found nothing on the interprocedural corpus")
-	}
-}
-
 func TestShadow(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.Shadow, "shadow")
-}
-
-func TestCopylocks(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.Copylocks, "copylocks")
-}
-
-func TestLoopclosure(t *testing.T) {
-	analysistest.RunWithVersion(t, "testdata", analysis.Loopclosure, "loopclosure", "go1.21")
-}
-
-// TestLoopclosureVersionGate proves the pass is silent under go1.22
-// per-iteration loop-variable semantics.
-func TestLoopclosureVersionGate(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.Loopclosure, "loopclosure122")
 }
 
 // TestUnusedAllowAudit drives the full Result surface: a suppressed finding

@@ -62,6 +62,30 @@ func loopScopedIsClean(p *bufPool, n int) []byte {
 	return b // ok: releases are tracked within their own block only
 }
 
+// opFreelist mirrors mpi.Freelist: Put on a freelist type is a release, and
+// so is the operation's own Recycle.
+type opFreelist struct{ free []*frame }
+
+func (f *opFreelist) Put(o *frame) { f.free = append(f.free, o) }
+
+func (f *frame) Recycle() {}
+
+func useAfterFreelistPut(f *opFreelist, o *frame) int {
+	f.Put(o)
+	return len(o.buf) // want `use of o after it was released to the pool at line \d+`
+}
+
+func useAfterRecycle(o *frame) []byte {
+	o.Recycle()
+	return o.buf // want `use of o after it was released to the pool at line \d+`
+}
+
+func infoReadBeforeRecycle(o *frame) int {
+	n := len(o.buf)
+	o.Recycle()
+	return n // ok: read before the op went back to its freelist
+}
+
 type stack struct{ items [][]byte }
 
 func (s *stack) put(b []byte) { s.items = append(s.items, b) }

@@ -1,20 +1,49 @@
 // Corpus for the waitcheck analyzer: request lifecycle of Isend/Irecv.
 package waitcheck
 
-import "errors"
+import (
+	"errors"
+	"time"
+)
+
+// The stubs mirror the mpi layer's shape: one Op descriptor, one send and
+// one receive entry on the Comm, one deadline-taking wait on the request,
+// and package helpers spelling the common argument shapes.
+
+type Datatype struct{ count, blockLen, stride int }
+
+type Op struct {
+	Buf  []byte
+	Type Datatype
+	Peer int
+}
+
+type TraceInfo struct{ Ctx uint64 }
 
 type Request struct{ done bool }
 
-func (r *Request) Wait() error { return nil }
+func (r *Request) Wait(d time.Duration) (TraceInfo, error) { return TraceInfo{}, nil }
 
 type Comm struct{}
 
-func (c *Comm) Isend(buf []byte, dst int) *Request { return &Request{} }
-func (c *Comm) Irecv(buf []byte, src int) *Request { return &Request{} }
+func (c *Comm) Isend(op Op) *Request { return &Request{} }
+func (c *Comm) Irecv(op Op) *Request { return &Request{} }
+
+func Isend(c *Comm, buf []byte, dst int) *Request { return c.Isend(Op{Buf: buf, Peer: dst}) }
+func Irecv(c *Comm, buf []byte, src int) *Request { return c.Irecv(Op{Buf: buf, Peer: src}) }
+
+func IsendTyped(c *Comm, base []byte, dt Datatype, dst int) *Request {
+	return c.Isend(Op{Buf: base, Type: dt, Peer: dst})
+}
+
+func wait(r *Request) error {
+	_, err := r.Wait(0)
+	return err
+}
 
 func waitAll(reqs []*Request) error {
 	for _, r := range reqs {
-		if err := r.Wait(); err != nil {
+		if err := wait(r); err != nil {
 			return err
 		}
 	}
@@ -26,27 +55,36 @@ func prepare(i int) error { return nil }
 func timedOut(buf []byte) bool { return len(buf) == 0 }
 
 func chainedWait(c *Comm, buf []byte) error {
-	return c.Isend(buf, 1).Wait() // ok: waited immediately
+	_, err := c.Isend(Op{Buf: buf, Peer: 1}).Wait(time.Second) // ok: waited immediately
+	return err
+}
+
+func methodDiscarded(c *Comm, buf []byte) {
+	c.Isend(Op{Buf: buf, Peer: 1}) // want `result of Isend is discarded; the request is never waited`
+}
+
+func typedDiscarded(c *Comm, base []byte, dt Datatype) {
+	_ = IsendTyped(c, base, dt, 1) // want `result of IsendTyped is discarded; the request is never waited`
 }
 
 func discarded(c *Comm, buf []byte) {
-	_ = c.Isend(buf, 1) // want `result of Isend is discarded; the request is never waited`
+	_ = Isend(c, buf, 1) // want `result of Isend is discarded; the request is never waited`
 }
 
 func dropped(c *Comm, buf []byte) {
-	c.Irecv(buf, 0) // want `result of Irecv is discarded; the request is never waited`
+	Irecv(c, buf, 0) // want `result of Irecv is discarded; the request is never waited`
 }
 
 func neverWaited(c *Comm, buf []byte) {
 	var reqs []*Request
-	reqs = append(reqs, c.Isend(buf, 1)) // want `request stored in "reqs" is never waited`
+	reqs = append(reqs, Isend(c, buf, 1)) // want `request stored in "reqs" is never waited`
 	reqs = reqs[:0]
 }
 
 func earlyReturnLeak(c *Comm, buf []byte, n int) error {
 	var reqs []*Request
 	for i := 0; i < n; i++ {
-		reqs = append(reqs, c.Irecv(buf, i))
+		reqs = append(reqs, Irecv(c, buf, i))
 		if err := prepare(i); err != nil {
 			return err // want `return leaks request\(s\) in "reqs" acquired at line \d+ without a Wait on this path`
 		}
@@ -57,7 +95,7 @@ func earlyReturnLeak(c *Comm, buf []byte, n int) error {
 func guardedReturn(c *Comm, buf []byte, n int) error {
 	var reqs []*Request
 	for i := 0; i < n; i++ {
-		reqs = append(reqs, c.Irecv(buf, i))
+		reqs = append(reqs, Irecv(c, buf, i))
 	}
 	if err := waitAll(reqs); err != nil {
 		return err // ok: the wait happened in this statement's init
@@ -66,31 +104,31 @@ func guardedReturn(c *Comm, buf []byte, n int) error {
 }
 
 func singleTracked(c *Comm, buf []byte) error {
-	r := c.Isend(buf, 1)
-	return r.Wait() // ok: waited on the only path
+	r := Isend(c, buf, 1)
+	return wait(r) // ok: waited on the only path
 }
 
 func escapesToCaller(c *Comm, buf []byte) *Request {
-	return c.Isend(buf, 1) // ok: caller takes responsibility
+	return Isend(c, buf, 1) // ok: caller takes responsibility
 }
 
 func escapesViaSlice(c *Comm, buf []byte) []*Request {
 	var reqs []*Request
-	reqs = append(reqs, c.Isend(buf, 1), c.Irecv(buf, 1))
+	reqs = append(reqs, Isend(c, buf, 1), Irecv(c, buf, 1))
 	return reqs // ok: slice escapes to the caller
 }
 
 func escapesViaHelper(c *Comm, buf []byte) error {
-	return waitAll([]*Request{c.Isend(buf, 1)}) // ok: composite literal handed to the waiter
+	return waitAll([]*Request{Isend(c, buf, 1)}) // ok: composite literal handed to the waiter
 }
 
 func deliberateAbandon(c *Comm, buf []byte) error {
-	r := c.Isend(buf, 1)
+	r := Isend(c, buf, 1)
 	if timedOut(buf) {
 		//aapc:allow waitcheck scratch comm is abandoned to the GC on timeout
 		return errors.New("timeout")
 	}
-	return r.Wait()
+	return wait(r)
 }
 
 // ---- interprocedural cases: callee facts decide who holds the request ----
@@ -99,22 +137,22 @@ func deliberateAbandon(c *Comm, buf []byte) error {
 func dropOnFloor(r *Request) {}
 
 // handOff genuinely consumes: the request reaches a Wait one frame down.
-func handOff(r *Request) error { return r.Wait() }
+func handOff(r *Request) error { return wait(r) }
 
 func passedToSink(c *Comm, buf []byte) {
-	dropOnFloor(c.Isend(buf, 1)) // want `result of Isend is passed to dropOnFloor, which neither waits nor retains it`
+	dropOnFloor(Isend(c, buf, 1)) // want `result of Isend is passed to dropOnFloor, which neither waits nor retains it`
 }
 
 func passedToWaiter(c *Comm, buf []byte) error {
-	return handOff(c.Isend(buf, 1)) // ok: handOff waits
+	return handOff(Isend(c, buf, 1)) // ok: handOff waits
 }
 
 func storedThenDropped(c *Comm, buf []byte) {
-	r := c.Isend(buf, 1) // want `request stored in "r" is never waited`
+	r := Isend(c, buf, 1) // want `request stored in "r" is never waited`
 	dropOnFloor(r)
 }
 
 func storedThenHandedOff(c *Comm, buf []byte) error {
-	r := c.Isend(buf, 1)
+	r := Isend(c, buf, 1)
 	return handOff(r) // ok: the callee's fact marks the parameter consumed
 }

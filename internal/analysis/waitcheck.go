@@ -24,6 +24,7 @@ import (
 //     — the classic leak-on-error-path. Deliberate abandonment (e.g. a
 //     timed-out collective whose scratch is left to the GC) is annotated
 //     //aapc:allow waitcheck with the reason.
+//
 // With facts available (facts.go) the pass is interprocedural: passing a
 // request to a callee counts as consumption only when the callee's fact
 // says the parameter is waited, retained, or escapes — handing a request to
@@ -36,14 +37,29 @@ var Waitcheck = &Analyzer{
 	Run:        runWaitcheck,
 }
 
-// isRequestAcquisition reports whether call is c.Isend(...)/c.Irecv(...)
-// returning a waitable request (its result type has a Wait method).
-func isRequestAcquisition(pass *Pass, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
+// acquisitionName returns the callee name when call starts a request — the
+// Comm methods c.Isend(op)/c.Irecv(op) or the mpi package helpers
+// Isend/Irecv/IsendTyped/IrecvTyped (qualified or, inside package mpi,
+// bare) — and "" otherwise.
+func acquisitionName(call *ast.CallExpr) string {
+	var name string
+	switch fun := call.Fun.(type) {
+	case *ast.SelectorExpr:
+		name = fun.Sel.Name
+	case *ast.Ident:
+		name = fun.Name
 	}
-	if name := sel.Sel.Name; name != "Isend" && name != "Irecv" {
+	switch name {
+	case "Isend", "Irecv", "IsendTyped", "IrecvTyped":
+		return name
+	}
+	return ""
+}
+
+// isRequestAcquisition reports whether call starts a request: an
+// acquisition name returning a waitable value (its type has a Wait method).
+func isRequestAcquisition(pass *Pass, call *ast.CallExpr) bool {
+	if acquisitionName(call) == "" {
 		return false
 	}
 	t := pass.TypeOf(call)
@@ -118,7 +134,7 @@ func checkAcquisition(pass *Pass, file *ast.File, parents map[ast.Node]ast.Node,
 	}
 	switch p := parent.(type) {
 	case *ast.SelectorExpr:
-		// Chained: c.Isend(...).Wait() — consumed immediately.
+		// Chained: c.Isend(op).Wait(d) — consumed immediately.
 		return
 	case *ast.CallExpr:
 		// Passed straight to a function. append(reqs, acq) transfers
@@ -180,12 +196,7 @@ func checkAcquisition(pass *Pass, file *ast.File, parents map[ast.Node]ast.Node,
 	}
 }
 
-func callName(call *ast.CallExpr) string {
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		return sel.Sel.Name
-	}
-	return "Isend/Irecv"
-}
+func callName(call *ast.CallExpr) string { return acquisitionName(call) }
 
 func isBuiltinAppend(pass *Pass, call *ast.CallExpr) bool {
 	id, ok := call.Fun.(*ast.Ident)

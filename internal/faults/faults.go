@@ -279,65 +279,34 @@ func (c *faultComm) rankOp() error {
 	return nil
 }
 
-// errRequest is an already-failed request.
-type errRequest struct{ err error }
-
-func (r errRequest) Wait() error                     { return r.err }
-func (r errRequest) WaitTimeout(time.Duration) error { return r.err }
-
-// timedReq bounds the inner request's Wait by the injector's op timeout.
+// timedReq bounds the inner request's wait by the injector's op timeout: the
+// tighter of the caller's and the injector's deadlines is in force.
 type timedReq struct {
 	inner mpi.Request
 	d     time.Duration
 }
 
-func (r timedReq) Wait() error { return mpi.WaitTimeout(r.inner, r.d) }
-func (r timedReq) WaitTimeout(d time.Duration) error {
+func (r timedReq) Wait(d time.Duration) (mpi.TraceInfo, error) {
 	if r.d > 0 && (d <= 0 || r.d < d) {
 		d = r.d
 	}
-	return mpi.WaitTimeout(r.inner, d)
+	return r.inner.Wait(d)
 }
 
-// WaitTraced passes the trace information through (mpi.TracedRequest) while
-// keeping the injector's op timeout in force.
-func (r timedReq) WaitTraced() (mpi.TraceInfo, error) {
-	return mpi.WaitTracedTimeout(r.inner, r.d)
-}
-
-// WaitTracedTimeout bounds WaitTraced by the tighter of the caller's and
-// the injector's deadlines (mpi.TracedTimedRequest).
-func (r timedReq) WaitTracedTimeout(d time.Duration) (mpi.TraceInfo, error) {
-	if r.d > 0 && (d <= 0 || r.d < d) {
-		d = r.d
-	}
-	return mpi.WaitTracedTimeout(r.inner, d)
-}
-
-func (c *faultComm) Isend(buf []byte, dst, tag int) mpi.Request {
-	return c.isend(buf, dst, tag, 0)
-}
-
-// IsendTraced applies the same fault rules as Isend and forwards the trace
-// context to the transport (mpi.TracedSender). Without this passthrough,
-// wrapping a traced transport in the injector would silently unlink every
-// message — exactly the runs where attribution matters most.
-func (c *faultComm) IsendTraced(buf []byte, dst, tag int, ctx uint64) mpi.Request {
-	return c.isend(buf, dst, tag, ctx)
-}
-
-func (c *faultComm) isend(buf []byte, dst, tag int, ctx uint64) mpi.Request {
+// Isend applies the rank and message fault rules and forwards the op — its
+// layout and trace context included — to the transport.
+func (c *faultComm) Isend(op mpi.Op) mpi.Request {
 	if err := c.rankOp(); err != nil {
-		return errRequest{err}
+		return mpi.Completed(err)
 	}
 	if c.msgFaults {
-		if r := c.inj.nextPairFault(c.inner.Rank(), dst); r != nil {
+		if r := c.inj.nextPairFault(c.inner.Rank(), op.Peer); r != nil {
 			switch r.Kind {
 			case Drop:
 				// The message vanishes. MPI send semantics: completion means
 				// the buffer is reusable, which it trivially is. The receiver
 				// learns through its own deadline.
-				return errRequest{nil}
+				return mpi.Completed(nil)
 			case Delay:
 				// Pause before submitting, in the caller's goroutine: an
 				// asynchronous late submission would let later sends of the
@@ -350,19 +319,14 @@ func (c *faultComm) isend(buf []byte, dst, tag int, ctx uint64) mpi.Request {
 			// matching layer; treated as none.
 		}
 	}
-	if ctx != 0 {
-		if ts, ok := c.inner.(mpi.TracedSender); ok {
-			return timedReq{inner: ts.IsendTraced(buf, dst, tag, ctx), d: c.inj.opTimeout}
-		}
-	}
-	return timedReq{inner: c.inner.Isend(buf, dst, tag), d: c.inj.opTimeout}
+	return timedReq{inner: c.inner.Isend(op), d: c.inj.opTimeout}
 }
 
-func (c *faultComm) Irecv(buf []byte, src, tag int) mpi.Request {
+func (c *faultComm) Irecv(op mpi.Op) mpi.Request {
 	if err := c.rankOp(); err != nil {
-		return errRequest{err}
+		return mpi.Completed(err)
 	}
-	return timedReq{inner: c.inner.Irecv(buf, src, tag), d: c.inj.opTimeout}
+	return timedReq{inner: c.inner.Irecv(op), d: c.inj.opTimeout}
 }
 
 func (c *faultComm) Barrier() error {

@@ -215,8 +215,8 @@ func TestWrapDropTimesOutReceiver(t *testing.T) {
 	inj := New(plan)
 	inj.SetOpTimeout(50 * time.Millisecond)
 	comms := mem.NewWorld(2)
-	send := inj.Wrap(comms[0]).Isend([]byte{1}, 1, 0)
-	if err := send.Wait(); err != nil {
+	send := mpi.Isend(inj.Wrap(comms[0]), []byte{1}, 1, 0)
+	if err := mpi.Wait(send); err != nil {
 		t.Fatalf("dropped send must still complete locally: %v", err)
 	}
 	err := mpi.Recv(inj.Wrap(comms[1]), make([]byte, 1), 0, 0)
@@ -232,8 +232,8 @@ func TestWrapKill(t *testing.T) {
 	c1 := inj.Wrap(comms[1])
 
 	// Op 0 is clean; op 1 fires the kill.
-	_ = c1.Irecv(make([]byte, 1), 0, 9) //aapc:allow waitcheck the receive only consumes a fault-plan slot; it never completes
-	err := c1.Isend([]byte{1}, 0, 5).Wait()
+	_ = mpi.Irecv(c1, make([]byte, 1), 0, 9) //aapc:allow waitcheck the receive only consumes a fault-plan slot; it never completes
+	err := mpi.Send(c1, []byte{1}, 0, 5)
 	if re, ok := mpi.AsRankError(err); !ok || re.Rank != 1 {
 		t.Fatalf("op past the kill point: got %v, want RankError{Rank: 1}", err)
 	}
@@ -242,7 +242,7 @@ func TestWrapKill(t *testing.T) {
 	}
 	// The kill went through the transport: rank 0's operations involving
 	// rank 1 now fail with the typed error.
-	err = comms[0].Isend([]byte{1}, 1, 7).Wait()
+	err = mpi.Send(comms[0], []byte{1}, 1, 7)
 	re, ok := mpi.AsRankError(err)
 	if !ok || re.Rank != 1 {
 		t.Fatalf("peer op after kill: got %v, want RankError{Rank: 1}", err)

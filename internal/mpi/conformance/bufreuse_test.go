@@ -93,7 +93,7 @@ func runBufReuseRank(c mpi.Comm, n int) error {
 		for off := 1; off < n; off++ {
 			src := (me + off) % n
 			if off%2 == 0 {
-				reqs = append(reqs, c.Irecv(set[src][:reuseSize(round, src, me)], src, round))
+				reqs = append(reqs, mpi.Irecv(c, set[src][:reuseSize(round, src, me)], src, round))
 			} else {
 				late = append(late, src)
 			}
@@ -103,11 +103,11 @@ func runBufReuseRank(c mpi.Comm, n int) error {
 			dst := (me + off) % n
 			size := reuseSize(round, me, dst)
 			reuseFill(sendBufs[dst][:size], round, me, dst)
-			sendReqs = append(sendReqs, c.Isend(sendBufs[dst][:size], dst, round))
+			sendReqs = append(sendReqs, mpi.Isend(c, sendBufs[dst][:size], dst, round))
 		}
 		time.Sleep(time.Millisecond) // let in-flight payloads land unmatched
 		for _, src := range late {
-			reqs = append(reqs, c.Irecv(set[src][:reuseSize(round, src, me)], src, round))
+			reqs = append(reqs, mpi.Irecv(c, set[src][:reuseSize(round, src, me)], src, round))
 		}
 		if err := mpi.WaitAll(sendReqs); err != nil {
 			//aapc:allow waitcheck the test aborts; pending receives are abandoned with the world

@@ -84,7 +84,7 @@ func (p *program) runRank(c mpi.Comm) error {
 				recvs = append(recvs, pendingRecv{
 					msg: m,
 					buf: buf,
-					req: c.Irecv(buf, m.src, m.tag),
+					req: mpi.Irecv(c, buf, m.src, m.tag),
 				})
 			}
 		}
@@ -94,11 +94,11 @@ func (p *program) runRank(c mpi.Comm) error {
 				for i := range buf {
 					buf[i] = payloadByte(m.seq, i)
 				}
-				sends = append(sends, c.Isend(buf, m.dst, m.tag))
+				sends = append(sends, mpi.Isend(c, buf, m.dst, m.tag))
 			}
 		}
 		for _, pr := range recvs {
-			if err := pr.req.Wait(); err != nil {
+			if err := mpi.Wait(pr.req); err != nil {
 				//aapc:allow waitcheck the test aborts; in-flight sends are abandoned with the world
 				return fmt.Errorf("round %d msg %d: recv: %w", ri, pr.msg.seq, err)
 			}

@@ -136,6 +136,13 @@ func TestInstrumentedScheduledAlltoall(t *testing.T) {
 						if e.Bytes == msize {
 							dataRecvs++
 						}
+						// Contig is a TypedBuffers, so data blocks travel as
+						// typed ops and syncs as plain ones: both must carry
+						// the sender's context on every transport.
+						if e.LinkSeq == 0 {
+							t.Errorf("rank %d: recv of %d bytes from %d (tag %d) is not linked to its send",
+								r, e.Bytes, e.Peer, e.Tag)
+						}
 					case obsv.KindPhase:
 						phases++
 					}

@@ -14,6 +14,7 @@ import (
 	"github.com/aapc-sched/aapcsched/internal/mpi/mem"
 	"github.com/aapc-sched/aapcsched/internal/mpi/shm"
 	"github.com/aapc-sched/aapcsched/internal/mpi/tcp"
+	"github.com/aapc-sched/aapcsched/internal/simnet"
 )
 
 // xfer is one randomly drawn typed transfer. The payload size factors as
@@ -50,31 +51,86 @@ func (x xfer) layouts() (sdt, rdt mpi.Datatype) {
 	return sdt, rdt
 }
 
-// runTyped executes the transfer on a 2-rank world: rank 0 sends its strided
-// view, rank 1 receives into its own view, and the property holds when the
-// packed byte streams agree AND no byte outside the receiver's blocks was
-// touched.
-func (x xfer) runTyped(runner func(fn func(c mpi.Comm) error) error) error {
+// typedRunner is one row of the typed-transfer table: run builds a 2-rank
+// world, and wrap (when non-nil) decorates each rank's comm before use — the
+// raw comm stays visible so transport counters can be sampled underneath
+// the wrapper.
+type typedRunner struct {
+	run  func(fn func(c mpi.Comm) error) error
+	wrap func(c mpi.Comm) mpi.Comm
+}
+
+// runTyped executes the transfer on a 2-rank world: rank 1 pre-posts its
+// receive view, rank 0 sends its strided view under a trace context, and
+// the property holds when the packed byte streams agree, no byte outside the
+// receiver's blocks was touched, the receive learned exactly the sender's
+// context, and — on transports with tcp counters — the strided send was
+// borrowed straight off the caller's layout, never staged through a pack
+// buffer or a pooled copy.
+func (x xfer) runTyped(r typedRunner) error {
 	sdt, rdt := x.layouts()
 	payload := make([]byte, sdt.Size())
 	rng := rand.New(rand.NewSource(x.Seed))
 	rng.Read(payload)
-	return runner(func(c mpi.Comm) error {
+	ctx := mpi.MakeTraceCtx(0, uint64(x.Seed)|1)
+	return r.run(func(raw mpi.Comm) error {
 		const tag = 7
+		c := raw
+		if r.wrap != nil {
+			c = r.wrap(raw)
+		}
 		if c.Rank() == 0 {
 			base := make([]byte, sdt.Extent())
 			for i := range base {
 				base[i] = 0xEE
 			}
 			sdt.Unpack(base, payload)
-			return mpi.WaitTimeout(mpi.IsendTyped(c, base, sdt, 1, tag), quickOpTimeout)
+			if err := c.Barrier(); err != nil { // the receive is posted
+				return err
+			}
+			// Only a genuinely strided view is held to the no-staging rule: a
+			// drawn layout that degenerates to contiguous is a small plain
+			// send, which the resilient world copies on purpose.
+			st, counted := raw.(interface{ TransportStats() tcp.Stats })
+			counted = counted && !sdt.Contig()
+			var before tcp.Stats
+			if counted {
+				before = st.TransportStats()
+			}
+			req := c.Isend(mpi.Op{Buf: base, Type: sdt, Peer: 1, Tag: tag, Ctx: ctx})
+			if err := mpi.WaitTimeout(req, quickOpTimeout); err != nil {
+				return err
+			}
+			if counted {
+				after := st.TransportStats()
+				if after.CopiedSends != before.CopiedSends || after.BorrowedSends != before.BorrowedSends+1 {
+					return fmt.Errorf("strided send staged instead of borrowed for %+v: copied +%d, borrowed +%d", x,
+						after.CopiedSends-before.CopiedSends, after.BorrowedSends-before.BorrowedSends)
+				}
+				// A strided receive layout costs the one scatter copy by
+				// design; a contiguous pre-posted one must cost none.
+				if rdt.Contig() && after.PayloadCopies != before.PayloadCopies {
+					return fmt.Errorf("pre-posted contiguous receive of a strided send copied payload %d times for %+v",
+						after.PayloadCopies-before.PayloadCopies, x)
+				}
+			}
+			return nil
 		}
 		base := make([]byte, rdt.Extent())
 		for i := range base {
 			base[i] = 0xEE
 		}
-		if err := mpi.WaitTimeout(mpi.IrecvTyped(c, base, rdt, 0, tag), quickOpTimeout); err != nil {
+		req := mpi.IrecvTyped(c, base, rdt, 0, tag)
+		if err := c.Barrier(); err != nil {
+			//aapc:allow waitcheck the world is torn down on a failed barrier
 			return err
+		}
+		info, err := req.Wait(quickOpTimeout)
+		if err != nil {
+			return err
+		}
+		if info.Ctx != ctx {
+			return fmt.Errorf("receive learned ctx %#x, sender attached %#x, for %+v", info.Ctx, ctx, x)
 		}
 		want := make([]byte, rdt.Extent())
 		for i := range want {
@@ -97,20 +153,35 @@ const quickOpTimeout = 30 * time.Second // far above any healthy transfer
 
 // TestTypedTransferQuick is the cross-transport property test: any randomly
 // drawn strided<->strided (or strided<->contiguous) transfer is
-// byte-identical after packing on every transport, including a TCP world
-// whose first data frame per pair is force-dropped so delivery rides the
-// reconnect + retransmit path.
+// byte-identical after packing, and carries its trace context, on every
+// transport — including a TCP world whose first data frame per pair is
+// force-dropped so delivery rides the reconnect + retransmit path, and a TCP
+// world behind the fault injector's comm wrapper, which must forward the
+// op's layout and context untouched.
 func TestTypedTransferQuick(t *testing.T) {
 	dropFirst := &faults.Plan{Seed: 99, Rules: []faults.Rule{
 		{Kind: faults.Drop, Src: faults.Any, Dst: faults.Any, Count: 1},
 	}}
-	runners := map[string]func(fn func(c mpi.Comm) error) error{
-		"mem": func(fn func(c mpi.Comm) error) error { return mem.Run(2, fn) },
-		"shm": func(fn func(c mpi.Comm) error) error { return shm.Run(2, fn) },
-		"tcp": func(fn func(c mpi.Comm) error) error { return tcp.Run(2, fn) },
-		"tcp-reconnect": func(fn func(c mpi.Comm) error) error {
+	runners := map[string]typedRunner{
+		"mem": {run: func(fn func(c mpi.Comm) error) error { return mem.Run(2, fn) }},
+		"shm": {run: func(fn func(c mpi.Comm) error) error { return shm.Run(2, fn) }},
+		"tcp": {run: func(fn func(c mpi.Comm) error) error { return tcp.Run(2, fn) }},
+		"tcp-reconnect": {run: func(fn func(c mpi.Comm) error) error {
 			return tcp.Run(2, fn, tcp.WithFaults(faults.New(dropFirst)))
+		}},
+		"tcp-faults-rankonly": {
+			run:  func(fn func(c mpi.Comm) error) error { return tcp.Run(2, fn) },
+			wrap: faults.New(nil).WrapRankOnly,
 		},
+		"tcp-distributed":     {run: distributedRunner(2)},
+		"tcp-distributed-tcp": {run: distributedRunner(2, tcp.WithoutSharedMemory())},
+		"simnet": {run: func(fn func(c mpi.Comm) error) error {
+			w, err := simnet.NewWorld(simnet.Config{Graph: starGraph(2)})
+			if err != nil {
+				return err
+			}
+			return w.Run(fn)
+		}},
 	}
 	for name, runner := range runners {
 		name, runner := name, runner

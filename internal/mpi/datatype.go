@@ -1,25 +1,22 @@
 package mpi
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Datatype describes a (possibly strided) byte layout over a base slice —
 // the repository's analogue of MPI user-defined datatypes (MPI_Type_vector
 // and friends). A datatype lets an algorithm hand the transport a view into
 // application storage (a row of blocks inside one matrix, a sub-matrix with
 // a leading dimension) instead of packing the data into a contiguous
-// staging buffer first: transports that understand datatypes gather the
-// blocks straight into their wire batches and scatter received bytes
+// staging buffer first: every transport gathers the blocks straight
+// into its wire batches (or the peer's layout) and scatters received bytes
 // straight into the destination blocks, so the data crosses user space at
 // most once.
 //
 // The layout is count blocks of blockLen bytes each, the i-th block
 // starting at byte offset i*stride of the base slice. stride == blockLen
 // (or count <= 1) makes the layout contiguous. The zero Datatype is the
-// "untyped" marker used internally by transports; user code builds
-// datatypes with Contiguous and Vector.
+// "all of Buf, contiguously" default of an Op; user code builds datatypes
+// with Contiguous and Vector.
 type Datatype struct {
 	count    int
 	blockLen int
@@ -149,74 +146,4 @@ func CopyTyped(dstBase []byte, ddt Datatype, srcBase []byte, sdt Datatype) int {
 		}
 	}
 	return n
-}
-
-// TypedComm is the optional transport interface for zero-copy datatype
-// operations: the transport gathers the send layout straight into its wire
-// batch and scatters received bytes straight into the receive layout, never
-// staging the payload in a pack buffer.
-type TypedComm interface {
-	// IsendTyped starts a nonblocking send of the dt-described bytes of
-	// base. Like Isend, the described bytes must not be modified until the
-	// request completes.
-	IsendTyped(base []byte, dt Datatype, dst, tag int) Request
-	// IrecvTyped starts a nonblocking receive placing incoming bytes into
-	// the dt-described blocks of base.
-	IrecvTyped(base []byte, dt Datatype, src, tag int) Request
-}
-
-// IsendTyped sends a typed view through any Comm: natively when the
-// transport implements TypedComm, otherwise by packing into a temporary
-// contiguous buffer (the one copy the native path avoids).
-func IsendTyped(c Comm, base []byte, dt Datatype, dst, tag int) Request {
-	if tc, ok := c.(TypedComm); ok {
-		return tc.IsendTyped(base, dt, dst, tag)
-	}
-	if dt.Contig() {
-		return c.Isend(base[:min(dt.Size(), len(base))], dst, tag)
-	}
-	tmp := make([]byte, dt.Size())
-	dt.Pack(tmp, base)
-	return c.Isend(tmp, dst, tag)
-}
-
-// IrecvTyped receives into a typed view through any Comm: natively when the
-// transport implements TypedComm, otherwise by receiving into a temporary
-// buffer and unpacking at completion.
-func IrecvTyped(c Comm, base []byte, dt Datatype, src, tag int) Request {
-	if tc, ok := c.(TypedComm); ok {
-		return tc.IrecvTyped(base, dt, src, tag)
-	}
-	if dt.Contig() {
-		return c.Irecv(base[:min(dt.Size(), len(base))], src, tag)
-	}
-	tmp := make([]byte, dt.Size())
-	return &unpackReq{inner: c.Irecv(tmp, src, tag), base: base, tmp: tmp, dt: dt}
-}
-
-// unpackReq completes a fallback typed receive: wait, then scatter the
-// staged bytes into the user layout.
-type unpackReq struct {
-	inner Request
-	base  []byte
-	tmp   []byte
-	dt    Datatype
-}
-
-func (r *unpackReq) Wait() error {
-	err := r.inner.Wait()
-	if err == nil {
-		r.dt.Unpack(r.base, r.tmp)
-	}
-	return err
-}
-
-// WaitTimeout bounds the wait when the inner request supports deadlines
-// (TimedRequest).
-func (r *unpackReq) WaitTimeout(d time.Duration) error {
-	err := WaitTimeout(r.inner, d)
-	if err == nil {
-		r.dt.Unpack(r.base, r.tmp)
-	}
-	return err
 }

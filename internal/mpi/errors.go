@@ -58,29 +58,14 @@ func IsTimeout(err error) bool {
 	return errors.As(err, &te)
 }
 
-// TimedRequest is a Request whose Wait can be bounded by a deadline.
-// Transports that can support per-operation deadlines implement it.
-type TimedRequest interface {
-	Request
-	// WaitTimeout behaves like Wait but returns a TimeoutError if the
-	// operation has not completed within d. d <= 0 means no deadline.
-	// At most one of Wait/WaitTimeout may be called per request.
-	WaitTimeout(d time.Duration) error
-}
-
-// WaitTimeout waits for a request with a deadline when the transport
-// supports one (TimedRequest); otherwise it degrades to a plain Wait.
-// d <= 0 always means an unbounded wait.
+// WaitTimeout waits for a request bounded by d and returns its error; d <= 0
+// (or a nil request) is an unbounded wait.
 func WaitTimeout(r Request, d time.Duration) error {
 	if r == nil {
 		return nil
 	}
-	if d > 0 {
-		if tr, ok := r.(TimedRequest); ok {
-			return tr.WaitTimeout(d)
-		}
-	}
-	return r.Wait()
+	_, err := r.Wait(d)
+	return err
 }
 
 // WaitAllTimeout waits for every request under one shared deadline: the
@@ -112,12 +97,12 @@ func WaitAllTimeout(reqs []Request, d time.Duration) error {
 
 // SendTimeout is a blocking send bounded by d.
 func SendTimeout(c Comm, buf []byte, dst, tag int, d time.Duration) error {
-	return WaitTimeout(c.Isend(buf, dst, tag), d)
+	return WaitTimeout(Isend(c, buf, dst, tag), d)
 }
 
 // RecvTimeout is a blocking receive bounded by d.
 func RecvTimeout(c Comm, buf []byte, src, tag int, d time.Duration) error {
-	return WaitTimeout(c.Irecv(buf, src, tag), d)
+	return WaitTimeout(Irecv(c, buf, src, tag), d)
 }
 
 // FaultOp is the action a fault-injection layer requests for one outbound

@@ -29,45 +29,8 @@ type World struct {
 	dead    map[int]error
 	barrier *barrierGen
 
-	// opsMu guards opFree, the freelist of completed operations. An op (and
-	// its one-slot channel) is recycled when Wait consumes its completion —
-	// the only point where provably neither side references it anymore. Ops
-	// abandoned by WaitTimeout are never recycled: a late match may still
-	// write their buffer and channel.
-	opsMu  sync.Mutex
-	opFree []*op
-}
-
-// opFreeCap bounds the freelist; beyond it completed ops fall to the GC.
-const opFreeCap = 1024
-
-// getOp returns a recycled op or makes a fresh one.
-func (w *World) getOp(buf []byte) *op {
-	w.opsMu.Lock()
-	if k := len(w.opFree); k > 0 {
-		o := w.opFree[k-1]
-		w.opFree[k-1] = nil
-		w.opFree = w.opFree[:k-1]
-		w.opsMu.Unlock()
-		o.buf = buf
-		return o
-	}
-	w.opsMu.Unlock()
-	return &op{w: w, buf: buf, done: make(chan error, 1)}
-}
-
-// putOp returns a consumed op to the freelist. Its channel is empty again
-// (the single completion was just received), so it is ready for reuse.
-func (w *World) putOp(o *op) {
-	o.buf = nil
-	o.ctx = 0
-	o.deliveredAt = 0
-	o.dt = mpi.Datatype{}
-	w.opsMu.Lock()
-	if len(w.opFree) < opFreeCap {
-		w.opFree = append(w.opFree, o)
-	}
-	w.opsMu.Unlock()
+	// ops recycles completed operations (see mpi.Completion for the rule).
+	ops mpi.Freelist[op]
 }
 
 // barrierGen is one generation of the barrier: everyone blocked on it is
@@ -85,103 +48,59 @@ type matchKey struct {
 }
 
 // op is one pending operation awaiting its match. It doubles as the request
-// handed back to the caller: Wait consumes the completion and recycles the
-// op through the world's freelist, so a steady stream of operations reuses a
-// small set of op/channel pairs instead of allocating per message.
+// handed back to the caller (the embedded mpi.Completion). For traced
+// messages only, the match stamps the send's context and the match time as
+// Info on BOTH ops: the recv side reads the time as the payload's arrival,
+// the send side as the moment its message left (which a late-drained Wait
+// would otherwise misreport).
 type op struct {
-	w    *World
-	buf  []byte
-	done chan error
-	// ctx is the trace context: on a send op, the context the sender
-	// attached (IsendTraced); on a recv op, the matching sender's context,
-	// copied at match time before the completion is signalled. 0 = untraced.
-	ctx uint64
-	// deliveredAt is the delivery timestamp (Comm.Now seconds), stamped on
-	// BOTH ops at match time for traced messages only: the recv side reads
-	// it as the payload's arrival, the send side as the moment its message
-	// left (which a late-drained Wait would otherwise misreport).
-	deliveredAt float64
-	// dt, when non-zero, describes buf's strided layout (typed operation).
-	// The match moves bytes straight between the two layouts — the mem
+	mpi.Completion
+	w *World
+	// Op is the canonical descriptor: a non-zero Type is a strided layout,
+	// and the match moves bytes straight between the two layouts — the mem
 	// transport's single copy, with no pack staging in between.
-	dt mpi.Datatype
+	mpi.Op
 }
 
-// size returns the operation's payload capacity in bytes.
-func (o *op) size() int {
-	if o.dt.IsZero() {
-		return len(o.buf)
+// getOp returns a recycled op or makes a fresh one.
+func (w *World) getOp(m mpi.Op) *op {
+	o := w.ops.Get()
+	if o == nil {
+		o = &op{w: w}
+		o.Init(o)
 	}
-	return o.dt.Size()
+	o.Op = m
+	return o
 }
 
-// place moves the matched message's bytes from the send op into the recv
-// op, honoring either side's layout, and returns the bytes placed.
-func place(recv, send *op) int {
-	if recv.dt.IsZero() && send.dt.IsZero() {
-		return copy(recv.buf, send.buf)
-	}
-	rdt, sdt := recv.dt, send.dt
-	if rdt.IsZero() {
-		rdt = mpi.Contiguous(len(recv.buf))
-	}
-	if sdt.IsZero() {
-		sdt = mpi.Contiguous(len(send.buf))
-	}
-	return mpi.CopyTyped(recv.buf, rdt, send.buf, sdt)
+// Recycle returns a consumed op to the freelist (mpi.Recycler).
+func (o *op) Recycle() {
+	o.Buf = nil // the one reference a parked op must not pin
+	o.w.ops.Put(o)
 }
 
-func (o *op) Wait() error {
-	err := <-o.done
-	o.w.putOp(o)
-	return err
-}
-
-// WaitTraced consumes the completion and returns the trace information the
-// match recorded (mpi.TracedRequest). The info is read before the op is
-// recycled — reading it after Wait would race the freelist.
-func (o *op) WaitTraced() (mpi.TraceInfo, error) {
-	err := <-o.done
-	info := mpi.TraceInfo{Ctx: o.ctx, DeliveredAt: o.deliveredAt}
-	o.w.putOp(o)
-	return info, err
-}
-
-// WaitTracedTimeout bounds the traced wait (mpi.TracedTimedRequest). Like
-// WaitTimeout, a timed-out op is abandoned, never recycled.
-func (o *op) WaitTracedTimeout(d time.Duration) (mpi.TraceInfo, error) {
-	if d <= 0 {
-		return o.WaitTraced()
+// match moves the message from the send op into the recv op, honoring either
+// side's layout, stamps the trace information and completes both. Both ops
+// have left the queues, so the caller has already released w.mu: neither the
+// copy nor the wake-ups run under the world lock.
+func (w *World) match(recv, send *op) {
+	var n int
+	if recv.Type.IsZero() && send.Type.IsZero() {
+		n = copy(recv.Buf, send.Buf)
+	} else {
+		n = mpi.CopyTyped(recv.Buf, recv.Layout(), send.Buf, send.Layout())
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case err := <-o.done:
-		info := mpi.TraceInfo{Ctx: o.ctx, DeliveredAt: o.deliveredAt}
-		o.w.putOp(o)
-		return info, err
-	case <-t.C:
-		return mpi.TraceInfo{}, &mpi.TimeoutError{Op: "wait", After: d}
+	if send.Ctx != 0 {
+		info := mpi.TraceInfo{Ctx: send.Ctx, DeliveredAt: time.Since(w.start).Seconds()}
+		recv.Info, send.Info = info, info
 	}
-}
-
-// WaitTimeout bounds the wait (mpi.TimedRequest). The operation is
-// abandoned on timeout: its buffer must not be reused, a late match may
-// still consume it, and the op is left to the garbage collector rather than
-// recycled.
-func (o *op) WaitTimeout(d time.Duration) error {
-	if d <= 0 {
-		return o.Wait()
+	var err error
+	if n < send.Size() {
+		err = fmt.Errorf("mem: send %d->%d tag %d truncated: receiver buffer %d < %d",
+			recv.Peer, send.Peer, send.Tag, recv.Size(), send.Size())
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case err := <-o.done:
-		o.w.putOp(o)
-		return err
-	case <-t.C:
-		return &mpi.TimeoutError{Op: "wait", After: d}
-	}
+	recv.Complete(err)
+	send.Complete(err)
 }
 
 // NewWorld creates a world of n in-process ranks and returns one
@@ -249,7 +168,7 @@ func (w *World) KillRank(r int) error {
 			continue
 		}
 		for _, o := range q {
-			o.done <- rankErr
+			o.Complete(rankErr)
 		}
 		delete(w.sends, key)
 	}
@@ -258,7 +177,7 @@ func (w *World) KillRank(r int) error {
 			continue
 		}
 		for _, o := range q {
-			o.done <- rankErr
+			o.Complete(rankErr)
 		}
 		delete(w.recvs, key)
 	}
@@ -296,78 +215,24 @@ func (c *comm) Now() float64 { return time.Since(c.w.start).Seconds() }
 // Kill simulates the death of this rank (mpi.Killer).
 func (c *comm) Kill() error { return c.w.KillRank(c.rank) }
 
-// errRequest is an already-failed request.
-type errRequest struct{ err error }
-
-func (r errRequest) Wait() error                     { return r.err }
-func (r errRequest) WaitTimeout(time.Duration) error { return r.err }
-
-func (c *comm) Isend(buf []byte, dst, tag int) mpi.Request {
-	return c.isend(buf, mpi.Datatype{}, dst, tag, 0)
-}
-
-// IsendTyped starts a typed send (mpi.TypedComm): the match copies straight
-// from the dt-described blocks of base into the receiver's layout.
-func (c *comm) IsendTyped(base []byte, dt mpi.Datatype, dst, tag int) mpi.Request {
-	if err := dt.Validate(len(base)); err != nil {
-		return errRequest{err}
+func (c *comm) Isend(m mpi.Op) mpi.Request {
+	if err := m.Canon(c.w.n); err != nil {
+		return mpi.Completed(err)
 	}
-	return c.isend(base, dt, dst, tag, 0)
-}
-
-// IrecvTyped posts a typed receive (mpi.TypedComm).
-func (c *comm) IrecvTyped(base []byte, dt mpi.Datatype, src, tag int) mpi.Request {
-	if err := dt.Validate(len(base)); err != nil {
-		return errRequest{err}
-	}
-	return c.irecv(base, dt, src, tag)
-}
-
-// IsendTraced attaches a trace context to the message (mpi.TracedSender):
-// the matching receive op learns it, and its delivery time, at match time.
-func (c *comm) IsendTraced(buf []byte, dst, tag int, ctx uint64) mpi.Request {
-	return c.isend(buf, mpi.Datatype{}, dst, tag, ctx)
-}
-
-func (c *comm) isend(buf []byte, dt mpi.Datatype, dst, tag int, ctx uint64) mpi.Request {
-	if err := mpi.CheckRank(c, dst); err != nil {
-		return errRequest{err}
-	}
-	key := matchKey{src: c.rank, dst: dst, tag: tag}
+	key := matchKey{src: c.rank, dst: m.Peer, tag: m.Tag}
 	w := c.w
-	me := w.getOp(buf)
-	me.dt = dt
-	me.ctx = ctx
+	me := w.getOp(m)
 	w.mu.Lock()
-	if err := w.deadErrLocked(c.rank, dst); err != nil {
+	if err := w.deadErrLocked(c.rank, m.Peer); err != nil {
 		w.mu.Unlock()
-		w.putOp(me)
-		return errRequest{err}
+		me.Recycle()
+		return mpi.Completed(err)
 	}
 	if q := w.recvs[key]; len(q) > 0 {
-		peer := q[0]
-		q[0] = nil
-		w.recvs[key] = q[1:]
-		n := place(peer, me)
-		if ctx != 0 {
-			// The channel send below orders these writes before the
-			// receiver's WaitTraced read. The sender's op gets the same
-			// stamp: a send's effect happened at the match, not at whatever
-			// later point its Wait was drained.
-			peer.ctx = ctx
-			peer.deliveredAt = c.Now()
-			me.deliveredAt = peer.deliveredAt
-		}
+		var peer *op
+		peer, w.recvs[key] = mpi.PopFront(q)
 		w.mu.Unlock()
-		if n < me.size() {
-			err := fmt.Errorf("mem: send %d->%d tag %d truncated: receiver buffer %d < %d",
-				key.src, key.dst, key.tag, peer.size(), me.size())
-			peer.done <- err
-			me.done <- err
-		} else {
-			peer.done <- nil
-			me.done <- nil
-		}
+		w.match(peer, me)
 		return me
 	}
 	w.sends[key] = append(w.sends[key], me)
@@ -375,46 +240,26 @@ func (c *comm) isend(buf []byte, dt mpi.Datatype, dst, tag int, ctx uint64) mpi.
 	return me
 }
 
-func (c *comm) Irecv(buf []byte, src, tag int) mpi.Request {
-	return c.irecv(buf, mpi.Datatype{}, src, tag)
-}
-
-func (c *comm) irecv(buf []byte, dt mpi.Datatype, src, tag int) mpi.Request {
-	if err := mpi.CheckRank(c, src); err != nil {
-		return errRequest{err}
+func (c *comm) Irecv(m mpi.Op) mpi.Request {
+	if err := m.Canon(c.w.n); err != nil {
+		return mpi.Completed(err)
 	}
-	key := matchKey{src: src, dst: c.rank, tag: tag}
+	key := matchKey{src: m.Peer, dst: c.rank, tag: m.Tag}
 	w := c.w
-	me := w.getOp(buf)
-	me.dt = dt
+	me := w.getOp(m)
 	w.mu.Lock()
 	if q := w.sends[key]; len(q) > 0 {
 		// A message sent before the source died still matches.
-		peer := q[0]
-		q[0] = nil
-		w.sends[key] = q[1:]
-		n := place(me, peer)
-		if peer.ctx != 0 {
-			me.ctx = peer.ctx
-			me.deliveredAt = c.Now()
-			peer.deliveredAt = me.deliveredAt
-		}
+		var peer *op
+		peer, w.sends[key] = mpi.PopFront(q)
 		w.mu.Unlock()
-		if n < peer.size() {
-			err := fmt.Errorf("mem: send %d->%d tag %d truncated: receiver buffer %d < %d",
-				key.src, key.dst, key.tag, me.size(), peer.size())
-			peer.done <- err
-			me.done <- err
-		} else {
-			peer.done <- nil
-			me.done <- nil
-		}
+		w.match(me, peer)
 		return me
 	}
-	if err := w.deadErrLocked(c.rank, src); err != nil {
+	if err := w.deadErrLocked(c.rank, m.Peer); err != nil {
 		w.mu.Unlock()
-		w.putOp(me)
-		return errRequest{err}
+		me.Recycle()
+		return mpi.Completed(err)
 	}
 	w.recvs[key] = append(w.recvs[key], me)
 	w.mu.Unlock()

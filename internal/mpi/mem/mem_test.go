@@ -33,8 +33,8 @@ func TestRecvBeforeSend(t *testing.T) {
 	err := Run(2, func(c mpi.Comm) error {
 		if c.Rank() == 1 {
 			buf := make([]byte, 3)
-			r := c.Irecv(buf, 0, 0)
-			if err := r.Wait(); err != nil {
+			r := mpi.Irecv(c, buf, 0, 0)
+			if err := mpi.Wait(r); err != nil {
 				return err
 			}
 			if string(buf) != "abc" {
@@ -62,8 +62,8 @@ func TestTagMatching(t *testing.T) {
 		}
 		b2 := make([]byte, 5)
 		b1 := make([]byte, 5)
-		r2 := c.Irecv(b2, 0, 2)
-		r1 := c.Irecv(b1, 0, 1)
+		r2 := mpi.Irecv(c, b2, 0, 2)
+		r1 := mpi.Irecv(c, b1, 0, 1)
 		if err := mpi.WaitAll([]mpi.Request{r1, r2}); err != nil {
 			return err
 		}
@@ -138,10 +138,10 @@ func TestTruncationError(t *testing.T) {
 
 func TestBadRank(t *testing.T) {
 	comms := NewWorld(2)
-	if err := comms[0].Isend(nil, 5, 0).Wait(); err == nil {
+	if err := mpi.Send(comms[0], nil, 5, 0); err == nil {
 		t.Error("want error for out-of-range destination")
 	}
-	if err := comms[0].Irecv(nil, -1, 0).Wait(); err == nil {
+	if err := mpi.Recv(comms[0], nil, -1, 0); err == nil {
 		t.Error("want error for out-of-range source")
 	}
 }
@@ -218,14 +218,14 @@ func TestNaiveAllToAll(t *testing.T) {
 				continue
 			}
 			recv[p] = make([]byte, sz)
-			reqs = append(reqs, c.Irecv(recv[p], p, 0))
+			reqs = append(reqs, mpi.Irecv(c, recv[p], p, 0))
 		}
 		for p := 0; p < n; p++ {
 			if p == c.Rank() {
 				continue
 			}
 			out := bytes.Repeat([]byte{byte(c.Rank()*16 + p)}, sz)
-			reqs = append(reqs, c.Isend(out, p, 0))
+			reqs = append(reqs, mpi.Isend(c, out, p, 0))
 		}
 		if err := mpi.WaitAll(reqs); err != nil {
 			return err

@@ -4,17 +4,30 @@
 // barrier).
 //
 // The paper's automatically generated MPI_Alltoall routines are built on MPI
-// point-to-point primitives; this package plays the role of that layer. Three
+// point-to-point primitives; this package plays the role of that layer. Five
 // implementations exist:
 //
-//   - mpi/mem: in-process transport over shared memory; real byte movement,
-//     used for functional correctness tests and the examples.
-//   - mpi/tcp: loopback TCP sockets (one connection per rank pair); the
-//     closest runnable analogue of the paper's LAM/MPI-over-Ethernet stack.
+//   - mpi/mem: in-process matching engine; real byte movement, used for
+//     functional correctness tests and the examples.
+//   - mpi/shm: per-pair shared-memory rings (single-copy handoff or ring
+//     transit), the no-kernel transport for co-located ranks.
+//   - mpi/tcp (World): loopback TCP sockets, one connection per rank pair,
+//     with sequence numbers, acks, retransmit and reconnect; the closest
+//     runnable analogue of the paper's LAM/MPI-over-Ethernet stack.
+//   - mpi/tcp (Join): the distributed mesh, one process per rank, found
+//     through a rendezvous coordinator.
 //   - simnet: a discrete-event fluid network simulator with virtual time,
 //     used to reproduce the paper's performance evaluation.
 //
-// Algorithms written once against Comm run on all three.
+// Algorithms written once against Comm run on all five.
+//
+// Every message operation is one Op descriptor entering a transport through
+// Comm.Isend or Comm.Irecv, and every request completes through the single
+// Request.Wait. The datatype and the trace context are arguments of the
+// operation, not parallel APIs, so no transport or wrapper can implement
+// one and forget the other. The package-level helpers (Isend, Irecv,
+// IsendTyped, Send, Recv, Wait, WaitTimeout, WaitAll, ...) spell the common
+// argument shapes.
 package mpi
 
 import (
@@ -26,11 +39,76 @@ import (
 // pair. The constant exists to document that choice.
 const AnyTag = -1
 
+// Op describes one message operation: what bytes, in which layout, to or
+// from whom, under which tag, and (for sends) with which trace context.
+type Op struct {
+	// Buf is the storage the operation reads (send) or fills (receive). It
+	// must not be modified (send) or read (receive) until the request
+	// completes.
+	Buf []byte
+	// Type describes the layout of the payload within Buf. The zero value
+	// means all of Buf, contiguously.
+	Type Datatype
+	// Peer is the destination rank of a send, the source rank of a receive.
+	Peer int
+	// Tag is the matching tag.
+	Tag int
+	// Ctx is the causal trace context a send attaches to its message
+	// (MakeTraceCtx); 0 sends untraced. Ignored on receives.
+	Ctx uint64
+}
+
+// Size returns the payload bytes the operation describes.
+func (o Op) Size() int {
+	if o.Type.IsZero() {
+		return len(o.Buf)
+	}
+	return o.Type.Size()
+}
+
+// Layout returns the operation's datatype, substituting the contiguous
+// identity over Buf for the zero Type.
+func (o Op) Layout() Datatype {
+	if o.Type.IsZero() {
+		return Contiguous(len(o.Buf))
+	}
+	return o.Type
+}
+
+// Canon validates the operation against the world it enters — Peer within
+// [0, size), Type within Buf — and folds a contiguous Type into Buf, so that
+// afterwards a zero Type means "all of Buf" and a non-zero Type means
+// genuinely strided. Transports call it first, on their own copy of the
+// descriptor, and branch on Type.IsZero() alone.
+func (o *Op) Canon(size int) error {
+	if o.Peer < 0 || o.Peer >= size {
+		return rankError(o.Peer, size)
+	}
+	if o.Type.IsZero() {
+		return nil
+	}
+	if err := o.Type.Validate(len(o.Buf)); err != nil {
+		return err
+	}
+	if o.Type.Contig() {
+		o.Buf = o.Buf[:o.Type.Size()]
+		o.Type = Datatype{}
+	}
+	return nil
+}
+
 // Request is an in-flight nonblocking operation.
 type Request interface {
-	// Wait blocks until the operation completes and returns its error.
-	// Wait may be called at most once per request.
-	Wait() error
+	// Wait blocks until the operation completes and returns its error
+	// together with what the transport learned about the message: on a
+	// receive, the sender's trace context and the delivery time; on a send,
+	// its own context and the time the message left. d > 0 bounds the wait:
+	// on expiry Wait returns a *TimeoutError and the operation is abandoned,
+	// not cancelled — its buffer must not be reused, and a late match may
+	// still consume it. d <= 0 waits unbounded. Transports without a wall
+	// clock (the simulator) ignore d. Wait may be called at most once per
+	// request.
+	Wait(d time.Duration) (TraceInfo, error)
 }
 
 // Comm is a communicator: the endpoint of one rank within a world of Size
@@ -41,12 +119,12 @@ type Comm interface {
 	Rank() int
 	// Size returns the number of ranks in the world.
 	Size() int
-	// Isend starts a nonblocking send of buf to rank dst with the given
-	// tag. The buffer must not be modified until the request completes.
-	Isend(buf []byte, dst, tag int) Request
-	// Irecv starts a nonblocking receive into buf from rank src with the
-	// given tag. Completion copies min(len(buf), len(sent)) bytes.
-	Irecv(buf []byte, src, tag int) Request
+	// Isend starts a nonblocking send of the op's payload to rank op.Peer.
+	Isend(op Op) Request
+	// Irecv starts a nonblocking receive from rank op.Peer into the op's
+	// layout. Completion places min(receive size, sent size) bytes; a
+	// message larger than the receive fails both sides as truncated.
+	Irecv(op Op) Request
 	// Barrier blocks until every rank of the world has entered it.
 	Barrier() error
 	// Now returns the communicator's notion of elapsed time in seconds:
@@ -66,33 +144,61 @@ type Comm interface {
 // this synchronization" at the cost of a local writer handoff instead of a
 // delivery round trip. Transports whose Isend hands bytes over
 // synchronously (mem, simulators) simply don't implement it; callers fall
-// back to waiting the request.
+// back to waiting the request. It is a per-peer watermark, not a message
+// operation, which is why it is not an Op.
 type Flusher interface {
 	Flush(dst int, d time.Duration) error
 }
 
+// Isend starts a nonblocking contiguous send of buf to rank dst.
+func Isend(c Comm, buf []byte, dst, tag int) Request {
+	return c.Isend(Op{Buf: buf, Peer: dst, Tag: tag})
+}
+
+// Irecv starts a nonblocking contiguous receive into buf from rank src.
+func Irecv(c Comm, buf []byte, src, tag int) Request {
+	return c.Irecv(Op{Buf: buf, Peer: src, Tag: tag})
+}
+
+// IsendTyped starts a nonblocking send of the dt-described bytes of base.
+func IsendTyped(c Comm, base []byte, dt Datatype, dst, tag int) Request {
+	return c.Isend(Op{Buf: base, Type: dt, Peer: dst, Tag: tag})
+}
+
+// IrecvTyped starts a nonblocking receive into the dt-described blocks of
+// base.
+func IrecvTyped(c Comm, base []byte, dt Datatype, src, tag int) Request {
+	return c.Irecv(Op{Buf: base, Type: dt, Peer: src, Tag: tag})
+}
+
+// Wait waits for the request unbounded and returns its error.
+func Wait(r Request) error {
+	_, err := r.Wait(0)
+	return err
+}
+
 // Send is a blocking send: Isend immediately waited.
 func Send(c Comm, buf []byte, dst, tag int) error {
-	return c.Isend(buf, dst, tag).Wait()
+	return Wait(Isend(c, buf, dst, tag))
 }
 
 // Recv is a blocking receive: Irecv immediately waited.
 func Recv(c Comm, buf []byte, src, tag int) error {
-	return c.Irecv(buf, src, tag).Wait()
+	return Wait(Irecv(c, buf, src, tag))
 }
 
 // Sendrecv performs a blocking simultaneous send and receive, the workhorse
 // of pairwise-exchange algorithms.
 func Sendrecv(c Comm, sendBuf []byte, dst, sendTag int, recvBuf []byte, src, recvTag int) error {
-	rr := c.Irecv(recvBuf, src, recvTag)
-	sr := c.Isend(sendBuf, dst, sendTag)
-	if err := sr.Wait(); err != nil {
+	rr := Irecv(c, recvBuf, src, recvTag)
+	sr := Isend(c, sendBuf, dst, sendTag)
+	if err := Wait(sr); err != nil {
 		// Drain the receive to keep the transport consistent before
 		// reporting the send failure.
-		_ = rr.Wait()
+		_ = Wait(rr)
 		return err
 	}
-	return rr.Wait()
+	return Wait(rr)
 }
 
 // WaitAll waits for every request and returns the first error encountered,
@@ -103,7 +209,7 @@ func WaitAll(reqs []Request) error {
 		if r == nil {
 			continue
 		}
-		if err := r.Wait(); err != nil && first == nil {
+		if err := Wait(r); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -112,8 +218,12 @@ func WaitAll(reqs []Request) error {
 
 // CheckRank validates a peer rank against the world size.
 func CheckRank(c Comm, peer int) error {
-	if peer < 0 || peer >= c.Size() {
-		return fmt.Errorf("mpi: rank %d out of range [0, %d)", peer, c.Size())
+	if size := c.Size(); peer < 0 || peer >= size {
+		return rankError(peer, size)
 	}
 	return nil
+}
+
+func rankError(peer, size int) error {
+	return fmt.Errorf("mpi: rank %d out of range [0, %d)", peer, size)
 }

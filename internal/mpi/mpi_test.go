@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"testing"
+	"time"
 )
 
 // stubComm is a minimal in-memory Comm for exercising the package helpers
@@ -17,14 +18,15 @@ type stubComm struct {
 
 type stubRequest struct{ err error }
 
-func (r stubRequest) Wait() error { return r.err }
+func (r stubRequest) Wait(time.Duration) (TraceInfo, error) { return TraceInfo{}, r.err }
 
 func (c *stubComm) Rank() int    { return c.rank }
 func (c *stubComm) Size() int    { return c.size }
 func (c *stubComm) Now() float64 { return 0 }
 
-func (c *stubComm) Isend(buf []byte, dst, tag int) Request {
-	if err := CheckRank(c, dst); err != nil {
+func (c *stubComm) Isend(op Op) Request {
+	buf, tag := op.Buf, op.Tag
+	if err := CheckRank(c, op.Peer); err != nil {
 		return stubRequest{err}
 	}
 	if c.sendErr != nil {
@@ -37,8 +39,9 @@ func (c *stubComm) Isend(buf []byte, dst, tag int) Request {
 	return stubRequest{}
 }
 
-func (c *stubComm) Irecv(buf []byte, src, tag int) Request {
-	if err := CheckRank(c, src); err != nil {
+func (c *stubComm) Irecv(op Op) Request {
+	buf, tag := op.Buf, op.Tag
+	if err := CheckRank(c, op.Peer); err != nil {
 		return stubRequest{err}
 	}
 	if c.recvErr != nil {

@@ -41,10 +41,8 @@ type World struct {
 
 	closeOnce sync.Once
 
-	// opsMu guards opFree, the freelist of completed operations, recycled
-	// exactly as in the mem transport: only a consumed Wait returns an op.
-	opsMu  sync.Mutex
-	opFree []*op
+	// ops recycles completed operations (see mpi.Completion for the rule).
+	ops mpi.Freelist[op]
 }
 
 // Config carries the world options.
@@ -143,80 +141,30 @@ type pair struct {
 	arrived map[int][]stagedFrame
 }
 
-// op is one pending operation; it doubles as the request (see mem.op, whose
-// freelist discipline this copies: Wait recycles, WaitTimeout abandons).
+// op is one pending operation; it doubles as the request (the embedded
+// mpi.Completion). The trace context never enters the ring: every staged
+// record keeps its send op tracked beside it (ringOps, stagedFrame.send), so
+// the match copies its Ctx from there on every path.
 type op struct {
-	w    *World
-	buf  []byte
-	dt   mpi.Datatype // zero = untyped
-	done chan error
+	mpi.Completion
+	w *World
+	mpi.Op
 }
 
-// size returns the operation's payload capacity in bytes.
-func (o *op) size() int {
-	if o.dt.IsZero() {
-		return len(o.buf)
+func (w *World) getOp(m mpi.Op) *op {
+	o := w.ops.Get()
+	if o == nil {
+		o = &op{w: w}
+		o.Init(o)
 	}
-	return o.dt.Size()
+	o.Op = m
+	return o
 }
 
-// layout returns the op's datatype, substituting the contiguous identity
-// for untyped operations.
-func (o *op) layout() mpi.Datatype {
-	if o.dt.IsZero() {
-		return mpi.Contiguous(len(o.buf))
-	}
-	return o.dt
-}
-
-func (o *op) Wait() error {
-	err := <-o.done
-	o.w.putOp(o)
-	return err
-}
-
-// WaitTimeout bounds the wait (mpi.TimedRequest). A timed-out op is
-// abandoned, never recycled: a late match may still write its buffer.
-func (o *op) WaitTimeout(d time.Duration) error {
-	if d <= 0 {
-		return o.Wait()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case err := <-o.done:
-		o.w.putOp(o)
-		return err
-	case <-t.C:
-		return &mpi.TimeoutError{Op: "wait", After: d}
-	}
-}
-
-const opFreeCap = 1024
-
-func (w *World) getOp(buf []byte, dt mpi.Datatype) *op {
-	w.opsMu.Lock()
-	if k := len(w.opFree); k > 0 {
-		o := w.opFree[k-1]
-		w.opFree[k-1] = nil
-		w.opFree = w.opFree[:k-1]
-		w.opsMu.Unlock()
-		o.buf = buf
-		o.dt = dt
-		return o
-	}
-	w.opsMu.Unlock()
-	return &op{w: w, buf: buf, dt: dt, done: make(chan error, 1)}
-}
-
-func (w *World) putOp(o *op) {
-	o.buf = nil
-	o.dt = mpi.Datatype{}
-	w.opsMu.Lock()
-	if len(w.opFree) < opFreeCap {
-		w.opFree = append(w.opFree, o)
-	}
-	w.opsMu.Unlock()
+// Recycle returns a consumed op to the freelist (mpi.Recycler).
+func (o *op) Recycle() {
+	o.Buf = nil // the one reference a parked op must not pin
+	o.w.ops.Put(o)
 }
 
 // NewWorld creates a world of n co-located ranks and returns one
@@ -283,156 +231,123 @@ func (c *comm) Rank() int    { return c.rank }
 func (c *comm) Size() int    { return c.w.n }
 func (c *comm) Now() float64 { return time.Since(c.w.start).Seconds() }
 
-// errRequest is an already-failed request.
-type errRequest struct{ err error }
-
-func (r errRequest) Wait() error                     { return r.err }
-func (r errRequest) WaitTimeout(time.Duration) error { return r.err }
-
-// truncErr builds the truncation error shared by every path; the message
-// shape matches the mem transport's so callers can treat them uniformly.
-func truncErr(src, dst, tag, recvCap, sentSize int) error {
-	return fmt.Errorf("shm: send %d->%d tag %d truncated: receiver buffer %d < %d",
-		src, dst, tag, recvCap, sentSize)
-}
-
-// complete signals both ends of a match: err on truncation, nil otherwise.
-func complete(recv, send *op, err error) {
-	recv.done <- err
-	send.done <- err
-}
-
-func (c *comm) Isend(buf []byte, dst, tag int) mpi.Request {
-	return c.isend(buf, mpi.Datatype{}, dst, tag)
-}
-
-// IsendTyped starts a typed send (mpi.TypedComm): the dt-described blocks
-// of base are gathered straight into the receiver's layout or the pair
-// ring, never through a pack buffer.
-func (c *comm) IsendTyped(base []byte, dt mpi.Datatype, dst, tag int) mpi.Request {
-	if err := dt.Validate(len(base)); err != nil {
-		return errRequest{err}
+// complete signals both ends of a match: placed is how many of the send's
+// bytes reached the receive layout, fewer than sent being a truncation (the
+// error shape matches the mem transport's so callers can treat them
+// uniformly). Traced messages stamp the sender's context and the delivery
+// time on the receive, and the same time on the send. Both ops have left the
+// pair's queues; the caller has released p.mu so the wake-ups do not run
+// under it.
+func (w *World) complete(recv, send *op, placed int) {
+	if send.Ctx != 0 {
+		info := mpi.TraceInfo{Ctx: send.Ctx, DeliveredAt: time.Since(w.start).Seconds()}
+		recv.Info, send.Info = info, info
 	}
-	return c.isend(base, dt, dst, tag)
-}
-
-// IrecvTyped posts a typed receive (mpi.TypedComm).
-func (c *comm) IrecvTyped(base []byte, dt mpi.Datatype, src, tag int) mpi.Request {
-	if err := dt.Validate(len(base)); err != nil {
-		return errRequest{err}
+	var err error
+	if sent := send.Size(); placed < sent {
+		err = fmt.Errorf("shm: send %d->%d tag %d truncated: receiver buffer %d < %d",
+			recv.Peer, send.Peer, send.Tag, recv.Size(), sent)
 	}
-	return c.irecv(base, dt, src, tag)
+	recv.Complete(err)
+	send.Complete(err)
 }
 
-func (c *comm) isend(buf []byte, dt mpi.Datatype, dst, tag int) mpi.Request {
-	if err := mpi.CheckRank(c, dst); err != nil {
-		return errRequest{err}
+// stage records a message that found no posted receive and no ring space.
+func (p *pair) stage(tag int, fr stagedFrame) {
+	if p.arrived == nil {
+		p.arrived = make(map[int][]stagedFrame)
+	}
+	p.arrived[tag] = append(p.arrived[tag], fr)
+}
+
+func (c *comm) Isend(m mpi.Op) mpi.Request {
+	if err := m.Canon(c.w.n); err != nil {
+		return mpi.Completed(err)
 	}
 	w := c.w
-	me := w.getOp(buf, dt)
-	p := w.pair(c.rank, dst)
+	me := w.getOp(m)
+	p := w.pair(c.rank, m.Peer)
 	p.mu.Lock()
 	// Single-copy handoff: a receive is already posted, so the payload
 	// moves straight between the two user layouts. Matching order is safe
 	// because a receive is only ever posted after the pair's ring and
-	// arrived queues were drained of its tag (see irecv).
-	if q := p.recvs[tag]; len(q) > 0 {
-		peer := q[0]
-		q[0] = nil
-		p.recvs[tag] = q[1:]
-		n := mpi.CopyTyped(peer.buf, peer.layout(), me.buf, me.layout())
-		sentSize, recvCap := me.size(), peer.size()
+	// arrived queues were drained of its tag (see Irecv).
+	if q := p.recvs[m.Tag]; len(q) > 0 {
+		var peer *op
+		peer, p.recvs[m.Tag] = mpi.PopFront(q)
+		n := mpi.CopyTyped(peer.Buf, peer.Layout(), me.Buf, me.Layout())
 		p.mu.Unlock()
 		w.directPlacements.Add(1)
 		w.bytesDirect.Add(uint64(n))
-		if n < sentSize {
-			complete(peer, me, truncErr(c.rank, dst, tag, recvCap, sentSize))
-		} else {
-			complete(peer, me, nil)
-		}
+		w.complete(peer, me, n)
 		return me
 	}
+	defer p.mu.Unlock()
 	// No receive posted: stage through the pair's ring segment. The send
 	// op completes at match time (not at staging), keeping completion and
-	// truncation semantics identical on every path.
+	// truncation semantics identical on every path. When the ring is full
+	// (receiver far behind), drain it into the arrived queues to free space
+	// and retry once.
 	if p.ring == nil {
 		p.ring = NewRing(w.cfg.RingBytes)
 	}
-	if p.ring.writeRecordTyped(int64(tag), me.buf, me.layout()) {
+	inRing := p.ring.writeRecordTyped(int64(m.Tag), me.Buf, me.Layout())
+	if !inRing {
+		p.drainRingLocked()
+		inRing = p.ring.writeRecordTyped(int64(m.Tag), me.Buf, me.Layout())
+	}
+	if inRing {
 		p.ringOps = append(p.ringOps, me)
 		w.ringTransits.Add(1)
-		w.bytesRing.Add(uint64(me.size()))
-		p.mu.Unlock()
+		w.bytesRing.Add(uint64(me.Size()))
 		return me
 	}
-	// Ring full (receiver far behind) or record larger than the segment:
-	// drain the ring into the arrived queues to free space, then retry,
-	// falling back to a heap stage so progress never depends on ring size.
-	p.drainRingLocked()
-	if p.ring.writeRecordTyped(int64(tag), me.buf, me.layout()) {
-		p.ringOps = append(p.ringOps, me)
-		w.ringTransits.Add(1)
-		w.bytesRing.Add(uint64(me.size()))
-		p.mu.Unlock()
-		return me
-	}
-	staged := make([]byte, me.size())
-	me.layout().Pack(staged, me.buf)
-	if p.arrived == nil {
-		p.arrived = make(map[int][]stagedFrame)
-	}
-	p.arrived[tag] = append(p.arrived[tag], stagedFrame{buf: staged, send: me})
+	// Still no room, or the record is larger than the segment: fall back to
+	// a heap stage so progress never depends on ring size.
+	staged := make([]byte, me.Size())
+	me.Layout().Pack(staged, me.Buf)
+	p.stage(m.Tag, stagedFrame{buf: staged, send: me})
 	w.overflowStages.Add(1)
 	w.bytesRing.Add(uint64(len(staged)))
-	p.mu.Unlock()
 	return me
 }
 
+// popRecordLocked moves the ring's next record to the arrived queues,
+// preserving order. Caller holds p.mu and has seen the record via PeekRecord.
+func (p *pair) popRecordLocked(tag int64, size int) {
+	buf := make([]byte, size)
+	p.ring.ReadRecord(buf)
+	var send *op
+	send, p.ringOps = mpi.PopFront(p.ringOps)
+	p.stage(int(tag), stagedFrame{buf: buf, send: send})
+}
+
 // drainRingLocked pops every complete record out of the pair's ring into
-// the arrived queues, preserving order. Caller holds p.mu.
+// the arrived queues. Caller holds p.mu.
 func (p *pair) drainRingLocked() {
 	for {
 		tag, size, ok := p.ring.PeekRecord()
 		if !ok {
 			return
 		}
-		buf := make([]byte, size)
-		p.ring.ReadRecord(buf)
-		send := p.ringOps[0]
-		p.ringOps[0] = nil
-		p.ringOps = p.ringOps[1:]
-		if p.arrived == nil {
-			p.arrived = make(map[int][]stagedFrame)
-		}
-		p.arrived[int(tag)] = append(p.arrived[int(tag)], stagedFrame{buf: buf, send: send})
+		p.popRecordLocked(tag, size)
 	}
 }
 
-func (c *comm) Irecv(buf []byte, src, tag int) mpi.Request {
-	return c.irecv(buf, mpi.Datatype{}, src, tag)
-}
-
-func (c *comm) irecv(buf []byte, dt mpi.Datatype, src, tag int) mpi.Request {
-	if err := mpi.CheckRank(c, src); err != nil {
-		return errRequest{err}
+func (c *comm) Irecv(m mpi.Op) mpi.Request {
+	if err := m.Canon(c.w.n); err != nil {
+		return mpi.Completed(err)
 	}
 	w := c.w
-	me := w.getOp(buf, dt)
-	p := w.pair(src, c.rank)
+	me := w.getOp(m)
+	p := w.pair(m.Peer, c.rank)
 	p.mu.Lock()
 	// Heap-staged frames first: they precede anything still in the ring.
-	if af := p.arrived[tag]; len(af) > 0 {
-		fr := af[0]
-		af[0] = stagedFrame{}
-		p.arrived[tag] = af[1:]
-		n := me.layout().Unpack(me.buf, fr.buf)
-		recvCap := me.size()
+	if af := p.arrived[m.Tag]; len(af) > 0 {
+		var fr stagedFrame
+		fr, p.arrived[m.Tag] = mpi.PopFront(af)
 		p.mu.Unlock()
-		if n < len(fr.buf) {
-			complete(me, fr.send, truncErr(src, c.rank, tag, recvCap, len(fr.buf)))
-		} else {
-			complete(me, fr.send, nil)
-		}
+		w.complete(me, fr.send, me.Layout().Unpack(me.Buf, fr.buf))
 		return me
 	}
 	// Drain the ring looking for this tag; records for other tags move to
@@ -443,33 +358,22 @@ func (c *comm) irecv(buf []byte, dt mpi.Datatype, src, tag int) mpi.Request {
 		if !ok {
 			break
 		}
-		send := p.ringOps[0]
-		p.ringOps[0] = nil
-		p.ringOps = p.ringOps[1:]
-		if int(rtag) == tag {
-			placed := p.ring.readRecordTyped(me.buf, me.layout())
-			recvCap := me.size()
+		if int(rtag) == m.Tag {
+			var send *op
+			send, p.ringOps = mpi.PopFront(p.ringOps)
+			placed := p.ring.readRecordTyped(me.Buf, me.Layout())
 			p.mu.Unlock()
-			if placed < size {
-				complete(me, send, truncErr(src, c.rank, tag, recvCap, size))
-			} else {
-				complete(me, send, nil)
-			}
+			w.complete(me, send, placed)
 			return me
 		}
-		buf := make([]byte, size)
-		p.ring.ReadRecord(buf)
-		if p.arrived == nil {
-			p.arrived = make(map[int][]stagedFrame)
-		}
-		p.arrived[int(rtag)] = append(p.arrived[int(rtag)], stagedFrame{buf: buf, send: send})
+		p.popRecordLocked(rtag, size)
 	}
 	// Nothing pending for this tag anywhere: post the receive. The next
 	// send with this tag takes the single-copy path.
 	if p.recvs == nil {
 		p.recvs = make(map[int][]*op)
 	}
-	p.recvs[tag] = append(p.recvs[tag], me)
+	p.recvs[m.Tag] = append(p.recvs[m.Tag], me)
 	p.mu.Unlock()
 	return me
 }

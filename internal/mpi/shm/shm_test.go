@@ -33,7 +33,7 @@ func TestWorldAlltoall(t *testing.T) {
 		var reqs []mpi.Request
 		for src := 0; src < n; src++ {
 			recvBufs[src] = make([]byte, size)
-			reqs = append(reqs, c.Irecv(recvBufs[src], src, 3))
+			reqs = append(reqs, mpi.Irecv(c, recvBufs[src], src, 3))
 		}
 		if err := c.Barrier(); err != nil {
 			//aapc:allow waitcheck the test aborts; posted receives die with the world
@@ -42,7 +42,7 @@ func TestWorldAlltoall(t *testing.T) {
 		for dst := 0; dst < n; dst++ {
 			buf := make([]byte, size)
 			fill(buf, me, dst)
-			reqs = append(reqs, c.Isend(buf, dst, 3))
+			reqs = append(reqs, mpi.Isend(c, buf, dst, 3))
 		}
 		if err := mpi.WaitAll(reqs); err != nil {
 			return err
@@ -77,7 +77,7 @@ func TestWorldRingPath(t *testing.T) {
 	for k, size := range sizes {
 		buf := make([]byte, size)
 		fill(buf, k, 0)
-		sends = append(sends, snd.Isend(buf, 1, 0))
+		sends = append(sends, mpi.Isend(snd, buf, 1, 0))
 	}
 	for k, size := range sizes {
 		got := make([]byte, size)
@@ -130,10 +130,10 @@ func TestWorldTypedStridedRoundTrip(t *testing.T) {
 				sr = mpi.IsendTyped(comms[0], src, sdt, 1, 9)
 				rr = mpi.IrecvTyped(comms[1], dst, ddt, 0, 9)
 			}
-			if err := sr.Wait(); err != nil {
+			if err := mpi.Wait(sr); err != nil {
 				t.Fatal(err)
 			}
-			if err := rr.Wait(); err != nil {
+			if err := mpi.Wait(rr); err != nil {
 				t.Fatal(err)
 			}
 			wantPacked := make([]byte, sdt.Size())
@@ -155,13 +155,13 @@ func TestWorldTruncation(t *testing.T) {
 		comms, _ := NewWorldComms(2)
 		var rr, sr mpi.Request
 		if recvFirst {
-			rr = comms[1].Irecv(make([]byte, 4), 0, 1)
-			sr = comms[0].Isend(make([]byte, 16), 1, 1)
+			rr = mpi.Irecv(comms[1], make([]byte, 4), 0, 1)
+			sr = mpi.Isend(comms[0], make([]byte, 16), 1, 1)
 		} else {
-			sr = comms[0].Isend(make([]byte, 16), 1, 1)
-			rr = comms[1].Irecv(make([]byte, 4), 0, 1)
+			sr = mpi.Isend(comms[0], make([]byte, 16), 1, 1)
+			rr = mpi.Irecv(comms[1], make([]byte, 4), 0, 1)
 		}
-		serr, rerr := sr.Wait(), rr.Wait()
+		serr, rerr := mpi.Wait(sr), mpi.Wait(rr)
 		for _, err := range []error{serr, rerr} {
 			if err == nil || !strings.Contains(err.Error(), "truncated") {
 				t.Fatalf("recvFirst=%v: truncation error = %v / %v", recvFirst, serr, rerr)
@@ -174,18 +174,18 @@ func TestWorldTruncation(t *testing.T) {
 func TestWorldRecorderCounters(t *testing.T) {
 	rec := obsv.NewRecorder(0)
 	comms, w := NewWorldComms(2, WithRecorder(rec))
-	rr := comms[1].Irecv(make([]byte, 8), 0, 0)
+	rr := mpi.Irecv(comms[1], make([]byte, 8), 0, 0)
 	if err := mpi.Send(comms[0], make([]byte, 8), 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := rr.Wait(); err != nil {
+	if err := mpi.Wait(rr); err != nil {
 		t.Fatal(err)
 	}
-	sr := comms[0].Isend(make([]byte, 8), 1, 0) // stages via ring, completes at match
+	sr := mpi.Isend(comms[0], make([]byte, 8), 1, 0) // stages via ring, completes at match
 	if err := mpi.Recv(comms[1], make([]byte, 8), 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := sr.Wait(); err != nil {
+	if err := mpi.Wait(sr); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -204,12 +204,12 @@ func TestWorldSelfSend(t *testing.T) {
 	c := comms[0]
 	buf := make([]byte, 32)
 	fill(buf, 0, 0)
-	sr := c.Isend(buf, 0, 5) // no receive posted: rides the ring
+	sr := mpi.Isend(c, buf, 0, 5) // no receive posted: rides the ring
 	got := make([]byte, 32)
 	if err := mpi.Recv(c, got, 0, 5); err != nil {
 		t.Fatal(err)
 	}
-	if err := sr.Wait(); err != nil {
+	if err := mpi.Wait(sr); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, buf) {

@@ -557,7 +557,7 @@ type endpoint struct {
 	pool bufPool
 	// recvOps recycles posted-receive operations, exactly like the
 	// in-process World's.
-	recvOps recvOpPool
+	recvOps mpi.Freelist[recvOp]
 	// stats counts data-plane activity (frames, bytes, vectored writes,
 	// duplicate discards); surfaced through distComm.TransportStats.
 	stats stats
@@ -658,22 +658,10 @@ func (ep *endpoint) drain(p int) {
 		q.frames = q.frames[n:]
 		q.mu.Unlock()
 
-		if cap(hdrs) < n*headerLen {
-			hdrs = make([]byte, n*headerLen)
-		}
-		hdrs = hdrs[:n*headerLen]
+		hdrs = frameHeaders(hdrs, n)
 		iovecs = iovecs[:0]
 		for i, fr := range batch {
-			hdr := hdrs[i*headerLen : (i+1)*headerLen]
-			hdr[0] = fr.kind
-			binary.LittleEndian.PutUint64(hdr[1:9], uint64(int64(fr.tag)))
-			binary.LittleEndian.PutUint64(hdr[9:17], fr.seq)
-			binary.LittleEndian.PutUint64(hdr[17:25], uint64(int64(len(fr.buf))))
-			binary.LittleEndian.PutUint64(hdr[25:33], fr.ctx)
-			iovecs = append(iovecs, hdr)
-			if len(fr.buf) > 0 {
-				iovecs = append(iovecs, fr.buf)
-			}
+			iovecs = appendFrame(iovecs, hdrs[i*headerLen:(i+1)*headerLen], fr)
 		}
 		// WriteTo consumes the slice it is handed; iovecs itself is rebuilt
 		// next cycle from the retained backing array.
@@ -684,7 +672,7 @@ func (ep *endpoint) drain(p int) {
 			ep.stats.framesSent.Add(uint64(len(batch)))
 			var bytes uint64
 			for _, fr := range batch {
-				bytes += uint64(len(fr.buf))
+				bytes += uint64(fr.size)
 			}
 			ep.stats.bytesSent.Add(bytes)
 			if ep.shmLink != nil && ep.shmLink[p] {
@@ -693,15 +681,11 @@ func (ep *endpoint) drain(p int) {
 				ep.stats.tcpBytesSent.Add(bytes)
 			}
 		}
+		if err != nil {
+			err = &mpi.RankError{Rank: p, Err: err}
+		}
 		for _, fr := range batch {
-			if err != nil {
-				fr.done <- &mpi.RankError{Rank: p, Err: err}
-			} else {
-				if fr.ctx != 0 {
-					fr.doneAt = time.Since(ep.start).Seconds()
-				}
-				fr.done <- nil
-			}
+			fr.finish(err, ep.start)
 		}
 	}
 }
@@ -725,68 +709,59 @@ func (c *distComm) Kill() error { return c.ep.close() }
 // (FramesSent+AcksSent)/Writevs is the write-coalescing factor.
 func (c *distComm) TransportStats() Stats { return c.ep.stats.snapshot() }
 
-func (c *distComm) isend(buf []byte, dst, tag int, ctx uint64) mpi.Request {
-	if err := mpi.CheckRank(c, dst); err != nil {
-		return errRequest{err}
+func (c *distComm) Isend(op mpi.Op) mpi.Request {
+	if op.Tag < 0 {
+		return errReservedTag(op.Tag)
 	}
-	if dst == c.ep.rank {
-		payload := c.ep.pool.get(len(buf))
-		copy(payload, buf)
-		if len(buf) > 0 {
-			c.ep.stats.payloadCopies.Add(1)
-		}
-		c.ep.matcher.deliver(matchKey{src: dst, tag: tag}, payload, ctx)
-		return errRequest{nil}
+	return c.isend(op)
+}
+
+// isend queues the op's payload toward op.Peer. The frame references the
+// caller's storage until the vectored write completes — distributed peers do
+// not retransmit, so like the in-process non-resilient mode every send
+// borrows, a strided layout as one iovec per block.
+//
+//aapc:nocopy
+func (c *distComm) isend(op mpi.Op) mpi.Request {
+	if err := op.Canon(c.ep.n); err != nil {
+		return mpi.Completed(err)
 	}
-	if len(buf) > 0 {
-		// The frame references the caller's slice until the vectored write
-		// completes — distributed peers do not retransmit, so like the
-		// in-process non-resilient mode every send borrows.
+	if op.Peer == c.ep.rank {
+		return c.ep.matcher.loopback(c.ep.rank, op)
+	}
+	fr := newDataFrame(op)
+	if fr.size > 0 {
 		c.ep.stats.borrowedSends.Add(1)
 	}
-	q := c.ep.outq[dst]
+	q := c.ep.outq[op.Peer]
 	q.mu.Lock()
-	fr := &outFrame{kind: frameData, tag: tag, seq: q.nextSeq, ctx: ctx, buf: buf, done: make(chan error, 1)}
+	fr.seq = q.nextSeq
 	q.nextSeq++
 	q.frames = append(q.frames, fr)
 	if !q.draining {
 		q.draining = true
-		go c.ep.drain(dst)
+		go c.ep.drain(op.Peer)
 	}
 	q.mu.Unlock()
-	return chanRequest{done: fr.done, fr: fr}
+	return fr
 }
 
-func (c *distComm) Isend(buf []byte, dst, tag int) mpi.Request {
-	if tag < 0 {
-		return errRequest{fmt.Errorf("tcp: negative tag %d is reserved", tag)}
+func (c *distComm) Irecv(op mpi.Op) mpi.Request {
+	if op.Tag < 0 {
+		return errReservedTag(op.Tag)
 	}
-	return c.isend(buf, dst, tag, 0)
+	return c.irecv(op)
 }
 
-// IsendTraced attaches a trace context to the outgoing frame
-// (mpi.TracedSender); it shares the wire format with the in-process World.
-func (c *distComm) IsendTraced(buf []byte, dst, tag int, ctx uint64) mpi.Request {
-	if tag < 0 {
-		return errRequest{fmt.Errorf("tcp: negative tag %d is reserved", tag)}
+// irecv posts a receive; the read loop stages every payload through the pool
+// and the match scatters it into the op's layout.
+func (c *distComm) irecv(op mpi.Op) mpi.Request {
+	if err := op.Canon(c.ep.n); err != nil {
+		return mpi.Completed(err)
 	}
-	return c.isend(buf, dst, tag, ctx)
-}
-
-func (c *distComm) irecv(buf []byte, src, tag int) mpi.Request {
-	if err := mpi.CheckRank(c, src); err != nil {
-		return errRequest{err}
-	}
-	op := c.ep.recvOps.get(buf)
-	c.ep.matcher.post(matchKey{src: src, tag: tag}, op)
-	return op
-}
-
-func (c *distComm) Irecv(buf []byte, src, tag int) mpi.Request {
-	if tag < 0 {
-		return errRequest{fmt.Errorf("tcp: negative tag %d is reserved", tag)}
-	}
-	return c.irecv(buf, src, tag)
+	ro := getRecvOp(&c.ep.recvOps, op)
+	c.ep.matcher.post(matchKey{src: op.Peer, tag: op.Tag}, ro)
+	return ro
 }
 
 // Barrier is the same dissemination barrier as the in-process transport.
@@ -802,12 +777,12 @@ func (c *distComm) Barrier() error {
 		tag := -(gen*64 + round + 1)
 		dst := (c.ep.rank + dist) % n
 		src := (c.ep.rank - dist + n) % n
-		sr := c.isend(nil, dst, tag, 0)
-		rr := c.irecv(nil, src, tag)
-		if err := sr.Wait(); err != nil {
+		sr := c.isend(mpi.Op{Peer: dst, Tag: tag})
+		rr := c.irecv(mpi.Op{Peer: src, Tag: tag})
+		if err := mpi.Wait(sr); err != nil {
 			return err
 		}
-		if err := rr.Wait(); err != nil {
+		if err := mpi.Wait(rr); err != nil {
 			return err
 		}
 		round++

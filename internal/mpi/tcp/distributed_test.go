@@ -117,13 +117,13 @@ func TestDistributedBarrierAndSelf(t *testing.T) {
 				}
 			}
 			// Self message through the endpoint matcher.
-			r := c.Irecv(make([]byte, 2), c.Rank(), 1)
+			r := mpi.Irecv(c, make([]byte, 2), c.Rank(), 1)
 			if err := mpi.Send(c, []byte("ok"), c.Rank(), 1); err != nil {
 				errs <- err
 				//aapc:allow waitcheck the test aborts; the posted receive dies with the world
 				return
 			}
-			errs <- r.Wait()
+			errs <- mpi.Wait(r)
 		}(c)
 	}
 	wg.Wait()
@@ -315,7 +315,7 @@ func TestDistributedMixedHosts(t *testing.T) {
 					continue
 				}
 				got[p] = make([]byte, 512)
-				reqs = append(reqs, c.Irecv(got[p], p, 2))
+				reqs = append(reqs, mpi.Irecv(c, got[p], p, 2))
 			}
 			for p := 0; p < n; p++ {
 				if p == c.Rank() {
@@ -325,7 +325,7 @@ func TestDistributedMixedHosts(t *testing.T) {
 				for i := range out {
 					out[i] = byte(c.Rank()*13 + i)
 				}
-				reqs = append(reqs, c.Isend(out, p, 2))
+				reqs = append(reqs, mpi.Isend(c, out, p, 2))
 			}
 			if err := mpi.WaitAll(reqs); err != nil {
 				errs <- err

@@ -23,9 +23,9 @@ func exchangeAll(c mpi.Comm, msize int) error {
 		for i := range buf {
 			buf[i] = byte(me*31 + p*7 + i)
 		}
-		reqs = append(reqs, c.Isend(buf, p, 5))
+		reqs = append(reqs, mpi.Isend(c, buf, p, 5))
 		recvBufs[p] = make([]byte, msize)
-		reqs = append(reqs, c.Irecv(recvBufs[p], p, 5))
+		reqs = append(reqs, mpi.Irecv(c, recvBufs[p], p, 5))
 	}
 	if err := mpi.WaitAllTimeout(reqs, 20*time.Second); err != nil {
 		return err
@@ -174,9 +174,9 @@ func TestKillRankFailsPendingOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer closeWorld()
-	req := comms[0].Irecv(make([]byte, 4), 1, 3)
+	req := mpi.Irecv(comms[0], make([]byte, 4), 1, 3)
 	done := make(chan error, 1)
-	go func() { done <- req.Wait() }()
+	go func() { done <- mpi.Wait(req) }()
 	time.Sleep(20 * time.Millisecond) // let the receive be posted
 	if err := comms[1].(mpi.Killer).Kill(); err != nil {
 		t.Fatal(err)
@@ -191,7 +191,7 @@ func TestKillRankFailsPendingOps(t *testing.T) {
 		t.Fatal("pending receive still blocked 5s after the peer died")
 	}
 	// Future sends toward the dead rank fail immediately and typed.
-	err = comms[0].Isend([]byte{1}, 1, 4).Wait()
+	err = mpi.Send(comms[0], []byte{1}, 1, 4)
 	if re, ok := mpi.AsRankError(err); !ok || re.Rank != 1 {
 		t.Fatalf("send to dead rank: got %v, want RankError{Rank: 1}", err)
 	}
@@ -236,8 +236,8 @@ func TestPeerDeathDuringReconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer closeWorld()
-	req := comms[0].Isend([]byte("x"), 1, 1) // drop fires, reconnect backs off
-	time.Sleep(50 * time.Millisecond)        // well inside the 300ms backoff
+	req := mpi.Isend(comms[0], []byte("x"), 1, 1) // drop fires, reconnect backs off
+	time.Sleep(50 * time.Millisecond)             // well inside the 300ms backoff
 	if len(inj.Events()) != 1 {
 		t.Fatalf("expected the drop to have fired, events: %v", inj.Events())
 	}
@@ -281,9 +281,9 @@ func TestNoGoroutineLeaks(t *testing.T) {
 			if err != nil {
 				return
 			}
-			req := comms[0].Irecv(make([]byte, 4), 1, 9)
+			req := mpi.Irecv(comms[0], make([]byte, 4), 1, 9)
 			closeWorld()
-			_ = req.Wait()
+			_ = mpi.Wait(req)
 		}
 	}
 	// Warm up once so lazily-started runtime goroutines don't count.

@@ -87,9 +87,8 @@ func DefaultResilience() Resilience {
 
 // Config collects the tunable behaviour of a World.
 type Config struct {
-	// OpDeadline, when positive, bounds every wait inside Barrier and is
-	// the default deadline handed to WaitTimeout-aware callers. Zero means
-	// unbounded.
+	// OpDeadline, when positive, bounds every wait inside Barrier. Zero
+	// means unbounded.
 	OpDeadline time.Duration
 	// Resilient enables sequence numbers, acks, retransmission and
 	// reconnect. On by default.
@@ -108,8 +107,7 @@ type Config struct {
 // Option customizes a World.
 type Option func(*Config)
 
-// WithOpDeadline bounds every barrier wait by d and makes the world's
-// requests honor it as their default deadline.
+// WithOpDeadline bounds every barrier wait by d.
 func WithOpDeadline(d time.Duration) Option {
 	return func(c *Config) { c.OpDeadline = d }
 }
@@ -247,7 +245,7 @@ type World struct {
 	// copies, self-send loopback copies) across the whole world.
 	pool bufPool
 	// recvOps recycles posted-receive operations across the whole world.
-	recvOps recvOpPool
+	recvOps mpi.Freelist[recvOp]
 
 	listener net.Listener
 	addr     string
@@ -328,8 +326,10 @@ func (lk *link) acquire(self int) (net.Conn, int, error) {
 	return lk.connHi, lk.epoch, nil
 }
 
-// outFrame is one queued outbound frame. Completion (done, data frames
-// only) depends on who owns the payload memory:
+// outFrame is one queued outbound frame. A data frame doubles as the send
+// request handed back to the caller (the embedded mpi.Completion; frames are
+// never recycled — the retransmit window may hold one long after its request
+// was waited). When it completes depends on who owns the payload memory:
 //
 //   - copied frames (small, non-pool-aligned buffers in resilient mode)
 //     complete on the first successful write — the pooled copy makes the
@@ -343,20 +343,15 @@ func (lk *link) acquire(self int) (net.Conn, int, error) {
 //   - in non-resilient mode every frame borrows and completes at write, as
 //     a plain transport would.
 type outFrame struct {
+	mpi.Completion
 	kind byte
 	tag  int
 	seq  uint64
 	// ctx is the causal trace context carried in the frame header (0 =
 	// untraced). Retransmissions reuse the frame, so the context survives
-	// re-delivery unchanged.
+	// re-delivery unchanged — which is why the wire reads this field and
+	// never Completion.Info, which the caller's Wait consumes.
 	ctx uint64
-	// doneAt is the sender-local completion timestamp (seconds since the
-	// world/endpoint epoch), stamped just before done is signalled on traced
-	// data frames. It is the sender's honest "my bytes left at T" mark — a
-	// request whose Wait is drained much later must not misreport its send
-	// as having lasted until the drain. The channel send orders the write
-	// before any WaitTraced read.
-	doneAt float64
 	// buf is the contiguous payload. Strided frames (non-contig datatype
 	// sends) leave buf nil and carry base+dt instead: buildIovecs emits one
 	// iovec per block, gathering the strided layout straight off the user's
@@ -366,7 +361,6 @@ type outFrame struct {
 	dt   mpi.Datatype
 	// size is the payload length on the wire (len(buf) or dt.Size()).
 	size      int
-	done      chan error
 	completed bool
 	consulted bool // fault injector consulted (first transmission)
 	// poolable marks buf as owned by the world's payload pool: it is
@@ -438,11 +432,11 @@ func (st *sendStream) hasWorkLocked() bool {
 
 // matcher pairs incoming frames with posted receives for one rank.
 type matcher struct {
-	// pool, when non-nil, receives payload buffers back once their bytes
-	// have been copied into the user's receive buffer.
+	// pool receives payload buffers back once their bytes have been copied
+	// into the user's receive buffer.
 	pool *bufPool
-	// stats, when non-nil, counts match-time payload copies (frames that
-	// arrived before their receive was posted and had to be staged).
+	// stats counts match-time payload copies (frames that arrived before
+	// their receive was posted and had to be staged).
 	stats *stats
 	// now reads the world clock (Comm.Now seconds). Used to stamp the
 	// delivery time of traced frames only, so the untraced path stays free
@@ -474,123 +468,66 @@ type matchKey struct {
 	tag int
 }
 
+// newDataFrame builds the frame (and request) for one send.
+func newDataFrame(m mpi.Op) *outFrame {
+	fr := &outFrame{kind: frameData, tag: m.Tag, ctx: m.Ctx, size: m.Size()}
+	fr.Init(nil)
+	if m.Type.IsZero() {
+		fr.buf = m.Buf
+	} else {
+		fr.base, fr.dt = m.Buf, m.Type
+	}
+	return fr
+}
+
+// finish delivers the frame's completion, once. A traced frame that made it
+// out is stamped with the sender-local time (seconds since the world or
+// endpoint epoch): the sender's honest "my bytes left at T" mark — a request
+// whose Wait is drained much later must not misreport its send as having
+// lasted until the drain. Callers serialize through the stream (or queue)
+// that owns the frame.
+//
+//aapc:noalloc
+func (fr *outFrame) finish(err error, epoch time.Time) {
+	if fr.completed {
+		return
+	}
+	fr.completed = true
+	if fr.ctx != 0 && err == nil {
+		fr.Info = mpi.TraceInfo{Ctx: fr.ctx, DeliveredAt: time.Since(epoch).Seconds()}
+	}
+	fr.Complete(err)
+}
+
 // recvOp is one posted receive. It doubles as the request handed back to
-// the caller: Wait consumes the completion and recycles the op (and its
-// one-slot channel) through its pool, so a steady stream of receives reuses
-// a small set of op/channel pairs instead of allocating per message. Ops
-// abandoned by a WaitTimeout timeout are never recycled: a late delivery
-// may still write their buffer and channel.
+// the caller (the embedded mpi.Completion), recycled through the world's or
+// endpoint's freelist. The matcher writes Info — the matched frame's trace
+// context and delivery time — before completing the op.
 type recvOp struct {
-	pool *recvOpPool // nil: the op falls to the GC instead
+	mpi.Completion
+	free *mpi.Freelist[recvOp]
 	buf  []byte
-	// dt, when non-zero and non-contiguous, describes the strided layout of
-	// buf that incoming payload bytes are scattered into. Contiguous typed
-	// receives are normalized to a plain buf at post time.
-	dt   mpi.Datatype
-	done chan error
-	// ctx/deliveredAt carry the matched frame's trace context and delivery
-	// time. Written by the matcher before the done send, read by WaitTraced
-	// after the done receive (and before recycling), so the channel orders
-	// the accesses.
-	ctx         uint64
-	deliveredAt float64
+	// dt, when non-zero, describes the strided layout of buf that incoming
+	// payload bytes are scattered into (the op is canonical: contiguous
+	// typed receives were folded into a plain buf at post time).
+	dt mpi.Datatype
 }
 
-func (o *recvOp) Wait() error {
-	err := <-o.done
-	if o.pool != nil {
-		o.pool.put(o)
+// getRecvOp returns a recycled receive op or makes a fresh one.
+func getRecvOp(free *mpi.Freelist[recvOp], m mpi.Op) *recvOp {
+	o := free.Get()
+	if o == nil {
+		o = &recvOp{free: free}
+		o.Init(o)
 	}
-	return err
+	o.buf, o.dt = m.Buf, m.Type
+	return o
 }
 
-// WaitTraced waits and returns the sender's trace context and the frame's
-// delivery time (mpi.TracedRequest). The info is read before the op is
-// recycled — reading it after Wait would race the freelist.
-func (o *recvOp) WaitTraced() (mpi.TraceInfo, error) {
-	err := <-o.done
-	info := mpi.TraceInfo{Ctx: o.ctx, DeliveredAt: o.deliveredAt}
-	if o.pool != nil {
-		o.pool.put(o)
-	}
-	return info, err
-}
-
-// WaitTimeout bounds the wait (mpi.TimedRequest). The operation is
-// abandoned on timeout: its buffer must not be reused and the op is left to
-// the garbage collector rather than recycled.
-func (o *recvOp) WaitTimeout(d time.Duration) error {
-	if d <= 0 {
-		return o.Wait()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case err := <-o.done:
-		if o.pool != nil {
-			o.pool.put(o)
-		}
-		return err
-	case <-t.C:
-		return &mpi.TimeoutError{Op: "wait", After: d}
-	}
-}
-
-// WaitTracedTimeout bounds WaitTraced (mpi.TracedTimedRequest). On timeout
-// the op is abandoned like WaitTimeout and the info is zero.
-func (o *recvOp) WaitTracedTimeout(d time.Duration) (mpi.TraceInfo, error) {
-	if d <= 0 {
-		return o.WaitTraced()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case err := <-o.done:
-		info := mpi.TraceInfo{Ctx: o.ctx, DeliveredAt: o.deliveredAt}
-		if o.pool != nil {
-			o.pool.put(o)
-		}
-		return info, err
-	case <-t.C:
-		return mpi.TraceInfo{}, &mpi.TimeoutError{Op: "wait", After: d}
-	}
-}
-
-// recvOpFreeCap bounds a recvOp freelist; beyond it ops fall to the GC.
-const recvOpFreeCap = 1024
-
-// recvOpPool recycles receive operations. An op is recycled only when Wait
-// consumes its completion — the one point where provably neither the
-// matcher nor the caller references it anymore.
-type recvOpPool struct {
-	mu   sync.Mutex
-	free []*recvOp
-}
-
-func (p *recvOpPool) get(buf []byte) *recvOp {
-	p.mu.Lock()
-	if k := len(p.free); k > 0 {
-		o := p.free[k-1]
-		p.free[k-1] = nil
-		p.free = p.free[:k-1]
-		p.mu.Unlock()
-		o.buf = buf
-		return o
-	}
-	p.mu.Unlock()
-	return &recvOp{pool: p, buf: buf, done: make(chan error, 1)}
-}
-
-func (p *recvOpPool) put(o *recvOp) {
-	o.buf = nil
-	o.dt = mpi.Datatype{}
-	o.ctx = 0
-	o.deliveredAt = 0
-	p.mu.Lock()
-	if len(p.free) < recvOpFreeCap {
-		p.free = append(p.free, o)
-	}
-	p.mu.Unlock()
+// Recycle returns a consumed op to its freelist (mpi.Recycler).
+func (o *recvOp) Recycle() {
+	o.buf, o.dt = nil, mpi.Datatype{}
+	o.free.Put(o)
 }
 
 // NewWorld builds an n-rank world over loopback TCP. The returned cleanup
@@ -990,20 +927,14 @@ func (w *World) failStream(st *sendStream, err error) {
 	}
 	st.failed = err
 	for _, fr := range st.queue[st.qhead:] {
-		if fr.done != nil && !fr.completed {
-			fr.completed = true
-			fr.done <- err
-		}
+		fr.finish(err, w.start)
 	}
 	for _, fr := range st.unacked {
-		if fr.done != nil && !fr.completed {
-			fr.completed = true
-			if fr.borrowed && fr.written {
-				// Written before the failure: the copy path completed here.
-				fr.done <- nil
-			} else {
-				fr.done <- err
-			}
+		if fr.borrowed && fr.written {
+			// Written before the failure: the copy path completed here.
+			fr.finish(nil, w.start)
+		} else {
+			fr.finish(err, w.start)
 		}
 	}
 	st.queue = nil
@@ -1178,12 +1109,8 @@ func (w *World) retireFrameLocked(fr *outFrame) {
 		w.pool.put(fr.buf)
 		fr.buf = nil
 	}
-	if fr.borrowed && fr.done != nil && !fr.completed {
-		fr.completed = true
-		if fr.ctx != 0 {
-			fr.doneAt = time.Since(w.start).Seconds()
-		}
-		fr.done <- nil
+	if fr.borrowed {
+		fr.finish(nil, w.start)
 	}
 }
 
@@ -1311,16 +1238,50 @@ func (b *writeBatch) collect(st *sendStream, resilient bool, limit, maxData int)
 	return false
 }
 
-// buildIovecs lays the batch out for one vectored write: header, payload,
-// header, payload, ..., with the coalesced ack last. A strided frame
-// (base+dt) contributes one iovec per block — the writev gathers the
-// caller's matrix layout directly, so the wire sees a contiguous payload
-// that never existed in a pack buffer. Go's runtime caps each writev at
-// IOV_MAX iovecs and loops, so block counts beyond it cost extra syscalls,
-// never correctness.
+// appendFrame lays one frame out for a vectored write: the header is
+// encoded into hdr (headerLen bytes of the caller's arena), then hdr and the
+// payload are appended to iov. A strided frame (base+dt) contributes one
+// iovec per block — the writev gathers the caller's matrix layout directly,
+// so the wire sees a contiguous payload that never existed in a pack buffer.
+// Go's runtime caps each writev at IOV_MAX iovecs and loops, so block counts
+// beyond it cost extra syscalls, never correctness.
 //
 //aapc:noalloc
 //aapc:nocopy payload rides the iovec list by reference into writev
+func appendFrame(iov net.Buffers, hdr []byte, fr *outFrame) net.Buffers {
+	hdr[0] = fr.kind
+	binary.LittleEndian.PutUint64(hdr[1:9], uint64(int64(fr.tag)))
+	binary.LittleEndian.PutUint64(hdr[9:17], fr.seq)
+	binary.LittleEndian.PutUint64(hdr[17:25], uint64(int64(fr.size)))
+	binary.LittleEndian.PutUint64(hdr[25:33], fr.ctx)
+	iov = append(iov, hdr)
+	switch {
+	case fr.base != nil:
+		for i := 0; i < fr.dt.Count(); i++ {
+			iov = append(iov, fr.dt.Block(fr.base, i))
+		}
+	case len(fr.buf) > 0:
+		iov = append(iov, fr.buf)
+	}
+	return iov
+}
+
+// frameHeaders returns an n-frame header arena, reusing hdrs once it has
+// grown to the high-water batch size.
+//
+//aapc:noalloc
+func frameHeaders(hdrs []byte, n int) []byte {
+	if cap(hdrs) < n*headerLen {
+		return make([]byte, n*headerLen)
+	}
+	return hdrs[:n*headerLen]
+}
+
+// buildIovecs lays the batch out for one vectored write: header, payload,
+// header, payload, ..., with the coalesced ack last.
+//
+//aapc:noalloc
+//aapc:nocopy
 func (b *writeBatch) buildIovecs() {
 	n := len(b.frames)
 	if b.dup {
@@ -1329,29 +1290,12 @@ func (b *writeBatch) buildIovecs() {
 	if b.haveAck {
 		n++
 	}
-	if cap(b.hdrs) < n*headerLen {
-		b.hdrs = make([]byte, n*headerLen) //aapc:allow noalloc amortized: grows to the high-water batch size, then stable
-	}
-	b.hdrs = b.hdrs[:n*headerLen]
+	b.hdrs = frameHeaders(b.hdrs, n)
 	b.iovecs = b.iovecs[:0]
-	hi := 0
+	hdr := b.hdrs
 	emit := func(fr *outFrame) {
-		hdr := b.hdrs[hi*headerLen : (hi+1)*headerLen]
-		hi++
-		hdr[0] = fr.kind
-		binary.LittleEndian.PutUint64(hdr[1:9], uint64(int64(fr.tag)))
-		binary.LittleEndian.PutUint64(hdr[9:17], fr.seq)
-		binary.LittleEndian.PutUint64(hdr[17:25], uint64(int64(fr.size)))
-		binary.LittleEndian.PutUint64(hdr[25:33], fr.ctx)
-		b.iovecs = append(b.iovecs, hdr)
-		switch {
-		case fr.base != nil:
-			for i := 0; i < fr.dt.Count(); i++ {
-				b.iovecs = append(b.iovecs, fr.dt.Block(fr.base, i))
-			}
-		case len(fr.buf) > 0:
-			b.iovecs = append(b.iovecs, fr.buf)
-		}
+		b.iovecs = appendFrame(b.iovecs, hdr[:headerLen], fr)
+		hdr = hdr[headerLen:]
 	}
 	for _, fr := range b.frames {
 		emit(fr)
@@ -1390,8 +1334,7 @@ func (w *World) releaseBatch(st *sendStream, b *writeBatch, err error, complete,
 			st.wrote++
 			advanced = true
 		}
-		if complete && fr.done != nil && !fr.completed && (err != nil || !fr.borrowed) {
-			fr.completed = true
+		if complete && (err != nil || !fr.borrowed) {
 			e := err
 			if fr.borrowed && fr.written {
 				// The frame hit the wire before the terminal failure: the
@@ -1399,10 +1342,7 @@ func (w *World) releaseBatch(st *sendStream, b *writeBatch, err error, complete,
 				// success; delivery truth surfaces on receiver-side ops.
 				e = nil
 			}
-			if fr.ctx != 0 {
-				fr.doneAt = time.Since(w.start).Seconds()
-			}
-			fr.done <- e
+			fr.finish(e, w.start)
 		}
 	}
 	if reack && b.haveAck && st.failed == nil && !st.closed {
@@ -1690,7 +1630,7 @@ func (m *matcher) fail(src int, err error) {
 			continue
 		}
 		for _, op := range q {
-			op.done <- err
+			op.Complete(err)
 		}
 		delete(m.posted, key)
 	}
@@ -1704,32 +1644,31 @@ func (m *matcher) fail(src int, err error) {
 // waited long after arrival still reports the true delivery time.
 func (m *matcher) deliver(key matchKey, payload []byte, ctx uint64) {
 	var at float64
-	if ctx != 0 && m.now != nil {
+	if ctx != 0 {
 		at = m.now()
 	}
 	m.mu.Lock()
 	if q := m.posted[key]; len(q) > 0 {
-		op := q[0]
-		// Shift-down pop: the backing array keeps its capacity, so the
-		// append in post stops reallocating once the queue has reached its
-		// working size.
-		copy(q, q[1:])
-		q[len(q)-1] = nil
-		m.posted[key] = q[:len(q)-1]
-		if ctx != 0 {
-			op.ctx = ctx
-			op.deliveredAt = at
-		}
+		var op *recvOp
+		op, m.posted[key] = mpi.PopFront(q)
 		m.mu.Unlock()
-		err := op.place(payload, m.stats)
-		if m.pool != nil {
-			m.pool.put(payload)
-		}
-		op.done <- err
+		m.finish(op, arrivedMsg{payload: payload, ctx: ctx, at: at})
 		return
 	}
 	m.arrived[key] = append(m.arrived[key], arrivedMsg{payload: payload, ctx: ctx, at: at})
 	m.mu.Unlock()
+}
+
+// finish completes the match of a staged frame with its receive: the
+// match-time copy into the op's layout, the payload's return to the pool,
+// the trace stamp, the completion. The matcher lock is not held.
+func (m *matcher) finish(op *recvOp, msg arrivedMsg) {
+	err := op.place(msg.payload, m.stats)
+	m.pool.put(msg.payload)
+	if msg.ctx != 0 {
+		op.Info = mpi.TraceInfo{Ctx: msg.ctx, DeliveredAt: msg.at}
+	}
+	op.Complete(err)
 }
 
 // post registers a receive, matching an already-arrived frame if any.
@@ -1737,25 +1676,15 @@ func (m *matcher) deliver(key matchKey, payload []byte, ctx uint64) {
 func (m *matcher) post(key matchKey, op *recvOp) {
 	m.mu.Lock()
 	if q := m.arrived[key]; len(q) > 0 {
-		msg := q[0]
-		copy(q, q[1:])
-		q[len(q)-1] = arrivedMsg{}
-		m.arrived[key] = q[:len(q)-1]
-		if msg.ctx != 0 {
-			op.ctx = msg.ctx
-			op.deliveredAt = msg.at
-		}
+		var msg arrivedMsg
+		msg, m.arrived[key] = mpi.PopFront(q)
 		m.mu.Unlock()
-		err := op.place(msg.payload, m.stats)
-		if m.pool != nil {
-			m.pool.put(msg.payload)
-		}
-		op.done <- err
+		m.finish(op, msg)
 		return
 	}
 	if err := m.srcErr[key.src]; err != nil {
 		m.mu.Unlock()
-		op.done <- err
+		op.Complete(err)
 		return
 	}
 	m.posted[key] = append(m.posted[key], op)
@@ -1774,10 +1703,8 @@ func (m *matcher) claim(key matchKey) *recvOp {
 		m.mu.Unlock()
 		return nil
 	}
-	op := q[0]
-	copy(q, q[1:])
-	q[len(q)-1] = nil
-	m.posted[key] = q[:len(q)-1]
+	op, q := mpi.PopFront(q)
+	m.posted[key] = q
 	m.mu.Unlock()
 	return op
 }
@@ -1792,7 +1719,7 @@ func (m *matcher) unclaim(key matchKey, op *recvOp) {
 	m.mu.Lock()
 	if err := m.srcErr[key.src]; err != nil {
 		m.mu.Unlock()
-		op.done <- err
+		op.Complete(err)
 		return
 	}
 	q := append(m.posted[key], nil)
@@ -1806,24 +1733,22 @@ func (m *matcher) unclaim(key matchKey, op *recvOp) {
 // stamp the trace context/delivery time, then deliver the completion.
 func (m *matcher) complete(op *recvOp, ctx uint64, err error) {
 	if ctx != 0 {
-		op.ctx = ctx
-		if m.now != nil {
-			op.deliveredAt = m.now()
-		}
+		op.Info = mpi.TraceInfo{Ctx: ctx, DeliveredAt: m.now()}
 	}
-	op.done <- err
+	op.Complete(err)
 }
 
 // readIntoOp reads a size-byte payload off the socket straight into a
 // claimed receive op. The two return values separate the failure domains:
 // sockErr is a connection error (the op was not completed, the caller must
 // unclaim it and break the link); opErr is a per-operation delivery error
-// (truncation) with the stream itself still healthy.
+// (truncation) with the stream itself still healthy. Contiguous receives
+// land straight off the socket; staging is confined to the strided-scatter
+// and truncation fallbacks.
 //
-//aapc:nocopy contiguous receives land straight off the socket; staging is
-// confined to the strided-scatter and truncation fallbacks
+//aapc:nocopy
 func (w *World) readIntoOp(conn net.Conn, op *recvOp, size int) (sockErr, opErr error) {
-	if !op.dt.IsZero() && !op.dt.Contig() {
+	if !op.dt.IsZero() {
 		// Strided destination: stage contiguously, scatter into the blocks —
 		// the single copy of the typed receive path.
 		payload := w.pool.get(size)
@@ -1871,10 +1796,10 @@ func drainPayload(conn net.Conn, size int, pool *bufPool) error {
 // layout when the op carries one. This is the match-time copy counted
 // against the ≤1-copy budget.
 func (o *recvOp) place(payload []byte, st *stats) error {
-	if st != nil && len(payload) > 0 {
+	if len(payload) > 0 {
 		st.payloadCopies.Add(1)
 	}
-	if !o.dt.IsZero() && !o.dt.Contig() {
+	if !o.dt.IsZero() {
 		if o.dt.Unpack(o.buf, payload) < len(payload) {
 			return fmt.Errorf("tcp: message truncated: receiver layout %d < %d", o.dt.Size(), len(payload))
 		}
@@ -1906,139 +1831,25 @@ func (c *comm) Now() float64 { return time.Since(c.w.start).Seconds() }
 // Kill simulates the death of this rank (mpi.Killer).
 func (c *comm) Kill() error { return c.w.KillRank(c.rank) }
 
-// OpDeadline returns the world's per-operation deadline (0 = none).
-func (c *comm) OpDeadline() time.Duration { return c.w.cfg.OpDeadline }
-
 // TransportStats snapshots the world's data-plane counters (shared by all
 // ranks of the in-process world).
 func (c *comm) TransportStats() Stats { return c.w.stats.snapshot() }
 
-// chanRequest is a send request: completion arrives on done, and fr (when
-// non-nil) carries the trace context and sender-local completion stamp for
-// WaitTraced. The frame is only read after the done receive, which orders
-// the completer's writes.
-type chanRequest struct {
-	done chan error
-	fr   *outFrame
+// errReservedTag rejects user operations on the barrier's tag space.
+func errReservedTag(tag int) mpi.Request {
+	return mpi.Completed(fmt.Errorf("tcp: negative tag %d is reserved", tag))
 }
 
-func (r chanRequest) Wait() error { return <-r.done }
-
-// WaitTimeout bounds the wait (mpi.TimedRequest). The operation is
-// abandoned on timeout: its buffer must not be reused.
-func (r chanRequest) WaitTimeout(d time.Duration) error {
-	if d <= 0 {
-		return <-r.done
+// loopback delivers a self-send through the matcher, via a pooled copy (a
+// strided layout is packed into it).
+func (m *matcher) loopback(rank int, op mpi.Op) mpi.Request {
+	payload := m.pool.get(op.Size())
+	op.Layout().Pack(payload, op.Buf)
+	if len(payload) > 0 {
+		m.stats.payloadCopies.Add(1)
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case err := <-r.done:
-		return err
-	case <-t.C:
-		return &mpi.TimeoutError{Op: "wait", After: d}
-	}
-}
-
-func (r chanRequest) info() mpi.TraceInfo {
-	if r.fr == nil {
-		return mpi.TraceInfo{}
-	}
-	return mpi.TraceInfo{Ctx: r.fr.ctx, DeliveredAt: r.fr.doneAt}
-}
-
-// WaitTraced returns the send's trace info (mpi.TracedRequest).
-func (r chanRequest) WaitTraced() (mpi.TraceInfo, error) {
-	err := <-r.done
-	return r.info(), err
-}
-
-// WaitTracedTimeout bounds the traced wait (mpi.TracedTimedRequest).
-func (r chanRequest) WaitTracedTimeout(d time.Duration) (mpi.TraceInfo, error) {
-	if d <= 0 {
-		return r.WaitTraced()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case err := <-r.done:
-		return r.info(), err
-	case <-t.C:
-		return mpi.TraceInfo{}, &mpi.TimeoutError{Op: "wait", After: d}
-	}
-}
-
-type errRequest struct{ err error }
-
-func (r errRequest) Wait() error                     { return r.err }
-func (r errRequest) WaitTimeout(time.Duration) error { return r.err }
-
-// isend frames and queues buf toward dst without blocking the caller.
-// Frames for one destination are written by a single writer in enqueue
-// order, so MPI's non-overtaking guarantee holds per (source, destination,
-// tag).
-//
-//aapc:nocopy the borrowed path is the steady state; staging copies are
-// confined to the annotated small-message and self-send fallbacks
-func (c *comm) isend(buf []byte, dst, tag int, ctx uint64) mpi.Request {
-	if err := mpi.CheckRank(c, dst); err != nil {
-		return errRequest{err}
-	}
-	if err := c.w.rankDead(c.rank); err != nil {
-		return errRequest{&mpi.RankError{Rank: c.rank, Err: err}}
-	}
-	if err := c.w.rankDead(dst); err != nil {
-		return errRequest{&mpi.RankError{Rank: dst, Err: err}}
-	}
-	if dst == c.rank {
-		// Self-send: loop through the matcher directly, via a pooled copy.
-		payload := c.w.pool.get(len(buf))
-		copy(payload, buf)
-		if len(buf) > 0 {
-			c.w.stats.payloadCopies.Add(1)
-		}
-		c.w.matchers[c.rank].deliver(matchKey{src: c.rank, tag: tag}, payload, ctx)
-		return errRequest{nil}
-	}
-	st := c.w.streams[c.rank][dst]
-	st.mu.Lock()
-	if st.failed != nil {
-		err := st.failed
-		st.mu.Unlock()
-		return errRequest{err}
-	}
-	data := buf
-	poolable, borrowed := false, false
-	if c.w.cfg.Resilient && len(buf) > 0 {
-		if len(buf) >= zeroCopyMin || poolAligned(buf) {
-			// Borrow: the caller's bytes ride the writev batch directly and
-			// the request completes only when the cumulative ack retires the
-			// frame — until then MPI's no-modify rule keeps them stable, so
-			// retransmissions can reuse them verbatim. Zero copies.
-			borrowed = true
-			c.w.stats.borrowedSends.Add(1)
-		} else {
-			// Copy: for small, non-pool-aligned buffers the ack-deferred
-			// completion costs more than the copy. The pooled copy makes the
-			// frame retransmittable forever and completes at first write.
-			data = c.w.pool.get(len(buf))
-			//aapc:allow copycount deliberate: below zeroCopyMin the copy beats ack-deferred completion
-			copy(data, buf)
-			poolable = true
-			c.w.stats.copiedSends.Add(1)
-			c.w.stats.payloadCopies.Add(1)
-		}
-	} else if len(buf) > 0 {
-		// Non-resilient mode always borrows (nothing ever retransmits).
-		c.w.stats.borrowedSends.Add(1)
-	}
-	fr := &outFrame{kind: frameData, tag: tag, ctx: ctx, buf: data, size: len(data),
-		done: make(chan error, 1), poolable: poolable, borrowed: borrowed}
-	st.queue = append(st.queue, fr)
-	st.enq++
-	st.cond.Signal()
-	st.mu.Unlock()
-	return chanRequest{done: fr.done, fr: fr}
+	m.deliver(matchKey{src: rank, tag: op.Tag}, payload, op.Ctx)
+	return mpi.Completed(nil)
 }
 
 // zeroCopyMin is the smallest payload that borrows the caller's buffer
@@ -2047,103 +1858,73 @@ func (c *comm) isend(buf []byte, dst, tag int, ctx uint64) mpi.Request {
 // pool-aligned, in which case borrowing costs nothing extra.
 const zeroCopyMin = 1024
 
-func (c *comm) Isend(buf []byte, dst, tag int) mpi.Request {
-	if tag < 0 {
-		return errRequest{fmt.Errorf("tcp: negative tag %d is reserved", tag)}
+func (c *comm) Isend(op mpi.Op) mpi.Request {
+	if op.Tag < 0 {
+		return errReservedTag(op.Tag)
 	}
-	return c.isend(buf, dst, tag, 0)
+	return c.isend(op)
 }
 
-// IsendTraced attaches a trace context to the outgoing frame
-// (mpi.TracedSender): the context rides the wire in the frame header and
-// surfaces on the matching receive's WaitTraced.
-func (c *comm) IsendTraced(buf []byte, dst, tag int, ctx uint64) mpi.Request {
-	if tag < 0 {
-		return errRequest{fmt.Errorf("tcp: negative tag %d is reserved", tag)}
-	}
-	return c.isend(buf, dst, tag, ctx)
-}
-
-// IsendTyped starts a zero-copy send of the dt-described bytes of base
-// (mpi.TypedComm). Contiguous layouts are normalized to the plain path; a
-// strided layout rides the writev batch as one iovec per block, so the
-// bytes go from the caller's matrix to the kernel with no intermediate
-// buffer at all.
+// isend frames and queues the op's payload toward op.Peer without blocking
+// the caller. Frames for one destination are written by a single writer in
+// enqueue order, so MPI's non-overtaking guarantee holds per (source,
+// destination, tag). A strided layout rides the writev batch as one iovec
+// per block, so the bytes go from the caller's matrix to the kernel with no
+// intermediate buffer at all. The borrowed path is the steady state; staging
+// copies are confined to the annotated small-message fallback and the
+// self-send loopback.
 //
 //aapc:nocopy
-func (c *comm) IsendTyped(base []byte, dt mpi.Datatype, dst, tag int) mpi.Request {
-	if tag < 0 {
-		return errRequest{fmt.Errorf("tcp: negative tag %d is reserved", tag)}
-	}
-	if err := dt.Validate(len(base)); err != nil {
-		return errRequest{err}
-	}
-	if dt.Contig() {
-		return c.isend(base[:dt.Size()], dst, tag, 0)
-	}
-	if err := mpi.CheckRank(c, dst); err != nil {
-		return errRequest{err}
+func (c *comm) isend(op mpi.Op) mpi.Request {
+	if err := op.Canon(c.w.n); err != nil {
+		return mpi.Completed(err)
 	}
 	if err := c.w.rankDead(c.rank); err != nil {
-		return errRequest{&mpi.RankError{Rank: c.rank, Err: err}}
+		return mpi.Completed(&mpi.RankError{Rank: c.rank, Err: err})
 	}
-	if err := c.w.rankDead(dst); err != nil {
-		return errRequest{&mpi.RankError{Rank: dst, Err: err}}
+	if err := c.w.rankDead(op.Peer); err != nil {
+		return mpi.Completed(&mpi.RankError{Rank: op.Peer, Err: err})
 	}
-	size := dt.Size()
-	if dst == c.rank {
-		// Self-send: pack the strided layout into a pooled loopback copy.
-		payload := c.w.pool.get(size)
-		dt.Pack(payload, base)
-		if size > 0 {
-			c.w.stats.payloadCopies.Add(1)
-		}
-		c.w.matchers[c.rank].deliver(matchKey{src: c.rank, tag: tag}, payload, 0)
-		return errRequest{nil}
+	if op.Peer == c.rank {
+		return c.w.matchers[c.rank].loopback(c.rank, op)
 	}
-	st := c.w.streams[c.rank][dst]
+	st := c.w.streams[c.rank][op.Peer]
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	if st.failed != nil {
-		err := st.failed
-		st.mu.Unlock()
-		return errRequest{err}
+		return mpi.Completed(st.failed)
 	}
-	// Strided frames always borrow: packing up front would be exactly the
-	// copy this path exists to remove. In resilient mode completion defers
-	// to the cumulative ack like any borrowed frame.
-	c.w.stats.borrowedSends.Add(1)
-	fr := &outFrame{kind: frameData, tag: tag, base: base, dt: dt, size: size,
-		done: make(chan error, 1), borrowed: c.w.cfg.Resilient}
+	fr := newDataFrame(op)
+	switch {
+	case fr.size == 0:
+	case !c.w.cfg.Resilient:
+		// Non-resilient mode always borrows (nothing ever retransmits) and
+		// completes at write, as a plain transport would.
+		c.w.stats.borrowedSends.Add(1)
+	case fr.base != nil || fr.size >= zeroCopyMin || poolAligned(fr.buf):
+		// Borrow: the caller's bytes ride the writev batch directly and the
+		// request completes only when the cumulative ack retires the frame —
+		// until then MPI's no-modify rule keeps them stable, so
+		// retransmissions can reuse them verbatim. Zero copies. Strided
+		// frames always borrow: packing up front would be exactly the copy
+		// the datatype path exists to remove.
+		fr.borrowed = true
+		c.w.stats.borrowedSends.Add(1)
+	default:
+		// Copy: for small, non-pool-aligned buffers the ack-deferred
+		// completion costs more than the copy. The pooled copy makes the
+		// frame retransmittable forever and completes at first write.
+		fr.buf = c.w.pool.get(fr.size)
+		//aapc:allow copycount deliberate: below zeroCopyMin the copy beats ack-deferred completion
+		copy(fr.buf, op.Buf)
+		fr.poolable = true
+		c.w.stats.copiedSends.Add(1)
+		c.w.stats.payloadCopies.Add(1)
+	}
 	st.queue = append(st.queue, fr)
 	st.enq++
 	st.cond.Signal()
-	st.mu.Unlock()
-	return chanRequest{done: fr.done, fr: fr}
-}
-
-// IrecvTyped posts a receive that scatters incoming payload bytes into the
-// dt-described blocks of base (mpi.TypedComm). Contiguous layouts place
-// bytes straight off the socket; strided ones stage once and scatter.
-func (c *comm) IrecvTyped(base []byte, dt mpi.Datatype, src, tag int) mpi.Request {
-	if tag < 0 {
-		return errRequest{fmt.Errorf("tcp: negative tag %d is reserved", tag)}
-	}
-	if err := dt.Validate(len(base)); err != nil {
-		return errRequest{err}
-	}
-	if dt.Contig() {
-		return c.irecv(base[:dt.Size()], src, tag)
-	}
-	if err := mpi.CheckRank(c, src); err != nil {
-		return errRequest{err}
-	}
-	if err := c.w.rankDead(c.rank); err != nil {
-		return errRequest{&mpi.RankError{Rank: c.rank, Err: err}}
-	}
-	op := c.w.recvOps.get(base)
-	op.dt = dt
-	c.w.matchers[c.rank].post(matchKey{src: src, tag: tag}, op)
-	return op
+	return fr
 }
 
 // Flush blocks until every frame this rank has so far accepted toward dst
@@ -2193,23 +1974,26 @@ func (c *comm) Flush(dst int, d time.Duration) error {
 	return &mpi.TimeoutError{Op: "flush", After: d}
 }
 
-func (c *comm) irecv(buf []byte, src, tag int) mpi.Request {
-	if err := mpi.CheckRank(c, src); err != nil {
-		return errRequest{err}
+func (c *comm) Irecv(op mpi.Op) mpi.Request {
+	if op.Tag < 0 {
+		return errReservedTag(op.Tag)
 	}
-	if err := c.w.rankDead(c.rank); err != nil {
-		return errRequest{&mpi.RankError{Rank: c.rank, Err: err}}
-	}
-	op := c.w.recvOps.get(buf)
-	c.w.matchers[c.rank].post(matchKey{src: src, tag: tag}, op)
-	return op
+	return c.irecv(op)
 }
 
-func (c *comm) Irecv(buf []byte, src, tag int) mpi.Request {
-	if tag < 0 {
-		return errRequest{fmt.Errorf("tcp: negative tag %d is reserved", tag)}
+// irecv posts a receive. A contiguous layout takes payload bytes straight
+// off the socket when it is posted before the frame arrives; a strided one
+// stages once and scatters.
+func (c *comm) irecv(op mpi.Op) mpi.Request {
+	if err := op.Canon(c.w.n); err != nil {
+		return mpi.Completed(err)
 	}
-	return c.irecv(buf, src, tag)
+	if err := c.w.rankDead(c.rank); err != nil {
+		return mpi.Completed(&mpi.RankError{Rank: c.rank, Err: err})
+	}
+	ro := getRecvOp(&c.w.recvOps, op)
+	c.w.matchers[c.rank].post(matchKey{src: op.Peer, tag: op.Tag}, ro)
+	return ro
 }
 
 // Barrier runs a dissemination barrier over the transport itself:
@@ -2230,8 +2014,8 @@ func (c *comm) Barrier() error {
 		tag := -(gen*64 + round + 1)
 		dst := (c.rank + dist) % n
 		src := (c.rank - dist + n) % n
-		sr := c.isend(nil, dst, tag, 0)
-		rr := c.irecv(nil, src, tag)
+		sr := c.isend(mpi.Op{Peer: dst, Tag: tag})
+		rr := c.irecv(mpi.Op{Peer: src, Tag: tag})
 		if err := mpi.WaitTimeout(sr, d); err != nil {
 			return fmt.Errorf("tcp: barrier round %d: %w", round, err)
 		}

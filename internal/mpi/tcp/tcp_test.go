@@ -60,7 +60,7 @@ func TestFIFOOrderingSameKey(t *testing.T) {
 		if c.Rank() == 0 {
 			reqs := make([]mpi.Request, k)
 			for i := 0; i < k; i++ {
-				reqs[i] = c.Isend([]byte{byte(i)}, 1, 9)
+				reqs[i] = mpi.Isend(c, []byte{byte(i)}, 1, 9)
 			}
 			return mpi.WaitAll(reqs)
 		}
@@ -90,8 +90,8 @@ func TestTagRouting(t *testing.T) {
 		}
 		b2 := make([]byte, 3)
 		b1 := make([]byte, 3)
-		r2 := c.Irecv(b2, 0, 2)
-		r1 := c.Irecv(b1, 0, 1)
+		r2 := mpi.Irecv(c, b2, 0, 2)
+		r1 := mpi.Irecv(c, b1, 0, 1)
 		if err := mpi.WaitAll([]mpi.Request{r1, r2}); err != nil {
 			return err
 		}
@@ -110,12 +110,12 @@ func TestSelfSend(t *testing.T) {
 		if c.Rank() != 0 {
 			return nil
 		}
-		r := c.Irecv(make([]byte, 4), 0, 0)
+		r := mpi.Irecv(c, make([]byte, 4), 0, 0)
 		if err := mpi.Send(c, []byte("self"), 0, 0); err != nil {
 			//aapc:allow waitcheck the test aborts; the posted receive dies with the world
 			return err
 		}
-		return r.Wait()
+		return mpi.Wait(r)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -144,10 +144,10 @@ func TestNegativeTagRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer closeWorld()
-	if err := comms[0].Isend(nil, 1, -5).Wait(); err == nil {
+	if err := mpi.Send(comms[0], nil, 1, -5); err == nil {
 		t.Error("want error for negative send tag")
 	}
-	if err := comms[0].Irecv(nil, 1, -5).Wait(); err == nil {
+	if err := mpi.Recv(comms[0], nil, 1, -5); err == nil {
 		t.Error("want error for negative recv tag")
 	}
 }
@@ -158,7 +158,7 @@ func TestBadRank(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer closeWorld()
-	if err := comms[0].Isend(nil, 7, 0).Wait(); err == nil {
+	if err := mpi.Send(comms[0], nil, 7, 0); err == nil {
 		t.Error("want error for bad destination")
 	}
 }
@@ -263,9 +263,9 @@ func TestFailureInjectionClosedWorld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pending := comms[0].Irecv(make([]byte, 8), 1, 5)
+	pending := mpi.Irecv(comms[0], make([]byte, 8), 1, 5)
 	done := make(chan error, 1)
-	go func() { done <- pending.Wait() }()
+	go func() { done <- mpi.Wait(pending) }()
 	// Tear the world down with the receive outstanding.
 	if err := closeWorld(); err != nil {
 		t.Fatal(err)
@@ -279,7 +279,7 @@ func TestFailureInjectionClosedWorld(t *testing.T) {
 		t.Fatal("pending receive hung after close")
 	}
 	// Operations posted after failure also error out promptly.
-	if err := comms[1].Irecv(make([]byte, 8), 0, 9).Wait(); err == nil {
+	if err := mpi.Recv(comms[1], make([]byte, 8), 0, 9); err == nil {
 		t.Error("post-failure receive should error")
 	}
 }

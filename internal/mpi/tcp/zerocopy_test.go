@@ -47,7 +47,7 @@ func TestTCPZeroCopySteadyState(t *testing.T) {
 					if src == me {
 						continue
 					}
-					recvs[me] = append(recvs[me], c.Irecv(make([]byte, msize), src, it))
+					recvs[me] = append(recvs[me], mpi.Irecv(c, make([]byte, msize), src, it))
 				}
 			}
 			errs <- c.Barrier()
@@ -76,7 +76,7 @@ func TestTCPZeroCopySteadyState(t *testing.T) {
 					if dst == me {
 						continue
 					}
-					reqs = append(reqs, c.Isend(sendBufs[dst], dst, it))
+					reqs = append(reqs, mpi.Isend(c, sendBufs[dst], dst, it))
 				}
 				// Wait drains the iteration; borrowed frames complete on
 				// their cumulative ack, so the buffers are free for reuse.

@@ -1,7 +1,5 @@
 package mpi
 
-import "time"
-
 // Causal trace contexts.
 //
 // A trace context is a compact causal identifier a sender attaches to one
@@ -39,69 +37,18 @@ func SplitTraceCtx(ctx uint64) (rank int, seq uint64) {
 	return int(ctx>>traceSeqBits) - 1, ctx & (1<<traceSeqBits - 1)
 }
 
-// TraceInfo is what a traced wait learns about the completed operation
+// TraceInfo is what Request.Wait learns about the completed operation
 // beyond its error.
 type TraceInfo struct {
-	// Ctx is the trace context the matching sender attached, or 0 when the
-	// message was sent untraced (or the transport cannot carry contexts).
+	// Ctx is, on a receive, the trace context the matching sender attached
+	// (0 when the message was sent untraced); on a send, the context the
+	// send itself carried.
 	Ctx uint64
-	// DeliveredAt is the transport's delivery timestamp in Comm.Now()
-	// seconds: the moment the payload reached this rank's matching layer,
-	// as opposed to the moment the receiver got around to waiting. 0 means
-	// unknown. Transports stamp it only for traced messages, keeping the
-	// untraced fast path free of clock reads.
+	// DeliveredAt is the transport's completion timestamp in Comm.Now()
+	// seconds: on a receive, the moment the payload reached this rank's
+	// matching layer, as opposed to the moment the receiver got around to
+	// waiting; on a send, the moment the message left. 0 means unknown.
+	// Transports stamp it only for traced messages, keeping the untraced
+	// fast path free of clock reads.
 	DeliveredAt float64
-}
-
-// TracedSender is implemented by transports that can attach a trace
-// context to an outgoing message. IsendTraced behaves exactly like Isend
-// with the context riding along to the receiver.
-type TracedSender interface {
-	IsendTraced(buf []byte, dst, tag int, ctx uint64) Request
-}
-
-// TracedRequest is implemented by receive requests that can report the
-// sender's trace context. WaitTraced must be used instead of Wait (never
-// after it): transports recycle completed operations through freelists
-// inside Wait, so the context must be read and returned in the same step
-// that consumes the completion.
-type TracedRequest interface {
-	Request
-	// WaitTraced behaves like Wait and additionally returns the trace
-	// information delivered with the message.
-	WaitTraced() (TraceInfo, error)
-}
-
-// TracedTimedRequest bounds a traced wait, mirroring TimedRequest.
-type TracedTimedRequest interface {
-	// WaitTracedTimeout behaves like WaitTimeout and additionally returns
-	// the trace information delivered with the message. On timeout the
-	// info is zero.
-	WaitTracedTimeout(d time.Duration) (TraceInfo, error)
-}
-
-// WaitTraced waits for the request and returns the delivered trace
-// information, degrading to a plain Wait (zero info) on requests that do
-// not support tracing.
-func WaitTraced(r Request) (TraceInfo, error) {
-	if tr, ok := r.(TracedRequest); ok {
-		return tr.WaitTraced()
-	}
-	return TraceInfo{}, r.Wait()
-}
-
-// WaitTracedTimeout is WaitTraced bounded by d, with the same degradation
-// ladder as WaitTimeout: d <= 0 or an untimed request waits unbounded, an
-// untraced request returns zero info.
-func WaitTracedTimeout(r Request, d time.Duration) (TraceInfo, error) {
-	if d <= 0 {
-		return WaitTraced(r)
-	}
-	if tr, ok := r.(TracedTimedRequest); ok {
-		return tr.WaitTracedTimeout(d)
-	}
-	if tr, ok := r.(TimedRequest); ok {
-		return TraceInfo{}, tr.WaitTimeout(d)
-	}
-	return WaitTraced(r)
 }

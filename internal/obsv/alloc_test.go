@@ -3,6 +3,8 @@ package obsv
 import (
 	"testing"
 	"time"
+
+	"github.com/aapc-sched/aapcsched/internal/mpi"
 )
 
 // TestInstrumentedOpAllocsAmortized is the allocation-regression gate for
@@ -18,12 +20,12 @@ func TestInstrumentedOpAllocsAmortized(t *testing.T) {
 	buf := make([]byte, 1024)
 	c := Instrument(base, NewRecorder(0))
 	for i := 0; i < 512; i++ { // past the small first event chunk
-		if err := c.Isend(buf, 1, 0).Wait(); err != nil {
+		if err := mpi.Send(c, buf, 1, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(2000, func() {
-		if err := c.Isend(buf, 1, 0).Wait(); err != nil {
+		if err := mpi.Send(c, buf, 1, 0); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -43,9 +43,9 @@ func tracedExchange(t *testing.T, rounds, msize int, run func(fn func(c mpi.Comm
 				for i := range out {
 					out[i] = byte(me + p + round + i)
 				}
-				reqs = append(reqs, c.Isend(out, p, 7))
+				reqs = append(reqs, mpi.Isend(c, out, p, 7))
 				bufs[p] = make([]byte, msize)
-				reqs = append(reqs, c.Irecv(bufs[p], p, 7))
+				reqs = append(reqs, mpi.Irecv(c, bufs[p], p, 7))
 			}
 			if err := mpi.WaitAllTimeout(reqs, 20*time.Second); err != nil {
 				return err
@@ -172,9 +172,9 @@ drop 1 2 count 1
 }
 
 // TestCausalLinkingUnderCommDelay wraps the traced transport in the
-// comm-level injector: tracing must survive the wrapper (IsendTraced
-// passthrough) so attribution still works on exactly the runs where faults
-// are being injected.
+// comm-level injector: tracing must survive the wrapper (it forwards the
+// op, context included) so attribution still works on exactly the runs where
+// faults are being injected.
 func TestCausalLinkingUnderCommDelay(t *testing.T) {
 	plan, err := faults.ParsePlanString("delay 1 2 200us count 2")
 	if err != nil {

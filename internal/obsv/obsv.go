@@ -330,67 +330,31 @@ func PhaserFor(c mpi.Comm) OpPhaser {
 // Instrument wraps a communicator so that every operation is recorded into
 // r. With a nil recorder — or when the package is built with -tags obsv_off
 // — the communicator is returned unchanged, so instrumentation has strictly
-// zero cost when unused. The wrapper preserves the optional mpi.TimedRequest
-// and mpi.Killer capabilities of the underlying transport.
+// zero cost when unused. The wrapper forwards mpi.Killer, and mpi.Flusher
+// exactly when the transport has it.
 func Instrument(c mpi.Comm, r *Recorder) mpi.Comm {
 	if !Enabled || r == nil || c == nil {
 		return c
 	}
 	ic := &icomm{inner: c, rec: r, phase: -1, nextPhase: -1}
-	ic.ts, _ = c.(mpi.TracedSender)
-	// The wrapper must present exactly the inner transport's optional
-	// capabilities: surfacing a method the transport lacks would make
-	// callers take paths the transport cannot honor (a no-op Flush skips a
-	// wait that is load-bearing on the simulator), and hiding one would
-	// silently demote the zero-copy typed path to the pack fallback under
-	// instrumentation.
-	tc, typed := c.(mpi.TypedComm)
-	fl, flush := c.(mpi.Flusher)
-	switch {
-	case typed && flush:
-		return &icommZC{icommTyped{icomm: ic, tc: tc}, fl}
-	case typed:
-		return &icommTyped{icomm: ic, tc: tc}
-	default:
-		return ic
+	// Flush must be surfaced only when the transport has it: a no-op Flush
+	// would make the scheduler skip a wait that is load-bearing on
+	// transports without a writer stage (the simulator).
+	if fl, ok := c.(mpi.Flusher); ok {
+		return &icommFlush{ic, fl}
 	}
+	return ic
 }
 
-// icommTyped extends the decorator over transports with native datatype
-// support (mpi.TypedComm), forwarding typed operations so instrumented
-// comms keep the zero-copy path. Typed sends go untraced (no causal
-// context in the frame); the cross-rank trace graph covers contiguous
-// sends, which remain the common case for control traffic.
-type icommTyped struct {
-	*icomm
-	tc mpi.TypedComm
-}
-
-//aapc:noalloc
-func (c *icommTyped) IsendTyped(base []byte, dt mpi.Datatype, dst, tag int) mpi.Request {
-	c.seq++
-	ev := Event{Kind: KindSend, Rank: c.inner.Rank(), Peer: dst, Tag: tag,
-		Bytes: dt.Size(), Phase: c.opPhase(), Seq: c.seq, Start: c.inner.Now()}
-	return c.newReq(c.tc.IsendTyped(base, dt, dst, tag), ev)
-}
-
-//aapc:noalloc
-func (c *icommTyped) IrecvTyped(base []byte, dt mpi.Datatype, src, tag int) mpi.Request {
-	c.seq++
-	ev := Event{Kind: KindRecv, Rank: c.inner.Rank(), Peer: src, Tag: tag,
-		Bytes: dt.Size(), Phase: c.opPhase(), Seq: c.seq, Start: c.inner.Now()}
-	return c.newReq(c.tc.IrecvTyped(base, dt, src, tag), ev)
-}
-
-// icommZC additionally forwards the wire-entry watermark wait
+// icommFlush additionally forwards the wire-entry watermark wait
 // (mpi.Flusher). The wait itself is not recorded as an event: the send and
 // sync events around it already bound any stall.
-type icommZC struct {
-	icommTyped
+type icommFlush struct {
+	*icomm
 	fl mpi.Flusher
 }
 
-func (c *icommZC) Flush(dst int, d time.Duration) error {
+func (c *icommFlush) Flush(dst int, d time.Duration) error {
 	return c.fl.Flush(dst, d)
 }
 
@@ -398,10 +362,6 @@ func (c *icommZC) Flush(dst int, d time.Duration) error {
 type icomm struct {
 	inner mpi.Comm
 	rec   *Recorder
-	// ts is the transport's traced-send capability, type-asserted once at
-	// construction; nil when the transport cannot carry trace contexts, in
-	// which case sends fall back to plain Isend and receives stay unlinked.
-	ts mpi.TracedSender
 	// phase is the current schedule phase set through MarkPhase; a Comm is
 	// owned by one goroutine, so no lock is needed.
 	phase int
@@ -471,23 +431,25 @@ func (c *icomm) MarkSyncWait(peer int, start, end float64) {
 		Phase: c.phase, Seq: c.seq, Start: start, End: end})
 }
 
+// Isend records the send and stamps its (rank, seq) identity into the op's
+// trace context, whatever the op's layout: every transport carries Ctx to
+// the matching receive.
+//
 //aapc:noalloc
-func (c *icomm) Isend(buf []byte, dst, tag int) mpi.Request {
+func (c *icomm) Isend(op mpi.Op) mpi.Request {
 	c.seq++
-	ev := Event{Kind: KindSend, Rank: c.inner.Rank(), Peer: dst, Tag: tag,
-		Bytes: len(buf), Phase: c.opPhase(), Seq: c.seq, Start: c.inner.Now()}
-	if c.ts != nil {
-		return c.newReq(c.ts.IsendTraced(buf, dst, tag, mpi.MakeTraceCtx(ev.Rank, c.seq)), ev)
-	}
-	return c.newReq(c.inner.Isend(buf, dst, tag), ev)
+	ev := Event{Kind: KindSend, Rank: c.inner.Rank(), Peer: op.Peer, Tag: op.Tag,
+		Bytes: op.Size(), Phase: c.opPhase(), Seq: c.seq, Start: c.inner.Now()}
+	op.Ctx = mpi.MakeTraceCtx(ev.Rank, c.seq)
+	return c.newReq(c.inner.Isend(op), ev)
 }
 
 //aapc:noalloc
-func (c *icomm) Irecv(buf []byte, src, tag int) mpi.Request {
+func (c *icomm) Irecv(op mpi.Op) mpi.Request {
 	c.seq++
-	ev := Event{Kind: KindRecv, Rank: c.inner.Rank(), Peer: src, Tag: tag,
-		Bytes: len(buf), Phase: c.opPhase(), Seq: c.seq, Start: c.inner.Now()}
-	return c.newReq(c.inner.Irecv(buf, src, tag), ev)
+	ev := Event{Kind: KindRecv, Rank: c.inner.Rank(), Peer: op.Peer, Tag: op.Tag,
+		Bytes: op.Size(), Phase: c.opPhase(), Seq: c.seq, Start: c.inner.Now()}
+	return c.newReq(c.inner.Irecv(op), ev)
 }
 
 func (c *icomm) Barrier() error {
@@ -544,18 +506,11 @@ func (r *ireq) finish(info mpi.TraceInfo, err error) {
 	r.c.rec.record(r.ev)
 }
 
-func (r *ireq) Wait() error {
-	info, err := mpi.WaitTraced(r.inner)
-	r.finish(info, err)
-	return err
-}
-
-// WaitTimeout bounds the wait when the underlying transport supports
-// deadlines, degrading to Wait otherwise (the mpi.WaitTimeout contract). A
+// Wait records the operation with whatever the transport's wait learned. A
 // timed-out operation is recorded with its timeout error: the event marks
 // when the rank gave up, not when (or whether) the transport finished.
-func (r *ireq) WaitTimeout(d time.Duration) error {
-	info, err := mpi.WaitTracedTimeout(r.inner, d)
+func (r *ireq) Wait(d time.Duration) (mpi.TraceInfo, error) {
+	info, err := r.inner.Wait(d)
 	r.finish(info, err)
-	return err
+	return info, err
 }

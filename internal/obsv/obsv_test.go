@@ -127,10 +127,10 @@ func TestInstrumentRecordsExchange(t *testing.T) {
 				out[i] = byte(me*17 + p*5 + i)
 			}
 			bufs[p] = make([]byte, size)
-			reqs = append(reqs, c.Isend(out, p, 1), c.Irecv(bufs[p], p, 1))
+			reqs = append(reqs, mpi.Isend(c, out, p, 1), mpi.Irecv(c, bufs[p], p, 1))
 		}
 		for _, r := range reqs {
-			if err := r.Wait(); err != nil {
+			if err := mpi.Wait(r); err != nil {
 				return err
 			}
 		}
@@ -205,14 +205,14 @@ func TestJSONLRoundTrip(t *testing.T) {
 			m.MarkSyncWait(1-c.Rank(), c.Now(), c.Now())
 		}
 		peer := 1 - c.Rank()
-		sr := c.Isend([]byte{1, 2, 3}, peer, 0)
+		sr := mpi.Isend(c, []byte{1, 2, 3}, peer, 0)
 		buf := make([]byte, 3)
-		rr := c.Irecv(buf, peer, 0)
-		if err := sr.Wait(); err != nil {
+		rr := mpi.Irecv(c, buf, peer, 0)
+		if err := mpi.Wait(sr); err != nil {
 			//aapc:allow waitcheck the test aborts; the posted receive dies with the world
 			return err
 		}
-		return rr.Wait()
+		return mpi.Wait(rr)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -275,14 +275,14 @@ func TestRegistryMetricsEndpoint(t *testing.T) {
 	rec.Counters().Add("aapc_tcp_reconnects_total", 3)
 	err := mem.Run(1, func(raw mpi.Comm) error {
 		c := Instrument(raw, rec)
-		sr := c.Isend([]byte{9}, 0, 0)
+		sr := mpi.Isend(c, []byte{9}, 0, 0)
 		buf := make([]byte, 1)
-		rr := c.Irecv(buf, 0, 0)
-		if err := sr.Wait(); err != nil {
+		rr := mpi.Irecv(c, buf, 0, 0)
+		if err := mpi.Wait(sr); err != nil {
 			//aapc:allow waitcheck the test aborts; the posted receive dies with the world
 			return err
 		}
-		return rr.Wait()
+		return mpi.Wait(rr)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -115,9 +115,10 @@ func (c *Cache) GetOrCompile(k Key, compile func() (*entry, error)) (*entry, boo
 	sh.mu.Lock()
 	if el, ok := sh.byKey[k]; ok {
 		sh.order.MoveToFront(el)
+		e := el.Value.(*entry) // read under the lock: Put replaces Value in place
 		sh.mu.Unlock()
 		c.counters.Inc(ctrHits)
-		return el.Value.(*entry), true, nil
+		return e, true, nil
 	}
 	if f, ok := sh.flights[k]; ok {
 		sh.mu.Unlock()

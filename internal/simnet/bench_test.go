@@ -51,11 +51,11 @@ func postAllAAPC(msize int) func(c mpi.Comm) error {
 		reqs := make([]mpi.Request, 0, 2*(n-1))
 		for off := 1; off < n; off++ {
 			p := (c.Rank() + off) % n
-			reqs = append(reqs, c.Irecv(make([]byte, msize), p, 0))
+			reqs = append(reqs, mpi.Irecv(c, make([]byte, msize), p, 0))
 		}
 		for off := 1; off < n; off++ {
 			p := (c.Rank() + off) % n
-			reqs = append(reqs, c.Isend(make([]byte, msize), p, 0))
+			reqs = append(reqs, mpi.Isend(c, make([]byte, msize), p, 0))
 		}
 		return mpi.WaitAll(reqs)
 	}
@@ -79,8 +79,8 @@ func windowedAAPC(msize, window int) func(c mpi.Comm) error {
 		for off := 1; off < n; off++ {
 			p := (c.Rank() + off) % n
 			q := (c.Rank() - off + n) % n
-			reqs = append(reqs, c.Irecv(rbuf[k], q, 0))
-			reqs = append(reqs, c.Isend(sbuf[k], p, 0))
+			reqs = append(reqs, mpi.Irecv(c, rbuf[k], q, 0))
+			reqs = append(reqs, mpi.Isend(c, sbuf[k], p, 0))
 			k++
 			if k == window {
 				if err := mpi.WaitAll(reqs); err != nil {

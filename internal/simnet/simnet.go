@@ -38,6 +38,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"time"
 
 	"github.com/aapc-sched/aapcsched/internal/mpi"
 	"github.com/aapc-sched/aapcsched/internal/topology"
@@ -290,19 +291,30 @@ func (w *World) Events() int64 {
 
 type matchKey struct{ src, dst, tag int }
 
-// simOp is a posted send or receive. Completion is driven by the engine.
+// simOp is a posted send or receive; it doubles as the request handed back
+// to the posting rank. Completion is driven by the engine. Ops are never
+// recycled, so info may be read after the block returns.
 type simOp struct {
-	buf      []byte
+	// Op is the canonical descriptor; flows are sized by its Size() and
+	// completed by copying between the two layouts.
+	mpi.Op
+	e        *engine
+	rank     int // the posting rank, which is the one that waits
 	done     bool
 	err      error
 	nwaiters int   // ranks currently blocked on this op
 	waiters  []int // ranks to wake when the op completes
-	// ctx is the trace context: set at post time on sends (IsendTraced),
-	// copied from the matched send at flow completion on receives.
-	ctx uint64
-	// deliveredAt is the virtual time the flow finished, stamped on both
-	// sides of the matched pair (traced flows only).
-	deliveredAt float64
+	// info is stamped on both sides of a matched pair when its flow
+	// completes (traced flows only): the send's context and the virtual
+	// time the flow finished.
+	info mpi.TraceInfo
+}
+
+// Wait implements mpi.Request. Virtual time has no wall-clock deadline: d is
+// ignored, and a wait that can never complete is reported as a deadlock.
+func (op *simOp) Wait(time.Duration) (mpi.TraceInfo, error) {
+	err := op.e.block(op, op.rank)
+	return op.info, err
 }
 
 // flow is a matched message in transit.
@@ -327,9 +339,6 @@ type flow struct {
 	agg      *aggregate
 	sendOp   *simOp
 	recvOp   *simOp
-	sendBuf  []byte
-	recvBuf  []byte
-	overflow bool // receiver buffer too small
 }
 
 type engine struct {
@@ -537,20 +546,15 @@ func (e *engine) startFlow(key matchKey, sendOp, recvOp *simOp) {
 		tag:      key.tag,
 		matchIdx: n,
 		matched:  e.clock,
-		size:     float64(len(sendOp.buf)),
-		remain:   float64(len(sendOp.buf)),
-		startAt:  e.clock + e.startup(key, len(sendOp.buf), n),
+		size:     float64(sendOp.Size()),
+		remain:   float64(sendOp.Size()),
+		startAt:  e.clock + e.startup(key, sendOp.Size(), n),
 		sendOp:   sendOp,
 		recvOp:   recvOp,
-		sendBuf:  sendOp.buf,
-		recvBuf:  recvOp.buf,
 	}
 	e.flowSeq++
 	if key.src != key.dst {
 		f.path = e.pathOf[key.src][key.dst]
-	}
-	if len(recvOp.buf) < len(sendOp.buf) {
-		f.overflow = true
 	}
 	e.cal.push(f.startAt, f, nil)
 }
@@ -749,16 +753,15 @@ func (e *engine) advance() bool {
 		})
 		for _, f := range e.completed {
 			var err error
-			if f.overflow {
+			if send, recv := f.sendOp, f.recvOp; recv.Size() < send.Size() {
 				err = fmt.Errorf("simnet: message truncated: receiver buffer %d < %d",
-					len(f.recvBuf), len(f.sendBuf))
+					recv.Size(), send.Size())
 			} else {
-				copy(f.recvBuf, f.sendBuf)
+				mpi.CopyTyped(recv.Buf, recv.Layout(), send.Buf, send.Layout())
 			}
-			if f.sendOp.ctx != 0 {
-				f.recvOp.ctx = f.sendOp.ctx
-				f.recvOp.deliveredAt = e.clock
-				f.sendOp.deliveredAt = e.clock
+			if ctx := f.sendOp.Ctx; ctx != 0 {
+				info := mpi.TraceInfo{Ctx: ctx, DeliveredAt: e.clock}
+				f.recvOp.info, f.sendOp.info = info, info
 			}
 			e.completeOp(f.sendOp, err)
 			e.completeOp(f.recvOp, err)
@@ -862,66 +865,27 @@ func (c *comm) Now() float64 {
 	return c.e.clock
 }
 
-type request struct {
-	e    *engine
-	op   *simOp
-	rank int
+func (c *comm) Isend(m mpi.Op) mpi.Request {
+	return c.post(m, matchKey{src: c.rank, dst: m.Peer, tag: m.Tag}, true)
 }
 
-func (r *request) Wait() error { return r.e.block(r.op, r.rank) }
-
-// WaitTraced blocks like Wait and reports the matched sender's trace
-// context and the flow's virtual completion time (mpi.TracedRequest).
-// simOps are never recycled, so reading the fields after the block is safe.
-func (r *request) WaitTraced() (mpi.TraceInfo, error) {
-	err := r.e.block(r.op, r.rank)
-	return mpi.TraceInfo{Ctx: r.op.ctx, DeliveredAt: r.op.deliveredAt}, err
+func (c *comm) Irecv(m mpi.Op) mpi.Request {
+	return c.post(m, matchKey{src: m.Peer, dst: c.rank, tag: m.Tag}, false)
 }
 
-type errRequest struct{ err error }
-
-func (r errRequest) Wait() error { return r.err }
-
-func (c *comm) Isend(buf []byte, dst, tag int) mpi.Request {
-	return c.isend(buf, dst, tag, 0)
-}
-
-// IsendTraced attaches a trace context to the message (mpi.TracedSender):
-// the matched receive learns it when the simulated flow completes.
-func (c *comm) IsendTraced(buf []byte, dst, tag int, ctx uint64) mpi.Request {
-	return c.isend(buf, dst, tag, ctx)
-}
-
-func (c *comm) isend(buf []byte, dst, tag int, ctx uint64) mpi.Request {
-	if err := mpi.CheckRank(c, dst); err != nil {
-		return errRequest{err}
+func (c *comm) post(m mpi.Op, key matchKey, isSend bool) mpi.Request {
+	if err := m.Canon(c.e.n); err != nil {
+		return mpi.Completed(err)
 	}
-	op := &simOp{buf: buf, ctx: ctx}
 	e := c.e
+	op := &simOp{Op: m, e: e, rank: c.rank}
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.deadlocked {
-		e.mu.Unlock()
-		return errRequest{fmt.Errorf("simnet: world deadlocked")}
+		return mpi.Completed(fmt.Errorf("simnet: world deadlocked"))
 	}
-	e.post(matchKey{src: c.rank, dst: dst, tag: tag}, op, true)
-	e.mu.Unlock()
-	return &request{e: e, op: op, rank: c.rank}
-}
-
-func (c *comm) Irecv(buf []byte, src, tag int) mpi.Request {
-	if err := mpi.CheckRank(c, src); err != nil {
-		return errRequest{err}
-	}
-	op := &simOp{buf: buf}
-	e := c.e
-	e.mu.Lock()
-	if e.deadlocked {
-		e.mu.Unlock()
-		return errRequest{fmt.Errorf("simnet: world deadlocked")}
-	}
-	e.post(matchKey{src: src, dst: c.rank, tag: tag}, op, false)
-	e.mu.Unlock()
-	return &request{e: e, op: op, rank: c.rank}
+	e.post(key, op, isSend)
+	return op
 }
 
 func (c *comm) Barrier() error {
@@ -940,5 +904,5 @@ func (c *comm) Barrier() error {
 		e.barrierWaiting = 0
 	}
 	e.mu.Unlock()
-	return (&request{e: e, op: op, rank: c.rank}).Wait()
+	return e.block(op, c.rank)
 }

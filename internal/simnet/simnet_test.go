@@ -113,8 +113,8 @@ func TestSharedLinkFairSharing(t *testing.T) {
 		case 1:
 			return mpi.Send(c, make([]byte, size), 2, 0)
 		default:
-			r0 := c.Irecv(make([]byte, size), 0, 0)
-			r1 := c.Irecv(make([]byte, size), 1, 0)
+			r0 := mpi.Irecv(c, make([]byte, size), 0, 0)
+			r1 := mpi.Irecv(c, make([]byte, size), 1, 0)
 			return mpi.WaitAll([]mpi.Request{r0, r1})
 		}
 	})
@@ -135,8 +135,8 @@ func TestCongestionPenalty(t *testing.T) {
 		case 0, 1:
 			return mpi.Send(c, make([]byte, size), 2, 0)
 		default:
-			r0 := c.Irecv(make([]byte, size), 0, 0)
-			r1 := c.Irecv(make([]byte, size), 1, 0)
+			r0 := mpi.Irecv(c, make([]byte, size), 0, 0)
+			r1 := mpi.Irecv(c, make([]byte, size), 1, 0)
 			return mpi.WaitAll([]mpi.Request{r0, r1})
 		}
 	})
@@ -159,8 +159,8 @@ func TestMaxMinRecomputeAfterCompletion(t *testing.T) {
 		case 1:
 			return mpi.Send(c, make([]byte, 30000), 2, 0)
 		default:
-			r0 := c.Irecv(make([]byte, 10000), 0, 0)
-			r1 := c.Irecv(make([]byte, 30000), 1, 0)
+			r0 := mpi.Irecv(c, make([]byte, 10000), 0, 0)
+			r1 := mpi.Irecv(c, make([]byte, 30000), 1, 0)
 			return mpi.WaitAll([]mpi.Request{r0, r1})
 		}
 	})
@@ -241,12 +241,12 @@ func TestSelfMessage(t *testing.T) {
 		if c.Rank() != 0 {
 			return nil
 		}
-		r := c.Irecv(got, 0, 0)
+		r := mpi.Irecv(c, got, 0, 0)
 		if err := mpi.Send(c, data, 0, 0); err != nil {
 			//aapc:allow waitcheck the test aborts; the posted receive dies with the world
 			return err
 		}
-		return r.Wait()
+		return mpi.Wait(r)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -337,8 +337,8 @@ func TestDeterminism(t *testing.T) {
 				if p == c.Rank() {
 					continue
 				}
-				reqs = append(reqs, c.Irecv(make([]byte, 20000), p, 0))
-				reqs = append(reqs, c.Isend(make([]byte, 20000), p, 0))
+				reqs = append(reqs, mpi.Irecv(c, make([]byte, 20000), p, 0))
+				reqs = append(reqs, mpi.Isend(c, make([]byte, 20000), p, 0))
 			}
 			return mpi.WaitAll(reqs)
 		})
@@ -430,8 +430,8 @@ func TestManyRanksAllToAllFinishes(t *testing.T) {
 		var reqs []mpi.Request
 		for off := 1; off < n; off++ {
 			p := (c.Rank() + off) % n
-			reqs = append(reqs, c.Irecv(make([]byte, size), p, 0))
-			reqs = append(reqs, c.Isend(make([]byte, size), p, 0))
+			reqs = append(reqs, mpi.Irecv(c, make([]byte, size), p, 0))
+			reqs = append(reqs, mpi.Isend(c, make([]byte, size), p, 0))
 		}
 		return mpi.WaitAll(reqs)
 	})
@@ -468,8 +468,8 @@ func TestJitterDeterministicAndBounded(t *testing.T) {
 				if p == c.Rank() {
 					continue
 				}
-				reqs = append(reqs, c.Irecv(make([]byte, 5000), p, 0))
-				reqs = append(reqs, c.Isend(make([]byte, 5000), p, 0))
+				reqs = append(reqs, mpi.Irecv(c, make([]byte, 5000), p, 0))
+				reqs = append(reqs, mpi.Isend(c, make([]byte, 5000), p, 0))
 			}
 			return mpi.WaitAll(reqs)
 		})
@@ -616,7 +616,7 @@ func TestPostAfterDeadlockErrors(t *testing.T) {
 	w := newTestWorld(t, g, 1)
 	comms := w.Comms()
 	errs := make(chan error, 2)
-	go func() { errs <- comms[0].Irecv(make([]byte, 1), 1, 9).Wait() }()
+	go func() { errs <- mpi.Recv(comms[0], make([]byte, 1), 1, 9) }()
 	go func() { errs <- nil }() // rank 1 does nothing; engine needs its finish
 	// Drive via Run-less world: emulate by finishing rank 1 manually is not
 	// exposed; instead use Run with an early-returning rank.
@@ -629,7 +629,7 @@ func TestPostAfterDeadlockErrors(t *testing.T) {
 			if e := mpi.Recv(c, make([]byte, 1), 1, 9); e == nil {
 				return fmt.Errorf("deadlocked recv returned nil")
 			}
-			if r := c.Isend(make([]byte, 1), 1, 10); r.Wait() == nil {
+			if r := mpi.Isend(c, make([]byte, 1), 1, 10); mpi.Wait(r) == nil {
 				return fmt.Errorf("post-deadlock send returned nil")
 			}
 			return nil
