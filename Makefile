@@ -13,7 +13,8 @@ check: vet lint lint-audit build build-obsv-off race alloc-gates
 # alloc-gates are the steady-state budgets for the hot paths: zero allocs
 # per Scheduled.Fn run, amortized sub-0.1 allocs per instrumented operation,
 # and zero userspace payload copies on the tcp data plane with receives
-# pre-posted (the zero-copy gate).
+# pre-posted (the zero-copy gate: one row for an in-process world, one for a
+# mesh joined through a coordinator).
 alloc-gates:
 	$(GO) test -run 'TestScheduledFnNoSteadyStateAllocs' -count=1 ./internal/alltoall/
 	$(GO) test -run 'TestInstrumentedOpAllocsAmortized' -count=1 ./internal/obsv/
@@ -107,10 +108,11 @@ bench-trace:
 	$(GO) test -bench=BenchmarkInstrumentedOpCost -benchmem -run=^$$ ./internal/obsv/
 	$(GO) test -bench 'BenchmarkIngestJSONL|BenchmarkMerge|BenchmarkAnalyze|BenchmarkEstimateOffsets' -benchmem -run=^$$ ./internal/obsv/collect/
 
-# Short fuzz passes over every DSL parser and the daemon's request
-# grammar (longer runs: go test -fuzz=... ).
+# Short fuzz passes over every DSL parser, the daemon's request grammar and
+# the tcp frame-header decoder (longer runs: go test -fuzz=... ).
 fuzz:
 	$(GO) test -fuzz=FuzzParseTopology -fuzztime=30s ./internal/topology/
 	$(GO) test -fuzz=FuzzParsePlan -fuzztime=30s ./internal/faults/
 	$(GO) test -fuzz=FuzzTopologyDelta -fuzztime=30s ./internal/topology/
 	$(GO) test -fuzz=FuzzScheduleRequest -fuzztime=30s ./internal/sched/
+	$(GO) test -fuzz=FuzzFrameHeader -fuzztime=30s ./internal/mpi/tcp/

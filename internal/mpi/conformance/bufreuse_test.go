@@ -166,24 +166,26 @@ func TestBufferReuseSafetyTCP(t *testing.T) {
 // TestBufferReuseSafetyTCPReconnect adds injected connection drops: every
 // reconnect rewinds the retransmit window, so frames replay from pooled send
 // copies while acks race to release them. Several seeds vary where in the
-// exchange the drops land.
+// exchange the drops land; both wirings of the engine run them.
 func TestBufferReuseSafetyTCPReconnect(t *testing.T) {
 	const n = 4
 	for trial := 0; trial < 3; trial++ {
 		seed := int64(9500 + trial)
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			plan := &faults.Plan{Seed: seed, Rules: []faults.Rule{
-				{Kind: faults.Drop, Src: faults.Any, Dst: faults.Any, Prob: 0.05, Count: 8},
-				{Kind: faults.Dup, Src: faults.Any, Dst: faults.Any, Prob: 0.1, Count: 10},
-			}}
-			inj := faults.New(plan)
-			err := watchdog(t, func() error {
-				return tcp.Run(n, func(c mpi.Comm) error { return runBufReuseRank(c, n) },
-					tcp.WithFaults(inj), tcp.WithOpDeadline(chaosWatchdog/2))
+		for wiring, run := range tcpWirings {
+			t.Run(fmt.Sprintf("%s/seed%d", wiring, seed), func(t *testing.T) {
+				plan := &faults.Plan{Seed: seed, Rules: []faults.Rule{
+					{Kind: faults.Drop, Src: faults.Any, Dst: faults.Any, Prob: 0.05, Count: 8},
+					{Kind: faults.Dup, Src: faults.Any, Dst: faults.Any, Prob: 0.1, Count: 10},
+				}}
+				inj := faults.New(plan)
+				err := watchdog(t, func() error {
+					return run(n, func(c mpi.Comm) error { return runBufReuseRank(c, n) },
+						tcp.WithFaults(inj), tcp.WithOpDeadline(chaosWatchdog/2))
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
+		}
 	}
 }

@@ -133,8 +133,20 @@ func TestChaosBenignTCP(t *testing.T) {
 	}
 }
 
+// tcpWirings are the two ways to wire the one tcp engine: n ranks in one
+// process, or n ranks joined through a coordinator into a socket mesh — the
+// deployable path, where each rank owns only its own end of every link and
+// a broken pair is redialed across (what would be) process boundaries.
+var tcpWirings = map[string]func(n int, fn func(c mpi.Comm) error, opts ...tcp.Option) error{
+	"world": tcp.Run,
+	"join-mesh": func(n int, fn func(c mpi.Comm) error, opts ...tcp.Option) error {
+		return distributedRunner(n, append(opts, tcp.WithoutSharedMemory())...)(fn)
+	},
+}
+
 // TestChaosTransientDropsTCP: injected connection drops under randomized
-// programs must be fully absorbed by reconnect + retransmit.
+// programs must be fully absorbed by reconnect + retransmit, however the
+// ranks were wired.
 func TestChaosTransientDropsTCP(t *testing.T) {
 	for trial := 0; trial < 3; trial++ {
 		seed := int64(9200 + trial)
@@ -143,17 +155,17 @@ func TestChaosTransientDropsTCP(t *testing.T) {
 		plan := &faults.Plan{Seed: seed, Rules: []faults.Rule{
 			{Kind: faults.Drop, Src: faults.Any, Dst: faults.Any, Prob: 0.1, Count: 6},
 		}}
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			inj := faults.New(plan)
-			err := watchdog(t, func() error {
-				return tcp.Run(n, func(c mpi.Comm) error {
-					return prog.runRank(c)
-				}, tcp.WithFaults(inj), tcp.WithOpDeadline(chaosWatchdog/2))
+		for wiring, run := range tcpWirings {
+			t.Run(fmt.Sprintf("%s/seed%d", wiring, seed), func(t *testing.T) {
+				inj := faults.New(plan)
+				err := watchdog(t, func() error {
+					return run(n, prog.runRank, tcp.WithFaults(inj), tcp.WithOpDeadline(chaosWatchdog/2))
+				})
+				if err != nil {
+					t.Fatalf("transient drops changed the outcome: %v", err)
+				}
 			})
-			if err != nil {
-				t.Fatalf("transient drops changed the outcome: %v", err)
-			}
-		})
+		}
 	}
 }
 

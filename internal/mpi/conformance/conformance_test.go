@@ -161,7 +161,7 @@ func transports(t *testing.T, n int) map[string]func(fn func(c mpi.Comm) error) 
 
 // distributedRunner builds a runner over a real coordinator rendezvous with
 // n concurrent joiners.
-func distributedRunner(n int, opts ...tcp.JoinOption) func(fn func(c mpi.Comm) error) error {
+func distributedRunner(n int, opts ...tcp.Option) func(fn func(c mpi.Comm) error) error {
 	return func(fn func(c mpi.Comm) error) error {
 		coord, err := tcp.StartCoordinator("127.0.0.1:0", n)
 		if err != nil {

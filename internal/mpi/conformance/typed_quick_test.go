@@ -206,51 +206,57 @@ func TestTypedTransferQuick(t *testing.T) {
 
 // TestTypedTransferReconnectRecovers pins the fault variant actually
 // exercising the resilience layer: with the first frame of every pair
-// dropped, the world must record reconnects or retransmits, not silently
-// deliver on the first try.
+// dropped, the ranks must record reconnects or retransmits, not silently
+// deliver on the first try — in one process and across a joined mesh.
 func TestTypedTransferReconnectRecovers(t *testing.T) {
 	plan := &faults.Plan{Seed: 7, Rules: []faults.Rule{
 		{Kind: faults.Drop, Src: faults.Any, Dst: faults.Any, Count: 1},
 	}}
-	var recovered bool
-	err := tcp.Run(2, func(c mpi.Comm) error {
-		x := xfer{A: 3, B: 2, C: 4, SPad: 3, RPad: 1, Seed: 11}
-		sdt, rdt := x.layouts()
-		payload := make([]byte, sdt.Size())
-		rand.New(rand.NewSource(x.Seed)).Read(payload)
-		const tag = 2
-		if c.Rank() == 0 {
-			base := make([]byte, sdt.Extent())
-			sdt.Unpack(base, payload)
-			if err := mpi.WaitTimeout(mpi.IsendTyped(c, base, sdt, 1, tag), quickOpTimeout); err != nil {
-				return err
+	for wiring, run := range tcpWirings {
+		t.Run(wiring, func(t *testing.T) {
+			var recovered bool
+			err := run(2, func(c mpi.Comm) error {
+				x := xfer{A: 3, B: 2, C: 4, SPad: 3, RPad: 1, Seed: 11}
+				sdt, rdt := x.layouts()
+				payload := make([]byte, sdt.Size())
+				rand.New(rand.NewSource(x.Seed)).Read(payload)
+				const tag = 2
+				if c.Rank() == 0 {
+					base := make([]byte, sdt.Extent())
+					sdt.Unpack(base, payload)
+					if err := mpi.WaitTimeout(mpi.IsendTyped(c, base, sdt, 1, tag), quickOpTimeout); err != nil {
+						return err
+					}
+				} else {
+					base := make([]byte, rdt.Extent())
+					if err := mpi.WaitTimeout(mpi.IrecvTyped(c, base, rdt, 0, tag), quickOpTimeout); err != nil {
+						return err
+					}
+					got := make([]byte, rdt.Size())
+					rdt.Pack(got, base)
+					if !bytes.Equal(got, payload) {
+						return fmt.Errorf("payload diverged across reconnect")
+					}
+				}
+				if err := c.Barrier(); err != nil {
+					return err
+				}
+				// Rank 0 is the sender whose first frame was dropped: its own
+				// counters show the retransmission in either wiring (a world
+				// shares them, a joined rank counts its own), and sampling on
+				// one rank keeps the flag single-writer.
+				if c.Rank() == 0 {
+					s := c.(interface{ TransportStats() tcp.Stats }).TransportStats()
+					recovered = s.Reconnects > 0 || s.Retransmits > 0
+				}
+				return nil
+			}, tcp.WithFaults(faults.New(plan)))
+			if err != nil {
+				t.Fatal(err)
 			}
-		} else {
-			base := make([]byte, rdt.Extent())
-			if err := mpi.WaitTimeout(mpi.IrecvTyped(c, base, rdt, 0, tag), quickOpTimeout); err != nil {
-				return err
+			if !recovered {
+				t.Fatal("fault plan injected no reconnect/retransmit: property test not covering recovery")
 			}
-			got := make([]byte, rdt.Size())
-			rdt.Pack(got, base)
-			if !bytes.Equal(got, payload) {
-				return fmt.Errorf("payload diverged across reconnect")
-			}
-		}
-		if err := c.Barrier(); err != nil {
-			return err
-		}
-		// World stats are shared; sample from one rank to keep the flag
-		// single-writer.
-		if c.Rank() == 0 {
-			s := c.(interface{ TransportStats() tcp.Stats }).TransportStats()
-			recovered = s.Reconnects > 0 || s.Retransmits > 0
-		}
-		return nil
-	}, tcp.WithFaults(faults.New(plan)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !recovered {
-		t.Fatal("fault plan injected no reconnect/retransmit: property test not covering recovery")
+		})
 	}
 }

@@ -2,9 +2,12 @@ package tcp
 
 import (
 	"fmt"
+	"io"
+	"net"
 	"os"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/aapc-sched/aapcsched/internal/alltoall"
 	"github.com/aapc-sched/aapcsched/internal/harness"
@@ -18,11 +21,22 @@ func shmAvailableForTest() bool {
 	return shm.MapAvailable() && os.Getenv("AAPC_SHM") != "0"
 }
 
-// joinWorld starts a coordinator and joins n endpoints concurrently (each
+// joinWorld starts a coordinator and joins n ranks concurrently (each
 // standing in for a separate process). Everything rendezvouses over real
 // sockets; co-located pairs then link through shared-memory segments when
 // the platform supports it, unless opts say otherwise.
-func joinWorld(t *testing.T, n int, opts ...JoinOption) ([]mpi.Comm, func()) {
+func joinWorld(t *testing.T, n int, opts ...Option) ([]mpi.Comm, func()) {
+	t.Helper()
+	comms, closers := joinRanks(t, n, opts...)
+	return comms, func() {
+		for _, fn := range closers {
+			fn()
+		}
+	}
+}
+
+// joinRanks is joinWorld with one closer per rank.
+func joinRanks(t *testing.T, n int, opts ...Option) ([]mpi.Comm, []func() error) {
 	t.Helper()
 	coord, err := StartCoordinator("127.0.0.1:0", n)
 	if err != nil {
@@ -68,7 +82,7 @@ func joinWorld(t *testing.T, n int, opts ...JoinOption) ([]mpi.Comm, func()) {
 			t.Fatalf("rank assignment broken: %v", comms)
 		}
 	}
-	return comms, cleanup
+	return comms, closers
 }
 
 func TestDistributedSendRecv(t *testing.T) {
@@ -116,7 +130,7 @@ func TestDistributedBarrierAndSelf(t *testing.T) {
 					return
 				}
 			}
-			// Self message through the endpoint matcher.
+			// Self message through the matcher.
 			r := mpi.Irecv(c, make([]byte, 2), c.Rank(), 1)
 			if err := mpi.Send(c, []byte("ok"), c.Rank(), 1); err != nil {
 				errs <- err
@@ -194,11 +208,11 @@ func TestDistributedShmLinkSelection(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name    string
-		opts    []JoinOption
+		opts    []Option
 		wantShm bool
 	}{
 		{"shm-auto", nil, true},
-		{"tcp-forced", []JoinOption{WithoutSharedMemory()}, false},
+		{"tcp-forced", []Option{WithoutSharedMemory()}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const n = 3
@@ -237,7 +251,7 @@ func TestDistributedShmLinkSelection(t *testing.T) {
 				}
 			}
 			for _, c := range comms {
-				s := c.(*distComm).TransportStats()
+				s := c.(*node).TransportStats()
 				if tc.wantShm {
 					if s.ShmLinks != n-1 {
 						t.Fatalf("rank %d: %d shm links, want %d", c.Rank(), s.ShmLinks, n-1)
@@ -352,7 +366,7 @@ func TestDistributedMixedHosts(t *testing.T) {
 		}
 	}
 	for _, c := range comms {
-		s := c.(*distComm).TransportStats()
+		s := c.(*node).TransportStats()
 		if s.ShmLinks != 1 {
 			t.Fatalf("rank %d: %d shm links, want 1 (one co-located peer)", c.Rank(), s.ShmLinks)
 		}
@@ -376,5 +390,111 @@ func TestDistributedSingleRank(t *testing.T) {
 	defer cleanup()
 	if err := comms[0].Barrier(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestJoinMeshDeadline: a peer that gets the address book and then dies
+// before it dials must fail every lower rank's Join within the mesh bound,
+// not leave them blocked in Accept. The ghost registers last, so it is the
+// highest rank and every real joiner is below it.
+func TestJoinMeshDeadline(t *testing.T) {
+	const n, meshBound = 4, 300 * time.Millisecond
+	coord, err := StartCoordinator("127.0.0.1:0", n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, n-1)
+	for i := 0; i < n-1; i++ {
+		go func() {
+			_, closeFn, err := join(coord.Addr(), 0, meshBound, WithoutSharedMemory())
+			if err == nil {
+				closeFn()
+			}
+			errs <- err
+		}()
+	}
+	time.Sleep(100 * time.Millisecond) // let the real joiners register first
+	ghostRank := ghostJoin(t, coord.Addr())
+	bound := time.After(meshBound + 5*time.Second)
+	failed := 0
+	for i := 0; i < n-1; i++ {
+		select {
+		case err := <-errs:
+			if err != nil {
+				failed++
+			}
+		case <-bound:
+			t.Fatal("Join still blocked past the mesh bound")
+		}
+	}
+	// Every rank below the ghost waited for its dial. (Ranks above it, if
+	// the sleep did not order the registrations, only dial it.)
+	if failed < ghostRank {
+		t.Errorf("%d joiners failed; all %d below the dead rank must", failed, ghostRank)
+	}
+	if ghostRank != n-1 {
+		t.Logf("ghost registered as rank %d of %d, not last", ghostRank, n)
+	}
+}
+
+// ghostJoin rendezvouses by hand — a listener address, the whole book read —
+// and exits without ever dialing or accepting. It returns the rank it held.
+func ghostJoin(t *testing.T, coordAddr string) int {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	conn, err := net.Dial("tcp", coordAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	writeString(conn, ln.Addr().String())
+	writeString(conn, "ghost")
+	writeUint32(conn, 0)
+	rank, err := readUint32(conn)
+	if err != nil || rank == abortRank {
+		t.Fatalf("ghost rendezvous: rank %d, %v", rank, err)
+	}
+	if _, err := io.Copy(io.Discard, conn); err != nil { // the rest of the book
+		t.Fatal(err)
+	}
+	return int(rank)
+}
+
+// TestJoinedCleanCloseIsNotAFault: ranks of a healthy joined world finish
+// an all-to-all and close at different times. A closing rank drains its acks
+// and says goodbye, so the ranks still running must not answer with redials,
+// backoff or retransmissions: every recovery counter stays zero on every
+// rank, over sockets and over shm segments alike.
+func TestJoinedCleanCloseIsNotAFault(t *testing.T) {
+	for _, opts := range [][]Option{{WithoutSharedMemory()}, nil} {
+		const n = 4
+		comms, closers := joinRanks(t, n, opts...)
+		var wg sync.WaitGroup
+		errs := make(chan error, n)
+		for _, c := range comms {
+			wg.Add(1)
+			go func(c mpi.Comm) {
+				defer wg.Done()
+				err := exchangeAll(c, 4096)
+				time.Sleep(time.Duration(c.Rank()) * 15 * time.Millisecond)
+				if cerr := closers[c.Rank()](); err == nil {
+					err = cerr
+				}
+				errs <- err
+			}(c)
+		}
+		wg.Wait()
+		for i := 0; i < n; i++ {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+		if s := sumStats(comms); s.Reconnects+s.ReconnectFailures+s.Retransmits+s.BackoffSleeps != 0 {
+			t.Errorf("clean staggered close looked like a fault (opts %d): %+v", len(opts), s)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"net"
 	"runtime"
 	"testing"
 	"time"
@@ -197,29 +198,6 @@ func TestKillRankFailsPendingOps(t *testing.T) {
 	}
 }
 
-// TestNonResilientDropFailsTyped: with resilience off, an injected
-// connection drop must surface as a typed error, not a hang.
-func TestNonResilientDropFailsTyped(t *testing.T) {
-	plan := &faults.Plan{Rules: []faults.Rule{{Kind: faults.Drop, Src: 0, Dst: 1, Count: 1}}}
-	inj := faults.New(plan)
-	err := Run(2, func(c mpi.Comm) error {
-		if c.Rank() == 0 {
-			return mpi.SendTimeout(c, []byte("x"), 1, 1, 10*time.Second)
-		}
-		err := mpi.RecvTimeout(c, make([]byte, 1), 0, 1, 10*time.Second)
-		if err == nil {
-			return errCorrupt(0, 1, -1)
-		}
-		return nil
-	}, WithFaults(inj), WithoutResilience())
-	if err == nil {
-		t.Fatal("want a typed failure from the dropped connection")
-	}
-	if _, ok := mpi.AsRankError(err); !ok && !mpi.IsTimeout(err) {
-		t.Fatalf("drop without resilience: got %v, want RankError or timeout", err)
-	}
-}
-
 // TestPeerDeathDuringReconnect: a pair broken by an injected drop is
 // backing off toward a redial when the peer dies — the reconnector must
 // abandon the retry and fail the in-flight send with the typed error
@@ -248,6 +226,70 @@ func TestPeerDeathDuringReconnect(t *testing.T) {
 	re, ok := mpi.AsRankError(err)
 	if !ok || re.Rank != 1 {
 		t.Fatalf("send caught mid-reconnect by peer death: got %v, want RankError{Rank: 1}", err)
+	}
+}
+
+// wantRankError waits for req and checks it failed blaming rank.
+func wantRankError(t *testing.T, what string, req mpi.Request, rank int, within time.Duration) {
+	t.Helper()
+	err := mpi.WaitTimeout(req, within)
+	if re, ok := mpi.AsRankError(err); !ok || re.Rank != rank {
+		t.Fatalf("%s: got %v, want RankError{Rank: %d} within %v", what, err, rank, within)
+	}
+}
+
+// TestKilledLowerRankFailsHigherPeer: a joined rank that dies keeps its
+// listener (its process's accept loop outlives the kill here), so the higher
+// peer's redials connect — but a link that is down for good must leave them
+// unanswered, or every attempt "succeeds", the budget never runs out and the
+// peer redials forever instead of failing closed.
+func TestKilledLowerRankFailsHigherPeer(t *testing.T) {
+	comms, cleanup := joinWorld(t, 2, WithoutSharedMemory())
+	defer cleanup()
+	recv := mpi.Irecv(comms[1], make([]byte, 8), 0, 3)
+	if err := comms[0].(mpi.Killer).Kill(); err != nil {
+		t.Fatal(err)
+	}
+	wantRankError(t, "receive from the killed rank", recv, 0, 5*time.Second)
+	send := mpi.Isend(comms[1], make([]byte, 4096), 0, 4)
+	wantRankError(t, "send toward the killed rank", send, 0, time.Second)
+	if s := comms[1].(*node).TransportStats(); s.Reconnects != 0 || s.ReconnectFailures != 1 {
+		t.Fatalf("want the redial budget spent once and no reconnect, got reconnects=%d failures=%d",
+			s.Reconnects, s.ReconnectFailures)
+	}
+}
+
+// TestStalledHandshakeDelaysNoOne: a socket that connects to the listener
+// and never says who it is must not hold up a redial's adoption — one
+// listener serves every rank of the world.
+func TestStalledHandshakeDelaysNoOne(t *testing.T) {
+	inj := faults.New(&faults.Plan{Rules: []faults.Rule{{Kind: faults.Drop, Src: 0, Dst: 1, Count: 1}}})
+	comms, closeWorld, err := NewWorld(2, WithFaults(inj))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeWorld()
+	mute, err := net.Dial("tcp", comms[0].(*node).addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mute.Close()                // before closeWorld, which waits for handshakes in flight
+	time.Sleep(20 * time.Millisecond) // let the listener take it first
+	start := time.Now()
+	errs := make(chan error, 2)
+	for _, c := range comms {
+		go func() { errs <- exchangeAll(c, 512) }()
+	}
+	for range comms {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(inj.Events()) != 1 {
+		t.Fatalf("the drop did not fire: %v", inj.Events())
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("recovery took %v behind a mute socket", d)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 
 // runWorld executes fn on every rank of a fresh world and returns it (still
 // open) along with its closer.
-func runWorld(t *testing.T, n int, fn func(c mpi.Comm) error, opts ...Option) (*World, func() error) {
+func runWorld(t *testing.T, n int, fn func(c mpi.Comm) error, opts ...Option) (func() Stats, func() error) {
 	t.Helper()
 	comms, closeWorld, err := NewWorld(n, opts...)
 	if err != nil {
@@ -26,18 +26,18 @@ func runWorld(t *testing.T, n int, fn func(c mpi.Comm) error, opts ...Option) (*
 			t.Errorf("rank error: %v", err)
 		}
 	}
-	// NewWorld's comms share one World; recover it through the first comm.
-	return comms[0].(*comm).w, closeWorld
+	// NewWorld's comms share one set of counters; any of them reads it.
+	return comms[0].(*node).TransportStats, closeWorld
 }
 
 // TestStatsCleanRun: on an undisturbed run the traffic counters move and
 // every recovery counter stays zero.
 func TestStatsCleanRun(t *testing.T) {
-	w, closeWorld := runWorld(t, 3, func(c mpi.Comm) error {
+	stats, closeWorld := runWorld(t, 3, func(c mpi.Comm) error {
 		return exchangeAll(c, 256)
 	})
 	defer closeWorld()
-	s := w.Stats()
+	s := stats()
 	if s.FramesSent == 0 || s.BytesSent == 0 || s.AcksSent == 0 {
 		t.Errorf("traffic counters did not move: %+v", s)
 	}
@@ -60,7 +60,7 @@ dup * * prob 0.4
 	}
 	inj := faults.New(plan)
 	rec := obsv.NewRecorder(0)
-	w, closeWorld := runWorld(t, 3, func(c mpi.Comm) error {
+	stats, closeWorld := runWorld(t, 3, func(c mpi.Comm) error {
 		for round := 0; round < 3; round++ {
 			if err := exchangeAll(c, 512); err != nil {
 				return err
@@ -68,7 +68,7 @@ dup * * prob 0.4
 		}
 		return nil
 	}, WithFaults(inj), WithRecorder(rec))
-	s := w.Stats()
+	s := stats()
 	if s.Reconnects == 0 {
 		t.Errorf("injected drops caused no reconnects: %+v", s)
 	}

@@ -1,0 +1,537 @@
+package tcp
+
+import (
+	"fmt"
+	"net"
+	"sync"
+	"time"
+
+	"github.com/aapc-sched/aapcsched/internal/mpi"
+)
+
+// outFrame is one queued outbound frame. A data frame doubles as the send
+// request handed back to the caller (the embedded mpi.Completion; frames are
+// never recycled — the retransmit window may hold one long after its request
+// was waited). When it completes depends on who owns the payload memory:
+//
+//   - copied frames (small, non-pool-aligned buffers) complete on the first
+//     successful write — the pooled copy makes the caller's buffer reusable
+//     immediately, and delivery is guaranteed by retransmitting the copy;
+//   - borrowed frames (the zero-copy path: the caller's slice rides the
+//     writev batch directly) complete only when the cumulative ack retires
+//     them. Until then MPI's no-modify rule keeps the borrowed bytes
+//     stable, so a post-reconnect retransmission can resend them verbatim —
+//     no copy-on-rewind is ever needed.
+type outFrame struct {
+	mpi.Completion
+	tag int
+	seq uint64
+	// ctx is the causal trace context carried in the frame header (0 =
+	// untraced). Retransmissions reuse the frame, so the context survives
+	// re-delivery unchanged — which is why the wire reads this field and
+	// never Completion.Info, which the caller's Wait consumes.
+	ctx uint64
+	// buf is the contiguous payload. Strided frames (non-contig datatype
+	// sends) leave buf nil and carry base+dt instead: buildIovecs emits one
+	// iovec per block, gathering the strided layout straight off the user's
+	// matrix with no pack buffer.
+	buf  []byte
+	base []byte
+	dt   mpi.Datatype
+	// size is the payload length on the wire (len(buf) or dt.Size()).
+	size      int
+	completed bool
+	consulted bool // fault injector consulted (first transmission)
+	// poolable marks buf as owned by the payload pool: it is returned there
+	// when the cumulative ack prunes the frame (never earlier — rewind may
+	// retransmit any still-unacked frame).
+	poolable bool
+	// borrowed marks the payload as caller-owned memory: completion is
+	// deferred to the cumulative ack (see the type comment).
+	borrowed bool
+	// written records at least one fully successful write. When the stream
+	// fails terminally, a written borrowed frame completes with nil — the
+	// copy path completed at exactly that point, and send completion never
+	// promised delivery — while an unwritten one fails typed.
+	written bool
+	// writing marks the frame as part of the writer's in-flight batch; the
+	// ack path must not release its buffer underneath the write. Guarded by
+	// the stream mutex.
+	writing bool
+	// ackFreed records that the ack pruned the frame while it was being
+	// written; the writer releases the buffer when the write completes.
+	ackFreed bool
+}
+
+// sendStream orders a link's outbound frames and tracks the retransmit
+// window.
+type sendStream struct {
+	mu      sync.Mutex
+	cond    *sync.Cond
+	nextSeq uint64
+	// queue[qhead:] is the pending-frame FIFO. Popping advances qhead (the
+	// slot is nilled); when the queue drains both reset to zero, so the
+	// backing array is reused instead of reallocated by every append that
+	// follows a front-advance.
+	queue   []*outFrame
+	qhead   int
+	unacked []*outFrame
+	resend  int // index into unacked to retransmit from
+	// ackUpTo/ackDirty coalesce outbound cumulative acks: the read loop
+	// notes the newest value, the writer piggybacks at most one ack frame
+	// per vectored write. Values are monotonic, so collapsing a backlog of
+	// acks into the latest one loses nothing.
+	ackUpTo  uint64
+	ackDirty bool
+	// rewinds counts rewind() calls. The writer snapshots it when it
+	// collects a batch and aborts the write if it changed while blocked in
+	// acquire: a reconnect happened, and the batch's frames must now be
+	// preceded by the retransmissions the rewind scheduled.
+	rewinds uint64
+	// enq counts frames accepted into the queue; wrote counts frames that
+	// have completed at least one full socket write. comm.Flush waits for
+	// wrote to catch up with enq's value at call time: "everything I sent
+	// has been handed to the kernel", a much cheaper ordering point than
+	// delivery-acknowledged completion.
+	enq   uint64
+	wrote uint64
+	// busy marks a collected batch the writer has not released yet. The
+	// stream is drained — nothing of it still owed to the wire — exactly
+	// when it has no work and is not busy; close waits for that before its
+	// goodbye.
+	busy   bool
+	failed error
+}
+
+// hasWorkLocked reports whether the writer has anything to write. Caller
+// holds st.mu.
+func (st *sendStream) hasWorkLocked() bool {
+	return st.resend < len(st.unacked) || st.qhead < len(st.queue) || st.ackDirty
+}
+
+// newDataFrame builds the frame (and request) for one send.
+func newDataFrame(m mpi.Op) *outFrame {
+	fr := &outFrame{tag: m.Tag, ctx: m.Ctx, size: m.Size()}
+	fr.Init(nil)
+	if m.Type.IsZero() {
+		fr.buf = m.Buf
+	} else {
+		fr.base, fr.dt = m.Buf, m.Type
+	}
+	return fr
+}
+
+// finish delivers the frame's completion, once. A traced frame that made it
+// out is stamped with the sender-local time (seconds since the rank's
+// epoch): the sender's honest "my bytes left at T" mark — a request whose
+// Wait is drained much later must not misreport its send as having lasted
+// until the drain. Callers serialize through the stream that owns the
+// frame.
+//
+//aapc:noalloc
+func (fr *outFrame) finish(err error, epoch time.Time) {
+	if fr.completed {
+		return
+	}
+	fr.completed = true
+	if fr.ctx != 0 && err == nil {
+		fr.Info = mpi.TraceInfo{Ctx: fr.ctx, DeliveredAt: time.Since(epoch).Seconds()}
+	}
+	fr.Complete(err)
+}
+
+// rewind schedules every unacknowledged frame for retransmission.
+func (st *sendStream) rewind() {
+	st.mu.Lock()
+	st.resend = 0
+	st.rewinds++
+	st.cond.Broadcast()
+	st.mu.Unlock()
+}
+
+// retireFrameLocked releases an acked frame's resources: pooled send copies
+// go back to the pool, and borrowed frames get their deferred completion —
+// the ack proves delivery, so the caller's buffer is finally free for
+// reuse. Caller holds the stream mutex; done is buffered, so the send
+// cannot block under it.
+//
+//aapc:noalloc
+func (lk *link) retireFrameLocked(fr *outFrame) {
+	if fr.poolable && fr.buf != nil {
+		lk.nd.pool.put(fr.buf)
+		fr.buf = nil
+	}
+	if fr.borrowed {
+		fr.finish(nil, lk.nd.start)
+	}
+}
+
+// ackStream prunes unacknowledged frames below the cumulative ack,
+// retiring each (pool release or deferred borrowed completion). A frame
+// the writer is concurrently writing is only marked (ackFreed); the writer
+// retires it when the write completes — releasing mid-write would hand the
+// bytes to another message (or let the caller modify them) while writev
+// still references them.
+func (lk *link) ackStream(upTo uint64) {
+	st := &lk.st
+	st.mu.Lock()
+	k := 0
+	for k < len(st.unacked) && st.unacked[k].seq < upTo {
+		k++
+	}
+	if k > 0 {
+		for _, fr := range st.unacked[:k] {
+			if fr.writing {
+				fr.ackFreed = true
+			} else {
+				lk.retireFrameLocked(fr)
+			}
+		}
+		// Shift the survivors down instead of re-slicing forward: the
+		// backing array keeps its full capacity, so the steady state appends
+		// in collect stop reallocating it.
+		n := copy(st.unacked, st.unacked[k:])
+		for i := n; i < len(st.unacked); i++ {
+			st.unacked[i] = nil
+		}
+		st.unacked = st.unacked[:n]
+		st.resend -= k
+		if st.resend < 0 {
+			st.resend = 0
+		}
+	}
+	st.mu.Unlock()
+}
+
+// noteAck records a cumulative ack to piggyback on the stream's next write.
+// upTo values are monotonic per pair, so only the newest matters; >= (not >)
+// keeps the re-ack of a discarded duplicate flowing even when the value is
+// unchanged, preserving the pre-coalescing belt-and-braces behaviour.
+func (st *sendStream) noteAck(upTo uint64) {
+	st.mu.Lock()
+	if st.failed == nil && upTo >= st.ackUpTo {
+		st.ackUpTo = upTo
+		st.ackDirty = true
+		st.cond.Signal()
+	}
+	st.mu.Unlock()
+}
+
+// writerMaxBatch bounds the frames per vectored write: 64 frames is 129
+// iovecs worst case, well under IOV_MAX, and bounds how much payload memory
+// a single batch pins against ack-driven release.
+const writerMaxBatch = 64
+
+// writeBatch is the writer's reusable scratch: the frames of the current
+// vectored write, their headers (one arena, resliced per frame) and the
+// iovec list handed to net.Buffers.
+type writeBatch struct {
+	frames   []*outFrame
+	nRetrans int
+	haveAck  bool
+	ackSeq   uint64
+	rewinds  uint64 // st.rewinds snapshot; mismatch after acquire = stale batch
+	dup      bool   // write frames[0] twice (injected duplicate)
+
+	hdrs   []byte
+	iovecs net.Buffers
+	// sent and bytes count the data frames laid out and their payload.
+	sent, bytes uint64
+}
+
+// collect fills the batch from the stream: pending retransmissions first,
+// then queued frames in order (assigning sequence numbers and entering the
+// retransmit window), then the coalesced ack if one is due. Caller holds
+// st.mu. Returns true when the queue head cannot be admitted because the
+// retransmit window is full and nothing else is writable — the overflow
+// condition that terminally fails the stream.
+//
+//aapc:noalloc
+//aapc:nocopy frames move by pointer; payload bytes are never touched
+func (b *writeBatch) collect(st *sendStream, limit, maxData int) (overflow bool) {
+	b.frames = b.frames[:0]
+	b.nRetrans = 0
+	b.haveAck = false
+	b.dup = false
+	for st.resend < len(st.unacked) && len(b.frames) < maxData {
+		fr := st.unacked[st.resend]
+		st.resend++
+		fr.writing = true
+		b.frames = append(b.frames, fr)
+		b.nRetrans++
+	}
+	for st.qhead < len(st.queue) && len(b.frames) < maxData {
+		if len(st.unacked) >= limit {
+			if len(b.frames) == 0 && !st.ackDirty {
+				return true
+			}
+			break
+		}
+		fr := st.queue[st.qhead]
+		st.queue[st.qhead] = nil
+		st.qhead++
+		fr.seq = st.nextSeq
+		st.nextSeq++
+		st.unacked = append(st.unacked, fr)
+		st.resend = len(st.unacked)
+		fr.writing = true
+		b.frames = append(b.frames, fr)
+	}
+	if st.qhead == len(st.queue) {
+		st.queue = st.queue[:0]
+		st.qhead = 0
+	}
+	if st.ackDirty {
+		b.haveAck = true
+		b.ackSeq = st.ackUpTo
+		st.ackDirty = false
+	}
+	b.rewinds = st.rewinds
+	st.busy = true
+	return false
+}
+
+// buildIovecs lays the batch out for one vectored write: header, payload,
+// header, payload, ..., with the coalesced ack last.
+//
+//aapc:noalloc
+//aapc:nocopy
+func (b *writeBatch) buildIovecs() {
+	n := len(b.frames)
+	if b.dup {
+		n++
+	}
+	if b.haveAck {
+		n++
+	}
+	b.hdrs = frameHeaders(b.hdrs, n)
+	b.iovecs = b.iovecs[:0]
+	hdr := b.hdrs
+	b.sent, b.bytes = 0, 0
+	emit := func(fr *outFrame) {
+		b.iovecs = appendFrame(b.iovecs, hdr[:headerLen], fr)
+		hdr = hdr[headerLen:]
+		b.sent++
+		b.bytes += uint64(fr.size)
+	}
+	for _, fr := range b.frames {
+		emit(fr)
+	}
+	if b.dup && len(b.frames) > 0 {
+		emit(b.frames[0])
+	}
+	if b.haveAck {
+		putFrameHeader(hdr[:headerLen], frameAck, 0, b.ackSeq, 0, 0)
+		b.iovecs = append(b.iovecs, hdr[:headerLen])
+	}
+}
+
+// release clears the in-flight marks of the batch, retiring frames whose
+// ack arrived mid-write, and (when complete is true) delivers data-frame
+// completions with err. Borrowed frames skip the successful-write
+// completion — their caller's buffer stays pinned until the cumulative ack
+// retires them — but do complete on terminal errors, where no
+// retransmission will ever need the bytes again. reack re-arms the
+// coalesced ack after a failed write so it is retried on the next
+// (post-reconnect) cycle.
+//
+//aapc:noalloc
+//aapc:nocopy
+func (lk *link) releaseBatch(b *writeBatch, err error, complete, reack bool) {
+	st := &lk.st
+	st.mu.Lock()
+	st.busy = false
+	for _, fr := range b.frames {
+		fr.writing = false
+		if fr.ackFreed {
+			fr.ackFreed = false
+			lk.retireFrameLocked(fr)
+		}
+		if complete && err == nil && !fr.written {
+			fr.written = true
+			st.wrote++
+		}
+		if complete && (err != nil || !fr.borrowed) {
+			e := err
+			if fr.borrowed && fr.written {
+				// The frame hit the wire before the terminal failure: the
+				// copy path would have completed it then, so report the same
+				// success; delivery truth surfaces on receiver-side ops.
+				e = nil
+			}
+			fr.finish(e, lk.nd.start)
+		}
+	}
+	if reack && b.haveAck && st.failed == nil {
+		if b.ackSeq >= st.ackUpTo {
+			st.ackUpTo = b.ackSeq
+		}
+		st.ackDirty = true
+	}
+	// Wake Flush and drain waiters, if any (the writer, the cond's usual
+	// waiter, is the caller).
+	st.cond.Broadcast()
+	st.mu.Unlock()
+}
+
+// waitLocked blocks until done() holds, the stream fails, or d (when
+// positive) elapses, and reports whether done() held. Caller holds st.mu.
+// The common case — already done — arms no timer and allocates nothing.
+func (st *sendStream) waitLocked(d time.Duration, done func() bool) bool {
+	if st.failed != nil || done() {
+		return done()
+	}
+	expired := false
+	if d > 0 {
+		timer := time.AfterFunc(d, func() {
+			st.mu.Lock()
+			expired = true
+			st.cond.Broadcast()
+			st.mu.Unlock()
+		})
+		defer timer.Stop()
+	}
+	for st.failed == nil && !done() && !expired {
+		st.cond.Wait()
+	}
+	return done()
+}
+
+// failStreamLocked fails the link's outbound stream: queued and
+// unacknowledged frames complete with err, future sends are rejected, the
+// writer exits. Caller holds the stream mutex.
+func (lk *link) failStreamLocked(err error) {
+	st := &lk.st
+	if st.failed != nil {
+		return
+	}
+	st.failed = err
+	for _, fr := range st.queue[st.qhead:] {
+		fr.finish(err, lk.nd.start)
+	}
+	for _, fr := range st.unacked {
+		if fr.borrowed && fr.written {
+			// Written before the failure: the copy path completed here.
+			fr.finish(nil, lk.nd.start)
+		} else {
+			fr.finish(err, lk.nd.start)
+		}
+	}
+	st.queue = nil
+	st.qhead = 0
+	st.unacked = nil
+	st.resend = 0
+	st.cond.Broadcast()
+}
+
+// writer drains the link's outbound stream for the lifetime of the rank.
+// Frames are coalesced opportunistically: every pass writes whatever is
+// queued at that moment — retransmissions first, then queued frames in
+// order, plus at most one piggybacked cumulative ack — in a single vectored
+// write. An idle stream therefore flushes each frame immediately (no delay
+// timers); batching emerges exactly when the socket is the bottleneck and
+// frames accumulate behind the in-flight write. MPI's non-overtaking
+// guarantee holds because this is the only goroutine writing the pair's
+// frames for its direction.
+func (lk *link) writer() {
+	nd, st := lk.nd, &lk.st
+	defer nd.wg.Done()
+	maxData := writerMaxBatch
+	if nd.cfg.Faults != nil {
+		// Fault decisions are per frame and can sleep, break the link or
+		// duplicate; keep one data frame per write so injection points stay
+		// exactly where the plan put them.
+		maxData = 1
+	}
+	var b writeBatch
+	// iov is the consumable slice header handed to WriteTo (which advances
+	// it as it writes). Its address escapes through the net.Conn interface,
+	// so it is declared once per writer, not once per batch, to keep the
+	// heap allocation out of the loop.
+	var iov net.Buffers
+	for {
+		st.mu.Lock()
+		for st.failed == nil && !st.hasWorkLocked() {
+			st.cond.Wait()
+		}
+		if st.failed != nil {
+			st.mu.Unlock()
+			return
+		}
+		overflow := b.collect(st, nd.cfg.Res.RetransmitLimit, maxData)
+		st.mu.Unlock()
+		if overflow {
+			st.mu.Lock()
+			lk.failStreamLocked(&mpi.RankError{Rank: lk.peer, Err: fmt.Errorf(
+				"tcp: retransmit buffer overflow (%d frames) toward rank %d",
+				nd.cfg.Res.RetransmitLimit, lk.peer)})
+			st.mu.Unlock()
+			return
+		}
+		if b.nRetrans > 0 {
+			nd.stats.retransmits.Add(uint64(b.nRetrans))
+		}
+
+		conn, epoch, err := lk.acquire()
+		if err != nil {
+			// The link is terminally down; fail has drained or will drain
+			// the stream. Complete any in-flight frames that escaped it.
+			lk.releaseBatch(&b, err, true, false)
+			return
+		}
+
+		st.mu.Lock()
+		stale := st.rewinds != b.rewinds
+		st.mu.Unlock()
+		if stale {
+			// A reconnect rewound the stream while this batch waited for the
+			// link: retransmissions now precede these frames in sequence
+			// order. Put the batch back (the frames already sit in unacked,
+			// below the rewound resend cursor) and re-collect.
+			lk.releaseBatch(&b, nil, false, true)
+			continue
+		}
+
+		if maxData == 1 && len(b.frames) == 1 && b.nRetrans == 0 && !b.frames[0].consulted {
+			b.frames[0].consulted = true
+			op, d := nd.cfg.Faults.FrameFault(nd.rank, lk.peer)
+			switch op {
+			case mpi.FaultDelay:
+				select {
+				case <-time.After(d):
+				case <-nd.ctx.Done():
+				}
+			case mpi.FaultDropConn:
+				// The frame sits in unacked; it is retransmitted after the
+				// reconnect, or failed with the link.
+				lk.broken(epoch, fmt.Errorf("tcp: injected connection drop %d->%d", nd.rank, lk.peer), false)
+				lk.releaseBatch(&b, nil, false, true)
+				continue
+			case mpi.FaultDuplicate:
+				b.dup = true
+			}
+		}
+
+		b.buildIovecs()
+		iov = b.iovecs
+		if _, werr := iov.WriteTo(conn); werr != nil {
+			// Data frames stay in unacked and are retransmitted after the
+			// reconnect (or failed terminally); the ack is re-armed.
+			lk.broken(epoch, werr, false)
+			lk.releaseBatch(&b, nil, false, true)
+			continue
+		}
+		nd.stats.writevs.Add(1)
+		nd.stats.framesSent.Add(b.sent)
+		nd.stats.bytesSent.Add(b.bytes)
+		if lk.shm {
+			nd.stats.shmBytesSent.Add(b.bytes)
+		} else {
+			nd.stats.tcpBytesSent.Add(b.bytes)
+		}
+		if b.haveAck {
+			nd.stats.acksSent.Add(1)
+		}
+		lk.releaseBatch(&b, nil, true, false)
+	}
+}

@@ -14,22 +14,62 @@ import (
 // writev batch (BorrowedSends, no CopiedSends). Receive side: every payload
 // lands straight off the socket into the posted buffer (ZeroCopyRecvs, no
 // PayloadCopies). The assertions are exact equalities on the stats deltas,
-// so a single regression anywhere on the path fails the gate.
+// so a single regression anywhere on the path fails the gate. It holds
+// however the ranks were wired: in one process, or joined through a
+// coordinator over sockets — the deployable path.
 func TestTCPZeroCopySteadyState(t *testing.T) {
+	const n = 4
+	for _, tc := range []struct {
+		name string
+		wire func(t *testing.T) (comms []mpi.Comm, stats func() Stats, cleanup func())
+	}{
+		{"world", func(t *testing.T) ([]mpi.Comm, func() Stats, func()) {
+			comms, closeWorld, err := NewWorld(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return comms, comms[0].(*node).TransportStats, func() {
+				if err := closeWorld(); err != nil {
+					t.Error(err)
+				}
+			}
+		}},
+		{"join-mesh", func(t *testing.T) ([]mpi.Comm, func() Stats, func()) {
+			comms, cleanup := joinWorld(t, n, WithoutSharedMemory())
+			return comms, func() Stats { return sumStats(comms) }, cleanup
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			comms, stats, cleanup := tc.wire(t)
+			defer cleanup()
+			zeroCopySteadyState(t, comms, stats)
+		})
+	}
+}
+
+// sumStats adds up the per-rank counters of a joined world.
+func sumStats(comms []mpi.Comm) Stats {
+	var total Stats
+	for _, c := range comms {
+		s := c.(*node).TransportStats()
+		total.BorrowedSends += s.BorrowedSends
+		total.CopiedSends += s.CopiedSends
+		total.PayloadCopies += s.PayloadCopies
+		total.ZeroCopyRecvs += s.ZeroCopyRecvs
+		total.Reconnects += s.Reconnects
+		total.ReconnectFailures += s.ReconnectFailures
+		total.Retransmits += s.Retransmits
+		total.BackoffSleeps += s.BackoffSleeps
+	}
+	return total
+}
+
+func zeroCopySteadyState(t *testing.T, comms []mpi.Comm, stats func() Stats) {
 	const (
-		n     = 4
 		iters = 10
 		msize = 65536
 	)
-	comms, closeWorld, err := NewWorld(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := closeWorld(); err != nil {
-			t.Fatal(err)
-		}
-	}()
+	n := len(comms)
 
 	// Pre-post every receive of every iteration (distinct tags), then
 	// barrier: from here on no frame can arrive before its receive, and no
@@ -59,7 +99,7 @@ func TestTCPZeroCopySteadyState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	base := comms[0].(*comm).TransportStats()
+	base := stats()
 
 	for r := 0; r < n; r++ {
 		wg.Add(1)
@@ -100,8 +140,8 @@ func TestTCPZeroCopySteadyState(t *testing.T) {
 		}
 	}
 
-	s := comms[0].(*comm).TransportStats()
-	const frames = uint64(iters * n * (n - 1))
+	s := stats()
+	frames := uint64(iters * n * (n - 1))
 	if got := s.BorrowedSends - base.BorrowedSends; got != frames {
 		t.Errorf("borrowed sends = %d, want %d (every data frame borrows)", got, frames)
 	}
