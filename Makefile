@@ -12,13 +12,15 @@ check: vet lint lint-audit build build-obsv-off race alloc-gates
 
 # alloc-gates are the steady-state budgets for the hot paths: zero allocs
 # per Scheduled.Fn run, amortized sub-0.1 allocs per instrumented operation,
-# and zero userspace payload copies on the tcp data plane with receives
+# zero userspace payload copies on the tcp data plane with receives
 # pre-posted (the zero-copy gate: one row for an in-process world, one for a
-# mesh joined through a coordinator).
+# mesh joined through a coordinator), and a warm aapcd fetch that derives
+# nothing (no plan build, no rendering: stored bytes with Content-Length).
 alloc-gates:
 	$(GO) test -run 'TestScheduledFnNoSteadyStateAllocs' -count=1 ./internal/alltoall/
 	$(GO) test -run 'TestInstrumentedOpAllocsAmortized' -count=1 ./internal/obsv/
 	$(GO) test -run 'TestTCPZeroCopySteadyState' -count=1 ./internal/mpi/tcp/
+	$(GO) test -run 'TestWarmFetchDerivesNothing' -count=1 ./internal/sched/
 
 vet:
 	$(GO) vet ./...

@@ -27,7 +27,9 @@ type ScheduleResponse struct {
 	// for; pass the hash back to pin a follow-up request to it.
 	TopoHash string `json:"topoHash"`
 	Version  int    `json:"version"`
-	// NumRanks, Alg and Class echo the resolved cache key.
+	// NumRanks and Alg echo the resolved cache key; Class is the
+	// message-size class of the request's msize (not part of the key: one
+	// cached schedule answers every class).
 	NumRanks int    `json:"numRanks"`
 	Alg      string `json:"alg"`
 	Class    string `json:"class"`
@@ -88,8 +90,8 @@ func responseFor(res *result, plan *syncplan.Plan) *ScheduleResponse {
 		Version:      e.version,
 		NumRanks:     e.s.NumRanks,
 		Alg:          e.key.Alg,
-		Class:        string(e.key.Class),
-		SyncMode:     e.key.Class.SyncModeFor(),
+		Class:        string(res.class),
+		SyncMode:     res.class.SyncModeFor(),
 		Cached:       res.cached,
 		Incremental:  e.incremental,
 		CompileNanos: e.compileNanos,

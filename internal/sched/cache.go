@@ -6,6 +6,7 @@ import (
 
 	"github.com/aapc-sched/aapcsched/internal/obsv"
 	"github.com/aapc-sched/aapcsched/internal/schedule"
+	"github.com/aapc-sched/aapcsched/internal/syncplan"
 )
 
 // Metric names the daemon's cache and compiler account under (rendered on
@@ -20,10 +21,15 @@ const (
 	ctrRecompiles  = "aapcd_full_recompiles_total"
 	ctrTopoUpdates = "aapcd_topology_updates_total"
 	ctrReqErrors   = "aapcd_request_errors_total"
+	ctrPlanBuilds  = "aapcd_syncplan_builds_total"
+	ctrPlanReuses  = "aapcd_syncplan_reuses_total"
 )
 
 // entry is one cached schedule with the provenance the daemon serves
-// alongside it.
+// alongside it, and everything derived from it: each artefact is derived at
+// most once, on first demand, and dies with the entry. An entry is immutable
+// once published apart from those once-guarded memos; a patch or recompile
+// publishes a new entry, which re-derives its own.
 type entry struct {
 	key Key
 	s   *schedule.Schedule
@@ -36,6 +42,19 @@ type entry struct {
 	// incremental marks schedules produced by Reschedule rather than a
 	// from-scratch compile.
 	incremental bool
+
+	// plan is the pair-wise synchronization plan (Daemon.SyncPlan), shared
+	// read-only by every request that asks for syncs.
+	planOnce sync.Once
+	plan     *syncplan.Plan
+	planErr  error
+	// bodies are the rendered cache-hit responses, one per (class, syncs):
+	// what differs between two hits of one entry is only the class advice
+	// and whether the plan rides along.
+	bodies [numClasses][2]struct {
+		once sync.Once
+		b    []byte
+	}
 }
 
 // flight is one in-progress compile; followers block on done and share the
@@ -97,9 +116,6 @@ func (c *Cache) shardFor(k Key) *cacheShard {
 		h = (h ^ uint64(b)) * prime64
 	}
 	for _, b := range []byte(k.Alg) {
-		h = (h ^ uint64(b)) * prime64
-	}
-	for _, b := range []byte(k.Class) {
 		h = (h ^ uint64(b)) * prime64
 	}
 	h = (h ^ uint64(k.N)) * prime64

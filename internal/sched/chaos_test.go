@@ -2,12 +2,14 @@ package sched
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"github.com/aapc-sched/aapcsched/internal/faults"
 	"github.com/aapc-sched/aapcsched/internal/schedule"
+	"github.com/aapc-sched/aapcsched/internal/syncplan"
 )
 
 // TestChaosTopologyStorm drives a seeded topology-update storm through the
@@ -16,6 +18,9 @@ import (
 // for auto) for the topology version it was keyed to — resolved by its
 // TopoHash against the retained history — proving the daemon never serves
 // a torn read: a schedule patched for one version labelled with another.
+// Half the requests ask for syncs, and the plan they get must be the one a
+// fresh derivation gives for that version and that schedule — never a memo
+// carried over from the entry a patch replaced.
 func TestChaosTopologyStorm(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos storm skipped in -short")
@@ -63,7 +68,8 @@ func TestChaosTopologyStorm(t *testing.T) {
 				default:
 				}
 				alg := algs[(r+i)%len(algs)]
-				resp, err := cl.Schedule(ctx, alg, msizes[i%len(msizes)], false, "")
+				syncs := i%2 == 1
+				resp, err := cl.Schedule(ctx, alg, msizes[i%len(msizes)], syncs, "")
 				if err != nil {
 					t.Errorf("reader %d: %v", r, err)
 					return
@@ -90,6 +96,22 @@ func TestChaosTopologyStorm(t *testing.T) {
 					t.Errorf("reader %d: %s schedule for version %d invalid: %v",
 						r, alg, v.Seq, verr)
 					return
+				}
+				if syncs {
+					build := syncplan.Build
+					if alg == AlgAuto {
+						build = syncplan.BuildCapacityAware
+					}
+					want, err := build(v.Graph, s)
+					if err != nil {
+						t.Errorf("reader %d: %s plan for version %d: %v", r, alg, v.Seq, err)
+						return
+					}
+					if len(resp.Syncs) != want.NumSyncs() || (want.NumSyncs() > 0 && !reflect.DeepEqual(resp.ToPlan().Syncs, want.Syncs)) {
+						t.Errorf("reader %d: %s plan served for version %d (%d syncs) is not the plan of its schedule (%d syncs)",
+							r, alg, v.Seq, len(resp.Syncs), want.NumSyncs())
+						return
+					}
 				}
 				served.Add(1)
 			}

@@ -37,6 +37,31 @@ func decodeError(resp *http.Response) error {
 	return fmt.Errorf("sched: daemon returned %s: %s", resp.Status, e.Error)
 }
 
+// getJSON fetches u and decodes the JSON body of a 200 response into out.
+func (c *Client) getJSON(ctx context.Context, u string, out any) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+	if err != nil {
+		return err
+	}
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return decodeError(resp)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return fmt.Errorf("sched: decoding response of %s: %w", req.URL.Path, err)
+	}
+	// Decode stops at the end of the JSON value, which on a chunked body is
+	// before EOF, and the transport discards a connection whose body is
+	// closed unread. Read the remainder (a newline and the last chunk) so
+	// the connection is reused.
+	io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
+	return nil
+}
+
 // Schedule fetches the schedule for the algorithm and message size.
 // withSyncs also requests the pair-wise synchronization plan. hash, when
 // non-empty, pins the request to a retained topology version.
@@ -50,21 +75,9 @@ func (c *Client) Schedule(ctx context.Context, alg string, msize int, withSyncs 
 	if hash != "" {
 		q.Set("hash", hash)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/schedule?"+q.Encode(), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
 	var out ScheduleResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("sched: decoding schedule response: %w", err)
+	if err := c.getJSON(ctx, c.base+"/v1/schedule?"+q.Encode(), &out); err != nil {
+		return nil, err
 	}
 	return &out, nil
 }
@@ -75,21 +88,9 @@ func (c *Client) Topology(ctx context.Context, version int) (*TopologyResponse, 
 	if version > 0 {
 		u += "?version=" + strconv.Itoa(version)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
 	var out TopologyResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("sched: decoding topology response: %w", err)
+	if err := c.getJSON(ctx, u, &out); err != nil {
+		return nil, err
 	}
 	return &out, nil
 }

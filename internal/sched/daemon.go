@@ -92,17 +92,20 @@ func (d *Daemon) Store() *Store { return d.store }
 // CacheLen returns the number of cached schedules.
 func (d *Daemon) CacheLen() int { return d.cache.Len() }
 
-// result is a served schedule plus its provenance.
+// result is a served schedule plus its provenance and the message-size
+// class of the request it answers.
 type result struct {
 	entry   *entry
 	version *Version
+	class   MsizeClass
 	cached  bool
 }
 
 // Schedule returns the schedule for the algorithm and message size on the
 // current topology — or, when hash is non-empty, on the retained version
 // with that topology hash. The first request for a key compiles; concurrent
-// duplicates share that compile; later requests hit the cache.
+// duplicates share that compile; later requests hit the cache. The message
+// size picks the class and sync advice of the answer, not the schedule.
 func (d *Daemon) Schedule(alg string, msize int, hash string) (*result, error) {
 	if !ValidAlg(alg) {
 		return nil, fmt.Errorf("sched: unknown algorithm %q", alg)
@@ -118,7 +121,7 @@ func (d *Daemon) Schedule(alg string, msize int, hash string) (*result, error) {
 		}
 		v = old
 	}
-	k := Key{TopoHash: v.Hash, N: v.Graph.NumMachines(), Alg: alg, Class: ClassifyMsize(msize)}
+	k := Key{TopoHash: v.Hash, N: v.Graph.NumMachines(), Alg: alg}
 	e, cached, err := d.cache.GetOrCompile(k, func() (*entry, error) {
 		if d.compileHook != nil {
 			d.compileHook(k)
@@ -133,20 +136,32 @@ func (d *Daemon) Schedule(alg string, msize int, hash string) (*result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &result{entry: e, version: v, cached: cached}, nil
+	return &result{entry: e, version: v, class: ClassifyMsize(msize), cached: cached}, nil
 }
 
-// SyncPlan computes the pair-wise synchronization plan for a served
-// schedule on the topology version it was keyed to. Plans are derived on
-// demand; they are cheap relative to compiles and only requested by
-// pairwise-sync clients. Ring and auto schedules are capacity-respecting
-// rather than strictly contention-free — same-phase sharing of fast links
-// is legitimate there, so they use the capacity-aware planner.
+// SyncPlan returns the pair-wise synchronization plan for a served schedule
+// on the topology version it was keyed to. Deriving it is the expensive part
+// of a routine (it dwarfs the compile), so it happens once per cache entry,
+// on the first request that asks: concurrent callers share that one
+// derivation, later callers get its result, and an entry published by a patch
+// or recompile derives its own. The returned plan is shared by every caller
+// and must be treated as read-only. Ring and auto schedules are
+// capacity-respecting rather than strictly contention-free — same-phase
+// sharing of fast links is legitimate there, so they use the capacity-aware
+// planner.
 func (d *Daemon) SyncPlan(r *result) (*syncplan.Plan, error) {
-	if alg := r.entry.key.Alg; alg == AlgRing || alg == AlgAuto {
-		return syncplan.BuildCapacityAware(r.version.Graph, r.entry.s)
-	}
-	return syncplan.Build(r.version.Graph, r.entry.s)
+	e := r.entry
+	ctr := ctrPlanReuses
+	e.planOnce.Do(func() {
+		ctr = ctrPlanBuilds
+		if alg := e.key.Alg; alg == AlgRing || alg == AlgAuto {
+			e.plan, e.planErr = syncplan.BuildCapacityAware(r.version.Graph, e.s)
+		} else {
+			e.plan, e.planErr = syncplan.Build(r.version.Graph, e.s)
+		}
+	})
+	d.counters.Inc(ctr)
+	return e.plan, e.planErr
 }
 
 // UpdateResult describes one applied topology update.
@@ -188,7 +203,7 @@ func (d *Daemon) ApplyDelta(delta topology.Delta) (*UpdateResult, error) {
 			patched, err := schedule.Reschedule(e.s, v.Graph, rd)
 			if err == nil {
 				d.cache.Put(&entry{
-					key:          Key{TopoHash: v.Hash, N: n, Alg: e.key.Alg, Class: e.key.Class},
+					key:          Key{TopoHash: v.Hash, N: n, Alg: e.key.Alg},
 					s:            patched,
 					version:      v.Seq,
 					compileNanos: time.Since(start).Nanoseconds(),

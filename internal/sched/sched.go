@@ -1,7 +1,7 @@
 // Package sched is the control plane of the schedule daemon (aapcd): it
 // compiles, caches and serves the contention-free AAPC schedules of
 // Faraj & Yuan (IPPS 2005) over HTTP/JSON, keyed by
-// (topology hash, machine count, algorithm, message-size class).
+// (topology hash, machine count, algorithm).
 //
 // The paper's workflow is offline: measure the topology once, generate the
 // customized routine, link it into the application. On a real cluster the
@@ -11,7 +11,10 @@
 //
 //   - A sharded in-memory cache with singleflight compile deduplication:
 //     concurrent requests for the same key cost one compile, and repeated
-//     requests are a map hit.
+//     requests are a map hit. Everything derived from a cached schedule —
+//     its pair-wise synchronization plan, the rendered JSON of a cache hit —
+//     is derived once, kept on the cache entry and dropped with it; the
+//     paper's generator runs once per topology, and so does the daemon's.
 //   - Incremental rescheduling (schedule.Reschedule): a topology delta that
 //     touches few machines patches every cached schedule of the previous
 //     version — pinning the messages between survivors, re-placing only the
@@ -43,10 +46,12 @@ var (
 	ErrRingInfeasible = errors.New("sched: ring schedule exceeds link capacity on this topology")
 )
 
-// MsizeClass buckets message sizes for cache identity. The schedule itself
-// is size-independent, but the recommended synchronization mode is not
+// MsizeClass buckets message sizes for the synchronization advice served
+// with a schedule. The schedule itself is size-independent, so the class is
+// not part of the cache key; the recommended synchronization mode is not
 // (short messages amortize a barrier poorly; long ones hide the pair-wise
-// control traffic), so classes get distinct cache entries and sync advice.
+// control traffic), so each request is answered with the class and advice
+// of its own msize.
 type MsizeClass string
 
 // Message-size classes and their boundaries.
@@ -60,6 +65,8 @@ const (
 
 	smallLimit  = 32 << 10
 	mediumLimit = 256 << 10
+
+	numClasses = 3
 )
 
 // ClassifyMsize buckets a message size in bytes.
@@ -73,6 +80,19 @@ func ClassifyMsize(msize int) MsizeClass {
 		return ClassMedium
 	default:
 		return ClassLarge
+	}
+}
+
+// index numbers the classes 0..numClasses-1 (the per-class slots of a cache
+// entry's rendered responses).
+func (c MsizeClass) index() int {
+	switch c {
+	case ClassSmall:
+		return 0
+	case ClassMedium:
+		return 1
+	default:
+		return 2
 	}
 }
 
@@ -108,7 +128,9 @@ func ValidAlg(name string) bool {
 	return false
 }
 
-// Key identifies one cached schedule.
+// Key identifies one cached schedule: everything a schedule depends on. The
+// message size is not part of it — it selects only the class and sync advice
+// echoed per request.
 type Key struct {
 	// TopoHash is topology.Graph.Hash() of the cluster the schedule was
 	// compiled for.
@@ -118,13 +140,11 @@ type Key struct {
 	N int
 	// Alg is the algorithm name (AlgOurs, AlgGreedy, AlgAuto, AlgRing).
 	Alg string
-	// Class is the message-size class.
-	Class MsizeClass
 }
 
 // String renders the key for logs and error messages.
 func (k Key) String() string {
-	return fmt.Sprintf("%s/n%d/%s/%s", k.TopoHash, k.N, k.Alg, k.Class)
+	return fmt.Sprintf("%s/n%d/%s", k.TopoHash, k.N, k.Alg)
 }
 
 // compileSchedule runs the requested builder. greedyWorkers bounds the

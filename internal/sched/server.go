@@ -2,6 +2,7 @@ package sched
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -131,7 +132,26 @@ func (d *Daemon) handleSchedule(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, responseFor(res, plan))
+	if !res.cached {
+		// The request waited on a compile: its cached:false answer is for it
+		// alone.
+		writeJSON(w, http.StatusOK, responseFor(res, plan))
+		return
+	}
+	// A cache hit is answered with bytes rendered once per entry.
+	withSyncs := 0
+	if q.syncs {
+		withSyncs = 1
+	}
+	m := &res.entry.bodies[res.class.index()][withSyncs]
+	m.once.Do(func() {
+		var buf bytes.Buffer
+		json.NewEncoder(&buf).Encode(responseFor(res, plan))
+		m.b = buf.Bytes()
+	})
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(m.b)))
+	w.Write(m.b)
 }
 
 func (d *Daemon) handleTopology(w http.ResponseWriter, r *http.Request) {

@@ -19,15 +19,18 @@ import (
 )
 
 // testCluster is two switches with three machines each.
-func testCluster(t testing.TB) *topology.Graph {
+func testCluster(t testing.TB) *topology.Graph { return twoSwitchCluster(t, 3) }
+
+// twoSwitchCluster is two switches with perSwitch machines each.
+func twoSwitchCluster(t testing.TB, perSwitch int) *topology.Graph {
 	t.Helper()
 	g := topology.New()
 	s0 := g.MustAddSwitch("s0")
 	s1 := g.MustAddSwitch("s1")
 	g.MustConnect(s0, s1)
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 2*perSwitch; i++ {
 		sw := s0
-		if i >= 3 {
+		if i >= perSwitch {
 			sw = s1
 		}
 		g.MustConnect(sw, g.MustAddMachine(fmt.Sprintf("n%d", i)))
@@ -137,13 +140,14 @@ func TestRingServedOnlyWhenCapacityValid(t *testing.T) {
 	}
 }
 
+// TestCacheHitMissAccounting: a schedule is keyed by what it depends on
+// (topology, algorithm), not by message size, so a second size class hits
+// the cache — while class and syncMode still follow the request's msize.
 func TestCacheHitMissAccounting(t *testing.T) {
 	d, _, cl := newTestDaemon(t, Options{})
 	ctx := context.Background()
 	c := d.Counters()
 
-	// Miss, then hit for the same key; a different msize class is its own
-	// key and misses again.
 	r1, err := cl.Schedule(ctx, AlgOurs, 1024, false, "")
 	if err != nil {
 		t.Fatal(err)
@@ -151,18 +155,34 @@ func TestCacheHitMissAccounting(t *testing.T) {
 	if r1.Cached {
 		t.Error("first request reported cached")
 	}
-	r2, err := cl.Schedule(ctx, AlgOurs, 2048, false, "") // same class (small)
-	if err != nil {
+	if r1.CompileNanos <= 0 {
+		t.Error("compileNanos not recorded")
+	}
+	for _, tc := range []struct {
+		msize       int
+		class, mode string
+	}{
+		{2048, "small", "barrier"},
+		{64 << 10, "medium", "pairwise"},
+		{1 << 20, "large", "pairwise"},
+	} {
+		r, err := cl.Schedule(ctx, AlgOurs, tc.msize, false, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !r.Cached {
+			t.Errorf("msize %d missed the cache", tc.msize)
+		}
+		if r.Class != tc.class || r.SyncMode != tc.mode {
+			t.Errorf("msize %d: class/syncMode %q/%q, want %q/%q", tc.msize, r.Class, r.SyncMode, tc.class, tc.mode)
+		}
+	}
+	// Another algorithm is another schedule.
+	if _, err := cl.Schedule(ctx, AlgGreedy, 1024, false, ""); err != nil {
 		t.Fatal(err)
 	}
-	if !r2.Cached {
-		t.Error("second request missed the cache")
-	}
-	if _, err := cl.Schedule(ctx, AlgOurs, 1<<20, false, ""); err != nil { // large class
-		t.Fatal(err)
-	}
-	if got := c.Get(ctrHits); got != 1 {
-		t.Errorf("hits = %d, want 1", got)
+	if got := c.Get(ctrHits); got != 3 {
+		t.Errorf("hits = %d, want 3", got)
 	}
 	if got := c.Get(ctrMisses); got != 2 {
 		t.Errorf("misses = %d, want 2", got)
@@ -170,8 +190,8 @@ func TestCacheHitMissAccounting(t *testing.T) {
 	if got := c.Get(ctrCompiles); got != 2 {
 		t.Errorf("compiles = %d, want 2", got)
 	}
-	if r1.CompileNanos <= 0 {
-		t.Error("compileNanos not recorded")
+	if got := d.CacheLen(); got != 2 {
+		t.Errorf("cache holds %d entries, want 2", got)
 	}
 }
 
@@ -456,8 +476,10 @@ func TestLargeDeltaDropsInsteadOfPatching(t *testing.T) {
 func TestMetricsEndpointExposesDaemonCounters(t *testing.T) {
 	reg := obsv.NewRegistry()
 	_, srv, cl := newTestDaemon(t, Options{Registry: reg})
-	if _, err := cl.Schedule(context.Background(), AlgOurs, 512, false, ""); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 3; i++ { // one compile and plan build, two reuses
+		if _, err := cl.Schedule(context.Background(), AlgOurs, 512, true, ""); err != nil {
+			t.Fatal(err)
+		}
 	}
 	resp, err := srv.Client().Get(srv.URL + "/metrics")
 	if err != nil {
@@ -469,7 +491,7 @@ func TestMetricsEndpointExposesDaemonCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := sb.String()
-	for _, want := range []string{ctrMisses + " 1", ctrCompiles + " 1"} {
+	for _, want := range []string{ctrMisses + " 1", ctrCompiles + " 1", ctrPlanBuilds + " 1", ctrPlanReuses + " 2"} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)
 		}
