@@ -3,16 +3,19 @@
 // completion time and aggregate throughput of LAM, MPICH and the
 // automatically generated routine across message sizes, printing the tables
 // and series behind Figs. 6, 7 and 8. It can additionally run the
-// synchronization-mode and scheduler ablations, emit machine-readable
-// BENCH_<name>.json reports (-json), and render a previously recorded obsv
-// JSONL event trace with the same Gantt pipeline used for simulator runs
-// (-render).
+// synchronization-mode and scheduler ablations, draw a traced simulated run
+// of the generated routine (-trace), emit machine-readable BENCH_<name>.json
+// reports (-json), and render a recorded obsv JSONL event trace (-render).
+// A simulated run is traced like a real one (instrumented events), so -trace
+// and -render draw with the same collect functions: Gantt rows of each
+// rank's sends from post to completion, flow statistics, and, for -render,
+// the collector's full report.
 //
 // Usage:
 //
 //	aapcbench [-topo a|b|c|fig1|all] [-file cluster.topo] [-msizes 8K,64K]
 //	          [-bw Mbps] [-alpha seconds] [-mineff f] [-jitter f]
-//	          [-parallel n] [-engine fast|reference]
+//	          [-parallel n]
 //	          [-ablation] [-plot] [-trace] [-json dir] [-render trace.jsonl]
 //	          [-cpuprofile file] [-memprofile file]
 package main
@@ -26,6 +29,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -35,9 +39,9 @@ import (
 	"github.com/aapc-sched/aapcsched/internal/mpi"
 	"github.com/aapc-sched/aapcsched/internal/mpi/mem"
 	"github.com/aapc-sched/aapcsched/internal/obsv"
+	"github.com/aapc-sched/aapcsched/internal/obsv/collect"
 	"github.com/aapc-sched/aapcsched/internal/simnet"
 	"github.com/aapc-sched/aapcsched/internal/topology"
-	"github.com/aapc-sched/aapcsched/internal/trace"
 )
 
 // options collects every flag of the driver.
@@ -58,12 +62,12 @@ type options struct {
 	jsonDir  string
 	render   string
 	parallel int
-	engine   string
 	cpuProf  string
 	memProf  string
 }
 
-// printTrace renders the sender timeline of the generated routine.
+// printTrace records the generated routine in the simulator and draws it:
+// flow statistics, the sender timeline and per-link utilization.
 func printTrace(g *topology.Graph, net simnet.Config, msize int) error {
 	sc, err := harness.CompileRoutine(g, alltoall.PairwiseSync)
 	if err != nil {
@@ -71,42 +75,100 @@ func printTrace(g *topology.Graph, net simnet.Config, msize int) error {
 	}
 	cfg := net
 	cfg.Graph = g
-	elapsed, records, stats, err := harness.MeasureTracedStats(cfg, sc.Fn(), msize)
+	w, recs, err := harness.MeasureObserved(cfg, sc.Fn(), msize)
 	if err != nil {
 		return err
 	}
-	tl := trace.NewWithRanks(records, g.NumMachines())
-	st := tl.Stats()
+	events := obsv.MergedEvents(recs...)
+	st := collect.Flows(events)
 	fmt.Printf("\ngenerated routine at %s: %d data flows, %d sync messages, peak concurrency %d\n",
 		harness.FormatMsize(msize), st.DataFlows, st.ControlFlows, st.MaxConcurrentData)
-	fmt.Print(tl.Gantt(96))
-	fmt.Print(trace.UtilizationReport(g, stats, elapsed))
+	fmt.Print(collect.Gantt(events, g.NumMachines(), 96))
+	fmt.Print(utilizationReport(g, w.LinkStats(), w.Elapsed()))
 	return nil
 }
 
-// renderTrace loads an obsv JSONL event trace and renders it with the same
-// timeline pipeline used for simulator flow records.
+// renderTrace loads an obsv JSONL event trace into a collector and draws
+// it: flow statistics, the sender timeline and the collector's report.
 func renderTrace(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	meta, events, err := obsv.ReadJSONL(f)
-	if err != nil {
+	store := collect.NewStore()
+	if err := store.AddJSONL(f); err != nil {
 		return err
 	}
-	tl := trace.FromEvents(meta, events)
-	st := tl.Stats()
+	meta, events := store.Meta(), store.Events()
+	st := collect.Flows(events)
 	label := meta.Name
 	if label == "" {
 		label = path
 	}
 	fmt.Printf("trace %s (%s, %d ranks): %d data flows, %d control flows, peak concurrency %d\n",
 		label, meta.Transport, meta.Ranks, st.DataFlows, st.ControlFlows, st.MaxConcurrentData)
-	fmt.Print(tl.Gantt(96))
-	fmt.Print(obsv.FormatPhaseStats(obsv.PhaseStats(events)))
+	fmt.Print(collect.Gantt(events, meta.Ranks, 96))
+	store.Analyze(nil).WriteText(os.Stdout)
 	return nil
+}
+
+// utilizationReport renders per-link utilization from a finished simulation
+// run: for every physical link, the fraction of its capacity used over the
+// elapsed time, in both directions. A contention-free schedule shows the
+// bottleneck link near 100% and everything else proportional to its load.
+func utilizationReport(g *topology.Graph, stats []simnet.LinkStats, elapsed float64) string {
+	if elapsed <= 0 || len(stats) == 0 {
+		return "(no utilization data)\n"
+	}
+	// Pair up the two directions of each physical link.
+	type row struct {
+		name     string
+		fwd, rev float64
+	}
+	byLink := make(map[topology.Edge]*row)
+	for _, ls := range stats {
+		e := ls.Edge
+		canon := e
+		if canon.U > canon.V {
+			canon = canon.Reverse()
+		}
+		r, ok := byLink[canon]
+		if !ok {
+			r = &row{name: fmt.Sprintf("%s -- %s", g.Node(canon.U).Name, g.Node(canon.V).Name)}
+			byLink[canon] = r
+		}
+		util := ls.BusySeconds / elapsed
+		if e == canon {
+			r.fwd = util
+		} else {
+			r.rev = util
+		}
+	}
+	rows := make([]*row, 0, len(byLink))
+	for _, r := range byLink {
+		rows = append(rows, r)
+	}
+	sort.Slice(rows, func(i, j int) bool {
+		mi, mj := max(rows[i].fwd, rows[i].rev), max(rows[j].fwd, rows[j].rev)
+		if mi != mj {
+			return mi > mj
+		}
+		return rows[i].name < rows[j].name
+	})
+	var sb strings.Builder
+	sb.WriteString("link utilization (fraction of capacity, by direction):\n")
+	for _, r := range rows {
+		fmt.Fprintf(&sb, "  %-16s %s %5.1f%%   %s %5.1f%%\n",
+			r.name, bar(r.fwd, 20), r.fwd*100, bar(r.rev, 20), r.rev*100)
+	}
+	return sb.String()
+}
+
+// bar renders a utilization fraction as a fixed-width ASCII bar.
+func bar(frac float64, width int) string {
+	fill := int(min(max(frac, 0), 1)*float64(width) + 0.5)
+	return "[" + strings.Repeat("#", fill) + strings.Repeat("-", width-fill) + "]"
 }
 
 func main() {
@@ -127,7 +189,6 @@ func main() {
 	flag.StringVar(&o.jsonDir, "json", "", "write a machine-readable BENCH_<name>.json report per topology into this directory")
 	flag.StringVar(&o.render, "render", "", "render an obsv JSONL event trace file and exit")
 	flag.IntVar(&o.parallel, "parallel", runtime.GOMAXPROCS(0), "measure up to n (algorithm, msize) cells concurrently; 1 = serial")
-	flag.StringVar(&o.engine, "engine", simnet.RateEngineFast, "max-min rate engine: fast (aggregated) or reference (dense oracle)")
 	flag.StringVar(&o.cpuProf, "cpuprofile", "", "write a CPU profile of the run to this file")
 	flag.StringVar(&o.memProf, "memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
@@ -176,7 +237,6 @@ func run(o options) error {
 		JitterFrac:     o.jitter,
 		JitterSeed:     1,
 		ControlLatency: o.control,
-		RateEngine:     o.engine,
 	}
 	type target struct {
 		name  string // report label
@@ -269,14 +329,15 @@ type benchCell struct {
 	ThroughputMbps float64 `json:"throughput_mbps"`
 }
 
-// benchPhases is the per-msize phase breakdown of the generated routine,
-// recorded through the obsv instrumentation layer.
+// benchPhases is the per-msize phase breakdown of the generated routine:
+// its simulated run recorded through the obsv instrumentation layer and
+// attributed by the collector.
 type benchPhases struct {
-	Msize           int              `json:"msize"`
-	Seconds         float64          `json:"seconds"`
-	Events          int              `json:"events"`
-	SyncWaitSeconds float64          `json:"sync_wait_seconds"`
-	Phases          []obsv.PhaseStat `json:"phases"`
+	Msize           int                 `json:"msize"`
+	Seconds         float64             `json:"seconds"`
+	Events          int                 `json:"events"`
+	SyncWaitSeconds float64             `json:"sync_wait_seconds"`
+	Phases          []collect.PhaseStat `json:"phases"`
 }
 
 // benchOverhead quantifies the instrumentation cost: the compiled routine on
@@ -330,15 +391,19 @@ func writeJSONReport(dir, short string, g *topology.Graph, net simnet.Config, re
 	cfg := net
 	cfg.Graph = g
 	for i, msize := range rep.Msizes {
-		elapsed, recs, err := harness.MeasureObserved(cfg, sc.Fn(), msize)
+		w, recs, err := harness.MeasureObserved(cfg, sc.Fn(), msize)
 		if err != nil {
 			return "", err
 		}
-		events := obsv.MergedEvents(recs...)
-		ph := benchPhases{Msize: msize, Seconds: elapsed, Events: len(events)}
-		for _, st := range obsv.PhaseStats(events) {
-			ph.SyncWaitSeconds += st.SyncWaitSeconds
-			ph.Phases = append(ph.Phases, st)
+		store := collect.NewStore()
+		store.SetCommonClock(true) // one virtual clock
+		for _, r := range recs {
+			store.AddEvents(r.Events())
+		}
+		ph := benchPhases{Msize: msize, Seconds: w.Elapsed(), Events: store.NumSpans(),
+			Phases: store.Analyze(g).Phases}
+		for _, st := range ph.Phases {
+			ph.SyncWaitSeconds += st.SyncWait
 		}
 		out.Phases = append(out.Phases, ph)
 		// Overhead is measured at the largest message size, where data
@@ -349,7 +414,7 @@ func writeJSONReport(dir, short string, g *topology.Graph, net simnet.Config, re
 			if err != nil {
 				return "", err
 			}
-			ov.EventsPerRank = float64(len(events)) / float64(rep.Machines)
+			ov.EventsPerRank = float64(ph.Events) / float64(rep.Machines)
 			out.Overhead = ov
 		}
 	}

@@ -5,7 +5,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+
+	"github.com/aapc-sched/aapcsched/internal/alltoall"
+	"github.com/aapc-sched/aapcsched/internal/harness"
+	"github.com/aapc-sched/aapcsched/internal/obsv"
+	"github.com/aapc-sched/aapcsched/internal/simnet"
 )
 
 func TestParseMsizes(t *testing.T) {
@@ -125,5 +131,75 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run(benchOpts(func(o *options) { o.render = "/does/not/exist.jsonl" })); err == nil {
 		t.Error("want error for missing render file")
+	}
+}
+
+func TestUtilizationReport(t *testing.T) {
+	g := harness.Fig1()
+	sc, err := harness.CompileRoutine(g, alltoall.PairwiseSync)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, _, err := harness.MeasureObserved(simnet.Config{Graph: g}, sc.Fn(), 64<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := utilizationReport(g, w.LinkStats(), w.Elapsed())
+	// The bottleneck s0--s1 must appear first (highest utilization).
+	lines := strings.Split(rep, "\n")
+	if len(lines) < 10 {
+		t.Fatalf("report too short:\n%s", rep)
+	}
+	if !strings.Contains(lines[1], "s0 -- s1") {
+		t.Errorf("bottleneck link not ranked first:\n%s", rep)
+	}
+	if !strings.Contains(rep, "%") || !strings.Contains(rep, "#") {
+		t.Errorf("report missing bars/percentages:\n%s", rep)
+	}
+	// Empty inputs degrade gracefully.
+	if !strings.Contains(utilizationReport(g, nil, 0), "no utilization") {
+		t.Error("empty report should say so")
+	}
+}
+
+func TestBar(t *testing.T) {
+	if bar(-1, 4) != "[----]" || bar(2, 4) != "[####]" || bar(0.5, 4) != "[##--]" {
+		t.Errorf("bar rendering wrong: %q %q %q", bar(-1, 4), bar(2, 4), bar(0.5, 4))
+	}
+}
+
+// TestRenderTrace draws a recorded trace through -render: a simulated run's
+// JSONL file, and one naming a rank outside its world, which the collector
+// refuses.
+func TestRenderTrace(t *testing.T) {
+	g := harness.Fig1()
+	sc, err := harness.CompileRoutine(g, alltoall.PairwiseSync)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, recs, err := harness.MeasureObserved(simnet.Config{Graph: g}, sc.Fn(), 8<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.jsonl")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obsv.WriteRecorders(f, obsv.Meta{Transport: "simnet", Name: "ours", Msize: 8 << 10}, recs...); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if err := run(benchOpts(func(o *options) { o.render = path })); err != nil {
+		t.Fatal(err)
+	}
+	forged := filepath.Join(dir, "forged.jsonl")
+	if err := os.WriteFile(forged, []byte(`{"meta":{"ranks":2}}`+"\n"+
+		`{"kind":"send","rank":5,"peer":0,"phase":-1,"start":0,"end":1,"bytes":4096}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(benchOpts(func(o *options) { o.render = forged })); err == nil {
+		t.Error("want error rendering a trace with a rank outside its world")
 	}
 }

@@ -15,8 +15,8 @@ import (
 	"github.com/aapc-sched/aapcsched/internal/mpi/mem"
 	"github.com/aapc-sched/aapcsched/internal/mpi/shm"
 	"github.com/aapc-sched/aapcsched/internal/mpi/tcp"
+	"github.com/aapc-sched/aapcsched/internal/obsv"
 	"github.com/aapc-sched/aapcsched/internal/obsv/collect"
-	"github.com/aapc-sched/aapcsched/internal/trace"
 )
 
 func TestParseSize(t *testing.T) {
@@ -175,8 +175,9 @@ func TestReportTransportStats(t *testing.T) {
 }
 
 // TestLocalWorldObserved runs the instrumented local world with a metrics
-// endpoint and a JSONL trace, then checks the trace renders to a complete
-// timeline: one data flow per ordered rank pair, correct world size.
+// endpoint and a JSONL trace, then loads the trace into the collector: one
+// data flow per ordered rank pair, one control flow per sync message, one
+// Gantt row per rank, and a phase table covering every data send.
 func TestLocalWorldObserved(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.jsonl")
@@ -192,8 +193,8 @@ func TestLocalWorldObserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	tl, meta, err := trace.LoadJSONL(f)
-	if err != nil {
+	store := collect.NewStore()
+	if err := store.AddJSONL(f); err != nil {
 		t.Fatal(err)
 	}
 	g, err := harness.Preset(o.preset)
@@ -201,18 +202,32 @@ func TestLocalWorldObserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := g.NumMachines()
+	meta, events := store.Meta(), store.Events()
 	if meta.Ranks != n || meta.Transport != "tcp" {
 		t.Errorf("trace meta %+v, want %d tcp ranks", meta, n)
 	}
-	st := tl.Stats()
+	st := collect.Flows(events)
 	if st.DataFlows != n*(n-1) {
 		t.Errorf("trace has %d data flows, want %d", st.DataFlows, n*(n-1))
 	}
-	if st.ControlFlows == 0 {
-		t.Error("trace has no sync control flows")
+	syncs := 0
+	for _, e := range events {
+		if e.Kind == obsv.KindSyncWait {
+			syncs++
+		}
 	}
-	if rows := strings.Count(tl.Gantt(40), "rank"); rows != n {
+	if st.ControlFlows == 0 || st.ControlFlows != syncs {
+		t.Errorf("trace has %d control flows, want one per sync wait (%d)", st.ControlFlows, syncs)
+	}
+	if rows := strings.Count(collect.Gantt(events, meta.Ranks, 40), "rank"); rows != n {
 		t.Errorf("Gantt has %d rows, want %d", rows, n)
+	}
+	sends := 0
+	for _, p := range store.Analyze(g).Phases {
+		sends += p.Sends
+	}
+	if sends != n*(n-1) {
+		t.Errorf("phase table covers %d data sends, want %d", sends, n*(n-1))
 	}
 }
 

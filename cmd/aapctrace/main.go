@@ -16,8 +16,8 @@
 //	aapcnode -local -topo fig1 -alg ours -trace run.jsonl
 //	aapctrace -report run.jsonl -topo fig1 -predict
 //
-// With -predict the same schedule is priced in the simulator and every data
-// message is compared against its contention-free prediction; links whose
+// With -predict the same schedule is recorded in the simulator and every
+// data message is compared against its contention-free prediction; links whose
 // crossing traffic consistently exceeds factor x the predicted time are
 // flagged.
 package main
@@ -141,11 +141,11 @@ func offline(o *options, g *topology.Graph, w interface{ Write([]byte) (int, err
 		if err != nil {
 			return err
 		}
-		_, flows, err := harness.MeasureTraced(simnet.Config{Graph: g}, fn, msize)
+		_, pred, err := harness.MeasureObserved(simnet.Config{Graph: g}, fn, msize)
 		if err != nil {
 			return fmt.Errorf("prediction run: %w", err)
 		}
-		rep = store.AnalyzeWithPrediction(g, flows, collect.DivergenceOptions{Factor: o.factor})
+		rep = store.AnalyzeWithPrediction(g, obsv.MergedEvents(pred...), collect.DivergenceOptions{Factor: o.factor})
 	} else {
 		rep = store.Analyze(g)
 	}

@@ -7,8 +7,9 @@ import (
 )
 
 // Determinism guards the packages whose tests and tooling assume
-// bit-identical replays: the simulator (the rate-engine oracle test replays
-// the same run through two solvers and demands 1e-9 agreement), the
+// bit-identical replays: the simulator (its solver-equivalence test replays
+// the same instrumented run through the aggregated solver and the dense
+// oracle and demands bit-identical event streams), the
 // schedule builders (greedy construction must be reproducible for the
 // committed benchmark schedules), and the experiment harness (parallel and
 // serial runs must produce identical reports). In those packages the

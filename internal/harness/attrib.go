@@ -44,7 +44,7 @@ type AttributionConfig struct {
 }
 
 // RunAttribution executes the schedule on the in-process mem transport with
-// causal tracing, ingests every rank's span log into a collector, prices
+// causal tracing, ingests every rank's span log into a collector, records
 // the same routine in simnet, and returns the merged attribution report.
 func RunAttribution(cfg AttributionConfig) (*collect.Report, error) {
 	if cfg.Graph == nil {
@@ -93,9 +93,9 @@ func RunAttribution(cfg AttributionConfig) (*collect.Report, error) {
 	// simulator (no faults — divergence localizes what the plan injected).
 	net := cfg.Net
 	net.Graph = cfg.Graph
-	_, flows, err := MeasureTraced(net, sc.Fn(), cfg.Msize)
+	_, pred, err := MeasureObserved(net, sc.Fn(), cfg.Msize)
 	if err != nil {
 		return nil, fmt.Errorf("harness: prediction run: %w", err)
 	}
-	return store.AnalyzeWithPrediction(cfg.Graph, flows, cfg.Divergence), nil
+	return store.AnalyzeWithPrediction(cfg.Graph, obsv.MergedEvents(pred...), cfg.Divergence), nil
 }

@@ -292,17 +292,17 @@ func (r *Report) Cell(alg string, msize int) (Result, bool) {
 	return Result{}, false
 }
 
-// MeasureObserved is Measure with obsv instrumentation: every rank runs
-// through an instrumenting wrapper and the per-rank recorders come back with
-// the virtual completion time. From the recorders' merged events the caller
-// gets phase statistics (obsv.PhaseStats) and a JSONL trace
-// (obsv.WriteRecorders) for the same run the time was measured on. Under
-// -tags obsv_off the recorders come back empty and the measurement is
-// unchanged.
-func MeasureObserved(net simnet.Config, fn alltoall.Func, msize int) (float64, []*obsv.Recorder, error) {
+// MeasureObserved is the traced simulation: Measure with every rank run
+// through obsv.Instrument, exactly as a traced run on a real transport. It
+// returns the finished world (Elapsed, LinkStats) and the per-rank
+// recorders, whose merged events feed the collect package (flow statistics,
+// Gantt charts, phase attribution, the divergence prediction) and JSONL
+// traces (obsv.WriteRecorders). Under -tags obsv_off the recorders come
+// back empty, as on every transport, and the measurement is unchanged.
+func MeasureObserved(net simnet.Config, fn alltoall.Func, msize int) (*simnet.World, []*obsv.Recorder, error) {
 	w, err := simnet.NewWorld(net)
 	if err != nil {
-		return 0, nil, err
+		return nil, nil, err
 	}
 	recs := make([]*obsv.Recorder, net.Graph.NumMachines())
 	for i := range recs {
@@ -313,31 +313,9 @@ func MeasureObserved(net simnet.Config, fn alltoall.Func, msize int) (float64, [
 		return fn(ic, alltoall.NewShared(msize), msize)
 	})
 	if err != nil {
-		return 0, nil, err
+		return nil, nil, err
 	}
-	return w.Elapsed(), recs, nil
-}
-
-// MeasureTraced is Measure returning the run's flow records as well, for
-// timeline analysis with the trace package.
-func MeasureTraced(net simnet.Config, fn alltoall.Func, msize int) (float64, []simnet.FlowRecord, error) {
-	elapsed, records, _, err := MeasureTracedStats(net, fn, msize)
-	return elapsed, records, err
-}
-
-// MeasureTracedStats additionally returns per-link utilization statistics.
-func MeasureTracedStats(net simnet.Config, fn alltoall.Func, msize int) (float64, []simnet.FlowRecord, []simnet.LinkStats, error) {
-	w, err := simnet.NewWorld(net)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	err = w.Run(func(c mpi.Comm) error {
-		return fn(c, alltoall.NewShared(msize), msize)
-	})
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	return w.Elapsed(), w.FlowTrace(), w.LinkStats(), nil
+	return w, recs, nil
 }
 
 // OursWeighted is the heterogeneous-bandwidth extension: schedule selection

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/aapc-sched/aapcsched/internal/alltoall"
+	"github.com/aapc-sched/aapcsched/internal/obsv"
 	"github.com/aapc-sched/aapcsched/internal/schedule"
 	"github.com/aapc-sched/aapcsched/internal/simnet"
 )
@@ -287,21 +288,35 @@ func TestMeasureIterationsPipelines(t *testing.T) {
 	}
 }
 
-func TestMeasureTracedStats(t *testing.T) {
+// TestMeasureObserved: the traced simulation prices the run exactly like
+// Measure and records every data send of it.
+func TestMeasureObserved(t *testing.T) {
 	g := Fig1()
 	net := simnet.Config{Graph: g}
-	elapsed, records, stats, err := MeasureTracedStats(net, alltoall.Simple, 4<<10)
+	w, recs, err := MeasureObserved(net, alltoall.Simple, 4<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if elapsed <= 0 || len(records) != 30 || len(stats) == 0 {
-		t.Errorf("elapsed=%v records=%d stats=%d", elapsed, len(records), len(stats))
-	}
-	e2, r2, err := MeasureTraced(net, alltoall.Simple, 4<<10)
+	bare, err := Measure(net, alltoall.Simple, 4<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e2 != elapsed || len(r2) != len(records) {
-		t.Errorf("MeasureTraced disagrees: %v/%d vs %v/%d", e2, len(r2), elapsed, len(records))
+	if w.Elapsed() != bare {
+		t.Errorf("instrumented run took %v, bare run %v", w.Elapsed(), bare)
+	}
+	if len(recs) != g.NumMachines() || len(w.LinkStats()) == 0 {
+		t.Errorf("%d recorders, %d link stats", len(recs), len(w.LinkStats()))
+	}
+	if !obsv.Enabled {
+		return
+	}
+	sends := 0
+	for _, e := range obsv.MergedEvents(recs...) {
+		if e.Kind == obsv.KindSend {
+			sends++
+		}
+	}
+	if sends != 30 {
+		t.Errorf("recorded %d sends, want 30", sends)
 	}
 }

@@ -8,20 +8,20 @@ import (
 )
 
 // TestExperimentParallelDeterministic pins the contract of the concurrent
-// harness: the report is byte-identical for every Parallel setting and for
-// both rate engines, because each cell is an isolated deterministic world
-// and rows are assembled in serial order.
+// harness: the report is byte-identical for every Parallel setting, because
+// each cell is an isolated deterministic world and rows are assembled in
+// serial order.
 func TestExperimentParallelDeterministic(t *testing.T) {
 	g, err := Preset("a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(parallel int, engine string) *Report {
+	run := func(parallel int) *Report {
 		exp := &Experiment{
 			Name:   "det",
 			Graph:  g,
 			Msizes: []int{8 << 10, 32 << 10},
-			Net:    simnet.Config{JitterFrac: 0.2, JitterSeed: 42, RateEngine: engine},
+			Net:    simnet.Config{JitterFrac: 0.2, JitterSeed: 42},
 			// Default algorithms: LAM, MPICH, Ours.
 			Parallel: parallel,
 		}
@@ -31,15 +31,11 @@ func TestExperimentParallelDeterministic(t *testing.T) {
 		}
 		return rep
 	}
-	serial := run(1, simnet.RateEngineFast)
+	serial := run(1)
 	for _, parallel := range []int{0, 2, 7} {
-		if rep := run(parallel, simnet.RateEngineFast); !reflect.DeepEqual(serial, rep) {
+		if rep := run(parallel); !reflect.DeepEqual(serial, rep) {
 			t.Errorf("Parallel=%d report differs from serial:\nserial:   %+v\nparallel: %+v",
 				parallel, serial.Rows, rep.Rows)
 		}
-	}
-	if rep := run(0, simnet.RateEngineReference); !reflect.DeepEqual(serial, rep) {
-		t.Errorf("reference-engine report differs from fast-engine report:\nfast:      %+v\nreference: %+v",
-			serial.Rows, rep.Rows)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"github.com/aapc-sched/aapcsched/internal/harness"
 	"github.com/aapc-sched/aapcsched/internal/mpi"
 	"github.com/aapc-sched/aapcsched/internal/obsv"
+	"github.com/aapc-sched/aapcsched/internal/obsv/collect"
 )
 
 // TestInstrumentedConformance runs the same random programs through the obsv
@@ -155,11 +156,15 @@ func TestInstrumentedScheduledAlltoall(t *testing.T) {
 					t.Errorf("rank %d: no phase markers recorded", r)
 				}
 			}
-			// Phase statistics over the merged events must account every
-			// data send of the schedule.
-			stats := obsv.PhaseStats(obsv.MergedEvents(recs...))
+			// The collector's phase table over the recorded events must
+			// account every data send of the schedule.
+			store := collect.NewStore()
+			store.SetCommonClock(true)
+			for _, rec := range recs {
+				store.AddEvents(rec.Events())
+			}
 			total := 0
-			for _, st := range stats {
+			for _, st := range store.Analyze(nil).Phases {
 				total += st.Sends
 			}
 			if total != n*(n-1) {

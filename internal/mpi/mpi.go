@@ -39,6 +39,13 @@ import (
 // pair. The constant exists to document that choice.
 const AnyTag = -1
 
+// ControlSizeMax classifies messages by payload size: a message of at most
+// this many bytes is control traffic (the scheduled algorithm's pair-wise
+// synchronization messages are 1 byte), anything larger is data. The
+// simulator prices control messages with its control latency, and every
+// trace analysis leaves them out of data-flow statistics.
+const ControlSizeMax = 64
+
 // Op describes one message operation: what bytes, in which layout, to or
 // from whom, under which tag, and (for sends) with which trace context.
 type Op struct {

@@ -139,6 +139,11 @@ type pair struct {
 	ringOps []*op         // send ops staged in the ring, in record order
 	recvs   map[int][]*op // posted receives by tag, FIFO
 	arrived map[int][]stagedFrame
+	// spare keeps the buffers of received staged frames, up to one ring's
+	// worth of bytes, so that what an exchange allocates does not depend on
+	// how its ranks interleave.
+	spare      [][]byte
+	spareBytes int
 }
 
 // op is one pending operation; it doubles as the request (the embedded
@@ -260,6 +265,20 @@ func (p *pair) stage(tag int, fr stagedFrame) {
 	p.arrived[tag] = append(p.arrived[tag], fr)
 }
 
+// stagingBuf returns a size-byte buffer to stage a frame in, reusing a spare
+// when one fits. Caller holds p.mu.
+func (p *pair) stagingBuf(size int) []byte {
+	for i, b := range p.spare {
+		if cap(b) >= size {
+			last := len(p.spare) - 1
+			p.spare[i], p.spare[last] = p.spare[last], nil
+			p.spare, p.spareBytes = p.spare[:last], p.spareBytes-cap(b)
+			return b[:size]
+		}
+	}
+	return make([]byte, size)
+}
+
 func (c *comm) Isend(m mpi.Op) mpi.Request {
 	if err := m.Canon(c.w.n); err != nil {
 		return mpi.Completed(err)
@@ -304,7 +323,7 @@ func (c *comm) Isend(m mpi.Op) mpi.Request {
 	}
 	// Still no room, or the record is larger than the segment: fall back to
 	// a heap stage so progress never depends on ring size.
-	staged := make([]byte, me.Size())
+	staged := p.stagingBuf(me.Size())
 	me.Layout().Pack(staged, me.Buf)
 	p.stage(m.Tag, stagedFrame{buf: staged, send: me})
 	w.overflowStages.Add(1)
@@ -315,7 +334,7 @@ func (c *comm) Isend(m mpi.Op) mpi.Request {
 // popRecordLocked moves the ring's next record to the arrived queues,
 // preserving order. Caller holds p.mu and has seen the record via PeekRecord.
 func (p *pair) popRecordLocked(tag int64, size int) {
-	buf := make([]byte, size)
+	buf := p.stagingBuf(size)
 	p.ring.ReadRecord(buf)
 	var send *op
 	send, p.ringOps = mpi.PopFront(p.ringOps)
@@ -343,11 +362,17 @@ func (c *comm) Irecv(m mpi.Op) mpi.Request {
 	p := w.pair(m.Peer, c.rank)
 	p.mu.Lock()
 	// Heap-staged frames first: they precede anything still in the ring.
+	// The frame scatters under p.mu, as a ring hit does, so its buffer can
+	// go back to the spares.
 	if af := p.arrived[m.Tag]; len(af) > 0 {
 		var fr stagedFrame
 		fr, p.arrived[m.Tag] = mpi.PopFront(af)
+		placed := me.Layout().Unpack(me.Buf, fr.buf)
+		if p.spareBytes+cap(fr.buf) <= w.cfg.RingBytes {
+			p.spare, p.spareBytes = append(p.spare, fr.buf), p.spareBytes+cap(fr.buf)
+		}
 		p.mu.Unlock()
-		w.complete(me, fr.send, me.Layout().Unpack(me.Buf, fr.buf))
+		w.complete(me, fr.send, placed)
 		return me
 	}
 	// Drain the ring looking for this tag; records for other tags move to

@@ -170,6 +170,36 @@ func TestWorldTruncation(t *testing.T) {
 	}
 }
 
+// TestWorldStagedBuffersReused receives a pair's ring records out of order,
+// so every round moves a 1 KiB record and a 1-byte record to the heap ahead
+// of their receives. Those staging buffers come back as spares: in steady
+// state a round allocates nothing, and the reused bytes are the new ones.
+func TestWorldStagedBuffersReused(t *testing.T) {
+	comms, _ := NewWorldComms(2)
+	snd, rcv := comms[0], comms[1]
+	data, sync1 := make([]byte, 1024), make([]byte, 1)
+	gotData, gotSync := make([]byte, 1024), make([]byte, 1)
+	k := 0
+	round := func() {
+		k++
+		fill(data, k, 0)
+		sync1[0] = byte(k)
+		s1, s2, s3 := mpi.Isend(snd, data, 1, 1), mpi.Isend(snd, sync1, 1, 2), mpi.Isend(snd, sync1, 1, 3)
+		r3 := mpi.Irecv(rcv, gotSync, 0, 3) // stages the tag-1 and tag-2 records
+		r2, r1 := mpi.Irecv(rcv, gotSync, 0, 2), mpi.Irecv(rcv, gotData, 0, 1)
+		if err := mpi.WaitAll([]mpi.Request{s1, s2, s3, r1, r2, r3}); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotData, data) || gotSync[0] != byte(k) {
+			t.Fatalf("round %d: staged payload corrupted", k)
+		}
+	}
+	round()
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("out-of-order receives allocate %.1f objects per round in steady state, want 0", allocs)
+	}
+}
+
 // TestWorldRecorderCounters checks Close mirrors the data-path counters.
 func TestWorldRecorderCounters(t *testing.T) {
 	rec := obsv.NewRecorder(0)

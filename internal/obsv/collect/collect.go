@@ -1,14 +1,17 @@
-// Package collect is the cluster-wide trace collector: it merges per-rank
-// span logs (obsv JSONL) into one causally-linked DAG on a common timebase
-// and answers the questions the paper's schedules pose — which chain of
-// sends and waits bounds the makespan (critical path), which rank or link
-// drags each phase (straggler attribution), and where a measured run
-// diverges from the simulator's contention-free prediction.
+// Package collect is the one analysis of a recorded run: it merges per-rank
+// span logs (obsv events, in memory or as JSONL) into one causally-linked
+// DAG on a common timebase and answers the questions the paper's schedules
+// pose — which chain of sends and waits bounds the makespan (critical
+// path), which rank or link drags each phase (phase attribution), where a
+// measured run diverges from the simulator's contention-free prediction —
+// and draws the run as Gantt rows and flow statistics.
 //
-// The collector is transport-agnostic: it consumes the Seq/LinkSeq/Deliver
-// causal fields the obsv layer records on any traced transport (mem, tcp,
-// distributed tcp, simnet). It can run embedded (harness, tests), behind
-// the schedule daemon's HTTP mux (POST /v1/trace/ingest), or standalone in
+// A simulated run is recorded like a real one (obsv.Instrument over a
+// simnet communicator), so every function here reads one record whatever
+// produced it, and the divergence report compares a measured trace with a
+// predicted one event for event; the package does not import the
+// simulator. It runs embedded (harness, tests, aapcbench), behind the
+// schedule daemon's HTTP mux (POST /v1/trace/ingest), or standalone in
 // cmd/aapctrace.
 package collect
 
@@ -22,9 +25,15 @@ import (
 	"sync"
 
 	"github.com/aapc-sched/aapcsched/internal/obsv"
-	"github.com/aapc-sched/aapcsched/internal/simnet"
 	"github.com/aapc-sched/aapcsched/internal/topology"
 )
+
+// MaxRanks is the largest world a trace may describe. Ingest rejects a
+// trace that claims more ranks, or names a rank or peer outside its world:
+// the analysis sizes per-rank tables (and the clock-offset estimator a
+// rank-by-rank one) by the highest rank it holds, so one forged rank number
+// must never reach them. The repository's largest runs use 512 ranks.
+const MaxRanks = 1024
 
 // Store accumulates per-rank event logs until a report is asked for. It is
 // safe for concurrent ingestion.
@@ -75,10 +84,14 @@ func (s *Store) AddEvents(evs []obsv.Event) {
 
 // AddJSONL ingests one obsv JSONL trace (rank logs may be streamed in any
 // interleaving; events carry their rank). The first meta header seen with a
-// nonzero rank count wins.
+// nonzero rank count wins. A trace whose ranks fall outside its world (the
+// header's rank count, else MaxRanks) is rejected whole.
 func (s *Store) AddJSONL(r io.Reader) error {
 	meta, evs, err := obsv.ReadJSONL(r)
 	if err != nil {
+		return err
+	}
+	if err := checkRanks(meta, evs); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -87,6 +100,26 @@ func (s *Store) AddJSONL(r io.Reader) error {
 	}
 	s.mu.Unlock()
 	s.AddEvents(evs)
+	return nil
+}
+
+// checkRanks validates a trace's world: a header rank count of at most
+// MaxRanks, and every event's rank in [0, R) and peer in [-1, R), where R
+// is the header's count or, without one, MaxRanks.
+func checkRanks(meta obsv.Meta, evs []obsv.Event) error {
+	if meta.Ranks > MaxRanks {
+		return fmt.Errorf("collect: trace header claims %d ranks (limit %d)", meta.Ranks, MaxRanks)
+	}
+	n := meta.Ranks
+	if n <= 0 {
+		n = MaxRanks
+	}
+	for i := range evs {
+		if ev := &evs[i]; ev.Rank < 0 || ev.Rank >= n || ev.Peer < -1 || ev.Peer >= n {
+			return fmt.Errorf("collect: event %d (%s rank %d peer %d) outside a %d-rank world",
+				i+1, ev.Kind, ev.Rank, ev.Peer, n)
+		}
+	}
 	return nil
 }
 
@@ -138,6 +171,16 @@ func (s *Store) ByRank() [][]obsv.Event {
 		out[r] = cp
 	}
 	return out
+}
+
+// Events returns every ingested event, rank-major and in program order
+// within a rank (the order of ByRank).
+func (s *Store) Events() []obsv.Event {
+	var evs []obsv.Event
+	for _, r := range s.ByRank() {
+		evs = append(evs, r...)
+	}
+	return evs
 }
 
 // Span is one event mapped onto the common (rank-0) timebase.
@@ -197,7 +240,7 @@ type Report struct {
 	Phases []PhaseStat `json:"phases"`
 	// SlowestRank lost the most time across phases (-1 when unknowable).
 	SlowestRank int `json:"slowest_rank"`
-	// Divergence compares the run against a simnet pricing of the same
+	// Divergence compares the run against a predicted run of the same
 	// schedule; nil when no prediction was supplied.
 	Divergence *DivergenceReport `json:"divergence,omitempty"`
 }
@@ -210,10 +253,11 @@ func (s *Store) Analyze(g *topology.Graph) *Report {
 }
 
 // AnalyzeWithPrediction is Analyze plus a sim-vs-real divergence section:
-// flows is a simnet pricing of the same schedule (harness.MeasureTraced).
-func (s *Store) AnalyzeWithPrediction(g *topology.Graph, flows []simnet.FlowRecord, opt DivergenceOptions) *Report {
+// predicted is the recorded event stream of the same schedule priced in
+// the simulator (harness.MeasureObserved).
+func (s *Store) AnalyzeWithPrediction(g *topology.Graph, predicted []obsv.Event, opt DivergenceOptions) *Report {
 	rep, spans := s.analyze(g)
-	rep.Divergence = Divergence(spans, flows, g, opt)
+	rep.Divergence = Divergence(spans, predicted, g, opt)
 	return rep
 }
 
@@ -239,22 +283,25 @@ func (s *Store) analyze(g *topology.Graph) (*Report, []Span) {
 			rep.Linked++
 		}
 	}
-	var first, last float64
-	for i := range spans {
-		if i == 0 || spans[i].GStart < first {
-			first = spans[i].GStart
-		}
-		if spans[i].GEnd > last {
-			last = spans[i].GEnd
-		}
-	}
-	if len(spans) > 0 {
-		rep.Makespan = last - first
-	}
+	rep.Makespan = makespan(spans)
 	rep.Critical = CriticalPath(spans)
 	rep.Phases = PhaseStats(spans, g)
 	rep.SlowestRank = slowestRank(rep.Critical)
 	return rep, spans
+}
+
+// makespan is the extent of the spans on the common timebase: earliest
+// start to latest end (0 for no spans).
+func makespan(spans []Span) float64 {
+	if len(spans) == 0 {
+		return 0
+	}
+	first, last := spans[0].GStart, 0.0
+	for i := range spans {
+		first = min(first, spans[i].GStart)
+		last = max(last, spans[i].GEnd)
+	}
+	return last - first
 }
 
 // slowestRank attributes the run's straggler from the critical path: each

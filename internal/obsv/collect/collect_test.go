@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"github.com/aapc-sched/aapcsched/internal/obsv"
-	"github.com/aapc-sched/aapcsched/internal/simnet"
 	"github.com/aapc-sched/aapcsched/internal/topology"
 )
 
@@ -97,7 +96,7 @@ func TestCriticalPathTerminatesOnDegenerateInput(t *testing.T) {
 }
 
 // starGraph is n machines n0..n<k-1> on one switch s0.
-func starGraph(t *testing.T, ranks int) *topology.Graph {
+func starGraph(t testing.TB, ranks int) *topology.Graph {
 	t.Helper()
 	g := topology.New()
 	s := g.MustAddSwitch("s0")
@@ -153,6 +152,38 @@ func TestPhaseStatsAttribution(t *testing.T) {
 	}
 }
 
+// TestPhaseStatsCountsDataSends is the data-movement half of the phase
+// table: per phase, the ranks that entered it and the data sends attributed
+// to it, sync-sized sends and unattributed events excluded.
+func TestPhaseStatsCountsDataSends(t *testing.T) {
+	s := NewStore()
+	s.SetCommonClock(true)
+	s.AddEvents([]obsv.Event{
+		{Kind: obsv.KindPhase, Rank: 0, Peer: -1, Seq: 1, Phase: 0, Start: 1.0, End: 1.0},
+		{Kind: obsv.KindPhase, Rank: 1, Peer: -1, Seq: 1, Phase: 0, Start: 1.5, End: 1.5},
+		{Kind: obsv.KindSend, Rank: 0, Peer: 1, Seq: 2, Phase: 0, Bytes: 100, Start: 1.0, End: 2.0},
+		{Kind: obsv.KindSyncWait, Rank: 1, Peer: 0, Seq: 2, Phase: 0, Start: 1.5, End: 1.75},
+		{Kind: obsv.KindPhase, Rank: 0, Peer: -1, Seq: 3, Phase: 1, Start: 2.0, End: 2.0},
+		{Kind: obsv.KindSend, Rank: 0, Peer: 1, Seq: 4, Phase: 1, Bytes: 500, Start: 2.0, End: 2.5},
+		{Kind: obsv.KindSend, Rank: 0, Peer: 1, Seq: 5, Phase: 1, Bytes: 1, Start: 2.0, End: 2.1}, // sync message: excluded
+		{Kind: obsv.KindBarrier, Rank: 0, Peer: -1, Seq: 6, Phase: -1, Start: 0, End: 0.5},        // unattributed: ignored
+	})
+	stats := s.Analyze(nil).Phases
+	if len(stats) != 2 {
+		t.Fatalf("got %d phases, want 2", len(stats))
+	}
+	p0, p1 := stats[0], stats[1]
+	if p0.Phase != 0 || p0.Ranks != 2 || p0.Sends != 1 || p0.Bytes != 100 {
+		t.Errorf("phase 0: %+v", p0)
+	}
+	if !near(p0.EnterSkew, 0.5) || !near(p0.SyncWait, 0.25) {
+		t.Errorf("phase 0 enter skew %g sync wait %g, want 0.5/0.25", p0.EnterSkew, p0.SyncWait)
+	}
+	if p1.Phase != 1 || p1.Ranks != 1 || p1.Sends != 1 || p1.Bytes != 500 {
+		t.Errorf("phase 1: %+v", p1)
+	}
+}
+
 func near(a, b float64) bool { d := a - b; return d < 1e-9 && d > -1e-9 }
 
 func TestDivergenceFlagsOnlySlowLink(t *testing.T) {
@@ -160,10 +191,13 @@ func TestDivergenceFlagsOnlySlowLink(t *testing.T) {
 	// its outbound messages take 0.1s where the simulator predicts 0.01s.
 	// Every other directed pair is healthy. Only n0>s0 is crossed exclusively
 	// by slow traffic — s0>n1 and s0>n2 each also carry a healthy message, so
-	// they fall below the 75% link fraction and must stay unflagged.
+	// they fall below the 75% link fraction and must stay unflagged. The
+	// prediction is the same exchange recorded by the simulator: every
+	// message matched at 0.001 (the receive posted late) and delivered at
+	// 0.011.
 	g := starGraph(t, 3)
 	var spans []Span
-	var flows []simnet.FlowRecord
+	var predicted []obsv.Event
 	seq := map[int]uint64{}
 	msg := func(src, dst int, dur float64) {
 		seq[src]++
@@ -174,7 +208,12 @@ func TestDivergenceFlagsOnlySlowLink(t *testing.T) {
 			Span{Event: obsv.Event{Kind: obsv.KindRecv, Rank: dst, Peer: src, Seq: 100 + s, LinkSeq: s, Bytes: 4096},
 				GStart: 0, GEnd: dur, GDeliver: dur},
 		)
-		flows = append(flows, simnet.FlowRecord{Src: src, Dst: dst, Size: 4096, MatchedAt: 0, FinishedAt: 0.01})
+		predicted = append(predicted,
+			obsv.Event{Kind: obsv.KindSend, Rank: src, Peer: dst, Seq: s, Bytes: 4096,
+				Start: 0, End: 0.011, Deliver: 0.011},
+			obsv.Event{Kind: obsv.KindRecv, Rank: dst, Peer: src, Seq: 100 + s, LinkSeq: s, Bytes: 4096,
+				Start: 0.001, End: 0.011, Deliver: 0.011},
+		)
 	}
 	for src := 0; src < 3; src++ {
 		for dst := 0; dst < 3; dst++ {
@@ -188,9 +227,14 @@ func TestDivergenceFlagsOnlySlowLink(t *testing.T) {
 			msg(src, dst, dur)
 		}
 	}
-	rep := Divergence(spans, flows, g, DivergenceOptions{Factor: 3})
+	rep := Divergence(spans, predicted, g, DivergenceOptions{Factor: 3})
 	if rep.Matched != 6 {
 		t.Fatalf("matched %d, want 6", rep.Matched)
+	}
+	for _, m := range rep.Messages {
+		if !near(m.Predicted, 0.01) {
+			t.Errorf("message %d->%d predicted %v, want rendezvous-to-delivery 0.01", m.Src, m.Dst, m.Predicted)
+		}
 	}
 	flagged := rep.FlaggedLinks()
 	if len(flagged) != 1 || flagged[0] != "n0>s0" {
@@ -211,8 +255,11 @@ func TestDivergenceIgnoresControlTraffic(t *testing.T) {
 		{Event: obsv.Event{Kind: obsv.KindSend, Rank: 0, Peer: 1, Seq: 1, Bytes: 8}, GStart: 0, GEnd: 0.5, GDeliver: 0.5},
 		{Event: obsv.Event{Kind: obsv.KindRecv, Rank: 1, Peer: 0, Seq: 1, LinkSeq: 1, Bytes: 8}, GStart: 0, GEnd: 0.5, GDeliver: 0.5},
 	}
-	flows := []simnet.FlowRecord{{Src: 0, Dst: 1, Size: 8, MatchedAt: 0, FinishedAt: 0.001}}
-	rep := Divergence(spans, flows, nil, DivergenceOptions{})
+	predicted := []obsv.Event{
+		{Kind: obsv.KindSend, Rank: 0, Peer: 1, Seq: 1, Bytes: 8, End: 0.001, Deliver: 0.001},
+		{Kind: obsv.KindRecv, Rank: 1, Peer: 0, Seq: 1, LinkSeq: 1, Bytes: 8, End: 0.001, Deliver: 0.001},
+	}
+	rep := Divergence(spans, predicted, nil, DivergenceOptions{})
 	if rep.Matched != 0 || len(rep.Messages) != 0 {
 		t.Errorf("control-size traffic entered divergence: %+v", rep)
 	}

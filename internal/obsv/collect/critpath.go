@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"github.com/aapc-sched/aapcsched/internal/mpi"
 	"github.com/aapc-sched/aapcsched/internal/obsv"
 	"github.com/aapc-sched/aapcsched/internal/topology"
 )
@@ -140,9 +141,17 @@ func CriticalPath(spans []Span) []CritStep {
 
 // PhaseStat attributes one schedule phase's time: who entered late, who
 // stayed longest, how much of the stall was synchronization versus
-// transmission, and (with a topology) which link ran slowest.
+// transmission, and (with a topology) which link ran slowest. It is the
+// repository's one phase analysis, for simulated and real runs alike.
 type PhaseStat struct {
 	Phase int `json:"phase"`
+	// Ranks is how many ranks entered the phase (a rank with no sends in a
+	// phase never enters it). Sends and Bytes count the phase's data sends
+	// (control-sized sync messages excluded). The three are Go-side tallies
+	// and stay out of the JSON report.
+	Ranks int `json:"-"`
+	Sends int `json:"-"`
+	Bytes int `json:"-"`
 	// EnterSkew is the spread between the first and last rank entering the
 	// phase (MarkPhase spans).
 	EnterSkew float64 `json:"enter_skew"`
@@ -206,14 +215,21 @@ func PhaseStats(spans []Span, g *topology.Graph) []PhaseStat {
 	}
 	syncWait := make(map[int]float64)
 	transmit := make(map[int]float64)
+	sends := make(map[int]int)
+	sendBytes := make(map[int]int)
 	linkLat := make(map[int]map[topology.Edge]*acc)
 	for i := range spans {
 		sp := &spans[i]
 		switch sp.Kind {
 		case obsv.KindSyncWait:
 			syncWait[sp.Phase] += sp.GEnd - sp.GStart
+		case obsv.KindSend:
+			if sp.Bytes > mpi.ControlSizeMax {
+				sends[sp.Phase]++
+				sendBytes[sp.Phase] += sp.Bytes
+			}
 		case obsv.KindRecv:
-			if sp.LinkSeq == 0 || sp.Bytes <= ControlSizeMax {
+			if sp.LinkSeq == 0 || sp.Bytes <= mpi.ControlSizeMax {
 				continue
 			}
 			send := index[spanKey{sp.Peer, sp.LinkSeq}]
@@ -228,7 +244,7 @@ func PhaseStats(spans []Span, g *topology.Graph) []PhaseStat {
 			if linkLat[send.Phase] == nil {
 				linkLat[send.Phase] = make(map[topology.Edge]*acc)
 			}
-			for _, e := range g.PathBetweenRanks(send.Rank, sp.Rank) {
+			for _, e := range rankPath(g, send.Rank, sp.Rank) {
 				// Canonicalize direction so both directions of a physical
 				// link accumulate together.
 				if e.U > e.V {
@@ -253,7 +269,8 @@ func PhaseStats(spans []Span, g *topology.Graph) []PhaseStat {
 
 	out := make([]PhaseStat, 0, len(phases))
 	for _, p := range phases {
-		st := PhaseStat{Phase: p, FirstRank: -1, LastRank: -1, SlowestRank: -1,
+		st := PhaseStat{Phase: p, Ranks: len(entry[p]), Sends: sends[p], Bytes: sendBytes[p],
+			FirstRank: -1, LastRank: -1, SlowestRank: -1,
 			SyncWait: syncWait[p], Transmit: transmit[p]}
 		var minT, maxT float64
 		for r, t := range entry[p] {

@@ -2,10 +2,11 @@ package collect
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
+	"github.com/aapc-sched/aapcsched/internal/mpi"
 	"github.com/aapc-sched/aapcsched/internal/obsv"
-	"github.com/aapc-sched/aapcsched/internal/simnet"
 	"github.com/aapc-sched/aapcsched/internal/topology"
 )
 
@@ -22,12 +23,11 @@ import (
 // clock. A link is named only when most of the data messages crossing it
 // diverge (LinkFraction): a message through a healthy link behind one slow
 // sender diverges too, but on the healthy link it is the minority.
-
-// ControlSizeMax is the payload size at or below which a message is
-// treated as control traffic (sync bytes, barrier tokens) and excluded
-// from divergence analysis: its duration is dominated by per-message
-// overheads the fluid model does not price.
-const ControlSizeMax = 64
+//
+// Both sides are recorded runs: the prediction is the simulator's run of
+// the same schedule, instrumented like any transport. Control-sized
+// messages (mpi.ControlSizeMax) are left out: their duration is dominated
+// by per-message overheads the fluid model does not price.
 
 // DivergenceOptions tunes the flagging thresholds.
 type DivergenceOptions struct {
@@ -72,7 +72,7 @@ type LinkDivergence struct {
 	Flagged   bool   `json:"flagged,omitempty"`
 }
 
-// DivergenceReport compares one measured trace against a simnet pricing.
+// DivergenceReport compares one measured trace against a predicted one.
 type DivergenceReport struct {
 	// Scale is the median measured/predicted ratio — the factor relating
 	// the two time bases for this run.
@@ -96,14 +96,15 @@ func (d *DivergenceReport) FlaggedLinks() []string {
 	return out
 }
 
-// Divergence matches the trace's data messages against the simulator's
-// flow records for the same schedule and flags diverging links. The k-th
-// data message of each (src, dst) pair in the trace (sender program order)
-// is matched with the pair's k-th simulated flow (match order): both sides
-// order one pair's messages identically because MPI sends between a pair
-// are non-overtaking. g may be nil (messages are still compared; no link
-// attribution).
-func Divergence(spans []Span, flows []simnet.FlowRecord, g *topology.Graph, opt DivergenceOptions) *DivergenceReport {
+// Divergence matches the trace's data messages against the predicted
+// run's (the same schedule recorded in the simulator) and flags diverging
+// links. The k-th data message of each (src, dst) pair in the trace is
+// matched with the pair's k-th predicted message, both in sender program
+// order: MPI sends between a pair are non-overtaking. A measured message
+// lasts from its send's start to its delivery; a predicted one from the
+// rendezvous (the later of the send and receive posts) to its delivery. g
+// may be nil (messages are still compared; no link attribution).
+func Divergence(spans []Span, predicted []obsv.Event, g *topology.Graph, opt DivergenceOptions) *DivergenceReport {
 	if opt.Factor <= 0 {
 		opt.Factor = 3
 	}
@@ -115,63 +116,8 @@ func Divergence(spans []Span, flows []simnet.FlowRecord, g *topology.Graph, opt 
 	}
 	rep := &DivergenceReport{Factor: opt.Factor, LinkFraction: opt.LinkFraction}
 
-	// Makespan on the common timebase, for the absolute-excess gate.
-	var makespan float64
-	if len(spans) > 0 {
-		first, last := spans[0].GStart, spans[0].GEnd
-		for i := range spans {
-			if spans[i].GStart < first {
-				first = spans[i].GStart
-			}
-			if spans[i].GEnd > last {
-				last = spans[i].GEnd
-			}
-		}
-		makespan = last - first
-	}
-
-	index := make(map[spanKey]*Span, len(spans))
-	for i := range spans {
-		sp := &spans[i]
-		index[spanKey{sp.Rank, sp.Seq}] = sp
-	}
-
-	type pair struct{ src, dst int }
-	// Measured data messages per pair, ordered by the sender's program
-	// order (LinkSeq is the sender's span sequence).
-	type measured struct {
-		sendSeq  uint64
-		phase    int
-		duration float64
-	}
-	meas := make(map[pair][]measured)
-	for i := range spans {
-		sp := &spans[i]
-		if sp.Kind != obsv.KindRecv || sp.LinkSeq == 0 || sp.Bytes <= ControlSizeMax {
-			continue
-		}
-		send := index[spanKey{sp.Peer, sp.LinkSeq}]
-		if send == nil || send.Rank == sp.Rank {
-			continue
-		}
-		meas[pair{send.Rank, sp.Rank}] = append(meas[pair{send.Rank, sp.Rank}],
-			measured{sendSeq: sp.LinkSeq, phase: send.Phase, duration: sp.effEnd() - send.GStart})
-	}
-	for _, list := range meas {
-		sort.Slice(list, func(i, j int) bool { return list[i].sendSeq < list[j].sendSeq })
-	}
-
-	// Predicted flows per pair, in rendezvous-match order.
-	pred := make(map[pair][]simnet.FlowRecord)
-	for _, f := range flows {
-		if f.Size <= ControlSizeMax || f.Src == f.Dst {
-			continue
-		}
-		pred[pair{f.Src, f.Dst}] = append(pred[pair{f.Src, f.Dst}], f)
-	}
-	for _, list := range pred {
-		sort.SliceStable(list, func(i, j int) bool { return list[i].MatchedAt < list[j].MatchedAt })
-	}
+	meas := dataMessages(spans)
+	pred := dataMessages(Merge([][]obsv.Event{predicted}, nil))
 
 	// Match k-th with k-th, deterministically over pairs.
 	pairs := make([]pair, 0, len(meas))
@@ -186,25 +132,23 @@ func Divergence(spans []Span, flows []simnet.FlowRecord, g *topology.Graph, opt 
 	})
 	var ratios []float64
 	for _, p := range pairs {
-		ms, fs := meas[p], pred[p]
-		n := len(ms)
-		if len(fs) < n {
-			n = len(fs)
-		}
+		ms, ps := meas[p], pred[p]
+		n := min(len(ms), len(ps))
 		rep.Unmatched += len(ms) - n
 		for k := 0; k < n; k++ {
-			predicted := fs[k].FinishedAt - fs[k].MatchedAt
-			if predicted <= 0 || ms[k].duration <= 0 {
+			measured := ms[k].recv.effEnd() - ms[k].send.GStart
+			predicted := ps[k].recv.GDeliver - math.Max(ps[k].send.GStart, ps[k].recv.GStart)
+			if predicted <= 0 || measured <= 0 {
 				rep.Unmatched++
 				continue
 			}
 			rep.Matched++
 			rep.Messages = append(rep.Messages, MsgDivergence{
-				Src: p.src, Dst: p.dst, Phase: ms[k].phase,
-				Measured: ms[k].duration, Predicted: predicted,
-				Ratio: ms[k].duration / predicted,
+				Src: p.src, Dst: p.dst, Phase: ms[k].send.Phase,
+				Measured: measured, Predicted: predicted,
+				Ratio: measured / predicted,
 			})
-			ratios = append(ratios, ms[k].duration/predicted)
+			ratios = append(ratios, measured/predicted)
 		}
 	}
 	if len(ratios) == 0 {
@@ -218,11 +162,12 @@ func Divergence(spans []Span, flows []simnet.FlowRecord, g *topology.Graph, opt 
 	if len(sorted)%2 == 0 {
 		rep.Scale = (sorted[len(sorted)/2-1] + sorted[len(sorted)/2]) / 2
 	}
+	span := makespan(spans) // for the absolute-excess gate
 	for i := range rep.Messages {
 		m := &rep.Messages[i]
 		m.Ratio /= rep.Scale
 		m.Excess = m.Measured - rep.Scale*m.Predicted
-		m.Flagged = m.Ratio > opt.Factor && m.Excess >= opt.MinExcess*makespan
+		m.Flagged = m.Ratio > opt.Factor && m.Excess >= opt.MinExcess*span
 	}
 
 	if g == nil {
@@ -239,7 +184,7 @@ func Divergence(spans []Span, flows []simnet.FlowRecord, g *topology.Graph, opt 
 	accs := make(map[topology.Edge]*linkAcc)
 	for i := range rep.Messages {
 		m := &rep.Messages[i]
-		for _, e := range g.PathBetweenRanks(m.Src, m.Dst) {
+		for _, e := range rankPath(g, m.Src, m.Dst) {
 			a := accs[e]
 			if a == nil {
 				a = &linkAcc{}
@@ -271,4 +216,51 @@ func Divergence(spans []Span, flows []simnet.FlowRecord, g *topology.Graph, opt 
 		rep.Links = append(rep.Links, ld)
 	}
 	return rep
+}
+
+// pair is a directed (sender, receiver) rank pair.
+type pair struct{ src, dst int }
+
+// message is one linked data message: the sender's span and the
+// receiver's.
+type message struct {
+	send, recv *Span
+}
+
+// dataMessages links every data-sized receive to its send and groups the
+// messages by rank pair, each pair in sender program order. Control-sized
+// messages, self-messages and unlinked receives are left out.
+func dataMessages(spans []Span) map[pair][]message {
+	index := make(map[spanKey]*Span, len(spans))
+	for i := range spans {
+		sp := &spans[i]
+		index[spanKey{sp.Rank, sp.Seq}] = sp
+	}
+	out := make(map[pair][]message)
+	for i := range spans {
+		sp := &spans[i]
+		if sp.Kind != obsv.KindRecv || sp.LinkSeq == 0 || sp.Bytes <= mpi.ControlSizeMax {
+			continue
+		}
+		send := index[spanKey{sp.Peer, sp.LinkSeq}]
+		if send == nil || send.Rank == sp.Rank {
+			continue
+		}
+		p := pair{send.Rank, sp.Rank}
+		out[p] = append(out[p], message{send: send, recv: sp})
+	}
+	for _, list := range out {
+		sort.Slice(list, func(i, j int) bool { return list[i].send.Seq < list[j].send.Seq })
+	}
+	return out
+}
+
+// rankPath is the topology path between two ranks; nil when either is not
+// a machine of g (a trace recorded on a larger cluster than the graph the
+// collector holds).
+func rankPath(g *topology.Graph, src, dst int) []topology.Edge {
+	if n := g.NumMachines(); src < 0 || dst < 0 || src >= n || dst >= n {
+		return nil
+	}
+	return g.PathBetweenRanks(src, dst)
 }

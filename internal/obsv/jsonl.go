@@ -13,7 +13,7 @@ const jsonlVersion = 1
 
 // Meta is the header line of a JSONL event trace: enough context to
 // reconstruct the world without inferring it from the events (an idle rank
-// produces no events but still exists — see trace.NewWithRanks).
+// produces no events but still exists and keeps its Gantt row).
 type Meta struct {
 	// Version is the trace format version (currently 1).
 	Version int `json:"version"`

@@ -5,22 +5,24 @@
 //
 // The paper's whole argument is about where time goes: contention-free
 // phases versus oversubscribed edges, synchronization cost versus drift.
-// Until now only the simulator could show that (internal/simnet records flow
-// traces that internal/trace renders). This package closes the gap for the
-// real transports:
+// This package records that on every substrate alike:
 //
 //   - Instrument wraps a Comm so that every Isend/Irecv/Wait/Barrier becomes
 //     an Event (src, dst, tag, bytes, start/finish via Comm.Now()) in a
 //     per-rank Recorder. One rank, one Recorder, one uncontended mutex: the
-//     hot path is an append and two Now() calls.
+//     hot path is an append and two Now() calls. The simulator has no trace
+//     of its own; a traced simulation is an instrumented one, with virtual
+//     times in the events.
 //   - alltoall.Scheduled marks phase boundaries and synchronization waits
 //     through the Marker interface, making phase drift and stall time
 //     first-class measurements on every transport.
 //   - The tcp transport and the fault injector feed named Counters
 //     (reconnects, retransmits, duplicate discards, injected faults).
 //   - Two sinks: a Prometheus-text /metrics HTTP endpoint (metrics.go) and a
-//     JSONL event trace (jsonl.go) that internal/trace loads back into the
-//     same Gantt/stat rendering used for simulator runs.
+//     JSONL event trace (jsonl.go). Every analysis of a recorded run —
+//     Gantt charts, flow statistics, phase attribution, critical paths,
+//     sim-vs-real divergence — lives in the collect subpackage and reads
+//     these events, whichever transport produced them.
 //
 // Building with -tags obsv_off turns the whole layer into no-ops: Instrument
 // returns the communicator unchanged and recording methods return

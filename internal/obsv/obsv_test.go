@@ -243,33 +243,6 @@ func TestReadJSONLBadKind(t *testing.T) {
 	}
 }
 
-func TestPhaseStats(t *testing.T) {
-	events := []Event{
-		{Kind: KindPhase, Rank: 0, Phase: 0, Start: 1.0, End: 1.0},
-		{Kind: KindPhase, Rank: 1, Phase: 0, Start: 1.5, End: 1.5},
-		{Kind: KindSend, Rank: 0, Peer: 1, Phase: 0, Bytes: 100, Start: 1.0, End: 2.0},
-		{Kind: KindSyncWait, Rank: 1, Peer: 0, Phase: 0, Start: 1.5, End: 1.75},
-		{Kind: KindPhase, Rank: 0, Phase: 1, Start: 2.0, End: 2.0},
-		{Kind: KindSend, Rank: 0, Peer: 1, Phase: 1, Bytes: 500, Start: 2.0, End: 2.5},
-		{Kind: KindSend, Rank: 0, Peer: 1, Phase: 1, Bytes: 1, Start: 2.0, End: 2.1}, // sync message: excluded
-		{Kind: KindBarrier, Rank: 0, Phase: -1, Start: 0, End: 0.5},                  // unattributed: ignored
-	}
-	stats := PhaseStats(events)
-	if len(stats) != 2 {
-		t.Fatalf("got %d phases, want 2", len(stats))
-	}
-	p0 := stats[0]
-	if p0.Phase != 0 || p0.Ranks != 2 || p0.Sends != 1 || p0.Bytes != 100 {
-		t.Errorf("phase 0: %+v", p0)
-	}
-	if math.Abs(p0.Drift-0.5) > 1e-12 || math.Abs(p0.SyncWaitSeconds-0.25) > 1e-12 {
-		t.Errorf("phase 0 drift %g syncwait %g", p0.Drift, p0.SyncWaitSeconds)
-	}
-	if s := FormatPhaseStats(stats); !strings.Contains(s, "phase") {
-		t.Errorf("FormatPhaseStats output %q", s)
-	}
-}
-
 func TestRegistryMetricsEndpoint(t *testing.T) {
 	rec := NewRecorder(0)
 	rec.Counters().Add("aapc_tcp_reconnects_total", 3)

@@ -6,19 +6,23 @@ import (
 
 	"github.com/aapc-sched/aapcsched/internal/alltoall"
 	"github.com/aapc-sched/aapcsched/internal/mpi"
+	"github.com/aapc-sched/aapcsched/internal/obsv"
 	"github.com/aapc-sched/aapcsched/internal/schedule"
 	"github.com/aapc-sched/aapcsched/internal/simnet"
 	"github.com/aapc-sched/aapcsched/internal/topology"
 )
 
-// TestRescheduleContentionFreeOnDenseOracle validates an incrementally
-// patched schedule against the dense progressive-filling simulator, the
-// repo's reference oracle: with MinEfficiency 1 and barrier-separated
-// phases, every payload flow of a truly contention-free schedule runs at
-// full link bandwidth, so its transfer time is exactly msize/bandwidth. Any
-// intra-phase link sharing the analytical Verify might conceivably miss
-// would show up here as a stretched flow.
-func TestRescheduleContentionFreeOnDenseOracle(t *testing.T) {
+// TestRescheduleContentionFreeInSimulator validates an incrementally
+// patched schedule in the simulator: with MinEfficiency 1 and
+// barrier-separated phases, every payload message of a truly
+// contention-free schedule runs at full link bandwidth, so from rendezvous
+// to delivery it takes exactly the startup latency plus msize/bandwidth.
+// Any intra-phase link sharing the analytical Verify might conceivably miss
+// would show up here as a stretched message.
+func TestRescheduleContentionFreeInSimulator(t *testing.T) {
+	if !obsv.Enabled {
+		t.Skip("instrumentation compiled out (obsv_off)")
+	}
 	g := topology.New()
 	s0 := g.MustAddSwitch("s0")
 	s1 := g.MustAddSwitch("s1")
@@ -60,33 +64,51 @@ func TestRescheduleContentionFreeOnDenseOracle(t *testing.T) {
 		LinkBandwidth:  bw,
 		StartupLatency: alpha,
 		MinEfficiency:  1,
-		RateEngine:     simnet.RateEngineReference,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	n := newG.NumMachines()
+	recs := make([]*obsv.Recorder, n)
+	for i := range recs {
+		recs[i] = obsv.NewRecorder(i)
+	}
 	if err := w.Run(func(c mpi.Comm) error {
-		return sc.Fn()(c, alltoall.NewShared(msize), msize)
+		return sc.Fn()(obsv.Instrument(c, recs[c.Rank()]), alltoall.NewShared(msize), msize)
 	}); err != nil {
 		t.Fatal(err)
 	}
 
-	payload := 0
-	for _, r := range w.FlowTrace() {
-		if r.Size != msize {
-			continue // barrier traffic
-		}
-		payload++
-		got := r.FinishedAt - r.StartedAt
-		want := float64(msize) / bw
-		if math.Abs(got-want) > want*1e-9 {
-			t.Errorf("flow %d->%d stretched: transfer %.9g s, contention-free is %.9g s",
-				r.Src, r.Dst, got, want)
+	type key struct {
+		rank int
+		seq  uint64
+	}
+	sendStart := make(map[key]float64)
+	events := obsv.MergedEvents(recs...)
+	for _, e := range events {
+		if e.Kind == obsv.KindSend {
+			sendStart[key{e.Rank, e.Seq}] = e.Start
 		}
 	}
-	n := newG.NumMachines()
+	payload := 0
+	for _, e := range events {
+		if e.Kind != obsv.KindRecv || e.Bytes != msize {
+			continue
+		}
+		start, ok := sendStart[key{e.Peer, e.LinkSeq}]
+		if !ok {
+			t.Fatalf("recv %d<-%d is not linked to its send", e.Rank, e.Peer)
+		}
+		payload++
+		got := e.Deliver - math.Max(start, e.Start)
+		want := alpha + float64(msize)/bw
+		if math.Abs(got-want) > want*1e-9 {
+			t.Errorf("message %d->%d stretched: rendezvous to delivery %.9g s, contention-free is %.9g s",
+				e.Peer, e.Rank, got, want)
+		}
+	}
 	if wantFlows := n * (n - 1); payload != wantFlows {
-		t.Errorf("oracle saw %d payload flows, want %d", payload, wantFlows)
+		t.Errorf("simulator delivered %d payload messages, want %d", payload, wantFlows)
 	}
 }
 

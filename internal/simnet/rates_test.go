@@ -7,14 +7,22 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/aapc-sched/aapcsched/internal/mpi"
+	"github.com/aapc-sched/aapcsched/internal/obsv"
 	"github.com/aapc-sched/aapcsched/internal/topology"
 )
 
+// solvers names the two max-min solvers for subtests.
+var solvers = []struct {
+	name  string
+	dense bool
+}{{"fast", false}, {"reference", true}}
+
 // ratesTestEngine builds a bare engine (no running ranks) for solver-only
-// tests.
-func ratesTestEngine(t testing.TB, g *topology.Graph, rateEngine string) *engine {
+// tests; dense selects the reference solver.
+func ratesTestEngine(t testing.TB, g *topology.Graph, dense bool) *engine {
 	t.Helper()
-	base := Config{Graph: g, RateEngine: rateEngine}
+	base := Config{Graph: g, dense: dense}
 	cfg, err := base.withDefaults()
 	if err != nil {
 		t.Fatal(err)
@@ -27,15 +35,12 @@ func ratesTestEngine(t testing.TB, g *topology.Graph, rateEngine string) *engine
 // event.
 func injectFlow(e *engine, src, dst int, size float64) {
 	f := &flow{
-		id:     e.flowSeq,
 		src:    src,
 		dst:    dst,
 		path:   e.pathOf[src][dst],
 		size:   size,
 		remain: size,
-		active: true,
 	}
-	e.flowSeq++
 	f.actIdx = len(e.act)
 	e.act = append(e.act, f)
 	if !e.dense {
@@ -93,8 +98,8 @@ func TestRateEnginesAgreeQuick(t *testing.T) {
 			Rand:     rng,
 		})
 		n := g.NumMachines()
-		fast := ratesTestEngine(t, g, RateEngineFast)
-		dense := ratesTestEngine(t, g, RateEngineReference)
+		fast := ratesTestEngine(t, g, false)
+		dense := ratesTestEngine(t, g, true)
 		for round := 0; round < 3; round++ {
 			for _, p := range randomFlowSet(rng, n) {
 				size := float64(1+rng.Intn(1<<20)) * (1 + rng.Float64())
@@ -137,39 +142,65 @@ func TestRateEnginesAgreeQuick(t *testing.T) {
 }
 
 // TestRateEngineEndToEndIdentical runs full jittered AAPC programs under
-// both solvers and requires byte-identical results: same Elapsed, same
-// FlowTrace (ids, times, rates). This is the regression gate that keeps the
-// fast engine a drop-in replacement rather than an approximation.
+// both solvers, every rank instrumented, and requires bit-identical results:
+// the same Elapsed and the same event stream on every rank — every Start,
+// End and Deliver. This is the regression gate that keeps the fast engine a
+// drop-in replacement rather than an approximation.
 func TestRateEngineEndToEndIdentical(t *testing.T) {
+	if !obsv.Enabled {
+		t.Skip("instrumentation compiled out (obsv_off)")
+	}
 	g := benchCluster(24)
+	n := g.NumMachines()
 	for _, jitter := range []float64{0, 0.3} {
 		t.Run(fmt.Sprintf("jitter=%v", jitter), func(t *testing.T) {
 			cfg := benchConfig(g, jitter)
-			run := func(engine string) (float64, []FlowRecord) {
+			run := func(dense bool) (float64, [][]obsv.Event) {
 				c := cfg
-				c.RateEngine = engine
+				c.dense = dense
 				w, err := NewWorld(c)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := w.Run(postAllAAPC(4 << 10)); err != nil {
+				recs := make([]*obsv.Recorder, n)
+				for i := range recs {
+					recs[i] = obsv.NewRecorder(i)
+				}
+				prog := postAllAAPC(4 << 10)
+				if err := w.Run(func(c mpi.Comm) error {
+					return prog(obsv.Instrument(c, recs[c.Rank()]))
+				}); err != nil {
 					t.Fatal(err)
 				}
-				return w.Elapsed(), w.FlowTrace()
+				evs := make([][]obsv.Event, n)
+				for i, r := range recs {
+					evs[i] = r.Events()
+				}
+				return w.Elapsed(), evs
 			}
-			fastEl, fastTr := run(RateEngineFast)
-			refEl, refTr := run(RateEngineReference)
+			fastEl, fastEv := run(false)
+			refEl, refEv := run(true)
 			if fastEl != refEl {
 				t.Errorf("Elapsed: fast %v, reference %v", fastEl, refEl)
 			}
-			if len(fastTr) != len(refTr) {
-				t.Fatalf("trace length: fast %d, reference %d", len(fastTr), len(refTr))
-			}
-			for i := range fastTr {
-				if fastTr[i] != refTr[i] {
-					t.Fatalf("flow record %d differs:\nfast:      %+v\nreference: %+v",
-						i, fastTr[i], refTr[i])
+			delivered := 0
+			for r := range fastEv {
+				if len(fastEv[r]) != len(refEv[r]) {
+					t.Fatalf("rank %d: %d events fast, %d reference", r, len(fastEv[r]), len(refEv[r]))
 				}
+				for i, fe := range fastEv[r] {
+					if fe != refEv[r][i] {
+						t.Fatalf("rank %d event %d differs:\nfast:      %+v\nreference: %+v",
+							r, i, fe, refEv[r][i])
+					}
+					if fe.Deliver > 0 {
+						delivered++
+					}
+				}
+			}
+			// Both sides of every message carry the completion stamp.
+			if want := 2 * n * (n - 1); delivered != want {
+				t.Errorf("%d events carry a delivery time, want %d", delivered, want)
 			}
 		})
 	}
@@ -181,9 +212,9 @@ func TestRateEngineEndToEndIdentical(t *testing.T) {
 // fast path) must not allocate.
 func TestAssignRatesNoSteadyStateAllocs(t *testing.T) {
 	g := benchCluster(32)
-	for _, engine := range []string{RateEngineFast, RateEngineReference} {
-		t.Run(engine, func(t *testing.T) {
-			e := ratesTestEngine(t, g, engine)
+	for _, solver := range solvers {
+		t.Run(solver.name, func(t *testing.T) {
+			e := ratesTestEngine(t, g, solver.dense)
 			rng := rand.New(rand.NewSource(7))
 			for _, p := range randomFlowSet(rng, 32) {
 				injectFlow(e, p[0], p[1], 1<<16)
@@ -194,8 +225,8 @@ func TestAssignRatesNoSteadyStateAllocs(t *testing.T) {
 			// One churn cycle with a reusable flow object: activate, solve,
 			// complete, solve. The simulator reuses nothing else per event.
 			f := &flow{
-				id: e.flowSeq, src: 3, dst: 17, path: e.pathOf[3][17],
-				size: 1 << 16, remain: 1 << 16, active: true,
+				src: 3, dst: 17, path: e.pathOf[3][17],
+				size: 1 << 16, remain: 1 << 16,
 			}
 			churn := func() {
 				f.actIdx = len(e.act)
@@ -213,7 +244,7 @@ func TestAssignRatesNoSteadyStateAllocs(t *testing.T) {
 			churn() // populate the (3,17) aggregate pool slot
 			allocs := testing.AllocsPerRun(20, churn)
 			if allocs > 0 {
-				t.Errorf("%s engine: %v allocs per steady-state churn cycle, want 0", engine, allocs)
+				t.Errorf("%s engine: %v allocs per steady-state churn cycle, want 0", solver.name, allocs)
 			}
 		})
 	}

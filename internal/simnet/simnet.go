@@ -27,10 +27,14 @@
 // when rates change, per-link byte accounting integrates aggregate link
 // rates instead of per-flow increments, and blocked ranks park on per-rank
 // wait channels so an event wakes only the ranks it completes (no broadcast
-// storms). Max-min rates come from one of two interchangeable solvers
-// selected by Config.RateEngine: the default aggregated incidence-list
-// solver (zero allocations at steady state) or the original dense solver,
-// kept as a reference oracle.
+// storms). Max-min rates come from the aggregated incidence-list solver
+// (zero allocations at steady state); the original dense solver stays as the
+// reference oracle this package's tests check it against.
+//
+// The simulator keeps no trace of its own. A traced simulation runs its
+// ranks through obsv.Instrument exactly like every transport does, and the
+// engine stamps each traced message's completion (mpi.TraceInfo) with the
+// virtual time its last byte arrived.
 package simnet
 
 import (
@@ -42,18 +46,6 @@ import (
 
 	"github.com/aapc-sched/aapcsched/internal/mpi"
 	"github.com/aapc-sched/aapcsched/internal/topology"
-)
-
-// Rate-engine selectors for Config.RateEngine.
-const (
-	// RateEngineFast is the aggregated incidence-list max-min solver (the
-	// default): flows sharing a path collapse into one aggregate for the
-	// progressive-filling loop and all solver state lives in reusable
-	// scratch buffers.
-	RateEngineFast = "fast"
-	// RateEngineReference is the original dense progressive-filling solver,
-	// kept as the oracle the fast engine is property-tested against.
-	RateEngineReference = "reference"
 )
 
 // Config describes the simulated cluster and its cost model.
@@ -75,7 +67,7 @@ type Config struct {
 	// rank arrives. Default 2 * StartupLatency * ceil(log2(N)).
 	BarrierLatency float64
 	// ControlLatency, when positive, is the startup latency applied to
-	// control-sized messages (at most ControlSizeMax bytes) instead of
+	// control-sized messages (at most mpi.ControlSizeMax bytes) instead of
 	// StartupLatency. Small packets cross a real MPI/TCP stack much faster
 	// than the rendezvous of a large transfer; this knob lets the
 	// synchronization messages of the scheduled algorithm pay a realistic
@@ -92,11 +84,10 @@ type Config struct {
 	// JitterSeed selects the jitter pattern; equal seeds give identical
 	// runs.
 	JitterSeed uint64
-	// RateEngine selects the max-min solver: RateEngineFast (default when
-	// empty) or RateEngineReference. Both produce the same rates; the
-	// reference solver exists as the oracle for equivalence tests and for
-	// bisecting suspected solver regressions.
-	RateEngine string
+
+	// dense selects the reference dense max-min solver instead of the
+	// aggregated one. Only this package's equivalence tests set it.
+	dense bool
 }
 
 // Defaults for the zero fields of Config, chosen to mimic the paper's
@@ -105,9 +96,6 @@ const (
 	DefaultLinkBandwidth  = 12.5e6 // 100 Mbps in bytes/second
 	DefaultStartupLatency = 0.5e-3
 	DefaultMinEfficiency  = 0.6
-	// ControlSizeMax is the size threshold below which a message counts as
-	// control traffic for ControlLatency purposes.
-	ControlSizeMax = 64
 )
 
 func (cfg *Config) withDefaults() (Config, error) {
@@ -145,14 +133,6 @@ func (cfg *Config) withDefaults() (Config, error) {
 	}
 	if out.ControlLatency < 0 {
 		return out, fmt.Errorf("simnet: negative ControlLatency %v", out.ControlLatency)
-	}
-	switch out.RateEngine {
-	case "":
-		out.RateEngine = RateEngineFast
-	case RateEngineFast, RateEngineReference:
-	default:
-		return out, fmt.Errorf("simnet: unknown RateEngine %q (want %q or %q)",
-			out.RateEngine, RateEngineFast, RateEngineReference)
 	}
 	return out, nil
 }
@@ -246,29 +226,6 @@ func (w *World) LinkStats() []LinkStats {
 	return out
 }
 
-// FlowRecord describes one completed message for tracing: who sent it,
-// when the rendezvous matched, when bytes started moving, and when it
-// finished.
-type FlowRecord struct {
-	Src, Dst int
-	Tag      int
-	Size     int
-	// MatchedAt is when both endpoints had posted (rendezvous).
-	MatchedAt float64
-	// StartedAt is MatchedAt plus the startup latency.
-	StartedAt float64
-	// FinishedAt is when the last byte arrived.
-	FinishedAt float64
-}
-
-// FlowTrace returns the completed flows in completion order. It must be
-// called after Run returns.
-func (w *World) FlowTrace() []FlowRecord {
-	w.eng.mu.Lock()
-	defer w.eng.mu.Unlock()
-	return append([]FlowRecord(nil), w.eng.trace...)
-}
-
 // FlowCount returns the total number of flows the run created.
 func (w *World) FlowCount() int {
 	w.eng.mu.Lock()
@@ -306,7 +263,7 @@ type simOp struct {
 	waiters  []int // ranks to wake when the op completes
 	// info is stamped on both sides of a matched pair when its flow
 	// completes (traced flows only): the send's context and the virtual
-	// time the flow finished.
+	// time the flow finished. It is the simulator's whole trace output.
 	info mpi.TraceInfo
 }
 
@@ -319,22 +276,18 @@ func (op *simOp) Wait(time.Duration) (mpi.TraceInfo, error) {
 
 // flow is a matched message in transit.
 type flow struct {
-	id       int
 	src, dst int
 	tag      int
-	// matchIdx is the per-(src,dst,tag) match sequence number. Unlike id
-	// (global creation order, which depends on how rank goroutines happen to
+	// matchIdx is the per-(src,dst,tag) match sequence number. Unlike the
+	// global creation order (which depends on how rank goroutines happen to
 	// interleave when several pairs match at the same virtual instant), it is
 	// deterministic: the send queue for a key is filled only by rank src in
 	// program order, so the k-th match of a key is always the same message.
 	matchIdx uint64
 	path     []int // directed edge IDs; empty for self-messages
-	matched  float64
 	size     float64
 	remain   float64
 	rate     float64
-	startAt  float64 // virtual time at which bytes start moving
-	active   bool
 	actIdx   int // position in engine.act while active
 	agg      *aggregate
 	sendOp   *simOp
@@ -366,7 +319,6 @@ type engine struct {
 	act     []*flow
 	cal     calendar
 	flowSeq int
-	trace   []FlowRecord
 	// seq counts matches per (src, dst, tag); it feeds jitter hashing and
 	// the deterministic completion ordering (flow.matchIdx).
 	seq        map[matchKey]uint64
@@ -417,7 +369,7 @@ func newEngine(cfg Config) *engine {
 	e := &engine{
 		cfg:   cfg,
 		n:     n,
-		dense: cfg.RateEngine == RateEngineReference,
+		dense: cfg.dense,
 		idx:   g.NewEdgeIndex(),
 		alive: n,
 		sends: make(map[matchKey][]*simOp),
@@ -523,7 +475,7 @@ func mix(x uint64) uint64 {
 // message of the given size matched under key.
 func (e *engine) startup(key matchKey, size int, n uint64) float64 {
 	alpha := e.cfg.StartupLatency
-	if e.cfg.ControlLatency > 0 && size <= ControlSizeMax {
+	if e.cfg.ControlLatency > 0 && size <= mpi.ControlSizeMax {
 		alpha = e.cfg.ControlLatency
 	}
 	if e.cfg.JitterFrac == 0 {
@@ -540,15 +492,12 @@ func (e *engine) startFlow(key matchKey, sendOp, recvOp *simOp) {
 	n := e.seq[key]
 	e.seq[key] = n + 1
 	f := &flow{
-		id:       e.flowSeq,
 		src:      key.src,
 		dst:      key.dst,
 		tag:      key.tag,
 		matchIdx: n,
-		matched:  e.clock,
 		size:     float64(sendOp.Size()),
 		remain:   float64(sendOp.Size()),
-		startAt:  e.clock + e.startup(key, sendOp.Size(), n),
 		sendOp:   sendOp,
 		recvOp:   recvOp,
 	}
@@ -556,7 +505,8 @@ func (e *engine) startFlow(key matchKey, sendOp, recvOp *simOp) {
 	if key.src != key.dst {
 		f.path = e.pathOf[key.src][key.dst]
 	}
-	e.cal.push(f.startAt, f, nil)
+	// Bytes start moving once the startup latency has elapsed.
+	e.cal.push(e.clock+e.startup(key, sendOp.Size(), n), f, nil)
 }
 
 // completeOp finishes an op and wakes exactly the ranks blocked on it.
@@ -765,10 +715,6 @@ func (e *engine) advance() bool {
 			}
 			e.completeOp(f.sendOp, err)
 			e.completeOp(f.recvOp, err)
-			e.trace = append(e.trace, FlowRecord{
-				Src: f.src, Dst: f.dst, Tag: f.tag, Size: int(f.size),
-				MatchedAt: f.matched, StartedAt: f.startAt, FinishedAt: e.clock,
-			})
 			e.removeActive(f)
 			if !e.dense {
 				e.detachFlow(f)
@@ -781,7 +727,6 @@ func (e *engine) advance() bool {
 	for !e.cal.empty() && e.cal.top().at <= e.clock+timeEps {
 		ev := e.cal.pop()
 		if ev.f != nil {
-			ev.f.active = true
 			ev.f.actIdx = len(e.act)
 			e.act = append(e.act, ev.f)
 			if !e.dense {
@@ -807,7 +752,6 @@ func (e *engine) removeActive(f *flow) {
 	moved.actIdx = f.actIdx
 	e.act[last] = nil
 	e.act = e.act[:last]
-	f.active = false
 }
 
 // efficiency returns the effective fraction of raw link capacity available

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/aapc-sched/aapcsched/internal/mpi"
+	"github.com/aapc-sched/aapcsched/internal/obsv"
 	"github.com/aapc-sched/aapcsched/internal/topology"
 )
 
@@ -577,11 +578,20 @@ func TestControlLatency(t *testing.T) {
 	}
 }
 
-func TestCommNowAndFlowTrace(t *testing.T) {
+// TestCommNowAndEvents checks virtual time through Comm.Now and the
+// simulator's trace output: an instrumented send/receive pair records one
+// event each, posted at 0, linked by the send's context, both stamped with
+// the virtual time the last byte arrived.
+func TestCommNowAndEvents(t *testing.T) {
+	if !obsv.Enabled {
+		t.Skip("instrumentation compiled out (obsv_off)")
+	}
 	g := starGraph(t, 2)
 	w := newTestWorld(t, g, 1)
+	recs := []*obsv.Recorder{obsv.NewRecorder(0), obsv.NewRecorder(1)}
 	var mid float64
-	err := w.Run(func(c mpi.Comm) error {
+	err := w.Run(func(raw mpi.Comm) error {
+		c := obsv.Instrument(raw, recs[raw.Rank()])
 		if c.Rank() == 0 {
 			if err := mpi.Send(c, make([]byte, 5000), 1, 3); err != nil {
 				return err
@@ -597,18 +607,25 @@ func TestCommNowAndFlowTrace(t *testing.T) {
 	if mid <= 0 {
 		t.Error("Now did not advance with virtual time")
 	}
-	tr := w.FlowTrace()
-	if len(tr) != 1 {
-		t.Fatalf("FlowTrace = %d records, want 1", len(tr))
+	sends, recvs := recs[0].Events(), recs[1].Events()
+	if len(sends) != 1 || len(recvs) != 1 {
+		t.Fatalf("recorded %d send and %d recv events, want 1 each", len(sends), len(recvs))
 	}
-	r := tr[0]
-	if r.Src != 0 || r.Dst != 1 || r.Tag != 3 || r.Size != 5000 {
-		t.Errorf("record = %+v", r)
+	s, r := sends[0], recvs[0]
+	if s.Kind != obsv.KindSend || s.Peer != 1 || s.Tag != 3 || s.Bytes != 5000 {
+		t.Errorf("send event = %+v", s)
 	}
-	if !(r.MatchedAt <= r.StartedAt && r.StartedAt < r.FinishedAt) {
-		t.Errorf("record times out of order: %+v", r)
+	if r.Kind != obsv.KindRecv || r.Peer != 0 || r.Tag != 3 || r.LinkSeq != s.Seq {
+		t.Errorf("recv event = %+v, want linked to send seq %d", r, s.Seq)
 	}
-	near(t, "finish", r.FinishedAt, testAlpha+5000/testBW)
+	finish := testAlpha + 5000/testBW
+	if s.Start != 0 || r.Start != 0 {
+		t.Errorf("posted at %v/%v, want 0", s.Start, r.Start)
+	}
+	near(t, "send deliver", s.Deliver, finish)
+	near(t, "recv deliver", r.Deliver, finish)
+	near(t, "send end", s.End, finish)
+	near(t, "Now after send", mid, finish)
 }
 
 func TestPostAfterDeadlockErrors(t *testing.T) {
