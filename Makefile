@@ -1,17 +1,22 @@
 GO ?= go
 
-.PHONY: check vet lint lint-json lint-audit build build-obsv-off test race alloc-gates bench bench-sim bench-transport bench-sched bench-trace microbench fuzz
+.PHONY: check fmt vet lint lint-json lint-audit build build-obsv-off test race alloc-gates bench bench-sim bench-transport bench-sched bench-trace microbench fuzz
 
-# check is the one-command gate: static analysis (stock vet plus the
-# project analyzers in cmd/aapcvet, and the audit that fails on
+# check is the one-command gate: formatting (gofmt), static analysis (stock
+# vet plus the project analyzers in cmd/aapcvet, and the audit that fails on
 # //aapc:allow comments a refactor has orphaned), full build (with and
 # without the observability layer), the test suite under the race detector,
 # and the allocation-regression gates (which need a race-free build: the
 # race runtime drops sync.Pool puts).
-check: vet lint lint-audit build build-obsv-off race alloc-gates
+check: fmt vet lint lint-audit build build-obsv-off race alloc-gates
+
+# fmt fails, listing the offenders, when any Go file is not gofmt-clean.
+fmt:
+	@out=$$(gofmt -l . 2>&1); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # alloc-gates are the steady-state budgets for the hot paths: zero allocs
-# per Scheduled.Fn run, amortized sub-0.1 allocs per instrumented operation,
+# per Scheduled.Fn run over Contig or ContigV (at most one for the allgather
+# view), amortized sub-0.1 allocs per instrumented operation,
 # zero userspace payload copies on the tcp data plane with receives
 # pre-posted (the zero-copy gate: one row for an in-process world, one for a
 # mesh joined through a coordinator), and a warm aapcd fetch that derives

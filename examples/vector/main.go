@@ -60,19 +60,19 @@ func main() {
 		}
 		b := alltoall.NewContigV(sendCounts, recvCounts)
 		for p := 0; p < ranks; p++ {
-			blk := b.SendBlockV(p)
+			blk := b.SendBlock(p)
 			for i := 0; i < len(blk)/8; i++ {
 				binary.LittleEndian.PutUint32(blk[i*8:], uint32(me*1000+i))
 				binary.LittleEndian.PutUint32(blk[i*8+4:], uint32(me))
 			}
 		}
-		if err := routine.FnV()(c, b); err != nil {
+		if err := routine.Fn()(c, b, 0); err != nil {
 			return err
 		}
 		// Verify every arriving particle states its true origin.
 		arrived := 0
 		for p := 0; p < ranks; p++ {
-			blk := b.RecvBlockV(p)
+			blk := b.RecvBlock(p)
 			for i := 0; i < len(blk)/8; i++ {
 				pt := particle{
 					id:   binary.LittleEndian.Uint32(blk[i*8:]),

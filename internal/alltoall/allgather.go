@@ -50,58 +50,21 @@ func AllgatherRing(c mpi.Comm, b Buffers, msize int) error {
 
 // AllgatherFn returns the allgather variant of the compiled scheduled
 // routine: the same contention-free phases and pair-wise synchronizations,
-// with every send carrying the rank's own contribution.
+// run by the same executor over a view in which every send carries the
+// rank's own contribution.
 func (sc *Scheduled) AllgatherFn() Func {
+	fn := sc.Fn()
 	return func(c mpi.Comm, b Buffers, msize int) error {
-		if c.Size() != len(sc.programs) {
-			return fmt.Errorf("alltoall: routine compiled for %d ranks, world has %d",
-				len(sc.programs), c.Size())
-		}
-		prog := &sc.programs[c.Rank()]
-		mine := b.SendBlock(c.Rank())
-		copy(b.RecvBlock(c.Rank()), mine)
-
-		recvReqs := make([]mpi.Request, len(prog.recvSrcs))
-		for i, src := range prog.recvSrcs {
-			recvReqs[i] = mpi.Irecv(c, b.RecvBlock(src), src, tagData)
-		}
-		var syncSends []mpi.Request
-		syncByte := []byte{1}
-		phase := 0
-		for i := range prog.sends {
-			st := &prog.sends[i]
-			if sc.mode == BarrierSync {
-				for phase < st.phase {
-					if err := c.Barrier(); err != nil {
-						return err
-					}
-					phase++
-				}
-			}
-			for _, w := range prog.waits[st.waitLo:st.waitHi] {
-				if err := mpi.Recv(c, make([]byte, 1), w.peer, w.tag); err != nil {
-					return fmt.Errorf("alltoall: sync wait from %d: %w", w.peer, err)
-				}
-			}
-			if err := mpi.Send(c, mine, st.dst, tagData); err != nil {
-				return fmt.Errorf("alltoall: allgather send phase %d to %d: %w", st.phase, st.dst, err)
-			}
-			for _, e := range prog.emits[st.emitLo:st.emitHi] {
-				syncSends = append(syncSends, mpi.Isend(c, syncByte, e.peer, e.tag))
-			}
-		}
-		if sc.mode == BarrierSync {
-			for ; phase < prog.numPhases-1; phase++ {
-				if err := c.Barrier(); err != nil {
-					//aapc:allow waitcheck on error the collective aborts; outstanding requests are abandoned to the transport shutdown path
-					return err
-				}
-			}
-		}
-		if err := mpi.WaitAll(recvReqs); err != nil {
-			//aapc:allow waitcheck on error the collective aborts; outstanding requests are abandoned to the transport shutdown path
-			return err
-		}
-		return mpi.WaitAll(syncSends)
+		return fn(c, gatherView{b, c.Rank()}, msize)
 	}
 }
+
+// gatherView presents allgather buffers as all-to-all buffers: the block
+// "for" every peer is the rank's own.
+type gatherView struct {
+	Buffers
+	me int
+}
+
+// SendBlock returns the rank's own block, whatever the destination.
+func (v gatherView) SendBlock(int) []byte { return v.Buffers.SendBlock(v.me) }

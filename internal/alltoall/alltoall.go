@@ -4,11 +4,12 @@
 // contribution — the topology-scheduled, contention-free algorithm with
 // pair-wise synchronizations.
 //
-// All algorithms exchange one block of Msize bytes between every ordered
-// pair of ranks. Block storage is abstracted by Buffers so that functional
-// transports can use real contiguous MPI-style buffers while the network
-// simulator can alias blocks and run 32-rank x 256 KB experiments without
-// gigabytes of backing memory.
+// Block storage is abstracted by Buffers, the one way blocks reach an
+// algorithm: a block's length is its count. Contig holds one block of Msize
+// bytes per ordered pair (MPI_Alltoall); ContigV gives every pair its own
+// count (MPI_Alltoallv) and runs through the same algorithms; Shared aliases
+// every block so the network simulator can run 32-rank x 256 KB experiments
+// without gigabytes of backing memory.
 package alltoall
 
 import (
@@ -27,7 +28,9 @@ type Buffers interface {
 
 // Func is an all-to-all personalized communication algorithm: on return,
 // RecvBlock(src) holds SendBlock-of-this-rank as prepared by rank src, for
-// every src.
+// every src. msize is the uniform block size; only algorithms that pack
+// blocks together (Bruck, and MPICH's dispatch on it) read it, so buffers
+// with per-pair counts pass 0.
 type Func func(c mpi.Comm, b Buffers, msize int) error
 
 // Contig is the MPI-style contiguous buffer layout: Send and Recv each hold
@@ -83,16 +86,16 @@ const (
 	tagSync = 1 << 20
 )
 
-// copySelf moves the rank's own block locally, straight between typed views
-// when the buffers expose them (no pack staging).
-func copySelf(c mpi.Comm, b Buffers) {
-	if tb, ok := b.(TypedBuffers); ok {
-		sb, sdt := tb.SendView(c.Rank())
-		rb, rdt := tb.RecvView(c.Rank())
-		mpi.CopyTyped(rb, rdt, sb, sdt)
-		return
+// copySelf moves the rank's own block locally; the self send and self
+// receive blocks must agree in length. Callers run it before posting any
+// request, so a mismatch abandons nothing.
+func copySelf(c mpi.Comm, b Buffers) error {
+	src, dst := b.SendBlock(c.Rank()), b.RecvBlock(c.Rank())
+	if len(src) != len(dst) {
+		return fmt.Errorf("alltoall: self counts disagree: send %d, recv %d", len(src), len(dst))
 	}
-	copy(b.RecvBlock(c.Rank()), b.SendBlock(c.Rank()))
+	copy(dst, src)
+	return nil
 }
 
 // Simple is the original LAM/MPI algorithm: post every nonblocking receive
@@ -100,6 +103,9 @@ func copySelf(c mpi.Comm, b Buffers) {
 // and wait for all of them. No scheduling: the network sorts it out.
 func Simple(c mpi.Comm, b Buffers, msize int) error {
 	n, me := c.Size(), c.Rank()
+	if err := copySelf(c, b); err != nil {
+		return err
+	}
 	reqs := make([]mpi.Request, 0, 2*(n-1))
 	for p := 0; p < n; p++ {
 		if p == me {
@@ -113,7 +119,6 @@ func Simple(c mpi.Comm, b Buffers, msize int) error {
 		}
 		reqs = append(reqs, mpi.Isend(c, b.SendBlock(p), p, tagData))
 	}
-	copySelf(c, b)
 	return mpi.WaitAll(reqs)
 }
 
@@ -123,6 +128,9 @@ func Simple(c mpi.Comm, b Buffers, msize int) error {
 // instantaneous load across destinations.
 func SimpleOffset(c mpi.Comm, b Buffers, msize int) error {
 	n, me := c.Size(), c.Rank()
+	if err := copySelf(c, b); err != nil {
+		return err
+	}
 	reqs := make([]mpi.Request, 0, 2*(n-1))
 	for off := 1; off < n; off++ {
 		p := (me + off) % n
@@ -132,7 +140,6 @@ func SimpleOffset(c mpi.Comm, b Buffers, msize int) error {
 		p := (me + off) % n
 		reqs = append(reqs, mpi.Isend(c, b.SendBlock(p), p, tagData))
 	}
-	copySelf(c, b)
 	return mpi.WaitAll(reqs)
 }
 
@@ -143,7 +150,9 @@ func Pairwise(c mpi.Comm, b Buffers, msize int) error {
 	if n&(n-1) != 0 {
 		return fmt.Errorf("alltoall: Pairwise requires a power-of-two world, have %d", n)
 	}
-	copySelf(c, b)
+	if err := copySelf(c, b); err != nil {
+		return err
+	}
 	for j := 1; j < n; j++ {
 		peer := me ^ j
 		if err := mpi.Sendrecv(c,
@@ -159,7 +168,9 @@ func Pairwise(c mpi.Comm, b Buffers, msize int) error {
 // worlds: N-1 steps; at step j rank i sends to i+j and receives from i-j.
 func RingExchange(c mpi.Comm, b Buffers, msize int) error {
 	n, me := c.Size(), c.Rank()
-	copySelf(c, b)
+	if err := copySelf(c, b); err != nil {
+		return err
+	}
 	for j := 1; j < n; j++ {
 		dst := (me + j) % n
 		src := (me - j + n) % n

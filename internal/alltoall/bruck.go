@@ -10,12 +10,17 @@ import (
 // small messages: ceil(log2 N) rounds, each moving about half the blocks,
 // trading bandwidth (each block travels multiple hops) for latency (far
 // fewer messages than N-1). Included as the small-message leg of the MPICH
-// dispatcher and as a baseline extension.
+// dispatcher and as a baseline extension. Packing blocks together needs them
+// all to be msize bytes, so per-pair counts (a ContigV) are rejected.
 func Bruck(c mpi.Comm, b Buffers, msize int) error {
 	n, me := c.Size(), c.Rank()
+	for p := 0; p < n; p++ {
+		if s, r := len(b.SendBlock(p)), len(b.RecvBlock(p)); s != msize || r != msize {
+			return fmt.Errorf("alltoall: bruck needs %d-byte blocks, peer %d has send %d, recv %d", msize, p, s, r)
+		}
+	}
 	if n == 1 {
-		copySelf(c, b)
-		return nil
+		return copySelf(c, b)
 	}
 	// Phase 1 — local rotation: tmp[i] = block destined to (me + i) mod n,
 	// so tmp[0] is the self block.

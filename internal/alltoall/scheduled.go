@@ -260,7 +260,10 @@ func (sc *Scheduled) SyncCount() int {
 	return total
 }
 
-// Fn returns the algorithm function executing the compiled schedule.
+// Fn returns the algorithm function executing the compiled schedule. It is
+// the one executor of a compiled program: Alltoallv is Fn over a ContigV
+// (zero-byte messages are still sent, so the sync chains stay intact) and
+// AllgatherFn is Fn over a view of the rank's own block.
 func (sc *Scheduled) Fn() Func { return sc.FnTimeout(0) }
 
 // FnTimeout returns the algorithm function with every blocking step bounded
@@ -286,7 +289,9 @@ func (sc *Scheduled) FnTimeout(d time.Duration) Func {
 				len(sc.programs), c.Size())
 		}
 		prog := &sc.programs[c.Rank()]
-		copySelf(c, b)
+		if err := copySelf(c, b); err != nil {
+			return err
+		}
 
 		scr := sc.scratch.Get().(*runScratch)
 
@@ -298,9 +303,6 @@ func (sc *Scheduled) FnTimeout(d time.Duration) Func {
 		marker := obsv.MarkerFor(c)
 		phaser := obsv.PhaserFor(c)
 
-		// Typed buffers hand the transport views into application storage:
-		// the zero-copy path on every transport.
-		tb, typed := b.(TypedBuffers)
 		// A Flusher transport lets emit-after-complete ride the wire-entry
 		// watermark (bytes handed to the kernel) instead of the delivery
 		// ack, so phase boundaries cost a local writer handoff, not a
@@ -317,12 +319,7 @@ func (sc *Scheduled) FnTimeout(d time.Duration) Func {
 			if phaser != nil {
 				phaser.SetNextOpPhase(prog.recvPhases[i])
 			}
-			if typed {
-				base, dt := tb.RecvView(src)
-				recvReqs = append(recvReqs, mpi.IrecvTyped(c, base, dt, src, tagData))
-			} else {
-				recvReqs = append(recvReqs, mpi.Irecv(c, b.RecvBlock(src), src, tagData))
-			}
+			recvReqs = append(recvReqs, mpi.Irecv(c, b.RecvBlock(src), src, tagData))
 		}
 
 		// Sends are issued nonblocking and waited lazily. The schedule's
@@ -377,13 +374,7 @@ func (sc *Scheduled) FnTimeout(d time.Duration) Func {
 					marker.MarkSyncWait(w.peer, waitStart, c.Now())
 				}
 			}
-			var req mpi.Request
-			if typed {
-				base, dt := tb.SendView(st.dst)
-				req = mpi.IsendTyped(c, base, dt, st.dst, tagData)
-			} else {
-				req = mpi.Isend(c, b.SendBlock(st.dst), st.dst, tagData)
-			}
+			req := mpi.Isend(c, b.SendBlock(st.dst), st.dst, tagData)
 			if st.emitHi > st.emitLo {
 				// Emit-after-complete: later messages are ordered on this
 				// send's entry to the wire. On a Flusher transport the

@@ -3,6 +3,7 @@ package alltoall
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -31,7 +32,7 @@ func buildV(rank, n int) *ContigV {
 	}
 	b := NewContigV(sendCounts, recvCounts)
 	for p := 0; p < n; p++ {
-		blk := b.SendBlockV(p)
+		blk := b.SendBlock(p)
 		for i := range blk {
 			blk[i] = vByte(rank, p, i)
 		}
@@ -41,7 +42,7 @@ func buildV(rank, n int) *ContigV {
 
 func checkV(b *ContigV, rank, n int) error {
 	for p := 0; p < n; p++ {
-		blk := b.RecvBlockV(p)
+		blk := b.RecvBlock(p)
 		if len(blk) != vCount(p, rank, n) {
 			return fmt.Errorf("rank %d: block from %d has %d bytes", rank, p, len(blk))
 		}
@@ -55,7 +56,9 @@ func checkV(b *ContigV, rank, n int) error {
 	return nil
 }
 
-func runVOnMem(t *testing.T, name string, fn VFunc, n int) {
+// runVOnMem runs fn over ContigV buffers with msize 0: the blocks carry the
+// counts.
+func runVOnMem(t *testing.T, name string, fn Func, n int) {
 	t.Helper()
 	var mu sync.Mutex
 	bufs := make(map[int]*ContigV)
@@ -64,7 +67,7 @@ func runVOnMem(t *testing.T, name string, fn VFunc, n int) {
 		mu.Lock()
 		bufs[c.Rank()] = b
 		mu.Unlock()
-		return fn(c, b)
+		return fn(c, b, 0)
 	})
 	if err != nil {
 		t.Fatalf("%s n=%d: %v", name, n, err)
@@ -78,17 +81,19 @@ func runVOnMem(t *testing.T, name string, fn VFunc, n int) {
 
 func TestVectorBaselines(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 6, 8} {
-		runVOnMem(t, "simplev", SimpleV, n)
-		runVOnMem(t, "ringv", RingV, n)
+		runVOnMem(t, "simple", Simple, n)
+		runVOnMem(t, "simpleoffset", SimpleOffset, n)
+		runVOnMem(t, "ring", RingExchange, n)
+		runVOnMem(t, "windowed", Windowed(2), n)
 	}
 	for _, n := range []int{2, 4, 8} {
-		runVOnMem(t, "pairwisev", PairwiseV, n)
+		runVOnMem(t, "pairwise", Pairwise, n)
 	}
 }
 
 func TestPairwiseVRejectsNonPowerOfTwo(t *testing.T) {
 	err := mem.Run(3, func(c mpi.Comm) error {
-		return PairwiseV(c, buildV(c.Rank(), 3))
+		return Pairwise(c, buildV(c.Rank(), 3), 0)
 	})
 	if err == nil {
 		t.Fatal("want error")
@@ -99,7 +104,7 @@ func TestScheduledVOnFig1(t *testing.T) {
 	g := fig1(t)
 	for _, mode := range []SyncMode{PairwiseSync, BarrierSync, NoSync} {
 		sc := buildScheduled(t, g, mode)
-		runVOnMem(t, "scheduledv/"+mode.String(), sc.FnV(), 6)
+		runVOnMem(t, "scheduled/"+mode.String(), sc.Fn(), 6)
 	}
 }
 
@@ -112,7 +117,7 @@ func TestScheduledVOnRandomTopologies(t *testing.T) {
 			Rand:     rng,
 		})
 		sc := buildScheduled(t, g, PairwiseSync)
-		runVOnMem(t, "scheduledv", sc.FnV(), g.NumMachines())
+		runVOnMem(t, "scheduled", sc.Fn(), g.NumMachines())
 	}
 }
 
@@ -130,7 +135,7 @@ func TestScheduledVOnSimnet(t *testing.T) {
 		mu.Lock()
 		bufs[c.Rank()] = b
 		mu.Unlock()
-		return sc.FnV()(c, b)
+		return sc.Fn()(c, b, 0)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +159,7 @@ func TestSelfCountMismatch(t *testing.T) {
 		self := c.Rank()
 		recvCounts := []int{4, 4}
 		recvCounts[self] = 8 // self send is 4
-		return SimpleV(c, NewContigV([]int{4, 4}, recvCounts))
+		return Simple(c, NewContigV([]int{4, 4}, recvCounts), 0)
 	})
 	if err == nil {
 		t.Fatal("want self-count mismatch error")
@@ -166,14 +171,25 @@ func TestContigVLayout(t *testing.T) {
 	if len(b.Send) != 8 || len(b.Recv) != 6 {
 		t.Fatalf("buffer sizes %d/%d", len(b.Send), len(b.Recv))
 	}
-	if len(b.SendBlockV(0)) != 3 || len(b.SendBlockV(1)) != 0 || len(b.SendBlockV(2)) != 5 {
+	if len(b.SendBlock(0)) != 3 || len(b.SendBlock(1)) != 0 || len(b.SendBlock(2)) != 5 {
 		t.Error("send blocks wrong")
 	}
-	if len(b.RecvBlockV(1)) != 4 || len(b.RecvBlockV(2)) != 0 {
+	if len(b.RecvBlock(1)) != 4 || len(b.RecvBlock(2)) != 0 {
 		t.Error("recv blocks wrong")
 	}
-	b.SendBlockV(2)[0] = 9
+	b.SendBlock(2)[0] = 9
 	if b.Send[3] != 9 {
 		t.Error("send displacement wrong")
+	}
+}
+
+// TestBruckRejectsContigV: Bruck packs blocks msize bytes apart, so MPICH's
+// small-message leg must refuse per-pair counts instead of corrupting them.
+func TestBruckRejectsContigV(t *testing.T) {
+	err := mem.Run(4, func(c mpi.Comm) error {
+		return MPICH(c, buildV(c.Rank(), 4), 0)
+	})
+	if err == nil || !strings.Contains(err.Error(), "bruck needs 0-byte blocks") {
+		t.Fatalf("got %v, want bruck block-size error", err)
 	}
 }

@@ -21,7 +21,9 @@ func Windowed(window int) Func {
 			return fmt.Errorf("alltoall: window %d must be >= 1", window)
 		}
 		n, me := c.Size(), c.Rank()
-		copySelf(c, b)
+		if err := copySelf(c, b); err != nil {
+			return err
+		}
 		recvReqs := make([]mpi.Request, 0, n-1)
 		for off := 1; off < n; off++ {
 			p := (me + off) % n

@@ -59,7 +59,7 @@ func Ours(mode alltoall.SyncMode) Algorithm {
 // load-optimal phase count.
 func OursGreedy() Algorithm {
 	return Algorithm{Name: "Ours/greedy", Make: func(g *topology.Graph) (alltoall.Func, error) {
-		s := schedule.BuildGreedy(g)
+		s := schedule.BuildGreedyParallel(g, 1)
 		plan, err := syncplan.Build(g, s)
 		if err != nil {
 			return nil, err

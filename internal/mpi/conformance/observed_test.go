@@ -73,12 +73,12 @@ func TestInstrumentedConformance(t *testing.T) {
 }
 
 // TestInstrumentedScheduledAlltoall runs the paper's generated routine
-// through the instrumented wrapper on the mem and tcp transports and checks
-// both the delivered bytes and the recorded event structure: n-1 data sends
-// and receives per rank, phase markers covering the schedule, and send sizes
-// equal to the block size.
+// through the instrumented wrapper on every transport, for every collective
+// of collInputs (uniform, per-pair counts, allgather), and checks both the
+// delivered bytes and the recorded event structure: n-1 data sends and
+// receives per rank, each receive linked to its send, phase markers
+// covering the schedule, and send sizes equal to the block counts.
 func TestInstrumentedScheduledAlltoall(t *testing.T) {
-	const msize = 512
 	g := starGraph(5)
 	sc, err := harness.CompileRoutine(g, alltoall.PairwiseSync)
 	if err != nil {
@@ -86,90 +86,79 @@ func TestInstrumentedScheduledAlltoall(t *testing.T) {
 	}
 	n := sc.NumRanks()
 	for name, runner := range transports(t, n) {
-		if name == "simnet" {
-			// The simulator world models the alltoall itself; the scheduled
-			// routine is exercised on the executable transports here.
-			continue
-		}
-		name, runner := name, runner
-		t.Run(name, func(t *testing.T) {
-			var mu sync.Mutex
-			recs := make([]*obsv.Recorder, n)
-			err := runner(func(c mpi.Comm) error {
-				rec := obsv.NewRecorder(c.Rank())
-				mu.Lock()
-				recs[c.Rank()] = rec
-				mu.Unlock()
-				ic := obsv.Instrument(c, rec)
-				me := ic.Rank()
-				b := alltoall.NewContig(n, msize)
-				for dst := 0; dst < n; dst++ {
-					blk := b.SendBlock(dst)
-					for i := range blk {
-						blk[i] = byte(me*31 + dst*7 + i)
+		for _, in := range collInputs {
+			name, runner, in := name, runner, in
+			t.Run(name+"/"+in.name, func(t *testing.T) {
+				var mu sync.Mutex
+				recs := make([]*obsv.Recorder, n)
+				err := runner(func(c mpi.Comm) error {
+					rec := obsv.NewRecorder(c.Rank())
+					mu.Lock()
+					recs[c.Rank()] = rec
+					mu.Unlock()
+					ic := obsv.Instrument(c, rec)
+					b := in.buffers(n, ic.Rank())
+					if err := in.fn(sc)(ic, b, in.msize); err != nil {
+						return err
+					}
+					return in.check(b, n, ic.Rank())
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for r, rec := range recs {
+					var dataSends, dataRecvs, phases int
+					for _, e := range rec.Events() {
+						switch e.Kind {
+						case obsv.KindSend:
+							if e.Bytes == in.count(r, e.Peer) {
+								dataSends++
+							}
+						case obsv.KindRecv:
+							if e.Bytes == in.count(e.Peer, r) {
+								dataRecvs++
+							}
+							// Data blocks and syncs alike must carry the
+							// sender's context on every transport.
+							if e.LinkSeq == 0 {
+								t.Errorf("rank %d: recv of %d bytes from %d (tag %d) is not linked to its send",
+									r, e.Bytes, e.Peer, e.Tag)
+							}
+						case obsv.KindPhase:
+							phases++
+						}
+					}
+					if dataSends != n-1 || dataRecvs != n-1 {
+						t.Errorf("rank %d: %d data sends, %d data recvs; want %d each",
+							r, dataSends, dataRecvs, n-1)
+					}
+					if phases == 0 {
+						t.Errorf("rank %d: no phase markers recorded", r)
 					}
 				}
-				if err := sc.Fn()(ic, b, msize); err != nil {
-					return err
+				// The collector's phase table over the recorded events must
+				// account every data send of the schedule that is larger
+				// than a control message.
+				store := collect.NewStore()
+				store.SetCommonClock(true)
+				for _, rec := range recs {
+					store.AddEvents(rec.Events())
+				}
+				total, want := 0, 0
+				for _, st := range store.Analyze(nil).Phases {
+					total += st.Sends
 				}
 				for src := 0; src < n; src++ {
-					blk := b.RecvBlock(src)
-					for i := range blk {
-						if blk[i] != byte(src*31+me*7+i) {
-							return fmt.Errorf("rank %d: corrupt byte %d from %d", me, i, src)
+					for dst := 0; dst < n; dst++ {
+						if src != dst && in.count(src, dst) > mpi.ControlSizeMax {
+							want++
 						}
 					}
 				}
-				return nil
+				if total != want {
+					t.Errorf("phase stats cover %d sends, want %d", total, want)
+				}
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for r, rec := range recs {
-				var dataSends, dataRecvs, phases int
-				for _, e := range rec.Events() {
-					switch e.Kind {
-					case obsv.KindSend:
-						if e.Bytes == msize {
-							dataSends++
-						}
-					case obsv.KindRecv:
-						if e.Bytes == msize {
-							dataRecvs++
-						}
-						// Contig is a TypedBuffers, so data blocks travel as
-						// typed ops and syncs as plain ones: both must carry
-						// the sender's context on every transport.
-						if e.LinkSeq == 0 {
-							t.Errorf("rank %d: recv of %d bytes from %d (tag %d) is not linked to its send",
-								r, e.Bytes, e.Peer, e.Tag)
-						}
-					case obsv.KindPhase:
-						phases++
-					}
-				}
-				if dataSends != n-1 || dataRecvs != n-1 {
-					t.Errorf("rank %d: %d data sends, %d data recvs; want %d each",
-						r, dataSends, dataRecvs, n-1)
-				}
-				if phases == 0 {
-					t.Errorf("rank %d: no phase markers recorded", r)
-				}
-			}
-			// The collector's phase table over the recorded events must
-			// account every data send of the schedule.
-			store := collect.NewStore()
-			store.SetCommonClock(true)
-			for _, rec := range recs {
-				store.AddEvents(rec.Events())
-			}
-			total := 0
-			for _, st := range store.Analyze(nil).Phases {
-				total += st.Sends
-			}
-			if total != n*(n-1) {
-				t.Errorf("phase stats cover %d sends, want %d", total, n*(n-1))
-			}
-		})
+		}
 	}
 }

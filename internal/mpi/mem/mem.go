@@ -274,11 +274,13 @@ func (c *comm) Barrier() error {
 		return err
 	}
 	// A barrier can never complete while any rank is dead; fail fast with
-	// the same typed error every surviving rank sees.
-	for r := range w.dead {
-		err := &mpi.RankError{Rank: r, Err: w.dead[r]}
-		w.mu.Unlock()
-		return err
+	// the same typed error every surviving rank sees: it names the lowest
+	// dead rank, so the answer does not depend on map order.
+	for r := 0; r < w.n; r++ {
+		if cause, ok := w.dead[r]; ok {
+			w.mu.Unlock()
+			return &mpi.RankError{Rank: r, Err: cause}
+		}
 	}
 	gen := w.barrier
 	gen.waiting++

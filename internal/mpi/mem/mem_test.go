@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -255,5 +256,28 @@ func TestNowMonotonic(t *testing.T) {
 	b := comms[0].Now()
 	if b <= a {
 		t.Errorf("Now not increasing: %v then %v", a, b)
+	}
+}
+
+// TestBarrierNamesLowestDeadRank: with several ranks dead, a barrier names
+// the lowest of them on every world, independent of kill order and of map
+// iteration order.
+func TestBarrierNamesLowestDeadRank(t *testing.T) {
+	for i := 0; i < 200; i++ {
+		comms, w := NewWorldComms(4)
+		if err := w.KillRank(2); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.KillRank(1); err != nil {
+			t.Fatal(err)
+		}
+		err := comms[0].Barrier()
+		var re *mpi.RankError
+		if !errors.As(err, &re) {
+			t.Fatalf("world %d: barrier returned %v, want *mpi.RankError", i, err)
+		}
+		if re.Rank != 1 {
+			t.Fatalf("world %d: barrier named rank %d, want 1", i, re.Rank)
+		}
 	}
 }

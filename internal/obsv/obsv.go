@@ -210,6 +210,7 @@ func (r *Recorder) NumEvents() int {
 const eventChunkSize = 256
 
 // record appends an event and feeds the derived histograms and byte tallies.
+//
 //aapc:noalloc
 func (r *Recorder) record(e Event) {
 	if !Enabled || r == nil {
@@ -396,6 +397,7 @@ func (c *icomm) opPhase() int {
 func (c *icomm) SetNextOpPhase(phase int) { c.nextPhase = phase }
 
 // newReq wraps a request in the next slot of the current chunk.
+//
 //aapc:noalloc
 func (c *icomm) newReq(inner mpi.Request, ev Event) *ireq {
 	if len(c.chunk) == cap(c.chunk) {

@@ -3,10 +3,10 @@ package schedule
 import "math/bits"
 
 // edgeUsage tracks which phases occupy each directed edge as one bitset per
-// edge over the phase axis (edge-major, the transpose of BuildGreedy's
-// phase-major bitsets). First-fit probing becomes "first zero bit of the OR
-// of the path's rows": word-wise with early exit, so probing P phases costs
-// O(P/64 * |path|) instead of O(P * |path|).
+// edge over the phase axis (edge-major, the transpose of the sequential
+// reference builder's phase-major bitsets). First-fit probing becomes
+// "first zero bit of the OR of the path's rows": word-wise with early exit,
+// so probing P phases costs O(P/64 * |path|) instead of O(P * |path|).
 //
 // The invariant numPhases < stride*64 always holds, so a probe is
 // guaranteed to find a free bit at numPhases (never set) without bounds

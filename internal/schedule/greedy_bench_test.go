@@ -26,8 +26,8 @@ func greedyBenchCluster(n int) *topology.Graph {
 	return g.MustValidate()
 }
 
-// BenchmarkBuildGreedy tracks the cost of the greedy ablation baseline at
-// harness scale: N^2 messages, each probing phases for a free path. The
+// BenchmarkBuildGreedy tracks the cost of the sequential first-fit
+// reference at harness scale: N^2 messages, each probing phases for a free path. The
 // bitset edge-usage representation keeps the 512-rank cell tractable.
 func BenchmarkBuildGreedy(b *testing.B) {
 	for _, n := range []int{64, 256, 512} {

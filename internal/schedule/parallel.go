@@ -7,12 +7,22 @@ import (
 	"github.com/aapc-sched/aapcsched/internal/topology"
 )
 
-// BuildGreedyParallel is BuildGreedy with the phase-probe inner loop fanned
-// out across a worker pool; its output is byte-for-byte identical to the
-// sequential builder (the equivalence is pinned by a testing/quick
+// BuildGreedyParallel constructs a contention-free phased schedule with a
+// first-fit greedy heuristic: messages are considered in row-major order and
+// each is placed into the earliest phase where its path shares no directed
+// link with the messages already there.
+//
+// The greedy schedule satisfies conditions 1 and 2 of the Theorem (coverage
+// and contention freedom) but generally needs more phases than the AAPC
+// load; it serves as the ablation baseline that quantifies what the paper's
+// construction buys.
+//
+// The phase-probe inner loop is fanned out across a worker pool; the output
+// is byte-for-byte identical to the sequential first-fit builder kept in
+// the tests as the reference (the equivalence is pinned by a testing/quick
 // property).
 //
-// Messages are processed in the same row-major order, but in batches: the
+// Messages are processed in row-major order, but in batches: the
 // workers probe a batch's messages concurrently against the edge-usage
 // bitsets as of the batch start (reads only), then the coordinator commits
 // the batch in message order. Placements only ever add usage, so a
@@ -25,8 +35,8 @@ import (
 //
 // The probe itself uses edge-major phase bitsets (see edgeUsage): first-fit
 // is "first zero bit of the OR of the path's rows", 64 phases per word,
-// which is also what makes the sequential fallback here much faster than
-// BuildGreedy's phase-major scan at large N.
+// which is also what makes the serial path here much faster than a
+// phase-major scan at large N.
 //
 // workers <= 0 uses GOMAXPROCS; workers == 1 runs fully serial.
 func BuildGreedyParallel(g *topology.Graph, workers int) *Schedule {
@@ -48,7 +58,7 @@ func BuildGreedyParallel(g *topology.Graph, workers int) *Schedule {
 		path     []int32
 		phase    int
 	}
-	// Row-major message order, identical to BuildGreedy.
+	// Row-major message order.
 	msgs := make([]msg, 0, n*(n-1))
 	for src := 0; src < n; src++ {
 		for off := 1; off < n; off++ {

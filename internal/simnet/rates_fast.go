@@ -145,6 +145,7 @@ func (e *engine) detachFlow(f *flow) {
 // bottleneck at most once, so a call costs O(rounds × edges + Σ aggregate
 // path lengths) instead of the reference solver's O(rounds × flows × path).
 // Caller holds e.mu.
+//
 //aapc:noalloc
 func (e *engine) assignRatesFast() {
 	nEdges := len(e.edgeCap)

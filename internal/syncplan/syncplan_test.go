@@ -187,7 +187,7 @@ func TestPlanGreedyScheduleToo(t *testing.T) {
 	// The plan builder must work for any contention-free schedule, not just
 	// the paper's construction.
 	g := fig1(t)
-	s := schedule.BuildGreedy(g)
+	s := schedule.BuildGreedyParallel(g, 1)
 	checkPlan(t, g, s)
 }
 

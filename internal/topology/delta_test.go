@@ -142,12 +142,12 @@ func TestApplyDeltaSwitchJoin(t *testing.T) {
 func TestApplyDeltaErrors(t *testing.T) {
 	g := deltaTestCluster(t)
 	bad := []Delta{
-		{Op: OpJoin, Node: "n0", Attach: "s0"},      // duplicate name
-		{Op: OpJoin, Node: "n9", Attach: "nope"},    // unknown switch
-		{Op: OpJoin, Node: "n9", Attach: "n0"},      // attach to machine
-		{Op: OpLeave, Node: "s0"},                   // leave a switch
-		{Op: OpLeave, Node: "ghost"},                // unknown machine
-		{Op: OpSwitchFail, Node: "n0"},              // fail a machine
+		{Op: OpJoin, Node: "n0", Attach: "s0"},       // duplicate name
+		{Op: OpJoin, Node: "n9", Attach: "nope"},     // unknown switch
+		{Op: OpJoin, Node: "n9", Attach: "n0"},       // attach to machine
+		{Op: OpLeave, Node: "s0"},                    // leave a switch
+		{Op: OpLeave, Node: "ghost"},                 // unknown machine
+		{Op: OpSwitchFail, Node: "n0"},               // fail a machine
 		{Op: OpSwitchJoin, Node: "s0", Attach: "s1"}, // duplicate switch
 	}
 	for _, d := range bad {
