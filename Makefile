@@ -19,13 +19,16 @@ fmt:
 # view), amortized sub-0.1 allocs per instrumented operation,
 # zero userspace payload copies on the tcp data plane with receives
 # pre-posted (the zero-copy gate: one row for an in-process world, one for a
-# mesh joined through a coordinator), and a warm aapcd fetch that derives
-# nothing (no plan build, no rendering: stored bytes with Content-Length).
+# mesh joined through a coordinator), a warm aapcd fetch that derives
+# nothing (no plan build, no rendering: stored bytes with Content-Length),
+# and a 64-machine sync plan in under 8 MB (enumerating the conflict pairs
+# again would take well over 100 MB).
 alloc-gates:
 	$(GO) test -run 'TestScheduledFnNoSteadyStateAllocs' -count=1 ./internal/alltoall/
 	$(GO) test -run 'TestInstrumentedOpAllocsAmortized' -count=1 ./internal/obsv/
 	$(GO) test -run 'TestTCPZeroCopySteadyState' -count=1 ./internal/mpi/tcp/
 	$(GO) test -run 'TestWarmFetchDerivesNothing' -count=1 ./internal/sched/
+	$(GO) test -run 'TestBuildAllocationBound' -count=1 ./internal/syncplan/
 
 vet:
 	$(GO) vet ./...
@@ -102,10 +105,12 @@ microbench:
 
 # bench-sched measures the schedule daemon's compile paths: from-scratch
 # parallel greedy compiles vs incremental reschedule after a one-node
-# delta, at N=128 and N=512; committed reference numbers live in
-# BENCH_sched.json.
+# delta, at N=128 and N=512 (committed reference numbers live in
+# BENCH_sched.json), and the sync plan of the paper's schedule at N=32, 64
+# and 128 with its allocations.
 bench-sched:
 	$(GO) test -bench 'BenchmarkBuildGreedyParallel|BenchmarkReschedule' -run=^$$ -benchtime 1x ./internal/schedule/
+	$(GO) test -bench 'BenchmarkBuild' -benchmem -run=^$$ ./internal/syncplan/
 
 # bench-trace measures the causal-tracing pipeline: per-operation overhead
 # of the instrumented wrapper, collector JSONL ingest and merge throughput

@@ -140,9 +140,10 @@ func (d *Daemon) Schedule(alg string, msize int, hash string) (*result, error) {
 }
 
 // SyncPlan returns the pair-wise synchronization plan for a served schedule
-// on the topology version it was keyed to. Deriving it is the expensive part
-// of a routine (it dwarfs the compile), so it happens once per cache entry,
-// on the first request that asks: concurrent callers share that one
+// on the topology version it was keyed to. Deriving it costs the same order
+// as compiling the schedule (a fraction of a millisecond at 32 ranks) and
+// only requests that ask for syncs need it, so it happens once per cache
+// entry, on the first request that asks: concurrent callers share that one
 // derivation, later callers get its result, and an entry published by a patch
 // or recompile derives its own. The returned plan is shared by every caller
 // and must be treated as read-only. Ring and auto schedules are

@@ -66,11 +66,13 @@ func Verify(g *topology.Graph, s *Schedule, optimal bool) error {
 	idx := g.NewEdgeIndex()
 	owner := make([]Message, idx.Len())
 	used := make([]int, idx.Len()) // phase+1 of the last use, 0 = never
+	var path []int32
 	for pi, p := range s.Phases {
 		for _, m := range p {
-			for _, id := range g.PathIDs(idx, g.MachineID(m.Src), g.MachineID(m.Dst)) {
+			path = g.AppendPathEdgeIDs(idx, g.MachineID(m.Src), g.MachineID(m.Dst), path[:0])
+			for _, id := range path {
 				if used[id] == pi+1 {
-					e := idx.Edge(id)
+					e := idx.Edge(int(id))
 					return verifyErrf("phase %d: messages %v and %v contend on edge %s->%s",
 						pi, owner[id], m, g.Node(e.U).Name, g.Node(e.V).Name)
 				}

@@ -31,6 +31,7 @@ func VerifyCapacity(g *topology.Graph, s *Schedule) error {
 	seen := make(map[Message]bool)
 	idx := g.NewEdgeIndex()
 	counts := make([]int, idx.Len())
+	var path []int32
 	for pi, p := range s.Phases {
 		for i := range counts {
 			counts[i] = 0
@@ -43,7 +44,8 @@ func VerifyCapacity(g *topology.Graph, s *Schedule) error {
 				return verifyErrf("message %v scheduled twice", m)
 			}
 			seen[m] = true
-			for _, id := range g.PathIDs(idx, g.MachineID(m.Src), g.MachineID(m.Dst)) {
+			path = g.AppendPathEdgeIDs(idx, g.MachineID(m.Src), g.MachineID(m.Dst), path[:0])
+			for _, id := range path {
 				counts[id]++
 			}
 		}
@@ -69,12 +71,14 @@ func WeightedCost(g *topology.Graph, s *Schedule) float64 {
 	idx := g.NewEdgeIndex()
 	counts := make([]int, idx.Len())
 	total := 0.0
+	var path []int32
 	for _, p := range s.Phases {
 		for i := range counts {
 			counts[i] = 0
 		}
 		for _, m := range p {
-			for _, id := range g.PathIDs(idx, g.MachineID(m.Src), g.MachineID(m.Dst)) {
+			path = g.AppendPathEdgeIDs(idx, g.MachineID(m.Src), g.MachineID(m.Dst), path[:0])
+			for _, id := range path {
 				counts[id]++
 			}
 		}

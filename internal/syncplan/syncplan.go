@@ -9,11 +9,19 @@
 // message to node c after completing a->b, and c delays c->d until that
 // message arrives. Synchronizations implied by others (transitively) are
 // redundant and removed, minimizing the number of extra messages.
+//
+// The plan is the transitive reduction of the conflict DAG, computed without
+// enumerating the conflicts. Contention freedom makes one directed link's
+// users a total order by phase, so all ordered pairs of them are the
+// transitive closure of the link's chain of consecutive users, and a DAG's
+// transitive reduction depends only on its closure. Reducing the chains
+// (M·L edges for M messages of path length at most L) gives the plan that
+// reducing every conflicting pair would (about 115 000 pairs at 32 machines).
 package syncplan
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/aapc-sched/aapcsched/internal/schedule"
 	"github.com/aapc-sched/aapcsched/internal/topology"
@@ -37,7 +45,12 @@ type Plan struct {
 	Syncs []Sync
 	// ConflictPairs is the number of cross-phase conflicting message pairs
 	// before redundancy elimination (the dependence-graph edge count the
-	// naive all-pairs construction would synchronize).
+	// naive all-pairs construction would synchronize). It is counted, not
+	// enumerated: two paths in a tree share one contiguous subpath, so a pair
+	// sharing k directed links shares the k-1 transitions between them, and
+	// Σ over links of C(users, 2) minus Σ over transitions of C(users, 2)
+	// counts every link-sharing pair once (same-phase pairs, legitimate only
+	// in capacity-aware plans, are left out of both sums).
 	ConflictPairs int
 }
 
@@ -46,13 +59,16 @@ func (p *Plan) NumSyncs() int { return len(p.Syncs) }
 
 // Build computes the synchronization plan for a schedule on a topology.
 //
-// Construction: for every directed link, the messages crossing it are
-// ordered by phase (contention freedom guarantees at most one per phase per
-// link); every ordered pair of them is a conflict. The conflict relation is
-// then reduced: a synchronization a->c is redundant when the dependence
-// a ... c is already implied by a chain of other synchronizations. The
-// result is the unique transitive reduction of the conflict DAG (phases give
-// a topological order, so the DAG is acyclic and the reduction unique).
+// Construction: every ordered pair of messages crossing one directed link in
+// different phases is a conflict. Each message depends directly only on its
+// successor in every link's phase chain, which has the same closure, hence
+// the same (unique: phases order the DAG) transitive reduction. Messages are
+// reduced backward in phase order, each keeping a chain successor as a
+// synchronization unless a successor it kept before already reaches it.
+//
+// Cost, for M messages with paths of at most L links: O(M·L) to walk the
+// paths, index each link's users, count ConflictPairs and list the chains;
+// O(M·L·M/64) word operations and M²/8 bytes of bitsets to reduce them.
 func Build(g *topology.Graph, s *schedule.Schedule) (*Plan, error) {
 	return build(g, s, false)
 }
@@ -67,147 +83,128 @@ func BuildCapacityAware(g *topology.Graph, s *schedule.Schedule) (*Plan, error) 
 }
 
 func build(g *topology.Graph, s *schedule.Schedule, allowSamePhase bool) (*Plan, error) {
-	idx := g.NewEdgeIndex()
+	n, idx, numMsgs := g.NumMachines(), g.NewEdgeIndex(), s.NumMessages()
 
-	// msgs enumerates scheduled messages with a dense index in phase order.
-	type node struct {
-		msg   schedule.Message
-		phase int
-	}
-	var nodes []node
-	id := make(map[schedule.Message]int)
+	// Messages get dense indices in phase order; message i crosses the links
+	// path[bound[i]:bound[i+1]], in path order.
+	msgs, phase, bound := make([]schedule.Message, 0, numMsgs), make([]int32, 0, numMsgs), make([]int32, 1, numMsgs+1)
+	var path []int32
+	seen := make([]bool, n*n)
 	for pi, p := range s.Phases {
 		for _, m := range p {
-			if _, dup := id[m]; dup {
+			path = g.AppendPathEdgeIDs(idx, g.MachineID(m.Src), g.MachineID(m.Dst), path)
+			if seen[m.Src*n+m.Dst] {
 				return nil, fmt.Errorf("syncplan: message %v scheduled twice", m)
 			}
-			id[m] = len(nodes)
-			nodes = append(nodes, node{msg: m, phase: pi})
+			seen[m.Src*n+m.Dst] = true
+			msgs, phase, bound = append(msgs, m), append(phase, int32(pi)), append(bound, int32(len(path)))
 		}
 	}
 
-	// usersOf[e] lists message indices crossing directed edge e, in phase
-	// order (nodes are appended in phase order already).
-	usersOf := make([][]int, idx.Len())
-	for i, nd := range nodes {
-		for _, e := range g.PathIDs(idx, g.MachineID(nd.msg.Src), g.MachineID(nd.msg.Dst)) {
-			usersOf[e] = append(usersOf[e], i)
+	// users[off[e]:off[e+1]] are the messages crossing directed link e, in
+	// phase order; next[k] is the link users[k] crosses after e (-1 at its
+	// destination), and at[j] is where path[j] sits in users.
+	numLinks := idx.Len()
+	off := make([]int32, numLinks+1)
+	for _, e := range path {
+		off[e+1]++
+	}
+	for e := range numLinks {
+		off[e+1] += off[e]
+	}
+	users, next, at := make([]int32, len(path)), make([]int32, len(path)), make([]int32, len(path))
+	fill := slices.Clone(off)
+	for i := range msgs {
+		for j := bound[i]; j < bound[i+1]; j++ {
+			k := fill[path[j]]
+			fill[path[j]]++
+			users[k], next[k], at[j] = int32(i), -1, k
+			if j+1 < bound[i+1] {
+				next[k] = path[j+1]
+			}
 		}
 	}
 
-	// Dependence graph: adjacency via successor sets. An edge u -> v for
-	// every pair of same-link users with phase(u) < phase(v).
-	succ := make([]map[int]bool, len(nodes))
-	for i := range succ {
-		succ[i] = make(map[int]bool)
-	}
-	conflictPairs := 0
-	for e := range usersOf {
-		users := usersOf[e]
-		for a := 0; a < len(users); a++ {
-			for b := a + 1; b < len(users); b++ {
-				u, v := users[a], users[b]
-				if nodes[u].phase == nodes[v].phase {
-					if allowSamePhase {
-						continue
+	// Count ConflictPairs (see Plan): per link, the cross-phase pairs of its
+	// users less those that continue on the same next link. cnt[x] counts the
+	// link's users so far that continue on x, cnt[numLinks+x] those of them in
+	// the current phase.
+	pairs := 0
+	cnt := make([]int32, 2*numLinks)
+	for e := range numLinks {
+		us, nx := users[off[e]:off[e+1]], next[off[e]:off[e+1]]
+		group := 0 // first user of the current phase
+		for i, u := range us {
+			if i > 0 && phase[u] == phase[us[i-1]] && !allowSamePhase {
+				return nil, fmt.Errorf(
+					"syncplan: schedule not contention-free: %v and %v share a link in phase %d",
+					msgs[us[i-1]], msgs[u], phase[u])
+			}
+			if i > 0 && phase[u] != phase[us[i-1]] {
+				for _, x := range nx[group:i] {
+					if x >= 0 {
+						cnt[numLinks+int(x)] = 0
 					}
-					return nil, fmt.Errorf(
-						"syncplan: schedule not contention-free: %v and %v share a link in phase %d",
-						nodes[u].msg, nodes[v].msg, nodes[u].phase)
 				}
-				if !succ[u][v] {
-					succ[u][v] = true
-					conflictPairs++
-				}
+				group = i
+			}
+			pairs += group // the earlier users in earlier phases
+			if x := nx[i]; x >= 0 {
+				pairs -= int(cnt[x] - cnt[numLinks+int(x)])
+				cnt[x]++
+				cnt[numLinks+int(x)]++
+			}
+		}
+		for _, x := range nx {
+			if x >= 0 {
+				cnt[x], cnt[numLinks+int(x)] = 0, 0
 			}
 		}
 	}
 
-	// Transitive reduction. Process candidates in decreasing phase gap so
-	// that reachability via shorter dependencies is available; since the DAG
-	// is leveled by phase, a DFS that avoids the candidate edge itself
-	// decides redundancy. For efficiency, compute reachability per node with
-	// memoized bitsets over the (phase-ordered) node indices.
-	reach := make([][]uint64, len(nodes))
-	words := (len(nodes) + 63) / 64
-	var computeReach func(u int)
-	computeReach = func(u int) {
-		if reach[u] != nil {
-			return
-		}
-		r := make([]uint64, words)
-		// Mark direct successors, then fold in their reachability.
-		// Keep only non-redundant edges: we compute on the reduced graph as
-		// it is being built, which is valid because we reduce edges in
-		// topological order from the last node backward.
-		for v := range succ[u] {
-			r[v/64] |= 1 << (v % 64)
-			computeReach(v)
-			for w := range r {
-				r[w] |= reach[v][w]
+	// Reduce backward in index order, so a successor's reach is final when it
+	// is read; row u of reach is what u's kept successors reach. The chain
+	// successors of u are, on each link of its path, the users of the next
+	// phase after u's (one user on a strict schedule, a group on a
+	// capacity-aware fast link); sorted, they come in phase order. A kept sync
+	// is After<<32 | Before over the keys Src*n+Dst, which sort as Plan.Syncs.
+	words := (len(msgs) + 63) / 64
+	reach := make([]uint64, len(msgs)*words)
+	var succ []int32
+	var kept []uint64
+	key := func(m schedule.Message) uint64 { return uint64(m.Src*n + m.Dst) }
+	for u := len(msgs) - 1; u >= 0; u-- {
+		succ = succ[:0]
+		for j := bound[u]; j < bound[u+1]; j++ {
+			k, last := at[j]+1, off[path[j]+1]
+			for k < last && phase[users[k]] == phase[u] {
+				k++
+			}
+			for q := k; q < last && phase[users[q]] == phase[users[k]]; q++ {
+				succ = append(succ, users[q])
 			}
 		}
-		reach[u] = r
-	}
-
-	// Reduce: for each node u (backward), drop successors v reachable
-	// through another successor.
-	order := make([]int, len(nodes))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return nodes[order[a]].phase > nodes[order[b]].phase
-	})
-	plan := &Plan{ConflictPairs: conflictPairs}
-	for _, u := range order {
-		// Successors of u sorted by phase ascending; a successor v is
-		// redundant if some other kept successor w (with earlier phase than
-		// v) reaches v.
-		vs := make([]int, 0, len(succ[u]))
-		for v := range succ[u] {
-			vs = append(vs, v)
-		}
-		sort.Slice(vs, func(a, b int) bool {
-			return nodes[vs[a]].phase < nodes[vs[b]].phase
-		})
-		kept := make([]int, 0, len(vs))
-		for _, v := range vs {
-			redundant := false
-			for _, w := range kept {
-				computeReach(w)
-				if reach[w][v/64]&(1<<(v%64)) != 0 {
-					redundant = true
-					break
-				}
+		slices.Sort(succ)
+		ru := reach[u*words : (u+1)*words]
+		for _, v := range succ {
+			if ru[v>>6]&(1<<(v&63)) != 0 {
+				continue // a kept successor reaches v, or v was kept already
 			}
-			if !redundant {
-				kept = append(kept, v)
+			ru[v>>6] |= 1 << (v & 63)
+			rv := reach[int(v)*words : (int(v)+1)*words]
+			for w := v >> 6; w < int32(words); w++ {
+				ru[w] |= rv[w]
 			}
-		}
-		// Replace successor set with the kept edges only, so reachability
-		// computed later (for earlier nodes) uses the reduced graph —
-		// reachability is unchanged by removing transitive edges.
-		succ[u] = make(map[int]bool, len(kept))
-		for _, v := range kept {
-			succ[u][v] = true
-			plan.Syncs = append(plan.Syncs, Sync{After: nodes[u].msg, Before: nodes[v].msg})
+			kept = append(kept, key(msgs[u])<<32|key(msgs[v]))
 		}
 	}
 
-	sort.Slice(plan.Syncs, func(a, b int) bool {
-		x, y := plan.Syncs[a], plan.Syncs[b]
-		if x.After != y.After {
-			if x.After.Src != y.After.Src {
-				return x.After.Src < y.After.Src
-			}
-			return x.After.Dst < y.After.Dst
-		}
-		if x.Before.Src != y.Before.Src {
-			return x.Before.Src < y.Before.Src
-		}
-		return x.Before.Dst < y.Before.Dst
-	})
+	slices.Sort(kept)
+	plan := &Plan{Syncs: slices.Grow([]Sync(nil), len(kept)), ConflictPairs: pairs}
+	for _, k := range kept {
+		a, b := int(k>>32), int(k&(1<<32-1))
+		plan.Syncs = append(plan.Syncs, Sync{After: schedule.Message{Src: a / n, Dst: a % n}, Before: schedule.Message{Src: b / n, Dst: b % n}})
+	}
 	return plan, nil
 }
 

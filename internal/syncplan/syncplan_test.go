@@ -1,7 +1,9 @@
 package syncplan
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/aapc-sched/aapcsched/internal/schedule"
@@ -283,6 +285,55 @@ func TestPaperRedundancyExample(t *testing.T) {
 		if plan.Syncs[i] != want[i] {
 			t.Errorf("sync %d = %v, want %v", i, plan.Syncs[i], want[i])
 		}
+	}
+}
+
+// randomPlanInput is a seeded RandomCluster of n machines under four
+// switches and its paper schedule: the shape of the compile benchmark.
+func randomPlanInput(tb testing.TB, n int) (*topology.Graph, *schedule.Schedule) {
+	tb.Helper()
+	g := topology.RandomCluster(topology.RandomOptions{Switches: 4, Machines: n, Rand: rand.New(rand.NewSource(int64(n)))})
+	s, err := schedule.Build(g)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g, s
+}
+
+// TestBuildAllocationBound is the gate against a return to enumerating
+// conflict pairs: a strict plan for 64 machines under four switches fits in
+// 8 MB of allocation (about 2.8 MB, 2 MB of it the reach arena), where the
+// all-pairs construction allocates well over 100 MB.
+func TestBuildAllocationBound(t *testing.T) {
+	g, s := randomPlanInput(t, 64)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	plan, err := Build(g, s)
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mb := float64(m1.TotalAlloc-m0.TotalAlloc) / (1 << 20)
+	t.Logf("N=64: %d syncs of %d conflict pairs, %.2f MB allocated", plan.NumSyncs(), plan.ConflictPairs, mb)
+	if mb >= 8 {
+		t.Errorf("Build allocated %.2f MB at N=64, budget 8 MB", mb)
+	}
+}
+
+// BenchmarkBuild times the strict plan of the paper's schedule on random
+// four-switch clusters.
+func BenchmarkBuild(b *testing.B) {
+	for _, n := range []int{32, 64, 128} {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			g, s := randomPlanInput(b, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Build(g, s); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -1,6 +1,9 @@
 package topology
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // rooted is a cached rooted view of the tree used for path and subtree
 // queries. It is built lazily and invalidated by mutation (via validated).
@@ -163,41 +166,43 @@ func (idx *EdgeIndex) ID(e Edge) int {
 // Edge returns the directed edge with the given dense index.
 func (idx *EdgeIndex) Edge(id int) Edge { return idx.edges[id] }
 
-// PathIDs returns the dense directed-edge indices along Path(u, v).
+// PathIDs returns the dense directed-edge indices along Path(u, v), in path
+// order.
 func (g *Graph) PathIDs(idx *EdgeIndex, u, v int) []int {
-	path := g.Path(u, v)
+	var buf [16]int32
+	path := g.AppendPathEdgeIDs(idx, u, v, buf[:0])
 	ids := make([]int, len(path))
-	for i, e := range path {
-		ids[i] = idx.ID(e)
+	for i, id := range path {
+		ids[i] = int(id)
 	}
 	return ids
 }
 
 // AppendPathEdgeIDs appends the dense directed-edge IDs of the unique path
-// from u to v onto dst and returns the extended slice. The order of IDs
-// within the path is unspecified — callers that treat the path as an edge
-// set (contention bitsets) use this instead of PathIDs to avoid the map
-// lookups and per-call allocations of the Edge-keyed walk. The index must
-// have been built by NewEdgeIndex on this graph.
+// from u to v onto dst, in path order (the order of Path(u, v)), and returns
+// the extended slice. It walks the cached rooting without map lookups or
+// allocations beyond growing dst, so callers pass one buffer for every
+// message. The index must have been built by NewEdgeIndex on this graph.
 func (g *Graph) AppendPathEdgeIDs(idx *EdgeIndex, u, v int, dst []int32) []int32 {
-	if u == v {
-		return dst
-	}
 	rt := g.canonical()
-	a, b := u, v
-	for rt.depth[a] > rt.depth[b] {
-		dst = append(dst, idx.up[a])
-		a = rt.parent[a]
+	lca, w := u, v
+	for rt.depth[lca] > rt.depth[w] {
+		lca = rt.parent[lca]
 	}
-	for rt.depth[b] > rt.depth[a] {
-		dst = append(dst, idx.down[b])
-		b = rt.parent[b]
+	for rt.depth[w] > rt.depth[lca] {
+		w = rt.parent[w]
 	}
-	for a != b {
-		dst = append(dst, idx.up[a])
-		a = rt.parent[a]
-		dst = append(dst, idx.down[b])
-		b = rt.parent[b]
+	for lca != w {
+		lca, w = rt.parent[lca], rt.parent[w]
 	}
+	for x := u; x != lca; x = rt.parent[x] {
+		dst = append(dst, idx.up[x])
+	}
+	// The downward half is v's climb to the LCA, reversed.
+	mid := len(dst)
+	for x := v; x != lca; x = rt.parent[x] {
+		dst = append(dst, idx.down[x])
+	}
+	slices.Reverse(dst[mid:])
 	return dst
 }

@@ -469,6 +469,34 @@ func TestEdgeIndex(t *testing.T) {
 	}
 }
 
+// TestAppendPathEdgeIDsInPathOrder: the allocation-free walk yields exactly
+// Path's directed edges in Path's order, for every ordered pair of nodes
+// (switches included) of random trees, appended after what dst held.
+func TestAppendPathEdgeIDsInPathOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 40; trial++ {
+		g := RandomCluster(RandomOptions{Switches: 1 + rng.Intn(8), Machines: 2 + rng.Intn(12), Rand: rng})
+		idx := g.NewEdgeIndex()
+		buf := []int32{-7}
+		for u := 0; u < g.NumNodes(); u++ {
+			for v := 0; v < g.NumNodes(); v++ {
+				buf = g.AppendPathEdgeIDs(idx, u, v, buf[:1])
+				path := g.Path(u, v)
+				ids := g.PathIDs(idx, u, v)
+				if buf[0] != -7 || len(buf)-1 != len(path) || len(ids) != len(path) {
+					t.Fatalf("trial %d: %d->%d: appended %v, PathIDs %v, Path %v", trial, u, v, buf, ids, path)
+				}
+				for i, e := range path {
+					if idx.Edge(int(buf[i+1])) != e || idx.Edge(ids[i]) != e {
+						t.Fatalf("trial %d: %d->%d: edge %d is %v / %v, Path has %v",
+							trial, u, v, i, idx.Edge(int(buf[i+1])), idx.Edge(ids[i]), e)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestKindString(t *testing.T) {
 	if Switch.String() != "switch" || Machine.String() != "machine" {
 		t.Error("Kind.String mismatch")
