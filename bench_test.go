@@ -95,7 +95,7 @@ func BenchmarkRoutineGeneration(b *testing.B) {
 		}
 		b.Run(preset, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := gen.Generate(g); err != nil {
+				if _, err := gen.Generate(g, gen.AlgOurs); err != nil {
 					b.Fatal(err)
 				}
 			}

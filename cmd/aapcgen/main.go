@@ -10,26 +10,30 @@
 //	aapcgen -file cluster.topo -check schedule.json
 //
 // With no output flags it prints a human-readable summary of the generated
-// schedule. With -check it validates an externally produced schedule (JSON)
-// against the topology instead of generating one: coverage, per-phase
-// contention freedom, and whether the phase count is load-optimal.
+// schedule. With -check it validates an externally produced schedule (JSON:
+// aapcgen's own, or an aapcd schedule body) against the topology instead of
+// generating one: coverage, per-phase link capacity (contention freedom on
+// standard links), whether the phase count is load-optimal, and that a
+// carried sync plan is exactly the minimal one for the schedule.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"github.com/aapc-sched/aapcsched/internal/gen"
 	"github.com/aapc-sched/aapcsched/internal/harness"
 	"github.com/aapc-sched/aapcsched/internal/schedule"
+	"github.com/aapc-sched/aapcsched/internal/syncplan"
 	"github.com/aapc-sched/aapcsched/internal/topology"
 )
 
 func main() {
 	var (
 		file     = flag.String("file", "", "topology DSL file")
-		preset   = flag.String("topo", "", "topology preset (a, b, c, fig1) instead of -file")
+		preset   = flag.String("topo", "", "topology preset (a, b, c, bg, fig1) instead of -file")
 		jsonOut  = flag.String("json", "", "write the schedule as JSON to this file ('-' for stdout)")
 		goOut    = flag.String("go", "", "write generated Go source to this file ('-' for stdout)")
 		pkg      = flag.String("package", "main", "package name for generated Go source")
@@ -61,7 +65,7 @@ func run(file, preset, jsonOut, goOut, pkg, funcName string, verbose bool) error
 		return err
 	}
 
-	r, err := gen.Generate(g)
+	r, err := gen.Generate(g, gen.AlgOurs)
 	if err != nil {
 		return err
 	}
@@ -112,7 +116,7 @@ func runCheck(file, preset, schedPath string) error {
 	if err != nil {
 		return err
 	}
-	if err := schedule.Verify(g, s, false); err != nil {
+	if err := schedule.VerifyCapacity(g, s); err != nil {
 		return fmt.Errorf("schedule INVALID: %w", err)
 	}
 	fmt.Printf("schedule valid: %d messages in %d contention-free phases\n",
@@ -122,7 +126,20 @@ func runCheck(file, preset, schedPath string) error {
 	} else {
 		fmt.Printf("phase count %d is NOT load-optimal (load %d)\n", len(s.Phases), want)
 	}
-	fmt.Printf("synchronizations carried: %d\n", plan.NumSyncs())
+	if plan == nil {
+		fmt.Println("synchronizations: none carried")
+		return nil
+	}
+	want, err := syncplan.Build(g, s)
+	if err != nil {
+		return err
+	}
+	// A daemon body carries no conflict count; aapcgen's JSON does.
+	if !slices.Equal(plan.Syncs, want.Syncs) || (plan.ConflictPairs != 0 && plan.ConflictPairs != want.ConflictPairs) {
+		return fmt.Errorf("synchronizations INVALID: %d carried (%d conflicting pairs), the minimal plan has %d (%d)",
+			plan.NumSyncs(), plan.ConflictPairs, want.NumSyncs(), want.ConflictPairs)
+	}
+	fmt.Printf("synchronizations carried: %d, the minimal plan\n", plan.NumSyncs())
 	return nil
 }
 

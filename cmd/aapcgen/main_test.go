@@ -1,9 +1,16 @@
 package main
 
 import (
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/aapc-sched/aapcsched/internal/harness"
+	"github.com/aapc-sched/aapcsched/internal/sched"
 )
 
 func TestRunPresetSummary(t *testing.T) {
@@ -78,6 +85,67 @@ func TestRunCheck(t *testing.T) {
 	}
 	if err := runCheck("", "fig1", dir+"/missing.json"); err == nil {
 		t.Error("want error for missing file")
+	}
+}
+
+// TestRunCheckVerifiesPlan: -check accepts a carried plan only if it is the
+// minimal plan of the schedule, so a routine with one sync dropped fails; a
+// schedule without syncs is checked without a plan.
+func TestRunCheckVerifiesPlan(t *testing.T) {
+	dir := t.TempDir()
+	full := filepath.Join(dir, "full.json")
+	if err := run("", "fig1", full, "", "main", "newX", false); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var routine map[string]any
+	if err := json.Unmarshal(data, &routine); err != nil {
+		t.Fatal(err)
+	}
+	write := func(name string) string {
+		t.Helper()
+		b, err := json.Marshal(routine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	routine["syncs"] = routine["syncs"].([]any)[1:]
+	if err := runCheck("", "fig1", write("dropped.json")); err == nil || !strings.Contains(err.Error(), "synchronizations INVALID") {
+		t.Errorf("a plan missing one sync: %v, want synchronizations INVALID", err)
+	}
+	delete(routine, "syncs")
+	if err := runCheck("", "fig1", write("nosyncs.json")); err != nil {
+		t.Errorf("a schedule without a plan: %v", err)
+	}
+}
+
+// TestRunCheckDaemonRing: the ring aapcd serves for bg shares its fast
+// trunks within a phase; -check accepts it by the capacity rule, and its
+// plan.
+func TestRunCheckDaemonRing(t *testing.T) {
+	d, err := sched.New(sched.Options{Graph: harness.TopologyBGiga()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	sched.NewServer(d, nil).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/schedule?alg=ring&syncs=1", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("ring on bg: status %d: %s", rec.Code, rec.Body)
+	}
+	path := filepath.Join(t.TempDir(), "ring.json")
+	if err := os.WriteFile(path, rec.Body.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := runCheck("", "bg", path); err != nil {
+		t.Errorf("daemon's bg ring rejected: %v", err)
 	}
 }
 

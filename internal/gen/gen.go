@@ -1,8 +1,13 @@
-// Package gen is the back end of the automatic routine generator
-// (Section 5): given a topology it emits the customized MPI_Alltoall
-// schedule either as JSON (for external tooling) or as compilable Go source
-// that embeds the schedule and synchronization plan as literals — the
-// equivalent of the C routine the paper's generator produced for LAM/MPI.
+// Package gen is the automatic routine generator of Section 5: topology in,
+// contention-free schedule out, then the minimal pair-wise synchronizations,
+// then the customized MPI_Alltoall routine. It holds the one map from an
+// algorithm name to the builder that schedules a cluster and the check the
+// schedule must pass, so every caller that turns a topology into a schedule
+// (aapcgen, the harness's routines, the schedule daemon) makes those choices
+// here. The routine is emitted either as JSON (for external tooling; the
+// daemon's schedule bodies carry the same phases and syncs) or as compilable
+// Go source that embeds the schedule and synchronization plan as literals —
+// the equivalent of the C routine the paper's generator produced for LAM/MPI.
 package gen
 
 import (
@@ -16,6 +21,83 @@ import (
 	"github.com/aapc-sched/aapcsched/internal/topology"
 )
 
+// Algorithm names: the schedule constructions the generator runs.
+const (
+	// AlgOurs is the paper's load-optimal construction (schedule.Build),
+	// verified contention-free and load-optimal.
+	AlgOurs = "ours"
+	// AlgGreedy is the first-fit baseline (schedule.BuildGreedyParallel).
+	AlgGreedy = "greedy"
+	// AlgAuto picks the cheaper of the optimal and ring schedules by
+	// weighted cost (schedule.BuildAuto) — the heterogeneous-cluster path.
+	AlgAuto = "auto"
+	// AlgRing is the logical-ring schedule (schedule.BuildRing); it fails
+	// verification where a permutation phase oversubscribes a link.
+	AlgRing = "ring"
+)
+
+// algorithm is a schedule builder and the check its output must pass.
+type algorithm struct {
+	build  func(g *topology.Graph, workers int) (*schedule.Schedule, error)
+	verify func(g *topology.Graph, s *schedule.Schedule) error
+}
+
+// lookup maps an algorithm name to its builder and verifier. Every schedule
+// but the paper's is checked by the capacity rule (schedule.VerifyCapacity),
+// which on a uniform cluster is contention freedom.
+func lookup(alg string) (algorithm, error) {
+	switch alg {
+	case AlgOurs:
+		return algorithm{
+			build:  func(g *topology.Graph, _ int) (*schedule.Schedule, error) { return schedule.Build(g) },
+			verify: func(g *topology.Graph, s *schedule.Schedule) error { return schedule.Verify(g, s, true) },
+		}, nil
+	case AlgGreedy:
+		return algorithm{
+			build: func(g *topology.Graph, workers int) (*schedule.Schedule, error) {
+				return schedule.BuildGreedyParallel(g, workers), nil
+			},
+			verify: schedule.VerifyCapacity,
+		}, nil
+	case AlgAuto:
+		return algorithm{
+			build:  func(g *topology.Graph, _ int) (*schedule.Schedule, error) { return schedule.BuildAuto(g) },
+			verify: schedule.VerifyCapacity,
+		}, nil
+	case AlgRing:
+		return algorithm{
+			build:  func(g *topology.Graph, _ int) (*schedule.Schedule, error) { return schedule.BuildRing(g), nil },
+			verify: schedule.VerifyCapacity,
+		}, nil
+	}
+	return algorithm{}, fmt.Errorf("gen: unknown algorithm %q", alg)
+}
+
+// ValidAlg reports whether alg names a schedule construction.
+func ValidAlg(alg string) bool {
+	_, err := lookup(alg)
+	return err == nil
+}
+
+// Schedule builds the named algorithm's schedule for g and verifies it. A
+// schedule that fails verification is returned as an error wrapping the
+// *schedule.VerifyError. workers bounds the greedy builder's fan-out (<= 0
+// means GOMAXPROCS, 1 is serial); the other builders ignore it.
+func Schedule(g *topology.Graph, alg string, workers int) (*schedule.Schedule, error) {
+	a, err := lookup(alg)
+	if err != nil {
+		return nil, err
+	}
+	s, err := a.build(g, workers)
+	if err != nil {
+		return nil, err
+	}
+	if err := a.verify(g, s); err != nil {
+		return nil, fmt.Errorf("gen: %s schedule failed verification: %w", alg, err)
+	}
+	return s, nil
+}
+
 // Routine bundles everything the generator produces for one topology.
 type Routine struct {
 	Graph    *topology.Graph
@@ -23,15 +105,13 @@ type Routine struct {
 	Plan     *syncplan.Plan
 }
 
-// Generate runs the full pipeline: root identification, scheduling,
-// verification and synchronization planning.
-func Generate(g *topology.Graph) (*Routine, error) {
-	s, err := schedule.Build(g)
+// Generate runs the full pipeline with the named algorithm: root
+// identification, scheduling (serially), verification and synchronization
+// planning.
+func Generate(g *topology.Graph, alg string) (*Routine, error) {
+	s, err := Schedule(g, alg, 1)
 	if err != nil {
 		return nil, err
-	}
-	if err := schedule.Verify(g, s, true); err != nil {
-		return nil, fmt.Errorf("gen: schedule verification: %w", err)
 	}
 	plan, err := syncplan.Build(g, s)
 	if err != nil {
@@ -40,73 +120,42 @@ func Generate(g *topology.Graph) (*Routine, error) {
 	return &Routine{Graph: g, Schedule: s, Plan: plan}, nil
 }
 
-// jsonMessage mirrors schedule.Message with stable JSON field names.
-type jsonMessage struct {
-	Src int `json:"src"`
-	Dst int `json:"dst"`
-}
-
-// jsonSync mirrors syncplan.Sync.
-type jsonSync struct {
-	After  jsonMessage `json:"after"`
-	Before jsonMessage `json:"before"`
-}
-
 // jsonRoutine is the serialized schedule format.
 type jsonRoutine struct {
-	NumRanks      int             `json:"numRanks"`
-	NumPhases     int             `json:"numPhases"`
-	Load          int             `json:"load"`
-	Phases        [][]jsonMessage `json:"phases"`
-	Syncs         []jsonSync      `json:"syncs"`
-	ConflictPairs int             `json:"conflictPairs"`
+	NumRanks      int              `json:"numRanks"`
+	NumPhases     int              `json:"numPhases"`
+	Load          int              `json:"load"`
+	Phases        []schedule.Phase `json:"phases"`
+	Syncs         []syncplan.Sync  `json:"syncs"`
+	ConflictPairs int              `json:"conflictPairs"`
 }
 
 // MarshalJSON renders the routine as indented JSON.
 func (r *Routine) MarshalJSON() ([]byte, error) {
-	out := jsonRoutine{
+	return json.MarshalIndent(jsonRoutine{
 		NumRanks:      r.Schedule.NumRanks,
 		NumPhases:     len(r.Schedule.Phases),
 		Load:          r.Graph.AAPCLoad(),
-		Phases:        make([][]jsonMessage, len(r.Schedule.Phases)),
+		Phases:        r.Schedule.Phases,
+		Syncs:         r.Plan.Syncs,
 		ConflictPairs: r.Plan.ConflictPairs,
-	}
-	for i, p := range r.Schedule.Phases {
-		out.Phases[i] = make([]jsonMessage, len(p))
-		for j, m := range p {
-			out.Phases[i][j] = jsonMessage{Src: m.Src, Dst: m.Dst}
-		}
-	}
-	for _, sy := range r.Plan.Syncs {
-		out.Syncs = append(out.Syncs, jsonSync{
-			After:  jsonMessage{Src: sy.After.Src, Dst: sy.After.Dst},
-			Before: jsonMessage{Src: sy.Before.Src, Dst: sy.Before.Dst},
-		})
-	}
-	return json.MarshalIndent(out, "", "  ")
+	}, "", "  ")
 }
 
 // UnmarshalRoutineJSON parses a serialized schedule back into the runtime
-// types (without the topology, which JSON does not carry).
+// types (without the topology, which JSON does not carry). The plan is nil
+// when the JSON carries no syncs. A daemon schedule body parses too: its
+// phases and syncs have the same shape, and it carries no conflict count.
 func UnmarshalRoutineJSON(data []byte) (*schedule.Schedule, *syncplan.Plan, error) {
 	var in jsonRoutine
 	if err := json.Unmarshal(data, &in); err != nil {
 		return nil, nil, err
 	}
-	s := &schedule.Schedule{NumRanks: in.NumRanks, Phases: make([]schedule.Phase, len(in.Phases))}
-	for i, p := range in.Phases {
-		for _, m := range p {
-			s.Phases[i] = append(s.Phases[i], schedule.Message{Src: m.Src, Dst: m.Dst})
-		}
+	s := &schedule.Schedule{NumRanks: in.NumRanks, Phases: in.Phases}
+	if in.Syncs == nil {
+		return s, nil, nil
 	}
-	plan := &syncplan.Plan{ConflictPairs: in.ConflictPairs}
-	for _, sy := range in.Syncs {
-		plan.Syncs = append(plan.Syncs, syncplan.Sync{
-			After:  schedule.Message{Src: sy.After.Src, Dst: sy.After.Dst},
-			Before: schedule.Message{Src: sy.Before.Src, Dst: sy.Before.Dst},
-		})
-	}
-	return s, plan, nil
+	return s, &syncplan.Plan{Syncs: in.Syncs, ConflictPairs: in.ConflictPairs}, nil
 }
 
 // GoSource emits a compilable Go file declaring a constructor for the

@@ -1,7 +1,8 @@
-package gen
+package gen_test
 
 import (
 	"bytes"
+	"errors"
 	"go/parser"
 	"go/token"
 	"os"
@@ -9,13 +10,15 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/aapc-sched/aapcsched/internal/gen"
 	"github.com/aapc-sched/aapcsched/internal/harness"
 	"github.com/aapc-sched/aapcsched/internal/schedule"
+	"github.com/aapc-sched/aapcsched/internal/syncplan"
 )
 
 func TestGeneratePipeline(t *testing.T) {
 	g := harness.Fig1()
-	r, err := Generate(g)
+	r, err := gen.Generate(g, gen.AlgOurs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +32,7 @@ func TestGeneratePipeline(t *testing.T) {
 
 func TestJSONRoundTrip(t *testing.T) {
 	g := harness.Fig1()
-	r, err := Generate(g)
+	r, err := gen.Generate(g, gen.AlgOurs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +45,7 @@ func TestJSONRoundTrip(t *testing.T) {
 			t.Errorf("JSON missing %s", want)
 		}
 	}
-	s2, plan2, err := UnmarshalRoutineJSON(data)
+	s2, plan2, err := gen.UnmarshalRoutineJSON(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,8 +62,52 @@ func TestJSONRoundTrip(t *testing.T) {
 }
 
 func TestUnmarshalErrors(t *testing.T) {
-	if _, _, err := UnmarshalRoutineJSON([]byte("{")); err == nil {
+	if _, _, err := gen.UnmarshalRoutineJSON([]byte("{")); err == nil {
 		t.Error("want JSON error")
+	}
+	// A routine without syncs carries no plan.
+	if _, plan, err := gen.UnmarshalRoutineJSON([]byte(`{"numRanks": 2, "phases": [[{"src": 0, "dst": 1}], [{"src": 1, "dst": 0}]]}`)); err != nil || plan != nil {
+		t.Errorf("syncs absent: plan %v, err %v; want nil, nil", plan, err)
+	}
+}
+
+// TestScheduleEveryAlgorithm: each algorithm's schedule passes its own check
+// on every preset where it is feasible, the plan of each is the planner's,
+// and ring where it oversubscribes a link fails with the verifier's error.
+func TestScheduleEveryAlgorithm(t *testing.T) {
+	for _, preset := range []string{"fig1", "a", "b", "c", "bg"} {
+		g, err := harness.Preset(preset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, alg := range []string{gen.AlgOurs, gen.AlgGreedy, gen.AlgAuto, gen.AlgRing} {
+			if !gen.ValidAlg(alg) {
+				t.Fatalf("%s not valid", alg)
+			}
+			r, err := gen.Generate(g, alg)
+			var verr *schedule.VerifyError
+			if alg == gen.AlgRing && schedule.VerifyCapacity(g, schedule.BuildRing(g)) != nil {
+				if !errors.As(err, &verr) {
+					t.Errorf("%s ring: got %v, want a verification error", preset, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s %s: %v", preset, alg, err)
+			}
+			if err := schedule.VerifyCapacity(g, r.Schedule); err != nil {
+				t.Errorf("%s %s: %v", preset, alg, err)
+			}
+			if want, err := syncplan.Build(g, r.Schedule); err != nil || !reflect.DeepEqual(r.Plan, want) {
+				t.Errorf("%s %s: plan is not the planner's (%v)", preset, alg, err)
+			}
+		}
+	}
+	if gen.ValidAlg("quantum") {
+		t.Error("unknown algorithm accepted")
+	}
+	if _, err := gen.Schedule(harness.Fig1(), "quantum", 1); err == nil {
+		t.Error("unknown algorithm scheduled")
 	}
 }
 
@@ -70,7 +117,7 @@ func TestGoSourceParses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := Generate(g)
+		r, err := gen.Generate(g, gen.AlgOurs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +146,7 @@ func TestGoSourceParses(t *testing.T) {
 // examples/generated and fails if it drifted from the generator output.
 func TestGeneratedExampleInSync(t *testing.T) {
 	g := harness.Fig1()
-	r, err := Generate(g)
+	r, err := gen.Generate(g, gen.AlgOurs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,9 @@ import (
 // pins the daemon to the local topology's hash, so a daemon that has moved
 // on to a newer cluster version either serves the retained matching version
 // or fails loudly; it can never hand back a schedule for some other
-// topology. The served schedule is re-verified locally before use.
+// topology. The served schedule is re-verified locally before use, by the
+// capacity rule every algorithm's schedule keeps (a patched schedule need
+// not be load-optimal).
 func DaemonBacked(cl *sched.Client, alg string, msize int) Algorithm {
 	return Algorithm{
 		Name: "Daemon/" + alg,
@@ -28,14 +30,8 @@ func DaemonBacked(cl *sched.Client, alg string, msize int) Algorithm {
 				return nil, fmt.Errorf("harness: daemon schedule: %w", err)
 			}
 			s := resp.ToSchedule()
-			verr := schedule.Verify(g, s, false)
-			if verr != nil && (alg == sched.AlgAuto || alg == sched.AlgRing) {
-				// Auto/ring may share fast links within a phase; valid iff
-				// capacity-respecting.
-				verr = schedule.VerifyCapacity(g, s)
-			}
-			if verr != nil {
-				return nil, fmt.Errorf("harness: daemon served an invalid schedule: %w", verr)
+			if err := schedule.VerifyCapacity(g, s); err != nil {
+				return nil, fmt.Errorf("harness: daemon served an invalid schedule: %w", err)
 			}
 			mode := alltoall.BarrierSync
 			if resp.SyncMode == "pairwise" {

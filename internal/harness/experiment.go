@@ -7,11 +7,10 @@ import (
 	"sync/atomic"
 
 	"github.com/aapc-sched/aapcsched/internal/alltoall"
+	"github.com/aapc-sched/aapcsched/internal/gen"
 	"github.com/aapc-sched/aapcsched/internal/mpi"
 	"github.com/aapc-sched/aapcsched/internal/obsv"
-	"github.com/aapc-sched/aapcsched/internal/schedule"
 	"github.com/aapc-sched/aapcsched/internal/simnet"
-	"github.com/aapc-sched/aapcsched/internal/syncplan"
 	"github.com/aapc-sched/aapcsched/internal/topology"
 )
 
@@ -45,26 +44,24 @@ func Ours(mode alltoall.SyncMode) Algorithm {
 	if mode != alltoall.PairwiseSync {
 		name = "Ours/" + mode.String()
 	}
-	return Algorithm{Name: name, Make: func(g *topology.Graph) (alltoall.Func, error) {
-		sc, err := CompileRoutine(g, mode)
-		if err != nil {
-			return nil, err
-		}
-		return sc.Fn(), nil
-	}}
+	return generated(name, gen.AlgOurs, mode)
 }
 
 // OursGreedy schedules with the greedy first-fit baseline instead of the
 // paper's construction — the ablation that isolates the value of the
 // load-optimal phase count.
-func OursGreedy() Algorithm {
-	return Algorithm{Name: "Ours/greedy", Make: func(g *topology.Graph) (alltoall.Func, error) {
-		s := schedule.BuildGreedyParallel(g, 1)
-		plan, err := syncplan.Build(g, s)
-		if err != nil {
-			return nil, err
-		}
-		sc, err := alltoall.NewScheduled(s, plan, alltoall.PairwiseSync)
+func OursGreedy() Algorithm { return generated("Ours/greedy", gen.AlgGreedy, alltoall.PairwiseSync) }
+
+// OursWeighted is the heterogeneous-bandwidth extension: schedule selection
+// by weighted cost (schedule.BuildAuto), with pair-wise synchronizations that
+// let a phase share a fast link. On uniform clusters it is identical to Ours.
+func OursWeighted() Algorithm { return generated("Ours/weighted", gen.AlgAuto, alltoall.PairwiseSync) }
+
+// generated is the routine package gen generates with the algorithm, run in
+// the given synchronization mode.
+func generated(name, alg string, mode alltoall.SyncMode) Algorithm {
+	return Algorithm{Name: name, Make: func(g *topology.Graph) (alltoall.Func, error) {
+		sc, err := compile(g, alg, mode)
 		if err != nil {
 			return nil, err
 		}
@@ -72,25 +69,21 @@ func OursGreedy() Algorithm {
 	}}
 }
 
-// CompileRoutine runs the full generation pipeline for a topology: schedule
-// construction, verification, synchronization planning, and compilation into
-// a runnable routine. This is the library entry point behind cmd/aapcgen.
+// CompileRoutine runs the full generation pipeline for a topology — the
+// paper's schedule construction, verification and synchronization planning
+// (gen.Generate, as cmd/aapcgen does) — and compiles the result into a
+// runnable routine with the given synchronization mode.
 func CompileRoutine(g *topology.Graph, mode alltoall.SyncMode) (*alltoall.Scheduled, error) {
-	s, err := schedule.Build(g)
+	return compile(g, gen.AlgOurs, mode)
+}
+
+// compile generates the algorithm's routine for g and compiles it.
+func compile(g *topology.Graph, alg string, mode alltoall.SyncMode) (*alltoall.Scheduled, error) {
+	r, err := gen.Generate(g, alg)
 	if err != nil {
-		return nil, fmt.Errorf("harness: scheduling: %w", err)
+		return nil, fmt.Errorf("harness: %w", err)
 	}
-	if err := schedule.Verify(g, s, true); err != nil {
-		return nil, fmt.Errorf("harness: generated schedule failed verification: %w", err)
-	}
-	var plan *syncplan.Plan
-	if mode == alltoall.PairwiseSync {
-		plan, err = syncplan.Build(g, s)
-		if err != nil {
-			return nil, fmt.Errorf("harness: synchronization planning: %w", err)
-		}
-	}
-	return alltoall.NewScheduled(s, plan, mode)
+	return alltoall.NewScheduled(r.Schedule, r.Plan, mode)
 }
 
 // Result is one measured cell of an evaluation table.
@@ -316,35 +309,4 @@ func MeasureObserved(net simnet.Config, fn alltoall.Func, msize int) (*simnet.Wo
 		return nil, nil, err
 	}
 	return w, recs, nil
-}
-
-// OursWeighted is the heterogeneous-bandwidth extension: schedule selection
-// by weighted cost (schedule.BuildAuto) with capacity-aware pair-wise
-// synchronizations. On uniform clusters it is identical to Ours.
-func OursWeighted() Algorithm {
-	return Algorithm{Name: "Ours/weighted", Make: func(g *topology.Graph) (alltoall.Func, error) {
-		sc, err := CompileRoutineWeighted(g)
-		if err != nil {
-			return nil, err
-		}
-		return sc.Fn(), nil
-	}}
-}
-
-// CompileRoutineWeighted runs the capacity-aware generation pipeline for
-// heterogeneous clusters: weighted schedule selection, capacity
-// verification, and cross-phase-only synchronization planning.
-func CompileRoutineWeighted(g *topology.Graph) (*alltoall.Scheduled, error) {
-	s, err := schedule.BuildAuto(g)
-	if err != nil {
-		return nil, fmt.Errorf("harness: weighted scheduling: %w", err)
-	}
-	if err := schedule.VerifyCapacity(g, s); err != nil {
-		return nil, fmt.Errorf("harness: weighted schedule failed verification: %w", err)
-	}
-	plan, err := syncplan.BuildCapacityAware(g, s)
-	if err != nil {
-		return nil, fmt.Errorf("harness: capacity-aware synchronization planning: %w", err)
-	}
-	return alltoall.NewScheduled(s, plan, alltoall.PairwiseSync)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/aapc-sched/aapcsched/internal/alltoall"
+	"github.com/aapc-sched/aapcsched/internal/gen"
 	"github.com/aapc-sched/aapcsched/internal/obsv"
 	"github.com/aapc-sched/aapcsched/internal/schedule"
 	"github.com/aapc-sched/aapcsched/internal/simnet"
@@ -226,7 +227,7 @@ func TestWeightedExtensionOnGigabit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scW, err := CompileRoutineWeighted(b)
+	scW, err := compile(b, gen.AlgAuto, alltoall.PairwiseSync)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,21 +5,9 @@ import (
 	"github.com/aapc-sched/aapcsched/internal/syncplan"
 )
 
-// The JSON wire types of the daemon's v1 API. Message and sync shapes match
-// the aapcgen routine JSON (src/dst, after/before), so existing tooling can
-// consume daemon responses.
-
-// WireMessage is one schedule message on the wire.
-type WireMessage struct {
-	Src int `json:"src"`
-	Dst int `json:"dst"`
-}
-
-// WireSync is one pair-wise synchronization on the wire.
-type WireSync struct {
-	After  WireMessage `json:"after"`
-	Before WireMessage `json:"before"`
-}
+// The JSON wire types of the daemon's v1 API. Phases and syncs are the
+// runtime types, whose JSON is the aapcgen routine JSON's (src/dst,
+// after/before), so existing tooling can consume daemon responses.
 
 // ScheduleResponse is the body of GET /v1/schedule.
 type ScheduleResponse struct {
@@ -49,37 +37,24 @@ type ScheduleResponse struct {
 	NumPhases int `json:"numPhases"`
 	Load      int `json:"load"`
 	// Phases is the schedule body.
-	Phases [][]WireMessage `json:"phases"`
+	Phases []schedule.Phase `json:"phases"`
 	// Syncs is the pair-wise synchronization plan, present when the
 	// request asked for it.
-	Syncs []WireSync `json:"syncs,omitempty"`
+	Syncs []syncplan.Sync `json:"syncs,omitempty"`
 }
 
-// ToSchedule rebuilds the runtime schedule from a response.
+// ToSchedule returns the served schedule.
 func (r *ScheduleResponse) ToSchedule() *schedule.Schedule {
-	s := &schedule.Schedule{NumRanks: r.NumRanks, Phases: make([]schedule.Phase, len(r.Phases))}
-	for i, p := range r.Phases {
-		for _, m := range p {
-			s.Phases[i] = append(s.Phases[i], schedule.Message{Src: m.Src, Dst: m.Dst})
-		}
-	}
-	return s
+	return &schedule.Schedule{NumRanks: r.NumRanks, Phases: r.Phases}
 }
 
-// ToPlan rebuilds the synchronization plan from a response (nil when the
-// response carries no syncs).
+// ToPlan returns the served synchronization plan (nil when the response
+// carries no syncs).
 func (r *ScheduleResponse) ToPlan() *syncplan.Plan {
 	if r.Syncs == nil {
 		return nil
 	}
-	plan := &syncplan.Plan{}
-	for _, sy := range r.Syncs {
-		plan.Syncs = append(plan.Syncs, syncplan.Sync{
-			After:  schedule.Message{Src: sy.After.Src, Dst: sy.After.Dst},
-			Before: schedule.Message{Src: sy.Before.Src, Dst: sy.Before.Dst},
-		})
-	}
-	return plan
+	return &syncplan.Plan{Syncs: r.Syncs}
 }
 
 // responseFor renders a served schedule (and optional plan) as wire JSON.
@@ -97,21 +72,13 @@ func responseFor(res *result, plan *syncplan.Plan) *ScheduleResponse {
 		CompileNanos: e.compileNanos,
 		NumPhases:    len(e.s.Phases),
 		Load:         res.version.Graph.AAPCLoad(),
-		Phases:       make([][]WireMessage, len(e.s.Phases)),
+		Phases:       e.s.Phases,
 	}
-	for i, p := range e.s.Phases {
-		out.Phases[i] = make([]WireMessage, len(p))
-		for j, m := range p {
-			out.Phases[i][j] = WireMessage{Src: m.Src, Dst: m.Dst}
-		}
+	if out.Phases == nil { // a one-machine schedule: the wire says [], not null
+		out.Phases = []schedule.Phase{}
 	}
 	if plan != nil {
-		for _, sy := range plan.Syncs {
-			out.Syncs = append(out.Syncs, WireSync{
-				After:  WireMessage{Src: sy.After.Src, Dst: sy.After.Dst},
-				Before: WireMessage{Src: sy.Before.Src, Dst: sy.Before.Dst},
-			})
-		}
+		out.Syncs = plan.Syncs
 	}
 	return out
 }

@@ -86,23 +86,13 @@ func TestChaosTopologyStorm(t *testing.T) {
 					return
 				}
 				s := resp.ToSchedule()
-				verr := schedule.Verify(v.Graph, s, false)
-				if verr != nil && alg == AlgAuto {
-					// Auto may serve a ring schedule that shares fast links
-					// within a phase; that is valid iff capacity-respecting.
-					verr = schedule.VerifyCapacity(v.Graph, s)
-				}
-				if verr != nil {
+				if err := schedule.VerifyCapacity(v.Graph, s); err != nil {
 					t.Errorf("reader %d: %s schedule for version %d invalid: %v",
-						r, alg, v.Seq, verr)
+						r, alg, v.Seq, err)
 					return
 				}
 				if syncs {
-					build := syncplan.Build
-					if alg == AlgAuto {
-						build = syncplan.BuildCapacityAware
-					}
-					want, err := build(v.Graph, s)
+					want, err := syncplan.Build(v.Graph, s)
 					if err != nil {
 						t.Errorf("reader %d: %s plan for version %d: %v", r, alg, v.Seq, err)
 						return

@@ -1,10 +1,12 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
 
+	"github.com/aapc-sched/aapcsched/internal/gen"
 	"github.com/aapc-sched/aapcsched/internal/obsv"
 	"github.com/aapc-sched/aapcsched/internal/schedule"
 	"github.com/aapc-sched/aapcsched/internal/syncplan"
@@ -107,7 +109,7 @@ type result struct {
 // duplicates share that compile; later requests hit the cache. The message
 // size picks the class and sync advice of the answer, not the schedule.
 func (d *Daemon) Schedule(alg string, msize int, hash string) (*result, error) {
-	if !ValidAlg(alg) {
+	if !gen.ValidAlg(alg) {
 		return nil, fmt.Errorf("sched: unknown algorithm %q", alg)
 	}
 	if msize < 0 {
@@ -127,7 +129,11 @@ func (d *Daemon) Schedule(alg string, msize int, hash string) (*result, error) {
 			d.compileHook(k)
 		}
 		start := time.Now()
-		s, err := compileSchedule(v.Graph, alg, d.workers)
+		s, err := gen.Schedule(v.Graph, alg, d.workers)
+		var verr *schedule.VerifyError
+		if alg == AlgRing && errors.As(err, &verr) {
+			return nil, fmt.Errorf("%w: %v", ErrRingInfeasible, verr)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -146,20 +152,15 @@ func (d *Daemon) Schedule(alg string, msize int, hash string) (*result, error) {
 // entry, on the first request that asks: concurrent callers share that one
 // derivation, later callers get its result, and an entry published by a patch
 // or recompile derives its own. The returned plan is shared by every caller
-// and must be treated as read-only. Ring and auto schedules are
-// capacity-respecting rather than strictly contention-free — same-phase
-// sharing of fast links is legitimate there, so they use the capacity-aware
-// planner.
+// and must be treated as read-only. Every algorithm's schedule is planned
+// alike: syncplan.Build reads each link's speed, so a ring or auto schedule
+// that shares a fast link within a phase is planned as such.
 func (d *Daemon) SyncPlan(r *result) (*syncplan.Plan, error) {
 	e := r.entry
 	ctr := ctrPlanReuses
 	e.planOnce.Do(func() {
 		ctr = ctrPlanBuilds
-		if alg := e.key.Alg; alg == AlgRing || alg == AlgAuto {
-			e.plan, e.planErr = syncplan.BuildCapacityAware(r.version.Graph, e.s)
-		} else {
-			e.plan, e.planErr = syncplan.Build(r.version.Graph, e.s)
-		}
+		e.plan, e.planErr = syncplan.Build(r.version.Graph, e.s)
 	})
 	d.counters.Inc(ctr)
 	return e.plan, e.planErr

@@ -4,6 +4,8 @@ import (
 	"net/url"
 	"strconv"
 	"testing"
+
+	"github.com/aapc-sched/aapcsched/internal/gen"
 )
 
 // FuzzScheduleRequest throws arbitrary query strings at the schedule
@@ -30,7 +32,7 @@ func FuzzScheduleRequest(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if !ValidAlg(q.alg) {
+		if !gen.ValidAlg(q.alg) {
 			t.Fatalf("accepted unknown alg %q from %q", q.alg, raw)
 		}
 		if q.msize < 0 {

@@ -31,8 +31,7 @@ import (
 	"errors"
 	"fmt"
 
-	"github.com/aapc-sched/aapcsched/internal/schedule"
-	"github.com/aapc-sched/aapcsched/internal/topology"
+	"github.com/aapc-sched/aapcsched/internal/gen"
 )
 
 // Sentinel request errors the HTTP layer maps to status codes.
@@ -105,28 +104,14 @@ func (c MsizeClass) SyncModeFor() string {
 	return "pairwise"
 }
 
-// Algorithm names accepted by the schedule endpoint.
+// Algorithm names accepted by the schedule endpoint (see package gen, which
+// builds and verifies each).
 const (
-	// AlgOurs is the paper's load-optimal construction (schedule.Build).
-	AlgOurs = "ours"
-	// AlgGreedy is the first-fit baseline, compiled with the parallel
-	// builder (schedule.BuildGreedyParallel).
-	AlgGreedy = "greedy"
-	// AlgAuto picks the cheaper of the optimal and ring schedules by
-	// weighted cost (schedule.BuildAuto) — the heterogeneous-cluster path.
-	AlgAuto = "auto"
-	// AlgRing is the logical-ring schedule (schedule.BuildRing).
-	AlgRing = "ring"
+	AlgOurs   = gen.AlgOurs
+	AlgGreedy = gen.AlgGreedy
+	AlgAuto   = gen.AlgAuto
+	AlgRing   = gen.AlgRing
 )
-
-// ValidAlg reports whether name is a servable algorithm.
-func ValidAlg(name string) bool {
-	switch name {
-	case AlgOurs, AlgGreedy, AlgAuto, AlgRing:
-		return true
-	}
-	return false
-}
 
 // Key identifies one cached schedule: everything a schedule depends on. The
 // message size is not part of it — it selects only the class and sync advice
@@ -145,26 +130,6 @@ type Key struct {
 // String renders the key for logs and error messages.
 func (k Key) String() string {
 	return fmt.Sprintf("%s/n%d/%s", k.TopoHash, k.N, k.Alg)
-}
-
-// compileSchedule runs the requested builder. greedyWorkers bounds the
-// parallel greedy fan-out (<= 0 means GOMAXPROCS).
-func compileSchedule(g *topology.Graph, alg string, greedyWorkers int) (*schedule.Schedule, error) {
-	switch alg {
-	case AlgOurs:
-		return schedule.Build(g)
-	case AlgGreedy:
-		return schedule.BuildGreedyParallel(g, greedyWorkers), nil
-	case AlgAuto:
-		return schedule.BuildAuto(g)
-	case AlgRing:
-		s := schedule.BuildRing(g)
-		if err := schedule.VerifyCapacity(g, s); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrRingInfeasible, err)
-		}
-		return s, nil
-	}
-	return nil, fmt.Errorf("sched: unknown algorithm %q", alg)
 }
 
 // reschedulable reports whether entries of the algorithm may be patched

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 
+	"github.com/aapc-sched/aapcsched/internal/gen"
 	"github.com/aapc-sched/aapcsched/internal/obsv"
 	"github.com/aapc-sched/aapcsched/internal/syncplan"
 	"github.com/aapc-sched/aapcsched/internal/topology"
@@ -74,7 +75,7 @@ func parseScheduleQuery(q url.Values) (scheduleQuery, error) {
 		v := vals[0]
 		switch name {
 		case "alg":
-			if !ValidAlg(v) {
+			if !gen.ValidAlg(v) {
 				return out, fmt.Errorf("unknown alg %q (want ours, greedy, auto or ring)", v)
 			}
 			out.alg = v
@@ -187,7 +188,9 @@ func (d *Daemon) handleTopology(w http.ResponseWriter, r *http.Request) {
 // updates in lockstep over one connection. A malformed line is a 400 if
 // nothing has been acked yet, otherwise an in-stream error ack; a
 // well-formed delta the topology rejects is always an in-stream error ack
-// (the stream and the topology survive it).
+// (the stream and the topology survive it). A body that cannot be read (a
+// line longer than bufio.MaxScanTokenSize) ends the stream: a 400 before the
+// first ack, a final error ack naming the read error after it.
 func (d *Daemon) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		d.fail(w, http.StatusMethodNotAllowed, "POST only")
@@ -249,7 +252,11 @@ func (d *Daemon) handleUpdates(w http.ResponseWriter, r *http.Request) {
 			Dropped:  res.Dropped,
 		})
 	}
-	if err := sc.Err(); err != nil && !started {
-		d.fail(w, http.StatusBadRequest, "reading body: %v", err)
+	if err := sc.Err(); err != nil {
+		if !started {
+			d.fail(w, http.StatusBadRequest, "reading body: %v", err)
+			return
+		}
+		ack(UpdateAck{Error: fmt.Sprintf("reading body: %v", err)})
 	}
 }

@@ -432,6 +432,29 @@ func TestUpdatesStreamLockstep(t *testing.T) {
 	}
 }
 
+// TestUpdatesStreamReportsReadError: a line the daemon cannot read after the
+// stream has started ends it with an error ack naming the read error, not
+// with a silently closed stream.
+func TestUpdatesStreamReportsReadError(t *testing.T) {
+	_, _, cl := newTestDaemon(t, Options{})
+	st, err := cl.StartUpdates(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if ack, err := st.Apply(topology.Delta{Op: topology.OpJoin, Node: "n6", Attach: "s1"}); err != nil || ack.Error != "" {
+		t.Fatalf("join: %+v, %v", ack, err)
+	}
+	long := topology.Delta{Op: topology.OpJoin, Node: strings.Repeat("x", 70<<10), Attach: "s1"} // past bufio.MaxScanTokenSize
+	ack, err := st.Apply(long)
+	if err != nil {
+		t.Fatalf("70 KiB line: stream failed with %v, want an error ack", err)
+	}
+	if !strings.Contains(ack.Error, "reading body") {
+		t.Errorf("70 KiB line: ack %+v, want an error naming the read error", ack)
+	}
+}
+
 // TestLargeDeltaDropsInsteadOfPatching: a delta touching more than a
 // quarter of the machines must invalidate cached entries rather than patch
 // them.

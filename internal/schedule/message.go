@@ -26,9 +26,9 @@ import (
 // Message is one AAPC point-to-point communication between machine ranks.
 type Message struct {
 	// Src is the sending machine rank.
-	Src int
+	Src int `json:"src"`
 	// Dst is the receiving machine rank.
-	Dst int
+	Dst int `json:"dst"`
 }
 
 // String renders the message as "src->dst".

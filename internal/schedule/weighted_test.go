@@ -49,6 +49,30 @@ func TestVerifyCapacityAcceptsRingOnGiga(t *testing.T) {
 	}
 }
 
+// TestVerifyCapacitySlowLinkCarriesOne: a link slower than standard carries
+// one message per phase, slowly, so the paper's schedule of a cluster with a
+// half-speed machine link is valid; two messages on that link are not.
+func TestVerifyCapacitySlowLinkCarriesOne(t *testing.T) {
+	g := topology.New()
+	sw := g.MustAddSwitch("s0")
+	g.MustConnectSpeed(sw, g.MustAddMachine("n0"), 0.5)
+	for _, name := range []string{"n1", "n2"} {
+		g.MustConnect(sw, g.MustAddMachine(name))
+	}
+	g.MustValidate()
+	s, err := Build(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyCapacity(g, s); err != nil {
+		t.Errorf("paper schedule rejected: %v", err)
+	}
+	into := &Schedule{NumRanks: 3, Phases: []Phase{{{Src: 1, Dst: 0}, {Src: 2, Dst: 0}}, {{Src: 0, Dst: 1}}, {{Src: 0, Dst: 2}}, {{Src: 1, Dst: 2}, {Src: 2, Dst: 1}}}}
+	if err := VerifyCapacity(g, into); err == nil {
+		t.Error("two messages on the half-speed link accepted")
+	}
+}
+
 func TestVerifyCapacityCatchesDuplicates(t *testing.T) {
 	g := gigaStar(t)
 	s := BuildRing(g)

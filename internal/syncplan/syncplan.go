@@ -32,9 +32,9 @@ import (
 // source of After sends a small control message to the source of Before.
 type Sync struct {
 	// After is the message that must finish first.
-	After schedule.Message
+	After schedule.Message `json:"after"`
 	// Before is the message that must wait.
-	Before schedule.Message
+	Before schedule.Message `json:"before"`
 }
 
 // Plan is the synchronization plan for one schedule: the minimal set of
@@ -50,7 +50,7 @@ type Plan struct {
 	// sharing k directed links shares the k-1 transitions between them, and
 	// Σ over links of C(users, 2) minus Σ over transitions of C(users, 2)
 	// counts every link-sharing pair once (same-phase pairs, legitimate only
-	// in capacity-aware plans, are left out of both sums).
+	// on a fast link, are left out of both sums).
 	ConflictPairs int
 }
 
@@ -66,23 +66,16 @@ func (p *Plan) NumSyncs() int { return len(p.Syncs) }
 // reduced backward in phase order, each keeping a chain successor as a
 // synchronization unless a successor it kept before already reaches it.
 //
+// A phase may put as many messages on a directed link as the link's speed
+// (schedule.VerifyCapacity's rule): one on a standard or slower link, which
+// is the paper's contention freedom, and up to k on a k× link, whose
+// same-phase users need no mutual ordering. A schedule that puts more on a
+// link is rejected.
+//
 // Cost, for M messages with paths of at most L links: O(M·L) to walk the
 // paths, index each link's users, count ConflictPairs and list the chains;
 // O(M·L·M/64) word operations and M²/8 bytes of bitsets to reduce them.
 func Build(g *topology.Graph, s *schedule.Schedule) (*Plan, error) {
-	return build(g, s, false)
-}
-
-// BuildCapacityAware computes the synchronization plan for a
-// capacity-respecting schedule on a heterogeneous cluster (see
-// schedule.VerifyCapacity): messages of the same phase may legitimately
-// share a fast link and need no mutual ordering, so only cross-phase
-// conflicts are synchronized.
-func BuildCapacityAware(g *topology.Graph, s *schedule.Schedule) (*Plan, error) {
-	return build(g, s, true)
-}
-
-func build(g *topology.Graph, s *schedule.Schedule, allowSamePhase bool) (*Plan, error) {
 	n, idx, numMsgs := g.NumMachines(), g.NewEdgeIndex(), s.NumMessages()
 
 	// Messages get dense indices in phase order; message i crosses the links
@@ -135,12 +128,18 @@ func build(g *topology.Graph, s *schedule.Schedule, allowSamePhase bool) (*Plan,
 		us, nx := users[off[e]:off[e+1]], next[off[e]:off[e+1]]
 		group := 0 // first user of the current phase
 		for i, u := range us {
-			if i > 0 && phase[u] == phase[us[i-1]] && !allowSamePhase {
-				return nil, fmt.Errorf(
-					"syncplan: schedule not contention-free: %v and %v share a link in phase %d",
-					msgs[us[i-1]], msgs[u], phase[u])
-			}
-			if i > 0 && phase[u] != phase[us[i-1]] {
+			if i > 0 && phase[u] == phase[us[i-1]] {
+				if sharing, speed := i-group+1, g.LinkSpeed(idx.Edge(e)); float64(sharing) > speed {
+					if sharing == 2 {
+						return nil, fmt.Errorf(
+							"syncplan: schedule not contention-free: %v and %v share a link in phase %d",
+							msgs[us[i-1]], msgs[u], phase[u])
+					}
+					return nil, fmt.Errorf(
+						"syncplan: schedule exceeds link capacity: %v is message %d on a link of speed %g in phase %d",
+						msgs[u], sharing, speed, phase[u])
+				}
+			} else if i > 0 {
 				for _, x := range nx[group:i] {
 					if x >= 0 {
 						cnt[numLinks+int(x)] = 0
@@ -165,9 +164,9 @@ func build(g *topology.Graph, s *schedule.Schedule, allowSamePhase bool) (*Plan,
 	// Reduce backward in index order, so a successor's reach is final when it
 	// is read; row u of reach is what u's kept successors reach. The chain
 	// successors of u are, on each link of its path, the users of the next
-	// phase after u's (one user on a strict schedule, a group on a
-	// capacity-aware fast link); sorted, they come in phase order. A kept sync
-	// is After<<32 | Before over the keys Src*n+Dst, which sort as Plan.Syncs.
+	// phase after u's (one user on a standard link, up to its speed on a fast
+	// one); sorted, they come in phase order. A kept sync is After<<32 | Before
+	// over the keys Src*n+Dst, which sort as Plan.Syncs.
 	words := (len(msgs) + 63) / 64
 	reach := make([]uint64, len(msgs)*words)
 	var succ []int32

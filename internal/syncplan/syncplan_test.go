@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/aapc-sched/aapcsched/internal/schedule"
@@ -337,26 +338,39 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
-func TestBuildCapacityAwareAllowsSamePhase(t *testing.T) {
-	// Two messages sharing a link in one phase: strict Build must reject,
-	// capacity-aware Build must accept and order only cross-phase pairs.
-	g := fig1(t)
-	s := &schedule.Schedule{
-		NumRanks: 6,
-		Phases: []schedule.Phase{
-			{{Src: 0, Dst: 4}, {Src: 0, Dst: 3}}, // impossible strictly: share n0's uplink
-			{{Src: 1, Dst: 4}},
-		},
-	}
-	if _, err := Build(g, s); err == nil {
-		t.Fatal("strict Build should reject same-phase sharing")
-	}
-	plan, err := BuildCapacityAware(g, s)
+// TestBuildAllowsSamePhaseUpToLinkSpeed: a phase may put as many messages on
+// a link as its speed. Two messages sharing n0's uplink and the trunks to s3
+// in one phase are planned when those links have speed 2, with only the
+// cross-phase pairs ordered; on fig1's standard links they are contention,
+// and a third message on a speed-2 link overloads it.
+func TestBuildAllowsSamePhaseUpToLinkSpeed(t *testing.T) {
+	g, err := topology.ParseString(`
+switches s0 s1 s2 s3
+machines n0 n1 n2 n3 n4 n5
+link s0 n0 2
+link s0 n1
+link s0 s2
+link s2 n2
+link s1 s0 2
+link s1 s3 2
+link s1 n5
+link s3 n3
+link s3 n4
+`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Only the cross-phase conflicts (0->4 vs 1->4 and 0->3 vs 1->4 via
-	// shared links into t1's subtree) may appear; no same-phase pair.
+	s := &schedule.Schedule{
+		NumRanks: 6,
+		Phases: []schedule.Phase{
+			{{Src: 0, Dst: 4}, {Src: 0, Dst: 3}}, // share n0->s0, s0->s1 and s1->s3
+			{{Src: 1, Dst: 4}},
+		},
+	}
+	plan, err := Build(g, s)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, sy := range plan.Syncs {
 		if sy.After.Src == 0 && sy.Before.Src == 0 {
 			t.Errorf("same-phase pair synchronized: %v", sy)
@@ -364,5 +378,15 @@ func TestBuildCapacityAwareAllowsSamePhase(t *testing.T) {
 	}
 	if plan.NumSyncs() == 0 {
 		t.Error("cross-phase conflicts should need syncs")
+	}
+
+	_, err = Build(fig1(t), s)
+	if want := "syncplan: schedule not contention-free: 0->4 and 0->3 share a link in phase 0"; err == nil || err.Error() != want {
+		t.Errorf("standard links: error %v, want %q", err, want)
+	}
+
+	over := &schedule.Schedule{NumRanks: 6, Phases: []schedule.Phase{{{Src: 0, Dst: 4}, {Src: 0, Dst: 3}, {Src: 0, Dst: 5}}}}
+	if _, err := Build(g, over); err == nil || !strings.Contains(err.Error(), "exceeds link capacity") {
+		t.Errorf("three messages on a speed-2 link: error %v, want one naming the capacity", err)
 	}
 }
