@@ -42,9 +42,9 @@ bin/aapcvet: $(AAPCVET_SRCS)
 	$(GO) build -o $@ ./cmd/aapcvet
 
 # lint runs the project-specific analyzers (poolsafe, determinism,
-# waitcheck, noalloc, copycount, lockorder, spscsafe, shadow) over both
-# build configurations via the go vet -vettool protocol; copylocks and
-# loopclosure come from stock `go vet` (the vet target). Suppress a deliberate violation with an
+# waitcheck, noalloc, copycount, spscsafe) over both build configurations
+# via the go vet -vettool protocol; copylocks and loopclosure come from
+# stock `go vet` (the vet target). Suppress a deliberate violation with an
 # //aapc:allow <analyzer> <reason> comment on (or one line above) the
 # flagged line; `make lint-audit` flags suppressions that have gone stale.
 lint: bin/aapcvet
@@ -58,7 +58,8 @@ lint-json: bin/aapcvet
 	$(GO) vet -vettool=$(abspath bin/aapcvet) -json -tags obsv_off ./...
 
 # lint-audit additionally reports stale //aapc:allow comments whose
-# analyzer no longer flags anything at that site.
+# analyzer no longer flags anything at that site, and comments whose first
+# name is no registered analyzer.
 lint-audit: bin/aapcvet
 	$(GO) vet -vettool=$(abspath bin/aapcvet) -unusedallow ./...
 	$(GO) vet -vettool=$(abspath bin/aapcvet) -unusedallow -tags obsv_off ./...

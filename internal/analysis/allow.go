@@ -14,6 +14,8 @@ import (
 // placed on the flagged line or the line directly above it. Analyzer names
 // are read up to the first token that is not a registered analyzer name;
 // the rest of the line is the human reason and is ignored by the machinery.
+// A comment whose first token names no registered analyzer (a misspelling,
+// a retired pass) suppresses nothing and is an audit finding of its own.
 const allowPrefix = "aapc:allow"
 
 // knownAllowNames is populated from the suite so free-text reasons are never
@@ -28,12 +30,16 @@ func init() {
 
 // allowIndex maps file name -> line -> allowed analyzer name -> entry.
 // Entries are shared, so marking one used through any line lookup marks
-// the comment's claim used.
-type allowIndex map[string]map[int]map[string]*AllowEntry
+// the comment's claim used. misnamed holds the comments whose first token
+// is no registered analyzer.
+type allowIndex struct {
+	files    map[string]map[int]map[string]*AllowEntry
+	misnamed []AllowEntry
+}
 
 // buildAllowIndex scans every comment in the files for suppression markers.
-func buildAllowIndex(fset *token.FileSet, files []*ast.File) allowIndex {
-	idx := make(allowIndex)
+func buildAllowIndex(fset *token.FileSet, files []*ast.File) *allowIndex {
+	idx := &allowIndex{files: make(map[string]map[int]map[string]*AllowEntry)}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -44,14 +50,19 @@ func buildAllowIndex(fset *token.FileSet, files []*ast.File) allowIndex {
 				}
 				rest := strings.TrimPrefix(text, allowPrefix)
 				names := parseAllowNames(rest)
+				pos := fset.Position(c.Pos())
 				if len(names) == 0 {
+					var first string
+					if toks := strings.Fields(rest); len(toks) > 0 {
+						first = toks[0]
+					}
+					idx.misnamed = append(idx.misnamed, AllowEntry{File: pos.Filename, Line: pos.Line, Analyzer: first, Misnamed: true})
 					continue
 				}
-				pos := fset.Position(c.Pos())
-				lines := idx[pos.Filename]
+				lines := idx.files[pos.Filename]
 				if lines == nil {
 					lines = make(map[int]map[string]*AllowEntry)
-					idx[pos.Filename] = lines
+					idx.files[pos.Filename] = lines
 				}
 				set := lines[pos.Line]
 				if set == nil {
@@ -85,8 +96,8 @@ func parseAllowNames(rest string) []string {
 // allows reports whether a diagnostic of the named analyzer at pos is
 // suppressed: an allow comment for it sits on the same line or the line
 // above. A hit marks the entry used for the -unusedallow audit.
-func (idx allowIndex) allows(pos token.Position, analyzer string) bool {
-	lines := idx[pos.Filename]
+func (idx *allowIndex) allows(pos token.Position, analyzer string) bool {
+	lines := idx.files[pos.Filename]
 	if lines == nil {
 		return false
 	}
@@ -99,16 +110,17 @@ func (idx allowIndex) allows(pos token.Position, analyzer string) bool {
 	return false
 }
 
-// unused returns the entries that suppressed nothing, restricted to
-// analyzers that actually ran (a comment for a pass disabled on the
-// command line is not evidence of rot), sorted by (file, line, analyzer).
-func (idx allowIndex) unused(ran []*Analyzer) []AllowEntry {
+// unused returns the entries that suppressed nothing, sorted by (file,
+// line, analyzer): every misnamed comment, and the claims of analyzers that
+// actually ran (a comment for a pass disabled on the command line is not
+// evidence of rot).
+func (idx *allowIndex) unused(ran []*Analyzer) []AllowEntry {
 	ranNames := make(map[string]bool, len(ran))
 	for _, a := range ran {
 		ranNames[a.Name] = true
 	}
-	var out []AllowEntry
-	for _, lines := range idx {
+	out := append([]AllowEntry(nil), idx.misnamed...)
+	for _, lines := range idx.files {
 		for _, set := range lines {
 			for _, e := range set {
 				if !e.used && ranNames[e.Analyzer] {

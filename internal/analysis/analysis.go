@@ -10,10 +10,13 @@
 //     every path, including error paths;
 //   - noalloc: functions annotated //aapc:noalloc must not contain
 //     allocating constructs outside cold (early-exit) paths;
+//   - copycount: functions annotated //aapc:nocopy must not copy payload
+//     bytes on their hot path;
+//   - spscsafe: //aapc:spsc ring types keep atomic access and producer /
+//     consumer role separation.
 //
-// together with the fact-driven copycount, lockorder and spscsafe passes
-// and a refined port of shadow, the one stock-style pass `go vet ./...` does
-// not run by default.
+// poolsafe, waitcheck and copycount read interprocedural facts (facts.go),
+// so they see through call sites and across packages.
 //
 // The framework is built on the standard library's go/ast and go/types
 // only. The build environment pins no external modules, so rather than
@@ -137,6 +140,9 @@ type AllowEntry struct {
 	File     string
 	Line     int
 	Analyzer string
+	// Misnamed marks a comment whose first token (Analyzer, possibly empty)
+	// is no registered analyzer: it can never suppress anything.
+	Misnamed bool
 	used     bool
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
 	"strings"
@@ -15,17 +14,15 @@ import (
 // package boundaries through the unit checker's vetx files (unitchecker.go),
 // the same channel go/analysis uses for its facts.
 //
-// A fact describes how a function treats its parameters and what it does to
-// the process's lock state, in exactly the vocabulary the analyzers consume:
+// A fact describes how a function treats its parameters, in exactly the
+// vocabulary the three fact-driven analyzers consume:
 //
 //   - poolsafe asks "does this callee release its argument back to a pool?"
 //     and "does its result alias one of its arguments?";
 //   - copycount asks "does this callee copy its argument's payload bytes on
 //     its own hot path?";
 //   - waitcheck asks "does this callee consume (wait, retain, or escape) the
-//     request I hand it?";
-//   - lockorder asks "which locks may this callee acquire while I am holding
-//     mine?" and collects every held->acquired edge into one global graph.
+//     request I hand it?".
 //
 // Facts are an over- or under-approximation in exactly the direction each
 // consumer needs to avoid false positives: Releases and Copies are "on some
@@ -60,34 +57,6 @@ type ParamFact struct {
 	Consumed bool `json:"cons,omitempty"`
 }
 
-// LockAcq is one lock class a function may acquire while it runs, directly
-// or through any callee with known facts. Mode is "w" for Lock, "r" for
-// RLock.
-type LockAcq struct {
-	Class string `json:"c"`
-	Mode  string `json:"m"`
-}
-
-// LockEdge is one held->acquired ordering observation: while holding From,
-// the function (or a callee reached with From held) acquires To. Pos is the
-// rendered position of the inner acquisition, HeldPos of the outer one;
-// positions are strings because token.Pos does not survive the package
-// boundary.
-type LockEdge struct {
-	From     string `json:"f"`
-	FromMode string `json:"fm"`
-	To       string `json:"t"`
-	ToMode   string `json:"tm"`
-	Fn       string `json:"fn"`
-	Pos      string `json:"p"`
-	HeldPos  string `json:"hp"`
-}
-
-// edgeKey identifies an edge up to its example positions.
-func (e LockEdge) edgeKey() string {
-	return e.From + "\x00" + e.FromMode + "\x00" + e.To + "\x00" + e.ToMode
-}
-
 // FuncFact is the summary of one function.
 type FuncFact struct {
 	// Params holds one entry per parameter with at least one bit set.
@@ -96,11 +65,6 @@ type FuncFact struct {
 	// alias (return p, return p[4:], return &p[0]...): the caller's handle
 	// to pooled memory survives through the call.
 	ReturnsParams []int `json:"ret,omitempty"`
-	// Acquires lists every lock class the function may acquire while it
-	// runs, including transitively through callees with known facts.
-	Acquires []LockAcq `json:"acq,omitempty"`
-	// Edges are the held->acquired observations made inside the function.
-	Edges []LockEdge `json:"edges,omitempty"`
 }
 
 // Param returns the fact for parameter index i (ReceiverIndex for the
@@ -134,21 +98,11 @@ func (f *FuncFact) returnsParam(i int) bool {
 func (f *FuncFact) normalize() {
 	sort.Slice(f.Params, func(i, j int) bool { return f.Params[i].Index < f.Params[j].Index })
 	sort.Ints(f.ReturnsParams)
-	sort.Slice(f.Acquires, func(i, j int) bool {
-		if f.Acquires[i].Class != f.Acquires[j].Class {
-			return f.Acquires[i].Class < f.Acquires[j].Class
-		}
-		return f.Acquires[i].Mode < f.Acquires[j].Mode
-	})
-	sort.Slice(f.Edges, func(i, j int) bool { return f.Edges[i].edgeKey() < f.Edges[j].edgeKey() })
 }
 
-// equal reports whether two normalized facts carry the same information
-// (edge example positions excluded: they never feed back into the fixed
-// point).
+// equal reports whether two normalized facts carry the same information.
 func (f *FuncFact) equal(g *FuncFact) bool {
-	if len(f.Params) != len(g.Params) || len(f.ReturnsParams) != len(g.ReturnsParams) ||
-		len(f.Acquires) != len(g.Acquires) || len(f.Edges) != len(g.Edges) {
+	if len(f.Params) != len(g.Params) || len(f.ReturnsParams) != len(g.ReturnsParams) {
 		return false
 	}
 	for i := range f.Params {
@@ -161,16 +115,6 @@ func (f *FuncFact) equal(g *FuncFact) bool {
 			return false
 		}
 	}
-	for i := range f.Acquires {
-		if f.Acquires[i] != g.Acquires[i] {
-			return false
-		}
-	}
-	for i := range f.Edges {
-		if f.Edges[i].edgeKey() != g.Edges[i].edgeKey() {
-			return false
-		}
-	}
 	return true
 }
 
@@ -178,15 +122,11 @@ func (f *FuncFact) equal(g *FuncFact) bool {
 // dependency packages plus everything computed for the current package.
 type FactSet struct {
 	funcs map[string]*FuncFact
-	// localEdges carries token positions for edges observed in the current
-	// package, so lockorder can anchor its diagnostics (and the suppression
-	// filter can find the line). Keyed by LockEdge.edgeKey.
-	localEdges map[string]token.Pos
 }
 
 // NewFactSet returns an empty fact universe.
 func NewFactSet() *FactSet {
-	return &FactSet{funcs: make(map[string]*FuncFact), localEdges: make(map[string]token.Pos)}
+	return &FactSet{funcs: make(map[string]*FuncFact)}
 }
 
 // Func returns the fact recorded for the qualified function key, or nil.
@@ -282,7 +222,10 @@ func CallArgs(pass *Pass, call *ast.CallExpr, fn *types.Func) map[int]ast.Expr {
 
 // factsMagic is the first line of a vetx facts file written by aapcvet.
 // Files not starting with it (including the pre-facts "no facts" marker)
-// are ignored on import, so mixed-version caches degrade gracefully.
+// are ignored on import, so mixed-version caches degrade gracefully. The
+// version stays v1 when a fact field goes: -V=full fingerprints the binary
+// (selfHash), so cmd/go never feeds one tool build the payloads of another,
+// and a stray older payload still decodes because unknown keys are skipped.
 const factsMagic = "aapcvet-facts v1\n"
 
 // Encode serializes the fact set (magic line + JSON with sorted keys).

@@ -15,11 +15,6 @@ func TestFactsRoundTrip(t *testing.T) {
 			{Index: 1, Copied: true, Consumed: true},
 		},
 		ReturnsParams: []int{0},
-		Acquires:      []LockAcq{{Class: "pkg.mu", Mode: "w"}},
-		Edges: []LockEdge{{
-			From: "pkg.mu", FromMode: "w", To: "pkg.T.mu", ToMode: "r",
-			Fn: "pkg.helper", Pos: "a.go:10", HeldPos: "a.go:8",
-		}},
 	}
 	fs.funcs["pkg.T.method"] = &FuncFact{
 		Params: []ParamFact{{Index: 0, Escapes: true}},
@@ -51,6 +46,18 @@ func TestFactsRoundTrip(t *testing.T) {
 	again, _ := fs.Encode()
 	if !bytes.Equal(data, again) {
 		t.Errorf("Encode is not deterministic")
+	}
+
+	// A payload from a build that still summarized lock state carries acq
+	// and edges keys: they are skipped, and the parameter bits survive.
+	old := factsMagic + `{"pkg.helper":{"params":[{"i":-1,"rel":true},{"i":1,"cp":true,"cons":true}],"ret":[0],` +
+		`"acq":[{"c":"pkg.mu","m":"w"}],"edges":[{"f":"pkg.mu","fm":"w","t":"pkg.T.mu","tm":"r","fn":"pkg.helper","p":"a.go:10","hp":"a.go:8"}]}}` + "\n"
+	legacy, ok, err := DecodeFacts([]byte(old))
+	if err != nil || !ok {
+		t.Fatalf("decode of a lock-carrying payload: ok=%v err=%v", ok, err)
+	}
+	if g := legacy.Func("pkg.helper"); g == nil || !g.equal(fs.funcs["pkg.helper"]) {
+		t.Errorf("lock-carrying payload decoded to %+v, want %+v", g, fs.funcs["pkg.helper"])
 	}
 }
 

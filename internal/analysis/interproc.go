@@ -1,12 +1,9 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path/filepath"
-	"strings"
 )
 
 // The summary engine: computes a FuncFact for every declared function of a
@@ -15,12 +12,9 @@ import (
 // monotone). Cross-package flow needs no iteration: the unit checker hands
 // us dependency facts already complete, and Go's import graph is acyclic.
 //
-// The walk deliberately ignores function literals except where noted: a
-// literal may run on another goroutine or after the function returns, so
-// folding its effects into the enclosing function's summary would claim
-// orderings (locks) and releases that never happen synchronously. Capturing
-// a parameter in a literal still marks it as escaping, and consumption
-// anywhere (including literals) still counts — both are suppression bits.
+// Capturing a parameter in a function literal marks it as escaping, and
+// consumption anywhere (including literals) counts — both are suppression
+// bits, so the generous reading is the safe one.
 
 // maxFactIterations bounds the intra-package fixed point; facts are
 // monotone, so this is a safety net, not a convergence requirement.
@@ -57,7 +51,7 @@ func ComputeFacts(pkg *PackageInfo, imported *FactSet) *FactSet {
 	for iter := 0; iter < maxFactIterations; iter++ {
 		changed := false
 		for _, u := range units {
-			fact := summarizeFunc(pass, fs, u.key, u.decl)
+			fact := summarizeFunc(pass, fs, u.decl)
 			fact.normalize()
 			if prev := fs.funcs[u.key]; prev == nil || !prev.equal(fact) {
 				fs.funcs[u.key] = fact
@@ -71,9 +65,9 @@ func ComputeFacts(pkg *PackageInfo, imported *FactSet) *FactSet {
 	return fs
 }
 
-// summarizeFunc computes one function's fact against the current fact
-// universe.
-func summarizeFunc(pass *Pass, fs *FactSet, key string, decl *ast.FuncDecl) *FuncFact {
+// summarizeFunc computes one function's parameter facts against the current
+// fact universe.
+func summarizeFunc(pass *Pass, fs *FactSet, decl *ast.FuncDecl) *FuncFact {
 	fact := &FuncFact{}
 	params := paramObjects(pass, decl)
 	if len(params) > 0 {
@@ -95,7 +89,6 @@ func summarizeFunc(pass *Pass, fs *FactSet, key string, decl *ast.FuncDecl) *Fun
 		}
 		summarizeParams(pass, fs, decl, params, get, fact)
 	}
-	summarizeLocks(pass, fs, key, decl, fact)
 	// Drop all-zero param entries so facts stay minimal and equal() cheap.
 	kept := fact.Params[:0]
 	for _, p := range fact.Params {
@@ -375,308 +368,4 @@ func calleeConsumesArg(pass *Pass, fs *FactSet, call *ast.CallExpr, id *ast.Iden
 	}
 	// Argument position not covered (variadic slot): stay conservative.
 	return false, false
-}
-
-// ---- lock facts ----
-
-// lockMethods maps the sync.Mutex/RWMutex method names to (acquire?, mode).
-var lockMethods = map[string]struct {
-	acquire bool
-	mode    string
-}{
-	"Lock":     {true, "w"},
-	"TryLock":  {true, "w"},
-	"RLock":    {true, "r"},
-	"TryRLock": {true, "r"},
-	"Unlock":   {false, "w"},
-	"RUnlock":  {false, "r"},
-}
-
-// mutexCall matches x.Lock() / x.RUnlock() / ... where x is (or embeds) a
-// sync.Mutex or sync.RWMutex, returning the mutex expression and method.
-func mutexCall(pass *Pass, call *ast.CallExpr) (mx ast.Expr, method string, ok bool) {
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel || len(call.Args) != 0 {
-		return nil, "", false
-	}
-	if _, isLock := lockMethods[sel.Sel.Name]; !isLock {
-		return nil, "", false
-	}
-	if isMutexType(pass.TypeOf(sel.X)) {
-		return sel.X, sel.Sel.Name, true
-	}
-	// Embedded mutex: the selector resolves to sync.(*Mutex).Lock through
-	// promotion; the lock identity is the embedding value.
-	if fn, isFn := pass.ObjectOf(sel.Sel).(*types.Func); isFn && fn.Pkg() != nil && fn.Pkg().Path() == "sync" {
-		return sel.X, sel.Sel.Name, true
-	}
-	return nil, "", false
-}
-
-func isMutexType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok || n.Obj().Pkg() == nil {
-		return false
-	}
-	return n.Obj().Pkg().Path() == "sync" && (n.Obj().Name() == "Mutex" || n.Obj().Name() == "RWMutex")
-}
-
-// lockClassOf names the lock an expression denotes, collapsing instances to
-// their declaration site: a struct field becomes pkg.Type.field (or
-// pkg.file:line.field when the owner type is unnamed), a package-level var
-// becomes pkg.name, and a local var pkg.name@file:line. Reported cycles are
-// therefore over lock *classes*; two instances of one class are one node.
-func lockClassOf(pass *Pass, e ast.Expr) (string, bool) {
-	e = ast.Unparen(e)
-	for {
-		if star, ok := e.(*ast.StarExpr); ok {
-			e = ast.Unparen(star.X)
-			continue
-		}
-		break
-	}
-	switch x := e.(type) {
-	case *ast.SelectorExpr:
-		fieldObj, ok := pass.ObjectOf(x.Sel).(*types.Var)
-		if !ok || fieldObj.Pkg() == nil {
-			return "", false
-		}
-		owner := namedTypeName(baseType(pass.TypeOf(x.X)))
-		if owner == "" {
-			owner = shortPos(pass.Fset.Position(fieldObj.Pos()))
-		}
-		return fieldObj.Pkg().Path() + "." + owner + "." + fieldObj.Name(), true
-	case *ast.Ident:
-		obj := pass.ObjectOf(x)
-		if obj == nil || obj.Pkg() == nil {
-			return "", false
-		}
-		if obj.Parent() == obj.Pkg().Scope() {
-			return obj.Pkg().Path() + "." + obj.Name(), true
-		}
-		return obj.Pkg().Path() + "." + obj.Name() + "@" + shortPos(pass.Fset.Position(obj.Pos())), true
-	case *ast.IndexExpr:
-		return lockClassOf(pass, x.X)
-	}
-	return "", false
-}
-
-func baseType(t types.Type) types.Type {
-	if p, ok := t.(*types.Pointer); ok {
-		return p.Elem()
-	}
-	return t
-}
-
-func shortPos(pos token.Position) string {
-	return fmt.Sprintf("%s:%d", filepath.Base(pos.Filename), pos.Line)
-}
-
-// heldLock is one entry of the lexical held-set.
-type heldLock struct {
-	class string
-	mode  string
-	pos   token.Pos
-}
-
-// lockWalker accumulates one function's lock fact.
-type lockWalker struct {
-	pass *Pass
-	fs   *FactSet
-	fn   string
-	fact *FuncFact
-	seen map[string]bool // edgeKey dedup
-	acq  map[LockAcq]bool
-}
-
-// summarizeLocks runs the lexical lock walk over the function body.
-func summarizeLocks(pass *Pass, fs *FactSet, key string, decl *ast.FuncDecl, fact *FuncFact) {
-	w := &lockWalker{pass: pass, fs: fs, fn: key, fact: fact,
-		seen: make(map[string]bool), acq: make(map[LockAcq]bool)}
-	w.walkStmts(decl.Body.List, &[]heldLock{})
-	for a := range w.acq {
-		fact.Acquires = append(fact.Acquires, a)
-	}
-}
-
-// walkStmts processes a statement list in order, mutating held in place;
-// branch bodies run on copies (acquisitions balanced inside a branch stay
-// inside it — the lexical approximation the package doc describes).
-func (w *lockWalker) walkStmts(list []ast.Stmt, held *[]heldLock) {
-	for _, s := range list {
-		w.walkStmt(s, held)
-	}
-}
-
-func (w *lockWalker) walkStmt(s ast.Stmt, held *[]heldLock) {
-	switch s := s.(type) {
-	case *ast.BlockStmt:
-		w.walkStmts(s.List, held)
-	case *ast.LabeledStmt:
-		w.walkStmt(s.Stmt, held)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		w.scanCalls(s.Cond, held)
-		branch := copyHeld(*held)
-		w.walkStmts(s.Body.List, &branch)
-		if s.Else != nil {
-			els := copyHeld(*held)
-			w.walkStmt(s.Else, &els)
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		w.scanCalls(s.Cond, held)
-		body := copyHeld(*held)
-		w.walkStmts(s.Body.List, &body)
-	case *ast.RangeStmt:
-		w.scanCalls(s.X, held)
-		body := copyHeld(*held)
-		w.walkStmts(s.Body.List, &body)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		w.scanCalls(s.Tag, held)
-		w.walkClauses(s.Body, held)
-	case *ast.TypeSwitchStmt:
-		w.walkClauses(s.Body, held)
-	case *ast.SelectStmt:
-		w.walkClauses(s.Body, held)
-	case *ast.GoStmt:
-		// The goroutine does not run with our locks held-ordered; its own
-		// body is summarized when its function is.
-	case *ast.DeferStmt:
-		// defer mu.Unlock() keeps the lock held to function end: exactly
-		// the lexical model, so nothing to do. Other deferred calls run at
-		// exit with an unknown held-set; skip them.
-	default:
-		w.scanCalls(s, held)
-	}
-}
-
-func (w *lockWalker) walkClauses(body *ast.BlockStmt, held *[]heldLock) {
-	for _, c := range body.List {
-		var stmts []ast.Stmt
-		switch c := c.(type) {
-		case *ast.CaseClause:
-			stmts = c.Body
-		case *ast.CommClause:
-			if c.Comm != nil {
-				w.scanCalls(c.Comm, held)
-			}
-			stmts = c.Body
-		}
-		clause := copyHeld(*held)
-		w.walkStmts(stmts, &clause)
-	}
-}
-
-func copyHeld(h []heldLock) []heldLock {
-	out := make([]heldLock, len(h))
-	copy(out, h)
-	return out
-}
-
-// scanCalls visits every call in the node (function literals pruned) in
-// source order and applies lock transitions and callee-acquisition edges.
-func (w *lockWalker) scanCalls(n ast.Node, held *[]heldLock) {
-	if n == nil {
-		return
-	}
-	ast.Inspect(n, func(x ast.Node) bool {
-		if _, isLit := x.(*ast.FuncLit); isLit {
-			return false
-		}
-		call, ok := x.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		w.applyCall(call, held)
-		return true
-	})
-}
-
-func (w *lockWalker) applyCall(call *ast.CallExpr, held *[]heldLock) {
-	if mx, method, ok := mutexCall(w.pass, call); ok {
-		class, ok := lockClassOf(w.pass, mx)
-		if !ok {
-			return
-		}
-		m := lockMethods[method]
-		if m.acquire {
-			w.acq[LockAcq{Class: class, Mode: m.mode}] = true
-			for _, h := range *held {
-				w.addEdge(h, class, m.mode, call.Pos())
-			}
-			*held = append(*held, heldLock{class: class, mode: m.mode, pos: call.Pos()})
-		} else {
-			for i := len(*held) - 1; i >= 0; i-- {
-				if (*held)[i].class == class {
-					*held = append((*held)[:i], (*held)[i+1:]...)
-					break
-				}
-			}
-		}
-		return
-	}
-	callee := CalleeFunc(w.pass, call)
-	if callee == nil {
-		return
-	}
-	cf := w.fs.Func(FuncKey(callee))
-	if cf == nil || len(cf.Acquires) == 0 {
-		return
-	}
-	for _, a := range cf.Acquires {
-		w.acq[a] = true
-		for _, h := range *held {
-			w.addEdge(h, a.Class, a.Mode, call.Pos())
-		}
-	}
-}
-
-func (w *lockWalker) addEdge(h heldLock, to, toMode string, pos token.Pos) {
-	e := LockEdge{
-		From: h.class, FromMode: h.mode,
-		To: to, ToMode: toMode,
-		Fn:      w.fn,
-		Pos:     shortPosOf(w.pass.Fset, pos),
-		HeldPos: shortPosOf(w.pass.Fset, h.pos),
-	}
-	k := e.edgeKey() + "\x00" + w.fn
-	if w.seen[k] {
-		return
-	}
-	w.seen[k] = true
-	w.fact.Edges = append(w.fact.Edges, e)
-	if w.fs.localEdges != nil {
-		if _, have := w.fs.localEdges[e.edgeKey()]; !have {
-			w.fs.localEdges[e.edgeKey()] = pos
-		}
-	}
-}
-
-func shortPosOf(fset *token.FileSet, pos token.Pos) string {
-	p := fset.Position(pos)
-	return fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line)
-}
-
-// packageLabel shortens a lock class for diagnostics: the package path's
-// last element is kept, the rest dropped.
-func packageLabel(class string) string {
-	slash := strings.LastIndexByte(class, '/')
-	if slash < 0 {
-		return class
-	}
-	return class[slash+1:]
 }

@@ -37,10 +37,6 @@ func TestCopycount(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.Copycount, "copycount")
 }
 
-func TestLockorder(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.Lockorder, "lockorder")
-}
-
 func TestSpscsafe(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.Spscsafe, "spscsafe")
 }
@@ -52,13 +48,10 @@ func TestPoolsafeInterprocedural(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.Poolsafe, "poolsafeinter")
 }
 
-func TestShadow(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.Shadow, "shadow")
-}
-
 // TestUnusedAllowAudit drives the full Result surface: a suppressed finding
 // marks its allow comment used; a comment that suppressed nothing surfaces
-// in UnusedAllows with its position.
+// in UnusedAllows with its position; a comment naming no registered
+// analyzer leaves its finding live and surfaces as misnamed.
 func TestUnusedAllowAudit(t *testing.T) {
 	pi := analysistest.LoadCorpus(t, "testdata", "unusedallow", "go1.22")
 	res, err := analysis.RunWith(pi, []*analysis.Analyzer{analysis.Poolsafe}, analysis.RunConfig{})
@@ -66,41 +59,47 @@ func TestUnusedAllowAudit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	suppressed := 0
+	suppressed, live := 0, 0
 	for _, d := range res.Diags {
-		if !d.Suppressed {
-			t.Errorf("unexpected live diagnostic: %s", d.Message)
-			continue
+		if d.Suppressed {
+			suppressed++
+		} else {
+			live++
 		}
-		suppressed++
 	}
-	if suppressed != 1 {
-		t.Errorf("suppressed findings = %d, want 1", suppressed)
+	if suppressed != 1 || live != 1 {
+		t.Errorf("findings: %d suppressed, %d live; want 1 and 1 (the misnamed comment's)", suppressed, live)
 	}
 
-	if len(res.UnusedAllows) != 1 {
-		t.Fatalf("unused allows = %+v, want exactly one", res.UnusedAllows)
+	if len(res.UnusedAllows) != 2 {
+		t.Fatalf("unused allows = %+v, want the stale one and the misnamed one", res.UnusedAllows)
 	}
-	e := res.UnusedAllows[0]
-	if e.Analyzer != "poolsafe" {
-		t.Errorf("stale entry analyzer = %q, want poolsafe", e.Analyzer)
+	stale, misnamed := res.UnusedAllows[0], res.UnusedAllows[1]
+	if stale.Analyzer != "poolsafe" || stale.Misnamed {
+		t.Errorf("stale entry = %+v, want a poolsafe claim", stale)
+	}
+	if misnamed.Analyzer != "poolsafee" || !misnamed.Misnamed {
+		t.Errorf("misnamed entry = %+v, want poolsafee marked misnamed", misnamed)
 	}
 	pos := pi.Fset.Position(pi.Files[0].Pos())
-	if e.File != pos.Filename {
-		t.Errorf("stale entry file = %q, want %q", e.File, pos.Filename)
+	for _, e := range res.UnusedAllows {
+		if e.File != pos.Filename {
+			t.Errorf("entry file = %q, want %q", e.File, pos.Filename)
+		}
 	}
 }
 
 // TestUnusedAllowScopedToRanAnalyzers proves a comment for a pass that was
 // not enabled this run is not reported as stale: absence of evidence only
-// counts when the analyzer actually looked.
+// counts when the analyzer actually looked. A misnamed comment is reported
+// whichever passes ran: no pass could ever use it.
 func TestUnusedAllowScopedToRanAnalyzers(t *testing.T) {
 	pi := analysistest.LoadCorpus(t, "testdata", "unusedallow", "go1.22")
 	res, err := analysis.RunWith(pi, []*analysis.Analyzer{analysis.Determinism}, analysis.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.UnusedAllows) != 0 {
-		t.Errorf("unused allows with poolsafe disabled = %+v, want none", res.UnusedAllows)
+	if len(res.UnusedAllows) != 1 || !res.UnusedAllows[0].Misnamed {
+		t.Errorf("unused allows with poolsafe disabled = %+v, want only the misnamed one", res.UnusedAllows)
 	}
 }

@@ -1,5 +1,6 @@
 // Corpus for the -unusedallow audit: one allow comment that suppresses a
-// real finding (used) and one that suppresses nothing (stale).
+// real finding (used), one that suppresses nothing (stale), and one whose
+// misspelled analyzer name leaves its finding live (misnamed).
 package unusedallow
 
 type bufPool struct{ free [][]byte }
@@ -26,4 +27,11 @@ func staleComment(p *bufPool) {
 	b := p.get(64)
 	//aapc:allow poolsafe nothing here ever triggered
 	p.put(b)
+}
+
+func misnamedComment(p *bufPool) int {
+	b := p.get(64)
+	p.put(b)
+	//aapc:allow poolsafee the misspelling suppresses nothing
+	return len(b)
 }

@@ -262,8 +262,11 @@ func runConfig(cfgFile string, analyzers []*Analyzer, opts runOptions) int {
 	}
 	if opts.unusedAllow {
 		for _, e := range res.UnusedAllows {
-			emit(token.Position{Filename: e.File, Line: e.Line, Column: 1}, "unusedallow",
-				fmt.Sprintf("stale //aapc:allow %s: the comment suppressed nothing in this run", e.Analyzer), false)
+			msg := fmt.Sprintf("stale //aapc:allow %s: the comment suppressed nothing in this run", e.Analyzer)
+			if e.Misnamed {
+				msg = fmt.Sprintf("//aapc:allow %q names no registered analyzer, so the comment suppresses nothing", e.Analyzer)
+			}
+			emit(token.Position{Filename: e.File, Line: e.Line, Column: 1}, "unusedallow", msg, false)
 		}
 	}
 	if findings > 0 {

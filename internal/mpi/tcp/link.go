@@ -33,6 +33,15 @@ const (
 // end, and meet only on the wire — never in memory — so they can live in
 // different processes. epoch increments every time a fresh connection is
 // installed, so a stale reader or writer can tell it raced a replacement.
+//
+// Lock order: adopting → mu → st.mu → pool class mu, never the reverse.
+// adopt holds adopting across broken and install, which take mu; install
+// holds mu across st.rewind, which takes st.mu; isend and the ack path hold
+// st.mu while the pool's get and put take a class lock. downLocked releases
+// mu before it takes st.mu, and releases st.mu before matcher.fail.
+// matcher.mu is a leaf taken with none of these held: the read loop
+// claims, delivers and unclaims with no lock, and deliver and post drop
+// matcher.mu before finish returns the payload to the pool.
 type link struct {
 	nd   *node
 	peer int
