@@ -21,10 +21,7 @@ import (
 //   - append(x, src...) spreading a byte slice into another (the disguised
 //     copy; appending a []byte into a [][]byte batch — the borrow idiom —
 //     is untouched);
-//   - string <-> []byte conversions, which copy the bytes;
-//   - Pack/Unpack calls on a Datatype receiver: gather/scatter through a
-//     staging buffer is exactly what the typed transport paths exist to
-//     avoid.
+//   - string <-> []byte conversions, which copy the bytes.
 //
 // Copies on cold paths — inside a conditional block that ends by leaving
 // the function — are exempt, matching noalloc: overflow and error fallbacks
@@ -126,15 +123,6 @@ func checkCopycountCall(pass *Pass, fb funcBody, call *ast.CallExpr) {
 		}
 		return
 	}
-	// Datatype gather/scatter through a staging buffer.
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if sel.Sel.Name == "Pack" || sel.Sel.Name == "Unpack" {
-			if isDatatypeType(pass.TypeOf(sel.X)) {
-				reportCopy(pass, fb, call.Pos(), "Datatype.%s stages payload through a pack buffer", sel.Sel.Name)
-				return
-			}
-		}
-	}
 	// Interprocedural: a callee whose fact says it copies this byte-slice
 	// argument on its own hot path copies it here too — moving the memcpy
 	// one frame down does not make the function zero-copy.
@@ -174,21 +162,4 @@ func isByteSlice(t types.Type) bool {
 	}
 	b, ok := s.Elem().Underlying().(*types.Basic)
 	return ok && (b.Kind() == types.Byte || b.Kind() == types.Uint8)
-}
-
-// isDatatypeType reports whether t names a Datatype (the mpi layout
-// descriptor; matched by name like poolsafe's pool detection so the corpus
-// can stub it).
-func isDatatypeType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	return named.Obj().Name() == "Datatype"
 }

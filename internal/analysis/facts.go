@@ -46,8 +46,7 @@ type ParamFact struct {
 	// address is taken or it is captured by a function literal.
 	Escapes bool `json:"esc,omitempty"`
 	// Copied: the parameter's payload bytes are copied (copy, append-spread,
-	// string conversion, Datatype.Pack/Unpack staging, or a copying callee)
-	// on the function's hot path.
+	// string conversion, or a copying callee) on the function's hot path.
 	Copied bool `json:"cp,omitempty"`
 	// Consumed: the parameter is consumed in the waitcheck sense — a method
 	// is called on it, it is returned, stored, ranged over, sent, assigned

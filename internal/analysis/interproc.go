@@ -265,16 +265,9 @@ func directCopyArgs(pass *Pass, call *ast.CallExpr) []ast.Expr {
 			return nil
 		}
 	}
-	if tv, ok := pass.Info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
-		if isAllocatingConversion(pass.TypeOf(call.Fun), pass.TypeOf(call.Args[0])) {
-			return call.Args
-		}
-		return nil
-	}
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if (sel.Sel.Name == "Pack" || sel.Sel.Name == "Unpack") && isDatatypeType(pass.TypeOf(sel.X)) {
-			return call.Args
-		}
+	if tv, ok := pass.Info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 &&
+		isAllocatingConversion(pass.TypeOf(call.Fun), pass.TypeOf(call.Args[0])) {
+		return call.Args
 	}
 	return nil
 }

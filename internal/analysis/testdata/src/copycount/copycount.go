@@ -1,13 +1,6 @@
 // Corpus for the copycount analyzer: //aapc:nocopy annotation enforcement.
 package copycount
 
-// Datatype stubs the mpi layout descriptor; the analyzer matches Pack and
-// Unpack on it by type name.
-type Datatype struct{}
-
-func (Datatype) Pack(dst, base []byte) int   { return 0 }
-func (Datatype) Unpack(base, src []byte) int { return 0 }
-
 type batch struct {
 	iovecs  [][]byte
 	scratch []byte
@@ -43,35 +36,14 @@ func hotStringConv(src []byte) string {
 	return string(src) // want `string/byte-slice conversion moves payload bytes in a //aapc:nocopy function`
 }
 
-//aapc:nocopy
-func hotPack(dt Datatype, base []byte) []byte {
-	staged := base[:0]
-	dt.Pack(staged, base) // want `Datatype\.Pack stages payload through a pack buffer in a //aapc:nocopy function`
-	return staged
-}
-
-// Op stubs the mpi message descriptor: the datatype is an argument of the
-// one send entry, so the pack check must see through op.Layout().
+// Op stubs the mpi message descriptor.
 type Op struct {
-	Buf  []byte
-	Type Datatype
+	Buf []byte
 }
 
-func (o Op) Layout() Datatype { return o.Type }
-
-//aapc:nocopy the send entry gathers per-block iovecs, never a pack buffer
+//aapc:nocopy the send entry borrows the payload into the writev batch
 func (b *batch) isendOp(op Op) {
 	b.iovecs = append(b.iovecs, op.Buf) // ok: the descriptor's storage is borrowed
-}
-
-//aapc:nocopy
-func (b *batch) isendOpPacked(op Op) {
-	op.Layout().Pack(b.scratch, op.Buf) // want `Datatype\.Pack stages payload through a pack buffer in a //aapc:nocopy function`
-}
-
-//aapc:nocopy
-func hotUnpack(dt Datatype, base, src []byte) {
-	dt.Unpack(base, src) // want `Datatype\.Unpack stages payload through a pack buffer in a //aapc:nocopy function`
 }
 
 //aapc:nocopy the overflow fallback below legitimately stages

@@ -10,11 +10,8 @@ import (
 // one receive entry on the Comm, one deadline-taking wait on the request,
 // and package helpers spelling the common argument shapes.
 
-type Datatype struct{ count, blockLen, stride int }
-
 type Op struct {
 	Buf  []byte
-	Type Datatype
 	Peer int
 }
 
@@ -31,10 +28,6 @@ func (c *Comm) Irecv(op Op) *Request { return &Request{} }
 
 func Isend(c *Comm, buf []byte, dst int) *Request { return c.Isend(Op{Buf: buf, Peer: dst}) }
 func Irecv(c *Comm, buf []byte, src int) *Request { return c.Irecv(Op{Buf: buf, Peer: src}) }
-
-func IsendTyped(c *Comm, base []byte, dt Datatype, dst int) *Request {
-	return c.Isend(Op{Buf: base, Type: dt, Peer: dst})
-}
 
 func wait(r *Request) error {
 	_, err := r.Wait(0)
@@ -61,10 +54,6 @@ func chainedWait(c *Comm, buf []byte) error {
 
 func methodDiscarded(c *Comm, buf []byte) {
 	c.Isend(Op{Buf: buf, Peer: 1}) // want `result of Isend is discarded; the request is never waited`
-}
-
-func typedDiscarded(c *Comm, base []byte, dt Datatype) {
-	_ = IsendTyped(c, base, dt, 1) // want `result of IsendTyped is discarded; the request is never waited`
 }
 
 func discarded(c *Comm, buf []byte) {

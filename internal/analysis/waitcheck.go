@@ -39,8 +39,7 @@ var Waitcheck = &Analyzer{
 
 // acquisitionName returns the callee name when call starts a request — the
 // Comm methods c.Isend(op)/c.Irecv(op) or the mpi package helpers
-// Isend/Irecv/IsendTyped/IrecvTyped (qualified or, inside package mpi,
-// bare) — and "" otherwise.
+// Isend/Irecv (qualified or, inside package mpi, bare) — and "" otherwise.
 func acquisitionName(call *ast.CallExpr) string {
 	var name string
 	switch fun := call.Fun.(type) {
@@ -50,7 +49,7 @@ func acquisitionName(call *ast.CallExpr) string {
 		name = fun.Name
 	}
 	switch name {
-	case "Isend", "Irecv", "IsendTyped", "IrecvTyped":
+	case "Isend", "Irecv":
 		return name
 	}
 	return ""

@@ -294,7 +294,7 @@ func (r timedReq) Wait(d time.Duration) (mpi.TraceInfo, error) {
 }
 
 // Isend applies the rank and message fault rules and forwards the op — its
-// layout and trace context included — to the transport.
+// trace context included — to the transport.
 func (c *faultComm) Isend(op mpi.Op) mpi.Request {
 	if err := c.rankOp(); err != nil {
 		return mpi.Completed(err)

@@ -56,9 +56,8 @@ type matchKey struct {
 type op struct {
 	mpi.Completion
 	w *World
-	// Op is the canonical descriptor: a non-zero Type is a strided layout,
-	// and the match moves bytes straight between the two layouts — the mem
-	// transport's single copy, with no pack staging in between.
+	// Op is the caller's descriptor; the match copies straight from the
+	// send's Buf into the receive's — the mem transport's single copy.
 	mpi.Op
 }
 
@@ -79,25 +78,20 @@ func (o *op) Recycle() {
 	o.w.ops.Put(o)
 }
 
-// match moves the message from the send op into the recv op, honoring either
-// side's layout, stamps the trace information and completes both. Both ops
-// have left the queues, so the caller has already released w.mu: neither the
-// copy nor the wake-ups run under the world lock.
+// match copies the message from the send op into the recv op, stamps the
+// trace information and completes both. Both ops have left the queues, so
+// the caller has already released w.mu: neither the copy nor the wake-ups
+// run under the world lock.
 func (w *World) match(recv, send *op) {
-	var n int
-	if recv.Type.IsZero() && send.Type.IsZero() {
-		n = copy(recv.Buf, send.Buf)
-	} else {
-		n = mpi.CopyTyped(recv.Buf, recv.Layout(), send.Buf, send.Layout())
-	}
+	n := copy(recv.Buf, send.Buf)
 	if send.Ctx != 0 {
 		info := mpi.TraceInfo{Ctx: send.Ctx, DeliveredAt: time.Since(w.start).Seconds()}
 		recv.Info, send.Info = info, info
 	}
 	var err error
-	if n < send.Size() {
+	if n < len(send.Buf) {
 		err = fmt.Errorf("mem: send %d->%d tag %d truncated: receiver buffer %d < %d",
-			recv.Peer, send.Peer, send.Tag, recv.Size(), send.Size())
+			recv.Peer, send.Peer, send.Tag, len(recv.Buf), len(send.Buf))
 	}
 	recv.Complete(err)
 	send.Complete(err)
@@ -216,7 +210,7 @@ func (c *comm) Now() float64 { return time.Since(c.w.start).Seconds() }
 func (c *comm) Kill() error { return c.w.KillRank(c.rank) }
 
 func (c *comm) Isend(m mpi.Op) mpi.Request {
-	if err := m.Canon(c.w.n); err != nil {
+	if err := mpi.CheckRank(c, m.Peer); err != nil {
 		return mpi.Completed(err)
 	}
 	key := matchKey{src: c.rank, dst: m.Peer, tag: m.Tag}
@@ -241,7 +235,7 @@ func (c *comm) Isend(m mpi.Op) mpi.Request {
 }
 
 func (c *comm) Irecv(m mpi.Op) mpi.Request {
-	if err := m.Canon(c.w.n); err != nil {
+	if err := mpi.CheckRank(c, m.Peer); err != nil {
 		return mpi.Completed(err)
 	}
 	key := matchKey{src: m.Peer, dst: c.rank, tag: m.Tag}

@@ -23,11 +23,11 @@
 //
 // Every message operation is one Op descriptor entering a transport through
 // Comm.Isend or Comm.Irecv, and every request completes through the single
-// Request.Wait. The datatype and the trace context are arguments of the
-// operation, not parallel APIs, so no transport or wrapper can implement
-// one and forget the other. The package-level helpers (Isend, Irecv,
-// IsendTyped, Send, Recv, Wait, WaitTimeout, WaitAll, ...) spell the common
-// argument shapes.
+// Request.Wait. A message is one contiguous []byte, and the trace context is
+// an argument of the operation, not a parallel API, so no transport or
+// wrapper can implement one and forget the other. The package-level helpers
+// (Isend, Irecv, Send, Recv, Wait, WaitTimeout, WaitAll, ...) spell the
+// common argument shapes.
 package mpi
 
 import (
@@ -46,16 +46,14 @@ const AnyTag = -1
 // trace analysis leaves them out of data-flow statistics.
 const ControlSizeMax = 64
 
-// Op describes one message operation: what bytes, in which layout, to or
-// from whom, under which tag, and (for sends) with which trace context.
+// Op describes one message operation: what bytes, to or from whom, under
+// which tag, and (for sends) with which trace context. The payload is always
+// all of Buf, contiguously: len(Buf) is the message size.
 type Op struct {
 	// Buf is the storage the operation reads (send) or fills (receive). It
 	// must not be modified (send) or read (receive) until the request
 	// completes.
 	Buf []byte
-	// Type describes the layout of the payload within Buf. The zero value
-	// means all of Buf, contiguously.
-	Type Datatype
 	// Peer is the destination rank of a send, the source rank of a receive.
 	Peer int
 	// Tag is the matching tag.
@@ -63,45 +61,6 @@ type Op struct {
 	// Ctx is the causal trace context a send attaches to its message
 	// (MakeTraceCtx); 0 sends untraced. Ignored on receives.
 	Ctx uint64
-}
-
-// Size returns the payload bytes the operation describes.
-func (o Op) Size() int {
-	if o.Type.IsZero() {
-		return len(o.Buf)
-	}
-	return o.Type.Size()
-}
-
-// Layout returns the operation's datatype, substituting the contiguous
-// identity over Buf for the zero Type.
-func (o Op) Layout() Datatype {
-	if o.Type.IsZero() {
-		return Contiguous(len(o.Buf))
-	}
-	return o.Type
-}
-
-// Canon validates the operation against the world it enters — Peer within
-// [0, size), Type within Buf — and folds a contiguous Type into Buf, so that
-// afterwards a zero Type means "all of Buf" and a non-zero Type means
-// genuinely strided. Transports call it first, on their own copy of the
-// descriptor, and branch on Type.IsZero() alone.
-func (o *Op) Canon(size int) error {
-	if o.Peer < 0 || o.Peer >= size {
-		return rankError(o.Peer, size)
-	}
-	if o.Type.IsZero() {
-		return nil
-	}
-	if err := o.Type.Validate(len(o.Buf)); err != nil {
-		return err
-	}
-	if o.Type.Contig() {
-		o.Buf = o.Buf[:o.Type.Size()]
-		o.Type = Datatype{}
-	}
-	return nil
 }
 
 // Request is an in-flight nonblocking operation.
@@ -128,9 +87,9 @@ type Comm interface {
 	Size() int
 	// Isend starts a nonblocking send of the op's payload to rank op.Peer.
 	Isend(op Op) Request
-	// Irecv starts a nonblocking receive from rank op.Peer into the op's
-	// layout. Completion places min(receive size, sent size) bytes; a
-	// message larger than the receive fails both sides as truncated.
+	// Irecv starts a nonblocking receive from rank op.Peer into op.Buf.
+	// Completion places min(receive size, sent size) bytes; a message larger
+	// than the receive fails both sides as truncated.
 	Irecv(op Op) Request
 	// Barrier blocks until every rank of the world has entered it.
 	Barrier() error
@@ -165,17 +124,6 @@ func Isend(c Comm, buf []byte, dst, tag int) Request {
 // Irecv starts a nonblocking contiguous receive into buf from rank src.
 func Irecv(c Comm, buf []byte, src, tag int) Request {
 	return c.Irecv(Op{Buf: buf, Peer: src, Tag: tag})
-}
-
-// IsendTyped starts a nonblocking send of the dt-described bytes of base.
-func IsendTyped(c Comm, base []byte, dt Datatype, dst, tag int) Request {
-	return c.Isend(Op{Buf: base, Type: dt, Peer: dst, Tag: tag})
-}
-
-// IrecvTyped starts a nonblocking receive into the dt-described blocks of
-// base.
-func IrecvTyped(c Comm, base []byte, dt Datatype, src, tag int) Request {
-	return c.Irecv(Op{Buf: base, Type: dt, Peer: src, Tag: tag})
 }
 
 // Wait waits for the request unbounded and returns its error.
@@ -226,11 +174,7 @@ func WaitAll(reqs []Request) error {
 // CheckRank validates a peer rank against the world size.
 func CheckRank(c Comm, peer int) error {
 	if size := c.Size(); peer < 0 || peer >= size {
-		return rankError(peer, size)
+		return fmt.Errorf("mpi: rank %d out of range [0, %d)", peer, size)
 	}
 	return nil
-}
-
-func rankError(peer, size int) error {
-	return fmt.Errorf("mpi: rank %d out of range [0, %d)", peer, size)
 }

@@ -109,9 +109,6 @@ func (r *Ring) Buffered() int {
 	return int(atomic.LoadUint64(r.tail) - atomic.LoadUint64(r.head))
 }
 
-// Free returns the bytes currently writable.
-func (r *Ring) Free() int { return int(r.cap) - r.Buffered() }
-
 // copyIn copies p into the data area starting at absolute cursor pos,
 // wrapping once. Caller has established that the space is free.
 func (r *Ring) copyIn(pos uint64, p []byte) {
@@ -207,14 +204,22 @@ func (r *Ring) PeekRecord() (tag int64, size int, ok bool) {
 	return int64(getU64(hdr[4:12])), int(getU32(hdr[0:4])), true
 }
 
-// ReadRecord consumes the next record, copying its payload into p (which
-// must hold PeekRecord's size). Consumer side only.
+// ReadRecord consumes the next record, copying its payload into p, and
+// returns the bytes placed: the smaller of the payload and len(p). The whole
+// record is consumed even when p is too small to hold it (the caller reports
+// truncation). Consumer side only; the caller has established via
+// PeekRecord that a record is present.
 //
 //aapc:role consumer
-func (r *Ring) ReadRecord(p []byte) {
+func (r *Ring) ReadRecord(p []byte) int {
 	head := atomic.LoadUint64(r.head)
-	r.copyOut(head+recordHeader, p)
-	atomic.StoreUint64(r.head, head+recordHeader+uint64(len(p)))
+	var hdr [recordHeader]byte
+	r.copyOut(head, hdr[:])
+	size := int(getU32(hdr[0:4]))
+	n := min(size, len(p))
+	r.copyOut(head+recordHeader, p[:n])
+	atomic.StoreUint64(r.head, head+recordHeader+uint64(size))
+	return n
 }
 
 // Byte-order helpers (little endian, matching the tcp frame encoding).

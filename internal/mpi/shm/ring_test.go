@@ -7,8 +7,6 @@ import (
 	"runtime"
 	"testing"
 	"time"
-
-	"github.com/aapc-sched/aapcsched/internal/mpi"
 )
 
 // TestRingStreamSPSC stresses the stream mode across two goroutines with a
@@ -49,88 +47,119 @@ func TestRingStreamSPSC(t *testing.T) {
 	}
 }
 
-// TestRingRecords checks record-mode framing: tags and payloads round-trip,
-// partial space rejects the whole record, and order is preserved.
+// Ring record scripts: after one capacity byte, each (op, arg) byte pair is
+// a WriteRecord of an arg-byte payload, a PeekRecord, or a PeekRecord then
+// ReadRecord into an arg-byte buffer (op taken modulo 3).
+const (
+	opWrite byte = iota
+	opPeek
+	opRead
+)
+
+// ringScripts are the ring's record cases, run by TestRingRecords and
+// seeded into FuzzRingRecord's corpus.
+var ringScripts = map[string][]byte{
+	// A record larger than the ring is refused; the rest, an empty one
+	// included, come out in order.
+	"order": {64, opWrite, 64, opWrite, 5, opWrite, 0, opWrite, 4, opRead, 5, opPeek, 0, opRead, 0, opRead, 4, opPeek, 0},
+	// The second record wraps the ring's end.
+	"wrap": {100, opWrite, 60, opRead, 60, opWrite, 32, opPeek, 0, opRead, 32},
+	// A receive smaller than the record places its prefix and consumes the
+	// whole record.
+	"truncate": {128, opWrite, 10, opRead, 4},
+	// A full ring refuses a record without disturbing those it holds, and
+	// takes it once a read frees the space.
+	"full": {64, opWrite, 30, opWrite, 30, opRead, 200, opWrite, 30, opWrite, 8, opRead, 30, opRead, 8},
+}
+
+// TestRingRecords checks record-mode framing on the scripted cases.
 func TestRingRecords(t *testing.T) {
-	r := NewRing(64)
-	if ok := r.WriteRecord(7, make([]byte, 64)); ok {
-		t.Fatal("record larger than free space was accepted")
+	for name, script := range ringScripts {
+		t.Run(name, func(t *testing.T) { runRingScript(t, script) })
 	}
-	if !r.WriteRecord(1, []byte("alpha")) || !r.WriteRecord(2, []byte("")) || !r.WriteRecord(3, []byte("beta")) {
-		t.Fatal("records rejected with free space available")
+}
+
+// FuzzRingRecord runs arbitrary record scripts against the ring.
+func FuzzRingRecord(f *testing.F) {
+	for _, script := range ringScripts {
+		f.Add(script)
 	}
-	want := []struct {
+	f.Fuzz(runRingScript)
+}
+
+// runRingScript plays a record script on a ring of at most 255 data bytes,
+// so records wrap, and checks every call against a FIFO model of the
+// records the ring holds: a write is accepted exactly when the record fits
+// in the free space, peeks and reads see the records in write order, a read
+// places min(receive, payload) bytes equal to the payload's prefix, and
+// Buffered() tracks the model, returning to 0 once the ring is drained.
+func runRingScript(t *testing.T, script []byte) {
+	if len(script) == 0 {
+		return
+	}
+	r := NewRing(max(int(script[0]), recordHeader+1))
+	type record struct {
 		tag     int64
-		payload string
-	}{{1, "alpha"}, {2, ""}, {3, "beta"}}
-	for _, w := range want {
-		tag, size, ok := r.PeekRecord()
-		if !ok || tag != w.tag || size != len(w.payload) {
-			t.Fatalf("peek = (%d, %d, %v), want (%d, %d, true)", tag, size, ok, w.tag, len(w.payload))
+		payload []byte
+	}
+	var held []record
+	used, writes := 0, 0
+	read := func(size int) {
+		t.Helper()
+		tag, n, ok := r.PeekRecord()
+		if ok != (len(held) > 0) {
+			t.Fatalf("peek ok = %v with %d records held", ok, len(held))
 		}
-		buf := make([]byte, size)
-		r.ReadRecord(buf)
-		if string(buf) != w.payload {
-			t.Fatalf("record %d payload %q, want %q", w.tag, buf, w.payload)
+		if !ok {
+			return
+		}
+		want := held[0]
+		if tag != want.tag || n != len(want.payload) {
+			t.Fatalf("peek = (%#x, %d), want (%#x, %d)", tag, n, want.tag, len(want.payload))
+		}
+		if size < 0 {
+			return
+		}
+		buf := bytes.Repeat([]byte{0xEE}, size)
+		placed := r.ReadRecord(buf)
+		if placed != min(size, n) || !bytes.Equal(buf[:placed], want.payload[:placed]) {
+			t.Fatalf("read of a %d-byte record into %d bytes placed %d: % x", n, size, placed, buf[:placed])
+		}
+		if bytes.Count(buf[placed:], []byte{0xEE}) != size-placed {
+			t.Fatalf("read wrote past the %d bytes it placed", placed)
+		}
+		held, used = held[1:], used-recordHeader-n
+	}
+	for ops := script[1:]; len(ops) >= 2; ops = ops[2:] {
+		arg := int(ops[1])
+		switch ops[0] % 3 {
+		case opWrite:
+			writes++
+			rec := record{tag: int64(uint64(writes) * 0x9E3779B97F4A7C15), payload: make([]byte, arg)}
+			for i := range rec.payload {
+				rec.payload[i] = byte(writes + i)
+			}
+			fits := used+recordHeader+arg <= int(r.cap)
+			if ok := r.WriteRecord(rec.tag, rec.payload); ok != fits {
+				t.Fatalf("write of %d bytes with %d of %d used: ok = %v", arg, used, r.cap, ok)
+			}
+			if fits {
+				held, used = append(held, rec), used+recordHeader+arg
+			}
+		case opPeek:
+			read(-1)
+		case opRead:
+			read(arg)
+		}
+		if r.Buffered() != used {
+			t.Fatalf("Buffered() = %d, model holds %d", r.Buffered(), used)
 		}
 	}
-	if _, _, ok := r.PeekRecord(); ok {
-		t.Fatal("peek succeeded on drained ring")
-	}
-}
-
-// TestRingTypedRecords round-trips a strided layout through a record:
-// gather on write, scatter on read, wrapping the ring boundary.
-func TestRingTypedRecords(t *testing.T) {
-	r := NewRing(100)
-	// Fill and drain once so the next record wraps.
-	if !r.WriteRecord(0, make([]byte, 60)) {
-		t.Fatal("warm-up record rejected")
-	}
-	r.ReadRecord(make([]byte, 60))
-
-	src := make([]byte, 64)
-	for i := range src {
-		src[i] = byte(i)
-	}
-	sdt := mpi.Vector(4, 8, 16) // blocks 0-7, 16-23, 32-39, 48-55
-	if !r.writeRecordTyped(5, src, sdt) {
-		t.Fatal("typed record rejected")
-	}
-	tag, size, ok := r.PeekRecord()
-	if !ok || tag != 5 || size != 32 {
-		t.Fatalf("peek = (%d, %d, %v), want (5, 32, true)", tag, size, ok)
-	}
-	dst := make([]byte, 64)
-	ddt := mpi.Vector(8, 4, 8) // different geometry, same 32 bytes
-	if placed := r.readRecordTyped(dst, ddt); placed != 32 {
-		t.Fatalf("placed %d bytes, want 32", placed)
-	}
-	packedSrc := make([]byte, 32)
-	sdt.Pack(packedSrc, src)
-	packedDst := make([]byte, 32)
-	ddt.Pack(packedDst, dst)
-	if !bytes.Equal(packedSrc, packedDst) {
-		t.Fatal("typed record did not preserve packed byte order")
-	}
-}
-
-// TestRingReadRecordTypedTruncates checks a too-small receive layout
-// consumes the whole record and reports the shorter placement.
-func TestRingReadRecordTypedTruncates(t *testing.T) {
-	r := NewRing(128)
-	if !r.WriteRecord(1, []byte("0123456789")) {
-		t.Fatal("record rejected")
-	}
-	dst := make([]byte, 4)
-	if placed := r.readRecordTyped(dst, mpi.Contiguous(4)); placed != 4 {
-		t.Fatalf("placed %d, want 4", placed)
-	}
-	if string(dst) != "0123" {
-		t.Fatalf("dst = %q", dst)
+	for len(held) > 0 {
+		read(len(held[0].payload))
 	}
 	if r.Buffered() != 0 {
-		t.Fatalf("truncating read left %d bytes buffered", r.Buffered())
+		t.Fatalf("drained ring has %d bytes buffered", r.Buffered())
 	}
 }
 

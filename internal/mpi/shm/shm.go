@@ -14,11 +14,11 @@ import (
 // through per-pair shared-memory rings. Two data paths exist:
 //
 //   - single-copy handoff: when a matching receive is already posted, the
-//     send scatters straight from the sender's (possibly strided) layout
-//     into the receiver's layout — one memcpy, no staging anywhere;
-//   - ring transit: with no receive posted, the payload is gathered into
-//     the directed pair's ring segment and scattered out at match time —
-//     the exact path co-located aapcnode processes use across /dev/shm.
+//     send copies straight from the sender's buffer into the receiver's —
+//     one memcpy, no staging anywhere;
+//   - ring transit: with no receive posted, the payload is copied into the
+//     directed pair's ring segment and out of it at match time — the exact
+//     path co-located aapcnode processes use across /dev/shm.
 //
 // A scheduled all-to-all pre-posts its receives, so its steady state rides
 // the single-copy path; the ring absorbs sender/receiver skew.
@@ -237,7 +237,7 @@ func (c *comm) Size() int    { return c.w.n }
 func (c *comm) Now() float64 { return time.Since(c.w.start).Seconds() }
 
 // complete signals both ends of a match: placed is how many of the send's
-// bytes reached the receive layout, fewer than sent being a truncation (the
+// bytes reached the receive buffer, fewer than sent being a truncation (the
 // error shape matches the mem transport's so callers can treat them
 // uniformly). Traced messages stamp the sender's context and the delivery
 // time on the receive, and the same time on the send. Both ops have left the
@@ -249,9 +249,9 @@ func (w *World) complete(recv, send *op, placed int) {
 		recv.Info, send.Info = info, info
 	}
 	var err error
-	if sent := send.Size(); placed < sent {
+	if sent := len(send.Buf); placed < sent {
 		err = fmt.Errorf("shm: send %d->%d tag %d truncated: receiver buffer %d < %d",
-			recv.Peer, send.Peer, send.Tag, recv.Size(), sent)
+			recv.Peer, send.Peer, send.Tag, len(recv.Buf), sent)
 	}
 	recv.Complete(err)
 	send.Complete(err)
@@ -280,7 +280,7 @@ func (p *pair) stagingBuf(size int) []byte {
 }
 
 func (c *comm) Isend(m mpi.Op) mpi.Request {
-	if err := m.Canon(c.w.n); err != nil {
+	if err := mpi.CheckRank(c, m.Peer); err != nil {
 		return mpi.Completed(err)
 	}
 	w := c.w
@@ -288,13 +288,13 @@ func (c *comm) Isend(m mpi.Op) mpi.Request {
 	p := w.pair(c.rank, m.Peer)
 	p.mu.Lock()
 	// Single-copy handoff: a receive is already posted, so the payload
-	// moves straight between the two user layouts. Matching order is safe
+	// moves straight between the two user buffers. Matching order is safe
 	// because a receive is only ever posted after the pair's ring and
 	// arrived queues were drained of its tag (see Irecv).
 	if q := p.recvs[m.Tag]; len(q) > 0 {
 		var peer *op
 		peer, p.recvs[m.Tag] = mpi.PopFront(q)
-		n := mpi.CopyTyped(peer.Buf, peer.Layout(), me.Buf, me.Layout())
+		n := copy(peer.Buf, me.Buf)
 		p.mu.Unlock()
 		w.directPlacements.Add(1)
 		w.bytesDirect.Add(uint64(n))
@@ -310,21 +310,21 @@ func (c *comm) Isend(m mpi.Op) mpi.Request {
 	if p.ring == nil {
 		p.ring = NewRing(w.cfg.RingBytes)
 	}
-	inRing := p.ring.writeRecordTyped(int64(m.Tag), me.Buf, me.Layout())
+	inRing := p.ring.WriteRecord(int64(m.Tag), me.Buf)
 	if !inRing {
 		p.drainRingLocked()
-		inRing = p.ring.writeRecordTyped(int64(m.Tag), me.Buf, me.Layout())
+		inRing = p.ring.WriteRecord(int64(m.Tag), me.Buf)
 	}
 	if inRing {
 		p.ringOps = append(p.ringOps, me)
 		w.ringTransits.Add(1)
-		w.bytesRing.Add(uint64(me.Size()))
+		w.bytesRing.Add(uint64(len(me.Buf)))
 		return me
 	}
 	// Still no room, or the record is larger than the segment: fall back to
 	// a heap stage so progress never depends on ring size.
-	staged := p.stagingBuf(me.Size())
-	me.Layout().Pack(staged, me.Buf)
+	staged := p.stagingBuf(len(me.Buf))
+	copy(staged, me.Buf)
 	p.stage(m.Tag, stagedFrame{buf: staged, send: me})
 	w.overflowStages.Add(1)
 	w.bytesRing.Add(uint64(len(staged)))
@@ -354,7 +354,7 @@ func (p *pair) drainRingLocked() {
 }
 
 func (c *comm) Irecv(m mpi.Op) mpi.Request {
-	if err := m.Canon(c.w.n); err != nil {
+	if err := mpi.CheckRank(c, m.Peer); err != nil {
 		return mpi.Completed(err)
 	}
 	w := c.w
@@ -362,12 +362,12 @@ func (c *comm) Irecv(m mpi.Op) mpi.Request {
 	p := w.pair(m.Peer, c.rank)
 	p.mu.Lock()
 	// Heap-staged frames first: they precede anything still in the ring.
-	// The frame scatters under p.mu, as a ring hit does, so its buffer can
+	// The frame is copied under p.mu, as a ring hit is, so its buffer can
 	// go back to the spares.
 	if af := p.arrived[m.Tag]; len(af) > 0 {
 		var fr stagedFrame
 		fr, p.arrived[m.Tag] = mpi.PopFront(af)
-		placed := me.Layout().Unpack(me.Buf, fr.buf)
+		placed := copy(me.Buf, fr.buf)
 		if p.spareBytes+cap(fr.buf) <= w.cfg.RingBytes {
 			p.spare, p.spareBytes = append(p.spare, fr.buf), p.spareBytes+cap(fr.buf)
 		}
@@ -376,8 +376,8 @@ func (c *comm) Irecv(m mpi.Op) mpi.Request {
 		return me
 	}
 	// Drain the ring looking for this tag; records for other tags move to
-	// the arrived queues in order. On a tag hit the payload scatters
-	// straight from the shared segment into the receive layout.
+	// the arrived queues in order. On a tag hit the payload is copied
+	// straight from the shared segment into the receive buffer.
 	for p.ring != nil {
 		rtag, size, ok := p.ring.PeekRecord()
 		if !ok {
@@ -386,7 +386,7 @@ func (c *comm) Irecv(m mpi.Op) mpi.Request {
 		if int(rtag) == m.Tag {
 			var send *op
 			send, p.ringOps = mpi.PopFront(p.ringOps)
-			placed := p.ring.readRecordTyped(me.Buf, me.Layout())
+			placed := p.ring.ReadRecord(me.Buf)
 			p.mu.Unlock()
 			w.complete(me, send, placed)
 			return me

@@ -102,51 +102,6 @@ func TestWorldRingPath(t *testing.T) {
 	}
 }
 
-// TestWorldTypedStridedRoundTrip sends a strided view and receives into a
-// differently-strided view; the packed byte streams must be identical. Both
-// the direct path (receive first) and the ring path (send first) are
-// checked.
-func TestWorldTypedStridedRoundTrip(t *testing.T) {
-	for _, recvFirst := range []bool{true, false} {
-		name := "ring-first"
-		if recvFirst {
-			name = "recv-first"
-		}
-		t.Run(name, func(t *testing.T) {
-			comms, _ := NewWorldComms(2)
-			src := make([]byte, 256)
-			for i := range src {
-				src[i] = byte(i * 3)
-			}
-			sdt := mpi.Vector(8, 16, 32)
-			dst := make([]byte, 512)
-			ddt := mpi.Vector(16, 8, 32)
-
-			var rr, sr mpi.Request
-			if recvFirst {
-				rr = mpi.IrecvTyped(comms[1], dst, ddt, 0, 9)
-				sr = mpi.IsendTyped(comms[0], src, sdt, 1, 9)
-			} else {
-				sr = mpi.IsendTyped(comms[0], src, sdt, 1, 9)
-				rr = mpi.IrecvTyped(comms[1], dst, ddt, 0, 9)
-			}
-			if err := mpi.Wait(sr); err != nil {
-				t.Fatal(err)
-			}
-			if err := mpi.Wait(rr); err != nil {
-				t.Fatal(err)
-			}
-			wantPacked := make([]byte, sdt.Size())
-			sdt.Pack(wantPacked, src)
-			gotPacked := make([]byte, ddt.Size())
-			ddt.Pack(gotPacked, dst)
-			if !bytes.Equal(wantPacked, gotPacked) {
-				t.Fatal("strided payload corrupted")
-			}
-		})
-	}
-}
-
 // TestWorldTruncation checks both ends of a truncated transfer fail with
 // the same diagnostic, on the direct and the ring path alike (matching the
 // mem transport's semantics).

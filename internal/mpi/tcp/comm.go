@@ -40,15 +40,13 @@ func (nd *node) Isend(op mpi.Op) mpi.Request {
 // isend frames and queues the op's payload toward op.Peer without blocking
 // the caller. Frames for one destination are written by a single writer in
 // enqueue order, so MPI's non-overtaking guarantee holds per (source,
-// destination, tag). A strided layout rides the writev batch as one iovec
-// per block, so the bytes go from the caller's matrix to the kernel with no
-// intermediate buffer at all. The borrowed path is the steady state; staging
-// copies are confined to the annotated small-message fallback and the
-// self-send loopback.
+// destination, tag). The borrowed path is the steady state; staging copies
+// are confined to the annotated small-message fallback and the self-send
+// loopback.
 //
 //aapc:nocopy
 func (nd *node) isend(op mpi.Op) mpi.Request {
-	if err := op.Canon(nd.n); err != nil {
+	if err := mpi.CheckRank(nd, op.Peer); err != nil {
 		return mpi.Completed(err)
 	}
 	if err := nd.killed.Load(); err != nil {
@@ -66,13 +64,11 @@ func (nd *node) isend(op mpi.Op) mpi.Request {
 	fr := newDataFrame(op)
 	switch {
 	case fr.size == 0:
-	case fr.base != nil || fr.size >= zeroCopyMin || poolAligned(fr.buf):
+	case fr.size >= zeroCopyMin || poolAligned(fr.buf):
 		// Borrow: the caller's bytes ride the writev batch directly and the
 		// request completes only when the cumulative ack retires the frame —
 		// until then MPI's no-modify rule keeps them stable, so
-		// retransmissions can reuse them verbatim. Zero copies. Strided
-		// frames always borrow: packing up front would be exactly the copy
-		// the datatype path exists to remove.
+		// retransmissions can reuse them verbatim. Zero copies.
 		fr.borrowed = true
 		nd.stats.borrowedSends.Add(1)
 	default:
@@ -131,11 +127,10 @@ func (nd *node) Irecv(op mpi.Op) mpi.Request {
 	return nd.irecv(op)
 }
 
-// irecv posts a receive. A contiguous layout takes payload bytes straight
-// off the socket when it is posted before the frame arrives; a strided one
-// stages once and scatters.
+// irecv posts a receive. It takes payload bytes straight off the socket
+// when it is posted before the frame arrives.
 func (nd *node) irecv(op mpi.Op) mpi.Request {
-	if err := op.Canon(nd.n); err != nil {
+	if err := mpi.CheckRank(nd, op.Peer); err != nil {
 		return mpi.Completed(err)
 	}
 	if err := nd.killed.Load(); err != nil {

@@ -73,23 +73,14 @@ func putFrameHeader(hdr []byte, kind byte, tag int, seq uint64, size int, ctx ui
 
 // appendFrame lays one data frame out for a vectored write: the header is
 // encoded into hdr (headerLen bytes of the caller's arena), then hdr and the
-// payload are appended to iov. A strided frame (base+dt) contributes one
-// iovec per block — the writev gathers the caller's matrix layout directly,
-// so the wire sees a contiguous payload that never existed in a pack buffer.
-// Go's runtime caps each writev at IOV_MAX iovecs and loops, so block counts
-// beyond it cost extra syscalls, never correctness.
+// payload are appended to iov.
 //
 //aapc:noalloc
 //aapc:nocopy payload rides the iovec list by reference into writev
 func appendFrame(iov net.Buffers, hdr []byte, fr *outFrame) net.Buffers {
 	putFrameHeader(hdr, frameData, fr.tag, fr.seq, fr.size, fr.ctx)
 	iov = append(iov, hdr)
-	switch {
-	case fr.base != nil:
-		for i := 0; i < fr.dt.Count(); i++ {
-			iov = append(iov, fr.dt.Block(fr.base, i))
-		}
-	case len(fr.buf) > 0:
+	if len(fr.buf) > 0 {
 		iov = append(iov, fr.buf)
 	}
 	return iov

@@ -53,10 +53,6 @@ type recvOp struct {
 	mpi.Completion
 	free *mpi.Freelist[recvOp]
 	buf  []byte
-	// dt, when non-zero, describes the strided layout of buf that incoming
-	// payload bytes are scattered into (the op is canonical: contiguous
-	// typed receives were folded into a plain buf at post time).
-	dt mpi.Datatype
 }
 
 // getRecvOp returns a recycled receive op or makes a fresh one.
@@ -66,13 +62,13 @@ func getRecvOp(free *mpi.Freelist[recvOp], m mpi.Op) *recvOp {
 		o = &recvOp{free: free}
 		o.Init(o)
 	}
-	o.buf, o.dt = m.Buf, m.Type
+	o.buf = m.Buf
 	return o
 }
 
 // Recycle returns a consumed op to its freelist (mpi.Recycler).
 func (o *recvOp) Recycle() {
-	o.buf, o.dt = nil, mpi.Datatype{}
+	o.buf = nil
 	o.free.Put(o)
 }
 
@@ -120,7 +116,7 @@ func (m *matcher) deliver(key matchKey, payload []byte, ctx uint64) {
 }
 
 // finish completes the match of a staged frame with its receive: the
-// match-time copy into the op's layout, the payload's return to the pool,
+// match-time copy into the op's buffer, the payload's return to the pool,
 // the trace stamp, the completion. The matcher lock is not held.
 func (m *matcher) finish(op *recvOp, msg arrivedMsg) {
 	err := op.place(msg.payload, m.stats)
@@ -198,18 +194,11 @@ func (m *matcher) complete(op *recvOp, ctx uint64, err error) {
 	op.Complete(err)
 }
 
-// place copies a staged payload into the op's buffer, honoring a strided
-// layout when the op carries one. This is the match-time copy counted
-// against the ≤1-copy budget.
+// place copies a staged payload into the op's buffer. This is the
+// match-time copy counted against the ≤1-copy budget.
 func (o *recvOp) place(payload []byte, st *stats) error {
 	if len(payload) > 0 {
 		st.payloadCopies.Add(1)
-	}
-	if !o.dt.IsZero() {
-		if o.dt.Unpack(o.buf, payload) < len(payload) {
-			return fmt.Errorf("tcp: message truncated: receiver layout %d < %d", o.dt.Size(), len(payload))
-		}
-		return nil
 	}
 	if copy(o.buf, payload) < len(payload) {
 		return fmt.Errorf("tcp: message truncated: receiver buffer %d < %d", len(o.buf), len(payload))
@@ -217,11 +206,10 @@ func (o *recvOp) place(payload []byte, st *stats) error {
 	return nil
 }
 
-// loopback delivers a self-send through the matcher, via a pooled copy (a
-// strided layout is packed into it).
+// loopback delivers a self-send through the matcher, via a pooled copy.
 func (m *matcher) loopback(rank int, op mpi.Op) mpi.Request {
-	payload := m.pool.get(op.Size())
-	op.Layout().Pack(payload, op.Buf)
+	payload := m.pool.get(len(op.Buf))
+	copy(payload, op.Buf)
 	if len(payload) > 0 {
 		m.stats.payloadCopies.Add(1)
 	}

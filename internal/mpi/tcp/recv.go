@@ -98,24 +98,11 @@ func (lk *link) readLoop(conn net.Conn, epoch int) {
 // claimed receive op. The two return values separate the failure domains:
 // sockErr is a connection error (the op was not completed, the caller must
 // unclaim it and break the link); opErr is a per-operation delivery error
-// (truncation) with the stream itself still healthy. Contiguous receives
-// land straight off the socket; staging is confined to the strided-scatter
-// and truncation fallbacks.
+// (truncation) with the stream itself still healthy. The payload lands
+// straight off the socket; only a truncation drains the excess.
 //
 //aapc:nocopy
 func (nd *node) readIntoOp(conn net.Conn, op *recvOp, size int) (sockErr, opErr error) {
-	if !op.dt.IsZero() {
-		// Strided destination: stage contiguously, scatter into the blocks —
-		// the single copy of the typed receive path.
-		payload := nd.pool.get(size)
-		if _, err := io.ReadFull(conn, payload); err != nil {
-			nd.pool.put(payload)
-			return err, nil
-		}
-		opErr = op.place(payload, &nd.stats)
-		nd.pool.put(payload)
-		return nil, opErr
-	}
 	if size <= len(op.buf) {
 		if _, err := io.ReadFull(conn, op.buf[:size]); err != nil {
 			return err, nil

@@ -31,14 +31,10 @@ type outFrame struct {
 	// re-delivery unchanged — which is why the wire reads this field and
 	// never Completion.Info, which the caller's Wait consumes.
 	ctx uint64
-	// buf is the contiguous payload. Strided frames (non-contig datatype
-	// sends) leave buf nil and carry base+dt instead: buildIovecs emits one
-	// iovec per block, gathering the strided layout straight off the user's
-	// matrix with no pack buffer.
-	buf  []byte
-	base []byte
-	dt   mpi.Datatype
-	// size is the payload length on the wire (len(buf) or dt.Size()).
+	// buf is the payload: the caller's bytes when borrowed, a pooled copy
+	// otherwise.
+	buf []byte
+	// size is the payload length on the wire.
 	size      int
 	completed bool
 	consulted bool // fault injector consulted (first transmission)
@@ -111,13 +107,8 @@ func (st *sendStream) hasWorkLocked() bool {
 
 // newDataFrame builds the frame (and request) for one send.
 func newDataFrame(m mpi.Op) *outFrame {
-	fr := &outFrame{tag: m.Tag, ctx: m.Ctx, size: m.Size()}
+	fr := &outFrame{tag: m.Tag, ctx: m.Ctx, buf: m.Buf, size: len(m.Buf)}
 	fr.Init(nil)
-	if m.Type.IsZero() {
-		fr.buf = m.Buf
-	} else {
-		fr.base, fr.dt = m.Buf, m.Type
-	}
 	return fr
 }
 

@@ -436,14 +436,13 @@ func (c *icomm) MarkSyncWait(peer int, start, end float64) {
 }
 
 // Isend records the send and stamps its (rank, seq) identity into the op's
-// trace context, whatever the op's layout: every transport carries Ctx to
-// the matching receive.
+// trace context: every transport carries Ctx to the matching receive.
 //
 //aapc:noalloc
 func (c *icomm) Isend(op mpi.Op) mpi.Request {
 	c.seq++
 	ev := Event{Kind: KindSend, Rank: c.inner.Rank(), Peer: op.Peer, Tag: op.Tag,
-		Bytes: op.Size(), Phase: c.opPhase(), Seq: c.seq, Start: c.inner.Now()}
+		Bytes: len(op.Buf), Phase: c.opPhase(), Seq: c.seq, Start: c.inner.Now()}
 	op.Ctx = mpi.MakeTraceCtx(ev.Rank, c.seq)
 	return c.newReq(c.inner.Isend(op), ev)
 }
@@ -452,7 +451,7 @@ func (c *icomm) Isend(op mpi.Op) mpi.Request {
 func (c *icomm) Irecv(op mpi.Op) mpi.Request {
 	c.seq++
 	ev := Event{Kind: KindRecv, Rank: c.inner.Rank(), Peer: op.Peer, Tag: op.Tag,
-		Bytes: op.Size(), Phase: c.opPhase(), Seq: c.seq, Start: c.inner.Now()}
+		Bytes: len(op.Buf), Phase: c.opPhase(), Seq: c.seq, Start: c.inner.Now()}
 	return c.newReq(c.inner.Irecv(op), ev)
 }
 

@@ -252,8 +252,8 @@ type matchKey struct{ src, dst, tag int }
 // to the posting rank. Completion is driven by the engine. Ops are never
 // recycled, so info may be read after the block returns.
 type simOp struct {
-	// Op is the canonical descriptor; flows are sized by its Size() and
-	// completed by copying between the two layouts.
+	// Op is the caller's descriptor; flows are sized by len(Buf) and
+	// completed by copying the send's Buf into the receive's.
 	mpi.Op
 	e        *engine
 	rank     int // the posting rank, which is the one that waits
@@ -496,8 +496,8 @@ func (e *engine) startFlow(key matchKey, sendOp, recvOp *simOp) {
 		dst:      key.dst,
 		tag:      key.tag,
 		matchIdx: n,
-		size:     float64(sendOp.Size()),
-		remain:   float64(sendOp.Size()),
+		size:     float64(len(sendOp.Buf)),
+		remain:   float64(len(sendOp.Buf)),
 		sendOp:   sendOp,
 		recvOp:   recvOp,
 	}
@@ -506,7 +506,7 @@ func (e *engine) startFlow(key matchKey, sendOp, recvOp *simOp) {
 		f.path = e.pathOf[key.src][key.dst]
 	}
 	// Bytes start moving once the startup latency has elapsed.
-	e.cal.push(e.clock+e.startup(key, sendOp.Size(), n), f, nil)
+	e.cal.push(e.clock+e.startup(key, len(sendOp.Buf), n), f, nil)
 }
 
 // completeOp finishes an op and wakes exactly the ranks blocked on it.
@@ -703,11 +703,11 @@ func (e *engine) advance() bool {
 		})
 		for _, f := range e.completed {
 			var err error
-			if send, recv := f.sendOp, f.recvOp; recv.Size() < send.Size() {
+			if send, recv := f.sendOp, f.recvOp; len(recv.Buf) < len(send.Buf) {
 				err = fmt.Errorf("simnet: message truncated: receiver buffer %d < %d",
-					recv.Size(), send.Size())
+					len(recv.Buf), len(send.Buf))
 			} else {
-				mpi.CopyTyped(recv.Buf, recv.Layout(), send.Buf, send.Layout())
+				copy(recv.Buf, send.Buf)
 			}
 			if ctx := f.sendOp.Ctx; ctx != 0 {
 				info := mpi.TraceInfo{Ctx: ctx, DeliveredAt: e.clock}
@@ -818,7 +818,7 @@ func (c *comm) Irecv(m mpi.Op) mpi.Request {
 }
 
 func (c *comm) post(m mpi.Op, key matchKey, isSend bool) mpi.Request {
-	if err := m.Canon(c.e.n); err != nil {
+	if err := mpi.CheckRank(c, m.Peer); err != nil {
 		return mpi.Completed(err)
 	}
 	e := c.e
