@@ -2,7 +2,6 @@ package schedule
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/aapc-sched/aapcsched/internal/topology"
 )
@@ -46,7 +45,6 @@ func Reschedule(old *Schedule, newG *topology.Graph, rd *topology.RankDelta) (*S
 	if n < 2 {
 		return s, nil
 	}
-	idx := newG.NewEdgeIndex()
 
 	added := make([]bool, n)
 	for _, r := range rd.Added {
@@ -56,7 +54,8 @@ func Reschedule(old *Schedule, newG *topology.Graph, rd *topology.RankDelta) (*S
 		added[r] = true
 	}
 	// Every (src, dst) pair with at least one added endpoint must be
-	// placed; everything between survivors is pinned.
+	// placed, in sorted (src, dst) order; everything between survivors is
+	// pinned.
 	newMsgs := make([]Message, 0, 2*len(rd.Added)*n)
 	for src := 0; src < n; src++ {
 		for dst := 0; dst < n; dst++ {
@@ -65,21 +64,13 @@ func Reschedule(old *Schedule, newG *topology.Graph, rd *topology.RankDelta) (*S
 			}
 		}
 	}
-	sort.Slice(newMsgs, func(i, j int) bool {
-		if newMsgs[i].Src != newMsgs[j].Src {
-			return newMsgs[i].Src < newMsgs[j].Src
-		}
-		return newMsgs[i].Dst < newMsgs[j].Dst
-	})
 
-	u := newEdgeUsage(idx.Len(), len(old.Phases)+len(newMsgs)+1)
-	phases := make([]Phase, len(old.Phases))
-	var path []int32
-
-	// Pin the surviving messages in their original phases; their paths are
-	// unchanged by the delta, so the pinned occupancy stays
-	// contention-free.
+	// Remap the survivors into one flat array, phase by phase: pinned[
+	// start[p]:start[p+1]] are old phase p's surviving messages.
+	start := make([]int, len(old.Phases)+1)
+	pinned := make([]Message, 0, old.NumMessages())
 	for pi, p := range old.Phases {
+		start[pi] = len(pinned)
 		for _, m := range p {
 			if m.Src < 0 || m.Src >= rd.NumOld || m.Dst < 0 || m.Dst >= rd.NumOld {
 				return nil, fmt.Errorf("schedule: Reschedule: message %v out of old rank range", m)
@@ -88,30 +79,64 @@ func Reschedule(old *Schedule, newG *topology.Graph, rd *topology.RankDelta) (*S
 			if ns < 0 || nd < 0 {
 				continue // an endpoint left the cluster
 			}
-			path = newG.AppendPathEdgeIDs(idx, newG.MachineID(ns), newG.MachineID(nd), path[:0])
-			u.set(path, pi)
-			phases[pi] = append(phases[pi], Message{Src: ns, Dst: nd})
+			pinned = append(pinned, Message{Src: ns, Dst: nd})
 		}
 	}
-	if u.numPhases < len(old.Phases) {
-		u.numPhases = len(old.Phases)
-	}
+	start[len(old.Phases)] = len(pinned)
 
-	// First-fit place the messages incident to the added machines.
-	for _, m := range newMsgs {
-		path = newG.AppendPathEdgeIDs(idx, newG.MachineID(m.Src), newG.MachineID(m.Dst), path[:0])
-		p := u.firstFree(path, 0)
-		u.set(path, p)
-		for len(phases) <= p {
-			phases = append(phases, nil)
+	// First-fit place the messages incident to the added machines against
+	// the pinned occupancy. Pinned paths are unchanged by the delta, so
+	// that occupancy stays contention-free. A pure departure places
+	// nothing and needs no occupancy at all.
+	numPhases := len(old.Phases)
+	placed := make([]int, len(newMsgs))
+	if len(newMsgs) > 0 {
+		idx := newG.NewEdgeIndex()
+		u := newEdgeUsage(idx.Len(), len(old.Phases)+len(newMsgs)+1)
+		var path []int32
+		for pi := range old.Phases {
+			for _, m := range pinned[start[pi]:start[pi+1]] {
+				path = newG.AppendPathEdgeIDs(idx, newG.MachineID(m.Src), newG.MachineID(m.Dst), path[:0])
+				u.set(path, pi)
+			}
 		}
-		phases[p] = append(phases[p], m)
+		if u.numPhases < numPhases {
+			u.numPhases = numPhases
+		}
+		for i, m := range newMsgs {
+			path = newG.AppendPathEdgeIDs(idx, newG.MachineID(m.Src), newG.MachineID(m.Dst), path[:0])
+			p := u.firstFree(path, 0)
+			u.set(path, p)
+			placed[i] = p
+		}
+		numPhases = u.numPhases
 	}
 
-	// Compact phases emptied by departures.
-	for _, p := range phases {
-		if len(p) > 0 {
-			s.Phases = append(s.Phases, p)
+	// Lay the phases out in one backing array: each phase is its pinned
+	// survivors followed by its placed messages. Phases emptied by
+	// departures are compacted away.
+	extra := make([]int, numPhases+1)
+	for _, p := range placed {
+		extra[p+1]++
+	}
+	for p := 1; p <= numPhases; p++ {
+		extra[p] += extra[p-1] // extra[p] is now the offset of phase p's placed run
+	}
+	byPhase := make([]Message, len(newMsgs))
+	fill := append([]int(nil), extra[:numPhases]...)
+	for i, p := range placed {
+		byPhase[fill[p]] = newMsgs[i]
+		fill[p]++
+	}
+	all := make([]Message, 0, len(pinned)+len(newMsgs))
+	for p := 0; p < numPhases; p++ {
+		lo := len(all)
+		if p < len(old.Phases) {
+			all = append(all, pinned[start[p]:start[p+1]]...)
+		}
+		all = append(all, byPhase[extra[p]:extra[p+1]]...)
+		if len(all) > lo {
+			s.Phases = append(s.Phases, Phase(all[lo:len(all):len(all)]))
 		}
 	}
 	s.normalize()

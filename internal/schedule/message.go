@@ -19,8 +19,9 @@
 package schedule
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Message is one AAPC point-to-point communication between machine ranks.
@@ -70,11 +71,11 @@ func (s *Schedule) PhaseOf() map[Message]int {
 // normalize sorts messages within each phase for deterministic output.
 func (s *Schedule) normalize() {
 	for _, p := range s.Phases {
-		sort.Slice(p, func(i, j int) bool {
-			if p[i].Src != p[j].Src {
-				return p[i].Src < p[j].Src
+		slices.SortFunc(p, func(a, b Message) int {
+			if a.Src != b.Src {
+				return cmp.Compare(a.Src, b.Src)
 			}
-			return p[i].Dst < p[j].Dst
+			return cmp.Compare(a.Dst, b.Dst)
 		})
 	}
 }

@@ -33,7 +33,7 @@ import (
 // handful of word operations per message, while the result stays exactly
 // first-fit in the canonical order.
 //
-// The probe itself uses edge-major phase bitsets (see edgeUsage): first-fit
+// The probe itself uses per-edge phase bitsets (see edgeUsage): first-fit
 // is "first zero bit of the OR of the path's rows", 64 phases per word,
 // which is also what makes the serial path here much faster than a
 // phase-major scan at large N.
