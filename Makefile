@@ -122,8 +122,9 @@ bench-trace:
 	$(GO) test -bench 'BenchmarkIngestJSONL|BenchmarkMerge|BenchmarkAnalyze|BenchmarkEstimateOffsets' -benchmem -run=^$$ ./internal/obsv/collect/
 
 # Short fuzz passes over every DSL parser, the daemon's request grammar,
-# the tcp frame-header decoder, the shm ring's record framing and the trace
-# collector's ingest-then-report path (longer runs: go test -fuzz=... ).
+# the tcp frame-header decoder, the shm ring's record framing, the shm pair
+# segment a co-located peer hands over, and the trace collector's
+# ingest-then-report path (longer runs: go test -fuzz=... ).
 fuzz:
 	$(GO) test -fuzz=FuzzParseTopology -fuzztime=30s ./internal/topology/
 	$(GO) test -fuzz=FuzzParsePlan -fuzztime=30s ./internal/faults/
@@ -131,4 +132,5 @@ fuzz:
 	$(GO) test -fuzz=FuzzScheduleRequest -fuzztime=30s ./internal/sched/
 	$(GO) test -fuzz=FuzzFrameHeader -fuzztime=30s ./internal/mpi/tcp/
 	$(GO) test -fuzz=FuzzRingRecord -fuzztime=30s ./internal/mpi/shm/
+	$(GO) test -fuzz=FuzzPairSegment -fuzztime=30s ./internal/mpi/shm/
 	$(GO) test -fuzz=FuzzTraceIngest -fuzztime=30s ./internal/obsv/collect/

@@ -4,19 +4,18 @@
 // automatically generated routine across message sizes, printing the tables
 // and series behind Figs. 6, 7 and 8. It can additionally run the
 // synchronization-mode and scheduler ablations, draw a traced simulated run
-// of the generated routine (-trace), emit machine-readable BENCH_<name>.json
-// reports (-json), and render a recorded obsv JSONL event trace (-render).
-// A simulated run is traced like a real one (instrumented events), so -trace
-// and -render draw with the same collect functions: Gantt rows of each
-// rank's sends from post to completion, flow statistics, and, for -render,
-// the collector's full report.
+// of the generated routine (-trace) and emit machine-readable
+// BENCH_<name>.json reports (-json). A simulated run is traced like a real
+// one (instrumented events), so -trace draws with the collect functions
+// aapctrace -report uses on a recorded trace: flow statistics and Gantt rows
+// of each rank's sends from post to completion.
 //
 // Usage:
 //
-//	aapcbench [-topo a|b|c|fig1|all] [-file cluster.topo] [-msizes 8K,64K]
+//	aapcbench [-topo a|b|c|bg|fig1|all] [-file cluster.topo] [-msizes 8KB,64KB]
 //	          [-bw Mbps] [-alpha seconds] [-mineff f] [-jitter f]
 //	          [-parallel n]
-//	          [-ablation] [-plot] [-trace] [-json dir] [-render trace.jsonl]
+//	          [-ablation] [-plot] [-trace] [-json dir]
 //	          [-cpuprofile file] [-memprofile file]
 package main
 
@@ -30,7 +29,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -60,7 +58,6 @@ type options struct {
 	csvPath  string
 	iters    int
 	jsonDir  string
-	render   string
 	parallel int
 	cpuProf  string
 	memProf  string
@@ -85,31 +82,6 @@ func printTrace(g *topology.Graph, net simnet.Config, msize int) error {
 		harness.FormatMsize(msize), st.DataFlows, st.ControlFlows, st.MaxConcurrentData)
 	fmt.Print(collect.Gantt(events, g.NumMachines(), 96))
 	fmt.Print(utilizationReport(g, w.LinkStats(), w.Elapsed()))
-	return nil
-}
-
-// renderTrace loads an obsv JSONL event trace into a collector and draws
-// it: flow statistics, the sender timeline and the collector's report.
-func renderTrace(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	store := collect.NewStore()
-	if err := store.AddJSONL(f); err != nil {
-		return err
-	}
-	meta, events := store.Meta(), store.Events()
-	st := collect.Flows(events)
-	label := meta.Name
-	if label == "" {
-		label = path
-	}
-	fmt.Printf("trace %s (%s, %d ranks): %d data flows, %d control flows, peak concurrency %d\n",
-		label, meta.Transport, meta.Ranks, st.DataFlows, st.ControlFlows, st.MaxConcurrentData)
-	fmt.Print(collect.Gantt(events, meta.Ranks, 96))
-	store.Analyze(nil).WriteText(os.Stdout)
 	return nil
 }
 
@@ -173,24 +145,7 @@ func bar(frac float64, width int) string {
 
 func main() {
 	var o options
-	flag.StringVar(&o.topo, "topo", "all", "topology preset: a, b, c, fig1 or all")
-	flag.StringVar(&o.file, "file", "", "topology DSL file (overrides -topo)")
-	flag.StringVar(&o.msizes, "msizes", "", "comma-separated message sizes (e.g. 8K,64K,256K); default the paper's 8K..256K")
-	flag.Float64Var(&o.bwMbps, "bw", 100, "link bandwidth in Mbps")
-	flag.Float64Var(&o.alpha, "alpha", simnet.DefaultStartupLatency, "per-message startup latency in seconds")
-	flag.Float64Var(&o.minEff, "mineff", simnet.DefaultMinEfficiency, "asymptotic link efficiency under contention (1 = ideal fluid)")
-	flag.BoolVar(&o.ablation, "ablation", false, "also run synchronization and scheduler ablations")
-	flag.BoolVar(&o.plot, "plot", false, "render ASCII throughput plots")
-	flag.BoolVar(&o.gantt, "trace", false, "render a sender Gantt chart of the generated routine at the smallest message size")
-	flag.Float64Var(&o.jitter, "jitter", 0, "per-message startup jitter fraction (models OS noise; 0 = deterministic lockstep)")
-	flag.Float64Var(&o.control, "control", 0, "startup latency for control-sized messages (seconds; 0 = same as -alpha)")
-	flag.StringVar(&o.csvPath, "csv", "", "append results as CSV to this file ('-' for stdout)")
-	flag.IntVar(&o.iters, "iters", 1, "back-to-back invocations per cell, reporting the mean (the paper uses 10)")
-	flag.StringVar(&o.jsonDir, "json", "", "write a machine-readable BENCH_<name>.json report per topology into this directory")
-	flag.StringVar(&o.render, "render", "", "render an obsv JSONL event trace file and exit")
-	flag.IntVar(&o.parallel, "parallel", runtime.GOMAXPROCS(0), "measure up to n (algorithm, msize) cells concurrently; 1 = serial")
-	flag.StringVar(&o.cpuProf, "cpuprofile", "", "write a CPU profile of the run to this file")
-	flag.StringVar(&o.memProf, "memprofile", "", "write a heap profile at exit to this file")
+	o.bind(flag.CommandLine)
 	flag.Parse()
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "aapcbench:", err)
@@ -198,10 +153,28 @@ func main() {
 	}
 }
 
+// bind registers the command's flags on fs.
+func (o *options) bind(fs *flag.FlagSet) {
+	fs.StringVar(&o.topo, "topo", "all", "topology preset ("+harness.PresetList()+") or all")
+	fs.StringVar(&o.file, "file", "", "topology DSL file (overrides -topo)")
+	fs.StringVar(&o.msizes, "msizes", "", "comma-separated message sizes (e.g. 8KB,64KB,256KB); default the paper's 8KB..256KB")
+	fs.Float64Var(&o.bwMbps, "bw", 100, "link bandwidth in Mbps")
+	fs.Float64Var(&o.alpha, "alpha", simnet.DefaultStartupLatency, "per-message startup latency in seconds")
+	fs.Float64Var(&o.minEff, "mineff", simnet.DefaultMinEfficiency, "asymptotic link efficiency under contention (1 = ideal fluid)")
+	fs.BoolVar(&o.ablation, "ablation", false, "also run synchronization and scheduler ablations")
+	fs.BoolVar(&o.plot, "plot", false, "render ASCII throughput plots")
+	fs.BoolVar(&o.gantt, "trace", false, "render a sender Gantt chart of the generated routine at the smallest message size")
+	fs.Float64Var(&o.jitter, "jitter", 0, "per-message startup jitter fraction (models OS noise; 0 = deterministic lockstep)")
+	fs.Float64Var(&o.control, "control", 0, "startup latency for control-sized messages (seconds; 0 = same as -alpha)")
+	fs.StringVar(&o.csvPath, "csv", "", "append results as CSV to this file ('-' for stdout)")
+	fs.IntVar(&o.iters, "iters", 1, "back-to-back invocations per cell, reporting the mean (the paper uses 10)")
+	fs.StringVar(&o.jsonDir, "json", "", "write a machine-readable BENCH_<name>.json report per topology into this directory")
+	fs.IntVar(&o.parallel, "parallel", runtime.GOMAXPROCS(0), "measure up to n (algorithm, msize) cells concurrently; 1 = serial")
+	fs.StringVar(&o.cpuProf, "cpuprofile", "", "write a CPU profile of the run to this file")
+	fs.StringVar(&o.memProf, "memprofile", "", "write a heap profile at exit to this file")
+}
+
 func run(o options) error {
-	if o.render != "" {
-		return renderTrace(o.render)
-	}
 	if o.cpuProf != "" {
 		f, err := os.Create(o.cpuProf)
 		if err != nil {
@@ -226,7 +199,7 @@ func run(o options) error {
 			f.Close()
 		}()
 	}
-	sizes, err := parseMsizes(o.msizes)
+	sizes, err := harness.ParseMsizes(o.msizes)
 	if err != nil {
 		return err
 	}
@@ -238,42 +211,19 @@ func run(o options) error {
 		JitterSeed:     1,
 		ControlLatency: o.control,
 	}
-	type target struct {
-		name  string // report label
-		short string // file-name stem for -json
-		graph *topology.Graph
+	shorts := []string{o.topo} // file-name stems for -json
+	if o.file == "" && o.topo == "all" {
+		shorts = []string{"a", "b", "c"}
 	}
-	var targets []target
-	switch {
-	case o.file != "":
-		f, err := os.Open(o.file)
+	for _, short := range shorts {
+		g, _, err := harness.LoadTopology(o.file, short, false)
 		if err != nil {
 			return err
 		}
-		g, err := topology.Parse(f)
-		f.Close()
-		if err != nil {
-			return err
+		name := "topology (" + short + ")" // the report label
+		if o.file != "" {
+			name, short = o.file, strings.TrimSuffix(filepath.Base(o.file), filepath.Ext(o.file))
 		}
-		short := strings.TrimSuffix(filepath.Base(o.file), filepath.Ext(o.file))
-		targets = append(targets, target{name: o.file, short: short, graph: g})
-	case o.topo == "all":
-		for _, name := range []string{"a", "b", "c"} {
-			g, err := harness.Preset(name)
-			if err != nil {
-				return err
-			}
-			targets = append(targets, target{name: "topology (" + name + ")", short: name, graph: g})
-		}
-	default:
-		g, err := harness.Preset(o.topo)
-		if err != nil {
-			return err
-		}
-		targets = append(targets, target{name: "topology (" + o.topo + ")", short: o.topo, graph: g})
-	}
-
-	for _, tg := range targets {
 		algs := []harness.Algorithm{harness.LAM(), harness.MPICHAlg(), harness.Ours(alltoall.PairwiseSync)}
 		if o.ablation {
 			algs = append(algs,
@@ -283,8 +233,8 @@ func run(o options) error {
 			)
 		}
 		exp := &harness.Experiment{
-			Name:       tg.name,
-			Graph:      tg.graph,
+			Name:       name,
+			Graph:      g,
 			Msizes:     sizes,
 			Algorithms: algs,
 			Net:        net,
@@ -305,12 +255,12 @@ func run(o options) error {
 			fmt.Print(rep.ThroughputPlot(14))
 		}
 		if o.gantt {
-			if err := printTrace(tg.graph, net, rep.Msizes[0]); err != nil {
+			if err := printTrace(g, net, rep.Msizes[0]); err != nil {
 				return err
 			}
 		}
 		if o.jsonDir != "" {
-			path, err := writeJSONReport(o.jsonDir, tg.short, tg.graph, net, rep)
+			path, err := writeJSONReport(o.jsonDir, short, g, net, rep)
 			if err != nil {
 				return err
 			}
@@ -479,32 +429,4 @@ func appendCSV(path, csv string) error {
 	defer f.Close()
 	_, err = f.WriteString(csv)
 	return err
-}
-
-func parseMsizes(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil // Experiment.Run defaults to the paper's sizes
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		mult := 1
-		switch {
-		case strings.HasSuffix(part, "M"):
-			mult = 1 << 20
-			part = part[:len(part)-1]
-		case strings.HasSuffix(part, "K"):
-			mult = 1 << 10
-			part = part[:len(part)-1]
-		}
-		v, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, fmt.Errorf("bad message size %q", part)
-		}
-		if v <= 0 {
-			return nil, fmt.Errorf("non-positive message size %q", part)
-		}
-		out = append(out, v*mult)
-	}
-	return out, nil
 }

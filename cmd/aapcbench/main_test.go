@@ -2,46 +2,16 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/aapc-sched/aapcsched/internal/alltoall"
 	"github.com/aapc-sched/aapcsched/internal/harness"
-	"github.com/aapc-sched/aapcsched/internal/obsv"
 	"github.com/aapc-sched/aapcsched/internal/simnet"
 )
-
-func TestParseMsizes(t *testing.T) {
-	cases := []struct {
-		in   string
-		want []int
-	}{
-		{"", nil},
-		{"8K", []int{8192}},
-		{"8K,64K,256K", []int{8192, 65536, 262144}},
-		{"1M", []int{1 << 20}},
-		{"100", []int{100}},
-		{" 4K , 2K ", []int{4096, 2048}},
-	}
-	for _, tc := range cases {
-		got, err := parseMsizes(tc.in)
-		if err != nil {
-			t.Errorf("parseMsizes(%q): %v", tc.in, err)
-			continue
-		}
-		if !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("parseMsizes(%q) = %v, want %v", tc.in, got, tc.want)
-		}
-	}
-	for _, bad := range []string{"x", "8Q", "-4K", "0"} {
-		if _, err := parseMsizes(bad); err == nil {
-			t.Errorf("parseMsizes(%q): want error", bad)
-		}
-	}
-}
 
 // benchOpts builds an options value with sane test defaults and applies the
 // mutation.
@@ -129,9 +99,6 @@ func TestRunErrors(t *testing.T) {
 	if err := run(benchOpts(func(o *options) { o.msizes = "zap" })); err == nil {
 		t.Error("want error for bad msizes")
 	}
-	if err := run(benchOpts(func(o *options) { o.render = "/does/not/exist.jsonl" })); err == nil {
-		t.Error("want error for missing render file")
-	}
 }
 
 func TestUtilizationReport(t *testing.T) {
@@ -168,38 +135,18 @@ func TestBar(t *testing.T) {
 	}
 }
 
-// TestRenderTrace draws a recorded trace through -render: a simulated run's
-// JSONL file, and one naming a rank outside its world, which the collector
-// refuses.
-func TestRenderTrace(t *testing.T) {
-	g := harness.Fig1()
-	sc, err := harness.CompileRoutine(g, alltoall.PairwiseSync)
-	if err != nil {
+// TestRunPaperSizeSpellings: -msizes reads sizes as the reports print them.
+func TestRunPaperSizeSpellings(t *testing.T) {
+	if err := run(benchOpts(func(o *options) { o.msizes = "8KB,64KB" })); err != nil {
 		t.Fatal(err)
 	}
-	_, recs, err := harness.MeasureObserved(simnet.Config{Graph: g}, sc.Fn(), 8<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "run.jsonl")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := obsv.WriteRecorders(f, obsv.Meta{Transport: "simnet", Name: "ours", Msize: 8 << 10}, recs...); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	if err := run(benchOpts(func(o *options) { o.render = path })); err != nil {
-		t.Fatal(err)
-	}
-	forged := filepath.Join(dir, "forged.jsonl")
-	if err := os.WriteFile(forged, []byte(`{"meta":{"ranks":2}}`+"\n"+
-		`{"kind":"send","rank":5,"peer":0,"phase":-1,"start":0,"end":1,"bytes":4096}`+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(benchOpts(func(o *options) { o.render = forged })); err == nil {
-		t.Error("want error rendering a trace with a rank outside its world")
+}
+
+// TestTopoHelpNamesEveryPreset: -topo's help lists every preset.
+func TestTopoHelpNamesEveryPreset(t *testing.T) {
+	fs := flag.NewFlagSet("aapcbench", flag.ContinueOnError)
+	new(options).bind(fs)
+	if u := fs.Lookup("topo").Usage; !strings.Contains(u, harness.PresetList()) {
+		t.Errorf("-topo help %q does not list %s", u, harness.PresetList())
 	}
 }

@@ -50,15 +50,7 @@ type options struct {
 
 func main() {
 	var o options
-	flag.StringVar(&o.addr, "addr", "127.0.0.1:8642", "listen address")
-	flag.StringVar(&o.preset, "topo", "fig1", "boot topology preset (a, b, c, bg, fig1)")
-	flag.StringVar(&o.file, "file", "", "boot topology DSL file (overrides -topo)")
-	flag.IntVar(&o.cache, "cache", 64, "cached schedules per shard")
-	flag.IntVar(&o.shards, "shards", 8, "cache shard count")
-	flag.IntVar(&o.workers, "workers", 0, "parallel greedy compile workers (0 = GOMAXPROCS)")
-	flag.IntVar(&o.history, "history", 32, "retained topology versions")
-	flag.BoolVar(&o.pprof, "pprof", false,
-		"serve /debug/pprof and /debug/vars on the daemon address and enable block/mutex profiling")
+	o.bind(flag.CommandLine)
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -69,22 +61,22 @@ func main() {
 	}
 }
 
-// bootTopology loads the daemon's starting graph from -file or -topo.
-func bootTopology(o *options) (*topology.Graph, error) {
-	if o.file != "" {
-		f, err := os.Open(o.file)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return topology.Parse(f)
-	}
-	return harness.Preset(o.preset)
+// bind registers the command's flags on fs.
+func (o *options) bind(fs *flag.FlagSet) {
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:8642", "listen address")
+	fs.StringVar(&o.preset, "topo", "fig1", "boot topology preset ("+harness.PresetList()+")")
+	fs.StringVar(&o.file, "file", "", "boot topology DSL file (overrides -topo)")
+	fs.IntVar(&o.cache, "cache", 64, "cached schedules per shard")
+	fs.IntVar(&o.shards, "shards", 8, "cache shard count")
+	fs.IntVar(&o.workers, "workers", 0, "parallel greedy compile workers (0 = GOMAXPROCS)")
+	fs.IntVar(&o.history, "history", 32, "retained topology versions")
+	fs.BoolVar(&o.pprof, "pprof", false,
+		"serve /debug/pprof and /debug/vars on the daemon address and enable block/mutex profiling")
 }
 
 // newServer builds the daemon and its listener from the options.
 func newServer(o *options) (*http.Server, net.Listener, error) {
-	g, err := bootTopology(o)
+	g, _, err := harness.LoadTopology(o.file, o.preset, false)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -124,7 +116,7 @@ func newServer(o *options) (*http.Server, net.Listener, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return &http.Server{Handler: mux}, ln, nil
+	return &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}, ln, nil
 }
 
 // run serves the daemon until ctx is cancelled, then drains in-flight

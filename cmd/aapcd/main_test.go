@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"flag"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -33,29 +34,38 @@ func testOptions(mutate func(*options)) *options {
 	return o
 }
 
-func TestBootTopology(t *testing.T) {
-	g, err := bootTopology(testOptions(nil))
-	if err != nil || g.NumMachines() != 6 {
-		t.Fatalf("fig1 preset: %v, %v", g, err)
-	}
-	if _, err := bootTopology(testOptions(func(o *options) { o.preset = "nope" })); err == nil {
-		t.Error("unknown preset accepted")
-	}
-	if _, err := bootTopology(testOptions(func(o *options) { o.file = "/does/not/exist" })); err == nil {
-		t.Error("missing topology file accepted")
-	}
-
-	// A DSL file round-trips through -file.
+// TestNewServer: the daemon boots from -topo or -file, refuses an unknown
+// preset or a missing file, and bounds how long a client may take to send
+// its request headers.
+func TestNewServer(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "topo.dsl")
 	if err := os.WriteFile(path, []byte(harness.Fig1().Format()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := bootTopology(testOptions(func(o *options) { o.file = path }))
-	if err != nil {
-		t.Fatal(err)
+	for _, o := range []*options{testOptions(nil), testOptions(func(o *options) { o.file = path })} {
+		srv, ln, err := newServer(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln.Close()
+		if srv.ReadHeaderTimeout != 5*time.Second {
+			t.Errorf("ReadHeaderTimeout = %v, want 5s", srv.ReadHeaderTimeout)
+		}
 	}
-	if g2.Hash() != g.Hash() {
-		t.Error("-file round-trip changed the topology hash")
+	if _, _, err := newServer(testOptions(func(o *options) { o.preset = "nope" })); err == nil {
+		t.Error("unknown preset accepted")
+	}
+	if _, _, err := newServer(testOptions(func(o *options) { o.file = "/does/not/exist" })); err == nil {
+		t.Error("missing topology file accepted")
+	}
+}
+
+// TestTopoHelpNamesEveryPreset: -topo's help lists every preset.
+func TestTopoHelpNamesEveryPreset(t *testing.T) {
+	fs := flag.NewFlagSet("aapcd", flag.ContinueOnError)
+	new(options).bind(fs)
+	if u := fs.Lookup("topo").Usage; !strings.Contains(u, harness.PresetList()) {
+		t.Errorf("-topo help %q does not list %s", u, harness.PresetList())
 	}
 }
 

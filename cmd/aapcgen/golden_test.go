@@ -12,7 +12,7 @@ import (
 func TestRoutineJSONGolden(t *testing.T) {
 	for _, preset := range []string{"fig1", "bg"} {
 		out := filepath.Join(t.TempDir(), preset+".json")
-		if err := run("", preset, out, "", "main", "newX", false); err != nil {
+		if err := run(&options{preset: preset, jsonOut: out}); err != nil {
 			t.Fatal(err)
 		}
 		got, err := os.ReadFile(out)

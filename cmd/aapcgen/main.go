@@ -30,41 +30,48 @@ import (
 	"github.com/aapc-sched/aapcsched/internal/topology"
 )
 
+// options collects the command-line configuration.
+type options struct {
+	file, preset   string
+	wiring         bool
+	jsonOut, goOut string
+	pkg, funcName  string
+	verbose        bool
+	check          string
+}
+
+// bind registers the command's flags on fs.
+func (o *options) bind(fs *flag.FlagSet) {
+	fs.StringVar(&o.file, "file", "", "topology DSL file")
+	fs.StringVar(&o.preset, "topo", "", "topology preset ("+harness.PresetList()+") instead of -file")
+	fs.StringVar(&o.jsonOut, "json", "", "write the schedule as JSON to this file ('-' for stdout)")
+	fs.StringVar(&o.goOut, "go", "", "write generated Go source to this file ('-' for stdout)")
+	fs.StringVar(&o.pkg, "package", "main", "package name for generated Go source")
+	fs.StringVar(&o.funcName, "func", "newGeneratedAlltoall", "constructor name for generated Go source")
+	fs.BoolVar(&o.verbose, "v", false, "print the full phase-by-phase schedule")
+	fs.StringVar(&o.check, "check", "", "validate this schedule JSON against the topology instead of generating")
+	fs.BoolVar(&o.wiring, "wiring", false, "treat -file as raw cabling (cycles allowed); derive the forwarding tree first")
+}
+
 func main() {
-	var (
-		file     = flag.String("file", "", "topology DSL file")
-		preset   = flag.String("topo", "", "topology preset (a, b, c, bg, fig1) instead of -file")
-		jsonOut  = flag.String("json", "", "write the schedule as JSON to this file ('-' for stdout)")
-		goOut    = flag.String("go", "", "write generated Go source to this file ('-' for stdout)")
-		pkg      = flag.String("package", "main", "package name for generated Go source")
-		funcName = flag.String("func", "newGeneratedAlltoall", "constructor name for generated Go source")
-		verbose  = flag.Bool("v", false, "print the full phase-by-phase schedule")
-		check    = flag.String("check", "", "validate this schedule JSON against the topology instead of generating")
-		wiring   = flag.Bool("wiring", false, "treat -file as raw cabling (cycles allowed); derive the forwarding tree first")
-	)
+	var o options
+	o.bind(flag.CommandLine)
 	flag.Parse()
-	if *wiring {
-		topoFromWiring = true
-	}
-	if *check != "" {
-		if err := runCheck(*file, *preset, *check); err != nil {
-			fmt.Fprintln(os.Stderr, "aapcgen:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := run(*file, *preset, *jsonOut, *goOut, *pkg, *funcName, *verbose); err != nil {
+	if err := run(&o); err != nil {
 		fmt.Fprintln(os.Stderr, "aapcgen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(file, preset, jsonOut, goOut, pkg, funcName string, verbose bool) error {
-	g, err := loadTopology(file, preset)
+// run generates the routine, or with -check validates a given one.
+func run(o *options) error {
+	g, _, err := harness.LoadTopology(o.file, o.preset, o.wiring)
 	if err != nil {
 		return err
 	}
-
+	if o.check != "" {
+		return runCheck(g, o.check)
+	}
 	r, err := gen.Generate(g, gen.AlgOurs)
 	if err != nil {
 		return err
@@ -77,25 +84,25 @@ func run(file, preset, jsonOut, goOut, pkg, funcName string, verbose bool) error
 		len(r.Schedule.Phases), r.Schedule.NumMessages())
 	fmt.Printf("synchronizations: %d (reduced from %d conflicting pairs)\n",
 		r.Plan.NumSyncs(), r.Plan.ConflictPairs)
-	if verbose {
+	if o.verbose {
 		fmt.Print(r.Schedule)
 	}
 
-	if jsonOut != "" {
+	if o.jsonOut != "" {
 		data, err := r.MarshalJSON()
 		if err != nil {
 			return err
 		}
-		if err := writeOut(jsonOut, append(data, '\n')); err != nil {
+		if err := writeOut(o.jsonOut, append(data, '\n')); err != nil {
 			return err
 		}
 	}
-	if goOut != "" {
-		src, err := r.GoSource(pkg, funcName)
+	if o.goOut != "" {
+		src, err := r.GoSource(o.pkg, o.funcName)
 		if err != nil {
 			return err
 		}
-		if err := writeOut(goOut, src); err != nil {
+		if err := writeOut(o.goOut, src); err != nil {
 			return err
 		}
 	}
@@ -103,11 +110,7 @@ func run(file, preset, jsonOut, goOut, pkg, funcName string, verbose bool) error
 }
 
 // runCheck validates an external schedule against the topology.
-func runCheck(file, preset, schedPath string) error {
-	g, err := loadTopology(file, preset)
-	if err != nil {
-		return err
-	}
+func runCheck(g *topology.Graph, schedPath string) error {
 	data, err := os.ReadFile(schedPath)
 	if err != nil {
 		return err
@@ -141,37 +144,6 @@ func runCheck(file, preset, schedPath string) error {
 	}
 	fmt.Printf("synchronizations carried: %d, the minimal plan\n", plan.NumSyncs())
 	return nil
-}
-
-// topoFromWiring switches loadTopology into spanning-tree derivation mode.
-var topoFromWiring bool
-
-// loadTopology reads the cluster from -file or -topo.
-func loadTopology(file, preset string) (*topology.Graph, error) {
-	switch {
-	case file != "" && topoFromWiring:
-		f, err := os.Open(file)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		w, err := topology.ParseWiring(f)
-		if err != nil {
-			return nil, err
-		}
-		return w.SpanningTree()
-	case file != "":
-		f, err := os.Open(file)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return topology.Parse(f)
-	case preset != "":
-		return harness.Preset(preset)
-	default:
-		return nil, fmt.Errorf("need -file or -topo (see -help)")
-	}
 }
 
 func writeOut(path string, data []byte) error {

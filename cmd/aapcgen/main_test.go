@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,7 +15,7 @@ import (
 )
 
 func TestRunPresetSummary(t *testing.T) {
-	if err := run("", "fig1", "", "", "main", "newX", true); err != nil {
+	if err := run(&options{preset: "fig1", verbose: true}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -23,7 +24,7 @@ func TestRunEmitsFiles(t *testing.T) {
 	dir := t.TempDir()
 	jsonPath := dir + "/s.json"
 	goPath := dir + "/r.go"
-	if err := run("", "fig1", jsonPath, goPath, "main", "newFig1", false); err != nil {
+	if err := run(&options{preset: "fig1", jsonOut: jsonPath, goOut: goPath, pkg: "main", funcName: "newFig1"}); err != nil {
 		t.Fatal(err)
 	}
 	jdata, err := os.ReadFile(jsonPath)
@@ -48,16 +49,16 @@ func TestRunTopologyFileAndErrors(t *testing.T) {
 	if err := os.WriteFile(topo, []byte("switch s\nmachines a b c\nlink s a\nlink s b\nlink s c\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(topo, "", "-", "", "main", "newX", false); err != nil {
+	if err := run(&options{file: topo, jsonOut: "-"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("", "", "", "", "main", "newX", false); err == nil {
+	if err := run(&options{}); err == nil {
 		t.Error("want error without -file or -topo")
 	}
-	if err := run("", "zzz", "", "", "main", "newX", false); err == nil {
+	if err := run(&options{preset: "zzz"}); err == nil {
 		t.Error("want error for unknown preset")
 	}
-	if err := run("/nope", "", "", "", "main", "newX", false); err == nil {
+	if err := run(&options{file: "/nope"}); err == nil {
 		t.Error("want error for missing file")
 	}
 }
@@ -65,14 +66,14 @@ func TestRunTopologyFileAndErrors(t *testing.T) {
 func TestRunCheck(t *testing.T) {
 	dir := t.TempDir()
 	jsonPath := dir + "/s.json"
-	if err := run("", "fig1", jsonPath, "", "main", "newX", false); err != nil {
+	if err := run(&options{preset: "fig1", jsonOut: jsonPath}); err != nil {
 		t.Fatal(err)
 	}
-	if err := runCheck("", "fig1", jsonPath); err != nil {
+	if err := run(&options{preset: "fig1", check: jsonPath}); err != nil {
 		t.Fatalf("valid schedule rejected: %v", err)
 	}
 	// A schedule for the wrong topology must be rejected.
-	if err := runCheck("", "a", jsonPath); err == nil {
+	if err := run(&options{preset: "a", check: jsonPath}); err == nil {
 		t.Error("want error for schedule/topology mismatch")
 	}
 	// Corrupt JSON must be rejected.
@@ -80,10 +81,10 @@ func TestRunCheck(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := runCheck("", "fig1", bad); err == nil {
+	if err := run(&options{preset: "fig1", check: bad}); err == nil {
 		t.Error("want error for corrupt JSON")
 	}
-	if err := runCheck("", "fig1", dir+"/missing.json"); err == nil {
+	if err := run(&options{preset: "fig1", check: dir + "/missing.json"}); err == nil {
 		t.Error("want error for missing file")
 	}
 }
@@ -94,7 +95,7 @@ func TestRunCheck(t *testing.T) {
 func TestRunCheckVerifiesPlan(t *testing.T) {
 	dir := t.TempDir()
 	full := filepath.Join(dir, "full.json")
-	if err := run("", "fig1", full, "", "main", "newX", false); err != nil {
+	if err := run(&options{preset: "fig1", jsonOut: full}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(full)
@@ -118,11 +119,11 @@ func TestRunCheckVerifiesPlan(t *testing.T) {
 		return path
 	}
 	routine["syncs"] = routine["syncs"].([]any)[1:]
-	if err := runCheck("", "fig1", write("dropped.json")); err == nil || !strings.Contains(err.Error(), "synchronizations INVALID") {
+	if err := run(&options{preset: "fig1", check: write("dropped.json")}); err == nil || !strings.Contains(err.Error(), "synchronizations INVALID") {
 		t.Errorf("a plan missing one sync: %v, want synchronizations INVALID", err)
 	}
 	delete(routine, "syncs")
-	if err := runCheck("", "fig1", write("nosyncs.json")); err != nil {
+	if err := run(&options{preset: "fig1", check: write("nosyncs.json")}); err != nil {
 		t.Errorf("a schedule without a plan: %v", err)
 	}
 }
@@ -144,7 +145,7 @@ func TestRunCheckDaemonRing(t *testing.T) {
 	if err := os.WriteFile(path, rec.Body.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := runCheck("", "bg", path); err != nil {
+	if err := run(&options{preset: "bg", check: path}); err != nil {
 		t.Errorf("daemon's bg ring rejected: %v", err)
 	}
 }
@@ -156,9 +157,16 @@ func TestWiringMode(t *testing.T) {
 	if err := os.WriteFile(wfile, []byte(wtext), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	topoFromWiring = true
-	defer func() { topoFromWiring = false }()
-	if err := run(wfile, "", "", "", "main", "newX", false); err != nil {
+	if err := run(&options{file: wfile, wiring: true}); err != nil {
 		t.Fatalf("wiring generation: %v", err)
+	}
+}
+
+// TestTopoHelpNamesEveryPreset: -topo's help lists every preset.
+func TestTopoHelpNamesEveryPreset(t *testing.T) {
+	fs := flag.NewFlagSet("aapcgen", flag.ContinueOnError)
+	new(options).bind(fs)
+	if u := fs.Lookup("topo").Usage; !strings.Contains(u, harness.PresetList()) {
+		t.Errorf("-topo help %q does not list %s", u, harness.PresetList())
 	}
 }

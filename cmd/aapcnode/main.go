@@ -26,7 +26,6 @@ import (
 	"net/http"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -37,7 +36,6 @@ import (
 	"github.com/aapc-sched/aapcsched/internal/mpi"
 	"github.com/aapc-sched/aapcsched/internal/mpi/tcp"
 	"github.com/aapc-sched/aapcsched/internal/obsv"
-	"github.com/aapc-sched/aapcsched/internal/topology"
 )
 
 // options collects the command-line configuration.
@@ -61,30 +59,7 @@ type options struct {
 
 func main() {
 	var o options
-	flag.IntVar(&o.serve, "serve", 0, "run a coordinator for this many ranks and exit")
-	flag.StringVar(&o.addr, "addr", "127.0.0.1:0", "coordinator listen address (with -serve)")
-	flag.StringVar(&o.join, "join", "", "coordinator address to join as one rank")
-	flag.BoolVar(&o.local, "local", false, "run coordinator and every rank in this process")
-	flag.StringVar(&o.preset, "topo", "fig1", "topology preset (a, b, c, bg, fig1)")
-	flag.StringVar(&o.file, "file", "", "topology DSL file (overrides -topo)")
-	flag.StringVar(&o.alg, "alg", "ours", "algorithm: ours, lam or mpich")
-	flag.StringVar(&o.msize, "msize", "64K", "block size per pair (suffix K or M)")
-	flag.DurationVar(&o.deadline, "deadline", 0,
-		"per-operation deadline; 0 waits forever (a dead peer still fails fast with a rank error)")
-	flag.DurationVar(&o.rendezvous, "rendezvous", 30*time.Second,
-		"rendezvous window: coordinator waits this long for all ranks, joiners retry dialing within it")
-	flag.StringVar(&o.faultsSpec, "faults", "",
-		"fault plan: a file path, or inline DSL with ';' as line separator (see internal/faults)")
-	flag.StringVar(&o.metrics, "metrics", "",
-		"serve /metrics (Prometheus text), /debug/vars and /debug/pprof on this address for the run's duration (e.g. 127.0.0.1:9100)")
-	flag.StringVar(&o.tracePath, "trace", "",
-		"write the run's obsv event trace as JSONL to this file (render with aapcbench -render)")
-	flag.StringVar(&o.tracePush, "push", "",
-		"POST the run's obsv event trace to this collector ingest URL (e.g. http://host:8642/v1/trace/ingest)")
-	flag.BoolVar(&o.pprof, "pprof", false,
-		"enable block/mutex profiling and serve /debug/pprof for the run (implies -metrics 127.0.0.1:0 when -metrics is unset)")
-	flag.BoolVar(&o.xportStats, "transport-stats", false,
-		"report per-rank transport counters after the run (frames, bytes, coalescing, borrowed-vs-copied sends, shm-vs-tcp byte split)")
+	o.bind(flag.CommandLine)
 	flag.Parse()
 	if err := run(&o); err != nil {
 		if re, ok := mpi.AsRankError(err); ok {
@@ -94,6 +69,34 @@ func main() {
 		}
 		os.Exit(1)
 	}
+}
+
+// bind registers the command's flags on fs.
+func (o *options) bind(fs *flag.FlagSet) {
+	fs.IntVar(&o.serve, "serve", 0, "run a coordinator for this many ranks and exit")
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:0", "coordinator listen address (with -serve)")
+	fs.StringVar(&o.join, "join", "", "coordinator address to join as one rank")
+	fs.BoolVar(&o.local, "local", false, "run coordinator and every rank in this process")
+	fs.StringVar(&o.preset, "topo", "fig1", "topology preset ("+harness.PresetList()+")")
+	fs.StringVar(&o.file, "file", "", "topology DSL file (overrides -topo)")
+	fs.StringVar(&o.alg, "alg", "ours", "algorithm: ours, lam or mpich")
+	fs.StringVar(&o.msize, "msize", "64K", "block size per pair: bytes, or with suffix K/KB or M/MB")
+	fs.DurationVar(&o.deadline, "deadline", 0,
+		"per-operation deadline; 0 waits forever (a dead peer still fails fast with a rank error)")
+	fs.DurationVar(&o.rendezvous, "rendezvous", 30*time.Second,
+		"rendezvous window: coordinator waits this long for all ranks, joiners retry dialing within it")
+	fs.StringVar(&o.faultsSpec, "faults", "",
+		"fault plan: a file path, or inline DSL with ';' as line separator (see internal/faults)")
+	fs.StringVar(&o.metrics, "metrics", "",
+		"serve /metrics (Prometheus text), /debug/vars and /debug/pprof on this address for the run's duration (e.g. 127.0.0.1:9100)")
+	fs.StringVar(&o.tracePath, "trace", "",
+		"write the run's obsv event trace as JSONL to this file (report it with aapctrace -report)")
+	fs.StringVar(&o.tracePush, "push", "",
+		"POST the run's obsv event trace to this collector ingest URL (e.g. http://host:8642/v1/trace/ingest)")
+	fs.BoolVar(&o.pprof, "pprof", false,
+		"enable block/mutex profiling and serve /debug/pprof for the run (implies -metrics 127.0.0.1:0 when -metrics is unset)")
+	fs.BoolVar(&o.xportStats, "transport-stats", false,
+		"report per-rank transport counters after the run (frames, bytes, coalescing, borrowed-vs-copied sends, shm-vs-tcp byte split)")
 }
 
 // loadFaults resolves the -faults flag: a readable file wins, otherwise the
@@ -109,27 +112,36 @@ func loadFaults(spec string) (*faults.Plan, error) {
 	return faults.ParsePlanString(strings.ReplaceAll(spec, ";", "\n"))
 }
 
-// wrapFaults decorates the comm with the fault plan, if any. Per-process
-// injectors sharing a plan stay globally deterministic: each directed pair
-// stream is consulted only by its source rank, each rank stream only by the
-// rank itself. Injected faults are counted on rec when non-nil.
-func wrapFaults(c mpi.Comm, plan *faults.Plan, deadline time.Duration, rec *obsv.Recorder) mpi.Comm {
-	if plan == nil {
-		return c
+// joinRank joins the world at addr as one rank and instruments it. A fault
+// plan goes where the tcp transport expects it: delay, drop and dup on its
+// outbound data frames (a drop breaks the link, and the frame is
+// retransmitted after the reconnect), stall and kill on the rank's operation
+// stream. A faulted rank links over sockets only: a shared-memory link has
+// no redial, so a drop would end it. Per-process injectors sharing a plan
+// stay globally deterministic: each directed pair stream is consulted only
+// by its source rank, each rank stream only by the rank itself. The obsv
+// wrapper goes outermost, so alltoall.Scheduled finds the phase marker
+// through the decorator chain. raw is the transport's own comm, for its
+// counters.
+func joinRank(addr string, o *options, plan *faults.Plan) (raw, c mpi.Comm, rec *obsv.Recorder, closeFn func() error, err error) {
+	var inj *faults.Injector
+	var opts []tcp.Option
+	if plan != nil {
+		inj = faults.New(plan)
+		inj.SetOpTimeout(o.deadline)
+		opts = append(opts, tcp.WithFaults(inj), tcp.WithoutSharedMemory())
 	}
-	inj := faults.New(plan)
-	inj.SetOpTimeout(deadline)
-	inj.SetRecorder(rec)
-	return inj.Wrap(c)
-}
-
-// instrument builds this rank's recorder and wraps the comm for
-// observability: faults innermost (so injected chaos hits the raw
-// transport), the obsv wrapper outermost (so alltoall.Scheduled finds the
-// phase marker through the decorator chain).
-func instrument(c mpi.Comm, plan *faults.Plan, deadline time.Duration) (mpi.Comm, *obsv.Recorder) {
-	rec := obsv.NewRecorder(c.Rank())
-	return obsv.Instrument(wrapFaults(c, plan, deadline, rec), rec), rec
+	raw, closeFn, err = tcp.JoinRetry(addr, o.rendezvous, opts...)
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
+	rec = obsv.NewRecorder(raw.Rank())
+	c = raw
+	if inj != nil {
+		inj.SetRecorder(rec)
+		c = inj.WrapRankOnly(raw)
+	}
+	return raw, obsv.Instrument(c, rec), rec, closeFn, nil
 }
 
 // reportTransportStats prints the rank's data-plane counters when the comm
@@ -164,35 +176,25 @@ func reportTransportStats(c mpi.Comm, out interface{ Write([]byte) (int, error) 
 	}
 }
 
-// writeTrace writes the merged event trace of the recorders as JSONL.
-func writeTrace(path string, meta obsv.Meta, recs ...*obsv.Recorder) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := obsv.WriteRecorders(f, meta, recs...); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // emitTrace delivers the run's trace wherever the flags point: a JSONL file
 // (-trace), a collector's ingest endpoint (-push), or both. The collector
 // merges pushes from every rank, so a distributed run can report itself
 // piecewise to one aapcd/aapctrace instance.
 func emitTrace(o *options, meta obsv.Meta, recs ...*obsv.Recorder) error {
-	if o.tracePath != "" {
-		if err := writeTrace(o.tracePath, meta, recs...); err != nil {
-			return err
-		}
-	}
-	if o.tracePush == "" {
+	if o.tracePath == "" && o.tracePush == "" {
 		return nil
 	}
 	var buf bytes.Buffer
 	if err := obsv.WriteRecorders(&buf, meta, recs...); err != nil {
 		return err
+	}
+	if o.tracePath != "" {
+		if err := os.WriteFile(o.tracePath, buf.Bytes(), 0o666); err != nil {
+			return err
+		}
+	}
+	if o.tracePush == "" {
+		return nil
 	}
 	resp, err := http.Post(o.tracePush, "application/x-ndjson", &buf)
 	if err != nil {
@@ -207,7 +209,7 @@ func emitTrace(o *options, meta obsv.Meta, recs ...*obsv.Recorder) error {
 }
 
 func run(o *options) error {
-	msize, err := parseSize(o.msize)
+	msize, err := harness.ParseMsize(o.msize)
 	if err != nil {
 		return err
 	}
@@ -232,17 +234,23 @@ func run(o *options) error {
 		}
 		fmt.Printf("coordinator for %d ranks on %s\n", o.serve, coord.Addr())
 		return coord.Wait()
-	case o.join != "":
-		fn, _, err := buildAlgorithm(o.preset, o.file, o.alg, o.deadline)
-		if err != nil {
-			return err
-		}
-		c, closeFn, err := tcp.JoinRetry(o.join, o.rendezvous)
+	case o.join == "" && !o.local:
+		return fmt.Errorf("need one of -serve, -join or -local (see -help)")
+	}
+	g, _, err := harness.LoadTopology(o.file, o.preset, false)
+	if err != nil {
+		return err
+	}
+	fn, err := harness.Routine(g, o.alg, o.deadline)
+	if err != nil {
+		return err
+	}
+	if o.join != "" {
+		raw, c, rec, closeFn, err := joinRank(o.join, o, plan)
 		if err != nil {
 			return err
 		}
 		defer closeFn()
-		ic, rec := instrument(c, plan, o.deadline)
 		if o.metrics != "" {
 			addr, closeSrv, err := obsv.ServeMetrics(o.metrics, obsv.NewRegistry(rec))
 			if err != nil {
@@ -253,90 +261,73 @@ func run(o *options) error {
 			}
 			defer closeSrv()
 		}
-		if err := runRank(ic, fn, msize, os.Stdout); err != nil {
+		if err := runRank(c, fn, msize, os.Stdout); err != nil {
 			return err
 		}
 		if o.xportStats {
-			reportTransportStats(c, os.Stdout)
+			reportTransportStats(raw, os.Stdout)
 		}
-		if o.tracePath != "" || o.tracePush != "" {
-			meta := obsv.Meta{Ranks: c.Size(), Transport: "tcp", Name: o.alg, Msize: msize}
-			return emitTrace(o, meta, rec)
-		}
-		return nil
-	case o.local:
-		fn, g, err := buildAlgorithm(o.preset, o.file, o.alg, o.deadline)
+		return emitTrace(o, obsv.Meta{Ranks: c.Size(), Transport: "tcp", Name: o.alg, Msize: msize}, rec)
+	}
+
+	n := g.NumMachines()
+	coord, err := tcp.StartCoordinator("127.0.0.1:0", n, tcp.WithRendezvousTimeout(o.rendezvous))
+	if err != nil {
+		return err
+	}
+	fmt.Printf("local world of %d ranks via %s, algorithm %s, msize %s\n",
+		n, coord.Addr(), o.alg, harness.FormatMsize(msize))
+	reg := obsv.NewRegistry()
+	if o.metrics != "" {
+		addr, closeSrv, err := obsv.ServeMetrics(o.metrics, reg)
 		if err != nil {
 			return err
 		}
-		n := g.NumMachines()
-		coord, err := tcp.StartCoordinator("127.0.0.1:0", n, tcp.WithRendezvousTimeout(o.rendezvous))
-		if err != nil {
-			return err
+		if addr != "" {
+			fmt.Printf("metrics on http://%s/metrics\n", addr)
 		}
-		fmt.Printf("local world of %d ranks via %s, algorithm %s, msize %s\n",
-			n, coord.Addr(), o.alg, harness.FormatMsize(msize))
-		reg := obsv.NewRegistry()
-		if o.metrics != "" {
-			addr, closeSrv, err := obsv.ServeMetrics(o.metrics, reg)
+		defer closeSrv()
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, n)
+	var mu sync.Mutex // serialize per-rank report lines
+	recs := make([]*obsv.Recorder, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			raw, c, rec, closeFn, err := joinRank(coord.Addr(), o, plan)
 			if err != nil {
-				return err
-			}
-			if addr != "" {
-				fmt.Printf("metrics on http://%s/metrics\n", addr)
-			}
-			defer closeSrv()
-		}
-		var wg sync.WaitGroup
-		errs := make(chan error, n)
-		var mu sync.Mutex // serialize per-rank report lines
-		recs := make([]*obsv.Recorder, n)
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				c, closeFn, err := tcp.JoinRetry(coord.Addr(), o.rendezvous)
-				if err != nil {
-					errs <- err
-					return
-				}
-				defer closeFn()
-				ic, rec := instrument(c, plan, o.deadline)
-				mu.Lock()
-				recs[c.Rank()] = rec
-				mu.Unlock()
-				reg.Add(rec)
-				err = runRank(ic, fn, msize, &lockedWriter{mu: &mu})
-				if err == nil && o.xportStats {
-					reportTransportStats(c, &lockedWriter{mu: &mu})
-				}
 				errs <- err
-			}()
-		}
-		wg.Wait()
-		var first error
-		for i := 0; i < n; i++ {
-			if err := <-errs; err != nil && first == nil {
-				first = err
+				return
 			}
-		}
-		if err := coord.Wait(); err != nil && first == nil {
+			defer closeFn()
+			mu.Lock()
+			recs[c.Rank()] = rec
+			mu.Unlock()
+			reg.Add(rec)
+			err = runRank(c, fn, msize, &lockedWriter{mu: &mu})
+			if err == nil && o.xportStats {
+				reportTransportStats(raw, &lockedWriter{mu: &mu})
+			}
+			errs <- err
+		}()
+	}
+	wg.Wait()
+	var first error
+	for i := 0; i < n; i++ {
+		if err := <-errs; err != nil && first == nil {
 			first = err
 		}
-		if (o.tracePath != "" || o.tracePush != "") && first == nil {
-			present := recs[:0:0]
-			for _, r := range recs {
-				if r != nil {
-					present = append(present, r)
-				}
-			}
-			meta := obsv.Meta{Ranks: n, Transport: "tcp", Name: o.alg, Msize: msize}
-			first = emitTrace(o, meta, present...)
-		}
-		return first
-	default:
-		return fmt.Errorf("need one of -serve, -join or -local (see -help)")
 	}
+	if err := coord.Wait(); err != nil && first == nil {
+		first = err
+	}
+	if first != nil {
+		return first
+	}
+	// Every rank joined and ran, so every recorder is in place.
+	return emitTrace(o, obsv.Meta{Ranks: n, Transport: "tcp", Name: o.alg, Msize: msize}, recs...)
 }
 
 // lockedWriter serializes whole lines from concurrent ranks.
@@ -346,40 +337,6 @@ func (w *lockedWriter) Write(p []byte) (int, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return os.Stdout.Write(p)
-}
-
-// buildAlgorithm resolves the topology and algorithm choice. A non-zero
-// deadline bounds every blocking step of the scheduled routine.
-func buildAlgorithm(preset, file, alg string, deadline time.Duration) (alltoall.Func, *topology.Graph, error) {
-	var g *topology.Graph
-	var err error
-	if file != "" {
-		f, ferr := os.Open(file)
-		if ferr != nil {
-			return nil, nil, ferr
-		}
-		g, err = topology.Parse(f)
-		f.Close()
-	} else {
-		g, err = harness.Preset(preset)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	switch alg {
-	case "ours":
-		sc, err := harness.CompileRoutine(g, alltoall.PairwiseSync)
-		if err != nil {
-			return nil, nil, err
-		}
-		return sc.FnTimeout(deadline), g, nil
-	case "lam":
-		return alltoall.Simple, g, nil
-	case "mpich":
-		return alltoall.MPICH, g, nil
-	default:
-		return nil, nil, fmt.Errorf("unknown algorithm %q (want ours, lam or mpich)", alg)
-	}
 }
 
 // runRank executes one verified all-to-all on the communicator.
@@ -412,22 +369,4 @@ func runRank(c mpi.Comm, fn alltoall.Func, msize int, out interface{ Write([]byt
 	// Closing barrier: no rank may tear its sockets down while peers are
 	// still exchanging (an early close would poison their matchers).
 	return c.Barrier()
-}
-
-// parseSize parses "64K"/"1M"/plain byte counts.
-func parseSize(s string) (int, error) {
-	mult := 1
-	switch {
-	case strings.HasSuffix(s, "M"):
-		mult = 1 << 20
-		s = s[:len(s)-1]
-	case strings.HasSuffix(s, "K"):
-		mult = 1 << 10
-		s = s[:len(s)-1]
-	}
-	v, err := strconv.Atoi(s)
-	if err != nil || v <= 0 {
-		return 0, fmt.Errorf("bad message size %q", s)
-	}
-	return v * mult, nil
 }

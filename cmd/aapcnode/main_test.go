@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
+	"io"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -18,21 +21,6 @@ import (
 	"github.com/aapc-sched/aapcsched/internal/obsv"
 	"github.com/aapc-sched/aapcsched/internal/obsv/collect"
 )
-
-func TestParseSize(t *testing.T) {
-	cases := map[string]int{"64K": 65536, "1M": 1 << 20, "100": 100}
-	for in, want := range cases {
-		got, err := parseSize(in)
-		if err != nil || got != want {
-			t.Errorf("parseSize(%q) = %d, %v; want %d", in, got, err, want)
-		}
-	}
-	for _, bad := range []string{"", "x", "-1", "0K"} {
-		if _, err := parseSize(bad); err == nil {
-			t.Errorf("parseSize(%q): want error", bad)
-		}
-	}
-}
 
 // opts builds a -local configuration with the defaults the flag set would
 // apply.
@@ -58,6 +46,14 @@ func TestLocalWorldEndToEnd(t *testing.T) {
 	}
 }
 
+// TestLocalWorldPaperSizeSpelling: -msize reads a size as the run's own
+// banner prints it.
+func TestLocalWorldPaperSizeSpelling(t *testing.T) {
+	if err := run(opts(func(o *options) { o.msize = "64KB" })); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestLocalWorldWithDeadline(t *testing.T) {
 	if err := run(opts(func(o *options) { o.deadline = 30 * time.Second })); err != nil {
 		t.Errorf("with deadline: %v", err)
@@ -72,6 +68,85 @@ func TestLocalWorldWithFaultPlan(t *testing.T) {
 	})
 	if err := run(o); err != nil {
 		t.Errorf("with fault plan: %v", err)
+	}
+}
+
+// runFaulted runs the verified all-to-all of fig1 on a local world whose
+// ranks join through joinRank under the fault plan, and returns each rank's
+// transport counters. Every faulted comm must still offer mpi.Flusher.
+func runFaulted(t *testing.T, spec string) []tcp.Stats {
+	t.Helper()
+	o := opts(func(o *options) { o.faultsSpec = spec; o.deadline = 10 * time.Second })
+	plan, err := loadFaults(o.faultsSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := harness.Fig1()
+	fn, err := harness.Routine(g, o.alg, o.deadline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumMachines()
+	coord, err := tcp.StartCoordinator("127.0.0.1:0", n, tcp.WithRendezvousTimeout(o.rendezvous))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := make([]tcp.Stats, n)
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			raw, c, _, closeFn, err := joinRank(coord.Addr(), o, plan)
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer closeFn()
+			if _, ok := c.(mpi.Flusher); !ok {
+				errs <- fmt.Errorf("rank %d: the faulted comm hides mpi.Flusher", c.Rank())
+				return
+			}
+			err = runRank(c, fn, 1<<10, io.Discard)
+			stats[c.Rank()] = raw.(interface{ TransportStats() tcp.Stats }).TransportStats()
+			errs <- err
+		}()
+	}
+	for i := 0; i < n; i++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	if err := coord.Wait(); err != nil {
+		t.Error(err)
+	}
+	return stats
+}
+
+// TestFaultPlanDupReachesTransport: a dup rule duplicates data frames on
+// the wire, and the receiving rank discards the copies.
+func TestFaultPlanDupReachesTransport(t *testing.T) {
+	if d := runFaulted(t, "seed 1; dup 0 1 count 2")[1].DupDiscards; d < 2 {
+		t.Errorf("rank 1 discarded %d duplicate frames, want >= 2", d)
+	}
+}
+
+// TestFaultPlanDropRecovers: a drop rule breaks the link under a data frame;
+// the link reconnects, the frame is retransmitted and the run verifies.
+func TestFaultPlanDropRecovers(t *testing.T) {
+	var recovered uint64
+	for _, s := range runFaulted(t, "seed 1; drop 0 1 count 1") {
+		recovered += s.Reconnects + s.Retransmits
+	}
+	if recovered == 0 {
+		t.Error("no reconnect or retransmit after an injected drop")
+	}
+}
+
+// TestTopoHelpNamesEveryPreset: -topo's help lists every preset.
+func TestTopoHelpNamesEveryPreset(t *testing.T) {
+	fs := flag.NewFlagSet("aapcnode", flag.ContinueOnError)
+	new(options).bind(fs)
+	if u := fs.Lookup("topo").Usage; !strings.Contains(u, harness.PresetList()) {
+		t.Errorf("-topo help %q does not list %s", u, harness.PresetList())
 	}
 }
 

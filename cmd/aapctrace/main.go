@@ -11,7 +11,8 @@
 //	aapcnode -local -topo fig1 -alg ours -push http://127.0.0.1:8643/v1/trace/ingest
 //	curl 'http://127.0.0.1:8643/v1/trace/report?format=text'
 //
-// Offline mode analyzes a trace file written by aapcnode -trace:
+// Offline mode reads a trace file written by aapcnode -trace and prints its
+// flow statistics, a Gantt row of each rank's sends and the report:
 //
 //	aapcnode -local -topo fig1 -alg ours -trace run.jsonl
 //	aapctrace -report run.jsonl -topo fig1 -predict
@@ -23,15 +24,16 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"time"
 
-	"github.com/aapc-sched/aapcsched/internal/alltoall"
 	"github.com/aapc-sched/aapcsched/internal/harness"
 	"github.com/aapc-sched/aapcsched/internal/obsv"
 	"github.com/aapc-sched/aapcsched/internal/obsv/collect"
@@ -55,17 +57,7 @@ type options struct {
 
 func main() {
 	var o options
-	flag.StringVar(&o.addr, "addr", "127.0.0.1:8643", "collector listen address (serve mode)")
-	flag.StringVar(&o.report, "report", "", "analyze this obsv JSONL trace file and exit (offline mode)")
-	flag.StringVar(&o.preset, "topo", "", "topology preset for link attribution (a, b, c, bg, fig1)")
-	flag.StringVar(&o.file, "topofile", "", "topology DSL file (overrides -topo)")
-	flag.StringVar(&o.alg, "alg", "", "algorithm to price for -predict: ours, lam or mpich (default: the trace's)")
-	flag.IntVar(&o.msize, "msize", 0, "block size to price for -predict (default: the trace's)")
-	flag.BoolVar(&o.predict, "predict", false, "price the schedule in the simulator and report sim-vs-real divergence (needs a topology)")
-	flag.Float64Var(&o.factor, "factor", 0, "divergence flag threshold: measured > factor x predicted (0 = default)")
-	flag.BoolVar(&o.common, "common-clock", false,
-		"assert all ranks share one clock epoch (single-process traces); skips pairwise offset estimation")
-	flag.BoolVar(&o.jsonOut, "json", false, "emit the offline report as JSON instead of text")
+	o.bind(flag.CommandLine)
 	flag.Parse()
 	if err := run(&o, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "aapctrace:", err)
@@ -73,42 +65,25 @@ func main() {
 	}
 }
 
-// loadGraph resolves the optional topology flags; nil when neither is set.
-func loadGraph(o *options) (*topology.Graph, error) {
-	if o.file != "" {
-		f, err := os.Open(o.file)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return topology.Parse(f)
-	}
-	if o.preset != "" {
-		return harness.Preset(o.preset)
-	}
-	return nil, nil
+// bind registers the command's flags on fs.
+func (o *options) bind(fs *flag.FlagSet) {
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:8643", "collector listen address (serve mode)")
+	fs.StringVar(&o.report, "report", "", "analyze this obsv JSONL trace file and exit (offline mode)")
+	fs.StringVar(&o.preset, "topo", "", "topology preset for link attribution ("+harness.PresetList()+")")
+	fs.StringVar(&o.file, "topofile", "", "topology DSL file (overrides -topo)")
+	fs.StringVar(&o.alg, "alg", "", "algorithm to price for -predict: ours, lam or mpich (default: the trace's)")
+	fs.IntVar(&o.msize, "msize", 0, "block size to price for -predict (default: the trace's)")
+	fs.BoolVar(&o.predict, "predict", false, "price the schedule in the simulator and report sim-vs-real divergence (needs a topology)")
+	fs.Float64Var(&o.factor, "factor", 0, "divergence flag threshold: measured > factor x predicted (0 = default)")
+	fs.BoolVar(&o.common, "common-clock", false,
+		"assert all ranks share one clock epoch (single-process traces); skips pairwise offset estimation")
+	fs.BoolVar(&o.jsonOut, "json", false, "emit the offline report as JSON instead of text")
 }
 
-// priceFn resolves the routine to price for the divergence prediction.
-func priceFn(g *topology.Graph, alg string) (alltoall.Func, error) {
-	switch alg {
-	case "", "ours":
-		sc, err := harness.CompileRoutine(g, alltoall.PairwiseSync)
-		if err != nil {
-			return nil, err
-		}
-		return sc.Fn(), nil
-	case "lam":
-		return alltoall.Simple, nil
-	case "mpich":
-		return alltoall.MPICH, nil
-	default:
-		return nil, fmt.Errorf("unknown algorithm %q (want ours, lam or mpich)", alg)
-	}
-}
-
-// offline analyzes one trace file and writes the report to w.
-func offline(o *options, g *topology.Graph, w interface{ Write([]byte) (int, error) }) error {
+// offline analyzes one trace file and writes the report to w: as text, the
+// flow statistics and each rank's sender timeline ahead of the collector's
+// report.
+func offline(o *options, g *topology.Graph, w io.Writer) error {
 	f, err := os.Open(o.report)
 	if err != nil {
 		return err
@@ -137,7 +112,7 @@ func offline(o *options, g *topology.Graph, w interface{ Write([]byte) (int, err
 		if msize == 0 {
 			return fmt.Errorf("trace carries no message size; pass -msize")
 		}
-		fn, err := priceFn(g, alg)
+		fn, err := harness.Routine(g, cmp.Or(alg, "ours"), 0)
 		if err != nil {
 			return err
 		}
@@ -155,16 +130,18 @@ func offline(o *options, g *topology.Graph, w interface{ Write([]byte) (int, err
 		enc.SetIndent("", "  ")
 		return enc.Encode(rep)
 	}
+	meta, events := store.Meta(), store.Events()
+	st := collect.Flows(events)
+	fmt.Fprintf(w, "trace %s (%s, %d ranks): %d data flows, %d control flows, peak concurrency %d\n",
+		cmp.Or(meta.Name, o.report), meta.Transport, meta.Ranks, st.DataFlows, st.ControlFlows, st.MaxConcurrentData)
+	fmt.Fprint(w, collect.Gantt(events, meta.Ranks, 96))
 	rep.WriteText(w)
 	return nil
 }
 
-// newServer builds the serve-mode collector and its listener.
-func newServer(o *options) (*http.Server, net.Listener, error) {
-	g, err := loadGraph(o)
-	if err != nil {
-		return nil, nil, err
-	}
+// newServer builds the serve-mode collector, attributing links on g when
+// it is not nil, and its listener.
+func newServer(o *options, g *topology.Graph) (*http.Server, net.Listener, error) {
 	store := collect.NewStore()
 	store.SetCommonClock(o.common)
 	reg := obsv.NewRegistry()
@@ -182,15 +159,18 @@ func newServer(o *options) (*http.Server, net.Listener, error) {
 	return &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}, ln, nil
 }
 
-func run(o *options, w interface{ Write([]byte) (int, error) }) error {
-	g, err := loadGraph(o)
-	if err != nil {
-		return err
+func run(o *options, w io.Writer) error {
+	var g *topology.Graph // the topology is optional here
+	if o.file != "" || o.preset != "" {
+		var err error
+		if g, _, err = harness.LoadTopology(o.file, o.preset, false); err != nil {
+			return err
+		}
 	}
 	if o.report != "" {
 		return offline(o, g, w)
 	}
-	srv, ln, err := newServer(o)
+	srv, ln, err := newServer(o, g)
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -13,6 +15,7 @@ import (
 	"github.com/aapc-sched/aapcsched/internal/mpi"
 	"github.com/aapc-sched/aapcsched/internal/mpi/mem"
 	"github.com/aapc-sched/aapcsched/internal/obsv"
+	"github.com/aapc-sched/aapcsched/internal/simnet"
 	"github.com/aapc-sched/aapcsched/internal/topology"
 )
 
@@ -111,7 +114,11 @@ func TestServeModeIngestAndReport(t *testing.T) {
 	dir := t.TempDir()
 	tracePath, topoPath := writeTestTrace(t, dir)
 
-	srv, ln, err := newServer(&options{addr: "127.0.0.1:0", file: topoPath, common: true})
+	g, _, err := harness.LoadTopology(topoPath, "", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, ln, err := newServer(&options{addr: "127.0.0.1:0", common: true}, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,5 +159,67 @@ func TestServeModeIngestAndReport(t *testing.T) {
 	resp.Body.Close()
 	if !strings.Contains(body.String(), "aapc_trace_ingests_total 1") {
 		t.Errorf("metrics missing trace counters:\n%s", body.String())
+	}
+}
+
+// TestOfflineReportDrawsTrace: a text report opens with the trace's flow
+// statistics and one Gantt row per rank — here of a simulated run of fig1,
+// 30 data flows and one control flow per sync message — and a trace naming
+// a rank outside its world is refused.
+func TestOfflineReportDrawsTrace(t *testing.T) {
+	g := harness.Fig1()
+	sc, err := harness.CompileRoutine(g, alltoall.PairwiseSync)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, recs, err := harness.MeasureObserved(simnet.Config{Graph: g}, sc.Fn(), 8<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.jsonl")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obsv.WriteRecorders(f, obsv.Meta{Transport: "simnet", Name: "ours", Msize: 8 << 10}, recs...); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	var out bytes.Buffer
+	if err := run(&options{report: path}, &out); err != nil {
+		t.Fatal(err)
+	}
+	text := out.String()
+	head := fmt.Sprintf("trace ours (simnet, 6 ranks): 30 data flows, %d control flows, peak concurrency", sc.SyncCount())
+	if !strings.HasPrefix(text, head) {
+		t.Errorf("report does not open with %q:\n%s", head, text)
+	}
+	if rows := strings.Count(text, "\nrank"); rows != 6 {
+		t.Errorf("report has %d Gantt rows, want 6:\n%s", rows, text)
+	}
+	if !strings.Contains(text, "trace report: 6 ranks") {
+		t.Errorf("report missing the collector's report:\n%s", text)
+	}
+
+	forged := filepath.Join(dir, "forged.jsonl")
+	if err := os.WriteFile(forged, []byte(`{"meta":{"ranks":2}}`+"\n"+
+		`{"kind":"send","rank":5,"peer":0,"phase":-1,"start":0,"end":1,"bytes":4096}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(&options{report: forged}, &out); err == nil {
+		t.Error("want error reading a trace with a rank outside its world")
+	}
+	if err := run(&options{report: filepath.Join(dir, "missing.jsonl")}, &out); err == nil {
+		t.Error("want error for a missing trace file")
+	}
+}
+
+// TestTopoHelpNamesEveryPreset: -topo's help lists every preset.
+func TestTopoHelpNamesEveryPreset(t *testing.T) {
+	fs := flag.NewFlagSet("aapctrace", flag.ContinueOnError)
+	new(options).bind(fs)
+	if u := fs.Lookup("topo").Usage; !strings.Contains(u, harness.PresetList()) {
+		t.Errorf("-topo help %q does not list %s", u, harness.PresetList())
 	}
 }

@@ -18,69 +18,50 @@ import (
 	"github.com/aapc-sched/aapcsched/internal/topology"
 )
 
+// options collects the command-line configuration.
+type options struct {
+	file, preset string
+	bwMbps       float64
+	wiring, dot  bool
+}
+
+// bind registers the command's flags on fs.
+func (o *options) bind(fs *flag.FlagSet) {
+	fs.StringVar(&o.file, "file", "", "topology DSL file")
+	fs.StringVar(&o.preset, "topo", "", "topology preset ("+harness.PresetList()+") instead of -file")
+	fs.Float64Var(&o.bwMbps, "bw", 100, "link bandwidth in Mbps")
+	fs.BoolVar(&o.wiring, "wiring", false, "treat -file as raw cabling (cycles allowed) and derive the forwarding tree first")
+	fs.BoolVar(&o.dot, "dot", false, "emit the topology as Graphviz dot and exit")
+}
+
 func main() {
-	var (
-		file   = flag.String("file", "", "topology DSL file")
-		preset = flag.String("topo", "", "topology preset (a, b, c, fig1) instead of -file")
-		bwMbps = flag.Float64("bw", 100, "link bandwidth in Mbps")
-		wiring = flag.Bool("wiring", false, "treat -file as raw cabling (cycles allowed) and derive the forwarding tree first")
-		dot    = flag.Bool("dot", false, "emit the topology as Graphviz dot and exit")
-	)
+	var o options
+	o.bind(flag.CommandLine)
 	flag.Parse()
-	if err := run2(*file, *preset, *bwMbps, *wiring, *dot); err != nil {
+	if err := run(&o); err != nil {
 		fmt.Fprintln(os.Stderr, "topoinfo:", err)
 		os.Exit(1)
 	}
 }
 
-// run2 resolves flags around the core analyzer.
-func run2(file, preset string, bwMbps float64, wiring, dot bool) error {
-	var g *topology.Graph
-	switch {
-	case wiring && file != "":
-		f, err := os.Open(file)
-		if err != nil {
-			return err
-		}
-		w, err := topology.ParseWiring(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		g, err = w.SpanningTree()
-		if err != nil {
-			return err
-		}
-		fmt.Printf("spanning tree derived: %d redundant cable(s) blocked\n\n", w.BlockedLinks())
-	case file != "":
-		f, err := os.Open(file)
-		if err != nil {
-			return err
-		}
-		var perr error
-		g, perr = topology.Parse(f)
-		f.Close()
-		if perr != nil {
-			return perr
-		}
-	case preset != "":
-		var err error
-		g, err = harness.Preset(preset)
-		if err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("need -file or -topo (see -help)")
+// run resolves the cluster and prints its analysis, or its dot form.
+func run(o *options) error {
+	g, blocked, err := harness.LoadTopology(o.file, o.preset, o.wiring)
+	if err != nil {
+		return err
 	}
-	if dot {
+	if o.wiring && o.file != "" {
+		fmt.Printf("spanning tree derived: %d redundant cable(s) blocked\n\n", blocked)
+	}
+	if o.dot {
 		fmt.Print(g.DOT())
 		return nil
 	}
-	return run(g, bwMbps)
+	return analyze(g, o.bwMbps)
 }
 
-func run(g *topology.Graph, bwMbps float64) error {
-
+// analyze prints the cluster's AAPC analysis.
+func analyze(g *topology.Graph, bwMbps float64) error {
 	fmt.Printf("cluster: %d machines, %d switches, %d links\n",
 		g.NumMachines(), g.NumSwitches(), g.NumLinks())
 

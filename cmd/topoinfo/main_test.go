@@ -1,17 +1,21 @@
 package main
 
 import (
+	"flag"
 	"os"
+	"strings"
 	"testing"
+
+	"github.com/aapc-sched/aapcsched/internal/harness"
 )
 
 func TestRunPresets(t *testing.T) {
 	for _, preset := range []string{"fig1", "a", "bg"} {
-		if err := run2("", preset, 100, false, false); err != nil {
+		if err := run(&options{preset: preset, bwMbps: 100}); err != nil {
 			t.Errorf("%s: %v", preset, err)
 		}
 	}
-	if err := run2("", "fig1", 100, false, true); err != nil {
+	if err := run(&options{preset: "fig1", bwMbps: 100, dot: true}); err != nil {
 		t.Errorf("dot: %v", err)
 	}
 }
@@ -22,16 +26,16 @@ func TestRunFileAndErrors(t *testing.T) {
 	if err := os.WriteFile(topo, []byte("switch s\nmachines a b c\nlink s a\nlink s b\nlink s c\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run2(topo, "", 100, false, false); err != nil {
+	if err := run(&options{file: topo, bwMbps: 100}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run2("", "", 100, false, false); err == nil {
+	if err := run(&options{bwMbps: 100}); err == nil {
 		t.Error("want error without inputs")
 	}
-	if err := run2("/nope", "", 100, false, false); err == nil {
+	if err := run(&options{file: "/nope", bwMbps: 100}); err == nil {
 		t.Error("want error for missing file")
 	}
-	if err := run2("", "zzz", 100, false, false); err == nil {
+	if err := run(&options{preset: "zzz", bwMbps: 100}); err == nil {
 		t.Error("want error for unknown preset")
 	}
 	// Wiring mode: a redundant square derives a tree.
@@ -40,10 +44,19 @@ func TestRunFileAndErrors(t *testing.T) {
 	if err := os.WriteFile(wfile, []byte(wtext), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run2(wfile, "", 100, true, false); err != nil {
+	if err := run(&options{file: wfile, bwMbps: 100, wiring: true}); err != nil {
 		t.Errorf("wiring: %v", err)
 	}
-	if err := run2("/nope", "", 100, true, false); err == nil {
+	if err := run(&options{file: "/nope", bwMbps: 100, wiring: true}); err == nil {
 		t.Error("want error for missing wiring file")
+	}
+}
+
+// TestTopoHelpNamesEveryPreset: -topo's help lists every preset.
+func TestTopoHelpNamesEveryPreset(t *testing.T) {
+	fs := flag.NewFlagSet("topoinfo", flag.ContinueOnError)
+	new(options).bind(fs)
+	if u := fs.Lookup("topo").Usage; !strings.Contains(u, harness.PresetList()) {
+		t.Errorf("-topo help %q does not list %s", u, harness.PresetList())
 	}
 }

@@ -229,14 +229,35 @@ func (inj *Injector) killRule(rank int) int {
 // prefer WithFaults(inj) for the message faults plus WrapRankOnly for
 // Stall/Kill, so Drop exercises the real reconnect path.
 func (inj *Injector) Wrap(c mpi.Comm) mpi.Comm {
-	return &faultComm{inner: c, inj: inj, msgFaults: true}
+	return wrap(&faultComm{inner: c, inj: inj, msgFaults: true})
 }
 
 // WrapRankOnly decorates a communicator with Stall/Kill rules only,
 // leaving message faults to the transport's frame layer.
 func (inj *Injector) WrapRankOnly(c mpi.Comm) mpi.Comm {
-	return &faultComm{inner: c, inj: inj}
+	return wrap(&faultComm{inner: c, inj: inj})
 }
+
+// wrap surfaces mpi.Flusher exactly when the inner comm has it: hiding it
+// would send the scheduler down its wait-for-delivery path, and a no-op
+// Flush would skip a wait that transports without a writer stage need.
+func wrap(c *faultComm) mpi.Comm {
+	if fl, ok := c.inner.(mpi.Flusher); ok {
+		return &faultCommFlush{c, fl}
+	}
+	return c
+}
+
+// faultCommFlush is a faultComm over a transport with a writer stage. The
+// wire-entry watermark wait is forwarded as is: it is no operation of the
+// rank's stream, and a message a Drop rule swallowed never reached the
+// writer, so the wait does not block on it.
+type faultCommFlush struct {
+	*faultComm
+	fl mpi.Flusher
+}
+
+func (c *faultCommFlush) Flush(dst int, d time.Duration) error { return c.fl.Flush(dst, d) }
 
 // faultComm is the comm-level decorator.
 type faultComm struct {

@@ -9,6 +9,7 @@ import (
 
 	"github.com/aapc-sched/aapcsched/internal/mpi"
 	"github.com/aapc-sched/aapcsched/internal/mpi/mem"
+	"github.com/aapc-sched/aapcsched/internal/mpi/tcp"
 )
 
 func TestParsePlan(t *testing.T) {
@@ -298,5 +299,32 @@ func TestEventString(t *testing.T) {
 	e = Event{Kind: Kill, Src: 4, Dst: Any, Op: 0}
 	if !strings.Contains(e.String(), "rank 4") {
 		t.Fatalf("event string %q", e.String())
+	}
+}
+
+// TestWrapKeepsFlusher: both decorators offer mpi.Flusher exactly when the
+// comm they wrap does, and forward the wait to it.
+func TestWrapKeepsFlusher(t *testing.T) {
+	comms, closeWorld, err := tcp.NewWorld(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeWorld()
+	inj := New(nil)
+	for _, c := range []mpi.Comm{inj.Wrap(comms[0]), inj.WrapRankOnly(comms[0])} {
+		fl, ok := c.(mpi.Flusher)
+		if !ok {
+			t.Errorf("%T over tcp hides mpi.Flusher", c)
+			continue
+		}
+		if err := fl.Flush(1, time.Second); err != nil {
+			t.Errorf("%T: Flush: %v", c, err)
+		}
+	}
+	m := mem.NewWorld(1)[0]
+	for _, c := range []mpi.Comm{inj.Wrap(m), inj.WrapRankOnly(m)} {
+		if _, ok := c.(mpi.Flusher); ok {
+			t.Errorf("%T over mem offers mpi.Flusher", c)
+		}
 	}
 }

@@ -6,6 +6,7 @@ package harness
 
 import (
 	"fmt"
+	"strings"
 
 	"github.com/aapc-sched/aapcsched/internal/topology"
 )
@@ -102,21 +103,29 @@ func multiSwitch32(connect func(g *topology.Graph, s [4]int)) *topology.Graph {
 	return g.MustValidate()
 }
 
-// Preset returns a named experiment topology: "a", "b", "c" for Fig. 5, or
-// "fig1" for the running example.
-func Preset(name string) (*topology.Graph, error) {
-	switch name {
-	case "a":
-		return TopologyA(), nil
-	case "b":
-		return TopologyB(), nil
-	case "c":
-		return TopologyC(), nil
-	case "bg":
-		return TopologyBGiga(), nil
-	case "fig1":
-		return Fig1(), nil
-	default:
-		return nil, fmt.Errorf("harness: unknown topology preset %q (want a, b, c, bg or fig1)", name)
+// presets are the named experiment topologies, in the order help texts list
+// them: "a", "b", "c" for Fig. 5, "bg" for (b) with fast uplinks, and "fig1"
+// for the running example.
+var presets = []struct {
+	name  string
+	build func() *topology.Graph
+}{{"a", TopologyA}, {"b", TopologyB}, {"c", TopologyC}, {"bg", TopologyBGiga}, {"fig1", Fig1}}
+
+// PresetList names every preset Preset accepts, for help and error texts.
+func PresetList() string {
+	names := make([]string, len(presets))
+	for i, p := range presets {
+		names[i] = p.name
 	}
+	return strings.Join(names, ", ")
+}
+
+// Preset returns a named experiment topology (see PresetList).
+func Preset(name string) (*topology.Graph, error) {
+	for _, p := range presets {
+		if p.name == name {
+			return p.build(), nil
+		}
+	}
+	return nil, fmt.Errorf("harness: unknown topology preset %q (want one of %s)", name, PresetList())
 }

@@ -136,9 +136,10 @@ func (r *Ring) copyOut(pos uint64, p []byte) {
 func (r *Ring) TryWrite(p []byte) int {
 	tail := atomic.LoadUint64(r.tail)
 	head := atomic.LoadUint64(r.head) // acquire: consumer freed this space
-	free := int(r.cap - (tail - head))
-	n := min(free, len(p))
-	if n <= 0 {
+	// A peer process owns head: take no more than the ring could ever hold.
+	free := r.cap - min(tail-head, r.cap)
+	n := int(min(free, uint64(len(p))))
+	if n == 0 {
 		return 0
 	}
 	r.copyIn(tail, p[:n])
@@ -153,9 +154,9 @@ func (r *Ring) TryWrite(p []byte) int {
 func (r *Ring) TryRead(p []byte) int {
 	head := atomic.LoadUint64(r.head)
 	tail := atomic.LoadUint64(r.tail) // acquire: producer published these bytes
-	avail := int(tail - head)
-	n := min(avail, len(p))
-	if n <= 0 {
+	// A peer process owns tail: hand out no more than the ring could hold.
+	n := int(min(tail-head, r.cap, uint64(len(p))))
+	if n == 0 {
 		return 0
 	}
 	r.copyOut(head, p[:n])
