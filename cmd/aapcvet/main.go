@@ -5,9 +5,8 @@
 //	go vet -vettool=$PWD/bin/aapcvet ./...
 //
 // It enforces the six project invariants (poolsafe, determinism,
-// waitcheck, noalloc, copycount, spscsafe). Function summaries flow across
-// package boundaries through vet's facts channel, so poolsafe, waitcheck
-// and copycount see through call sites.
+// waitcheck, noalloc, copycount, spscsafe). Each pass reasons within one
+// function of one package, so the facts file vet asks for is left empty.
 //
 // Individual analyzers are disabled with -<name>=false; single findings
 // are suppressed in source with //aapc:allow <name> <reason>. Extra

@@ -15,8 +15,8 @@
 //   - spscsafe: //aapc:spsc ring types keep atomic access and producer /
 //     consumer role separation.
 //
-// poolsafe, waitcheck and copycount read interprocedural facts (facts.go),
-// so they see through call sites and across packages.
+// Every pass reasons about one function body at a time and keeps no
+// summaries of its callees, so no finding depends on another package.
 //
 // The framework is built on the standard library's go/ast and go/types
 // only. The build environment pins no external modules, so rather than
@@ -65,9 +65,6 @@ type Analyzer struct {
 	// AppliesTo, when non-nil, restricts the pass to packages for which it
 	// returns true (matched against the package's import path).
 	AppliesTo func(pkgPath string) bool
-	// NeedsFacts marks analyzers that consult interprocedural summaries;
-	// the runner computes (or imports) facts only when one is enabled.
-	NeedsFacts bool
 	// Run reports findings through pass.Reportf.
 	Run func(pass *Pass) error
 }
@@ -83,10 +80,6 @@ type Pass struct {
 	Info  *types.Info
 	// PkgPath is the import path the package was loaded under.
 	PkgPath string
-	// Facts is the interprocedural fact universe: summaries for every
-	// function of this package plus everything imported from dependencies.
-	// Nil when no enabled analyzer declared NeedsFacts.
-	Facts *FactSet
 
 	diags *[]Diagnostic
 }
@@ -152,23 +145,12 @@ type AllowEntry struct {
 type Result struct {
 	Diags        []Diagnostic
 	UnusedAllows []AllowEntry
-	// Facts holds the summaries computed for this package (imported ones
-	// included), for export through the vetx channel. Nil when facts were
-	// not needed.
-	Facts *FactSet
-}
-
-// RunConfig tunes a run.
-type RunConfig struct {
-	// Imported seeds the fact engine with dependency summaries.
-	Imported *FactSet
 }
 
 // Run executes the analyzers over the package and returns the surviving
-// diagnostics, suppressed findings dropped. Facts are computed
-// automatically when an enabled analyzer needs them.
+// diagnostics, suppressed findings dropped.
 func Run(pkg *PackageInfo, analyzers []*Analyzer) ([]Diagnostic, error) {
-	res, err := RunWith(pkg, analyzers, RunConfig{})
+	res, err := RunWith(pkg, analyzers)
 	if err != nil {
 		return nil, err
 	}
@@ -182,21 +164,9 @@ func Run(pkg *PackageInfo, analyzers []*Analyzer) ([]Diagnostic, error) {
 }
 
 // RunWith executes the analyzers and returns the full Result.
-func RunWith(pkg *PackageInfo, analyzers []*Analyzer, cfg RunConfig) (*Result, error) {
+func RunWith(pkg *PackageInfo, analyzers []*Analyzer) (*Result, error) {
 	allow := buildAllowIndex(pkg.Fset, pkg.Files)
 	res := &Result{}
-
-	needFacts := false
-	for _, a := range analyzers {
-		if a.NeedsFacts && (a.AppliesTo == nil || a.AppliesTo(pkg.PkgPath)) {
-			needFacts = true
-		}
-	}
-	var facts *FactSet
-	if needFacts {
-		facts = ComputeFacts(pkg, cfg.Imported)
-		res.Facts = facts
-	}
 
 	for _, a := range analyzers {
 		if a.AppliesTo != nil && !a.AppliesTo(pkg.PkgPath) {
@@ -222,7 +192,6 @@ func RunWith(pkg *PackageInfo, analyzers []*Analyzer, cfg RunConfig) (*Result, e
 			Pkg:      pkg.Pkg,
 			Info:     pkg.Info,
 			PkgPath:  pkg.PkgPath,
-			Facts:    facts,
 			diags:    &diags,
 		}
 		if err := a.Run(pass); err != nil {

@@ -29,11 +29,10 @@ import (
 // skip-copy fast path, ring staging) are annotated //aapc:allow copycount
 // with the reason.
 var Copycount = &Analyzer{
-	Name:       "copycount",
-	Doc:        "rejects payload byte copies in functions annotated //aapc:nocopy",
-	SkipTests:  true,
-	NeedsFacts: true,
-	Run:        runCopycount,
+	Name:      "copycount",
+	Doc:       "rejects payload byte copies in functions annotated //aapc:nocopy",
+	SkipTests: true,
+	Run:       runCopycount,
 }
 
 const nocopyMarker = "aapc:nocopy"
@@ -117,38 +116,19 @@ func checkCopycountCall(pass *Pass, fb funcBody, call *ast.CallExpr) {
 		}
 	}
 	// String <-> byte slice conversions copy their contents.
-	if tv, ok := pass.Info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
-		if isAllocatingConversion(pass.TypeOf(call.Fun), pass.TypeOf(call.Args[0])) {
-			reportCopy(pass, fb, call.Pos(), "string/byte-slice conversion moves payload bytes")
-		}
-		return
-	}
-	// Interprocedural: a callee whose fact says it copies this byte-slice
-	// argument on its own hot path copies it here too — moving the memcpy
-	// one frame down does not make the function zero-copy.
-	callee := CalleeFunc(pass, call)
-	if callee == nil {
-		return
-	}
-	cf := pass.Facts.Func(FuncKey(callee))
-	if cf == nil {
-		return
-	}
-	for idx, arg := range CallArgs(pass, call, callee) {
-		if p := cf.Param(idx); p != nil && p.Copied && isByteSlice(pass.TypeOf(arg)) {
-			reportCopy(pass, fb, call.Pos(), "call to %s copies payload bytes on its hot path", callee.Name())
-			return
-		}
+	if tv, ok := pass.Info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 &&
+		isAllocatingConversion(pass.TypeOf(call.Fun), pass.TypeOf(call.Args[0])) {
+		reportCopy(pass, fb, call.Pos(), "string/byte-slice conversion moves payload bytes")
 	}
 }
 
 // reportCopy files a diagnostic unless the position is on a cold
 // (early-exit) path, where staging fallbacks are sanctioned.
-func reportCopy(pass *Pass, fb funcBody, pos token.Pos, format string, args ...any) {
+func reportCopy(pass *Pass, fb funcBody, pos token.Pos, what string) {
 	if onColdPath(enclosingPath(fb.node, pos)) {
 		return
 	}
-	pass.Reportf(pos, format+" in a //aapc:nocopy function", args...)
+	pass.Reportf(pos, "%s in a //aapc:nocopy function", what)
 }
 
 // isByteSlice reports whether t is a []byte (or named []byte).

@@ -14,21 +14,16 @@ import (
 // []byte is re-sliced and handed to another stream's read loop, so a stale
 // use is a cross-message data race that no test reliably reproduces.
 //
-// The lexical scope of the check is block-scoped (uses after the release
-// inside the release's own block, including nested statements and function
-// literals, which would retain the buffer past the release point;
-// reassigning the released expression or its root variable ends tracking;
-// releases on one loop iteration are not matched against uses on the next),
-// but release *recognition* is interprocedural: a call to any function
-// whose fact (facts.go) says a parameter Releases is a release of that
-// argument, so wrapping pool.put in a helper no longer hides the lifecycle.
-// Facts also expose return aliasing — after y := f(x) where f returns a
-// view of x, releasing x kills y too.
+// The check is block-scoped: it flags uses after the release inside the
+// release's own block, including nested statements and function literals
+// (which would retain the buffer past the release point). Reassigning the
+// released expression or its root variable ends tracking, releases on one
+// loop iteration are not matched against uses on the next, and a release
+// inside a helper function is not seen at the helper's call sites.
 var Poolsafe = &Analyzer{
-	Name:       "poolsafe",
-	Doc:        "flags use of a pooled buffer after it was released back to its pool",
-	NeedsFacts: true,
-	Run:        runPoolsafe,
+	Name: "poolsafe",
+	Doc:  "flags use of a pooled buffer after it was released back to its pool",
+	Run:  runPoolsafe,
 }
 
 // isPoolRelease reports whether call returns a value to a pool, and if so
@@ -84,96 +79,13 @@ func runPoolsafe(pass *Pass) error {
 			if !ok {
 				return true
 			}
-			released, ok := isPoolRelease(pass, call)
-			if !ok {
-				released, ok = factRelease(pass, call)
-			}
-			if !ok {
-				return true
-			}
-			checkAfterRelease(pass, file, call, released)
-			for _, alias := range releaseAliases(pass, file, call, released) {
-				checkAfterRelease(pass, file, call, alias)
+			if released, ok := isPoolRelease(pass, call); ok {
+				checkAfterRelease(pass, file, call, released)
 			}
 			return true
 		})
 	}
 	return nil
-}
-
-// factRelease recognizes releases hidden behind a call boundary: helper(b)
-// where helper's interprocedural fact marks that parameter Releases.
-func factRelease(pass *Pass, call *ast.CallExpr) (ast.Expr, bool) {
-	callee := CalleeFunc(pass, call)
-	if callee == nil {
-		return nil, false
-	}
-	cf := pass.Facts.Func(FuncKey(callee))
-	if cf == nil {
-		return nil, false
-	}
-	for idx, arg := range CallArgs(pass, call, callee) {
-		if p := cf.Param(idx); p != nil && p.Releases {
-			return arg, true
-		}
-	}
-	return nil, false
-}
-
-// releaseAliases finds variables that alias the released buffer through a
-// returns-param callee (view := slice(b); ...; pool.put(b) leaves view
-// dangling) assigned lexically before the release in the same function.
-func releaseAliases(pass *Pass, file *ast.File, rel *ast.CallExpr, released ast.Expr) []ast.Expr {
-	if pass.Facts == nil {
-		return nil
-	}
-	root := rootIdent(released)
-	if root == nil {
-		return nil
-	}
-	rootObj := pass.ObjectOf(root)
-	if rootObj == nil {
-		return nil
-	}
-	fn := innermostFunc(enclosingPath(file, rel.Pos()))
-	if fn == nil {
-		return nil
-	}
-	var aliases []ast.Expr
-	ast.Inspect(fn, func(n ast.Node) bool {
-		asg, ok := n.(*ast.AssignStmt)
-		if !ok || asg.Pos() >= rel.Pos() || len(asg.Lhs) != len(asg.Rhs) {
-			return true
-		}
-		for i, rhs := range asg.Rhs {
-			call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-			if !ok {
-				continue
-			}
-			callee := CalleeFunc(pass, call)
-			if callee == nil {
-				continue
-			}
-			cf := pass.Facts.Func(FuncKey(callee))
-			if cf == nil || len(cf.ReturnsParams) == 0 {
-				continue
-			}
-			for idx, arg := range CallArgs(pass, call, callee) {
-				if !cf.returnsParam(idx) {
-					continue
-				}
-				r := rootIdent(arg)
-				if r == nil || pass.ObjectOf(r) != rootObj {
-					continue
-				}
-				if id, ok := asg.Lhs[i].(*ast.Ident); ok && id.Name != "_" {
-					aliases = append(aliases, id)
-				}
-			}
-		}
-		return true
-	})
-	return aliases
 }
 
 // checkAfterRelease walks the statements that lexically follow the release

@@ -181,7 +181,7 @@ func checkSpscFunc(pass *Pass, decl *ast.FuncDecl, cursors map[types.Object]curs
 			}
 			checkCursorAccess(pass, parents, decl, n, info, fnRole, fnIsMethod)
 		case *ast.CallExpr:
-			callee := CalleeFunc(pass, n)
+			callee := calleeFunc(pass, n)
 			if callee == nil {
 				return true
 			}
@@ -365,4 +365,19 @@ func markerLine(marker string, groups []*ast.CommentGroup) (string, bool) {
 		}
 	}
 	return "", false
+}
+
+// calleeFunc resolves the function object a call statically dispatches to
+// (an interface method for a call through an interface), or nil for
+// builtins, conversions and function values.
+func calleeFunc(pass *Pass, call *ast.CallExpr) *types.Func {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		fn, _ := pass.ObjectOf(fun).(*types.Func)
+		return fn
+	case *ast.SelectorExpr:
+		fn, _ := pass.ObjectOf(fun.Sel).(*types.Func)
+		return fn
+	}
+	return nil
 }

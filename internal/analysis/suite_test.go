@@ -41,20 +41,13 @@ func TestSpscsafe(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.Spscsafe, "spscsafe")
 }
 
-// TestPoolsafeInterprocedural runs poolsafe with facts over a corpus whose
-// every finding crosses a call boundary: helper releases (direct and
-// transitive) and aliases through returns-param callees.
-func TestPoolsafeInterprocedural(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.Poolsafe, "poolsafeinter")
-}
-
 // TestUnusedAllowAudit drives the full Result surface: a suppressed finding
 // marks its allow comment used; a comment that suppressed nothing surfaces
 // in UnusedAllows with its position; a comment naming no registered
 // analyzer leaves its finding live and surfaces as misnamed.
 func TestUnusedAllowAudit(t *testing.T) {
 	pi := analysistest.LoadCorpus(t, "testdata", "unusedallow", "go1.22")
-	res, err := analysis.RunWith(pi, []*analysis.Analyzer{analysis.Poolsafe}, analysis.RunConfig{})
+	res, err := analysis.RunWith(pi, []*analysis.Analyzer{analysis.Poolsafe})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +88,7 @@ func TestUnusedAllowAudit(t *testing.T) {
 // whichever passes ran: no pass could ever use it.
 func TestUnusedAllowScopedToRanAnalyzers(t *testing.T) {
 	pi := analysistest.LoadCorpus(t, "testdata", "unusedallow", "go1.22")
-	res, err := analysis.RunWith(pi, []*analysis.Analyzer{analysis.Determinism}, analysis.RunConfig{})
+	res, err := analysis.RunWith(pi, []*analysis.Analyzer{analysis.Determinism})
 	if err != nil {
 		t.Fatal(err)
 	}

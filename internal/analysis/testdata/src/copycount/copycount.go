@@ -71,29 +71,3 @@ var literalChecked = func(dst, src []byte) int {
 func unannotated(dst, src []byte) int {
 	return copy(dst, src)
 }
-
-// ---- interprocedural cases: the memcpy hides one frame down ----
-
-// memmove copies its payload on its own hot path; its fact carries the bit.
-func memmove(dst, src []byte) int { return copy(dst, src) }
-
-// coldCopy stages only on its overflow path, which leaves the function:
-// no hot-path copy fact.
-func coldCopy(dst, src []byte) int {
-	if len(src) > len(dst) {
-		tmp := make([]byte, len(src))
-		copy(tmp, src)
-		return len(tmp)
-	}
-	return 0
-}
-
-//aapc:nocopy
-func hotViaHelper(dst, src []byte) int {
-	return memmove(dst, src) // want `call to memmove copies payload bytes on its hot path in a //aapc:nocopy function`
-}
-
-//aapc:nocopy
-func hotViaColdHelper(dst, src []byte) int {
-	return coldCopy(dst, src) // ok: the helper copies only on its cold path
-}

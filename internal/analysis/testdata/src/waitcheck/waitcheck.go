@@ -119,29 +119,3 @@ func deliberateAbandon(c *Comm, buf []byte) error {
 	}
 	return wait(r)
 }
-
-// ---- interprocedural cases: callee facts decide who holds the request ----
-
-// dropOnFloor ignores its request entirely; its fact proves it.
-func dropOnFloor(r *Request) {}
-
-// handOff genuinely consumes: the request reaches a Wait one frame down.
-func handOff(r *Request) error { return wait(r) }
-
-func passedToSink(c *Comm, buf []byte) {
-	dropOnFloor(Isend(c, buf, 1)) // want `result of Isend is passed to dropOnFloor, which neither waits nor retains it`
-}
-
-func passedToWaiter(c *Comm, buf []byte) error {
-	return handOff(Isend(c, buf, 1)) // ok: handOff waits
-}
-
-func storedThenDropped(c *Comm, buf []byte) {
-	r := Isend(c, buf, 1) // want `request stored in "r" is never waited`
-	dropOnFloor(r)
-}
-
-func storedThenHandedOff(c *Comm, buf []byte) error {
-	r := Isend(c, buf, 1)
-	return handOff(r) // ok: the callee's fact marks the parameter consumed
-}

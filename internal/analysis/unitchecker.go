@@ -33,37 +33,25 @@ import (
 //     dependent packages — print diagnostics to stderr, and exit 2 when it
 //     found anything, 0 when clean.
 //
-// The vetx channel carries the interprocedural fact summaries (facts.go):
-// cmd/go invokes the tool with VetxOnly=true on every transitive dependency
-// first, so by the time a package is analyzed for diagnostics, the facts of
-// everything it imports sit in PackageVetx. Standard-library dependencies
-// are exempt — they get the constant marker payload — both to keep `make
-// lint` inside its time budget and because no analyzer consumes facts about
-// std functions.
+// No analyzer here reads facts, so the vetx channel carries nothing: every
+// unit writes an empty VetxOutput, and a VetxOnly unit (a dependency cmd/go
+// visits only for its facts) is not even parsed.
+
+// vetConfig holds the vet.cfg fields this tool reads; the rest are ignored.
 type vetConfig struct {
-	ID         string
 	Compiler   string
 	Dir        string
 	ImportPath string
-	ModulePath string
 	GoVersion  string
 	GoFiles    []string
-	NonGoFiles []string
 
 	ImportMap   map[string]string
 	PackageFile map[string]string
-	Standard    map[string]bool
-	PackageVetx map[string]string
 	VetxOnly    bool
 	VetxOutput  string
 
 	SucceedOnTypecheckFailure bool
 }
-
-// vetxMarker is the facts payload for packages whose facts are not computed
-// (standard library, typecheck failures): a constant that DecodeFacts
-// rejects by magic, so importing it is a clean no-op.
-var vetxMarker = []byte("aapcvet: no facts\n")
 
 // Main is the entry point of cmd/aapcvet. It never returns.
 func Main(analyzers ...*Analyzer) {
@@ -152,33 +140,9 @@ func runConfig(cfgFile string, analyzers []*Analyzer, opts runOptions) int {
 		return 1
 	}
 
-	needFacts := false
-	for _, a := range analyzers {
-		if a.NeedsFacts {
-			needFacts = true
-		}
-	}
-
-	if cfg.VetxOnly {
-		// Dependency run: the only product is the facts file. Standard
-		// library packages get the marker (no analyzer asks about them, and
-		// summarizing all of std would dominate the wall clock).
-		if !needFacts || isStdPackage(&cfg) {
-			return writeVetx(&cfg, vetxMarker)
-		}
-		pkg, ok := loadPackage(&cfg)
-		if !ok {
-			// A dependency that fails to load (cgo, typecheck quirks) simply
-			// contributes no facts; dependents stay conservative.
-			return writeVetx(&cfg, vetxMarker)
-		}
-		facts := ComputeFacts(pkg, importFacts(&cfg))
-		payload, err := facts.Encode()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "aapcvet: encoding facts for %s: %v\n", cfg.ImportPath, err)
-			return 1
-		}
-		return writeVetx(&cfg, payload)
+	// cmd/go caches the (empty) facts file of every unit it runs.
+	if code := writeVetx(&cfg); code != 0 || cfg.VetxOnly {
+		return code
 	}
 
 	fset := token.NewFileSet()
@@ -187,7 +151,7 @@ func runConfig(cfgFile string, analyzers []*Analyzer, opts runOptions) int {
 		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
 		if err != nil {
 			if cfg.SucceedOnTypecheckFailure {
-				return writeVetx(&cfg, vetxMarker)
+				return 0
 			}
 			fmt.Fprintf(os.Stderr, "aapcvet: %v\n", err)
 			return 1
@@ -205,16 +169,12 @@ func runConfig(cfgFile string, analyzers []*Analyzer, opts runOptions) int {
 	pkg, err := tcfg.Check(cfg.ImportPath, fset, files, info)
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {
-			return writeVetx(&cfg, vetxMarker)
+			return 0
 		}
 		fmt.Fprintf(os.Stderr, "aapcvet: typecheck %s: %v\n", cfg.ImportPath, err)
 		return 1
 	}
 
-	var imported *FactSet
-	if needFacts {
-		imported = importFacts(&cfg)
-	}
 	res, err := RunWith(&PackageInfo{
 		Fset:      fset,
 		Files:     files,
@@ -222,23 +182,10 @@ func runConfig(cfgFile string, analyzers []*Analyzer, opts runOptions) int {
 		Info:      info,
 		PkgPath:   cfg.ImportPath,
 		GoVersion: cfg.GoVersion,
-	}, analyzers, RunConfig{Imported: imported})
+	}, analyzers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "aapcvet: %v\n", err)
 		return 1
-	}
-
-	// The leaf package's facts also enter the cache: a dependent package in
-	// the same `go vet` invocation imports them through PackageVetx.
-	payload := vetxMarker
-	if res.Facts != nil {
-		if payload, err = res.Facts.Encode(); err != nil {
-			fmt.Fprintf(os.Stderr, "aapcvet: encoding facts for %s: %v\n", cfg.ImportPath, err)
-			return 1
-		}
-	}
-	if code := writeVetx(&cfg, payload); code != 0 {
-		return code
 	}
 
 	findings := 0
@@ -275,85 +222,17 @@ func runConfig(cfgFile string, analyzers []*Analyzer, opts runOptions) int {
 	return 0
 }
 
-// writeVetx satisfies the facts side of the protocol; cmd/go caches the file
-// keyed by the action.
-func writeVetx(cfg *vetConfig, payload []byte) int {
+// writeVetx writes the unit's facts file, which cmd/go caches keyed by the
+// action; it is empty because no analyzer exports facts.
+func writeVetx(cfg *vetConfig) int {
 	if cfg.VetxOutput == "" {
 		return 0
 	}
-	if err := os.WriteFile(cfg.VetxOutput, payload, 0o666); err != nil {
+	if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
 		fmt.Fprintf(os.Stderr, "aapcvet: %v\n", err)
 		return 1
 	}
 	return 0
-}
-
-// isStdPackage reports whether the unit being checked is a standard-library
-// package. cmd/go sets ModulePath only for module units (cfg.Standard lists
-// the unit's std *dependencies*, not the unit itself, so it cannot answer
-// this); the fallback for GOPATH-mode units is "no dot in the first path
-// element" (module paths are domain-rooted, std paths are not).
-func isStdPackage(cfg *vetConfig) bool {
-	if cfg.ModulePath != "" {
-		return false
-	}
-	first := cfg.ImportPath
-	if i := strings.IndexByte(first, '/'); i >= 0 {
-		first = first[:i]
-	}
-	return !strings.Contains(first, ".")
-}
-
-// loadPackage parses and typechecks the unit for a facts-only run; ok is
-// false on any failure (the caller degrades to the marker payload).
-func loadPackage(cfg *vetConfig) (*PackageInfo, bool) {
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			return nil, false
-		}
-		files = append(files, f)
-	}
-	imp := newExportDataImporter(fset, cfg)
-	info := NewTypesInfo()
-	tcfg := types.Config{
-		Importer:  imp,
-		Sizes:     types.SizesFor(compilerName(cfg.Compiler), buildArch()),
-		GoVersion: cfg.GoVersion,
-	}
-	pkg, err := tcfg.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		return nil, false
-	}
-	return &PackageInfo{
-		Fset: fset, Files: files, Pkg: pkg, Info: info,
-		PkgPath: cfg.ImportPath, GoVersion: cfg.GoVersion,
-	}, true
-}
-
-// importFacts merges the fact sets of every dependency listed in
-// PackageVetx. Marker payloads (std packages, older cache entries) decode
-// to nothing and are skipped; a corrupt facts file is reported but not
-// fatal — analysis just loses precision.
-func importFacts(cfg *vetConfig) *FactSet {
-	merged := NewFactSet()
-	for dep, file := range cfg.PackageVetx {
-		data, err := os.ReadFile(file)
-		if err != nil {
-			continue
-		}
-		fs, ok, err := DecodeFacts(data)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "aapcvet: facts of %s: %v\n", dep, err)
-			continue
-		}
-		if ok {
-			merged.Merge(fs)
-		}
-	}
-	return merged
 }
 
 // relPosition shortens absolute file names under dir for readability.

@@ -25,16 +25,12 @@ import (
 //     timed-out collective whose scratch is left to the GC) is annotated
 //     //aapc:allow waitcheck with the reason.
 //
-// With facts available (facts.go) the pass is interprocedural: passing a
-// request to a callee counts as consumption only when the callee's fact
-// says the parameter is waited, retained, or escapes — handing a request to
-// a helper that ignores it is now a finding, not an assumption of
-// responsibility. Unknown callees stay conservative (assumed to consume).
+// A callee handed the request is assumed to take responsibility for it: the
+// pass does not look inside the callee.
 var Waitcheck = &Analyzer{
-	Name:       "waitcheck",
-	Doc:        "flags Isend/Irecv requests that can escape without reaching a Wait",
-	NeedsFacts: true,
-	Run:        runWaitcheck,
+	Name: "waitcheck",
+	Doc:  "flags Isend/Irecv requests that can escape without reaching a Wait",
+	Run:  runWaitcheck,
 }
 
 // acquisitionName returns the callee name when call starts a request — the
@@ -136,30 +132,13 @@ func checkAcquisition(pass *Pass, file *ast.File, parents map[ast.Node]ast.Node,
 		// Chained: c.Isend(op).Wait(d) — consumed immediately.
 		return
 	case *ast.CallExpr:
-		// Passed straight to a function. append(reqs, acq) transfers
-		// ownership to the slice: track the slice variable instead.
+		// Passed straight to a function, which takes responsibility.
+		// append(reqs, acq) transfers ownership to the slice: track the
+		// slice variable instead.
 		if isBuiltinAppend(pass, p) && len(p.Args) > 0 && p.Args[0] != call {
 			if tgt := appendTarget(pass, parents, p); tgt != nil && !tracked[tgt] {
 				tracked[tgt] = true
 				trackVariable(pass, file, parents, call, tgt)
-				return
-			}
-		}
-		// A callee with a fact proving it drops the request on the floor is
-		// not taking responsibility; anything without a fact still is.
-		if callee := CalleeFunc(pass, p); callee != nil {
-			if cf := pass.Facts.Func(FuncKey(callee)); cf != nil {
-				for idx, arg := range CallArgs(pass, p, callee) {
-					if ast.Unparen(arg) != call {
-						continue
-					}
-					cp := cf.Param(idx)
-					if cp == nil || !(cp.Consumed || cp.Escapes || cp.Releases) {
-						pass.Reportf(call.Pos(), "result of %s is passed to %s, which neither waits nor retains it",
-							callName(call), callee.Name())
-					}
-					return
-				}
 			}
 		}
 		return
@@ -241,9 +220,7 @@ func trackVariable(pass *Pass, file *ast.File, parents map[ast.Node]ast.Node, ac
 			}
 			return true
 		case *ast.Ident:
-			// consumingUseWithFacts degrades to isConsumingUse exactly when
-			// pass.Facts is nil (legacy block-scoped mode).
-			if pass.ObjectOf(n) != obj || !consumingUseWithFacts(pass, pass.Facts, parents, n) {
+			if pass.ObjectOf(n) != obj || !isConsumingUse(pass, parents, n) {
 				return true
 			}
 			if stmt := owningStatement(parents, n); stmt != nil {

@@ -101,9 +101,13 @@ func (c *Client) Topology(ctx context.Context, version int) (*TopologyResponse, 
 // deciding the next update.
 type UpdateStream struct {
 	pw    *io.PipeWriter
+	ready chan error // receives once: nil with resp set, or the dial error
 	resp  *http.Response
 	sc    *bufio.Scanner
-	ready chan error // closed path: first response (headers) or dial error
+	// err is the stream's failure, kept from the first response: a dial
+	// error or a non-200 answer. Once set, Apply returns it and Close
+	// returns at once.
+	err error
 }
 
 // StartUpdates opens an update stream. Close it to end the session.
@@ -132,19 +136,17 @@ func (c *Client) StartUpdates(ctx context.Context) (*UpdateStream, error) {
 // Error field means the daemon rejected the delta (the stream stays
 // usable); a returned error means the stream itself failed.
 func (s *UpdateStream) Apply(d topology.Delta) (UpdateAck, error) {
-	if _, err := io.WriteString(s.pw, d.Format()+"\n"); err != nil {
+	if s.err != nil {
+		return UpdateAck{}, s.err
+	}
+	_, werr := io.WriteString(s.pw, d.Format()+"\n")
+	// A failed write means the transport let go of the body; the first
+	// response (or dial error) says why.
+	if err := s.open(); err != nil {
 		return UpdateAck{}, err
 	}
-	if s.sc == nil {
-		// The server sends headers with the first ack; wait for them once.
-		if err := <-s.ready; err != nil {
-			return UpdateAck{}, err
-		}
-		if s.resp.StatusCode != http.StatusOK {
-			defer s.resp.Body.Close()
-			return UpdateAck{}, decodeError(s.resp)
-		}
-		s.sc = bufio.NewScanner(s.resp.Body)
+	if werr != nil {
+		return UpdateAck{}, werr
 	}
 	if !s.sc.Scan() {
 		if err := s.sc.Err(); err != nil {
@@ -159,17 +161,31 @@ func (s *UpdateStream) Apply(d topology.Delta) (UpdateAck, error) {
 	return ack, nil
 }
 
+// open waits for the first response once (the server sends its headers
+// with the first ack) and keeps the outcome: a scanner over the acks, or
+// the stream's error.
+func (s *UpdateStream) open() error {
+	if s.sc != nil || s.err != nil {
+		return s.err
+	}
+	if s.err = <-s.ready; s.err != nil {
+		return s.err
+	}
+	if s.resp.StatusCode != http.StatusOK {
+		s.err = decodeError(s.resp)
+		s.resp.Body.Close()
+		return s.err
+	}
+	s.sc = bufio.NewScanner(s.resp.Body)
+	return nil
+}
+
 // Close ends the update session and drains the response.
 func (s *UpdateStream) Close() error {
 	s.pw.Close()
-	if s.sc == nil {
-		if err := <-s.ready; err != nil {
-			return nil // dial already failed; nothing to drain
-		}
+	if s.open() != nil {
+		return nil // the stream already failed; its body is closed
 	}
-	if s.resp != nil {
-		io.Copy(io.Discard, s.resp.Body)
-		return s.resp.Body.Close()
-	}
-	return nil
+	io.Copy(io.Discard, s.resp.Body)
+	return s.resp.Body.Close()
 }

@@ -187,8 +187,9 @@ func (d *Daemon) handleTopology(w http.ResponseWriter, r *http.Request) {
 // one JSON ack per line back, flushing after each, so a client can apply
 // updates in lockstep over one connection. A malformed line is a 400 if
 // nothing has been acked yet, otherwise an in-stream error ack; a
-// well-formed delta the topology rejects is always an in-stream error ack
-// (the stream and the topology survive it). A body that cannot be read (a
+// well-formed delta the topology rejects is a 422 if it is the first,
+// otherwise an in-stream error ack (the stream and the topology survive
+// it). Either way the topology is unchanged. A body that cannot be read (a
 // line longer than bufio.MaxScanTokenSize) ends the stream: a 400 before the
 // first ack, a final error ack naming the read error after it.
 func (d *Daemon) handleUpdates(w http.ResponseWriter, r *http.Request) {

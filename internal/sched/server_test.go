@@ -455,6 +455,58 @@ func TestUpdatesStreamReportsReadError(t *testing.T) {
 	}
 }
 
+// TestUpdatesStreamFailedStartEnds: when the first Apply fails — the
+// daemon answers the first delta with 422, or the dial fails — the stream
+// keeps that error: a later Apply returns it and Close returns at once.
+// Each call runs under a timer, so a hang fails the test instead of
+// stalling it.
+func TestUpdatesStreamFailedStartEnds(t *testing.T) {
+	_, _, live := newTestDaemon(t, Options{})
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	for _, tc := range []struct {
+		name string
+		cl   *Client
+		want string
+	}{
+		{"rejected first delta", live, "422"},
+		{"dial error", NewClient(dead.URL, nil), "connect"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := tc.cl.StartUpdates(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			leave := topology.Delta{Op: topology.OpLeave, Node: "nosuchnode"}
+			var first, again error
+			within(t, "first Apply", func() { _, first = st.Apply(leave) })
+			if first == nil || !strings.Contains(first.Error(), tc.want) {
+				t.Fatalf("first Apply: %v, want an error naming %q", first, tc.want)
+			}
+			within(t, "second Apply", func() { _, again = st.Apply(leave) })
+			if again == nil || again.Error() != first.Error() {
+				t.Errorf("second Apply: %v, want the stream error %v", again, first)
+			}
+			within(t, "Close", func() { st.Close() })
+		})
+	}
+}
+
+// within runs f and fails the test if it has not returned after 3 s.
+func within(t *testing.T, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(3 * time.Second):
+		t.Fatalf("%s did not return within 3 s", what)
+	}
+}
+
 // TestLargeDeltaDropsInsteadOfPatching: a delta touching more than a
 // quarter of the machines must invalidate cached entries rather than patch
 // them.
