@@ -41,8 +41,8 @@ AAPCVET_SRCS := $(wildcard cmd/aapcvet/*.go internal/analysis/*.go internal/anal
 bin/aapcvet: $(AAPCVET_SRCS)
 	$(GO) build -o $@ ./cmd/aapcvet
 
-# lint runs the project-specific analyzers (poolsafe, determinism,
-# waitcheck, noalloc, copycount, spscsafe) over both build configurations
+# lint runs the project-specific analyzers (determinism, noalloc,
+# copycount, spscsafe) over both build configurations
 # via the go vet -vettool protocol; copylocks and loopclosure come from
 # stock `go vet` (the vet target). Suppress a deliberate violation with an
 # //aapc:allow <analyzer> <reason> comment on (or one line above) the

@@ -4,8 +4,8 @@
 //	go build -o bin/aapcvet ./cmd/aapcvet
 //	go vet -vettool=$PWD/bin/aapcvet ./...
 //
-// It enforces the six project invariants (poolsafe, determinism,
-// waitcheck, noalloc, copycount, spscsafe). Each pass reasons within one
+// It enforces the four project invariants (determinism, noalloc,
+// copycount, spscsafe). Each pass reasons within one
 // function of one package, so the facts file vet asks for is left empty.
 //
 // Individual analyzers are disabled with -<name>=false; single findings

@@ -7,6 +7,7 @@ import (
 
 	"github.com/aapc-sched/aapcsched/internal/mpi"
 	"github.com/aapc-sched/aapcsched/internal/mpi/mem"
+	"github.com/aapc-sched/aapcsched/internal/mpi/mpitest"
 	"github.com/aapc-sched/aapcsched/internal/simnet"
 )
 
@@ -15,7 +16,7 @@ import (
 func agByte(owner, i int) byte { return byte(owner*59 + i*11 + 1) }
 
 // runAllgatherOnMem executes an allgather and verifies every collected
-// block.
+// block, and that each rank waited every request it posted.
 func runAllgatherOnMem(t *testing.T, name string, fn Func, n, msize int) {
 	t.Helper()
 	var mu sync.Mutex
@@ -29,7 +30,7 @@ func runAllgatherOnMem(t *testing.T, name string, fn Func, n, msize int) {
 		mu.Lock()
 		bufs[c.Rank()] = b
 		mu.Unlock()
-		return fn(c, b, msize)
+		return mpitest.WaitsAll(c, func(c mpi.Comm) error { return fn(c, b, msize) })
 	})
 	if err != nil {
 		t.Fatalf("%s n=%d: %v", name, n, err)

@@ -8,6 +8,7 @@ import (
 
 	"github.com/aapc-sched/aapcsched/internal/mpi"
 	"github.com/aapc-sched/aapcsched/internal/mpi/mem"
+	"github.com/aapc-sched/aapcsched/internal/mpi/mpitest"
 	"github.com/aapc-sched/aapcsched/internal/schedule"
 	"github.com/aapc-sched/aapcsched/internal/simnet"
 	"github.com/aapc-sched/aapcsched/internal/syncplan"
@@ -40,7 +41,7 @@ func checkPattern(b *Contig, rank, n int) error {
 }
 
 // runOnMem runs an algorithm on the in-process transport and verifies the
-// full data permutation.
+// full data permutation, and that each rank waited every request it posted.
 func runOnMem(t *testing.T, name string, fn Func, n, msize int) {
 	t.Helper()
 	var mu sync.Mutex
@@ -51,7 +52,7 @@ func runOnMem(t *testing.T, name string, fn Func, n, msize int) {
 		mu.Lock()
 		bufs[c.Rank()] = b
 		mu.Unlock()
-		return fn(c, b, msize)
+		return mpitest.WaitsAll(c, func(c mpi.Comm) error { return fn(c, b, msize) })
 	})
 	if err != nil {
 		t.Fatalf("%s n=%d msize=%d: %v", name, n, msize, err)

@@ -332,6 +332,9 @@ func (sc *Scheduled) FnTimeout(d time.Duration) Func {
 		// complete), which matters on the resilient tcp transport where
 		// borrowed zero-copy sends complete on the delivery ack: deferred
 		// waits overlap those ack round-trips instead of serializing them.
+		// Every request is waited before a successful return. On an error
+		// the collective returns at once and abandons its outstanding
+		// requests to the transport's shutdown path.
 		dataSends := scr.dataSends[:0]
 		syncSends := scr.syncSends[:0]
 		phase := 0
@@ -343,7 +346,6 @@ func (sc *Scheduled) FnTimeout(d time.Duration) Func {
 				// sends must complete before their closing barrier.
 				for phase < st.phase {
 					if err := mpi.WaitAllTimeout(dataSends, d); err != nil {
-						//aapc:allow waitcheck on error the collective aborts; outstanding requests are abandoned to the transport shutdown path
 						return fmt.Errorf("alltoall: data send drain: %w", err)
 					}
 					for j := range dataSends {
@@ -351,7 +353,6 @@ func (sc *Scheduled) FnTimeout(d time.Duration) Func {
 					}
 					dataSends = dataSends[:0]
 					if err := c.Barrier(); err != nil {
-						//aapc:allow waitcheck on error the collective aborts; outstanding requests are abandoned to the transport shutdown path
 						return err
 					}
 					phase++
@@ -367,7 +368,6 @@ func (sc *Scheduled) FnTimeout(d time.Duration) Func {
 					waitStart = c.Now()
 				}
 				if err := mpi.RecvTimeout(c, scr.waitByte[:], w.peer, w.tag, d); err != nil {
-					//aapc:allow waitcheck on error the collective aborts; outstanding requests are abandoned to the transport shutdown path
 					return fmt.Errorf("alltoall: phase %d sync wait from %d: %w", st.phase, w.peer, err)
 				}
 				if marker != nil {
@@ -383,12 +383,10 @@ func (sc *Scheduled) FnTimeout(d time.Duration) Func {
 				// completion is the only handle.
 				if flusher != nil {
 					if err := flusher.Flush(st.dst, d); err != nil {
-						//aapc:allow waitcheck on error the collective aborts; outstanding requests are abandoned to the transport shutdown path
 						return fmt.Errorf("alltoall: send phase %d to %d: %w", st.phase, st.dst, err)
 					}
 					dataSends = append(dataSends, req)
 				} else if err := mpi.WaitTimeout(req, d); err != nil {
-					//aapc:allow waitcheck on error the collective aborts; outstanding requests are abandoned to the transport shutdown path
 					return fmt.Errorf("alltoall: send phase %d to %d: %w", st.phase, st.dst, err)
 				}
 				for _, e := range prog.emits[st.emitLo:st.emitHi] {
@@ -403,7 +401,6 @@ func (sc *Scheduled) FnTimeout(d time.Duration) Func {
 			// their last send; in-flight sends drain before the first one.
 			for ; phase < prog.numPhases-1; phase++ {
 				if err := mpi.WaitAllTimeout(dataSends, d); err != nil {
-					//aapc:allow waitcheck on error the collective aborts; outstanding requests are abandoned to the transport shutdown path
 					return fmt.Errorf("alltoall: data send drain: %w", err)
 				}
 				for j := range dataSends {
@@ -411,17 +408,14 @@ func (sc *Scheduled) FnTimeout(d time.Duration) Func {
 				}
 				dataSends = dataSends[:0]
 				if err := c.Barrier(); err != nil {
-					//aapc:allow waitcheck on error the collective aborts; outstanding requests are abandoned to the transport shutdown path
 					return err
 				}
 			}
 		}
 		if err := mpi.WaitAllTimeout(dataSends, d); err != nil {
-			//aapc:allow waitcheck on error the collective aborts; outstanding requests are abandoned to the transport shutdown path
 			return fmt.Errorf("alltoall: data send drain: %w", err)
 		}
 		if err := mpi.WaitAllTimeout(recvReqs, d); err != nil {
-			//aapc:allow waitcheck on error the collective aborts; outstanding requests are abandoned to the transport shutdown path
 			return fmt.Errorf("alltoall: data receive: %w", err)
 		}
 		if err := mpi.WaitAllTimeout(syncSends, d); err != nil {

@@ -9,6 +9,7 @@ import (
 
 	"github.com/aapc-sched/aapcsched/internal/mpi"
 	"github.com/aapc-sched/aapcsched/internal/mpi/mem"
+	"github.com/aapc-sched/aapcsched/internal/mpi/mpitest"
 	"github.com/aapc-sched/aapcsched/internal/simnet"
 	"github.com/aapc-sched/aapcsched/internal/topology"
 )
@@ -57,7 +58,7 @@ func checkV(b *ContigV, rank, n int) error {
 }
 
 // runVOnMem runs fn over ContigV buffers with msize 0: the blocks carry the
-// counts.
+// counts. Each rank must wait every request it posted.
 func runVOnMem(t *testing.T, name string, fn Func, n int) {
 	t.Helper()
 	var mu sync.Mutex
@@ -67,7 +68,7 @@ func runVOnMem(t *testing.T, name string, fn Func, n int) {
 		mu.Lock()
 		bufs[c.Rank()] = b
 		mu.Unlock()
-		return fn(c, b, 0)
+		return mpitest.WaitsAll(c, func(c mpi.Comm) error { return fn(c, b, 0) })
 	})
 	if err != nil {
 		t.Fatalf("%s n=%d: %v", name, n, err)

@@ -24,6 +24,8 @@ func Windowed(window int) Func {
 		if err := copySelf(c, b); err != nil {
 			return err
 		}
+		// On an error the collective returns at once and abandons its
+		// outstanding requests to the transport's shutdown path.
 		recvReqs := make([]mpi.Request, 0, n-1)
 		for off := 1; off < n; off++ {
 			p := (me + off) % n
@@ -35,7 +37,6 @@ func Windowed(window int) Func {
 			p := (me + off) % n
 			if len(inFlight) == window {
 				if err := mpi.Wait(inFlight[0]); err != nil {
-					//aapc:allow waitcheck on error the collective aborts; outstanding requests are abandoned to the transport shutdown path
 					return err
 				}
 				inFlight = inFlight[1:]
@@ -43,7 +44,6 @@ func Windowed(window int) Func {
 			inFlight = append(inFlight, mpi.Isend(c, b.SendBlock(p), p, tagData))
 		}
 		if err := mpi.WaitAll(inFlight); err != nil {
-			//aapc:allow waitcheck on error the collective aborts; outstanding requests are abandoned to the transport shutdown path
 			return err
 		}
 		return mpi.WaitAll(recvReqs)

@@ -13,8 +13,8 @@ func TestParseAllowNames(t *testing.T) {
 		rest string
 		want []string
 	}{
-		{" poolsafe", []string{"poolsafe"}},
-		{" poolsafe waitcheck buffer is abandoned on purpose", []string{"poolsafe", "waitcheck"}},
+		{" copycount", []string{"copycount"}},
+		{" noalloc copycount buffer is staged on purpose", []string{"noalloc", "copycount"}},
 		{" determinism results are keyed by job index", []string{"determinism"}},
 		{" noalloc (amortized growth)", []string{"noalloc"}},
 		{"", nil},
@@ -31,8 +31,8 @@ func TestAllowIndexLines(t *testing.T) {
 	src := `package p
 
 func f() {
-	_ = 1 //aapc:allow poolsafe same line
-	//aapc:allow waitcheck line above
+	_ = 1 //aapc:allow copycount same line
+	//aapc:allow noalloc line above
 	_ = 2
 	_ = 3
 }
@@ -46,16 +46,16 @@ func f() {
 	at := func(line int) token.Position {
 		return token.Position{Filename: "p.go", Line: line}
 	}
-	if !idx.allows(at(4), "poolsafe") {
+	if !idx.allows(at(4), "copycount") {
 		t.Error("same-line suppression not honored")
 	}
-	if !idx.allows(at(6), "waitcheck") {
+	if !idx.allows(at(6), "noalloc") {
 		t.Error("line-above suppression not honored")
 	}
-	if idx.allows(at(7), "waitcheck") {
+	if idx.allows(at(7), "noalloc") {
 		t.Error("suppression leaked past one line")
 	}
-	if idx.allows(at(4), "waitcheck") {
+	if idx.allows(at(4), "noalloc") {
 		t.Error("suppression applied to the wrong analyzer")
 	}
 }

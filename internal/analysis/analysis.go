@@ -3,11 +3,8 @@
 // model (Analyzer, Pass, Diagnostic) plus the project-specific analyzers
 // that enforce invariants the runtime gates can only sample:
 //
-//   - poolsafe: pooled payloads must not be used after release;
 //   - determinism: replay-sensitive packages must not consult wall clocks,
 //     global randomness, or map iteration order;
-//   - waitcheck: every request returned by Isend/Irecv must reach a Wait on
-//     every path, including error paths;
 //   - noalloc: functions annotated //aapc:noalloc must not contain
 //     allocating constructs outside cold (early-exit) paths;
 //   - copycount: functions annotated //aapc:nocopy must not copy payload

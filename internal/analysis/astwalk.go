@@ -6,8 +6,8 @@ import (
 )
 
 // Shared syntax-tree plumbing for the analyzers: enclosing-node paths,
-// function iteration, root-identifier extraction, and the cold-path test
-// used by noalloc and waitcheck.
+// parent maps, function iteration, root-identifier extraction, and the
+// cold-path test used by noalloc and copycount.
 
 // enclosingPath returns the chain of nodes containing pos, outermost first.
 // The final element is the innermost node whose source range covers pos.
@@ -35,6 +35,24 @@ func enclosingPath(root ast.Node, pos token.Pos) []ast.Node {
 	}
 }
 
+// buildParentsOf maps each node under root to its parent.
+func buildParentsOf(root ast.Node) map[ast.Node]ast.Node {
+	parents := make(map[ast.Node]ast.Node)
+	var stack []ast.Node
+	ast.Inspect(root, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return false
+		}
+		if len(stack) > 0 {
+			parents[n] = stack[len(stack)-1]
+		}
+		stack = append(stack, n)
+		return true
+	})
+	return parents
+}
+
 // funcBody is one function-like unit of analysis: a declared function or a
 // function literal, with its body.
 type funcBody struct {
@@ -58,17 +76,6 @@ func functionsIn(f *ast.File, visit func(fb funcBody)) {
 		}
 		return true
 	})
-}
-
-// innermostFunc returns the innermost FuncDecl/FuncLit on the path, or nil.
-func innermostFunc(path []ast.Node) ast.Node {
-	for i := len(path) - 1; i >= 0; i-- {
-		switch path[i].(type) {
-		case *ast.FuncDecl, *ast.FuncLit:
-			return path[i]
-		}
-	}
-	return nil
 }
 
 // rootIdent returns the leftmost identifier of an lvalue-like expression
@@ -116,13 +123,12 @@ func terminates(stmt ast.Stmt) bool {
 // function's own body. path must be an enclosingPath ending at or inside
 // the node of interest.
 func onColdPath(path []ast.Node) bool {
-	fn := innermostFunc(path)
 	for i := len(path) - 1; i >= 1; i-- {
-		if path[i] == fn {
-			return false
-		}
 		var list []ast.Stmt
 		switch b := path[i].(type) {
+		case *ast.FuncDecl, *ast.FuncLit:
+			// The innermost enclosing function: nothing beyond it counts.
+			return false
 		case *ast.BlockStmt:
 			// Only blocks hanging off a conditional are cold candidates;
 			// for/range bodies are by definition the hot part.

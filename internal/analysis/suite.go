@@ -5,9 +5,7 @@ package analysis
 // `go vet ./...`, which has both.
 func Suite() []*Analyzer {
 	return []*Analyzer{
-		Poolsafe,
 		Determinism,
-		Waitcheck,
 		Noalloc,
 		Copycount,
 		Spscsafe,

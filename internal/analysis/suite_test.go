@@ -11,10 +11,6 @@ import (
 // violations (annotated `// want`) and clean idioms, including
 // //aapc:allow suppressions which must silence the finding.
 
-func TestPoolsafe(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.Poolsafe, "poolsafe")
-}
-
 func TestDeterminism(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.Determinism, "simnet")
 }
@@ -23,10 +19,6 @@ func TestDeterminism(t *testing.T) {
 // not replay-sensitive: the corpus reads wall clocks and iterates maps.
 func TestDeterminismScope(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.Determinism, "other")
-}
-
-func TestWaitcheck(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.Waitcheck, "waitcheck")
 }
 
 func TestNoalloc(t *testing.T) {
@@ -47,7 +39,7 @@ func TestSpscsafe(t *testing.T) {
 // analyzer leaves its finding live and surfaces as misnamed.
 func TestUnusedAllowAudit(t *testing.T) {
 	pi := analysistest.LoadCorpus(t, "testdata", "unusedallow", "go1.22")
-	res, err := analysis.RunWith(pi, []*analysis.Analyzer{analysis.Poolsafe})
+	res, err := analysis.RunWith(pi, []*analysis.Analyzer{analysis.Noalloc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +60,11 @@ func TestUnusedAllowAudit(t *testing.T) {
 		t.Fatalf("unused allows = %+v, want the stale one and the misnamed one", res.UnusedAllows)
 	}
 	stale, misnamed := res.UnusedAllows[0], res.UnusedAllows[1]
-	if stale.Analyzer != "poolsafe" || stale.Misnamed {
-		t.Errorf("stale entry = %+v, want a poolsafe claim", stale)
+	if stale.Analyzer != "noalloc" || stale.Misnamed {
+		t.Errorf("stale entry = %+v, want a noalloc claim", stale)
 	}
-	if misnamed.Analyzer != "poolsafee" || !misnamed.Misnamed {
-		t.Errorf("misnamed entry = %+v, want poolsafee marked misnamed", misnamed)
+	if misnamed.Analyzer != "noallocc" || !misnamed.Misnamed {
+		t.Errorf("misnamed entry = %+v, want noallocc marked misnamed", misnamed)
 	}
 	pos := pi.Fset.Position(pi.Files[0].Pos())
 	for _, e := range res.UnusedAllows {
@@ -93,6 +85,6 @@ func TestUnusedAllowScopedToRanAnalyzers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(res.UnusedAllows) != 1 || !res.UnusedAllows[0].Misnamed {
-		t.Errorf("unused allows with poolsafe disabled = %+v, want only the misnamed one", res.UnusedAllows)
+		t.Errorf("unused allows with noalloc disabled = %+v, want only the misnamed one", res.UnusedAllows)
 	}
 }

@@ -3,35 +3,20 @@
 // misspelled analyzer name leaves its finding live (misnamed).
 package unusedallow
 
-type bufPool struct{ free [][]byte }
-
-func (p *bufPool) get(n int) []byte {
-	if len(p.free) == 0 {
-		return make([]byte, n)
-	}
-	b := p.free[len(p.free)-1]
-	p.free = p.free[:len(p.free)-1]
-	return b[:n]
+//aapc:noalloc
+func suppressedFinding(n int) []byte {
+	//aapc:allow noalloc deliberate: one amortized growth per call, measured
+	return make([]byte, n)
 }
 
-func (p *bufPool) put(b []byte) { p.free = append(p.free, b) }
-
-func suppressedFinding(p *bufPool) int {
-	b := p.get(64)
-	p.put(b)
-	//aapc:allow poolsafe deliberate: len reads the header only, measured safe
-	return len(b)
+//aapc:noalloc
+func staleComment(b []byte) []byte {
+	//aapc:allow noalloc nothing here ever triggered
+	return b[:0]
 }
 
-func staleComment(p *bufPool) {
-	b := p.get(64)
-	//aapc:allow poolsafe nothing here ever triggered
-	p.put(b)
-}
-
-func misnamedComment(p *bufPool) int {
-	b := p.get(64)
-	p.put(b)
-	//aapc:allow poolsafee the misspelling suppresses nothing
-	return len(b)
+//aapc:noalloc
+func misnamedComment(n int) []byte {
+	//aapc:allow noallocc the misspelling suppresses nothing
+	return make([]byte, n)
 }

@@ -8,21 +8,17 @@ import (
 	"testing"
 )
 
-// vetSource is a one-file package with no imports whose only poolsafe
-// finding is the read of b on line 9, column 9.
+// vetSource is a one-file package with no imports whose only finding is
+// noalloc's, for the make on line 5, column 9.
 const vetSource = `package vetcase
 
-type bufPool struct{ free [][]byte }
-
-func (p *bufPool) put(b []byte) { p.free = append(p.free, b) }
-
-func reuse(p *bufPool, b []byte) byte {
-	p.put(b)
-	return b[0]
+//aapc:noalloc
+func grow(n int) []byte {
+	return make([]byte, n)
 }
 `
 
-const vetFinding = "use of b after it was released to the pool at line 8"
+const vetFinding = "make allocates"
 
 // runVet writes src as the package's one file, writes a vet.cfg for it the
 // way cmd/go does (edit adjusts it), and runs the unit checker with the
@@ -93,7 +89,7 @@ func TestVetxOnlyWritesOutputQuietly(t *testing.T) {
 // and the run exits 2.
 func TestVetLeafRunReportsFinding(t *testing.T) {
 	code, out, vetx := runVet(t, vetSource, runOptions{}, nil)
-	want := "vetcase.go:9:9: " + vetFinding + " [poolsafe]\n"
+	want := "vetcase.go:5:9: " + vetFinding + " [noalloc]\n"
 	if code != 2 || out != want {
 		t.Errorf("leaf run: exit %d, stderr %q; want 2 and %q", code, out, want)
 	}
@@ -104,9 +100,9 @@ func TestVetLeafRunReportsFinding(t *testing.T) {
 // object with "suppressed":true, and a run whose every finding is allowed
 // exits 0.
 func TestVetJSONMarksSuppressed(t *testing.T) {
-	src := strings.Replace(vetSource, "\treturn b[0]", "\t//aapc:allow poolsafe read before the pool hands b out again\n\treturn b[0]", 1)
+	src := strings.Replace(vetSource, "\treturn make", "\t//aapc:allow noalloc one growth per call, measured\n\treturn make", 1)
 	code, out, _ := runVet(t, src, runOptions{json: true}, nil)
-	want := `{"file":"vetcase.go","line":10,"col":9,"analyzer":"poolsafe","message":"` + vetFinding + `","suppressed":true}` + "\n"
+	want := `{"file":"vetcase.go","line":6,"col":9,"analyzer":"noalloc","message":"` + vetFinding + `","suppressed":true}` + "\n"
 	if code != 0 || out != want {
 		t.Errorf("-json run: exit %d, stderr %q; want 0 and %q", code, out, want)
 	}
@@ -115,10 +111,9 @@ func TestVetJSONMarksSuppressed(t *testing.T) {
 // TestVetUnusedAllowReportsStale: -unusedallow turns an allow comment that
 // suppressed nothing into a finding at the comment's line.
 func TestVetUnusedAllowReportsStale(t *testing.T) {
-	src := strings.Replace(vetSource, "\tp.put(b)", "\t//aapc:allow poolsafe nothing on the next line is flagged\n\tp.put(b)", 1)
-	src = strings.Replace(src, "return b[0]", "return 0", 1)
+	src := strings.Replace(vetSource, "\treturn make([]byte, n)", "\t//aapc:allow noalloc nothing on the next line is flagged\n\treturn nil", 1)
 	code, out, _ := runVet(t, src, runOptions{unusedAllow: true}, nil)
-	want := "vetcase.go:8:1: stale //aapc:allow poolsafe: the comment suppressed nothing in this run [unusedallow]\n"
+	want := "vetcase.go:5:1: stale //aapc:allow noalloc: the comment suppressed nothing in this run [unusedallow]\n"
 	if code != 2 || out != want {
 		t.Errorf("-unusedallow run: exit %d, stderr %q; want 2 and %q", code, out, want)
 	}

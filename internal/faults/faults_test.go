@@ -233,7 +233,7 @@ func TestWrapKill(t *testing.T) {
 	c1 := inj.Wrap(comms[1])
 
 	// Op 0 is clean; op 1 fires the kill.
-	_ = mpi.Irecv(c1, make([]byte, 1), 0, 9) //aapc:allow waitcheck the receive only consumes a fault-plan slot; it never completes
+	_ = mpi.Irecv(c1, make([]byte, 1), 0, 9) // only consumes a fault-plan slot; it never completes
 	err := mpi.Send(c1, []byte{1}, 0, 5)
 	if re, ok := mpi.AsRankError(err); !ok || re.Rank != 1 {
 		t.Fatalf("op past the kill point: got %v, want RankError{Rank: 1}", err)

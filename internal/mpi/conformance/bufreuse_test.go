@@ -110,7 +110,6 @@ func runBufReuseRank(c mpi.Comm, n int) error {
 			reqs = append(reqs, mpi.Irecv(c, set[src][:reuseSize(round, src, me)], src, round))
 		}
 		if err := mpi.WaitAll(sendReqs); err != nil {
-			//aapc:allow waitcheck the test aborts; pending receives are abandoned with the world
 			return fmt.Errorf("rank %d round %d send: %w", me, round, err)
 		}
 		// Sends are complete: the transport must own any bytes it still

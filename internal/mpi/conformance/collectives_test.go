@@ -7,6 +7,7 @@ import (
 	"github.com/aapc-sched/aapcsched/internal/alltoall"
 	"github.com/aapc-sched/aapcsched/internal/harness"
 	"github.com/aapc-sched/aapcsched/internal/mpi"
+	"github.com/aapc-sched/aapcsched/internal/mpi/mpitest"
 )
 
 // collInput is one collective run by the one executor of a compiled
@@ -89,7 +90,7 @@ func (in collInput) check(b alltoall.Buffers, n, me int) error {
 
 // TestScheduledCollectivesOnEveryTransport runs each collective through
 // the compiled routine, uninstrumented, on every transport and checks every
-// delivered byte.
+// delivered byte, and that each rank waited every request it posted.
 func TestScheduledCollectivesOnEveryTransport(t *testing.T) {
 	sc, err := harness.CompileRoutine(starGraph(5), alltoall.PairwiseSync)
 	if err != nil {
@@ -102,7 +103,7 @@ func TestScheduledCollectivesOnEveryTransport(t *testing.T) {
 			t.Run(name+"/"+in.name, func(t *testing.T) {
 				err := runner(func(c mpi.Comm) error {
 					b := in.buffers(n, c.Rank())
-					if err := in.fn(sc)(c, b, in.msize); err != nil {
+					if err := mpitest.WaitsAll(c, func(c mpi.Comm) error { return in.fn(sc)(c, b, in.msize) }); err != nil {
 						return err
 					}
 					return in.check(b, n, c.Rank())

@@ -99,12 +99,10 @@ func (p *program) runRank(c mpi.Comm) error {
 		}
 		for _, pr := range recvs {
 			if err := mpi.Wait(pr.req); err != nil {
-				//aapc:allow waitcheck the test aborts; in-flight sends are abandoned with the world
 				return fmt.Errorf("round %d msg %d: recv: %w", ri, pr.msg.seq, err)
 			}
 			for i, b := range pr.buf {
 				if b != payloadByte(pr.msg.seq, i) {
-					//aapc:allow waitcheck the test aborts; in-flight sends are abandoned with the world
 					return fmt.Errorf("round %d msg %d (src %d tag %d): byte %d = %d, want %d",
 						ri, pr.msg.seq, pr.msg.src, pr.msg.tag, i, b, payloadByte(pr.msg.seq, i))
 				}

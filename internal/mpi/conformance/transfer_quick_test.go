@@ -58,7 +58,6 @@ func (x xfer) transfer(c mpi.Comm) error {
 	buf := bytes.Repeat([]byte{0xEE}, x.Size+x.Slack)
 	req := mpi.Irecv(c, buf, 0, tag)
 	if err := c.Barrier(); err != nil {
-		//aapc:allow waitcheck the world is torn down on a failed barrier
 		return err
 	}
 	info, err := req.Wait(quickOpTimeout)

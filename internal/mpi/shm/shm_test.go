@@ -36,7 +36,6 @@ func TestWorldAlltoall(t *testing.T) {
 			reqs = append(reqs, mpi.Irecv(c, recvBufs[src], src, 3))
 		}
 		if err := c.Barrier(); err != nil {
-			//aapc:allow waitcheck the test aborts; posted receives die with the world
 			return err
 		}
 		for dst := 0; dst < n; dst++ {

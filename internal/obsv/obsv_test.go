@@ -209,7 +209,6 @@ func TestJSONLRoundTrip(t *testing.T) {
 		buf := make([]byte, 3)
 		rr := mpi.Irecv(c, buf, peer, 0)
 		if err := mpi.Wait(sr); err != nil {
-			//aapc:allow waitcheck the test aborts; the posted receive dies with the world
 			return err
 		}
 		return mpi.Wait(rr)
@@ -252,7 +251,6 @@ func TestRegistryMetricsEndpoint(t *testing.T) {
 		buf := make([]byte, 1)
 		rr := mpi.Irecv(c, buf, 0, 0)
 		if err := mpi.Wait(sr); err != nil {
-			//aapc:allow waitcheck the test aborts; the posted receive dies with the world
 			return err
 		}
 		return mpi.Wait(rr)

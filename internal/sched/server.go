@@ -200,12 +200,15 @@ func (d *Daemon) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	// Lockstep streaming interleaves reads of the request body with writes
 	// of the response. Without full duplex, the server's first response
 	// write would block draining the (still-open) request body.
+	//
+	// The stream never hands its connection back for reuse: a line it
+	// cannot read ends the handler with the body unread, and net/http
+	// peeking that connection for a next request would race the body
+	// reader ("invalid concurrent Body.Read"). Connection: close also
+	// keeps the session usable where full duplex is unsupported.
+	w.Header().Set("Connection", "close")
 	rc := http.NewResponseController(w)
-	if err := rc.EnableFullDuplex(); err != nil {
-		// Keep the session usable on transports without duplex support by
-		// refusing connection reuse instead of draining.
-		w.Header().Set("Connection", "close")
-	}
+	_ = rc.EnableFullDuplex()
 	enc := json.NewEncoder(w)
 	started := false
 	ack := func(a UpdateAck) {

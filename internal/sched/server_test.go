@@ -1,10 +1,12 @@
 package sched
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -48,9 +50,38 @@ func newTestDaemon(t testing.TB, opts Options) (*Daemon, *httptest.Server, *Clie
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewServer(d, opts.Registry))
+	srv := httptest.NewUnstartedServer(NewServer(d, opts.Registry))
+	// net/http logs a handler or connection panic and carries on; fail the
+	// test instead. The check runs after srv.Close has waited out every
+	// connection.
+	var logged syncBuffer
+	srv.Config.ErrorLog = log.New(&logged, "", 0)
+	t.Cleanup(func() {
+		if out := logged.String(); strings.Contains(out, "panic serving") {
+			t.Errorf("server logged a panic:\n%s", out)
+		}
+	})
+	srv.Start()
 	t.Cleanup(srv.Close)
 	return d, srv, NewClient(srv.URL, srv.Client())
+}
+
+// syncBuffer is a bytes.Buffer safe for the server's concurrent log writes.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }
 
 func TestScheduleEndpointServesVerifiedSchedules(t *testing.T) {
