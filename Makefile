@@ -19,14 +19,15 @@ fmt:
 # view), amortized sub-0.1 allocs per instrumented operation,
 # zero userspace payload copies on the tcp data plane with receives
 # pre-posted (the zero-copy gate: one row for an in-process world, one for a
-# mesh joined through a coordinator), a warm aapcd fetch that derives
+# mesh joined through a coordinator), no allocation in an untimed tcp
+# stream wait that blocks (Flush with d <= 0), a warm aapcd fetch that derives
 # nothing (no plan build, no rendering: stored bytes with Content-Length),
 # and a 64-machine sync plan in under 8 MB (enumerating the conflict pairs
 # again would take well over 100 MB).
 alloc-gates:
 	$(GO) test -run 'TestScheduledFnNoSteadyStateAllocs' -count=1 ./internal/alltoall/
 	$(GO) test -run 'TestInstrumentedOpAllocsAmortized' -count=1 ./internal/obsv/
-	$(GO) test -run 'TestTCPZeroCopySteadyState' -count=1 ./internal/mpi/tcp/
+	$(GO) test -run 'TestTCPZeroCopySteadyState|TestUntimedStreamWaitNoAllocs' -count=1 ./internal/mpi/tcp/
 	$(GO) test -run 'TestWarmFetchDerivesNothing' -count=1 ./internal/sched/
 	$(GO) test -run 'TestBuildAllocationBound' -count=1 ./internal/syncplan/
 
@@ -122,15 +123,17 @@ bench-trace:
 	$(GO) test -bench 'BenchmarkIngestJSONL|BenchmarkMerge|BenchmarkAnalyze|BenchmarkEstimateOffsets' -benchmem -run=^$$ ./internal/obsv/collect/
 
 # Short fuzz passes over every DSL parser, the daemon's request grammar,
-# the tcp frame-header decoder, the shm ring's record framing, the shm pair
-# segment a co-located peer hands over, and the trace collector's
-# ingest-then-report path (longer runs: go test -fuzz=... ).
+# the tcp frame-header decoder, the rendezvous book a joiner reads from the
+# coordinator, the shm ring's record framing, the shm pair segment a
+# co-located peer hands over, and the trace collector's ingest-then-report
+# path (longer runs: go test -fuzz=... ).
 fuzz:
 	$(GO) test -fuzz=FuzzParseTopology -fuzztime=30s ./internal/topology/
 	$(GO) test -fuzz=FuzzParsePlan -fuzztime=30s ./internal/faults/
 	$(GO) test -fuzz=FuzzTopologyDelta -fuzztime=30s ./internal/topology/
 	$(GO) test -fuzz=FuzzScheduleRequest -fuzztime=30s ./internal/sched/
 	$(GO) test -fuzz=FuzzFrameHeader -fuzztime=30s ./internal/mpi/tcp/
+	$(GO) test -fuzz=FuzzRendezvousBook -fuzztime=30s ./internal/mpi/tcp/
 	$(GO) test -fuzz=FuzzRingRecord -fuzztime=30s ./internal/mpi/shm/
 	$(GO) test -fuzz=FuzzPairSegment -fuzztime=30s ./internal/mpi/shm/
 	$(GO) test -fuzz=FuzzTraceIngest -fuzztime=30s ./internal/obsv/collect/

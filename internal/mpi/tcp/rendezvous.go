@@ -1,13 +1,14 @@
 package tcp
 
 import (
-	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"time"
 
@@ -22,15 +23,16 @@ import (
 // launcher: start a coordinator for n ranks, start n processes that Join it,
 // and run any algorithm over the returned Comm.
 //
-// Rendezvous protocol (all integers little-endian uint32, strings
-// length-prefixed):
+// Rendezvous protocol: two JSON messages per joiner, each read through a
+// byte bound.
 //
-//  1. Each joiner opens its own listener, dials the coordinator and sends
-//     its listener address, its host identity, and whether it can map
-//     shared-memory segments.
-//  2. After n joiners, the coordinator assigns ranks in arrival order and
-//     sends every joiner its rank, the world size, a world token, and all
-//     addresses, hosts and shm flags — the book.
+//  1. Each joiner opens its own listener, dials the coordinator and sends a
+//     hello: its listener address, its host identity, and whether it can
+//     map shared-memory segments.
+//  2. After n hellos, the coordinator assigns ranks in arrival order and
+//     answers every joiner with a book: its rank, a world token, and every
+//     rank's hello. An aborted rendezvous answers with a book that carries
+//     only the reason. The coordinator then closes the connection.
 //  3. Joiner r links to every peer: pairs on the same host with shm
 //     capability on both sides ride a shared-memory pair segment (the
 //     lower rank creates it under the world token, the higher rank
@@ -41,17 +43,38 @@ import (
 //
 // Failure model: the coordinator tracks joiner health during rendezvous —
 // a joiner that disconnects before the world is complete, or a rendezvous
-// that exceeds its deadline, triggers a clean abort broadcast (rank
-// abortRank) so every waiting joiner errors out instead of hanging; a peer
-// that dies between the book and the mesh fails its neighbours' Join within
-// meshTimeout. JoinRetry dials a not-yet-started coordinator with backoff.
-// Once the mesh is up a socket link survives breaks exactly as in an
-// in-process world (redial, retransmit); what cannot be recovered surfaces
-// as a typed *mpi.RankError through the matcher.
+// that exceeds its deadline, aborts it: every waiting joiner gets the
+// reason and fails with it instead of hanging; a peer that dies between the
+// book and the mesh fails its neighbours' Join within meshTimeout.
+// JoinRetry dials a not-yet-started coordinator with backoff. Once the mesh
+// is up a socket link survives breaks exactly as in an in-process world
+// (redial, retransmit); what cannot be recovered surfaces as a typed
+// *mpi.RankError through the matcher.
 
-// abortRank is the rank value the coordinator broadcasts to cancel a
-// rendezvous.
-const abortRank = ^uint32(0)
+// hello is what a joiner tells the coordinator about itself.
+type hello struct {
+	Addr string // the joiner's listener, where peers dial it
+	Host string // co-location identity
+	Shm  bool   // can map shared-memory pair segments
+}
+
+// book is the coordinator's one answer to a joiner: its rank, the token
+// naming the world's pair segments and every rank's hello, or the reason
+// the rendezvous was aborted.
+type book struct {
+	Rank  int
+	Token string
+	Peers []hello
+	Abort string `json:",omitempty"`
+}
+
+// Byte bounds on the two messages, and the time the coordinator gives a
+// joiner to send its hello or take its book.
+const (
+	maxHelloBytes = 16 << 10
+	maxBookBytes  = 16 << 20
+	rendezvousIO  = 10 * time.Second
+)
 
 // Coordinator is the rendezvous point for one distributed world.
 type Coordinator struct {
@@ -86,7 +109,11 @@ func StartCoordinator(addr string, n int, opts ...CoordinatorOption) (*Coordinat
 	for _, o := range opts {
 		o(c)
 	}
-	go c.serve()
+	go func() {
+		err := c.serve()
+		ln.Close() // before Wait returns, so a dial after it is refused
+		c.done <- err
+	}()
 	return c, nil
 }
 
@@ -100,44 +127,35 @@ func (c *Coordinator) Wait() error { return <-c.done }
 // Close stops the coordinator's listener.
 func (c *Coordinator) Close() error { return c.ln.Close() }
 
-func (c *Coordinator) serve() {
-	defer c.ln.Close()
-	type joinMsg struct {
-		conn  net.Conn
-		addr  string
-		host  string
-		shmOK bool
-		err   error
+// serve runs the rendezvous until every joiner has its book, or it aborts.
+func (c *Coordinator) serve() error {
+	type arrival struct {
+		conn net.Conn
+		h    hello
+		err  error
 	}
-	// Buffered generously so late accept/handshake goroutines never block
+	// Buffered generously so late accept/hello goroutines never block
 	// after serve has returned.
-	joinCh := make(chan joinMsg, 2*c.n+4)
-	deathCh := make(chan int, c.n)
+	arrivals := make(chan arrival, 2*c.n+4)
+	deaths := make(chan int, c.n)
 	go func() {
 		for {
 			conn, err := c.ln.Accept()
 			if err != nil {
-				joinCh <- joinMsg{err: err}
+				arrivals <- arrival{err: err}
 				return
 			}
-			go func(conn net.Conn) {
-				conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-				addr, err := readString(conn)
-				var host string
-				if err == nil {
-					host, err = readString(conn)
-				}
-				var shmFlag uint32
-				if err == nil {
-					shmFlag, err = readUint32(conn)
-				}
+			go func() {
+				var h hello
+				conn.SetReadDeadline(time.Now().Add(rendezvousIO))
+				err := json.NewDecoder(io.LimitReader(conn, maxHelloBytes)).Decode(&h)
 				conn.SetReadDeadline(time.Time{})
 				if err != nil {
 					conn.Close()
 					return
 				}
-				joinCh <- joinMsg{conn: conn, addr: addr, host: host, shmOK: shmFlag != 0}
-			}(conn)
+				arrivals <- arrival{conn: conn, h: h}
+			}()
 		}
 	}()
 	var timeoutCh <-chan time.Time
@@ -146,90 +164,85 @@ func (c *Coordinator) serve() {
 		defer tm.Stop()
 		timeoutCh = tm.C
 	}
-	type joiner struct {
-		conn  net.Conn
-		addr  string
-		host  string
-		shmOK bool
-	}
-	joiners := make([]joiner, 0, c.n)
-	abort := func(reason error) {
-		for _, j := range joiners {
-			// Best-effort clean abort broadcast: joiners waiting for their
-			// rank read abortRank and fail with a typed error instead of
-			// hanging on a closed socket.
-			j.conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
-			writeUint32(j.conn, abortRank)
-			j.conn.Close()
+	conns := make([]net.Conn, 0, c.n)
+	peers := make([]hello, 0, c.n)
+	abort := func(reason error) error {
+		for _, conn := range conns {
+			sendBook(conn, book{Abort: reason.Error()}) // best effort
 		}
-		c.done <- reason
+		return reason
 	}
-	for len(joiners) < c.n {
+	for len(conns) < c.n {
 		select {
-		case m := <-joinCh:
-			if m.err != nil {
-				abort(fmt.Errorf("tcp: coordinator accept: %w", m.err))
-				return
+		case a := <-arrivals:
+			if a.err != nil {
+				return abort(fmt.Errorf("tcp: coordinator accept: %w", a.err))
 			}
-			idx := len(joiners)
-			joiners = append(joiners, joiner{conn: m.conn, addr: m.addr, host: m.host, shmOK: m.shmOK})
-			// Health monitor: joiners send nothing after their address, so
-			// a successful read — or any error — before rendezvous
-			// completion means the joiner is gone.
-			go func(conn net.Conn, idx int) {
+			idx := len(conns)
+			conns, peers = append(conns, a.conn), append(peers, a.h)
+			// Health monitor: joiners send nothing after their hello, so a
+			// successful read — or any error — before rendezvous completion
+			// means the joiner is gone.
+			go func() {
 				var b [1]byte
-				conn.Read(b[:])
-				deathCh <- idx
-			}(m.conn, idx)
-		case idx := <-deathCh:
-			abort(fmt.Errorf("tcp: joiner %d (of %d joined, world %d) died before rendezvous completed",
-				idx, len(joiners), c.n))
-			return
+				a.conn.Read(b[:])
+				deaths <- idx
+			}()
+		case idx := <-deaths:
+			return abort(fmt.Errorf("tcp: joiner %d (of %d joined, world %d) died before rendezvous completed",
+				idx, len(conns), c.n))
 		case <-timeoutCh:
-			abort(fmt.Errorf("tcp: rendezvous timed out with %d of %d ranks", len(joiners), c.n))
-			return
+			return abort(fmt.Errorf("tcp: rendezvous timed out with %d of %d ranks", len(conns), c.n))
 		}
 	}
 	token := worldToken(c.ln.Addr().String())
-	for rank, j := range joiners {
-		err := writeUint32(j.conn, uint32(rank))
-		if err == nil {
-			err = writeUint32(j.conn, uint32(c.n))
-		}
-		if err == nil {
-			err = writeString(j.conn, token)
-		}
-		for _, peer := range joiners {
-			if err != nil {
-				break
-			}
-			err = writeString(j.conn, peer.addr)
-		}
-		for _, peer := range joiners {
-			if err != nil {
-				break
-			}
-			err = writeString(j.conn, peer.host)
-		}
-		for _, peer := range joiners {
-			if err != nil {
-				break
-			}
-			flag := uint32(0)
-			if peer.shmOK {
-				flag = 1
-			}
-			err = writeUint32(j.conn, flag)
-		}
-		if err != nil {
+	for rank, conn := range conns {
+		if err := sendBook(conn, book{Rank: rank, Token: token, Peers: peers}); err != nil {
 			// A joiner died mid-book: abort the rest so nobody hangs
 			// waiting for addresses that will never come.
-			abort(fmt.Errorf("tcp: sending address book to rank %d: %w", rank, err))
-			return
+			return abort(fmt.Errorf("tcp: sending address book to rank %d: %w", rank, err))
 		}
-		j.conn.Close()
 	}
-	c.done <- nil
+	return nil
+}
+
+// sendBook writes b to a joiner and closes the connection.
+func sendBook(conn net.Conn, b book) error {
+	defer conn.Close()
+	conn.SetWriteDeadline(time.Now().Add(rendezvousIO))
+	return json.NewEncoder(conn).Encode(b)
+}
+
+// rendezvous is the joiner's side of the exchange: it sends h, reads the
+// book back and closes coord.
+func rendezvous(coord net.Conn, h hello) (book, error) {
+	defer coord.Close()
+	// Marshal, not Encode: the coordinator takes any byte after the hello,
+	// even Encode's newline, as this joiner leaving.
+	msg, _ := json.Marshal(h) // strings and a bool always marshal
+	if _, err := coord.Write(msg); err != nil {
+		return book{}, err
+	}
+	return readBook(coord, maxBookBytes)
+}
+
+// readBook decodes a book from at most limit bytes of r and checks it: an
+// abort fails with the coordinator's reason, the rank must index Peers, and
+// the token must be usable inside a segment file name.
+func readBook(r io.Reader, limit int64) (book, error) {
+	var b book
+	if err := json.NewDecoder(io.LimitReader(r, limit)).Decode(&b); err != nil {
+		return book{}, fmt.Errorf("tcp: reading rendezvous book: %w", err)
+	}
+	switch {
+	case b.Abort != "":
+		return book{}, fmt.Errorf("tcp: rendezvous aborted by coordinator: %s", b.Abort)
+	case b.Rank < 0 || b.Rank >= len(b.Peers):
+		return book{}, fmt.Errorf("tcp: coordinator assigned rank %d of %d", b.Rank, len(b.Peers))
+	case strings.ContainsAny(b.Token, `/\`):
+		return book{}, fmt.Errorf("tcp: world token %q is not a file name part", b.Token)
+	}
+	return b, nil
 }
 
 // shmLinkRingBytes is the per-direction ring capacity of a shared-memory
@@ -285,107 +298,41 @@ func JoinRetry(coordAddr string, window time.Duration, opts ...Option) (mpi.Comm
 // bound (meshTimeout outside tests) spelled out.
 func join(coordAddr string, retryWindow, meshBound time.Duration, opts ...Option) (mpi.Comm, func() error, error) {
 	cfg := newConfig(opts)
-	host := hostIdentity(&cfg)
-	shmOK := !cfg.NoShm && shm.MapAvailable() && os.Getenv("AAPC_SHM") != "0"
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, nil, err
 	}
+	shmOK := !cfg.NoShm && shm.MapAvailable() && os.Getenv("AAPC_SHM") != "0"
 	coord, err := dialRetry(coordAddr, retryWindow)
-	if err != nil {
-		ln.Close()
-		return nil, nil, err
-	}
-	err = writeString(coord, ln.Addr().String())
+	var b book
 	if err == nil {
-		err = writeString(coord, host)
-	}
-	if err == nil {
-		flag := uint32(0)
-		if shmOK {
-			flag = 1
-		}
-		err = writeUint32(coord, flag)
+		b, err = rendezvous(coord, hello{Addr: ln.Addr().String(), Host: hostIdentity(&cfg), Shm: shmOK})
 	}
 	if err != nil {
 		ln.Close()
-		coord.Close()
 		return nil, nil, err
 	}
-	rank32, err := readUint32(coord)
-	if err != nil {
-		ln.Close()
-		coord.Close()
-		return nil, nil, err
-	}
-	if rank32 == abortRank {
-		ln.Close()
-		coord.Close()
-		return nil, nil, fmt.Errorf("tcp: rendezvous aborted by coordinator")
-	}
-	n32, err := readUint32(coord)
-	if err != nil {
-		ln.Close()
-		coord.Close()
-		return nil, nil, err
-	}
-	rank, n := int(rank32), int(n32)
-	if rank >= n {
-		ln.Close()
-		coord.Close()
-		return nil, nil, fmt.Errorf("tcp: coordinator assigned rank %d of %d", rank, n)
-	}
-	token, err := readString(coord)
-	if err != nil {
-		ln.Close()
-		coord.Close()
-		return nil, nil, err
-	}
-	addrs := make([]string, n)
-	for i := range addrs {
-		if addrs[i], err = readString(coord); err != nil {
-			ln.Close()
-			coord.Close()
-			return nil, nil, err
-		}
-	}
-	hosts := make([]string, n)
-	for i := range hosts {
-		if hosts[i], err = readString(coord); err != nil {
-			ln.Close()
-			coord.Close()
-			return nil, nil, err
-		}
-	}
-	shmFlags := make([]bool, n)
-	for i := range shmFlags {
-		flag, err := readUint32(coord)
-		if err != nil {
-			ln.Close()
-			coord.Close()
-			return nil, nil, err
-		}
-		shmFlags[i] = flag != 0
-	}
-	coord.Close()
+	rank, n := b.Rank, len(b.Peers)
 
 	// The host map decides each pair's medium from broadcast data alone, so
 	// both sides always agree: a shared-memory pair segment when co-located
 	// and capable on both ends — it cannot be redialed, so its break fails
 	// closed — and a socket otherwise.
-	sh := &shared{cfg: cfg, start: time.Now(), ln: ln, addrs: addrs, nodes: make([]*node, n)}
+	sh := &shared{cfg: cfg, start: time.Now(), ln: ln, addrs: make([]string, n), nodes: make([]*node, n)}
 	nd := newNode(rank, n, sh)
 	sh.nodes[rank] = nd
-	for p, lk := range nd.links {
-		if p != rank && shmFlags[p] && shmFlags[rank] && hosts[p] == hosts[rank] {
-			lk.shm = true
+	me := b.Peers[rank]
+	for p, peer := range b.Peers {
+		sh.addrs[p] = peer.Addr
+		if p != rank && peer.Shm && me.Shm && peer.Host == me.Host {
+			nd.links[p].shm = true
 			nd.stats.shmLinks.Add(1)
 		}
 	}
 	closeFn := sync.OnceValue(sh.shutdown)
 	sh.accepting.Add(1)
 	go sh.serve()
-	if err := nd.mesh(token, meshBound); err != nil {
+	if err := nd.mesh(b.Token, meshBound); err != nil {
 		closeFn()
 		return nil, nil, err
 	}
@@ -428,63 +375,15 @@ func (nd *node) mesh(token string, bound time.Duration) error {
 // dialRetry dials addr, retrying with exponential backoff for up to window
 // when window > 0.
 func dialRetry(addr string, window time.Duration) (net.Conn, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err == nil || window <= 0 {
-		return conn, err
-	}
 	deadline := time.Now().Add(window)
-	backoff := 10 * time.Millisecond
-	for {
+	for backoff := 10 * time.Millisecond; ; backoff = min(2*backoff, 640*time.Millisecond) {
+		conn, err := net.Dial("tcp", addr)
+		if err == nil || window <= 0 {
+			return conn, err
+		}
 		if time.Now().After(deadline) {
 			return nil, fmt.Errorf("tcp: coordinator unreachable after %v: %w", window, err)
 		}
 		time.Sleep(backoff)
-		if backoff < 500*time.Millisecond {
-			backoff *= 2
-		}
-		conn, err = net.Dial("tcp", addr)
-		if err == nil {
-			return conn, nil
-		}
 	}
-}
-
-// Wire helpers.
-
-func writeUint32(w io.Writer, v uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	_, err := w.Write(b[:])
-	return err
-}
-
-func readUint32(r io.Reader) (uint32, error) {
-	var b [4]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b[:]), nil
-}
-
-func writeString(w io.Writer, s string) error {
-	if err := writeUint32(w, uint32(len(s))); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, s)
-	return err
-}
-
-func readString(r io.Reader) (string, error) {
-	n, err := readUint32(r)
-	if err != nil {
-		return "", err
-	}
-	if n > 4096 {
-		return "", fmt.Errorf("tcp: unreasonable string length %d", n)
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return "", err
-	}
-	return string(b), nil
 }

@@ -1,10 +1,13 @@
 package tcp
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -436,8 +439,23 @@ func TestJoinMeshDeadline(t *testing.T) {
 	}
 }
 
-// ghostJoin rendezvouses by hand — a listener address, the whole book read —
-// and exits without ever dialing or accepting. It returns the rank it held.
+// sendHello dials the coordinator and registers addr by hand, as a joiner
+// that will never link would.
+func sendHello(t *testing.T, coordAddr, addr string) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", coordAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := json.Marshal(hello{Addr: addr, Host: "ghost"})
+	if _, err := conn.Write(msg); err != nil {
+		t.Fatal(err)
+	}
+	return conn
+}
+
+// ghostJoin rendezvouses by hand — a hello sent, the book read — and exits
+// without ever dialing or accepting. It returns the rank it held.
 func ghostJoin(t *testing.T, coordAddr string) int {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -445,22 +463,13 @@ func ghostJoin(t *testing.T, coordAddr string) int {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	conn, err := net.Dial("tcp", coordAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := sendHello(t, coordAddr, ln.Addr().String())
 	defer conn.Close()
-	writeString(conn, ln.Addr().String())
-	writeString(conn, "ghost")
-	writeUint32(conn, 0)
-	rank, err := readUint32(conn)
-	if err != nil || rank == abortRank {
-		t.Fatalf("ghost rendezvous: rank %d, %v", rank, err)
+	b, err := readBook(conn, maxBookBytes)
+	if err != nil {
+		t.Fatalf("ghost rendezvous: %v", err)
 	}
-	if _, err := io.Copy(io.Discard, conn); err != nil { // the rest of the book
-		t.Fatal(err)
-	}
-	return int(rank)
+	return b.Rank
 }
 
 // TestJoinedCleanCloseIsNotAFault: ranks of a healthy joined world finish
@@ -496,4 +505,177 @@ func TestJoinedCleanCloseIsNotAFault(t *testing.T) {
 			t.Errorf("clean staggered close looked like a fault (opts %d): %+v", len(opts), s)
 		}
 	}
+}
+
+// joinAsync starts k Joins against coordAddr and returns the channel their
+// errors arrive on.
+func joinAsync(coordAddr string, k int) <-chan error {
+	errs := make(chan error, k)
+	for i := 0; i < k; i++ {
+		go func() {
+			_, closeFn, err := Join(coordAddr, WithoutSharedMemory())
+			if err == nil {
+				closeFn()
+			}
+			errs <- err
+		}()
+	}
+	return errs
+}
+
+// awaitJoinFailures wants k failed Joins within bound, each naming reason.
+func awaitJoinFailures(t *testing.T, errs <-chan error, k int, bound time.Duration, reason string) {
+	t.Helper()
+	deadline := time.After(bound)
+	for i := 0; i < k; i++ {
+		select {
+		case err := <-errs:
+			if err == nil {
+				t.Fatal("Join succeeded in a world that cannot complete")
+			}
+			if !strings.Contains(err.Error(), reason) {
+				t.Errorf("Join error %q does not carry the coordinator's reason %q", err, reason)
+			}
+		case <-deadline:
+			t.Fatalf("Join still blocked %v into an aborted rendezvous", bound)
+		}
+	}
+}
+
+// TestRendezvousJoinerDeath: a joiner that sends its hello and disconnects
+// before the world is complete aborts the rendezvous. Every waiting Join
+// fails promptly with the coordinator's reason, and Wait reports the death.
+func TestRendezvousJoinerDeath(t *testing.T) {
+	const n, live = 4, 2
+	coord, err := StartCoordinator("127.0.0.1:0", n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := joinAsync(coord.Addr(), live)
+	time.Sleep(200 * time.Millisecond) // let the live joiners register first
+	sendHello(t, coord.Addr(), "127.0.0.1:1").Close()
+	const reason = "died before rendezvous completed"
+	awaitJoinFailures(t, errs, live, 5*time.Second, reason)
+	if err := coord.Wait(); err == nil || !strings.Contains(err.Error(), reason) {
+		t.Fatalf("Wait = %v, want the joiner's death", err)
+	}
+}
+
+// TestRendezvousTimeout: a world that does not assemble within the
+// rendezvous timeout fails both the joiner and the coordinator with the
+// count that did arrive.
+func TestRendezvousTimeout(t *testing.T) {
+	coord, err := StartCoordinator("127.0.0.1:0", 2, WithRendezvousTimeout(200*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const reason = "timed out with 1 of 2"
+	awaitJoinFailures(t, joinAsync(coord.Addr(), 1), 1, 5*time.Second, reason)
+	if err := coord.Wait(); err == nil || !strings.Contains(err.Error(), reason) {
+		t.Fatalf("Wait = %v, want %q", err, reason)
+	}
+}
+
+// TestJoinRetryWindow: JoinRetry reaches a coordinator that starts late
+// inside its window, and gives up with "coordinator unreachable" when none
+// listens — also right after a coordinator's Wait has returned, since it
+// closes its listener first. The coordinator's port is one the kernel just
+// freed, so it sits on 127.0.0.2: a joiner's own listener (on 127.0.0.1)
+// could take it back there, and the joiner would then dial itself.
+func TestJoinRetryWindow(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.2:0")
+	if err != nil {
+		t.Skipf("no second loopback address: %v", err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	started := make(chan *Coordinator, 1)
+	go func() {
+		time.Sleep(200 * time.Millisecond)
+		coord, err := StartCoordinator(addr, 1)
+		if err != nil {
+			t.Error(err)
+		}
+		started <- coord
+	}()
+	c, closeFn, err := JoinRetry(addr, 5*time.Second, WithoutSharedMemory())
+	coord := <-started
+	if err != nil {
+		t.Fatalf("JoinRetry to a late coordinator: %v", err)
+	}
+	closeFn()
+	if c.Size() != 1 {
+		t.Fatalf("world size %d, want 1", c.Size())
+	}
+	if coord != nil {
+		if err := coord.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if _, _, err := JoinRetry(addr, 300*time.Millisecond); err == nil ||
+		!strings.Contains(err.Error(), "coordinator unreachable") {
+		t.Fatalf("JoinRetry with no coordinator = %v, want unreachable", err)
+	}
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// FuzzRendezvousBook drives the joiner's decode-and-check of the
+// coordinator's answer with arbitrary bytes, under a small bound (so the
+// bound itself is exercised) and under the real one. It must never panic,
+// never read past the bound, and never accept a book whose rank does not
+// index its peers.
+func FuzzRendezvousBook(f *testing.F) {
+	const smallBound = 512
+	peers := func(n int) []hello {
+		ps := make([]hello, n)
+		for i := range ps {
+			ps[i] = hello{Addr: fmt.Sprintf("127.0.0.1:%d", 40000+i), Host: fmt.Sprintf("node%d", i%2), Shm: i%2 == 0}
+		}
+		return ps
+	}
+	seed := func(b book) []byte {
+		msg, err := json.Marshal(b)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return msg
+	}
+	valid := seed(book{Rank: 2, Token: worldToken("127.0.0.1:7791"), Peers: peers(4)})
+	f.Add(valid)
+	f.Add(seed(book{Abort: "tcp: rendezvous timed out with 2 of 3 ranks"}))
+	f.Add(seed(book{Rank: 4, Token: "t", Peers: peers(4)}))
+	f.Add(seed(book{Rank: -1, Token: "t", Peers: peers(4)}))
+	f.Add(valid[:len(valid)/2])
+	big := seed(book{Rank: 0, Token: "t", Peers: peers(12)})
+	if len(big) <= smallBound {
+		f.Fatalf("over-bound seed is only %d bytes", len(big))
+	}
+	f.Add(big)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, bound := range []int64{smallBound, maxBookBytes} {
+			r := &countingReader{r: bytes.NewReader(data)}
+			b, err := readBook(r, bound)
+			if r.n > bound {
+				t.Fatalf("read %d bytes, past a bound of %d", r.n, bound)
+			}
+			if err != nil {
+				continue
+			}
+			if b.Rank < 0 || b.Rank >= len(b.Peers) || b.Abort != "" || strings.ContainsAny(b.Token, `/\`) {
+				t.Fatalf("accepted a book no coordinator sends: %+v", b)
+			}
+		}
+	})
 }

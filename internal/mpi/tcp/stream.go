@@ -367,21 +367,27 @@ func (lk *link) releaseBatch(b *writeBatch, err error, complete, reack bool) {
 
 // waitLocked blocks until done() holds, the stream fails, or d (when
 // positive) elapses, and reports whether done() held. Caller holds st.mu.
-// The common case — already done — arms no timer and allocates nothing.
+// Only a timed wait that blocks arms a timer and allocates.
 func (st *sendStream) waitLocked(d time.Duration, done func() bool) bool {
-	if st.failed != nil || done() {
-		return done()
+	if d > 0 && st.failed == nil && !done() {
+		return st.waitTimedLocked(d, done)
 	}
+	for st.failed == nil && !done() {
+		st.cond.Wait()
+	}
+	return done()
+}
+
+// waitTimedLocked is waitLocked's bounded wait: a timer breaks it off.
+func (st *sendStream) waitTimedLocked(d time.Duration, done func() bool) bool {
 	expired := false
-	if d > 0 {
-		timer := time.AfterFunc(d, func() {
-			st.mu.Lock()
-			expired = true
-			st.cond.Broadcast()
-			st.mu.Unlock()
-		})
-		defer timer.Stop()
-	}
+	timer := time.AfterFunc(d, func() {
+		st.mu.Lock()
+		expired = true
+		st.cond.Broadcast()
+		st.mu.Unlock()
+	})
+	defer timer.Stop()
 	for st.failed == nil && !done() && !expired {
 		st.cond.Wait()
 	}

@@ -155,3 +155,41 @@ func zeroCopySteadyState(t *testing.T, comms []mpi.Comm, stats func() Stats) {
 		t.Errorf("zero-copy receives = %d, want %d", got, frames)
 	}
 }
+
+// TestUntimedStreamWaitNoAllocs: an untimed wait on the send stream — the
+// one Flush makes with d <= 0, as the scheduled all-to-all does at every
+// phase boundary — allocates nothing even when it blocks until another
+// goroutine satisfies it.
+func TestUntimedStreamWaitNoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on synchronization")
+	}
+	st := &sendStream{}
+	st.cond = sync.NewCond(&st.mu)
+	poke := make(chan struct{})
+	defer close(poke)
+	go func() {
+		for range poke {
+			st.mu.Lock()
+			st.wrote++
+			st.cond.Broadcast()
+			st.mu.Unlock()
+		}
+	}()
+	var target uint64
+	done := func() bool { return st.wrote >= target }
+	allocs := testing.AllocsPerRun(200, func() {
+		st.mu.Lock()
+		target = st.wrote + 1
+		// The poker takes st.mu only once the wait has released it, so
+		// every run blocks.
+		poke <- struct{}{}
+		if !st.waitLocked(0, done) {
+			t.Error("untimed wait returned before its condition held")
+		}
+		st.mu.Unlock()
+	})
+	if allocs != 0 {
+		t.Fatalf("untimed blocking wait: %v allocs per wait, want 0", allocs)
+	}
+}
