@@ -4,9 +4,10 @@
 //	go build -o bin/aapcvet ./cmd/aapcvet
 //	go vet -vettool=$PWD/bin/aapcvet ./...
 //
-// It enforces the four project invariants (determinism, noalloc,
-// copycount, spscsafe). Each pass reasons within one
-// function of one package, so the facts file vet asks for is left empty.
+// It enforces two project invariants (determinism, spscsafe); allocation
+// and payload copies are checked at run time by `make alloc-gates`. Each
+// pass reasons within one function of one package, so the facts file vet
+// asks for is left empty.
 //
 // Individual analyzers are disabled with -<name>=false; single findings
 // are suppressed in source with //aapc:allow <name> <reason>. Extra

@@ -282,7 +282,6 @@ func (sc *Scheduled) Fn() Func { return sc.FnTimeout(0) }
 // after an error, a timed-out receive may still hold the scratch's sync
 // buffer, so the whole scratch is abandoned to the garbage collector.
 func (sc *Scheduled) FnTimeout(d time.Duration) Func {
-	//aapc:noalloc the per-run closure is the steady-state hot path (see alloc gates)
 	return func(c mpi.Comm, b Buffers, msize int) error {
 		if c.Size() != len(sc.programs) {
 			return fmt.Errorf("alltoall: routine compiled for %d ranks, world has %d",

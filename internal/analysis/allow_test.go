@@ -13,10 +13,11 @@ func TestParseAllowNames(t *testing.T) {
 		rest string
 		want []string
 	}{
-		{" copycount", []string{"copycount"}},
-		{" noalloc copycount buffer is staged on purpose", []string{"noalloc", "copycount"}},
+		{" spscsafe", []string{"spscsafe"}},
+		{" determinism spscsafe the producer has exited", []string{"determinism", "spscsafe"}},
 		{" determinism results are keyed by job index", []string{"determinism"}},
-		{" noalloc (amortized growth)", []string{"noalloc"}},
+		{" spscsafe (read after the join)", []string{"spscsafe"}},
+		{" noalloc a retired pass names nothing", nil},
 		{"", nil},
 		{" Not-An-Analyzer reason", nil},
 	}
@@ -31,8 +32,8 @@ func TestAllowIndexLines(t *testing.T) {
 	src := `package p
 
 func f() {
-	_ = 1 //aapc:allow copycount same line
-	//aapc:allow noalloc line above
+	_ = 1 //aapc:allow spscsafe same line
+	//aapc:allow determinism line above
 	_ = 2
 	_ = 3
 }
@@ -46,16 +47,16 @@ func f() {
 	at := func(line int) token.Position {
 		return token.Position{Filename: "p.go", Line: line}
 	}
-	if !idx.allows(at(4), "copycount") {
+	if !idx.allows(at(4), "spscsafe") {
 		t.Error("same-line suppression not honored")
 	}
-	if !idx.allows(at(6), "noalloc") {
+	if !idx.allows(at(6), "determinism") {
 		t.Error("line-above suppression not honored")
 	}
-	if idx.allows(at(7), "noalloc") {
+	if idx.allows(at(7), "determinism") {
 		t.Error("suppression leaked past one line")
 	}
-	if idx.allows(at(4), "noalloc") {
+	if idx.allows(at(4), "determinism") {
 		t.Error("suppression applied to the wrong analyzer")
 	}
 }

@@ -5,10 +5,6 @@
 //
 //   - determinism: replay-sensitive packages must not consult wall clocks,
 //     global randomness, or map iteration order;
-//   - noalloc: functions annotated //aapc:noalloc must not contain
-//     allocating constructs outside cold (early-exit) paths;
-//   - copycount: functions annotated //aapc:nocopy must not copy payload
-//     bytes on their hot path;
 //   - spscsafe: //aapc:spsc ring types keep atomic access and producer /
 //     consumer role separation.
 //

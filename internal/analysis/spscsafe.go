@@ -196,6 +196,24 @@ func checkSpscFunc(pass *Pass, decl *ast.FuncDecl, cursors map[types.Object]curs
 	})
 }
 
+// buildParentsOf maps each node under root to its parent.
+func buildParentsOf(root ast.Node) map[ast.Node]ast.Node {
+	parents := make(map[ast.Node]ast.Node)
+	var stack []ast.Node
+	ast.Inspect(root, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return false
+		}
+		if len(stack) > 0 {
+			parents[n] = stack[len(stack)-1]
+		}
+		stack = append(stack, n)
+		return true
+	})
+	return parents
+}
+
 // checkCursorAccess classifies one selector access to a cursor field.
 func checkCursorAccess(pass *Pass, parents map[ast.Node]ast.Node, decl *ast.FuncDecl, sel *ast.SelectorExpr, info cursorInfo, fnRole string, fnIsMethod bool) {
 	field := info.typeName + "." + sel.Sel.Name

@@ -6,8 +6,6 @@ package analysis
 func Suite() []*Analyzer {
 	return []*Analyzer{
 		Determinism,
-		Noalloc,
-		Copycount,
 		Spscsafe,
 	}
 }

@@ -21,14 +21,6 @@ func TestDeterminismScope(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.Determinism, "other")
 }
 
-func TestNoalloc(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.Noalloc, "noalloc")
-}
-
-func TestCopycount(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.Copycount, "copycount")
-}
-
 func TestSpscsafe(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.Spscsafe, "spscsafe")
 }
@@ -39,7 +31,7 @@ func TestSpscsafe(t *testing.T) {
 // analyzer leaves its finding live and surfaces as misnamed.
 func TestUnusedAllowAudit(t *testing.T) {
 	pi := analysistest.LoadCorpus(t, "testdata", "unusedallow", "go1.22")
-	res, err := analysis.RunWith(pi, []*analysis.Analyzer{analysis.Noalloc})
+	res, err := analysis.RunWith(pi, []*analysis.Analyzer{analysis.Spscsafe})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +52,11 @@ func TestUnusedAllowAudit(t *testing.T) {
 		t.Fatalf("unused allows = %+v, want the stale one and the misnamed one", res.UnusedAllows)
 	}
 	stale, misnamed := res.UnusedAllows[0], res.UnusedAllows[1]
-	if stale.Analyzer != "noalloc" || stale.Misnamed {
-		t.Errorf("stale entry = %+v, want a noalloc claim", stale)
+	if stale.Analyzer != "spscsafe" || stale.Misnamed {
+		t.Errorf("stale entry = %+v, want a spscsafe claim", stale)
 	}
-	if misnamed.Analyzer != "noallocc" || !misnamed.Misnamed {
-		t.Errorf("misnamed entry = %+v, want noallocc marked misnamed", misnamed)
+	if misnamed.Analyzer != "spscsafee" || !misnamed.Misnamed {
+		t.Errorf("misnamed entry = %+v, want spscsafee marked misnamed", misnamed)
 	}
 	pos := pi.Fset.Position(pi.Files[0].Pos())
 	for _, e := range res.UnusedAllows {
@@ -85,6 +77,6 @@ func TestUnusedAllowScopedToRanAnalyzers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(res.UnusedAllows) != 1 || !res.UnusedAllows[0].Misnamed {
-		t.Errorf("unused allows with noalloc disabled = %+v, want only the misnamed one", res.UnusedAllows)
+		t.Errorf("unused allows with spscsafe disabled = %+v, want only the misnamed one", res.UnusedAllows)
 	}
 }

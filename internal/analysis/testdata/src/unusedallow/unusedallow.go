@@ -3,20 +3,28 @@
 // misspelled analyzer name leaves its finding live (misnamed).
 package unusedallow
 
-//aapc:noalloc
-func suppressedFinding(n int) []byte {
-	//aapc:allow noalloc deliberate: one amortized growth per call, measured
-	return make([]byte, n)
+import "sync/atomic"
+
+//aapc:spsc
+type ring struct {
+	tail uint64 //aapc:cursor producer
+	head uint64 //aapc:cursor consumer
 }
 
-//aapc:noalloc
-func staleComment(b []byte) []byte {
-	//aapc:allow noalloc nothing here ever triggered
-	return b[:0]
+//aapc:role consumer
+func (r *ring) suppressedFinding() uint64 {
+	//aapc:allow spscsafe deliberate: the producer has exited, nothing races
+	return r.tail
 }
 
-//aapc:noalloc
-func misnamedComment(n int) []byte {
-	//aapc:allow noallocc the misspelling suppresses nothing
-	return make([]byte, n)
+//aapc:role consumer
+func (r *ring) staleComment() uint64 {
+	//aapc:allow spscsafe nothing here ever triggered
+	return atomic.LoadUint64(&r.tail)
+}
+
+//aapc:role consumer
+func (r *ring) misnamedComment() uint64 {
+	//aapc:allow spscsafee the misspelling suppresses nothing
+	return r.tail
 }

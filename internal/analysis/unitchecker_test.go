@@ -9,16 +9,20 @@ import (
 )
 
 // vetSource is a one-file package with no imports whose only finding is
-// noalloc's, for the make on line 5, column 9.
+// spscsafe's, for the plain cursor read on line 9, column 9.
 const vetSource = `package vetcase
 
-//aapc:noalloc
-func grow(n int) []byte {
-	return make([]byte, n)
+//aapc:spsc
+type ring struct {
+	tail uint64 //aapc:cursor producer
+}
+
+func peek(r *ring) uint64 {
+	return r.tail
 }
 `
 
-const vetFinding = "make allocates"
+const vetFinding = "plain read of cursor ring.tail: use sync/atomic (the compiler may tear or cache a plain load)"
 
 // runVet writes src as the package's one file, writes a vet.cfg for it the
 // way cmd/go does (edit adjusts it), and runs the unit checker with the
@@ -89,7 +93,7 @@ func TestVetxOnlyWritesOutputQuietly(t *testing.T) {
 // and the run exits 2.
 func TestVetLeafRunReportsFinding(t *testing.T) {
 	code, out, vetx := runVet(t, vetSource, runOptions{}, nil)
-	want := "vetcase.go:5:9: " + vetFinding + " [noalloc]\n"
+	want := "vetcase.go:9:9: " + vetFinding + " [spscsafe]\n"
 	if code != 2 || out != want {
 		t.Errorf("leaf run: exit %d, stderr %q; want 2 and %q", code, out, want)
 	}
@@ -100,9 +104,9 @@ func TestVetLeafRunReportsFinding(t *testing.T) {
 // object with "suppressed":true, and a run whose every finding is allowed
 // exits 0.
 func TestVetJSONMarksSuppressed(t *testing.T) {
-	src := strings.Replace(vetSource, "\treturn make", "\t//aapc:allow noalloc one growth per call, measured\n\treturn make", 1)
+	src := strings.Replace(vetSource, "\treturn r.tail", "\t//aapc:allow spscsafe the producer has exited, nothing races\n\treturn r.tail", 1)
 	code, out, _ := runVet(t, src, runOptions{json: true}, nil)
-	want := `{"file":"vetcase.go","line":6,"col":9,"analyzer":"noalloc","message":"` + vetFinding + `","suppressed":true}` + "\n"
+	want := `{"file":"vetcase.go","line":10,"col":9,"analyzer":"spscsafe","message":"` + vetFinding + `","suppressed":true}` + "\n"
 	if code != 0 || out != want {
 		t.Errorf("-json run: exit %d, stderr %q; want 0 and %q", code, out, want)
 	}
@@ -111,9 +115,9 @@ func TestVetJSONMarksSuppressed(t *testing.T) {
 // TestVetUnusedAllowReportsStale: -unusedallow turns an allow comment that
 // suppressed nothing into a finding at the comment's line.
 func TestVetUnusedAllowReportsStale(t *testing.T) {
-	src := strings.Replace(vetSource, "\treturn make([]byte, n)", "\t//aapc:allow noalloc nothing on the next line is flagged\n\treturn nil", 1)
+	src := strings.Replace(vetSource, "\treturn r.tail", "\t//aapc:allow spscsafe nothing on the next line is flagged\n\treturn 0", 1)
 	code, out, _ := runVet(t, src, runOptions{unusedAllow: true}, nil)
-	want := "vetcase.go:5:1: stale //aapc:allow noalloc: the comment suppressed nothing in this run [unusedallow]\n"
+	want := "vetcase.go:9:1: stale //aapc:allow spscsafe: the comment suppressed nothing in this run [unusedallow]\n"
 	if code != 2 || out != want {
 		t.Errorf("-unusedallow run: exit %d, stderr %q; want 2 and %q", code, out, want)
 	}

@@ -43,13 +43,9 @@ func (c *Completion) Init(home Recycler) {
 // Complete delivers the operation's outcome. It must be called exactly once
 // per posted operation; the slot is buffered, so it never blocks and may be
 // called under the completer's locks.
-//
-//aapc:noalloc
 func (c *Completion) Complete(err error) { c.done <- err }
 
 // Wait implements Request.
-//
-//aapc:noalloc
 func (c *Completion) Wait(d time.Duration) (TraceInfo, error) {
 	var err error
 	if d > 0 {
@@ -108,8 +104,6 @@ type Freelist[T any] struct {
 }
 
 // Get returns a recycled operation, or nil when the list is empty.
-//
-//aapc:noalloc
 func (f *Freelist[T]) Get() *T {
 	var o *T
 	f.mu.Lock()
@@ -123,8 +117,6 @@ func (f *Freelist[T]) Get() *T {
 }
 
 // Put returns an operation to the list (or drops it when the list is full).
-//
-//aapc:noalloc
 func (f *Freelist[T]) Put(o *T) {
 	f.mu.Lock()
 	if len(f.free) < freelistCap {
@@ -137,8 +129,6 @@ func (f *Freelist[T]) Put(o *T) {
 // survivors down instead of re-slicing forward: the backing array keeps its
 // full capacity, so the appends that refill the queue stop reallocating once
 // it has reached its working size. The queue must be non-empty.
-//
-//aapc:noalloc
 func PopFront[T any](q []T) (T, []T) {
 	head := q[0]
 	n := copy(q, q[1:])

@@ -41,10 +41,9 @@ func (nd *node) Isend(op mpi.Op) mpi.Request {
 // the caller. Frames for one destination are written by a single writer in
 // enqueue order, so MPI's non-overtaking guarantee holds per (source,
 // destination, tag). The borrowed path is the steady state; staging copies
-// are confined to the annotated small-message fallback and the self-send
-// loopback.
-//
-//aapc:nocopy
+// are confined to the small-message fallback and the self-send loopback.
+// TestZeroCopyAliasing checks that a borrowed frame's payload iovec is the
+// caller's block.
 func (nd *node) isend(op mpi.Op) mpi.Request {
 	if err := mpi.CheckRank(nd, op.Peer); err != nil {
 		return mpi.Completed(err)
@@ -76,7 +75,6 @@ func (nd *node) isend(op mpi.Op) mpi.Request {
 		// completion costs more than the copy. The pooled copy makes the
 		// frame retransmittable forever and completes at first write.
 		fr.buf = nd.pool.get(fr.size)
-		//aapc:allow copycount deliberate: below zeroCopyMin the copy beats ack-deferred completion
 		copy(fr.buf, op.Buf)
 		fr.poolable = true
 		nd.stats.copiedSends.Add(1)

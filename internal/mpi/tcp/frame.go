@@ -61,8 +61,6 @@ func parseFrameHeader(hdr []byte) (frameHeader, error) {
 }
 
 // putFrameHeader encodes a header into hdr (headerLen bytes).
-//
-//aapc:noalloc
 func putFrameHeader(hdr []byte, kind byte, tag int, seq uint64, size int, ctx uint64) {
 	hdr[0] = kind
 	binary.LittleEndian.PutUint64(hdr[1:9], uint64(int64(tag)))
@@ -73,10 +71,8 @@ func putFrameHeader(hdr []byte, kind byte, tag int, seq uint64, size int, ctx ui
 
 // appendFrame lays one data frame out for a vectored write: the header is
 // encoded into hdr (headerLen bytes of the caller's arena), then hdr and the
-// payload are appended to iov.
-//
-//aapc:noalloc
-//aapc:nocopy payload rides the iovec list by reference into writev
+// payload are appended to iov. The payload rides the iovec list by reference
+// into writev.
 func appendFrame(iov net.Buffers, hdr []byte, fr *outFrame) net.Buffers {
 	putFrameHeader(hdr, frameData, fr.tag, fr.seq, fr.size, fr.ctx)
 	iov = append(iov, hdr)
@@ -88,8 +84,6 @@ func appendFrame(iov net.Buffers, hdr []byte, fr *outFrame) net.Buffers {
 
 // frameHeaders returns an n-frame header arena, reusing hdrs once it has
 // grown to the high-water batch size.
-//
-//aapc:noalloc
 func frameHeaders(hdrs []byte, n int) []byte {
 	if cap(hdrs) < n*headerLen {
 		return make([]byte, n*headerLen)

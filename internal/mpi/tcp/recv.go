@@ -100,8 +100,8 @@ func (lk *link) readLoop(conn net.Conn, epoch int) {
 // unclaim it and break the link); opErr is a per-operation delivery error
 // (truncation) with the stream itself still healthy. The payload lands
 // straight off the socket; only a truncation drains the excess.
-//
-//aapc:nocopy
+// TestZeroCopyAliasing checks that a payload that fits is read into op.buf
+// and nowhere else.
 func (nd *node) readIntoOp(conn net.Conn, op *recvOp, size int) (sockErr, opErr error) {
 	if size <= len(op.buf) {
 		if _, err := io.ReadFull(conn, op.buf[:size]); err != nil {

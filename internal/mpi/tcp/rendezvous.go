@@ -26,13 +26,16 @@ import (
 // Rendezvous protocol: two JSON messages per joiner, each read through a
 // byte bound.
 //
-//  1. Each joiner opens its own listener, dials the coordinator and sends a
-//     hello: its listener address, its host identity, and whether it can
-//     map shared-memory segments.
+//  1. Each joiner dials the coordinator, opens its own listener on the local
+//     IP of that connection (the interface the coordinator reached it on,
+//     so peers on other hosts can dial it too) and sends a hello: its
+//     listener address, its host identity, and whether it can map
+//     shared-memory segments.
 //  2. After n hellos, the coordinator assigns ranks in arrival order and
 //     answers every joiner with a book: its rank, a world token, and every
 //     rank's hello. An aborted rendezvous answers with a book that carries
-//     only the reason. The coordinator then closes the connection.
+//     only the reason, and so does every connection beyond the n-th. The
+//     coordinator then closes the connection.
 //  3. Joiner r links to every peer: pairs on the same host with shm
 //     capability on both sides ride a shared-memory pair segment (the
 //     lower rank creates it under the world token, the higher rank
@@ -109,11 +112,7 @@ func StartCoordinator(addr string, n int, opts ...CoordinatorOption) (*Coordinat
 	for _, o := range opts {
 		o(c)
 	}
-	go func() {
-		err := c.serve()
-		ln.Close() // before Wait returns, so a dial after it is refused
-		c.done <- err
-	}()
+	go func() { c.done <- c.serve() }()
 	return c, nil
 }
 
@@ -127,25 +126,32 @@ func (c *Coordinator) Wait() error { return <-c.done }
 // Close stops the coordinator's listener.
 func (c *Coordinator) Close() error { return c.ln.Close() }
 
+// arrival is a joiner's hello, or the accept loop's end.
+type arrival struct {
+	conn net.Conn
+	h    hello
+	err  error
+}
+
 // serve runs the rendezvous until every joiner has its book, or it aborts.
+// Then it closes the listener, so a dial after Wait returns is refused, and
+// answers every connection it accepted beyond the world with an abort. A
+// connection that never sends its hello holds Wait for up to rendezvousIO.
 func (c *Coordinator) serve() error {
-	type arrival struct {
-		conn net.Conn
-		h    hello
-		err  error
-	}
-	// Buffered generously so late accept/hello goroutines never block
-	// after serve has returned.
-	arrivals := make(chan arrival, 2*c.n+4)
-	deaths := make(chan int, c.n)
+	arrivals := make(chan arrival)
+	var readers sync.WaitGroup // the accept loop and the hello readers it starts
+	readers.Add(1)
 	go func() {
+		defer readers.Done()
 		for {
 			conn, err := c.ln.Accept()
 			if err != nil {
 				arrivals <- arrival{err: err}
 				return
 			}
+			readers.Add(1)
 			go func() {
+				defer readers.Done()
 				var h hello
 				conn.SetReadDeadline(time.Now().Add(rendezvousIO))
 				err := json.NewDecoder(io.LimitReader(conn, maxHelloBytes)).Decode(&h)
@@ -158,6 +164,28 @@ func (c *Coordinator) serve() error {
 			}()
 		}
 	}()
+	err := c.assemble(arrivals)
+	c.ln.Close()
+	go func() {
+		readers.Wait()
+		close(arrivals)
+	}()
+	reason := fmt.Sprintf("world of %d is complete", c.n)
+	if err != nil {
+		reason = err.Error()
+	}
+	for a := range arrivals {
+		if a.conn != nil {
+			sendBook(a.conn, book{Abort: reason}) // best effort
+		}
+	}
+	return err
+}
+
+// assemble takes the first n hellos and sends each joiner its book, or
+// aborts every joiner it took.
+func (c *Coordinator) assemble(arrivals <-chan arrival) error {
+	deaths := make(chan int, c.n)
 	var timeoutCh <-chan time.Time
 	if c.timeout > 0 {
 		tm := time.NewTimer(c.timeout)
@@ -298,16 +326,17 @@ func JoinRetry(coordAddr string, window time.Duration, opts ...Option) (mpi.Comm
 // bound (meshTimeout outside tests) spelled out.
 func join(coordAddr string, retryWindow, meshBound time.Duration, opts ...Option) (mpi.Comm, func() error, error) {
 	cfg := newConfig(opts)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	shmOK := !cfg.NoShm && shm.MapAvailable() && os.Getenv("AAPC_SHM") != "0"
+	coord, err := dialRetry(coordAddr, retryWindow)
 	if err != nil {
 		return nil, nil, err
 	}
-	shmOK := !cfg.NoShm && shm.MapAvailable() && os.Getenv("AAPC_SHM") != "0"
-	coord, err := dialRetry(coordAddr, retryWindow)
-	var b book
-	if err == nil {
-		b, err = rendezvous(coord, hello{Addr: ln.Addr().String(), Host: hostIdentity(&cfg), Shm: shmOK})
+	ln, err := net.Listen("tcp", listenAddr(coord.LocalAddr().String()))
+	if err != nil {
+		coord.Close()
+		return nil, nil, err
 	}
+	b, err := rendezvous(coord, hello{Addr: ln.Addr().String(), Host: hostIdentity(&cfg), Shm: shmOK})
 	if err != nil {
 		ln.Close()
 		return nil, nil, err
@@ -370,6 +399,15 @@ func (nd *node) mesh(token string, bound time.Duration) error {
 		return err
 	}
 	return nd.awaitMesh()
+}
+
+// listenAddr is where a joiner listens: on the local IP of its connection
+// to the coordinator, coordLocal, at any port. Peers reach the joiner on
+// the interface the coordinator did; a loopback coordinator still yields a
+// loopback listener.
+func listenAddr(coordLocal string) string {
+	host, _, _ := net.SplitHostPort(coordLocal)
+	return net.JoinHostPort(host, "0")
 }
 
 // dialRetry dials addr, retrying with exponential backoff for up to window

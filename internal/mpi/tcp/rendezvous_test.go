@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -45,6 +46,17 @@ func joinRanks(t *testing.T, n int, opts ...Option) ([]mpi.Comm, []func() error)
 	if err != nil {
 		t.Fatal(err)
 	}
+	comms, closers := joinAll(t, coord.Addr(), n, opts...)
+	if err := coord.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	return comms, closers
+}
+
+// joinAll joins n ranks through the coordinator at coordAddr and returns
+// them indexed by rank, with one closer each.
+func joinAll(t *testing.T, coordAddr string, n int, opts ...Option) ([]mpi.Comm, []func() error) {
+	t.Helper()
 	comms := make([]mpi.Comm, n)
 	closers := make([]func() error, n)
 	var wg sync.WaitGroup
@@ -53,7 +65,7 @@ func joinRanks(t *testing.T, n int, opts ...Option) ([]mpi.Comm, []func() error)
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c, closeFn, err := Join(coord.Addr(), opts...)
+			c, closeFn, err := Join(coordAddr, opts...)
 			if err != nil {
 				errs <- err
 				return
@@ -68,9 +80,6 @@ func joinRanks(t *testing.T, n int, opts ...Option) ([]mpi.Comm, []func() error)
 	case err := <-errs:
 		t.Fatal(err)
 	default:
-	}
-	if err := coord.Wait(); err != nil {
-		t.Fatal(err)
 	}
 	cleanup := func() {
 		for _, fn := range closers {
@@ -580,8 +589,9 @@ func TestRendezvousTimeout(t *testing.T) {
 // inside its window, and gives up with "coordinator unreachable" when none
 // listens — also right after a coordinator's Wait has returned, since it
 // closes its listener first. The coordinator's port is one the kernel just
-// freed, so it sits on 127.0.0.2: a joiner's own listener (on 127.0.0.1)
-// could take it back there, and the joiner would then dial itself.
+// freed, so it sits on 127.0.0.2: a retried dial, from an ephemeral port on
+// 127.0.0.1, could take it back there, and the joiner would then dial
+// itself.
 func TestJoinRetryWindow(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.2:0")
 	if err != nil {
@@ -616,6 +626,82 @@ func TestJoinRetryWindow(t *testing.T) {
 	if _, _, err := JoinRetry(addr, 300*time.Millisecond); err == nil ||
 		!strings.Contains(err.Error(), "coordinator unreachable") {
 		t.Fatalf("JoinRetry with no coordinator = %v, want unreachable", err)
+	}
+}
+
+// TestListenAddr: a joiner listens on the IP its coordinator connection
+// leaves from, at any port.
+func TestListenAddr(t *testing.T) {
+	for local, want := range map[string]string{
+		"10.0.0.7:41000":  "10.0.0.7:0",
+		"[::1]:41000":     "[::1]:0",
+		"127.0.0.1:41000": "127.0.0.1:0",
+	} {
+		if got := listenAddr(local); got != want {
+			t.Errorf("listenAddr(%q) = %q, want %q", local, got, want)
+		}
+	}
+}
+
+// TestJoinAdvertisesCoordinatorFacingIP: every address in the book a
+// joined rank decoded is on the IP the joiners reached the coordinator
+// from. Over IPv6 loopback that is ::1, which a listener fixed on 127.0.0.1
+// would never advertise.
+func TestJoinAdvertisesCoordinatorFacingIP(t *testing.T) {
+	for _, host := range []string{"127.0.0.1", "::1"} {
+		coord, err := StartCoordinator(net.JoinHostPort(host, "0"), 2)
+		if err != nil {
+			t.Logf("no coordinator on %s: %v", host, err)
+			continue
+		}
+		comms, closers := joinAll(t, coord.Addr(), 2, WithoutSharedMemory())
+		for _, c := range comms {
+			for p, addr := range c.(*node).addrs {
+				if h, _, _ := net.SplitHostPort(addr); h != host {
+					t.Errorf("rank %d's book: rank %d at %q, want host %s", c.Rank(), p, addr, host)
+				}
+			}
+		}
+		for _, fn := range closers {
+			fn()
+		}
+	}
+}
+
+// TestRendezvousSurplusJoiner: with n+1 joiners for a world of n, n join,
+// and the one left over fails within rendezvousIO with the coordinator's
+// reason instead of waiting forever for a book. Nothing is left running.
+// The surplus joiner dials first, so the coordinator accepts it ahead of
+// the others (the accept queue is FIFO), and says hello once the world is
+// complete.
+func TestRendezvousSurplusJoiner(t *testing.T) {
+	const n = 2
+	before := runtime.NumGoroutine()
+	coord, err := StartCoordinator("127.0.0.1:0", n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	surplus, err := net.Dial("tcp", coord.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, closers := joinAll(t, coord.Addr(), n, WithoutSharedMemory())
+	for _, fn := range closers {
+		fn()
+	}
+	surplus.SetDeadline(time.Now().Add(rendezvousIO))
+	_, err = rendezvous(surplus, hello{Addr: "127.0.0.1:1", Host: "surplus"})
+	const reason = "rendezvous aborted by coordinator: world of 2 is complete"
+	if err == nil || !strings.Contains(err.Error(), reason) {
+		t.Fatalf("surplus joiner: %v, want %q", err, reason)
+	}
+	if err := coord.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	for end := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(end) {
+			t.Fatalf("%d goroutines running, %d before the rendezvous", runtime.NumGoroutine(), before)
+		}
 	}
 }
 

@@ -118,8 +118,6 @@ func newDataFrame(m mpi.Op) *outFrame {
 // Wait is drained much later must not misreport its send as having lasted
 // until the drain. Callers serialize through the stream that owns the
 // frame.
-//
-//aapc:noalloc
 func (fr *outFrame) finish(err error, epoch time.Time) {
 	if fr.completed {
 		return
@@ -145,8 +143,6 @@ func (st *sendStream) rewind() {
 // the ack proves delivery, so the caller's buffer is finally free for
 // reuse. Caller holds the stream mutex; done is buffered, so the send
 // cannot block under it.
-//
-//aapc:noalloc
 func (lk *link) retireFrameLocked(fr *outFrame) {
 	if fr.poolable && fr.buf != nil {
 		lk.nd.pool.put(fr.buf)
@@ -236,9 +232,6 @@ type writeBatch struct {
 // st.mu. Returns true when the queue head cannot be admitted because the
 // retransmit window is full and nothing else is writable — the overflow
 // condition that terminally fails the stream.
-//
-//aapc:noalloc
-//aapc:nocopy frames move by pointer; payload bytes are never touched
 func (b *writeBatch) collect(st *sendStream, limit, maxData int) (overflow bool) {
 	b.frames = b.frames[:0]
 	b.nRetrans = 0
@@ -284,9 +277,6 @@ func (b *writeBatch) collect(st *sendStream, limit, maxData int) (overflow bool)
 
 // buildIovecs lays the batch out for one vectored write: header, payload,
 // header, payload, ..., with the coalesced ack last.
-//
-//aapc:noalloc
-//aapc:nocopy
 func (b *writeBatch) buildIovecs() {
 	n := len(b.frames)
 	if b.dup {
@@ -325,9 +315,6 @@ func (b *writeBatch) buildIovecs() {
 // retransmission will ever need the bytes again. reack re-arms the
 // coalesced ack after a failed write so it is retried on the next
 // (post-reconnect) cycle.
-//
-//aapc:noalloc
-//aapc:nocopy
 func (lk *link) releaseBatch(b *writeBatch, err error, complete, reack bool) {
 	st := &lk.st
 	st.mu.Lock()

@@ -1,8 +1,13 @@
 package tcp
 
 import (
+	"bytes"
+	"io"
+	"net"
 	"sync"
 	"testing"
+	"time"
+	"unsafe"
 
 	"github.com/aapc-sched/aapcsched/internal/mpi"
 )
@@ -192,4 +197,176 @@ func TestUntimedStreamWaitNoAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("untimed blocking wait: %v allocs per wait, want 0", allocs)
 	}
+}
+
+// bareLink returns rank 0's end of a two-rank node with no writer, reader or
+// socket behind it, so a test can drive the send path's steps by hand.
+func bareLink() *link {
+	nd := &node{shared: &shared{start: time.Now()}, n: 2, links: make([]*link, 2)}
+	lk := &link{nd: nd, peer: 1}
+	lk.st.cond = sync.NewCond(&lk.st.mu)
+	nd.links[1] = lk
+	return lk
+}
+
+// drainedConn returns one end of a loopback TCP connection whose other end
+// is read, into one reused buffer, until the test ends.
+func drainedConn(t *testing.T) net.Conn {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		buf := make([]byte, 64<<10)
+		for {
+			if _, err := peer.Read(buf); err != nil {
+				return
+			}
+		}
+	}()
+	t.Cleanup(func() {
+		conn.Close()
+		<-done
+		peer.Close()
+	})
+	return conn
+}
+
+// TestSendLoopNoSteadyStateAllocs is the allocation gate of the send side.
+// Once warm, one pass of the writer's loop allocates nothing: collect,
+// buildIovecs, the vectored write to a real socket and releaseBatch, then
+// the cumulative ack retiring the frames (retireFrameLocked, finish) and
+// the payload pool's get/put hit path. Each pass carries one borrowed
+// frame and one pooled copy, so both ways a frame retires run. The frames
+// are built before the measurement: a send's request is the one allocation
+// it makes.
+func TestSendLoopNoSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on synchronization")
+	}
+	const runs = 200
+	lk, conn := bareLink(), drainedConn(t)
+	nd, st := lk.nd, &lk.st
+	block, small := make([]byte, 4096), make([]byte, 100)
+	var frames []*outFrame
+	for i := 0; i < runs+3; i++ {
+		borrowed := newDataFrame(mpi.Op{Buf: block, Tag: i, Ctx: uint64(i + 1)})
+		borrowed.borrowed = true
+		frames = append(frames, borrowed, newDataFrame(mpi.Op{Buf: small, Tag: i}))
+	}
+	var b writeBatch
+	// iov escapes through the net.Conn interface, as in writer.
+	var iov net.Buffers
+	pass := func() {
+		pair := frames[:2]
+		frames = frames[2:]
+		st.mu.Lock()
+		// The copy branch of isend.
+		pair[1].buf = nd.pool.get(len(small))
+		copy(pair[1].buf, small)
+		pair[1].poolable = true
+		st.queue = append(st.queue, pair...)
+		if b.collect(st, 64, writerMaxBatch) {
+			t.Fatal("retransmit window overflow")
+		}
+		st.mu.Unlock()
+		b.buildIovecs()
+		iov = b.iovecs
+		if _, err := iov.WriteTo(conn); err != nil {
+			t.Fatal(err)
+		}
+		lk.releaseBatch(&b, nil, true, false)
+		lk.ackStream(st.nextSeq)
+		for _, fr := range pair {
+			if _, err := fr.Wait(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	pass()
+	pass()
+	if allocs := testing.AllocsPerRun(runs, pass); allocs != 0 {
+		t.Fatalf("send loop: %v allocs per pass, want 0", allocs)
+	}
+	if len(st.unacked) != 0 {
+		t.Fatalf("%d frames left unacked", len(st.unacked))
+	}
+}
+
+// TestZeroCopyAliasing checks the zero-copy property itself rather than a
+// counter of it. A borrowed send's payload iovec is the caller's block:
+// the same backing array and the same length. A payload that fits its
+// posted receive is read off the socket into that receive's buffer and
+// nowhere else.
+func TestZeroCopyAliasing(t *testing.T) {
+	t.Run("borrowed-send", func(t *testing.T) {
+		// 64 KiB is above zeroCopyMin; 64 B is below it but pool-aligned.
+		for _, size := range []int{64 << 10, 64} {
+			lk := bareLink()
+			block := make([]byte, size)
+			lk.nd.isend(mpi.Op{Buf: block, Peer: 1, Tag: 7})
+			var b writeBatch
+			lk.st.mu.Lock()
+			b.collect(&lk.st, 64, writerMaxBatch)
+			lk.st.mu.Unlock()
+			b.buildIovecs()
+			if len(b.iovecs) != 2 {
+				t.Fatalf("%d B: %d iovecs, want a header and a payload", size, len(b.iovecs))
+			}
+			if p := b.iovecs[1]; unsafe.SliceData(p) != unsafe.SliceData(block) || len(p) != size {
+				t.Errorf("%d B: payload iovec is not the caller's block", size)
+			}
+		}
+	})
+	t.Run("posted-recv", func(t *testing.T) {
+		nd := &node{shared: &shared{}}
+		for _, size := range []int{8192, 5000, 1} {
+			op := &recvOp{buf: make([]byte, 8192)}
+			want := bytes.Repeat([]byte{0xa5}, size)
+			conn := &recordingConn{src: bytes.NewReader(want)}
+			sockErr, opErr := nd.readIntoOp(conn, op, size)
+			if sockErr != nil || opErr != nil {
+				t.Fatalf("%d B: readIntoOp = %v, %v", size, sockErr, opErr)
+			}
+			if !bytes.Equal(op.buf[:size], want) {
+				t.Fatalf("%d B: payload did not land in the posted buffer", size)
+			}
+			lo := uintptr(unsafe.Pointer(unsafe.SliceData(op.buf)))
+			hi := lo + uintptr(len(op.buf))
+			for _, p := range conn.targets {
+				at := uintptr(unsafe.Pointer(unsafe.SliceData(p)))
+				if at < lo || at+uintptr(len(p)) > hi {
+					t.Fatalf("%d B: a socket read landed outside the posted buffer", size)
+				}
+			}
+			if len(conn.targets) == 0 {
+				t.Fatalf("%d B: nothing was read", size)
+			}
+		}
+	})
+}
+
+// recordingConn serves src in reads of at most 1000 bytes and records
+// every buffer a Read was asked to fill.
+type recordingConn struct {
+	net.Conn
+	src     io.Reader
+	targets [][]byte
+}
+
+func (c *recordingConn) Read(p []byte) (int, error) {
+	c.targets = append(c.targets, p)
+	return c.src.Read(p[:min(len(p), 1000)])
 }

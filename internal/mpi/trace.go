@@ -24,15 +24,11 @@ const traceSeqBits = 40
 // MakeTraceCtx packs a sender rank and a 1-based per-rank span sequence
 // number into a trace context. A valid context is never zero (the rank
 // field is biased by one), so 0 always means "untraced".
-//
-//aapc:noalloc
 func MakeTraceCtx(rank int, seq uint64) uint64 {
 	return (uint64(rank)+1)<<traceSeqBits | (seq & (1<<traceSeqBits - 1))
 }
 
 // SplitTraceCtx unpacks a context built by MakeTraceCtx.
-//
-//aapc:noalloc
 func SplitTraceCtx(ctx uint64) (rank int, seq uint64) {
 	return int(ctx>>traceSeqBits) - 1, ctx & (1<<traceSeqBits - 1)
 }

@@ -210,8 +210,6 @@ func (r *Recorder) NumEvents() int {
 const eventChunkSize = 256
 
 // record appends an event and feeds the derived histograms and byte tallies.
-//
-//aapc:noalloc
 func (r *Recorder) record(e Event) {
 	if !Enabled || r == nil {
 		return
@@ -225,7 +223,7 @@ func (r *Recorder) record(e Event) {
 		if k > 0 {
 			size = eventChunkSize
 		}
-		r.chunks = append(r.chunks, make([]Event, 0, size)) //aapc:allow noalloc amortized: one chunk per eventChunkSize events
+		r.chunks = append(r.chunks, make([]Event, 0, size)) // amortized: one chunk per eventChunkSize events
 	}
 	last := len(r.chunks) - 1
 	r.chunks[last] = append(r.chunks[last], e)
@@ -397,11 +395,9 @@ func (c *icomm) opPhase() int {
 func (c *icomm) SetNextOpPhase(phase int) { c.nextPhase = phase }
 
 // newReq wraps a request in the next slot of the current chunk.
-//
-//aapc:noalloc
 func (c *icomm) newReq(inner mpi.Request, ev Event) *ireq {
 	if len(c.chunk) == cap(c.chunk) {
-		c.chunk = make([]ireq, 0, 64) //aapc:allow noalloc bump-allocator refill: one heap object per 64 requests
+		c.chunk = make([]ireq, 0, 64) // bump-allocator refill: one heap object per 64 requests
 	}
 	c.chunk = append(c.chunk, ireq{inner: inner, c: c, ev: ev})
 	return &c.chunk[len(c.chunk)-1]
@@ -437,8 +433,6 @@ func (c *icomm) MarkSyncWait(peer int, start, end float64) {
 
 // Isend records the send and stamps its (rank, seq) identity into the op's
 // trace context: every transport carries Ctx to the matching receive.
-//
-//aapc:noalloc
 func (c *icomm) Isend(op mpi.Op) mpi.Request {
 	c.seq++
 	ev := Event{Kind: KindSend, Rank: c.inner.Rank(), Peer: op.Peer, Tag: op.Tag,
@@ -447,7 +441,6 @@ func (c *icomm) Isend(op mpi.Op) mpi.Request {
 	return c.newReq(c.inner.Isend(op), ev)
 }
 
-//aapc:noalloc
 func (c *icomm) Irecv(op mpi.Op) mpi.Request {
 	c.seq++
 	ev := Event{Kind: KindRecv, Rank: c.inner.Rank(), Peer: op.Peer, Tag: op.Tag,
@@ -478,7 +471,6 @@ type ireq struct {
 	done  bool
 }
 
-//aapc:noalloc completion path of every instrumented operation
 func (r *ireq) finish(info mpi.TraceInfo, err error) {
 	if r.done {
 		return

@@ -69,8 +69,6 @@ const (
 )
 
 // ClassifyMsize buckets a message size in bytes.
-//
-//aapc:noalloc
 func ClassifyMsize(msize int) MsizeClass {
 	switch {
 	case msize < smallLimit:

@@ -79,10 +79,15 @@ func (u *edgeUsage) grow() {
 }
 
 // firstFree returns the smallest phase >= from that is unoccupied on every
-// edge of the path. The result is at most numPhases (a fresh phase).
-//
-//aapc:noalloc first-fit probe, the daemon's incremental-reschedule hot path
+// edge of the path. The result is at most max(from, numPhases) (a fresh
+// phase). It is the first-fit probe of the daemon's incremental reschedule
+// and allocates nothing (TestFirstFreeNoAllocs).
 func (u *edgeUsage) firstFree(path []int32, from int) int {
+	if from >= u.numPhases {
+		// Nothing is set at or past numPhases. The scan below would also
+		// run past the bitsets when from>>6 reaches stride.
+		return from
+	}
 	w := from >> 6
 	// Mask out the bits below from in the first word so they read as
 	// occupied.

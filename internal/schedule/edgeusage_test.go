@@ -165,3 +165,45 @@ func TestQuickRescheduleMatchesScan(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestFirstFreeNoAllocs: the first-fit probe, the inner loop of greedy
+// construction and of the daemon's incremental reschedule, allocates
+// nothing, whether it scans blocks or skips saturated words.
+func TestFirstFreeNoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts only hold without the race detector")
+	}
+	u := newEdgeUsage(8, 300)
+	for p := 0; p < 200; p++ {
+		u.set([]int32{0}, p) // saturates edge 0's first words
+		u.set([]int32{int32(1 + p%3)}, p)
+	}
+	paths := [][]int32{{0}, {0, 1}, {1, 2}, {2, 3, 5}}
+	sum := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		for from := 0; from < 260; from += 13 {
+			for _, path := range paths {
+				sum += u.firstFree(path, from)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("firstFree: %v allocs per probe sweep, want 0", allocs)
+	}
+	if sum == 0 {
+		t.Fatal("probes found nothing")
+	}
+}
+
+// TestFirstFreePastLastPhase: a probe from at or past numPhases returns
+// from itself, also when from's word lies past the bitsets (64 here,
+// with one block of 64 phases).
+func TestFirstFreePastLastPhase(t *testing.T) {
+	u := newEdgeUsage(1, 0)
+	u.set([]int32{0}, 62)
+	for _, from := range []int{63, 64, 200} {
+		if got := u.firstFree([]int32{0}, from); got != from {
+			t.Errorf("firstFree(from %d) = %d, want %d", from, got, from)
+		}
+	}
+}

@@ -145,13 +145,11 @@ func (e *engine) detachFlow(f *flow) {
 // bottleneck at most once, so a call costs O(rounds × edges + Σ aggregate
 // path lengths) instead of the reference solver's O(rounds × flows × path).
 // Caller holds e.mu.
-//
-//aapc:noalloc
 func (e *engine) assignRatesFast() {
 	nEdges := len(e.edgeCap)
 	fs := &e.fs
 	if cap(fs.edges) < nEdges {
-		fs.edges = make([]edgeState, nEdges) //aapc:allow noalloc amortized: sized once per topology, reused every solver call
+		fs.edges = make([]edgeState, nEdges) // amortized: sized once per topology, reused every solver call
 	}
 	if len(e.aggs) == 0 {
 		for i := range e.linkRate {
