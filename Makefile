@@ -19,7 +19,10 @@ fmt:
 # for the allgather view), amortized sub-0.1 allocs per instrumented
 # operation, zero allocs per tcp send-loop pass once warm (collect,
 # buildIovecs, the writev, releaseBatch, ack retirement and the payload
-# pool's hit path), zero userspace payload copies on the tcp data plane with
+# pool's hit path), the lazy ack's memory budget (one-way copied tcp frames
+# ask for an ack once writerMaxBatch of them wait for one, and every pooled
+# copy an ack covers is back in the pool when it lands), zero userspace
+# payload copies on the tcp data plane with
 # receives pre-posted (the zero-copy gate: one row for an in-process world,
 # one for a mesh joined through a coordinator), a borrowed send's iovec that
 # is the caller's block and a posted receive read into nothing but its own
@@ -32,7 +35,7 @@ fmt:
 alloc-gates:
 	$(GO) test -run 'TestScheduledFnNoSteadyStateAllocs' -count=1 ./internal/alltoall/
 	$(GO) test -run 'TestInstrumentedOpAllocsAmortized' -count=1 ./internal/obsv/
-	$(GO) test -run 'TestTCPZeroCopySteadyState|TestUntimedStreamWaitNoAllocs|TestSendLoopNoSteadyStateAllocs|TestZeroCopyAliasing' -count=1 ./internal/mpi/tcp/
+	$(GO) test -run 'TestTCPZeroCopySteadyState|TestUntimedStreamWaitNoAllocs|TestSendLoopNoSteadyStateAllocs|TestZeroCopyAliasing|TestLazyAckWindowOneWayCopied' -count=1 ./internal/mpi/tcp/
 	$(GO) test -run 'TestWorldStagedBuffersReused' -count=1 ./internal/mpi/shm/
 	$(GO) test -run 'TestAssignRatesNoSteadyStateAllocs' -count=1 ./internal/simnet/
 	$(GO) test -run 'TestFirstFreeNoAllocs' -count=1 ./internal/schedule/

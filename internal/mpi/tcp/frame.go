@@ -9,45 +9,56 @@ import (
 )
 
 // Frame wire format: kind (1 byte) | tag (int64) | seq (uint64) |
-// payload length (int64) | trace ctx (uint64) | payload. Ack frames carry
-// the cumulative ack in seq (every data frame with a smaller sequence
-// number has been delivered) and no payload or trace context (ctx 0); a bye
-// frame is a bare header, the last thing a closing rank writes on a link.
-// The trace context is an opaque causal identifier (mpi.MakeTraceCtx)
-// handed to the matching receiver; retransmissions repeat the original
-// frame verbatim, context included, and the duplicate-discard below the
-// matcher keeps re-deliveries from ever reaching a receive twice.
-const headerLen = 33
+// payload length (int64) | trace ctx (uint64) | ack (uint64) | payload.
+// Every frame carries the sender's cumulative ack in ack: every data frame
+// of the opposite direction with a smaller sequence number has been
+// delivered. A data frame's kind byte may carry frameAckReq, asking the
+// receiver to return that ack promptly, in an ack frame of its own when it
+// has no data frame to carry it. An ack frame is a bare header whose only
+// value is ack (tag, seq and ctx 0); a bye frame is a bare header, the last
+// thing a closing rank writes on a link. The trace context is an opaque
+// causal identifier (mpi.MakeTraceCtx) handed to the matching receiver;
+// retransmissions repeat the original frame, context and ack request
+// included, and the duplicate-discard below the matcher keeps
+// re-deliveries from ever reaching a receive twice.
+const headerLen = 41
 
 const (
 	frameData byte = 0
 	frameAck  byte = 1
 	frameBye  byte = 2
+	// frameAckReq is the kind byte's ack-request flag, valid on data frames
+	// only.
+	frameAckReq byte = 0x80
 )
 
 const maxFramePayload = 1 << 30
 
 // frameHeader is a decoded frame header.
 type frameHeader struct {
-	kind byte
-	tag  int
-	seq  uint64
-	size int
-	ctx  uint64
+	kind   byte
+	ackReq bool
+	tag    int
+	seq    uint64
+	size   int
+	ctx    uint64
+	ack    uint64
 }
 
 // parseFrameHeader is the one decoder of what a peer puts on the wire. It
 // rejects whatever no sender of this package emits — an unknown kind, a
-// negative or oversized length, a control frame claiming a payload — so the
-// read loop never sizes a buffer from, or skips bytes on the word of, a
-// corrupt or hostile stream.
+// negative or oversized length, a control frame claiming a payload or
+// asking for an ack — so the read loop never sizes a buffer from, or skips
+// bytes on the word of, a corrupt or hostile stream.
 func parseFrameHeader(hdr []byte) (frameHeader, error) {
 	h := frameHeader{
-		kind: hdr[0],
-		tag:  int(int64(binary.LittleEndian.Uint64(hdr[1:9]))),
-		seq:  binary.LittleEndian.Uint64(hdr[9:17]),
-		size: int(int64(binary.LittleEndian.Uint64(hdr[17:25]))),
-		ctx:  binary.LittleEndian.Uint64(hdr[25:33]),
+		kind:   hdr[0] &^ frameAckReq,
+		ackReq: hdr[0]&frameAckReq != 0,
+		tag:    int(int64(binary.LittleEndian.Uint64(hdr[1:9]))),
+		seq:    binary.LittleEndian.Uint64(hdr[9:17]),
+		size:   int(int64(binary.LittleEndian.Uint64(hdr[17:25]))),
+		ctx:    binary.LittleEndian.Uint64(hdr[25:33]),
+		ack:    binary.LittleEndian.Uint64(hdr[33:41]),
 	}
 	switch {
 	case h.kind > frameBye:
@@ -56,25 +67,34 @@ func parseFrameHeader(hdr []byte) (frameHeader, error) {
 		return h, fmt.Errorf("bad frame size %d", h.size)
 	case h.kind != frameData && h.size != 0:
 		return h, fmt.Errorf("control frame (kind %d) with a %d-byte payload", h.kind, h.size)
+	case h.kind != frameData && h.ackReq:
+		return h, fmt.Errorf("control frame (kind %d) asking for an ack", h.kind)
 	}
 	return h, nil
 }
 
-// putFrameHeader encodes a header into hdr (headerLen bytes).
-func putFrameHeader(hdr []byte, kind byte, tag int, seq uint64, size int, ctx uint64) {
-	hdr[0] = kind
-	binary.LittleEndian.PutUint64(hdr[1:9], uint64(int64(tag)))
-	binary.LittleEndian.PutUint64(hdr[9:17], seq)
-	binary.LittleEndian.PutUint64(hdr[17:25], uint64(int64(size)))
-	binary.LittleEndian.PutUint64(hdr[25:33], ctx)
+// putFrameHeader encodes h into hdr (headerLen bytes).
+func putFrameHeader(hdr []byte, h frameHeader) {
+	hdr[0] = h.kind
+	if h.ackReq {
+		hdr[0] |= frameAckReq
+	}
+	binary.LittleEndian.PutUint64(hdr[1:9], uint64(int64(h.tag)))
+	binary.LittleEndian.PutUint64(hdr[9:17], h.seq)
+	binary.LittleEndian.PutUint64(hdr[17:25], uint64(int64(h.size)))
+	binary.LittleEndian.PutUint64(hdr[25:33], h.ctx)
+	binary.LittleEndian.PutUint64(hdr[33:41], h.ack)
 }
 
-// appendFrame lays one data frame out for a vectored write: the header is
-// encoded into hdr (headerLen bytes of the caller's arena), then hdr and the
-// payload are appended to iov. The payload rides the iovec list by reference
-// into writev.
-func appendFrame(iov net.Buffers, hdr []byte, fr *outFrame) net.Buffers {
-	putFrameHeader(hdr, frameData, fr.tag, fr.seq, fr.size, fr.ctx)
+// appendFrame lays one data frame out for a vectored write: the header,
+// carrying the cumulative ack, is encoded into hdr (headerLen bytes of the
+// caller's arena), then hdr and the payload are appended to iov. The
+// payload rides the iovec list by reference into writev.
+func appendFrame(iov net.Buffers, hdr []byte, fr *outFrame, ack uint64) net.Buffers {
+	putFrameHeader(hdr, frameHeader{
+		kind: frameData, ackReq: fr.ackReq,
+		tag: fr.tag, seq: fr.seq, size: fr.size, ctx: fr.ctx, ack: ack,
+	})
 	iov = append(iov, hdr)
 	if len(fr.buf) > 0 {
 		iov = append(iov, fr.buf)

@@ -68,8 +68,11 @@ type link struct {
 	// already closed), so at most one reader ever processes the link's frames
 	// and recvNext — the next sequence number expected FROM the peer, advanced
 	// only after a payload has landed in user memory — is the reader's alone.
+	// So is ackSeen, the largest cumulative ack the peer's headers have
+	// carried: only a larger one is worth a pass over the retransmit window.
 	reader   sync.WaitGroup
 	recvNext uint64
+	ackSeen  uint64
 
 	st sendStream
 }
@@ -279,9 +282,12 @@ func (lk *link) install(conn net.Conn) bool {
 }
 
 // goodbye is a closing rank's farewell on one link. On a live link it waits
-// (until deadline) for the stream to drain — queued frames and the pending
+// (until deadline) for the stream to drain — queued frames and the final
 // cumulative ack are owed to the peer — retires the stream, and writes a bye
-// as the link's last frame. The peer answers by closing its end, which ends
+// as the link's last frame. The ack is sent even when no one asked for it:
+// without it the peer would still hold delivered frames for retransmission
+// when the bye fails its stream, and fail a send whose write has completed
+// but not yet been released. The peer answers by closing its end, which ends
 // this end's reader; the read deadline ends it if the peer does not. A link
 // that is not up, or does not drain in time, is simply taken down.
 func (lk *link) goodbye(deadline time.Time) {
@@ -293,6 +299,8 @@ func (lk *link) goodbye(deadline time.Time) {
 		// exits without another write, so the bye cannot interleave with one.
 		st := &lk.st
 		st.mu.Lock()
+		st.ackDirty = true
+		st.cond.Broadcast()
 		up = st.waitLocked(max(time.Until(deadline), time.Millisecond),
 			func() bool { return !st.busy && !st.hasWorkLocked() })
 		if up {
@@ -305,7 +313,7 @@ func (lk *link) goodbye(deadline time.Time) {
 		return
 	}
 	var bye [headerLen]byte
-	putFrameHeader(bye[:], frameBye, 0, 0, 0, 0)
+	putFrameHeader(bye[:], frameHeader{kind: frameBye})
 	conn.SetDeadline(deadline)
 	conn.Write(bye[:])
 }
@@ -317,11 +325,11 @@ func (lk *link) goodbye(deadline time.Time) {
 const sockBufSize = 1 << 20
 
 // tuneConn applies the data-plane socket options to a freshly established
-// connection: TCP_NODELAY so the 33-byte ack and sync frames the scheduled
-// algorithm's pairwise synchronization rides on are never Nagle-delayed
-// behind an unacked large frame, and enlarged kernel buffers (see
-// sockBufSize). Best effort: a conn type without the knobs (shm pair
-// segments) is used as-is.
+// connection: TCP_NODELAY so the 41-byte ack frames and the small sync
+// frames the scheduled algorithm's pairwise synchronization rides on are
+// never Nagle-delayed behind an unacked large frame, and enlarged kernel
+// buffers (see sockBufSize). Best effort: a conn type without the knobs
+// (shm pair segments) is used as-is.
 func tuneConn(conn net.Conn) {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)

@@ -6,9 +6,10 @@ import (
 	"net"
 )
 
-// readLoop receives the peer's frames on one connection epoch. Data frames
-// pass the sequence cursor (duplicates are discarded and re-acked), ack
-// frames prune the retransmit window, a bye ends the link without a redial.
+// readLoop receives the peer's frames on one connection epoch. Every
+// header's cumulative ack prunes the retransmit window, data frames pass
+// the sequence cursor (duplicates are discarded and re-acked), a bye ends
+// the link without a redial.
 // A payload whose receive is already posted is read straight into the
 // user's buffer; otherwise it is staged in a pooled buffer until the match.
 func (lk *link) readLoop(conn net.Conn, epoch int) {
@@ -29,9 +30,12 @@ func (lk *link) readLoop(conn net.Conn, epoch int) {
 			lk.broken(epoch, fmt.Errorf("tcp: rank %d: %w from %d", nd.rank, err, p), true)
 			return
 		}
+		if h.ack > lk.ackSeen {
+			lk.ackSeen = h.ack
+			lk.ackStream(h.ack)
+		}
 		switch h.kind {
 		case frameAck:
-			lk.ackStream(h.seq)
 			continue
 		case frameBye:
 			lk.broken(epoch, errPeerClosed, true)
@@ -52,7 +56,7 @@ func (lk *link) readLoop(conn net.Conn, epoch int) {
 				return
 			}
 			nd.stats.dupDiscards.Add(1)
-			st.noteAck(cur)
+			st.noteAck(cur, true)
 			continue
 		case h.seq > cur:
 			lk.broken(epoch, fmt.Errorf("tcp: rank %d: sequence gap from %d: got %d want %d", nd.rank, p, h.seq, cur), true)
@@ -84,13 +88,15 @@ func (lk *link) readLoop(conn net.Conn, epoch int) {
 			lk.broken(epoch, fmt.Errorf("tcp: rank %d reading payload from %d: %w", nd.rank, p, err), false)
 			return
 		}
+		// The ack is recorded before the receive completes, so a reply the
+		// receiver sends at once carries it.
 		lk.recvNext++
+		st.noteAck(lk.recvNext, h.ackReq)
 		if op != nil {
 			m.complete(op, h.ctx, opErr)
 		} else {
 			m.deliver(key, payload, h.ctx)
 		}
-		st.noteAck(lk.recvNext)
 	}
 }
 

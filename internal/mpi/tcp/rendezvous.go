@@ -72,11 +72,15 @@ type book struct {
 }
 
 // Byte bounds on the two messages, and the time the coordinator gives a
-// joiner to send its hello or take its book.
+// joiner to send its hello or take its book. Once the world is complete (or
+// aborted), a connection still owing its hello gets only helloGrace: a
+// joiner writes its hello right after its dial, so 200 ms is ample for one,
+// and a connection silent that long never said it was a joiner.
 const (
 	maxHelloBytes = 16 << 10
 	maxBookBytes  = 16 << 20
 	rendezvousIO  = 10 * time.Second
+	helloGrace    = 200 * time.Millisecond
 )
 
 // Coordinator is the rendezvous point for one distributed world.
@@ -135,11 +139,17 @@ type arrival struct {
 
 // serve runs the rendezvous until every joiner has its book, or it aborts.
 // Then it closes the listener, so a dial after Wait returns is refused, and
-// answers every connection it accepted beyond the world with an abort. A
-// connection that never sends its hello holds Wait for up to rendezvousIO.
+// answers every connection it accepted beyond the world with an abort: one
+// whose hello arrives within helloGrace. A connection that stays silent is
+// closed unanswered, so it holds Wait for at most helloGrace.
 func (c *Coordinator) serve() error {
 	arrivals := make(chan arrival)
 	var readers sync.WaitGroup // the accept loop and the hello readers it starts
+	// accepted is every connection taken; cutoff, zero until assemble
+	// returns, is then the deadline of every hello still being read.
+	var mu sync.Mutex
+	var accepted []net.Conn
+	var cutoff time.Time
 	readers.Add(1)
 	go func() {
 		defer readers.Done()
@@ -149,11 +159,18 @@ func (c *Coordinator) serve() error {
 				arrivals <- arrival{err: err}
 				return
 			}
+			mu.Lock()
+			if cutoff.IsZero() {
+				conn.SetReadDeadline(time.Now().Add(rendezvousIO))
+			} else {
+				conn.SetReadDeadline(cutoff)
+			}
+			accepted = append(accepted, conn)
+			mu.Unlock()
 			readers.Add(1)
 			go func() {
 				defer readers.Done()
 				var h hello
-				conn.SetReadDeadline(time.Now().Add(rendezvousIO))
 				err := json.NewDecoder(io.LimitReader(conn, maxHelloBytes)).Decode(&h)
 				conn.SetReadDeadline(time.Time{})
 				if err != nil {
@@ -166,6 +183,12 @@ func (c *Coordinator) serve() error {
 	}()
 	err := c.assemble(arrivals)
 	c.ln.Close()
+	mu.Lock()
+	cutoff = time.Now().Add(helloGrace)
+	for _, conn := range accepted {
+		conn.SetReadDeadline(cutoff)
+	}
+	mu.Unlock()
 	go func() {
 		readers.Wait()
 		close(arrivals)

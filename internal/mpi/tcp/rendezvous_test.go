@@ -705,6 +705,44 @@ func TestRendezvousSurplusJoiner(t *testing.T) {
 	}
 }
 
+// TestRendezvousIdleConnection: a connection that never sends its hello
+// must not hold the coordinator once the world is complete. Wait returns
+// within a second of the joiners' meshes, the idle connection is closed
+// unanswered, and no goroutine of the rendezvous is left behind.
+func TestRendezvousIdleConnection(t *testing.T) {
+	const n = 3
+	before := runtime.NumGoroutine()
+	coord, err := StartCoordinator("127.0.0.1:0", n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle, err := net.Dial("tcp", coord.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	_, closers := joinAll(t, coord.Addr(), n, WithoutSharedMemory())
+	start := time.Now()
+	if err := coord.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("Wait returned %v after the world was joined, want under 1s", took)
+	}
+	idle.SetReadDeadline(time.Now().Add(rendezvousIO))
+	if got, err := io.ReadAll(idle); len(got) != 0 || err != nil {
+		t.Fatalf("idle connection read %q, %v; want closed unanswered", got, err)
+	}
+	for _, fn := range closers {
+		fn()
+	}
+	for end := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(end) {
+			t.Fatalf("%d goroutines running, %d before the rendezvous", runtime.NumGoroutine(), before)
+		}
+	}
+}
+
 // countingReader counts the bytes read through it.
 type countingReader struct {
 	r io.Reader

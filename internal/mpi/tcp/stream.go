@@ -45,6 +45,10 @@ type outFrame struct {
 	// borrowed marks the payload as caller-owned memory: completion is
 	// deferred to the cumulative ack (see the type comment).
 	borrowed bool
+	// ackReq asks the peer to return its cumulative ack promptly rather than
+	// on its next data frame; set when the frame gets its sequence number
+	// (see collect) and repeated by every retransmission.
+	ackReq bool
 	// written records at least one fully successful write. When the stream
 	// fails terminally, a written borrowed frame completes with nil — the
 	// copy path completed at exactly that point, and send completion never
@@ -73,10 +77,13 @@ type sendStream struct {
 	qhead   int
 	unacked []*outFrame
 	resend  int // index into unacked to retransmit from
-	// ackUpTo/ackDirty coalesce outbound cumulative acks: the read loop
-	// notes the newest value, the writer piggybacks at most one ack frame
-	// per vectored write. Values are monotonic, so collapsing a backlog of
-	// acks into the latest one loses nothing.
+	// ackUpTo is the cumulative ack every outbound header carries: the read
+	// loop records the newest value after each delivery. ackDirty marks an
+	// ack the peer asked for (or a duplicate's re-ack) that is still owed:
+	// the writer's next write carries it, on its data frames when the batch
+	// has any and in an ack frame of its own when it has none. Values are
+	// monotonic, so collapsing a backlog of acks into the latest one loses
+	// nothing.
 	ackUpTo  uint64
 	ackDirty bool
 	// rewinds counts rewind() calls. The writer snapshots it when it
@@ -190,23 +197,28 @@ func (lk *link) ackStream(upTo uint64) {
 	st.mu.Unlock()
 }
 
-// noteAck records a cumulative ack to piggyback on the stream's next write.
-// upTo values are monotonic per pair, so only the newest matters; >= (not >)
-// keeps the re-ack of a discarded duplicate flowing even when the value is
-// unchanged, preserving the pre-coalescing belt-and-braces behaviour.
-func (st *sendStream) noteAck(upTo uint64) {
+// noteAck records the cumulative ack the stream's headers carry from now
+// on. upTo values are monotonic per pair, so only the newest matters. An
+// urgent ack — the peer asked for it, or a duplicate is re-acked even when
+// the value is unchanged — also wakes the writer, which sends it on its
+// next write whether or not it has data to carry it.
+func (st *sendStream) noteAck(upTo uint64, urgent bool) {
 	st.mu.Lock()
-	if st.failed == nil && upTo >= st.ackUpTo {
+	if st.failed == nil {
 		st.ackUpTo = upTo
-		st.ackDirty = true
-		st.cond.Signal()
+		if urgent {
+			st.ackDirty = true
+			st.cond.Signal()
+		}
 	}
 	st.mu.Unlock()
 }
 
 // writerMaxBatch bounds the frames per vectored write: 64 frames is 129
 // iovecs worst case, well under IOV_MAX, and bounds how much payload memory
-// a single batch pins against ack-driven release.
+// a single batch pins against ack-driven release. It is also the window of
+// lazily acked copied frames: once the retransmit window holds this many,
+// every new frame asks for a prompt ack (see collect).
 const writerMaxBatch = 64
 
 // writeBatch is the writer's reusable scratch: the frames of the current
@@ -215,8 +227,9 @@ const writerMaxBatch = 64
 type writeBatch struct {
 	frames   []*outFrame
 	nRetrans int
-	haveAck  bool
-	ackSeq   uint64
+	ack      uint64 // the cumulative ack every header of the batch carries
+	ackDue   bool   // the batch carries an urgent ack; re-armed if the write fails
+	haveAck  bool   // the urgent ack needs an ack frame: no data frame carries it
 	rewinds  uint64 // st.rewinds snapshot; mismatch after acquire = stale batch
 	dup      bool   // write frames[0] twice (injected duplicate)
 
@@ -228,15 +241,23 @@ type writeBatch struct {
 
 // collect fills the batch from the stream: pending retransmissions first,
 // then queued frames in order (assigning sequence numbers and entering the
-// retransmit window), then the coalesced ack if one is due. Caller holds
+// retransmit window), then the cumulative ack, with an ack frame of its own
+// only when an urgent one is due and no data frame carries it. Caller holds
 // st.mu. Returns true when the queue head cannot be admitted because the
 // retransmit window is full and nothing else is writable — the overflow
 // condition that terminally fails the stream.
+//
+// A new frame asks for a prompt ack when it is borrowed, because its
+// completion waits for that ack, or when the window already holds
+// writerMaxBatch frames (half the limit, if that is smaller), so a copied
+// frame pins its pooled copy for at most about one batch. Other copied
+// frames completed at first write and are acked lazily, by the cumulative
+// ack on the peer's next data frame.
 func (b *writeBatch) collect(st *sendStream, limit, maxData int) (overflow bool) {
 	b.frames = b.frames[:0]
 	b.nRetrans = 0
-	b.haveAck = false
 	b.dup = false
+	lazy := min(writerMaxBatch, limit/2)
 	for st.resend < len(st.unacked) && len(b.frames) < maxData {
 		fr := st.unacked[st.resend]
 		st.resend++
@@ -256,6 +277,7 @@ func (b *writeBatch) collect(st *sendStream, limit, maxData int) (overflow bool)
 		st.qhead++
 		fr.seq = st.nextSeq
 		st.nextSeq++
+		fr.ackReq = fr.borrowed || len(st.unacked) >= lazy
 		st.unacked = append(st.unacked, fr)
 		st.resend = len(st.unacked)
 		fr.writing = true
@@ -265,18 +287,18 @@ func (b *writeBatch) collect(st *sendStream, limit, maxData int) (overflow bool)
 		st.queue = st.queue[:0]
 		st.qhead = 0
 	}
-	if st.ackDirty {
-		b.haveAck = true
-		b.ackSeq = st.ackUpTo
-		st.ackDirty = false
-	}
+	b.ack = st.ackUpTo
+	b.ackDue = st.ackDirty
+	b.haveAck = st.ackDirty && len(b.frames) == 0
+	st.ackDirty = false
 	b.rewinds = st.rewinds
 	st.busy = true
 	return false
 }
 
 // buildIovecs lays the batch out for one vectored write: header, payload,
-// header, payload, ..., with the coalesced ack last.
+// header, payload, ..., every header carrying the cumulative ack, or the
+// ack frame alone.
 func (b *writeBatch) buildIovecs() {
 	n := len(b.frames)
 	if b.dup {
@@ -290,7 +312,7 @@ func (b *writeBatch) buildIovecs() {
 	hdr := b.hdrs
 	b.sent, b.bytes = 0, 0
 	emit := func(fr *outFrame) {
-		b.iovecs = appendFrame(b.iovecs, hdr[:headerLen], fr)
+		b.iovecs = appendFrame(b.iovecs, hdr[:headerLen], fr, b.ack)
 		hdr = hdr[headerLen:]
 		b.sent++
 		b.bytes += uint64(fr.size)
@@ -302,7 +324,7 @@ func (b *writeBatch) buildIovecs() {
 		emit(b.frames[0])
 	}
 	if b.haveAck {
-		putFrameHeader(hdr[:headerLen], frameAck, 0, b.ackSeq, 0, 0)
+		putFrameHeader(hdr[:headerLen], frameHeader{kind: frameAck, ack: b.ack})
 		b.iovecs = append(b.iovecs, hdr[:headerLen])
 	}
 }
@@ -312,8 +334,8 @@ func (b *writeBatch) buildIovecs() {
 // completions with err. Borrowed frames skip the successful-write
 // completion — their caller's buffer stays pinned until the cumulative ack
 // retires them — but do complete on terminal errors, where no
-// retransmission will ever need the bytes again. reack re-arms the
-// coalesced ack after a failed write so it is retried on the next
+// retransmission will ever need the bytes again. reack re-arms the urgent
+// ack the batch carried after a failed write, so it is retried on the next
 // (post-reconnect) cycle.
 func (lk *link) releaseBatch(b *writeBatch, err error, complete, reack bool) {
 	st := &lk.st
@@ -340,10 +362,7 @@ func (lk *link) releaseBatch(b *writeBatch, err error, complete, reack bool) {
 			fr.finish(e, lk.nd.start)
 		}
 	}
-	if reack && b.haveAck && st.failed == nil {
-		if b.ackSeq >= st.ackUpTo {
-			st.ackUpTo = b.ackSeq
-		}
+	if reack && b.ackDue && st.failed == nil {
 		st.ackDirty = true
 	}
 	// Wake Flush and drain waiters, if any (the writer, the cond's usual
@@ -411,7 +430,8 @@ func (lk *link) failStreamLocked(err error) {
 // writer drains the link's outbound stream for the lifetime of the rank.
 // Frames are coalesced opportunistically: every pass writes whatever is
 // queued at that moment — retransmissions first, then queued frames in
-// order, plus at most one piggybacked cumulative ack — in a single vectored
+// order, each header carrying the cumulative ack, or a lone ack frame when
+// the peer asked for one and no data is queued — in a single vectored
 // write. An idle stream therefore flushes each frame immediately (no delay
 // timers); batching emerges exactly when the socket is the bottleneck and
 // frames accumulate behind the in-flight write. MPI's non-overtaking
@@ -500,7 +520,7 @@ func (lk *link) writer() {
 		iov = b.iovecs
 		if _, werr := iov.WriteTo(conn); werr != nil {
 			// Data frames stay in unacked and are retransmitted after the
-			// reconnect (or failed terminally); the ack is re-armed.
+			// reconnect (or failed terminally); an urgent ack is re-armed.
 			lk.broken(epoch, werr, false)
 			lk.releaseBatch(&b, nil, false, true)
 			continue

@@ -167,9 +167,11 @@ func WithoutSharedMemory() Option {
 // zero; under injected faults or real socket trouble they quantify how hard
 // the transport worked to hide it.
 type Stats struct {
-	// FramesSent and AcksSent count successfully written frames (including
-	// retransmissions and injected duplicates); BytesSent is the payload
-	// volume of the data frames among them.
+	// FramesSent counts successfully written data frames (including
+	// retransmissions and injected duplicates); BytesSent is their payload
+	// volume. AcksSent counts standalone ack frames only: the cumulative ack
+	// rides every data header, and an ack frame of its own is written only
+	// when the peer asked for one and no data frame was there to carry it.
 	FramesSent uint64
 	AcksSent   uint64
 	BytesSent  uint64
