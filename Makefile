@@ -1,14 +1,14 @@
 GO ?= go
 
-.PHONY: check fmt vet lint lint-json lint-audit build build-obsv-off test race alloc-gates bench bench-sim bench-transport bench-sched bench-trace microbench fuzz
+.PHONY: check fmt vet build build-obsv-off test race alloc-gates bench bench-sim bench-transport bench-sched bench-trace microbench fuzz
 
-# check is the one-command gate: formatting (gofmt), static analysis (stock
-# vet plus the project analyzers in cmd/aapcvet, and the audit that fails on
-# //aapc:allow comments a refactor has orphaned), full build (with and
-# without the observability layer), the test suite under the race detector,
-# and the allocation-regression gates (which need a race-free build: the
-# race runtime drops sync.Pool puts).
-check: fmt vet lint lint-audit build build-obsv-off race alloc-gates
+# check is the one-command gate: formatting (gofmt), stock go vet over both
+# build configurations, full build (with and without the observability
+# layer), the test suite under the race detector (which is what makes
+# TestRingRecordSPSC and TestRingStreamSPSC checks of the shm ring's atomics
+# discipline), and the allocation-regression gates (which need a race-free
+# build: the race runtime drops sync.Pool puts).
+check: fmt vet build build-obsv-off race alloc-gates
 
 # fmt fails, listing the offenders, when any Go file is not gofmt-clean.
 fmt:
@@ -42,39 +42,12 @@ alloc-gates:
 	$(GO) test -run 'TestWarmFetchDerivesNothing' -count=1 ./internal/sched/
 	$(GO) test -run 'TestBuildAllocationBound' -count=1 ./internal/syncplan/
 
+# vet runs stock go vet (copylocks, loopclosure and the rest) over both
+# build configurations: the instrumented and no-op observability layers
+# typecheck differently, test files included.
 vet:
 	$(GO) vet ./...
-
-# bin/aapcvet is a real file target so lint invocations skip the rebuild
-# when neither the driver nor the analyzers changed; go's own build cache
-# makes the recipe cheap, but skipping it entirely keeps warm lint runs
-# at vet-only cost.
-AAPCVET_SRCS := $(wildcard cmd/aapcvet/*.go internal/analysis/*.go internal/analysis/analysistest/*.go) go.mod
-bin/aapcvet: $(AAPCVET_SRCS)
-	$(GO) build -o $@ ./cmd/aapcvet
-
-# lint runs the project-specific analyzers (determinism, spscsafe) over
-# both build configurations via the go vet -vettool protocol; copylocks and
-# loopclosure come from stock `go vet` (the vet target). Allocation and
-# payload-copy budgets are runtime gates (alloc-gates), not lint passes. Suppress a deliberate violation with an
-# //aapc:allow <analyzer> <reason> comment on (or one line above) the
-# flagged line; `make lint-audit` flags suppressions that have gone stale.
-lint: bin/aapcvet
-	$(GO) vet -vettool=$(abspath bin/aapcvet) ./...
-	$(GO) vet -vettool=$(abspath bin/aapcvet) -tags obsv_off ./...
-
-# lint-json emits one NDJSON object per diagnostic (file, line, col,
-# analyzer, message, suppressed) for editor and CI integration.
-lint-json: bin/aapcvet
-	$(GO) vet -vettool=$(abspath bin/aapcvet) -json ./...
-	$(GO) vet -vettool=$(abspath bin/aapcvet) -json -tags obsv_off ./...
-
-# lint-audit additionally reports stale //aapc:allow comments whose
-# analyzer no longer flags anything at that site, and comments whose first
-# name is no registered analyzer.
-lint-audit: bin/aapcvet
-	$(GO) vet -vettool=$(abspath bin/aapcvet) -unusedallow ./...
-	$(GO) vet -vettool=$(abspath bin/aapcvet) -unusedallow -tags obsv_off ./...
+	$(GO) vet -tags obsv_off ./...
 
 build:
 	$(GO) build ./...

@@ -210,7 +210,8 @@ func (e *Experiment) Run() (*Report, error) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		//aapc:allow determinism results land in rows[j]/errs[j] keyed by job index, so worker interleaving is invisible
+		// Results land in rows[j]/errs[j], keyed by job index, so worker
+		// interleaving is invisible.
 		go func() {
 			defer wg.Done()
 			for {

@@ -45,14 +45,25 @@ const recordHeader = 12
 // Ring is one directed SPSC byte ring over a segment. At most one goroutine
 // (or process) may produce and one consume; the two may differ freely.
 //
-// The aapc:spsc markers below put the ring under the spscsafe analyzer:
-// every cursor access must go through sync/atomic, and only methods carrying
-// the matching //aapc:role may store their cursor.
+// The single-producer/single-consumer rules the ring's correctness rests on:
 //
-//aapc:spsc
+//   - every access to a cursor (tail, head) goes through sync/atomic — a
+//     plain read of a word the other side stores atomically is a data race,
+//     even when it only sizes free space;
+//   - only the producer stores tail, and only the consumer stores head; the
+//     producer methods are TryWrite and WriteRecord, the consumer methods
+//     TryRead, PeekRecord and ReadRecord, and neither side calls the other's;
+//   - a side stores its cursor last: the producer after its bytes are in the
+//     data area (release: publish them), the consumer after it has copied
+//     them out (release: free the space). Storing it earlier hands the other
+//     side bytes it may still be writing or reading.
+//
+// TestRingStreamSPSC and TestRingRecordSPSC run a producer and a consumer
+// goroutine through a small ring, checking every byte; under the race
+// detector they also check the atomics.
 type Ring struct {
-	tail   *uint64 //aapc:cursor producer
-	head   *uint64 //aapc:cursor consumer
+	tail   *uint64 // bytes produced; stored by the producer only
+	head   *uint64 // bytes consumed; stored by the consumer only
 	closed *uint64
 	data   []byte
 	cap    uint64
@@ -131,8 +142,6 @@ func (r *Ring) copyOut(pos uint64, p []byte) {
 
 // TryWrite copies up to len(p) bytes into the ring (stream mode) and
 // returns the count, 0 when the ring is full. Producer side only.
-//
-//aapc:role producer
 func (r *Ring) TryWrite(p []byte) int {
 	tail := atomic.LoadUint64(r.tail)
 	head := atomic.LoadUint64(r.head) // acquire: consumer freed this space
@@ -149,8 +158,6 @@ func (r *Ring) TryWrite(p []byte) int {
 
 // TryRead pops up to len(p) bytes from the ring (stream mode) and returns
 // the count, 0 when the ring is empty. Consumer side only.
-//
-//aapc:role consumer
 func (r *Ring) TryRead(p []byte) int {
 	head := atomic.LoadUint64(r.head)
 	tail := atomic.LoadUint64(r.tail) // acquire: producer published these bytes
@@ -168,8 +175,6 @@ func (r *Ring) TryRead(p []byte) int {
 // either the whole record enters the ring or nothing does (false when free
 // space is insufficient). Record and stream modes must not be mixed on one
 // ring. Producer side only.
-//
-//aapc:role producer
 func (r *Ring) WriteRecord(tag int64, p []byte) bool {
 	need := recordHeader + len(p)
 	if need > int(r.cap) {
@@ -192,8 +197,6 @@ func (r *Ring) WriteRecord(tag int64, p []byte) bool {
 // PeekRecord returns the next record's tag and payload size without
 // consuming it; ok is false when the ring holds no complete record.
 // Consumer side only.
-//
-//aapc:role consumer
 func (r *Ring) PeekRecord() (tag int64, size int, ok bool) {
 	head := atomic.LoadUint64(r.head)
 	tail := atomic.LoadUint64(r.tail)
@@ -210,8 +213,6 @@ func (r *Ring) PeekRecord() (tag int64, size int, ok bool) {
 // record is consumed even when p is too small to hold it (the caller reports
 // truncation). Consumer side only; the caller has established via
 // PeekRecord that a record is present.
-//
-//aapc:role consumer
 func (r *Ring) ReadRecord(p []byte) int {
 	head := atomic.LoadUint64(r.head)
 	var hdr [recordHeader]byte

@@ -18,6 +18,7 @@ func TestRingStreamSPSC(t *testing.T) {
 	src := make([]byte, total)
 	rng := rand.New(rand.NewSource(7))
 	rng.Read(src)
+	defer r.Close() // stops the producer if the consumer fails
 	go func() {
 		sent := 0
 		for sent < total {
@@ -27,6 +28,9 @@ func TestRingStreamSPSC(t *testing.T) {
 				sent += n
 				chunk -= n
 				if n == 0 {
+					if r.Closed() {
+						return
+					}
 					runtime.Gosched()
 				}
 			}
@@ -44,6 +48,92 @@ func TestRingStreamSPSC(t *testing.T) {
 	}
 	if !bytes.Equal(got, src) {
 		t.Fatal("stream corrupted through ring")
+	}
+}
+
+// TestRingRecordSPSC is the record-mode counterpart: one producer and one
+// consumer goroutine pass 20,000 records through a ring, and the consumer
+// checks every tag, size and payload byte. A cursor published before its
+// side is done with the bytes lets the other side overwrite or read them
+// mid-copy, which corrupts a payload here; under the race detector the test
+// also fails any cursor access that bypasses sync/atomic. Each case shapes
+// the traffic differently:
+//   - mixed: random sizes, empty ones included, through a 257-byte ring, so
+//     records wrap its end at every offset;
+//   - full: every record fills the ring, so each write waits for the ring
+//     to drain completely and each read frees the whole ring;
+//   - many-small: sizes up to 64 bytes in a 4096-byte ring, so dozens of
+//     records are in flight and the producer writes while the consumer reads.
+func TestRingRecordSPSC(t *testing.T) {
+	cases := []struct {
+		name    string
+		dataCap int
+		size    func(rng *rand.Rand, full int) int // full: a ring-sized payload
+	}{
+		{"mixed", 257, func(rng *rand.Rand, full int) int { return rng.Intn(full + 1) }},
+		{"full", 257, func(_ *rand.Rand, full int) int { return full }},
+		{"many-small", 4096, func(rng *rand.Rand, _ int) int { return rng.Intn(65) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRing(tc.dataCap)
+			full := int(r.cap) - recordHeader
+			// Both sides draw the same size sequence from their own source.
+			sizes := func() func() int {
+				rng := rand.New(rand.NewSource(11))
+				return func() int { return tc.size(rng, full) }
+			}
+			recordSPSC(t, r, 20000, sizes, full)
+		})
+	}
+}
+
+// recordSPSC runs records through r from a producer goroutine and checks
+// them on the calling goroutine. sizes returns a fresh, deterministic size
+// sequence; no size exceeds maxPayload.
+func recordSPSC(t *testing.T, r *Ring, records int, sizes func() func() int, maxPayload int) {
+	tagOf := func(i int) int64 { return int64(uint64(i+1) * 0x9E3779B97F4A7C15) }
+	fill := func(p []byte, i int) {
+		for j := range p {
+			p[j] = byte(i*31 + j)
+		}
+	}
+	defer r.Close() // stops the producer if the consumer fails
+	go func() {
+		next := sizes()
+		src := make([]byte, maxPayload)
+		for i := 0; i < records; i++ {
+			p := src[:next()]
+			fill(p, i)
+			for !r.WriteRecord(tagOf(i), p) {
+				if r.Closed() {
+					return
+				}
+				runtime.Gosched()
+			}
+		}
+	}()
+	next := sizes()
+	got, want := make([]byte, maxPayload), make([]byte, maxPayload)
+	for i := 0; i < records; i++ {
+		tag, size, ok := r.PeekRecord()
+		for !ok {
+			runtime.Gosched()
+			tag, size, ok = r.PeekRecord()
+		}
+		if n := next(); tag != tagOf(i) || size != n {
+			t.Fatalf("record %d: peek = (%#x, %d), want (%#x, %d)", i, tag, size, tagOf(i), n)
+		}
+		if placed := r.ReadRecord(got[:size]); placed != size {
+			t.Fatalf("record %d: read placed %d of %d bytes", i, placed, size)
+		}
+		fill(want[:size], i)
+		if !bytes.Equal(got[:size], want[:size]) {
+			t.Fatalf("record %d: payload corrupted through ring", i)
+		}
+	}
+	if n := r.Buffered(); n != 0 {
+		t.Fatalf("%d bytes left in the drained ring", n)
 	}
 }
 

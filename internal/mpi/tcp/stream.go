@@ -334,9 +334,12 @@ func (b *writeBatch) buildIovecs() {
 // completions with err. Borrowed frames skip the successful-write
 // completion — their caller's buffer stays pinned until the cumulative ack
 // retires them — but do complete on terminal errors, where no
-// retransmission will ever need the bytes again. reack re-arms the urgent
-// ack the batch carried after a failed write, so it is retried on the next
-// (post-reconnect) cycle.
+// retransmission will ever need the bytes again. A stream that failed while
+// the batch was out left the batch's frames to this release
+// (failStreamLocked skips them): a written frame completes with nil, since
+// no ack will come for it, and an unwritten one with the stream's error.
+// reack re-arms the urgent ack the batch carried after a failed write, so
+// it is retried on the next (post-reconnect) cycle.
 func (lk *link) releaseBatch(b *writeBatch, err error, complete, reack bool) {
 	st := &lk.st
 	st.mu.Lock()
@@ -351,12 +354,19 @@ func (lk *link) releaseBatch(b *writeBatch, err error, complete, reack bool) {
 			fr.written = true
 			st.wrote++
 		}
-		if complete && (err != nil || !fr.borrowed) {
+		switch {
+		case complete && (err != nil || !fr.borrowed):
 			e := err
 			if fr.borrowed && fr.written {
 				// The frame hit the wire before the terminal failure: the
 				// copy path would have completed it then, so report the same
 				// success; delivery truth surfaces on receiver-side ops.
+				e = nil
+			}
+			fr.finish(e, lk.nd.start)
+		case st.failed != nil:
+			e := st.failed
+			if fr.written {
 				e = nil
 			}
 			fr.finish(e, lk.nd.start)
@@ -402,7 +412,10 @@ func (st *sendStream) waitTimedLocked(d time.Duration, done func() bool) bool {
 
 // failStreamLocked fails the link's outbound stream: queued and
 // unacknowledged frames complete with err, future sends are rejected, the
-// writer exits. Caller holds the stream mutex.
+// writer exits. A frame in the writer's in-flight batch is left to
+// releaseBatch: its write may already have returned, and a copied or
+// zero-size frame whose bytes reached the kernel completes with nil, not
+// with the link's error. Caller holds the stream mutex.
 func (lk *link) failStreamLocked(err error) {
 	st := &lk.st
 	if st.failed != nil {
@@ -413,6 +426,9 @@ func (lk *link) failStreamLocked(err error) {
 		fr.finish(err, lk.nd.start)
 	}
 	for _, fr := range st.unacked {
+		if fr.writing {
+			continue
+		}
 		if fr.borrowed && fr.written {
 			// Written before the failure: the copy path completed here.
 			fr.finish(nil, lk.nd.start)

@@ -305,6 +305,67 @@ func TestSendLoopNoSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestStreamFailureDuringWrite fails the stream while a batch is out, as a
+// peer kill or a corrupt-stream break can, and checks that the batch's
+// frames complete as the write went, not with the link's error. After a
+// writev that returned, the copied frame, the zero-size frame and the
+// borrowed frame all completed at (or, borrowed, past) the point a send
+// completes: their Waits return nil. After a writev that failed, no frame
+// reached the kernel and each fails with the stream's error.
+func TestStreamFailureDuringWrite(t *testing.T) {
+	conn := drainedConn(t)
+	for _, wrote := range []bool{true, false} {
+		name := "writev-returned"
+		if !wrote {
+			name = "writev-failed"
+		}
+		t.Run(name, func(t *testing.T) { failDuringWrite(t, conn, wrote) })
+	}
+}
+
+// failDuringWrite collects a copied, a zero-size and a borrowed frame into
+// one batch, writes it to conn when wrote is set, fails the stream and
+// releases the batch, then checks each frame's Wait.
+func failDuringWrite(t *testing.T, conn net.Conn, wrote bool) {
+	lk := bareLink()
+	nd, st := lk.nd, &lk.st
+	small := []byte("copied payload")
+	copied := newDataFrame(mpi.Op{Buf: small, Tag: 1})
+	copied.buf = nd.pool.get(len(small))
+	copy(copied.buf, small)
+	copied.poolable = true
+	empty := newDataFrame(mpi.Op{Tag: 2})
+	borrowed := newDataFrame(mpi.Op{Buf: make([]byte, 4096), Tag: 3})
+	borrowed.borrowed = true
+	frames := []*outFrame{copied, empty, borrowed}
+	var b writeBatch
+	st.mu.Lock()
+	st.queue = append(st.queue, frames...)
+	b.collect(st, 64, writerMaxBatch)
+	st.mu.Unlock()
+	if wrote {
+		b.buildIovecs()
+		iov := b.iovecs
+		if _, err := iov.WriteTo(conn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fail := &mpi.RankError{Rank: 1, Err: errClosed}
+	st.mu.Lock()
+	lk.failStreamLocked(fail)
+	st.mu.Unlock()
+	lk.releaseBatch(&b, nil, wrote, !wrote)
+	for _, fr := range frames {
+		_, err := fr.Wait(time.Second)
+		if wrote && err != nil {
+			t.Errorf("written frame (tag %d, %d B): Wait = %v, want nil", fr.tag, fr.size, err)
+		}
+		if !wrote && err != fail {
+			t.Errorf("unwritten frame (tag %d, %d B): Wait = %v, want %v", fr.tag, fr.size, err, fail)
+		}
+	}
+}
+
 // TestZeroCopyAliasing checks the zero-copy property itself rather than a
 // counter of it. A borrowed send's payload iovec is the caller's block:
 // the same backing array and the same length. A payload that fits its

@@ -81,11 +81,11 @@ func BuildGreedyParallel(g *topology.Graph, workers int) *Schedule {
 		if workers > 1 && u.numPhases >= 4096 {
 			// Parallel speculative probe: worker w handles messages
 			// w, w+workers, ... of the batch. Each result is keyed to
-			// its message index, so worker interleaving cannot reach
-			// the output.
+			// its message index and re-validated serially in message
+			// order below, so worker interleaving cannot reach the
+			// output.
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
-				//aapc:allow determinism speculative probes land in batch[i] by message index and are re-validated serially in message order below
 				go func(w int) {
 					defer wg.Done()
 					var buf []int32

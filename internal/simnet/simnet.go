@@ -171,7 +171,8 @@ func (w *World) Run(fn func(c mpi.Comm) error) error {
 	comms := w.Comms()
 	errs := make(chan error, len(comms))
 	for _, c := range comms {
-		//aapc:allow determinism rank goroutines are arbitrated by the virtual clock; interleaving cannot affect simulated time
+		// Rank goroutines are arbitrated by the virtual clock: their
+		// interleaving cannot affect simulated time.
 		go func(c mpi.Comm) {
 			defer w.eng.finish()
 			defer func() {
@@ -564,9 +565,11 @@ func (e *engine) failAll() {
 	}
 	e.deadlocked = true
 	err := fmt.Errorf("simnet: deadlock at t=%.6fs: all ranks blocked with no pending events", e.clock)
-	// Complete pending ops in sorted key order: map iteration order would
-	// make the completion sequence on the deadlock path differ run to run,
-	// breaking bit-identical replays (observed event order, first error).
+	// Complete pending ops in sorted key order, so the engine signals the
+	// blocked ranks in the same order on every replay. No output depends
+	// on that order today: every pending op fails with the same error at
+	// the same virtual time, and each rank records its events in its own
+	// program order.
 	for _, q := range sortedQueues(e.sends) {
 		for _, op := range q {
 			e.completeOp(op, err)
@@ -598,7 +601,7 @@ func (e *engine) failAll() {
 // sortedQueues returns the map's queues ordered by (src, dst, tag).
 func sortedQueues(m map[matchKey][]*simOp) [][]*simOp {
 	keys := make([]matchKey, 0, len(m))
-	for k := range m { //aapc:allow determinism order restored by the sort below
+	for k := range m { // order restored by the sort below
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool {

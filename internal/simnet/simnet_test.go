@@ -4,10 +4,15 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
+	"github.com/aapc-sched/aapcsched/internal/alltoall"
 	"github.com/aapc-sched/aapcsched/internal/mpi"
 	"github.com/aapc-sched/aapcsched/internal/obsv"
+	"github.com/aapc-sched/aapcsched/internal/schedule"
+	"github.com/aapc-sched/aapcsched/internal/syncplan"
 	"github.com/aapc-sched/aapcsched/internal/topology"
 )
 
@@ -324,35 +329,233 @@ func TestBarrierSeparatesRounds(t *testing.T) {
 	near(t, "elapsed", w.Elapsed(), (testAlpha+size/testBW)+2e-3+(testAlpha+size/testBW))
 }
 
+// TestDeterminism replays each program several times and requires
+// bit-identical output: the elapsed virtual time, every rank's
+// instrumented event stream and every rank's error. The rank goroutines
+// interleave differently on every run; none of that may reach the output.
+// The cases are a fully concurrent exchange, the paper's scheduled routine
+// on topology (b) with jittered startup latencies, a program that
+// deadlocks after partial progress, with one rank already gone, rounds
+// separated by barriers under jitter, an exchange contending on links of
+// two speeds, and an exchange in which one receive is truncated.
 func TestDeterminism(t *testing.T) {
-	// The same all-to-all program must give bit-identical virtual times on
-	// repeated runs despite goroutine nondeterminism.
-	run := func() float64 {
-		g := starGraph(t, 8)
-		w := newTestWorld(t, g, 0.6)
-		err := w.Run(func(c mpi.Comm) error {
-			n := c.Size()
-			var reqs []mpi.Request
-			for p := 0; p < n; p++ {
-				if p == c.Rank() {
-					continue
+	cases := []struct {
+		name    string
+		cfg     func(t *testing.T) Config
+		prog    func(t *testing.T) func(c mpi.Comm) error
+		failing []int // the ranks whose program returns an error
+	}{
+		{
+			name: "star-exchange",
+			cfg: func(t *testing.T) Config {
+				return Config{Graph: starGraph(t, 8), LinkBandwidth: testBW, StartupLatency: testAlpha, MinEfficiency: 0.6}
+			},
+			prog: func(*testing.T) func(c mpi.Comm) error { return postAllAAPC(20000) },
+		},
+		{
+			name: "scheduled-b-jitter",
+			cfg:  func(*testing.T) Config { return benchConfig(topologyB(), 0.5) },
+			prog: func(t *testing.T) func(c mpi.Comm) error {
+				g := topologyB()
+				s, err := schedule.Build(g)
+				if err != nil {
+					t.Fatal(err)
 				}
-				reqs = append(reqs, mpi.Irecv(c, make([]byte, 20000), p, 0))
-				reqs = append(reqs, mpi.Isend(c, make([]byte, 20000), p, 0))
+				plan, err := syncplan.Build(g, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sc, err := alltoall.NewScheduled(s, plan, alltoall.PairwiseSync)
+				if err != nil {
+					t.Fatal(err)
+				}
+				const msize = 4096
+				return func(c mpi.Comm) error {
+					return sc.Fn()(c, alltoall.NewContig(c.Size(), msize), msize)
+				}
+			},
+		},
+		{
+			name: "deadlock-after-progress",
+			cfg: func(t *testing.T) Config {
+				return Config{Graph: starGraph(t, 6), LinkBandwidth: testBW, StartupLatency: testAlpha, MinEfficiency: 0.6}
+			},
+			prog:    func(*testing.T) func(c mpi.Comm) error { return deadlockAfterRing },
+			failing: []int{1, 2, 3, 4, 5},
+		},
+		{
+			name: "barrier-rounds-jitter",
+			cfg: func(t *testing.T) Config {
+				return Config{Graph: starGraph(t, 8), LinkBandwidth: testBW, StartupLatency: testAlpha, MinEfficiency: 0.6, JitterFrac: 0.3, JitterSeed: 2}
+			},
+			prog: func(*testing.T) func(c mpi.Comm) error { return shiftsWithBarriers },
+		},
+		{
+			name: "uneven-trunk-contention",
+			cfg: func(t *testing.T) Config {
+				return Config{Graph: unevenTrunk(), LinkBandwidth: testBW, StartupLatency: testAlpha, MinEfficiency: 0.6}
+			},
+			prog: func(*testing.T) func(c mpi.Comm) error { return postAllAAPC(7000) },
+		},
+		{
+			name: "truncated-recv",
+			cfg: func(t *testing.T) Config {
+				return Config{Graph: starGraph(t, 4), LinkBandwidth: testBW, StartupLatency: testAlpha, MinEfficiency: 0.6}
+			},
+			prog:    func(*testing.T) func(c mpi.Comm) error { return truncatedRing },
+			failing: []int{0, 1},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg, prog := tc.cfg(t), tc.prog(t)
+			want := replay(t, cfg, prog)
+			for r, e := range want.errs {
+				if failing := slices.Contains(tc.failing, r); failing != (e != "") {
+					t.Fatalf("rank %d error %q, want failing=%v", r, e, failing)
+				}
 			}
-			return mpi.WaitAll(reqs)
+			for i := 0; i < 5; i++ {
+				got := replay(t, cfg, prog)
+				if got.elapsed != want.elapsed {
+					t.Fatalf("replay %d: elapsed %.12g, first run %.12g", i, got.elapsed, want.elapsed)
+				}
+				for r := range want.errs {
+					if got.errs[r] != want.errs[r] {
+						t.Fatalf("replay %d: rank %d error %q, first run %q", i, r, got.errs[r], want.errs[r])
+					}
+					if !reflect.DeepEqual(got.events[r], want.events[r]) {
+						t.Fatalf("replay %d: rank %d event stream differs:\n%+v\nfirst run:\n%+v", i, r, got.events[r], want.events[r])
+					}
+				}
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return w.Elapsed()
 	}
-	a := run()
-	for i := 0; i < 5; i++ {
-		if b := run(); b != a {
-			t.Fatalf("nondeterministic: %.12g vs %.12g", a, b)
+}
+
+// replayed is what one run of a program shows: elapsed virtual time and,
+// per rank, the instrumented events and the error text.
+type replayed struct {
+	elapsed float64
+	events  [][]obsv.Event
+	errs    []string
+}
+
+// replay runs prog once on a fresh world built from cfg, every rank
+// instrumented.
+func replay(t *testing.T, cfg Config, prog func(c mpi.Comm) error) replayed {
+	t.Helper()
+	w, err := NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := cfg.Graph.NumMachines()
+	recs := make([]*obsv.Recorder, n)
+	for i := range recs {
+		recs[i] = obsv.NewRecorder(i)
+	}
+	out := replayed{events: make([][]obsv.Event, n), errs: make([]string, n)}
+	// A rank's error is recorded, not returned, so Run fails only on a panic.
+	if err := w.Run(func(c mpi.Comm) error {
+		if err := prog(obsv.Instrument(c, recs[c.Rank()])); err != nil {
+			out.errs[c.Rank()] = err.Error()
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	out.elapsed = w.Elapsed()
+	for i, r := range recs {
+		out.events[i] = r.Events()
+	}
+	return out
+}
+
+// deadlockAfterRing completes one ring exchange, then rank 0 returns and
+// every other rank posts a send and a receive that nothing matches: rank r
+// sends tag 1 to r+1 and receives tag 2 from r-1. The run deadlocks with
+// sends and receives pending toward several peers.
+func deadlockAfterRing(c mpi.Comm) error {
+	n, me := c.Size(), c.Rank()
+	next, prev := (me+1)%n, (me+n-1)%n
+	if err := mpi.WaitAll([]mpi.Request{
+		mpi.Irecv(c, make([]byte, 3000), prev, 0),
+		mpi.Isend(c, make([]byte, 3000), next, 0),
+	}); err != nil {
+		return err
+	}
+	if me == 0 {
+		return nil
+	}
+	return mpi.WaitAll([]mpi.Request{
+		mpi.Isend(c, make([]byte, 1000), next, 1),
+		mpi.Irecv(c, make([]byte, 1000), prev, 2),
+	})
+}
+
+// shiftsWithBarriers runs three ring shifts of different distance and size,
+// each separated from the next by a barrier, so barrier release and the
+// jittered startups of every round decide the timing.
+func shiftsWithBarriers(c mpi.Comm) error {
+	n, me := c.Size(), c.Rank()
+	for round, shift := range []int{1, 3, 5} {
+		size := 1000 * (round + 1) * shift
+		if err := mpi.WaitAll([]mpi.Request{
+			mpi.Irecv(c, make([]byte, size), (me+n-shift)%n, round),
+			mpi.Isend(c, make([]byte, size), (me+shift)%n, round),
+		}); err != nil {
+			return err
+		}
+		if err := c.Barrier(); err != nil {
+			return err
 		}
 	}
+	return nil
+}
+
+// truncatedRing is one ring exchange in which rank 1 posts a receive
+// buffer too small for rank 0's message: ranks 0 and 1 end with the
+// truncation error and every other rank completes.
+func truncatedRing(c mpi.Comm) error {
+	n, me := c.Size(), c.Rank()
+	recv := 5000
+	if me == 1 {
+		recv = 500
+	}
+	return mpi.WaitAll([]mpi.Request{
+		mpi.Irecv(c, make([]byte, recv), (me+n-1)%n, 0),
+		mpi.Isend(c, make([]byte, 5000), (me+1)%n, 0),
+	})
+}
+
+// unevenTrunk is two switches of four machines each joined by a trunk of
+// twice machine-link speed: an all-to-all contends on the trunk and on the
+// machine links at once, at two different capacities.
+func unevenTrunk() *topology.Graph {
+	g := topology.New()
+	s0, s1 := g.MustAddSwitch("s0"), g.MustAddSwitch("s1")
+	g.MustConnectSpeed(s0, s1, 2)
+	for i := 0; i < 8; i++ {
+		g.MustConnect([]int{s0, s1}[i/4], g.MustAddMachine(fmt.Sprintf("h%d", i)))
+	}
+	return g.MustValidate()
+}
+
+// topologyB is Fig. 5(b): 32 machines, 8 per switch, with switches s1, s2
+// and s3 each connected to s0.
+func topologyB() *topology.Graph {
+	g := topology.New()
+	var s [4]int
+	for i := range s {
+		s[i] = g.MustAddSwitch(fmt.Sprintf("s%d", i))
+	}
+	for i := 1; i < 4; i++ {
+		g.MustConnect(s[0], s[i])
+	}
+	for i := 0; i < 32; i++ {
+		g.MustConnect(s[i/8], g.MustAddMachine(fmt.Sprintf("n%d", i)))
+	}
+	return g.MustValidate()
 }
 
 func TestLinkStatsAccounting(t *testing.T) {
