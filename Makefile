@@ -16,26 +16,32 @@ fmt:
 
 # alloc-gates are the steady-state budgets for the hot paths, checked at run
 # time: zero allocs per Scheduled.Fn run over Contig or ContigV (at most one
-# for the allgather view), amortized sub-0.1 allocs per instrumented
-# operation, zero allocs per tcp send-loop pass once warm (collect,
-# buildIovecs, the writev, releaseBatch, ack retirement and the payload
-# pool's hit path), the lazy ack's memory budget (one-way copied tcp frames
-# ask for an ack once writerMaxBatch of them wait for one, and every pooled
-# copy an ack covers is back in the pool when it lands), zero userspace
-# payload copies on the tcp data plane with
-# receives pre-posted (the zero-copy gate: one row for an in-process world,
-# one for a mesh joined through a coordinator), a borrowed send's iovec that
-# is the caller's block and a posted receive read into nothing but its own
-# buffer (the aliasing gate), no allocation in an untimed tcp stream wait
-# that blocks (Flush with d <= 0), none in an shm round of out-of-order
-# receives, in the fast rate solver or in the schedule's first-fit probe, a
-# warm aapcd fetch that derives nothing (no plan build, no rendering: stored
-# bytes with Content-Length), and a 64-machine sync plan in under 8 MB
-# (enumerating the conflict pairs again would take well over 100 MB).
+# for the allgather view), zero allocs per whole warm all-to-all of
+# Scheduled.Fn over tcp (an in-process world and a join mesh without shm, at
+# 64 B and 64 KiB: send frames and receive ops recycled, small frames read
+# in one read(2)), a recycled send frame that no stream still holds (in no
+# queue, retransmit window or writer batch, through the drops, reconnects
+# and duplicates of a faults plan; make race runs it under the race
+# detector), amortized sub-0.1 allocs per instrumented operation, zero
+# allocs per tcp send-loop pass once warm (frames from the freelist,
+# collect, buildIovecs, the writev, releaseBatch, ack retirement and the
+# payload pool's hit path), the lazy ack's memory budget (one-way copied tcp
+# frames ask for an ack once writerMaxBatch of them wait for one, and every
+# pooled copy an ack covers is back in the pool when it lands), zero
+# userspace payload copies on the tcp data plane with receives pre-posted
+# (the zero-copy gate: one row for an in-process world, one for a mesh
+# joined through a coordinator), a borrowed send's iovec that is the
+# caller's block and a posted receive read into nothing but its own buffer
+# (the aliasing gate), no allocation in an untimed tcp stream wait that
+# blocks (Flush with d <= 0), none in an shm round of out-of-order receives,
+# in the fast rate solver or in the schedule's first-fit probe, a warm aapcd
+# fetch that derives nothing (no plan build, no rendering: stored bytes with
+# Content-Length), and a 64-machine sync plan in under 8 MB (enumerating the
+# conflict pairs again would take well over 100 MB).
 alloc-gates:
-	$(GO) test -run 'TestScheduledFnNoSteadyStateAllocs' -count=1 ./internal/alltoall/
+	$(GO) test -run 'TestScheduledFnNoSteadyStateAllocs|TestScheduledFnTCPNoSteadyStateAllocs' -count=1 ./internal/alltoall/
 	$(GO) test -run 'TestInstrumentedOpAllocsAmortized' -count=1 ./internal/obsv/
-	$(GO) test -run 'TestTCPZeroCopySteadyState|TestUntimedStreamWaitNoAllocs|TestSendLoopNoSteadyStateAllocs|TestZeroCopyAliasing|TestLazyAckWindowOneWayCopied' -count=1 ./internal/mpi/tcp/
+	$(GO) test -run 'TestTCPZeroCopySteadyState|TestUntimedStreamWaitNoAllocs|TestSendLoopNoSteadyStateAllocs|TestZeroCopyAliasing|TestLazyAckWindowOneWayCopied|TestFrameRecycledOnlyWhenFree' -count=1 ./internal/mpi/tcp/
 	$(GO) test -run 'TestWorldStagedBuffersReused' -count=1 ./internal/mpi/shm/
 	$(GO) test -run 'TestAssignRatesNoSteadyStateAllocs' -count=1 ./internal/simnet/
 	$(GO) test -run 'TestFirstFreeNoAllocs' -count=1 ./internal/schedule/
@@ -107,7 +113,8 @@ bench-trace:
 	$(GO) test -bench 'BenchmarkIngestJSONL|BenchmarkMerge|BenchmarkAnalyze|BenchmarkEstimateOffsets' -benchmem -run=^$$ ./internal/obsv/collect/
 
 # Short fuzz passes over every DSL parser, the daemon's request grammar,
-# the tcp frame-header decoder, the rendezvous book a joiner reads from the
+# the tcp frame-header decoder, the tcp read loop parsing valid frames out of
+# arbitrary short reads, the rendezvous book a joiner reads from the
 # coordinator, the shm ring's record framing, the shm pair segment a
 # co-located peer hands over, and the trace collector's ingest-then-report
 # path (longer runs: go test -fuzz=... ). Minimizing a new input is capped
@@ -119,6 +126,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzTopologyDelta -fuzztime=30s -fuzzminimizetime=2s ./internal/topology/
 	$(GO) test -fuzz=FuzzScheduleRequest -fuzztime=30s -fuzzminimizetime=2s ./internal/sched/
 	$(GO) test -fuzz=FuzzFrameHeader -fuzztime=30s -fuzzminimizetime=2s ./internal/mpi/tcp/
+	$(GO) test -fuzz=FuzzFrameStream -fuzztime=30s -fuzzminimizetime=2s ./internal/mpi/tcp/
 	$(GO) test -fuzz=FuzzRendezvousBook -fuzztime=30s -fuzzminimizetime=2s ./internal/mpi/tcp/
 	$(GO) test -fuzz=FuzzRingRecord -fuzztime=30s -fuzzminimizetime=2s ./internal/mpi/shm/
 	$(GO) test -fuzz=FuzzPairSegment -fuzztime=30s -fuzzminimizetime=2s ./internal/mpi/shm/

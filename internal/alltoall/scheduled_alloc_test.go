@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/aapc-sched/aapcsched/internal/mpi"
+	"github.com/aapc-sched/aapcsched/internal/mpi/tcp"
 	"github.com/aapc-sched/aapcsched/internal/schedule"
 	"github.com/aapc-sched/aapcsched/internal/syncplan"
 	"github.com/aapc-sched/aapcsched/internal/topology"
@@ -117,5 +118,123 @@ func TestScheduledFnNoSteadyStateAllocs(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestScheduledFnTCPNoSteadyStateAllocs is the allocation gate of the tcp
+// data plane under the compiled routine: once warm, a whole all-to-all —
+// every rank's data, syncs, flushes and waits, and the writers and readers
+// that carry them — allocates nothing. Send frames and receive ops come
+// back from their freelists once their waits are consumed, payload copies
+// from the pool. It holds for an in-process world and for a mesh joined
+// through a coordinator over sockets, at 64 B (copied and pool-aligned
+// sends, one-read frames) and 64 KiB (borrowed sends, zero-copy receives).
+// The rank goroutines live across runs, so starting them is not counted.
+func TestScheduledFnTCPNoSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on synchronization")
+	}
+	sc := allocTestScheduled(t)
+	n := sc.NumRanks()
+	for _, w := range []struct {
+		name string
+		wire func(t *testing.T) ([]mpi.Comm, func() error)
+	}{
+		{"world", func(t *testing.T) ([]mpi.Comm, func() error) {
+			comms, closeWorld, err := tcp.NewWorld(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return comms, closeWorld
+		}},
+		{"join-mesh", func(t *testing.T) ([]mpi.Comm, func() error) { return joinMesh(t, n) }},
+	} {
+		for _, msize := range []int{64, 64 << 10} {
+			t.Run(fmt.Sprintf("%s/%dB", w.name, msize), func(t *testing.T) {
+				comms, closeAll := w.wire(t)
+				defer func() {
+					if err := closeAll(); err != nil {
+						t.Error(err)
+					}
+				}()
+				fn := sc.Fn()
+				start := make([]chan struct{}, n)
+				done := make(chan error, n)
+				for r, c := range comms {
+					start[r] = make(chan struct{})
+					go func(c mpi.Comm, start <-chan struct{}) {
+						bufs := NewContig(n, msize)
+						for range start {
+							done <- fn(c, bufs, msize)
+						}
+					}(c, start[r])
+				}
+				defer func() {
+					for _, s := range start {
+						close(s)
+					}
+				}()
+				run := func() {
+					for _, s := range start {
+						s <- struct{}{}
+					}
+					for range comms {
+						if err := <-done; err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				for i := 0; i < 20; i++ {
+					run()
+				}
+				if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
+					t.Errorf("%.2f allocs per all-to-all, want 0", allocs)
+				}
+			})
+		}
+	}
+}
+
+// joinMesh joins n ranks through a coordinator, sockets only, and returns
+// them indexed by rank with one function closing them all.
+func joinMesh(t *testing.T, n int) ([]mpi.Comm, func() error) {
+	t.Helper()
+	coord, err := tcp.StartCoordinator("127.0.0.1:0", n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type joined struct {
+		c     mpi.Comm
+		close func() error
+		err   error
+	}
+	ch := make(chan joined, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			c, closeFn, err := tcp.Join(coord.Addr(), tcp.WithoutSharedMemory())
+			ch <- joined{c, closeFn, err}
+		}()
+	}
+	comms := make([]mpi.Comm, n)
+	closers := make([]func() error, 0, n)
+	for i := 0; i < n; i++ {
+		j := <-ch
+		if j.err != nil {
+			t.Fatal(j.err)
+		}
+		comms[j.c.Rank()] = j.c
+		closers = append(closers, j.close)
+	}
+	if err := coord.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	return comms, func() error {
+		var first error
+		for _, fn := range closers {
+			if err := fn(); err != nil && first == nil {
+				first = err
+			}
+		}
+		return first
 	}
 }

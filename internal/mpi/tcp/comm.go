@@ -54,13 +54,15 @@ func (nd *node) isend(op mpi.Op) mpi.Request {
 	if op.Peer == nd.rank {
 		return nd.matcher.loopback(nd.rank, op)
 	}
+	// The frame is taken before the stream lock; a failed stream drops it
+	// to the garbage collector.
+	fr := getDataFrame(&nd.sendFrames, op)
 	st := &nd.links[op.Peer].st
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.failed != nil {
 		return mpi.Completed(st.failed)
 	}
-	fr := newDataFrame(op)
 	switch {
 	case fr.size == 0:
 	case fr.size >= zeroCopyMin || poolAligned(fr.buf):

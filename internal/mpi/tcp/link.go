@@ -75,6 +75,9 @@ type link struct {
 	ackSeen  uint64
 
 	st sendStream
+	// batch is the writer's scratch. Its frames are written under st.mu
+	// (collect, releaseBatch), so a holder of st.mu may read them.
+	batch writeBatch
 }
 
 // acquire returns the current connection, blocking while the link is
@@ -284,10 +287,11 @@ func (lk *link) install(conn net.Conn) bool {
 // goodbye is a closing rank's farewell on one link. On a live link it waits
 // (until deadline) for the stream to drain — queued frames and the final
 // cumulative ack are owed to the peer — retires the stream, and writes a bye
-// as the link's last frame. The ack is sent even when no one asked for it:
-// without it the peer would still hold delivered frames for retransmission
-// when the bye fails its stream, and fail a send whose write has completed
-// but not yet been released. The peer answers by closing its end, which ends
+// as the link's last frame. The ack is sent even when no one asked for it,
+// so the peer retires what this end received before the bye fails its
+// stream: its pooled copies go back to its pool and its frames leave the
+// window as delivered, not failed (TestGoodbyeCarriesFinalAck). The peer
+// answers by closing its end, which ends
 // this end's reader; the read deadline ends it if the peer does not. A link
 // that is not up, or does not drain in time, is simply taken down.
 func (lk *link) goodbye(deadline time.Time) {

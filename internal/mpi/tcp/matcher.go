@@ -3,6 +3,7 @@ package tcp
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"github.com/aapc-sched/aapcsched/internal/mpi"
 )
@@ -28,6 +29,25 @@ type matcher struct {
 	// srcErr holds sticky per-source transport errors: a dead peer fails
 	// only the receives naming it, not traffic from healthy peers.
 	srcErr map[int]error
+	// zeroCopy[src] counts the receives from src in posted of at least
+	// zeroCopyMin bytes: while it is non-zero, the link's reader reads no
+	// further than the header it needs. Changed under mu; the reader loads
+	// it without.
+	zeroCopy []atomic.Int32
+}
+
+// newMatcher returns the matcher of a rank of an n-rank world, with the
+// pool and counters of sh and the rank's clock now.
+func newMatcher(n int, sh *shared, now func() float64) *matcher {
+	return &matcher{
+		pool:     &sh.pool,
+		stats:    &sh.stats,
+		now:      now,
+		arrived:  make(map[matchKey][]arrivedMsg),
+		posted:   make(map[matchKey][]*recvOp),
+		srcErr:   make(map[int]error),
+		zeroCopy: make([]atomic.Int32, n),
+	}
 }
 
 // arrivedMsg is a delivered frame waiting for its receive: the payload plus
@@ -90,7 +110,19 @@ func (m *matcher) fail(src int, err error) {
 		}
 		delete(m.posted, key)
 	}
+	m.zeroCopy[src].Store(0)
 }
+
+// track counts op into or out of its source's zeroCopy. Caller holds mu.
+func (m *matcher) track(src int, op *recvOp, delta int32) {
+	if len(op.buf) >= zeroCopyMin {
+		m.zeroCopy[src].Add(delta)
+	}
+}
+
+// zeroCopyPosted reports whether a receive from src of at least
+// zeroCopyMin bytes is posted.
+func (m *matcher) zeroCopyPosted(src int) bool { return m.zeroCopy[src].Load() > 0 }
 
 // deliver hands an arrived frame to a posted receive or queues it. A
 // matched payload goes back to the pool the moment its bytes are copied
@@ -107,6 +139,7 @@ func (m *matcher) deliver(key matchKey, payload []byte, ctx uint64) {
 	if q := m.posted[key]; len(q) > 0 {
 		var op *recvOp
 		op, m.posted[key] = mpi.PopFront(q)
+		m.track(key.src, op, -1)
 		m.mu.Unlock()
 		m.finish(op, arrivedMsg{payload: payload, ctx: ctx, at: at})
 		return
@@ -144,6 +177,7 @@ func (m *matcher) post(key matchKey, op *recvOp) {
 		return
 	}
 	m.posted[key] = append(m.posted[key], op)
+	m.track(key.src, op, 1)
 	m.mu.Unlock()
 }
 
@@ -161,6 +195,7 @@ func (m *matcher) claim(key matchKey) *recvOp {
 	}
 	op, q := mpi.PopFront(q)
 	m.posted[key] = q
+	m.track(key.src, op, -1)
 	m.mu.Unlock()
 	return op
 }
@@ -182,6 +217,7 @@ func (m *matcher) unclaim(key matchKey, op *recvOp) {
 	copy(q[1:], q)
 	q[0] = op
 	m.posted[key] = q
+	m.track(key.src, op, 1)
 	m.mu.Unlock()
 }
 

@@ -38,8 +38,10 @@ type shared struct {
 	// pool recycles per-message payload buffers: receive payloads, send
 	// copies, self-send loopback copies.
 	pool bufPool
-	// recvOps recycles posted-receive operations.
-	recvOps mpi.Freelist[recvOp]
+	// recvOps and sendFrames recycle posted-receive operations and send
+	// frames.
+	recvOps    mpi.Freelist[recvOp]
+	sendFrames mpi.Freelist[outFrame]
 	// ln is the process's listening socket, the one higher ranks dial — first
 	// for the mesh, later to replace a broken socket. The ranks of an
 	// in-process world share it, since a listen costs more than the rest of a
@@ -82,14 +84,7 @@ type node struct {
 func newNode(rank, n int, sh *shared) *node {
 	nd := &node{shared: sh, rank: rank, n: n, links: make([]*link, n)}
 	nd.ctx, nd.closing = context.WithCancel(context.Background())
-	nd.matcher = &matcher{
-		pool:    &sh.pool,
-		stats:   &sh.stats,
-		now:     nd.Now,
-		arrived: make(map[matchKey][]arrivedMsg),
-		posted:  make(map[matchKey][]*recvOp),
-		srcErr:  make(map[int]error),
-	}
+	nd.matcher = newMatcher(n, sh, nd.Now)
 	for p := range nd.links {
 		if p != rank {
 			lk := &link{nd: nd, peer: p}

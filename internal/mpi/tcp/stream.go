@@ -4,15 +4,22 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/aapc-sched/aapcsched/internal/mpi"
 )
 
 // outFrame is one queued outbound frame. A data frame doubles as the send
-// request handed back to the caller (the embedded mpi.Completion; frames are
-// never recycled — the retransmit window may hold one long after its request
-// was waited). When it completes depends on who owns the payload memory:
+// request handed back to the caller (the embedded mpi.Completion), and it
+// has two holders: the caller, until its Wait consumes the completion, and
+// the stream, until the frame has left the queue, the retransmit window and
+// any writer batch — retired by the cumulative ack, failed with the stream,
+// or let go by the batch of a failed stream. The window may hold a frame
+// long after its request was waited, and a request may be waited long after
+// its frame was acked; whichever holder lets go last recycles the frame to
+// the rank's freelist. A timed-out wait abandons it to the garbage
+// collector. When it completes depends on who owns the payload memory:
 //
 //   - copied frames (small, non-pool-aligned buffers) complete on the first
 //     successful write — the pooled copy makes the caller's buffer reusable
@@ -24,8 +31,12 @@ import (
 //     no copy-on-rewind is ever needed.
 type outFrame struct {
 	mpi.Completion
-	tag int
-	seq uint64
+	free *mpi.Freelist[outFrame]
+	// holds counts the holders that have not let go yet (see the type
+	// comment); the one that takes it to zero recycles the frame.
+	holds atomic.Int32
+	tag   int
+	seq   uint64
 	// ctx is the causal trace context carried in the frame header (0 =
 	// untraced). Retransmissions reuse the frame, so the context survives
 	// re-delivery unchanged — which is why the wire reads this field and
@@ -112,11 +123,38 @@ func (st *sendStream) hasWorkLocked() bool {
 	return st.resend < len(st.unacked) || st.qhead < len(st.queue) || st.ackDirty
 }
 
-// newDataFrame builds the frame (and request) for one send.
-func newDataFrame(m mpi.Op) *outFrame {
-	fr := &outFrame{tag: m.Tag, ctx: m.Ctx, buf: m.Buf, size: len(m.Buf)}
-	fr.Init(nil)
+// getDataFrame returns the frame (and request) for one send, recycled when
+// the freelist has one.
+func getDataFrame(free *mpi.Freelist[outFrame], m mpi.Op) *outFrame {
+	fr := free.Get()
+	switch {
+	case fr == nil:
+		fr = &outFrame{free: free}
+		fr.Init(fr)
+	case frameReused != nil:
+		frameReused(fr)
+	}
+	fr.tag, fr.ctx, fr.buf, fr.size = m.Tag, m.Ctx, m.Buf, len(m.Buf)
+	fr.holds.Store(2)
 	return fr
+}
+
+// frameReused, when set (by tests), sees every frame getDataFrame takes
+// from the freelist, before it is reused.
+var frameReused func(*outFrame)
+
+// Recycle is the caller letting go: its Wait consumed the completion
+// (mpi.Recycler).
+func (fr *outFrame) Recycle() { fr.release() }
+
+// release lets go of one hold. The last holder clears the frame and returns
+// it to its freelist; neither holder touches it afterwards.
+func (fr *outFrame) release() {
+	if fr.holds.Add(-1) != 0 {
+		return
+	}
+	*fr = outFrame{Completion: fr.Completion, free: fr.free}
+	fr.free.Put(fr)
 }
 
 // finish delivers the frame's completion, once. A traced frame that made it
@@ -145,27 +183,31 @@ func (st *sendStream) rewind() {
 	st.mu.Unlock()
 }
 
-// retireFrameLocked releases an acked frame's resources: pooled send copies
-// go back to the pool, and borrowed frames get their deferred completion —
-// the ack proves delivery, so the caller's buffer is finally free for
-// reuse. Caller holds the stream mutex; done is buffered, so the send
-// cannot block under it.
+// retireFrameLocked retires a frame the cumulative ack pruned. The ack
+// proves delivery: a pooled send copy goes back to the pool, the frame
+// counts as written if no write was counted for it yet (a write that failed
+// after its bytes left), and it completes — the deferred completion of a
+// borrowed frame; a copied one completed at its first write, unless that
+// write failed. The caller lets go of the stream's hold afterwards. Caller
+// holds the stream mutex; done is buffered, so the send cannot block
+// under it.
 func (lk *link) retireFrameLocked(fr *outFrame) {
-	if fr.poolable && fr.buf != nil {
+	if fr.poolable {
 		lk.nd.pool.put(fr.buf)
 		fr.buf = nil
 	}
-	if fr.borrowed {
-		fr.finish(nil, lk.nd.start)
+	if !fr.written {
+		fr.written = true
+		lk.st.wrote++
 	}
+	fr.finish(nil, lk.nd.start)
 }
 
 // ackStream prunes unacknowledged frames below the cumulative ack,
-// retiring each (pool release or deferred borrowed completion). A frame
-// the writer is concurrently writing is only marked (ackFreed); the writer
-// retires it when the write completes — releasing mid-write would hand the
-// bytes to another message (or let the caller modify them) while writev
-// still references them.
+// retiring each and letting go of it. A frame the writer is concurrently
+// writing is only marked (ackFreed); the writer retires it when the write
+// completes — releasing mid-write would hand the bytes to another message
+// (or let the caller modify them) while writev still references them.
 func (lk *link) ackStream(upTo uint64) {
 	st := &lk.st
 	st.mu.Lock()
@@ -179,6 +221,7 @@ func (lk *link) ackStream(upTo uint64) {
 				fr.ackFreed = true
 			} else {
 				lk.retireFrameLocked(fr)
+				fr.release()
 			}
 		}
 		// Shift the survivors down instead of re-slicing forward: the
@@ -339,15 +382,17 @@ func (b *writeBatch) buildIovecs() {
 // (failStreamLocked skips them): a written frame completes with nil, since
 // no ack will come for it, and an unwritten one with the stream's error.
 // reack re-arms the urgent ack the batch carried after a failed write, so
-// it is retried on the next (post-reconnect) cycle.
+// it is retried on the next (post-reconnect) cycle. The stream lets go of a
+// frame here when the ack pruned it mid-write or the stream failed: it is
+// in no queue or window any more, and the batch empties.
 func (lk *link) releaseBatch(b *writeBatch, err error, complete, reack bool) {
 	st := &lk.st
 	st.mu.Lock()
 	st.busy = false
 	for _, fr := range b.frames {
 		fr.writing = false
-		if fr.ackFreed {
-			fr.ackFreed = false
+		acked := fr.ackFreed
+		if acked {
 			lk.retireFrameLocked(fr)
 		}
 		if complete && err == nil && !fr.written {
@@ -371,7 +416,11 @@ func (lk *link) releaseBatch(b *writeBatch, err error, complete, reack bool) {
 			}
 			fr.finish(e, lk.nd.start)
 		}
+		if acked || st.failed != nil {
+			fr.release()
+		}
 	}
+	b.frames = b.frames[:0]
 	if reack && b.ackDue && st.failed == nil {
 		st.ackDirty = true
 	}
@@ -411,11 +460,12 @@ func (st *sendStream) waitTimedLocked(d time.Duration, done func() bool) bool {
 }
 
 // failStreamLocked fails the link's outbound stream: queued and
-// unacknowledged frames complete with err, future sends are rejected, the
-// writer exits. A frame in the writer's in-flight batch is left to
-// releaseBatch: its write may already have returned, and a copied or
-// zero-size frame whose bytes reached the kernel completes with nil, not
-// with the link's error. Caller holds the stream mutex.
+// unacknowledged frames complete with err and the stream lets go of them,
+// future sends are rejected, the writer exits. A frame in the writer's
+// in-flight batch is left to releaseBatch: its write may already have
+// returned, and a copied or zero-size frame whose bytes reached the kernel
+// completes with nil, not with the link's error. Caller holds the stream
+// mutex.
 func (lk *link) failStreamLocked(err error) {
 	st := &lk.st
 	if st.failed != nil {
@@ -424,6 +474,7 @@ func (lk *link) failStreamLocked(err error) {
 	st.failed = err
 	for _, fr := range st.queue[st.qhead:] {
 		fr.finish(err, lk.nd.start)
+		fr.release()
 	}
 	for _, fr := range st.unacked {
 		if fr.writing {
@@ -435,6 +486,7 @@ func (lk *link) failStreamLocked(err error) {
 		} else {
 			fr.finish(err, lk.nd.start)
 		}
+		fr.release()
 	}
 	st.queue = nil
 	st.qhead = 0
@@ -463,7 +515,7 @@ func (lk *link) writer() {
 		// exactly where the plan put them.
 		maxData = 1
 	}
-	var b writeBatch
+	b := &lk.batch
 	// iov is the consumable slice header handed to WriteTo (which advances
 	// it as it writes). Its address escapes through the net.Conn interface,
 	// so it is declared once per writer, not once per batch, to keep the
@@ -496,7 +548,7 @@ func (lk *link) writer() {
 		if err != nil {
 			// The link is terminally down; fail has drained or will drain
 			// the stream. Complete any in-flight frames that escaped it.
-			lk.releaseBatch(&b, err, true, false)
+			lk.releaseBatch(b, err, true, false)
 			return
 		}
 
@@ -508,7 +560,7 @@ func (lk *link) writer() {
 			// link: retransmissions now precede these frames in sequence
 			// order. Put the batch back (the frames already sit in unacked,
 			// below the rewound resend cursor) and re-collect.
-			lk.releaseBatch(&b, nil, false, true)
+			lk.releaseBatch(b, nil, false, true)
 			continue
 		}
 
@@ -525,7 +577,7 @@ func (lk *link) writer() {
 				// The frame sits in unacked; it is retransmitted after the
 				// reconnect, or failed with the link.
 				lk.broken(epoch, fmt.Errorf("tcp: injected connection drop %d->%d", nd.rank, lk.peer), false)
-				lk.releaseBatch(&b, nil, false, true)
+				lk.releaseBatch(b, nil, false, true)
 				continue
 			case mpi.FaultDuplicate:
 				b.dup = true
@@ -538,7 +590,7 @@ func (lk *link) writer() {
 			// Data frames stay in unacked and are retransmitted after the
 			// reconnect (or failed terminally); an urgent ack is re-armed.
 			lk.broken(epoch, werr, false)
-			lk.releaseBatch(&b, nil, false, true)
+			lk.releaseBatch(b, nil, false, true)
 			continue
 		}
 		nd.stats.writevs.Add(1)
@@ -552,6 +604,6 @@ func (lk *link) writer() {
 		if b.haveAck {
 			nd.stats.acksSent.Add(1)
 		}
-		lk.releaseBatch(&b, nil, true, false)
+		lk.releaseBatch(b, nil, true, false)
 	}
 }

@@ -199,10 +199,12 @@ type Stats struct {
 	BorrowedSends uint64
 	CopiedSends   uint64
 	// PayloadCopies counts userspace copies of payload bytes anywhere on
-	// the data path: pooled send copies, self-send loopback packs, and
-	// match-time copies of frames that arrived before their receive was
-	// posted. On a steady-state scheduled run with pre-posted receives and
-	// borrowed sends it stays zero.
+	// the data path: pooled send copies, self-send loopback packs, payloads
+	// copied out of a connection's read buffer (a small frame read along
+	// with its header), and match-time copies of frames that arrived before
+	// their receive was posted. On a steady-state scheduled run with
+	// pre-posted receives of at least zeroCopyMin and borrowed sends it
+	// stays zero.
 	PayloadCopies uint64
 	// ZeroCopyRecvs counts data frames whose payload was read off the
 	// socket directly into the posted receive buffer (no staging copy).

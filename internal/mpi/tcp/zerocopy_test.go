@@ -250,8 +250,8 @@ func drainedConn(t *testing.T) net.Conn {
 // the cumulative ack retiring the frames (retireFrameLocked, finish) and
 // the payload pool's get/put hit path. Each pass carries one borrowed
 // frame and one pooled copy, so both ways a frame retires run. The frames
-// are built before the measurement: a send's request is the one allocation
-// it makes.
+// come from the rank's freelist, and the ack and the Wait recycle them:
+// once warm, a send's request allocates nothing either.
 func TestSendLoopNoSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates on synchronization")
@@ -260,24 +260,21 @@ func TestSendLoopNoSteadyStateAllocs(t *testing.T) {
 	lk, conn := bareLink(), drainedConn(t)
 	nd, st := lk.nd, &lk.st
 	block, small := make([]byte, 4096), make([]byte, 100)
-	var frames []*outFrame
-	for i := 0; i < runs+3; i++ {
-		borrowed := newDataFrame(mpi.Op{Buf: block, Tag: i, Ctx: uint64(i + 1)})
-		borrowed.borrowed = true
-		frames = append(frames, borrowed, newDataFrame(mpi.Op{Buf: small, Tag: i}))
-	}
 	var b writeBatch
 	// iov escapes through the net.Conn interface, as in writer.
 	var iov net.Buffers
+	i := 0
 	pass := func() {
-		pair := frames[:2]
-		frames = frames[2:]
+		i++
+		borrowed := getDataFrame(&nd.sendFrames, mpi.Op{Buf: block, Tag: i, Ctx: uint64(i)})
+		borrowed.borrowed = true
+		pair := [2]*outFrame{borrowed, getDataFrame(&nd.sendFrames, mpi.Op{Buf: small, Tag: i})}
 		st.mu.Lock()
 		// The copy branch of isend.
 		pair[1].buf = nd.pool.get(len(small))
 		copy(pair[1].buf, small)
 		pair[1].poolable = true
-		st.queue = append(st.queue, pair...)
+		st.queue = append(st.queue, pair[:]...)
 		if b.collect(st, 64, writerMaxBatch) {
 			t.Fatal("retransmit window overflow")
 		}
@@ -330,12 +327,12 @@ func failDuringWrite(t *testing.T, conn net.Conn, wrote bool) {
 	lk := bareLink()
 	nd, st := lk.nd, &lk.st
 	small := []byte("copied payload")
-	copied := newDataFrame(mpi.Op{Buf: small, Tag: 1})
+	copied := getDataFrame(&nd.sendFrames, mpi.Op{Buf: small, Tag: 1})
 	copied.buf = nd.pool.get(len(small))
 	copy(copied.buf, small)
 	copied.poolable = true
-	empty := newDataFrame(mpi.Op{Tag: 2})
-	borrowed := newDataFrame(mpi.Op{Buf: make([]byte, 4096), Tag: 3})
+	empty := getDataFrame(&nd.sendFrames, mpi.Op{Tag: 2})
+	borrowed := getDataFrame(&nd.sendFrames, mpi.Op{Buf: make([]byte, 4096), Tag: 3})
 	borrowed.borrowed = true
 	frames := []*outFrame{copied, empty, borrowed}
 	var b writeBatch
@@ -356,12 +353,14 @@ func failDuringWrite(t *testing.T, conn net.Conn, wrote bool) {
 	st.mu.Unlock()
 	lk.releaseBatch(&b, nil, wrote, !wrote)
 	for _, fr := range frames {
+		// A consumed Wait recycles the frame: read it before.
+		tag, size := fr.tag, fr.size
 		_, err := fr.Wait(time.Second)
 		if wrote && err != nil {
-			t.Errorf("written frame (tag %d, %d B): Wait = %v, want nil", fr.tag, fr.size, err)
+			t.Errorf("written frame (tag %d, %d B): Wait = %v, want nil", tag, size, err)
 		}
 		if !wrote && err != fail {
-			t.Errorf("unwritten frame (tag %d, %d B): Wait = %v, want %v", fr.tag, fr.size, err, fail)
+			t.Errorf("unwritten frame (tag %d, %d B): Wait = %v, want %v", tag, size, err, fail)
 		}
 	}
 }
@@ -369,8 +368,9 @@ func failDuringWrite(t *testing.T, conn net.Conn, wrote bool) {
 // TestZeroCopyAliasing checks the zero-copy property itself rather than a
 // counter of it. A borrowed send's payload iovec is the caller's block:
 // the same backing array and the same length. A payload that fits its
-// posted receive is read off the socket into that receive's buffer and
-// nowhere else.
+// posted receive, behind a header read while that receive was posted, is
+// read off the socket into that receive's buffer and nowhere else: the
+// header's read took none of it.
 func TestZeroCopyAliasing(t *testing.T) {
 	t.Run("borrowed-send", func(t *testing.T) {
 		// 64 KiB is above zeroCopyMin; 64 B is below it but pool-aligned.
@@ -393,11 +393,26 @@ func TestZeroCopyAliasing(t *testing.T) {
 	})
 	t.Run("posted-recv", func(t *testing.T) {
 		nd := &node{shared: &shared{}}
+		m := newMatcher(2, nd.shared, nd.Now)
+		key := matchKey{src: 1, tag: 7}
 		for _, size := range []int{8192, 5000, 1} {
 			op := &recvOp{buf: make([]byte, 8192)}
+			m.post(key, op)
 			want := bytes.Repeat([]byte{0xa5}, size)
-			conn := &recordingConn{src: bytes.NewReader(want)}
-			sockErr, opErr := nd.readIntoOp(conn, op, size)
+			frame := make([]byte, headerLen, headerLen+size)
+			putFrameHeader(frame, frameHeader{kind: frameData, tag: key.tag, size: size})
+			conn := &recordingConn{src: bytes.NewReader(append(frame, want...))}
+			// The read loop's gate: the 8 KiB receive is posted, so the
+			// header's read takes nothing behind it.
+			in := newFrameReader(conn, func() bool { return !m.zeroCopyPosted(key.src) })
+			if _, err := in.header(); err != nil {
+				t.Fatal(err)
+			}
+			if m.claim(key) != op {
+				t.Fatalf("%d B: the posted receive was not claimed", size)
+			}
+			conn.targets, conn.got = nil, 0
+			sockErr, opErr := nd.readIntoOp(in, op, size)
 			if sockErr != nil || opErr != nil {
 				t.Fatalf("%d B: readIntoOp = %v, %v", size, sockErr, opErr)
 			}
@@ -415,19 +430,25 @@ func TestZeroCopyAliasing(t *testing.T) {
 			if len(conn.targets) == 0 {
 				t.Fatalf("%d B: nothing was read", size)
 			}
+			if conn.got != size {
+				t.Fatalf("%d B: %d payload bytes read off the connection, want all", size, conn.got)
+			}
 		}
 	})
 }
 
 // recordingConn serves src in reads of at most 1000 bytes and records
-// every buffer a Read was asked to fill.
+// every buffer a Read was asked to fill, and how many bytes it got.
 type recordingConn struct {
 	net.Conn
 	src     io.Reader
 	targets [][]byte
+	got     int
 }
 
 func (c *recordingConn) Read(p []byte) (int, error) {
 	c.targets = append(c.targets, p)
-	return c.src.Read(p[:min(len(p), 1000)])
+	n, err := c.src.Read(p[:min(len(p), 1000)])
+	c.got += n
+	return n, err
 }
