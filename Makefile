@@ -36,8 +36,9 @@ fmt:
 # blocks (Flush with d <= 0), none in an shm round of out-of-order receives,
 # in the fast rate solver or in the schedule's first-fit probe, a warm aapcd
 # fetch that derives nothing (no plan build, no rendering: stored bytes with
-# Content-Length), and a 64-machine sync plan in under 8 MB (enumerating the
-# conflict pairs again would take well over 100 MB).
+# Content-Length), a 64-machine sync plan in under 8 MB (enumerating the
+# conflict pairs again would take well over 100 MB), and no allocation in
+# decoding one sync of a schedule body.
 alloc-gates:
 	$(GO) test -run 'TestScheduledFnNoSteadyStateAllocs|TestScheduledFnTCPNoSteadyStateAllocs' -count=1 ./internal/alltoall/
 	$(GO) test -run 'TestInstrumentedOpAllocsAmortized' -count=1 ./internal/obsv/
@@ -46,7 +47,7 @@ alloc-gates:
 	$(GO) test -run 'TestAssignRatesNoSteadyStateAllocs' -count=1 ./internal/simnet/
 	$(GO) test -run 'TestFirstFreeNoAllocs' -count=1 ./internal/schedule/
 	$(GO) test -run 'TestWarmFetchDerivesNothing' -count=1 ./internal/sched/
-	$(GO) test -run 'TestBuildAllocationBound' -count=1 ./internal/syncplan/
+	$(GO) test -run 'TestBuildAllocationBound|TestSyncJSON' -count=1 ./internal/syncplan/
 
 # vet runs stock go vet (copylocks, loopclosure and the rest) over both
 # build configurations: the instrumented and no-op observability layers
@@ -113,7 +114,8 @@ bench-trace:
 	$(GO) test -bench 'BenchmarkIngestJSONL|BenchmarkMerge|BenchmarkAnalyze|BenchmarkEstimateOffsets' -benchmem -run=^$$ ./internal/obsv/collect/
 
 # Short fuzz passes over every DSL parser, the daemon's request grammar,
-# the tcp frame-header decoder, the tcp read loop parsing valid frames out of
+# the pair form of schedule bodies (against encoding/json), the tcp
+# frame-header decoder, the tcp read loop parsing valid frames out of
 # arbitrary short reads, the rendezvous book a joiner reads from the
 # coordinator, the shm ring's record framing, the shm pair segment a
 # co-located peer hands over, and the trace collector's ingest-then-report
@@ -125,6 +127,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParsePlan -fuzztime=30s -fuzzminimizetime=2s ./internal/faults/
 	$(GO) test -fuzz=FuzzTopologyDelta -fuzztime=30s -fuzzminimizetime=2s ./internal/topology/
 	$(GO) test -fuzz=FuzzScheduleRequest -fuzztime=30s -fuzzminimizetime=2s ./internal/sched/
+	$(GO) test -fuzz=FuzzMessagePairs -fuzztime=30s -fuzzminimizetime=2s ./internal/schedule/
 	$(GO) test -fuzz=FuzzFrameHeader -fuzztime=30s -fuzzminimizetime=2s ./internal/mpi/tcp/
 	$(GO) test -fuzz=FuzzFrameStream -fuzztime=30s -fuzzminimizetime=2s ./internal/mpi/tcp/
 	$(GO) test -fuzz=FuzzRendezvousBook -fuzztime=30s -fuzzminimizetime=2s ./internal/mpi/tcp/

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/aapc-sched/aapcsched/internal/gen"
 	"github.com/aapc-sched/aapcsched/internal/harness"
 	"github.com/aapc-sched/aapcsched/internal/sched"
 )
@@ -168,5 +170,29 @@ func TestTopoHelpNamesEveryPreset(t *testing.T) {
 	new(options).bind(fs)
 	if u := fs.Lookup("topo").Usage; !strings.Contains(u, harness.PresetList()) {
 		t.Errorf("-topo help %q does not list %s", u, harness.PresetList())
+	}
+}
+
+// TestRunCheckDaemonBodies: every fig1 schedule body aapcd serves is a valid
+// -check input, its syncs (when asked for) the minimal plan.
+func TestRunCheckDaemonBodies(t *testing.T) {
+	for _, alg := range []string{sched.AlgOurs, sched.AlgGreedy, sched.AlgAuto} {
+		for syncs := 0; syncs <= 1; syncs++ {
+			path := filepath.Join("..", "aapcd", "testdata", fmt.Sprintf("schedule_fig1_%s_syncs%d.json", alg, syncs))
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, plan, err := gen.UnmarshalRoutineJSON(data)
+			if err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			if (plan != nil) != (syncs == 1) {
+				t.Errorf("%s: plan %v, want one iff syncs=1", path, plan)
+			}
+			if err := run(&options{preset: "fig1", check: path}); err != nil {
+				t.Errorf("%s rejected: %v", path, err)
+			}
+		}
 	}
 }

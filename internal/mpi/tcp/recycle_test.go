@@ -113,3 +113,70 @@ func burst(c mpi.Comm, k, msize int) error {
 	}
 	return mpi.WaitAllTimeout(reqs, 20*time.Second)
 }
+
+// TestAckMidRetransmitRecyclesOnce scripts the one way a frame is pruned by
+// the ack mid-write after its request was already waited: a copied frame is
+// written and completed by releaseBatch, and its Wait consumes it; a
+// reconnect's rewind collects it again for retransmission; the ack prunes
+// it while that write is out. The stream must let go of it only when the
+// write is released, so the frame is recycled exactly once, by releaseBatch.
+func TestAckMidRetransmitRecyclesOnce(t *testing.T) {
+	lk, conn := bareLink(), drainedConn(t)
+	nd, st := lk.nd, &lk.st
+	small := []byte("copied payload")
+	fr := getDataFrame(&nd.sendFrames, mpi.Op{Buf: small, Tag: 1})
+	fr.buf = nd.pool.get(len(small))
+	copy(fr.buf, small)
+	fr.poolable = true
+	var b writeBatch
+	write := func() {
+		t.Helper()
+		iov := b.iovecs
+		if _, err := iov.WriteTo(conn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recycled := func(when string) {
+		t.Helper()
+		if got := nd.sendFrames.Get(); got != nil {
+			t.Fatalf("frame recycled %s", when)
+		}
+	}
+
+	st.mu.Lock()
+	st.queue = append(st.queue, fr)
+	b.collect(st, 64, writerMaxBatch)
+	st.mu.Unlock()
+	b.buildIovecs()
+	write()
+	lk.releaseBatch(&b, nil, true, false)
+	if _, err := fr.Wait(0); err != nil {
+		t.Fatal(err)
+	}
+	recycled("while the retransmit window held it")
+
+	st.rewind()
+	st.mu.Lock()
+	b.collect(st, 64, writerMaxBatch)
+	st.mu.Unlock()
+	if b.nRetrans != 1 || len(b.frames) != 1 || b.frames[0] != fr || !fr.writing {
+		t.Fatalf("rewind collected %d frames (%d retransmissions), writing %v; want the frame alone",
+			len(b.frames), b.nRetrans, fr.writing)
+	}
+	b.buildIovecs()
+	lk.ackStream(st.nextSeq) // lands while the retransmission is out
+	recycled("by the ack, under its own retransmission")
+	if !fr.ackFreed || len(st.unacked) != 0 {
+		t.Fatalf("ack mid-write: ackFreed %v, %d frames unacked; want marked and pruned", fr.ackFreed, len(st.unacked))
+	}
+	if !slices.Equal(fr.buf, small) {
+		t.Fatalf("payload %q under the write, want %q", fr.buf, small)
+	}
+	write()
+	lk.releaseBatch(&b, nil, true, false)
+
+	if got := nd.sendFrames.Get(); got != fr {
+		t.Fatalf("releaseBatch did not recycle the frame (freelist gave %p, want %p)", got, fr)
+	}
+	recycled("twice")
+}

@@ -6,8 +6,9 @@ import (
 )
 
 // The JSON wire types of the daemon's v1 API. Phases and syncs are the
-// runtime types, whose JSON is the aapcgen routine JSON's (src/dst,
-// after/before), so existing tooling can consume daemon responses.
+// runtime types, whose codecs (schedule.Phase and syncplan.Sync) render
+// each as one flat array of (src, dst) pairs, the form the aapcgen routine
+// JSON uses too, so aapcgen -check consumes daemon responses.
 
 // ScheduleResponse is the body of GET /v1/schedule.
 type ScheduleResponse struct {

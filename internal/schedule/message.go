@@ -27,9 +27,9 @@ import (
 // Message is one AAPC point-to-point communication between machine ranks.
 type Message struct {
 	// Src is the sending machine rank.
-	Src int `json:"src"`
+	Src int
 	// Dst is the receiving machine rank.
-	Dst int `json:"dst"`
+	Dst int
 }
 
 // String renders the message as "src->dst".

@@ -32,9 +32,33 @@ import (
 // source of After sends a small control message to the source of Before.
 type Sync struct {
 	// After is the message that must finish first.
-	After schedule.Message `json:"after"`
+	After schedule.Message
 	// Before is the message that must wait.
-	Before schedule.Message `json:"before"`
+	Before schedule.Message
+}
+
+// MarshalJSON renders the sync as its two messages in the schedule's pair
+// form, [after.src,after.dst,before.src,before.dst].
+func (s Sync) MarshalJSON() ([]byte, error) {
+	return schedule.Phase{s.After, s.Before}.MarshalJSON()
+}
+
+// UnmarshalJSON parses the form MarshalJSON renders; null leaves the sync
+// as it is. It allocates nothing unless the input is malformed.
+func (s *Sync) UnmarshalJSON(data []byte) error {
+	if string(data) == "null" {
+		return nil
+	}
+	var buf [2]schedule.Message
+	ms, err := schedule.AppendMessagePairs(buf[:0], data)
+	if err != nil {
+		return err
+	}
+	if len(ms) != 2 {
+		return fmt.Errorf("syncplan: a sync is two messages, got %d", len(ms))
+	}
+	s.After, s.Before = ms[0], ms[1]
+	return nil
 }
 
 // Plan is the synchronization plan for one schedule: the minimal set of

@@ -1,9 +1,11 @@
 package syncplan
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -388,5 +390,45 @@ link s3 n4
 	over := &schedule.Schedule{NumRanks: 6, Phases: []schedule.Phase{{{Src: 0, Dst: 4}, {Src: 0, Dst: 3}, {Src: 0, Dst: 5}}}}
 	if _, err := Build(g, over); err == nil || !strings.Contains(err.Error(), "exceeds link capacity") {
 		t.Errorf("three messages on a speed-2 link: error %v, want one naming the capacity", err)
+	}
+}
+
+// TestSyncJSON: a sync is its two messages in the schedule's pair form, and
+// decoding one allocates nothing.
+func TestSyncJSON(t *testing.T) {
+	in := []Sync{{After: schedule.Message{Src: 0, Dst: 1}, Before: schedule.Message{Src: 3, Dst: 1}}}
+	b, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `[[0,1,3,1]]`; string(b) != want {
+		t.Fatalf("marshaled %s, want %s", b, want)
+	}
+	var out []Sync
+	if err := json.Unmarshal(b, &out); err != nil || !slices.Equal(out, in) {
+		t.Fatalf("round trip: %v, %v; want %v", out, err, in)
+	}
+	for _, bad := range []string{"[]", "[0,1]", "[0,1,2,3,4,5]", "[0,1,2]", `{"after":{"src":0,"dst":1},"before":{"src":3,"dst":1}}`} {
+		var s Sync
+		if err := json.Unmarshal([]byte(bad), &s); err == nil {
+			t.Errorf("%s: decoded as %v", bad, s)
+		}
+	}
+	s := in[0]
+	if err := json.Unmarshal([]byte("null"), &s); err != nil || s != in[0] {
+		t.Errorf("null: sync %v, err %v; want it left as %v", s, err, in[0])
+	}
+	var got Sync
+	raw := []byte("[12,7,3,12]")
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := got.UnmarshalJSON(raw); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := (Sync{After: schedule.Message{Src: 12, Dst: 7}, Before: schedule.Message{Src: 3, Dst: 12}}); got != want {
+		t.Errorf("decoded %v, want %v", got, want)
+	}
+	if allocs != 0 {
+		t.Errorf("decoding a sync: %.0f allocs, want 0", allocs)
 	}
 }
