@@ -130,16 +130,44 @@ type jsonRoutine struct {
 	ConflictPairs int              `json:"conflictPairs"`
 }
 
-// MarshalJSON renders the routine as indented JSON.
+// MarshalJSON renders the routine as indented JSON with one phase, and one
+// sync, per line. Its fields are those of jsonRoutine, in that order.
 func (r *Routine) MarshalJSON() ([]byte, error) {
-	return json.MarshalIndent(jsonRoutine{
-		NumRanks:      r.Schedule.NumRanks,
-		NumPhases:     len(r.Schedule.Phases),
-		Load:          r.Graph.AAPCLoad(),
-		Phases:        r.Schedule.Phases,
-		Syncs:         r.Plan.Syncs,
-		ConflictPairs: r.Plan.ConflictPairs,
-	}, "", "  ")
+	b := fmt.Appendf(nil, "{\n  \"numRanks\": %d,\n  \"numPhases\": %d,\n  \"load\": %d,\n  \"phases\": ",
+		r.Schedule.NumRanks, len(r.Schedule.Phases), r.Graph.AAPCLoad())
+	b, err := appendLines(b, r.Schedule.Phases)
+	if err != nil {
+		return nil, err
+	}
+	b = append(b, ",\n  \"syncs\": "...)
+	if b, err = appendLines(b, r.Plan.Syncs); err != nil {
+		return nil, err
+	}
+	return fmt.Appendf(b, ",\n  \"conflictPairs\": %d\n}", r.Plan.ConflictPairs), nil
+}
+
+// appendLines renders items as a JSON array nested in MarshalJSON's object,
+// each item compact on a line of its own: null for a nil slice, [] for an
+// empty one, as encoding/json renders them.
+func appendLines[T json.Marshaler](b []byte, items []T) ([]byte, error) {
+	if items == nil {
+		return append(b, "null"...), nil
+	}
+	if len(items) == 0 {
+		return append(b, "[]"...), nil
+	}
+	b = append(b, '[')
+	for i, it := range items {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		item, err := it.MarshalJSON()
+		if err != nil {
+			return nil, err
+		}
+		b = append(append(b, "\n    "...), item...)
+	}
+	return append(b, "\n  ]"...), nil
 }
 
 // UnmarshalRoutineJSON parses a serialized schedule back into the runtime

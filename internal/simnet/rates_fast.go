@@ -1,6 +1,9 @@
 package simnet
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // The fast rate engine collapses flows sharing a path into aggregates for
 // the progressive-filling loop. On a tree the path between two machines is
@@ -12,9 +15,11 @@ import "math"
 // the aggregates crossing it, so a filling round freezes the aggregates of a
 // bottleneck edge directly instead of re-scanning every unfrozen flow's
 // path. Edge fair-share ratios are cached and recomputed only for edges a
-// freeze actually touched. All solver state lives in reusable buffers: at
-// steady state (no new aggregates) a rate assignment performs zero
-// allocations.
+// freeze actually touched. The solver visits only busy edges — those some
+// active flow crosses, tracked as a bitset by attachFlow/detachFlow — so a
+// call costs nothing for the idle links of a large tree. All solver state
+// lives in reusable buffers: at steady state (no new aggregates) a rate
+// assignment performs zero allocations.
 //
 // Equivalence with the dense reference: flows with identical paths are
 // symmetric in the max-min system, so they always freeze together at the
@@ -25,9 +30,9 @@ import "math"
 
 // aggregate is one path-equivalence class of active flows.
 type aggregate struct {
-	key    int   // src*n + dst
-	path   []int // directed edge IDs (shared with engine.pathOf)
-	weight int   // number of active member flows
+	key    int     // src*n + dst
+	path   []int32 // directed edge IDs (shared with engine.pathOf)
+	weight int     // number of active member flows
 	// slots[i] is this aggregate's position in edgeAggs[path[i]], kept for
 	// O(1) swap-removal when the last member completes.
 	slots   []int
@@ -46,19 +51,23 @@ type aggEntry struct {
 }
 
 // edgeState is one edge's solver state, packed so every path step during a
-// freeze touches a single cache line instead of five parallel arrays. ratio
+// freeze touches a single cache line instead of four parallel arrays. ratio
 // caches remCap/remCount and is recomputed only when dirty.
 type edgeState struct {
 	remCap   float64
 	ratio    float64
-	rate     float64 // aggregate link rate accumulated this call
 	remCount int32
 	dirty    bool
 }
 
 // fastScratch holds the aggregated solver's per-call working state.
+// busyEdges lists, ascending, the edges busy at the last call — the only
+// edges whose linkRate may be nonzero — and live the busy edges with
+// capacity still unassigned in the current round.
 type fastScratch struct {
-	edges []edgeState
+	edges     []edgeState
+	busyEdges []int32
+	live      []int32
 }
 
 // attachFlow adds an activated flow to its path aggregate, creating and
@@ -69,7 +78,9 @@ func (e *engine) attachFlow(f *flow) {
 		return // self-message: crosses no link, never aggregated
 	}
 	for _, eid := range f.path {
-		e.linkCount[eid]++
+		if e.linkCount[eid]++; e.linkCount[eid] == 1 {
+			e.busy[eid/64] |= 1 << (eid % 64)
+		}
 	}
 	key := f.src*e.n + f.dst
 	a := e.aggByKey[key]
@@ -111,7 +122,9 @@ func (e *engine) detachFlow(f *flow) {
 	}
 	f.agg = nil
 	for _, eid := range a.path {
-		e.linkCount[eid]--
+		if e.linkCount[eid]--; e.linkCount[eid] == 0 {
+			e.busy[eid/64] &^= 1 << (eid % 64)
+		}
 	}
 	a.weight--
 	if a.weight > 0 {
@@ -142,19 +155,33 @@ func (e *engine) detachFlow(f *flow) {
 // path aggregates: each round finds the bottleneck share from the cached
 // edge ratios, then freezes the aggregates on bottleneck edges through the
 // incidence lists. Each aggregate is frozen exactly once and each edge is a
-// bottleneck at most once, so a call costs O(rounds × edges + Σ aggregate
-// path lengths) instead of the reference solver's O(rounds × flows × path).
+// bottleneck at most once, so a call costs O(rounds × busy edges + Σ
+// aggregate path lengths) instead of the reference solver's O(rounds ×
+// flows × path). Busy edges are initialised, scanned and frozen in
+// ascending index order, as the reference solver visits all edges, so every
+// subtraction happens in the same order and the rates agree bit for bit.
 // Caller holds e.mu.
 func (e *engine) assignRatesFast() {
 	nEdges := len(e.edgeCap)
 	fs := &e.fs
 	if cap(fs.edges) < nEdges {
-		fs.edges = make([]edgeState, nEdges) // amortized: sized once per topology, reused every solver call
+		// Amortized: sized once per topology, reused every solver call.
+		fs.edges = make([]edgeState, nEdges)
+		fs.busyEdges = make([]int32, 0, nEdges)
+		fs.live = make([]int32, 0, nEdges)
 	}
-	if len(e.aggs) == 0 {
-		for i := range e.linkRate {
-			e.linkRate[i] = 0
+	// Only the edges busy at the last call can carry a stale rate.
+	for _, eid := range fs.busyEdges {
+		e.linkRate[eid] = 0
+	}
+	busy := fs.busyEdges[:0]
+	for w, word := range e.busy {
+		for ; word != 0; word &= word - 1 {
+			busy = append(busy, int32(w*64+bits.TrailingZeros64(word)))
 		}
+	}
+	fs.busyEdges = busy
+	if len(e.aggs) == 0 {
 		for _, f := range e.act {
 			f.rate = selfRate(f.remain)
 		}
@@ -163,7 +190,7 @@ func (e *engine) assignRatesFast() {
 	e.rateGen++
 	gen := e.rateGen
 	es := fs.edges[:nEdges]
-	for eid := 0; eid < nEdges; eid++ {
+	for _, eid := range busy {
 		c := e.linkCount[eid]
 		es[eid] = edgeState{
 			remCap:   e.edgeCap[eid] * e.efficiency(c),
@@ -171,15 +198,19 @@ func (e *engine) assignRatesFast() {
 			dirty:    true,
 		}
 	}
+	live := append(fs.live[:0], busy...)
 	unassigned := len(e.aggs)
 	for unassigned > 0 {
-		// Bottleneck fair share from the cached ratios.
+		// Bottleneck fair share from the cached ratios, dropping the edges
+		// the last round exhausted from the live list (order is kept).
 		share := math.Inf(1)
-		for eid := range es {
+		kept := live[:0]
+		for _, eid := range live {
 			st := &es[eid]
 			if st.remCount <= 0 {
 				continue
 			}
+			kept = append(kept, eid)
 			if st.dirty {
 				st.ratio = st.remCap / float64(st.remCount)
 				st.dirty = false
@@ -188,6 +219,7 @@ func (e *engine) assignRatesFast() {
 				share = st.ratio
 			}
 		}
+		live = kept
 		if math.IsInf(share, 1) {
 			break // no constrained aggregates left (cannot happen on a tree)
 		}
@@ -199,7 +231,7 @@ func (e *engine) assignRatesFast() {
 		progressed := false
 		for {
 			found := false
-			for eid := range es {
+			for _, eid := range live {
 				st := &es[eid]
 				if st.remCount <= 0 {
 					continue
@@ -221,17 +253,6 @@ func (e *engine) assignRatesFast() {
 					unassigned--
 					progressed, found = true, true
 					w := a.weight
-					if w == 1 {
-						for _, eid2 := range a.path {
-							st2 := &es[eid2]
-							st2.remCap -= share
-							st2.remCount--
-							st2.dirty = true
-							st2.rate += share
-						}
-						continue
-					}
-					sw := share * float64(w)
 					for _, eid2 := range a.path {
 						st2 := &es[eid2]
 						// One subtraction per member flow, replaying the
@@ -241,7 +262,6 @@ func (e *engine) assignRatesFast() {
 						}
 						st2.remCount -= int32(w)
 						st2.dirty = true
-						st2.rate += sw
 					}
 				}
 			}
@@ -258,20 +278,20 @@ func (e *engine) assignRatesFast() {
 				a.frozenGen = gen
 				a.rate = share
 				unassigned--
-				for _, eid := range a.path {
-					es[eid].rate += share * float64(a.weight)
-				}
 			}
 		}
 	}
-	for eid := range es {
-		e.linkRate[eid] = es[eid].rate
-	}
+	fs.live = live
+	// Link rates sum the flow rates in activation order, as the reference
+	// solver sums them, so the per-link byte counts agree bit for bit too.
 	for _, f := range e.act {
 		if len(f.path) == 0 {
 			f.rate = selfRate(f.remain)
 			continue
 		}
 		f.rate = f.agg.rate
+		for _, eid := range f.path {
+			e.linkRate[eid] += f.rate
+		}
 	}
 }

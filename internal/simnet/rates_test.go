@@ -1,12 +1,12 @@
 package simnet
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"github.com/aapc-sched/aapcsched/internal/alltoall"
 	"github.com/aapc-sched/aapcsched/internal/mpi"
 	"github.com/aapc-sched/aapcsched/internal/obsv"
 	"github.com/aapc-sched/aapcsched/internal/topology"
@@ -37,7 +37,7 @@ func injectFlow(e *engine, src, dst int, size float64) {
 	f := &flow{
 		src:    src,
 		dst:    dst,
-		path:   e.pathOf[src][dst],
+		path:   e.pathOf(src, dst),
 		size:   size,
 		remain: size,
 	}
@@ -141,24 +141,52 @@ func TestRateEnginesAgreeQuick(t *testing.T) {
 	}
 }
 
-// TestRateEngineEndToEndIdentical runs full jittered AAPC programs under
-// both solvers, every rank instrumented, and requires bit-identical results:
-// the same Elapsed and the same event stream on every rank — every Start,
-// End and Deliver. This is the regression gate that keeps the fast engine a
-// drop-in replacement rather than an approximation.
+// TestRateEngineEndToEndIdentical runs full AAPC programs under both
+// solvers, every rank instrumented, and requires bit-identical results: the
+// same Elapsed, the same event stream on every rank — every Start, End and
+// Deliver — and the same LinkStats. The programs are a jittered and an
+// unjittered post-all exchange on a switch chain, the benchmark's own
+// Fig. 7 and Fig. 8 cells (Ours, LAM and MPICH at 64 KiB on topologies (b)
+// and (c) under the default cost model), and barrier-separated rounds, in
+// which every link goes idle during each barrier and busy again after it,
+// so a stale rate left on an idle link would show in LinkStats. This is
+// the regression gate that keeps the fast engine a drop-in replacement
+// rather than an approximation.
 func TestRateEngineEndToEndIdentical(t *testing.T) {
 	if !obsv.Enabled {
 		t.Skip("instrumentation compiled out (obsv_off)")
 	}
-	g := benchCluster(24)
-	n := g.NumMachines()
-	for _, jitter := range []float64{0, 0.3} {
-		t.Run(fmt.Sprintf("jitter=%v", jitter), func(t *testing.T) {
-			cfg := benchConfig(g, jitter)
-			run := func(dense bool) (float64, [][]obsv.Event) {
-				c := cfg
-				c.dense = dense
-				w, err := NewWorld(c)
+	const msize = 64 << 10
+	fig := func(fn alltoall.Func) func(c mpi.Comm) error {
+		return func(c mpi.Comm) error { return fn(c, alltoall.NewShared(msize), msize) }
+	}
+	chain := benchCluster(24)
+	b, c := topologyB(), topologyC()
+	cases := []struct {
+		name string
+		cfg  Config
+		prog func(c mpi.Comm) error
+		// delivered is the number of events that must carry a delivery
+		// time (both sides of every message); 0 skips the count.
+		delivered int
+	}{
+		{"jitter=0", benchConfig(chain, 0), postAllAAPC(4 << 10), 2 * 24 * 23},
+		{"jitter=0.3", benchConfig(chain, 0.3), postAllAAPC(4 << 10), 2 * 24 * 23},
+		{"b/ours", Config{Graph: b}, fig(oursFn(t, b)), 0},
+		{"b/lam", Config{Graph: b}, fig(alltoall.Simple), 0},
+		{"b/mpich", Config{Graph: b}, fig(alltoall.MPICH), 0},
+		{"c/ours", Config{Graph: c}, fig(oursFn(t, c)), 0},
+		{"c/lam", Config{Graph: c}, fig(alltoall.Simple), 0},
+		{"c/mpich", Config{Graph: c}, fig(alltoall.MPICH), 0},
+		{"barrier-rounds", benchConfig(benchCluster(20), 0.3), shiftsWithBarriers, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n := tc.cfg.Graph.NumMachines()
+			run := func(dense bool) (float64, [][]obsv.Event, []LinkStats) {
+				cfg := tc.cfg
+				cfg.dense = dense
+				w, err := NewWorld(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -166,9 +194,8 @@ func TestRateEngineEndToEndIdentical(t *testing.T) {
 				for i := range recs {
 					recs[i] = obsv.NewRecorder(i)
 				}
-				prog := postAllAAPC(4 << 10)
 				if err := w.Run(func(c mpi.Comm) error {
-					return prog(obsv.Instrument(c, recs[c.Rank()]))
+					return tc.prog(obsv.Instrument(c, recs[c.Rank()]))
 				}); err != nil {
 					t.Fatal(err)
 				}
@@ -176,12 +203,17 @@ func TestRateEngineEndToEndIdentical(t *testing.T) {
 				for i, r := range recs {
 					evs[i] = r.Events()
 				}
-				return w.Elapsed(), evs
+				return w.Elapsed(), evs, w.LinkStats()
 			}
-			fastEl, fastEv := run(false)
-			refEl, refEv := run(true)
+			fastEl, fastEv, fastLinks := run(false)
+			refEl, refEv, refLinks := run(true)
 			if fastEl != refEl {
 				t.Errorf("Elapsed: fast %v, reference %v", fastEl, refEl)
+			}
+			for i, fl := range fastLinks {
+				if fl != refLinks[i] {
+					t.Errorf("LinkStats[%d]: fast %+v, reference %+v", i, fl, refLinks[i])
+				}
 			}
 			delivered := 0
 			for r := range fastEv {
@@ -198,9 +230,8 @@ func TestRateEngineEndToEndIdentical(t *testing.T) {
 					}
 				}
 			}
-			// Both sides of every message carry the completion stamp.
-			if want := 2 * n * (n - 1); delivered != want {
-				t.Errorf("%d events carry a delivery time, want %d", delivered, want)
+			if tc.delivered > 0 && delivered != tc.delivered {
+				t.Errorf("%d events carry a delivery time, want %d", delivered, tc.delivered)
 			}
 		})
 	}
@@ -225,7 +256,7 @@ func TestAssignRatesNoSteadyStateAllocs(t *testing.T) {
 			// One churn cycle with a reusable flow object: activate, solve,
 			// complete, solve. The simulator reuses nothing else per event.
 			f := &flow{
-				src: 3, dst: 17, path: e.pathOf[3][17],
+				src: 3, dst: 17, path: e.pathOf(3, 17),
 				size: 1 << 16, remain: 1 << 16,
 			}
 			churn := func() {

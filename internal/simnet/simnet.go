@@ -21,15 +21,20 @@
 // synchronous simulation), so results are deterministic regardless of
 // goroutine scheduling.
 //
-// The engine is built to stay tractable far past the paper's 32 nodes:
-// timers and flow activations live in an indexed min-heap event calendar,
-// flow completions are found through a completion horizon recomputed only
-// when rates change, per-link byte accounting integrates aggregate link
-// rates instead of per-flow increments, and blocked ranks park on per-rank
-// wait channels so an event wakes only the ranks it completes (no broadcast
-// storms). Max-min rates come from the aggregated incidence-list solver
-// (zero allocations at steady state); the original dense solver stays as the
-// reference oracle this package's tests check it against.
+// The engine does work in proportion to the messages and links that are
+// active, so it stays tractable far past the paper's 32 nodes: timers and
+// flow activations live in an indexed min-heap event calendar, flow
+// completions are found through a completion horizon recomputed only when
+// rates change, per-link byte accounting integrates aggregate link rates
+// instead of per-flow increments, and blocked ranks park on per-rank wait
+// channels so an event wakes only the ranks it completes (no broadcast
+// storms). Posted ops wait in per-(src, dst, tag) intrusive queues of one
+// hashed key table, and ops and flows recycle through engine-owned free
+// lists, so a run allocates per world, not per message. Max-min rates come
+// from the aggregated incidence-list solver, which visits only the links
+// some flow crosses (zero allocations at steady state); the original dense
+// solver stays as the reference oracle this package's tests check it
+// against.
 //
 // The simulator keeps no trace of its own. A traced simulation runs its
 // ranks through obsv.Instrument exactly like every transport does, and the
@@ -38,9 +43,10 @@
 package simnet
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -249,9 +255,17 @@ func (w *World) Events() int64 {
 
 type matchKey struct{ src, dst, tag int }
 
+// cmpKey orders match keys by (src, dst, tag).
+func cmpKey(a, b matchKey) int {
+	return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.dst, b.dst), cmp.Compare(a.tag, b.tag))
+}
+
 // simOp is a posted send or receive; it doubles as the request handed back
-// to the posting rank. Completion is driven by the engine. Ops are never
-// recycled, so info may be read after the block returns.
+// to the posting rank. Completion is driven by the engine. A send or receive
+// op recycles into the engine's free list when its single Wait returns
+// (mpi.Request allows one Wait), so the caller reads info through Wait's
+// result, never from the op afterwards. Barrier ops are never recycled: every
+// rank waits on the same one.
 type simOp struct {
 	// Op is the caller's descriptor; flows are sized by len(Buf) and
 	// completed by copying the send's Buf into the receive's.
@@ -261,7 +275,11 @@ type simOp struct {
 	done     bool
 	err      error
 	nwaiters int   // ranks currently blocked on this op
-	waiters  []int // ranks to wake when the op completes
+	waiter   int   // the first rank to wake when the op completes
+	waiters  []int // further ranks to wake (barrier ops only)
+	// next links the op into its key's send or receive FIFO while posted
+	// and unmatched, and into the engine's free list while recycled.
+	next *simOp
 	// info is stamped on both sides of a matched pair when its flow
 	// completes (traced flows only): the send's context and the virtual
 	// time the flow finished. It is the simulator's whole trace output.
@@ -270,12 +288,19 @@ type simOp struct {
 
 // Wait implements mpi.Request. Virtual time has no wall-clock deadline: d is
 // ignored, and a wait that can never complete is reported as a deadlock.
+// The op is recycled before Wait returns.
 func (op *simOp) Wait(time.Duration) (mpi.TraceInfo, error) {
-	err := op.e.block(op, op.rank)
-	return op.info, err
+	e := op.e
+	e.mu.Lock()
+	err := e.block(op, op.rank)
+	info := op.info
+	e.freeOp(op)
+	e.mu.Unlock()
+	return info, err
 }
 
-// flow is a matched message in transit.
+// flow is a matched message in transit. It recycles into the engine's free
+// list when it completes.
 type flow struct {
 	src, dst int
 	tag      int
@@ -285,7 +310,7 @@ type flow struct {
 	// deterministic: the send queue for a key is filled only by rank src in
 	// program order, so the k-th match of a key is always the same message.
 	matchIdx uint64
-	path     []int // directed edge IDs; empty for self-messages
+	path     []int32 // directed edge IDs; empty for self-messages
 	size     float64
 	remain   float64
 	rate     float64
@@ -293,7 +318,63 @@ type flow struct {
 	agg      *aggregate
 	sendOp   *simOp
 	recvOp   *simOp
+	next     *flow // in the engine's free list while recycled
 }
+
+// cmpFlow is the deterministic completion and activation order, by (src,
+// dst, tag, matchIdx). Flow creation order is NOT deterministic for flows
+// matched at the same virtual instant — it depends on goroutine scheduling
+// — but the per-key match index is fixed by each rank's program order.
+func cmpFlow(a, b *flow) int {
+	return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.dst, b.dst),
+		cmp.Compare(a.tag, b.tag), cmp.Compare(a.matchIdx, b.matchIdx))
+}
+
+// opFIFO is an intrusive queue of posted ops linked through simOp.next.
+type opFIFO struct{ head, tail *simOp }
+
+func (q *opFIFO) push(op *simOp) {
+	if q.tail == nil {
+		q.head = op
+	} else {
+		q.tail.next = op
+	}
+	q.tail = op
+}
+
+func (q *opFIFO) pop() *simOp {
+	op := q.head
+	q.head = op.next
+	if q.head == nil {
+		q.tail = nil
+	}
+	op.next = nil
+	return op
+}
+
+// keyQueue is the matching state of one (src, dst, tag): the unmatched
+// sends and receives in posting order (at most one of the two is non-empty)
+// and the number of matches so far, which feeds jitter hashing and the
+// deterministic completion ordering (flow.matchIdx).
+type keyQueue struct {
+	key          matchKey
+	sends, recvs opFIFO
+	matched      uint64
+}
+
+// Slab sizes of the op and flow free lists: an empty list is refilled with
+// this many objects in one allocation.
+const (
+	opSlab   = 64
+	flowSlab = 32
+)
+
+// opReused and flowReused, when set (by tests), see every op and flow the
+// engine takes from its free lists, under e.mu.
+var (
+	opReused   func(*engine, *simOp)
+	flowReused func(*engine, *flow)
+)
 
 type engine struct {
 	cfg   Config
@@ -303,8 +384,11 @@ type engine struct {
 	// edgeCap[i] is the capacity of directed edge i in bytes/second
 	// (LinkBandwidth times the link's speed multiplier).
 	edgeCap []float64
-	// pathOf caches directed-edge paths between machine ranks.
-	pathOf [][][]int
+	// pathOff and pathEdges hold the directed-edge paths between machine
+	// ranks: the path from src to dst is pathEdges[pathOff[k]:pathOff[k+1]]
+	// for k = src*n + dst.
+	pathOff   []int32
+	pathEdges []int32
 
 	mu sync.Mutex
 
@@ -312,17 +396,22 @@ type engine struct {
 	alive   int // ranks that have not finished their program
 	blocked int // ranks blocked on an undone op
 
-	sends map[matchKey][]*simOp
-	recvs map[matchKey][]*simOp
+	// queues holds the matching state of every (src, dst, tag) ever
+	// posted, found through keySlots: an open-addressing hash table (linear
+	// probing, at most half full) of 1 + an index into queues, 0 if empty.
+	queues   []keyQueue
+	keySlots []int32
+
+	// Free lists of recycled ops and flows, linked through their next
+	// fields and refilled in slabs.
+	freeOps   *simOp
+	freeFlows *flow
 
 	// act holds the flows currently moving bytes (activation order); flows
 	// whose startup latency has not elapsed live only in the calendar.
-	act     []*flow
-	cal     calendar
-	flowSeq int
-	// seq counts matches per (src, dst, tag); it feeds jitter hashing and
-	// the deterministic completion ordering (flow.matchIdx).
-	seq        map[matchKey]uint64
+	act        []*flow
+	cal        calendar
+	flowSeq    int
 	ratesDirty bool
 	deadlocked bool
 
@@ -350,13 +439,15 @@ type engine struct {
 
 	// Fast-engine aggregate state (see rates_fast.go). linkCount[i] is the
 	// number of active flows crossing directed edge i, maintained
-	// incrementally by attachFlow/detachFlow; rateGen numbers
-	// assignRatesFast calls for the aggregate freeze marks.
+	// incrementally by attachFlow/detachFlow together with busy, the bitset
+	// of edges whose count is above zero; rateGen numbers assignRatesFast
+	// calls for the aggregate freeze marks.
 	aggByKey  map[int]*aggregate
 	aggs      []*aggregate
 	edgeAggs  [][]aggEntry
 	aggPool   []*aggregate
 	linkCount []int
+	busy      []uint64
 	rateGen   uint64
 	fs        fastScratch
 
@@ -373,9 +464,6 @@ func newEngine(cfg Config) *engine {
 		dense: cfg.dense,
 		idx:   g.NewEdgeIndex(),
 		alive: n,
-		sends: make(map[matchKey][]*simOp),
-		recvs: make(map[matchKey][]*simOp),
-		seq:   make(map[matchKey]uint64),
 	}
 	nEdges := e.idx.Len()
 	e.linkBytes = make([]float64, nEdges)
@@ -389,21 +477,81 @@ func newEngine(cfg Config) *engine {
 		e.parkCh[i] = make(chan struct{}, 1)
 	}
 	e.isBlocked = make([]bool, n)
-	e.pathOf = make([][][]int, n)
+	e.keySlots = make([]int32, 64)
+	e.pathOff = make([]int32, n*n+1)
 	for src := 0; src < n; src++ {
-		e.pathOf[src] = make([][]int, n)
 		for dst := 0; dst < n; dst++ {
 			if src != dst {
-				e.pathOf[src][dst] = g.PathIDs(e.idx, g.MachineID(src), g.MachineID(dst))
+				e.pathEdges = g.AppendPathEdgeIDs(e.idx, g.MachineID(src), g.MachineID(dst), e.pathEdges)
 			}
+			e.pathOff[src*n+dst+1] = int32(len(e.pathEdges))
 		}
 	}
 	if !e.dense {
 		e.aggByKey = make(map[int]*aggregate)
 		e.edgeAggs = make([][]aggEntry, nEdges)
 		e.linkCount = make([]int, nEdges)
+		e.busy = make([]uint64, (nEdges+63)/64)
 	}
 	return e
+}
+
+// pathOf returns the directed-edge path from machine rank src to dst.
+func (e *engine) pathOf(src, dst int) []int32 {
+	k := src*e.n + dst
+	return e.pathEdges[e.pathOff[k]:e.pathOff[k+1]:e.pathOff[k+1]]
+}
+
+// newOp takes an op from the free list, refilling it with a slab when it is
+// empty. Caller holds e.mu.
+func (e *engine) newOp(m mpi.Op, rank int) *simOp {
+	if e.freeOps == nil {
+		slab := make([]simOp, opSlab)
+		for i := range slab {
+			slab[i] = simOp{e: e, next: e.freeOps}
+			e.freeOps = &slab[i]
+		}
+	}
+	op := e.freeOps
+	if opReused != nil {
+		opReused(e, op)
+	}
+	e.freeOps = op.next
+	op.next = nil
+	op.Op = m
+	op.rank = rank
+	return op
+}
+
+// freeOp returns a waited op to the free list. Caller holds e.mu.
+func (e *engine) freeOp(op *simOp) {
+	*op = simOp{e: e, next: e.freeOps}
+	e.freeOps = op
+}
+
+// newFlow takes a zeroed flow from the free list, refilling it with a slab
+// when it is empty. Caller holds e.mu.
+func (e *engine) newFlow() *flow {
+	if e.freeFlows == nil {
+		slab := make([]flow, flowSlab)
+		for i := range slab {
+			slab[i].next = e.freeFlows
+			e.freeFlows = &slab[i]
+		}
+	}
+	f := e.freeFlows
+	if flowReused != nil {
+		flowReused(e, f)
+	}
+	e.freeFlows = f.next
+	f.next = nil
+	return f
+}
+
+// freeFlow returns a completed flow to the free list. Caller holds e.mu.
+func (e *engine) freeFlow(f *flow) {
+	*f = flow{next: e.freeFlows}
+	e.freeFlows = f
 }
 
 // finish marks one rank's program as complete.
@@ -439,26 +587,56 @@ func (e *engine) summon() {
 	}
 }
 
+// queue returns the matching state of key, creating it on first use. The
+// pointer is valid until the next queue call. Caller holds e.mu.
+func (e *engine) queue(key matchKey) *keyQueue {
+	mask := uint64(len(e.keySlots) - 1)
+	h := hashKey(key) & mask
+	for ; e.keySlots[h] != 0; h = (h + 1) & mask {
+		if q := &e.queues[e.keySlots[h]-1]; q.key == key {
+			return q
+		}
+	}
+	e.queues = append(e.queues, keyQueue{key: key})
+	e.keySlots[h] = int32(len(e.queues))
+	if 2*len(e.queues) > len(e.keySlots) {
+		e.keySlots = make([]int32, 2*len(e.keySlots))
+		mask = uint64(len(e.keySlots) - 1)
+		for i := range e.queues {
+			h := hashKey(e.queues[i].key) & mask
+			for e.keySlots[h] != 0 {
+				h = (h + 1) & mask
+			}
+			e.keySlots[h] = int32(i + 1)
+		}
+	}
+	return &e.queues[len(e.queues)-1]
+}
+
+// hashKey hashes a match key for the key table; it is also the key's
+// contribution to the jitter hash.
+func hashKey(key matchKey) uint64 {
+	return mix(uint64(key.src)<<42 ^ uint64(key.dst)<<21 ^ uint64(int64(key.tag)))
+}
+
 // post registers an operation and matches it against the opposite queue.
 // Caller holds e.mu.
 func (e *engine) post(key matchKey, op *simOp, isSend bool) {
-	mine, theirs := e.sends, e.recvs
+	q := e.queue(key)
+	mine, theirs := &q.sends, &q.recvs
 	if !isSend {
-		mine, theirs = e.recvs, e.sends
+		mine, theirs = theirs, mine
 	}
-	if q := theirs[key]; len(q) > 0 {
-		peer := q[0]
-		theirs[key] = q[1:]
-		var sendOp, recvOp *simOp
-		if isSend {
-			sendOp, recvOp = op, peer
-		} else {
-			sendOp, recvOp = peer, op
-		}
-		e.startFlow(key, sendOp, recvOp)
+	if theirs.head == nil {
+		mine.push(op)
 		return
 	}
-	mine[key] = append(mine[key], op)
+	peer := theirs.pop()
+	if isSend {
+		e.startFlow(q, op, peer)
+	} else {
+		e.startFlow(q, peer, op)
+	}
 }
 
 // mix is the splitmix64 finalizer, used to hash message identities into
@@ -482,30 +660,24 @@ func (e *engine) startup(key matchKey, size int, n uint64) float64 {
 	if e.cfg.JitterFrac == 0 {
 		return alpha
 	}
-	h := mix(e.cfg.JitterSeed ^ mix(uint64(key.src)<<42^uint64(key.dst)<<21^uint64(int64(key.tag))) ^ mix(n))
+	h := mix(e.cfg.JitterSeed ^ hashKey(key) ^ mix(n))
 	u := float64(h>>11) / float64(1<<53) // uniform in [0, 1)
 	return alpha * (1 + e.cfg.JitterFrac*u)
 }
 
-// startFlow creates the flow for a matched pair and schedules its activation
-// in the event calendar. Caller holds e.mu.
-func (e *engine) startFlow(key matchKey, sendOp, recvOp *simOp) {
-	n := e.seq[key]
-	e.seq[key] = n + 1
-	f := &flow{
-		src:      key.src,
-		dst:      key.dst,
-		tag:      key.tag,
-		matchIdx: n,
-		size:     float64(len(sendOp.Buf)),
-		remain:   float64(len(sendOp.Buf)),
-		sendOp:   sendOp,
-		recvOp:   recvOp,
-	}
+// startFlow creates the flow for a pair matched under q and schedules its
+// activation in the event calendar. Caller holds e.mu.
+func (e *engine) startFlow(q *keyQueue, sendOp, recvOp *simOp) {
+	key, n := q.key, q.matched
+	q.matched++
+	f := e.newFlow()
+	f.src, f.dst, f.tag = key.src, key.dst, key.tag
+	f.matchIdx = n
+	f.size = float64(len(sendOp.Buf))
+	f.remain = f.size
+	f.sendOp, f.recvOp = sendOp, recvOp
+	f.path = e.pathOf(key.src, key.dst)
 	e.flowSeq++
-	if key.src != key.dst {
-		f.path = e.pathOf[key.src][key.dst]
-	}
 	// Bytes start moving once the startup latency has elapsed.
 	e.cal.push(e.clock+e.startup(key, len(sendOp.Buf), n), f, nil)
 }
@@ -518,8 +690,12 @@ func (e *engine) completeOp(op *simOp, err error) {
 	}
 	op.done = true
 	op.err = err
+	if op.nwaiters == 0 {
+		return
+	}
 	e.blocked -= op.nwaiters
 	op.nwaiters = 0
+	e.wake(op.waiter)
 	for _, r := range op.waiters {
 		e.wake(r)
 	}
@@ -529,14 +705,17 @@ func (e *engine) completeOp(op *simOp, err error) {
 // block waits until op completes. The last runnable rank becomes the driver
 // and advances virtual time; everyone else parks on its per-rank channel and
 // is woken only when one of its ops completes (or to take over driving).
+// Caller holds e.mu; block releases it while parked.
 func (e *engine) block(op *simOp, rank int) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if op.done {
 		return op.err
 	}
+	if op.nwaiters == 0 {
+		op.waiter = rank
+	} else {
+		op.waiters = append(op.waiters, rank)
+	}
 	op.nwaiters++
-	op.waiters = append(op.waiters, rank)
 	e.blocked++
 	e.isBlocked[rank] = true
 	for !op.done {
@@ -558,26 +737,31 @@ func (e *engine) block(op *simOp, rank int) error {
 	return op.err
 }
 
-// failAll marks every pending operation as deadlocked. Caller holds e.mu.
+// failAll marks every pending operation as deadlocked. After the first
+// deadlock only a barrier can be pending (posts are refused), and it fails
+// the same way. Caller holds e.mu.
 func (e *engine) failAll() {
-	if e.deadlocked {
-		return
-	}
 	e.deadlocked = true
 	err := fmt.Errorf("simnet: deadlock at t=%.6fs: all ranks blocked with no pending events", e.clock)
 	// Complete pending ops in sorted key order, so the engine signals the
 	// blocked ranks in the same order on every replay. No output depends
 	// on that order today: every pending op fails with the same error at
 	// the same virtual time, and each rank records its events in its own
-	// program order.
-	for _, q := range sortedQueues(e.sends) {
-		for _, op := range q {
-			e.completeOp(op, err)
+	// program order. The queues are drained, so a failed op that its rank
+	// waits on (and so recycles) is linked nowhere.
+	order := make([]int, len(e.queues))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmpKey(e.queues[a].key, e.queues[b].key) })
+	for _, i := range order {
+		for q := &e.queues[i].sends; q.head != nil; {
+			e.completeOp(q.pop(), err)
 		}
 	}
-	for _, q := range sortedQueues(e.recvs) {
-		for _, op := range q {
-			e.completeOp(op, err)
+	for _, i := range order {
+		for q := &e.queues[i].recvs; q.head != nil; {
+			e.completeOp(q.pop(), err)
 		}
 	}
 	for _, f := range e.act {
@@ -596,29 +780,6 @@ func (e *engine) failAll() {
 		e.completeOp(e.barrierOp, err)
 		e.barrierOp = nil
 	}
-}
-
-// sortedQueues returns the map's queues ordered by (src, dst, tag).
-func sortedQueues(m map[matchKey][]*simOp) [][]*simOp {
-	keys := make([]matchKey, 0, len(m))
-	for k := range m { // order restored by the sort below
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		if a.dst != b.dst {
-			return a.dst < b.dst
-		}
-		return a.tag < b.tag
-	})
-	out := make([][]*simOp, len(keys))
-	for i, k := range keys {
-		out[i] = m[k]
-	}
-	return out
 }
 
 const timeEps = 1e-12
@@ -660,11 +821,18 @@ func (e *engine) advance() bool {
 	}
 	dt := next - e.clock
 
-	// Integrate link utilization over the rate interval.
-	if dt > 0 {
+	// Integrate link utilization over the rate interval. Under the fast
+	// solver only the edges busy at its last call carry a rate.
+	if dt > 0 && e.dense {
 		for i, r := range e.linkRate {
 			if r > 0 {
 				e.linkBytes[i] += r * dt
+			}
+		}
+	} else if dt > 0 {
+		for _, eid := range e.fs.busyEdges {
+			if r := e.linkRate[eid]; r > 0 {
+				e.linkBytes[eid] += r * dt
 			}
 		}
 	}
@@ -687,23 +855,7 @@ func (e *engine) advance() bool {
 		}
 	}
 	if len(e.completed) > 0 {
-		// Deterministic completion order by (src, dst, tag, matchIdx). Flow
-		// ids (creation order) are NOT deterministic for flows matched at the
-		// same virtual instant — they depend on goroutine scheduling — but
-		// the per-key match index is fixed by each rank's program order.
-		sort.Slice(e.completed, func(i, j int) bool {
-			a, b := e.completed[i], e.completed[j]
-			if a.src != b.src {
-				return a.src < b.src
-			}
-			if a.dst != b.dst {
-				return a.dst < b.dst
-			}
-			if a.tag != b.tag {
-				return a.tag < b.tag
-			}
-			return a.matchIdx < b.matchIdx
-		})
+		slices.SortFunc(e.completed, cmpFlow)
 		for _, f := range e.completed {
 			var err error
 			if send, recv := f.sendOp, f.recvOp; len(recv.Buf) < len(send.Buf) {
@@ -722,23 +874,33 @@ func (e *engine) advance() bool {
 			if !e.dense {
 				e.detachFlow(f)
 			}
+			e.freeFlow(f)
 		}
 		changed = true
 	}
 
-	// Fire due calendar events: flow activations and timers.
+	// Fire due calendar events: flow activations and timers. The flows
+	// activated at one event join the active set in completion order, not
+	// in the order their ranks happened to match them, so the engines sum
+	// link rates in a fixed order and LinkStats repeat bit for bit.
+	start := len(e.act)
 	for !e.cal.empty() && e.cal.top().at <= e.clock+timeEps {
 		ev := e.cal.pop()
 		if ev.f != nil {
-			ev.f.actIdx = len(e.act)
 			e.act = append(e.act, ev.f)
-			if !e.dense {
-				e.attachFlow(ev.f)
-			}
-			changed = true
 		} else if ev.op != nil {
 			e.completeOp(ev.op, nil)
 		}
+	}
+	if activated := e.act[start:]; len(activated) > 0 {
+		slices.SortFunc(activated, cmpFlow)
+		for i, f := range activated {
+			f.actIdx = start + i
+			if !e.dense {
+				e.attachFlow(f)
+			}
+		}
+		changed = true
 	}
 
 	if changed {
@@ -825,12 +987,12 @@ func (c *comm) post(m mpi.Op, key matchKey, isSend bool) mpi.Request {
 		return mpi.Completed(err)
 	}
 	e := c.e
-	op := &simOp{Op: m, e: e, rank: c.rank}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.deadlocked {
 		return mpi.Completed(fmt.Errorf("simnet: world deadlocked"))
 	}
+	op := e.newOp(m, c.rank)
 	e.post(key, op, isSend)
 	return op
 }
@@ -850,6 +1012,6 @@ func (c *comm) Barrier() error {
 		e.barrierOp = nil
 		e.barrierWaiting = 0
 	}
-	e.mu.Unlock()
+	defer e.mu.Unlock()
 	return e.block(op, c.rank)
 }

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"time"
 
 	"github.com/aapc-sched/aapcsched/internal/alltoall"
 	"github.com/aapc-sched/aapcsched/internal/mpi"
@@ -544,14 +545,32 @@ func unevenTrunk() *topology.Graph {
 // topologyB is Fig. 5(b): 32 machines, 8 per switch, with switches s1, s2
 // and s3 each connected to s0.
 func topologyB() *topology.Graph {
+	return fourSwitches32(func(g *topology.Graph, s [4]int) {
+		for i := 1; i < 4; i++ {
+			g.MustConnect(s[0], s[i])
+		}
+	})
+}
+
+// topologyC is Fig. 5(c): the same 32 machines on switches chained
+// s0-s1-s2-s3.
+func topologyC() *topology.Graph {
+	return fourSwitches32(func(g *topology.Graph, s [4]int) {
+		for i := 1; i < 4; i++ {
+			g.MustConnect(s[i-1], s[i])
+		}
+	})
+}
+
+// fourSwitches32 puts 32 machines on four switches, 8 each in rank order,
+// with the switches wired by connect.
+func fourSwitches32(connect func(g *topology.Graph, s [4]int)) *topology.Graph {
 	g := topology.New()
 	var s [4]int
 	for i := range s {
 		s[i] = g.MustAddSwitch(fmt.Sprintf("s%d", i))
 	}
-	for i := 1; i < 4; i++ {
-		g.MustConnect(s[0], s[i])
-	}
+	connect(g, s)
 	for i := 0; i < 32; i++ {
 		g.MustConnect(s[i/8], g.MustAddMachine(fmt.Sprintf("n%d", i)))
 	}
@@ -833,21 +852,51 @@ func TestCommNowAndEvents(t *testing.T) {
 func TestPostAfterDeadlockErrors(t *testing.T) {
 	g := starGraph(t, 2)
 	w := newTestWorld(t, g, 1)
+	if err := w.Run(postAfterDeadlock); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBarrierAfterDeadlockFails has two ranks enter a barrier after the
+// world deadlocked while the third leaves without it. Once the third is
+// gone (it lingers in wall time so that it leaves last), the barrier can
+// never complete and must fail rather than spin holding the engine lock.
+func TestBarrierAfterDeadlockFails(t *testing.T) {
+	w := newTestWorld(t, starGraph(t, 3), 1)
+	errs := make([]error, 3)
 	err := w.Run(func(c mpi.Comm) error {
-		if c.Rank() == 0 {
-			// First op deadlocks; a second op after the failure must error
-			// immediately.
-			if e := mpi.Recv(c, make([]byte, 1), 1, 9); e == nil {
-				return fmt.Errorf("deadlocked recv returned nil")
-			}
-			if r := mpi.Isend(c, make([]byte, 1), 1, 10); mpi.Wait(r) == nil {
-				return fmt.Errorf("post-deadlock send returned nil")
-			}
+		me := c.Rank()
+		if err := mpi.Recv(c, make([]byte, 1), (me+1)%3, 9); err == nil {
+			return fmt.Errorf("rank %d: deadlocked recv returned nil", me)
+		}
+		if me == 2 {
+			time.Sleep(20 * time.Millisecond)
 			return nil
 		}
+		errs[me] = c.Barrier()
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	for r, err := range errs[:2] {
+		if err == nil {
+			t.Errorf("rank %d: barrier after deadlock returned nil", r)
+		}
+	}
+}
+
+// postAfterDeadlock has rank 0 deadlock on a receive nothing matches; a
+// second op posted after the failure must error immediately.
+func postAfterDeadlock(c mpi.Comm) error {
+	if c.Rank() != 0 {
+		return nil
+	}
+	if e := mpi.Recv(c, make([]byte, 1), 1, 9); e == nil {
+		return fmt.Errorf("deadlocked recv returned nil")
+	}
+	if r := mpi.Isend(c, make([]byte, 1), 1, 10); mpi.Wait(r) == nil {
+		return fmt.Errorf("post-deadlock send returned nil")
+	}
+	return nil
 }
