@@ -5,8 +5,7 @@ GO ?= go
 # check is the one-command gate: formatting (gofmt), stock go vet over both
 # build configurations, full build (with and without the observability
 # layer), the test suite under the race detector (which is what makes
-# TestRingRecordSPSC and TestRingStreamSPSC checks of the shm ring's atomics
-# discipline), and the allocation-regression gates (which need a race-free
+# TestRingRecordSPSC a check of the shm ring's atomics discipline), and the allocation-regression gates (which need a race-free
 # build: the race runtime drops sync.Pool puts).
 check: fmt vet build build-obsv-off race alloc-gates
 
@@ -120,9 +119,8 @@ bench-trace:
 # the pair form of schedule bodies (against encoding/json), the tcp
 # frame-header decoder, the tcp read loop parsing valid frames out of
 # arbitrary short reads, the rendezvous book a joiner reads from the
-# coordinator, the shm ring's record framing, the shm pair segment a
-# co-located peer hands over, and the trace collector's ingest-then-report
-# path (longer runs: go test -fuzz=... ). Minimizing a new input is capped
+# coordinator, the shm ring's record framing, and the trace collector's
+# ingest-then-report path (longer runs: go test -fuzz=... ). Minimizing a new input is capped
 # at 2 s, so each 30 s budget goes to new inputs rather than to shrinking
 # old ones.
 fuzz:
@@ -135,5 +133,4 @@ fuzz:
 	$(GO) test -fuzz=FuzzFrameStream -fuzztime=30s -fuzzminimizetime=2s ./internal/mpi/tcp/
 	$(GO) test -fuzz=FuzzRendezvousBook -fuzztime=30s -fuzzminimizetime=2s ./internal/mpi/tcp/
 	$(GO) test -fuzz=FuzzRingRecord -fuzztime=30s -fuzzminimizetime=2s ./internal/mpi/shm/
-	$(GO) test -fuzz=FuzzPairSegment -fuzztime=30s -fuzzminimizetime=2s ./internal/mpi/shm/
 	$(GO) test -fuzz=FuzzTraceIngest -fuzztime=30s -fuzzminimizetime=2s ./internal/obsv/collect/

@@ -96,7 +96,7 @@ func (o *options) bind(fs *flag.FlagSet) {
 	fs.BoolVar(&o.pprof, "pprof", false,
 		"enable block/mutex profiling and serve /debug/pprof for the run (implies -metrics 127.0.0.1:0 when -metrics is unset)")
 	fs.BoolVar(&o.xportStats, "transport-stats", false,
-		"report per-rank transport counters after the run (frames, bytes, coalescing, borrowed-vs-copied sends, shm-vs-tcp byte split)")
+		"report per-rank transport counters after the run (frames, bytes, coalescing, borrowed-vs-copied sends)")
 }
 
 // loadFaults resolves the -faults flag: a readable file wins, otherwise the
@@ -116,20 +116,18 @@ func loadFaults(spec string) (*faults.Plan, error) {
 // plan goes where the tcp transport expects it: delay, drop and dup on its
 // outbound data frames (a drop breaks the link, and the frame is
 // retransmitted after the reconnect), stall and kill on the rank's operation
-// stream. A faulted rank links over sockets only: a shared-memory link has
-// no redial, so a drop would end it. Per-process injectors sharing a plan
-// stay globally deterministic: each directed pair stream is consulted only
-// by its source rank, each rank stream only by the rank itself. The obsv
-// wrapper goes outermost, so alltoall.Scheduled finds the phase marker
-// through the decorator chain. raw is the transport's own comm, for its
-// counters.
+// stream. Per-process injectors sharing a plan stay globally deterministic:
+// each directed pair stream is consulted only by its source rank, each rank
+// stream only by the rank itself. The obsv wrapper goes outermost, so
+// alltoall.Scheduled finds the phase marker through the decorator chain.
+// raw is the transport's own comm, for its counters.
 func joinRank(addr string, o *options, plan *faults.Plan) (raw, c mpi.Comm, rec *obsv.Recorder, closeFn func() error, err error) {
 	var inj *faults.Injector
 	var opts []tcp.Option
 	if plan != nil {
 		inj = faults.New(plan)
 		inj.SetOpTimeout(o.deadline)
-		opts = append(opts, tcp.WithFaults(inj), tcp.WithoutSharedMemory())
+		opts = append(opts, tcp.WithFaults(inj))
 	}
 	raw, closeFn, err = tcp.JoinRetry(addr, o.rendezvous, opts...)
 	if err != nil {
@@ -149,9 +147,7 @@ func joinRank(addr string, o *options, plan *faults.Plan) (raw, c mpi.Comm, rec 
 // is frames per vectored write: 1.0 means every frame paid its own syscall,
 // higher means the write coalescer batched frames behind a busy socket.
 // The zero-copy line splits sends into borrowed (caller's buffer rode the
-// wire directly) vs copied (staged through the pool), and — for distributed
-// worlds with co-located ranks — payload bytes into shared-memory vs socket
-// links.
+// wire directly) vs copied (staged through the pool).
 func reportTransportStats(c mpi.Comm, out interface{ Write([]byte) (int, error) }) {
 	sr, ok := c.(interface{ TransportStats() tcp.Stats })
 	if !ok {
@@ -170,10 +166,6 @@ func reportTransportStats(c mpi.Comm, out interface{ Write([]byte) (int, error) 
 	}
 	fmt.Fprintf(out, "rank %2d: zero-copy: borrowed=%d copied=%d borrow_ratio=%.2f payload_copies=%d zero_copy_recvs=%d\n",
 		c.Rank(), s.BorrowedSends, s.CopiedSends, borrowRatio, s.PayloadCopies, s.ZeroCopyRecvs)
-	if s.ShmLinks > 0 {
-		fmt.Fprintf(out, "rank %2d: links: shm=%d shm_bytes=%d tcp_bytes=%d\n",
-			c.Rank(), s.ShmLinks, s.ShmBytesSent, s.TCPBytesSent)
-	}
 }
 
 // emitTrace delivers the run's trace wherever the flags point: a JSONL file

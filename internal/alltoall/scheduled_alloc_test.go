@@ -211,7 +211,7 @@ func joinMesh(t *testing.T, n int) ([]mpi.Comm, func() error) {
 	ch := make(chan joined, n)
 	for i := 0; i < n; i++ {
 		go func() {
-			c, closeFn, err := tcp.Join(coord.Addr(), tcp.WithoutSharedMemory())
+			c, closeFn, err := tcp.Join(coord.Addr())
 			ch <- joined{c, closeFn, err}
 		}()
 	}

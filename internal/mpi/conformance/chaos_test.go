@@ -119,17 +119,22 @@ func TestChaosBenignTCP(t *testing.T) {
 		n := 2 + trial%3
 		prog := genProgram(seed, n, 2, 10)
 		plan := benignPlan(seed, n, true)
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			inj := faults.New(plan)
-			err := watchdog(t, func() error {
-				return tcp.Run(n, func(c mpi.Comm) error {
-					return prog.runRank(inj.WrapRankOnly(c))
-				}, tcp.WithFaults(inj), tcp.WithOpDeadline(chaosWatchdog/2))
+		// The world rows keep their historical names; the joined rows put
+		// the same faults on a mesh of co-located ranks.
+		for name, wiring := range map[string]string{fmt.Sprintf("seed%d", seed): "world", fmt.Sprintf("join-mesh/seed%d", seed): "join-mesh"} {
+			run := tcpWirings[wiring]
+			t.Run(name, func(t *testing.T) {
+				inj := faults.New(plan)
+				err := watchdog(t, func() error {
+					return run(n, func(c mpi.Comm) error {
+						return prog.runRank(inj.WrapRankOnly(c))
+					}, tcp.WithFaults(inj), tcp.WithOpDeadline(chaosWatchdog/2))
+				})
+				if err != nil {
+					t.Fatalf("benign faults changed the outcome: %v", err)
+				}
 			})
-			if err != nil {
-				t.Fatalf("benign faults changed the outcome: %v", err)
-			}
-		})
+		}
 	}
 }
 
@@ -140,7 +145,7 @@ func TestChaosBenignTCP(t *testing.T) {
 var tcpWirings = map[string]func(n int, fn func(c mpi.Comm) error, opts ...tcp.Option) error{
 	"world": tcp.Run,
 	"join-mesh": func(n int, fn func(c mpi.Comm) error, opts ...tcp.Option) error {
-		return distributedRunner(n, append(opts, tcp.WithoutSharedMemory())...)(fn)
+		return distributedRunner(n, opts...)(fn)
 	},
 }
 
@@ -169,8 +174,8 @@ func TestChaosTransientDropsTCP(t *testing.T) {
 	}
 }
 
-// TestChaosKill runs kill plans on both transports: the run must finish
-// inside the watchdog and any error must be typed.
+// TestChaosKill runs kill plans on mem and on both tcp wirings: the run
+// must finish inside the watchdog and any error must be typed.
 func TestChaosKill(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		seed := int64(9300 + trial)
@@ -194,18 +199,23 @@ func TestChaosKill(t *testing.T) {
 				t.Fatalf("kill rule for rank %d never fired", victim)
 			}
 		})
-		t.Run(fmt.Sprintf("tcp/seed%d", seed), func(t *testing.T) {
-			inj := faults.New(plan)
-			err := watchdog(t, func() error {
-				return tcp.Run(n, func(c mpi.Comm) error {
-					return prog.runRank(inj.WrapRankOnly(c))
-				}, tcp.WithOpDeadline(5*time.Second))
+		// "tcp" is the in-process world; "join-mesh" kills one of the
+		// co-located ranks joined through a coordinator.
+		for name, wiring := range map[string]string{"tcp": "world", "join-mesh": "join-mesh"} {
+			run := tcpWirings[wiring]
+			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
+				inj := faults.New(plan)
+				err := watchdog(t, func() error {
+					return run(n, func(c mpi.Comm) error {
+						return prog.runRank(inj.WrapRankOnly(c))
+					}, tcp.WithOpDeadline(5*time.Second))
+				})
+				typedOrNil(t, err)
+				if !inj.Killed(victim) {
+					t.Fatalf("kill rule for rank %d never fired", victim)
+				}
 			})
-			typedOrNil(t, err)
-			if !inj.Killed(victim) {
-				t.Fatalf("kill rule for rank %d never fired", victim)
-			}
-		})
+		}
 	}
 }
 
@@ -235,8 +245,8 @@ func TestChaosLostMessagesMem(t *testing.T) {
 }
 
 // TestChaosDeterminismAcrossTransports: the same plan and seed produce the
-// same injected frame-event sequence on repeated tcp runs, even though
-// goroutine interleaving differs — the end-to-end version of the
+// same injected frame-event sequence on repeated tcp runs of either wiring,
+// even though goroutine interleaving differs — the end-to-end version of the
 // injector-level determinism test.
 func TestChaosDeterminismAcrossTransports(t *testing.T) {
 	seed := int64(9500)
@@ -246,33 +256,37 @@ func TestChaosDeterminismAcrossTransports(t *testing.T) {
 		{Kind: faults.Delay, Src: faults.Any, Dst: faults.Any, Delay: time.Millisecond, Prob: 0.4},
 		{Kind: faults.Dup, Src: faults.Any, Dst: faults.Any, Prob: 0.25},
 	}}
-	var want []faults.Event
-	for i := 0; i < 3; i++ {
-		inj := faults.New(plan)
-		err := watchdog(t, func() error {
-			return tcp.Run(n, func(c mpi.Comm) error {
-				return prog.runRank(c)
-			}, tcp.WithFaults(inj), tcp.WithOpDeadline(chaosWatchdog/2))
+	for _, wiring := range []string{"world", "join-mesh"} {
+		t.Run(wiring, func(t *testing.T) {
+			var want []faults.Event
+			for i := 0; i < 3; i++ {
+				inj := faults.New(plan)
+				err := watchdog(t, func() error {
+					return tcpWirings[wiring](n, func(c mpi.Comm) error {
+						return prog.runRank(c)
+					}, tcp.WithFaults(inj), tcp.WithOpDeadline(chaosWatchdog/2))
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				evs := inj.Events()
+				if i == 0 {
+					want = evs
+					if len(want) == 0 {
+						t.Fatal("no events; determinism test is vacuous")
+					}
+					continue
+				}
+				if len(evs) != len(want) {
+					t.Fatalf("run %d: %d events, first run had %d\n%v\nvs\n%v",
+						i, len(evs), len(want), evs, want)
+				}
+				for k := range evs {
+					if evs[k] != want[k] {
+						t.Fatalf("run %d: event %d = %v, first run had %v", i, k, evs[k], want[k])
+					}
+				}
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		evs := inj.Events()
-		if i == 0 {
-			want = evs
-			if len(want) == 0 {
-				t.Fatal("no events; determinism test is vacuous")
-			}
-			continue
-		}
-		if len(evs) != len(want) {
-			t.Fatalf("run %d: %d events, first run had %d\n%v\nvs\n%v",
-				i, len(evs), len(want), evs, want)
-		}
-		for k := range evs {
-			if evs[k] != want[k] {
-				t.Fatalf("run %d: event %d = %v, first run had %v", i, k, evs[k], want[k])
-			}
-		}
 	}
 }

@@ -1,9 +1,10 @@
 // Package conformance cross-checks every transport in the repository —
-// in-process (mem), shared memory (shm), loopback TCP (tcp), distributed
-// TCP (tcp.Join, both over shm pair segments and forced pure-TCP) and the
-// virtual-time simulator (simnet) — against a common model: randomly
-// generated message programs whose outcome is computable from MPI matching
-// semantics (per-(source, destination, tag) FIFO). Any divergence in
+// in-process (mem), in-process shared-memory rings (shm), loopback TCP
+// (tcp), ranks joined through a coordinator into a socket mesh (tcp.Join)
+// and the virtual-time simulator (simnet, on a one-switch star and on a
+// two-switch tree) — against a common model: randomly generated message
+// programs whose outcome is computable from MPI matching semantics
+// (per-(source, destination, tag) FIFO). Any divergence in
 // matching, ordering or payload delivery on any transport fails here.
 package conformance
 
@@ -129,6 +130,21 @@ func starGraph(n int) *topology.Graph {
 	return g.MustValidate()
 }
 
+// treeGraph builds a two-switch tree for n ranks: the first half of the
+// machines hang off one switch and the rest off the other, so messages
+// between the halves cross the inter-switch link and take one hop more
+// than those inside a half.
+func treeGraph(n int) *topology.Graph {
+	g := topology.New()
+	sws := [2]int{g.MustAddSwitch("s0"), g.MustAddSwitch("s1")}
+	g.MustConnect(sws[0], sws[1])
+	for i := 0; i < n; i++ {
+		m := g.MustAddMachine(fmt.Sprintf("h%d", i))
+		g.MustConnect(sws[2*i/n], m)
+	}
+	return g.MustValidate()
+}
+
 // transports enumerates the runners under test.
 func transports(t *testing.T, n int) map[string]func(fn func(c mpi.Comm) error) error {
 	t.Helper()
@@ -142,18 +158,20 @@ func transports(t *testing.T, n int) map[string]func(fn func(c mpi.Comm) error) 
 		"shm": func(fn func(c mpi.Comm) error) error {
 			return shm.Run(n, fn)
 		},
-		// With every test joiner on one host, the default distributed mesh
-		// links all pairs through shm segments; the second variant forces
-		// the pure socket mesh so both data planes stay covered.
-		"tcp-distributed":     distributedRunner(n),
-		"tcp-distributed-tcp": distributedRunner(n, tcp.WithoutSharedMemory()),
-		"simnet": func(fn func(c mpi.Comm) error) error {
-			w, err := simnet.NewWorld(simnet.Config{Graph: starGraph(n)})
-			if err != nil {
-				return err
-			}
-			return w.Run(fn)
-		},
+		"tcp-distributed": distributedRunner(n),
+		"simnet":          simnetRunner(starGraph(n)),
+		"simnet-tree":     simnetRunner(treeGraph(n)),
+	}
+}
+
+// simnetRunner builds a runner on the simulator over g.
+func simnetRunner(g *topology.Graph) func(fn func(c mpi.Comm) error) error {
+	return func(fn func(c mpi.Comm) error) error {
+		w, err := simnet.NewWorld(simnet.Config{Graph: g})
+		if err != nil {
+			return err
+		}
+		return w.Run(fn)
 	}
 }
 

@@ -9,8 +9,8 @@
 //
 //   - mpi/mem: in-process matching engine; real byte movement, used for
 //     functional correctness tests and the examples.
-//   - mpi/shm: per-pair shared-memory rings (single-copy handoff or ring
-//     transit), the no-kernel transport for co-located ranks.
+//   - mpi/shm: an in-process world over per-pair shared-memory rings
+//     (single-copy handoff or ring transit); no kernel on the data path.
 //   - mpi/tcp (World): loopback TCP sockets, one connection per rank pair,
 //     with sequence numbers, acks, retransmit and reconnect; the closest
 //     runnable analogue of the paper's LAM/MPI-over-Ethernet stack.

@@ -1,23 +1,12 @@
-// Package shm is the shared-memory transport for co-located ranks: lock-free
-// single-producer single-consumer byte rings laid out over a flat memory
-// segment, so two ranks on one host exchange AAPC blocks through memcpy and
-// two atomic cursor updates — no socket, no syscall, no kernel transition.
+// Package shm is an in-process world: its ranks exchange AAPC blocks
+// through lock-free single-producer single-consumer rings over heap
+// segments, so a message costs a memcpy and two atomic cursor updates — no
+// socket, no syscall, no kernel transition.
 //
-// The same ring code runs over two kinds of segment:
-//
-//   - in-process heap segments (NewSegment), used by the shm World for
-//     co-located ranks inside one process and by the tests/benchmarks;
-//   - cross-process /dev/shm mappings (MapSegment, linux), used by the
-//     distributed harness to link co-located aapcnode processes — the
-//     rendezvous host map decides which pairs qualify.
-//
-// Synchronization is pure atomics on the segment's header words, so a ring
-// works identically whether its two ends live in one address space or in two
-// processes mapping the same file.
+// Synchronization is pure atomics on each segment's header words.
 package shm
 
 import (
-	"fmt"
 	"sync/atomic"
 	"unsafe"
 )
@@ -43,7 +32,7 @@ const MinSegment = headerBytes + recordHeader + 1
 const recordHeader = 12
 
 // Ring is one directed SPSC byte ring over a segment. At most one goroutine
-// (or process) may produce and one consume; the two may differ freely.
+// may produce and one consume; the two may differ freely.
 //
 // The single-producer/single-consumer rules the ring's correctness rests on:
 //
@@ -51,16 +40,16 @@ const recordHeader = 12
 //     plain read of a word the other side stores atomically is a data race,
 //     even when it only sizes free space;
 //   - only the producer stores tail, and only the consumer stores head; the
-//     producer methods are TryWrite and WriteRecord, the consumer methods
-//     TryRead, PeekRecord and ReadRecord, and neither side calls the other's;
+//     producer method is WriteRecord, the consumer methods PeekRecord and
+//     ReadRecord, and neither side calls the other's;
 //   - a side stores its cursor last: the producer after its bytes are in the
 //     data area (release: publish them), the consumer after it has copied
 //     them out (release: free the space). Storing it earlier hands the other
 //     side bytes it may still be writing or reading.
 //
-// TestRingStreamSPSC and TestRingRecordSPSC run a producer and a consumer
-// goroutine through a small ring, checking every byte; under the race
-// detector they also check the atomics.
+// TestRingRecordSPSC runs a producer and a consumer goroutine through a
+// small ring, checking every byte; under the race detector it also checks
+// the atomics.
 type Ring struct {
 	tail   *uint64 // bytes produced; stored by the producer only
 	head   *uint64 // bytes consumed; stored by the consumer only
@@ -69,47 +58,23 @@ type Ring struct {
 	cap    uint64
 }
 
-// NewSegment allocates an in-process segment of the given total size,
-// 8-byte aligned (backed by a uint64 slice, which the Go allocator aligns).
-func NewSegment(size int) []byte {
-	if size < MinSegment {
-		size = MinSegment
-	}
+// NewRing allocates an in-process ring whose data area holds at least
+// dataCap bytes. The segment is backed by a uint64 slice, which the Go
+// allocator aligns, so the header words are 8-byte aligned.
+func NewRing(dataCap int) *Ring {
+	size := max(headerBytes+dataCap, MinSegment)
 	words := make([]uint64, (size+7)/8)
-	return unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), size)
-}
-
-// Attach interprets seg as a ring segment. Both ends of a pair attach to
-// the same memory; the roles (producer vs consumer) are fixed by the
-// caller's protocol, not by Attach.
-func Attach(seg []byte) (*Ring, error) {
-	if len(seg) < MinSegment {
-		return nil, fmt.Errorf("shm: segment %d bytes, need at least %d", len(seg), MinSegment)
-	}
-	if uintptr(unsafe.Pointer(&seg[0]))%8 != 0 {
-		return nil, fmt.Errorf("shm: segment is not 8-byte aligned")
-	}
+	seg := unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), size)
 	return &Ring{
 		tail:   (*uint64)(unsafe.Pointer(&seg[0])),
 		head:   (*uint64)(unsafe.Pointer(&seg[8])),
 		closed: (*uint64)(unsafe.Pointer(&seg[16])),
 		data:   seg[headerBytes:],
-		cap:    uint64(len(seg) - headerBytes),
-	}, nil
-}
-
-// NewRing allocates an in-process ring whose data area holds at least
-// dataCap bytes.
-func NewRing(dataCap int) *Ring {
-	r, err := Attach(NewSegment(headerBytes + dataCap))
-	if err != nil {
-		panic(err) // unreachable: NewSegment guarantees size and alignment
+		cap:    uint64(size - headerBytes),
 	}
-	return r
 }
 
-// Close marks the ring closed, waking both ends' polling loops. Idempotent,
-// callable from either side.
+// Close marks the ring closed. Idempotent, callable from either side.
 func (r *Ring) Close() { atomic.StoreUint64(r.closed, 1) }
 
 // Closed reports whether either side closed the ring.
@@ -138,37 +103,6 @@ func (r *Ring) copyOut(pos uint64, p []byte) {
 	if n < len(p) {
 		copy(p[n:], r.data)
 	}
-}
-
-// TryWrite copies up to len(p) bytes into the ring (stream mode) and
-// returns the count, 0 when the ring is full. Producer side only.
-func (r *Ring) TryWrite(p []byte) int {
-	tail := atomic.LoadUint64(r.tail)
-	head := atomic.LoadUint64(r.head) // acquire: consumer freed this space
-	// A peer process owns head: take no more than the ring could ever hold.
-	free := r.cap - min(tail-head, r.cap)
-	n := int(min(free, uint64(len(p))))
-	if n == 0 {
-		return 0
-	}
-	r.copyIn(tail, p[:n])
-	atomic.StoreUint64(r.tail, tail+uint64(n)) // release: publish the bytes
-	return n
-}
-
-// TryRead pops up to len(p) bytes from the ring (stream mode) and returns
-// the count, 0 when the ring is empty. Consumer side only.
-func (r *Ring) TryRead(p []byte) int {
-	head := atomic.LoadUint64(r.head)
-	tail := atomic.LoadUint64(r.tail) // acquire: producer published these bytes
-	// A peer process owns tail: hand out no more than the ring could hold.
-	n := int(min(tail-head, r.cap, uint64(len(p))))
-	if n == 0 {
-		return 0
-	}
-	r.copyOut(head, p[:n])
-	atomic.StoreUint64(r.head, head+uint64(n)) // release: free the space
-	return n
 }
 
 // WriteRecord publishes one [size u32][tag i64][payload] record atomically:

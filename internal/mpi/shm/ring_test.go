@@ -2,54 +2,10 @@ package shm
 
 import (
 	"bytes"
-	"io"
 	"math/rand"
 	"runtime"
 	"testing"
-	"time"
 )
-
-// TestRingStreamSPSC stresses the stream mode across two goroutines with a
-// tiny ring, forcing many wraparounds, and checks the byte stream arrives
-// intact and in order.
-func TestRingStreamSPSC(t *testing.T) {
-	const total = 1 << 20
-	r := NewRing(257) // prime-ish, never divides the write sizes
-	src := make([]byte, total)
-	rng := rand.New(rand.NewSource(7))
-	rng.Read(src)
-	defer r.Close() // stops the producer if the consumer fails
-	go func() {
-		sent := 0
-		for sent < total {
-			chunk := min(1+rng.Intn(400), total-sent)
-			for chunk > 0 {
-				n := r.TryWrite(src[sent : sent+chunk])
-				sent += n
-				chunk -= n
-				if n == 0 {
-					if r.Closed() {
-						return
-					}
-					runtime.Gosched()
-				}
-			}
-		}
-	}()
-	got := make([]byte, 0, total)
-	buf := make([]byte, 313)
-	for len(got) < total {
-		n := r.TryRead(buf)
-		if n == 0 {
-			runtime.Gosched()
-			continue
-		}
-		got = append(got, buf[:n]...)
-	}
-	if !bytes.Equal(got, src) {
-		t.Fatal("stream corrupted through ring")
-	}
-}
 
 // TestRingRecordSPSC is the record-mode counterpart: one producer and one
 // consumer goroutine pass 20,000 records through a ring, and the consumer
@@ -250,92 +206,5 @@ func runRingScript(t *testing.T, script []byte) {
 	}
 	if r.Buffered() != 0 {
 		t.Fatalf("drained ring has %d bytes buffered", r.Buffered())
-	}
-}
-
-// TestConnPipe moves a large random stream both ways through a Pipe pair
-// concurrently.
-func TestConnPipe(t *testing.T) {
-	a, b := Pipe(512)
-	defer a.Close()
-	defer b.Close()
-	const total = 1 << 19
-	payload := make([]byte, total)
-	rand.New(rand.NewSource(11)).Read(payload)
-	check := func(w, r *Conn) chan error {
-		errs := make(chan error, 1)
-		go func() {
-			if _, err := w.Write(payload); err != nil {
-				errs <- err
-				return
-			}
-			errs <- nil
-		}()
-		go func() {
-			got := make([]byte, total)
-			if _, err := io.ReadFull(r, got); err != nil {
-				errs <- err
-				return
-			}
-			if !bytes.Equal(got, payload) {
-				errs <- io.ErrUnexpectedEOF
-				return
-			}
-			errs <- nil
-		}()
-		return errs
-	}
-	e1 := check(a, b)
-	e2 := check(b, a)
-	for i := 0; i < 4; i++ {
-		select {
-		case err := <-e1:
-			if err != nil {
-				t.Fatal(err)
-			}
-		case err := <-e2:
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-}
-
-// TestConnCloseSemantics checks TCP-like teardown: buffered bytes remain
-// readable after the peer closes, then EOF; writes to a closed conn fail.
-func TestConnCloseSemantics(t *testing.T) {
-	a, b := Pipe(512)
-	if _, err := a.Write([]byte("tail")); err != nil {
-		t.Fatal(err)
-	}
-	a.Close()
-	got := make([]byte, 4)
-	if _, err := io.ReadFull(b, got); err != nil || string(got) != "tail" {
-		t.Fatalf("read after close = %q, %v", got, err)
-	}
-	if _, err := b.Read(got); err != io.EOF {
-		t.Fatalf("read past close = %v, want EOF", err)
-	}
-	if _, err := b.Write([]byte("x")); err == nil {
-		t.Fatal("write to closed pipe succeeded")
-	}
-}
-
-// TestConnReadDeadline checks an expired deadline surfaces a timeout error
-// and a cleared deadline restores blocking reads.
-func TestConnReadDeadline(t *testing.T) {
-	a, b := Pipe(512)
-	defer a.Close()
-	defer b.Close()
-	b.SetReadDeadline(time.Now().Add(5 * time.Millisecond))
-	buf := make([]byte, 1)
-	_, err := b.Read(buf)
-	if nerr, ok := err.(interface{ Timeout() bool }); !ok || !nerr.Timeout() {
-		t.Fatalf("read past deadline = %v, want timeout", err)
-	}
-	b.SetReadDeadline(time.Time{})
-	go a.Write([]byte("k"))
-	if _, err := io.ReadFull(b, buf); err != nil || buf[0] != 'k' {
-		t.Fatalf("read after clearing deadline = %q, %v", buf, err)
 	}
 }

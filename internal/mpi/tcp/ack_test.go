@@ -249,7 +249,7 @@ func TestLazyAckReconnect(t *testing.T) {
 // its bye, though no one asked, so the peer's window is empty when the bye
 // fails its stream and the pooled copies come back to the pool.
 func TestGoodbyeCarriesFinalAck(t *testing.T) {
-	comms, closers := joinRanks(t, 2, WithoutSharedMemory())
+	comms, closers := joinRanks(t, 2)
 	c0, c1 := comms[0].(*node), comms[1].(*node)
 	defer closers[0]()
 	pool := &c0.pool

@@ -27,8 +27,8 @@ const (
 	closeLinger = 2 * time.Second
 )
 
-// link is one rank's end of its connection to one peer: the socket (or shm
-// segment) end, its lifecycle state, and the outbound stream that rides it.
+// link is one rank's end of its connection to one peer: the socket end, its
+// lifecycle state, and the outbound stream that rides it.
 // The two ends of a pair run this same state machine, each over its own
 // end, and meet only on the wire — never in memory — so they can live in
 // different processes. epoch increments every time a fresh connection is
@@ -45,10 +45,6 @@ const (
 type link struct {
 	nd   *node
 	peer int
-	// shm says the pair rides a shared-memory pair segment, not a socket.
-	// A socket can be dialed again by the pair's higher rank; a segment
-	// cannot: its break fails closed.
-	shm bool
 
 	mu    sync.Mutex
 	cond  *sync.Cond
@@ -131,10 +127,10 @@ func (lk *link) down(rank int, cause error) {
 const anyEpoch = -1
 
 // broken handles a connection error seen on the given epoch. A protocol
-// violation or a peer's goodbye (fatal), a link that cannot be redialed and
-// a closing rank fail the pair; any other break is transient — the pair's
-// higher rank redials, its lower rank waits to adopt the fresh socket, and
-// both retransmit what was not acknowledged.
+// violation or a peer's goodbye (fatal) and a closing rank fail the pair;
+// any other break is transient — the pair's higher rank redials, its lower
+// rank waits to adopt the fresh socket, and both retransmit what was not
+// acknowledged.
 func (lk *link) broken(epoch int, cause error, fatal bool) {
 	nd := lk.nd
 	lk.mu.Lock()
@@ -142,7 +138,7 @@ func (lk *link) broken(epoch int, cause error, fatal bool) {
 		lk.mu.Unlock()
 		return
 	}
-	if fatal || lk.shm || nd.ctx.Err() != nil {
+	if fatal || nd.ctx.Err() != nil {
 		lk.downLocked(lk.peer, cause)
 		return
 	}
@@ -332,8 +328,8 @@ const sockBufSize = 1 << 20
 // connection: TCP_NODELAY so the 41-byte ack frames and the small sync
 // frames the scheduled algorithm's pairwise synchronization rides on are
 // never Nagle-delayed behind an unacked large frame, and enlarged kernel
-// buffers (see sockBufSize). Best effort: a conn type without the knobs
-// (shm pair segments) is used as-is.
+// buffers (see sockBufSize). Best effort: a conn type without the knobs is
+// used as-is.
 func tuneConn(conn net.Conn) {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)

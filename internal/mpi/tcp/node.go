@@ -112,8 +112,7 @@ func (sh *shared) serve() {
 			defer sh.accepting.Done()
 			tuneConn(conn)
 			from, to, flags, err := readHandshake(conn, handshakeTimeout)
-			if err != nil || to < 0 || from <= to || from >= len(sh.nodes) ||
-				sh.nodes[to] == nil || sh.nodes[to].links[from].shm {
+			if err != nil || to < 0 || from <= to || from >= len(sh.nodes) || sh.nodes[to] == nil {
 				conn.Close() // not a handshake this process expects
 				return
 			}
@@ -136,12 +135,11 @@ func (sh *shared) shutdown() error {
 	return err
 }
 
-// dialMesh connects this rank to every lower rank it is not linked to yet
-// (a joined rank may already hold shm segments), and gives every such higher
+// dialMesh connects this rank to every lower rank, and gives every higher
 // rank the same bound to dial in.
 func (nd *node) dialMesh(bound time.Duration) error {
 	for p, lk := range nd.links {
-		if lk == nil || lk.shm {
+		if lk == nil {
 			continue
 		}
 		if p > nd.rank {

@@ -21,12 +21,7 @@ func (lk *link) readLoop(conn net.Conn, epoch int) {
 	nd, st, m, p := lk.nd, &lk.st, lk.nd.matcher, lk.peer
 	defer nd.wg.Done()
 	defer lk.reader.Done()
-	var ahead func() bool
-	if !lk.shm {
-		// A segment read costs no syscall: an shm link never reads ahead.
-		ahead = func() bool { return !m.zeroCopyPosted(p) }
-	}
-	in := newFrameReader(conn, ahead)
+	in := newFrameReader(conn, func() bool { return !m.zeroCopyPosted(p) })
 	for {
 		hdr, err := in.header()
 		if err != nil {
@@ -161,10 +156,9 @@ type frameReader struct {
 	conn net.Conn
 	// ahead is the read-ahead gate; nil never reads ahead.
 	ahead func() bool
-	// raw, for a socket with a gate, issues the read(2) itself (a socket
-	// without raw access never reads ahead): onReadable runs when the
-	// socket is readable, with p, need, n and err as its arguments and
-	// results.
+	// raw, for a socket, issues the read(2) itself (a socket without raw
+	// access never reads ahead): onReadable runs when the socket is
+	// readable, with p, need, n and err as its arguments and results.
 	raw        syscall.RawConn
 	onReadable func(fd uintptr) bool
 	p          []byte
@@ -177,7 +171,7 @@ type frameReader struct {
 
 func newFrameReader(conn net.Conn, ahead func() bool) *frameReader {
 	in := &frameReader{conn: conn, ahead: ahead, buf: make([]byte, readBufLen)}
-	if _, socket := conn.(syscall.Conn); socket && ahead != nil {
+	if _, socket := conn.(syscall.Conn); socket {
 		if in.raw = socketRaw(conn); in.raw == nil {
 			in.ahead = nil
 		} else {

@@ -3,17 +3,12 @@ package tcp
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"time"
 
 	"github.com/aapc-sched/aapcsched/internal/mpi"
-	"github.com/aapc-sched/aapcsched/internal/mpi/shm"
 )
 
 // Distributed mode: each rank lives in its own process (or goroutine) and
@@ -29,20 +24,16 @@ import (
 //  1. Each joiner dials the coordinator, opens its own listener on the local
 //     IP of that connection (the interface the coordinator reached it on,
 //     so peers on other hosts can dial it too) and sends a hello: its
-//     listener address, its host identity, and whether it can map
-//     shared-memory segments.
+//     listener address, {"Addr":"host:port"}.
 //  2. After n hellos, the coordinator assigns ranks in arrival order and
-//     answers every joiner with a book: its rank, a world token, and every
-//     rank's hello. An aborted rendezvous answers with a book that carries
-//     only the reason, and so does every connection beyond the n-th. The
-//     coordinator then closes the connection.
-//  3. Joiner r links to every peer: pairs on the same host with shm
-//     capability on both sides ride a shared-memory pair segment (the
-//     lower rank creates it under the world token, the higher rank
-//     attaches), so co-located traffic never touches a socket; everyone
-//     else dials (r > p, with the usual from/to handshake) or is dialed
-//     (r < p). The listener stays open: it is where a higher rank redials a
-//     broken socket.
+//     answers every joiner with a book: its rank and every rank's hello,
+//     {"Rank":r,"Peers":[...]}. An aborted rendezvous answers with a book
+//     that carries only the reason, and so does every connection beyond the
+//     n-th. The coordinator then closes the connection.
+//  3. Joiner r links to every peer over a socket, co-located or not: it
+//     dials (r > p, with the usual from/to handshake) or is dialed (r < p).
+//     The listener stays open: it is where a higher rank redials a broken
+//     socket.
 //
 // Failure model: the coordinator tracks joiner health during rendezvous —
 // a joiner that disconnects before the world is complete, or a rendezvous
@@ -50,23 +41,19 @@ import (
 // reason and fails with it instead of hanging; a peer that dies between the
 // book and the mesh fails its neighbours' Join within meshTimeout.
 // JoinRetry dials a not-yet-started coordinator with backoff. Once the mesh
-// is up a socket link survives breaks exactly as in an in-process world
+// is up a link survives breaks exactly as in an in-process world
 // (redial, retransmit); what cannot be recovered surfaces as a typed
 // *mpi.RankError through the matcher.
 
 // hello is what a joiner tells the coordinator about itself.
 type hello struct {
 	Addr string // the joiner's listener, where peers dial it
-	Host string // co-location identity
-	Shm  bool   // can map shared-memory pair segments
 }
 
-// book is the coordinator's one answer to a joiner: its rank, the token
-// naming the world's pair segments and every rank's hello, or the reason
-// the rendezvous was aborted.
+// book is the coordinator's one answer to a joiner: its rank and every
+// rank's hello, or the reason the rendezvous was aborted.
 type book struct {
 	Rank  int
-	Token string
 	Peers []hello
 	Abort string `json:",omitempty"`
 }
@@ -246,9 +233,8 @@ func (c *Coordinator) assemble(arrivals <-chan arrival) error {
 			return abort(fmt.Errorf("tcp: rendezvous timed out with %d of %d ranks", len(conns), c.n))
 		}
 	}
-	token := worldToken(c.ln.Addr().String())
 	for rank, conn := range conns {
-		if err := sendBook(conn, book{Rank: rank, Token: token, Peers: peers}); err != nil {
+		if err := sendBook(conn, book{Rank: rank, Peers: peers}); err != nil {
 			// A joiner died mid-book: abort the rest so nobody hangs
 			// waiting for addresses that will never come.
 			return abort(fmt.Errorf("tcp: sending address book to rank %d: %w", rank, err))
@@ -270,7 +256,7 @@ func rendezvous(coord net.Conn, h hello) (book, error) {
 	defer coord.Close()
 	// Marshal, not Encode: the coordinator takes any byte after the hello,
 	// even Encode's newline, as this joiner leaving.
-	msg, _ := json.Marshal(h) // strings and a bool always marshal
+	msg, _ := json.Marshal(h) // a string always marshals
 	if _, err := coord.Write(msg); err != nil {
 		return book{}, err
 	}
@@ -278,8 +264,7 @@ func rendezvous(coord net.Conn, h hello) (book, error) {
 }
 
 // readBook decodes a book from at most limit bytes of r and checks it: an
-// abort fails with the coordinator's reason, the rank must index Peers, and
-// the token must be usable inside a segment file name.
+// abort fails with the coordinator's reason, and the rank must index Peers.
 func readBook(r io.Reader, limit int64) (book, error) {
 	var b book
 	if err := json.NewDecoder(io.LimitReader(r, limit)).Decode(&b); err != nil {
@@ -290,43 +275,8 @@ func readBook(r io.Reader, limit int64) (book, error) {
 		return book{}, fmt.Errorf("tcp: rendezvous aborted by coordinator: %s", b.Abort)
 	case b.Rank < 0 || b.Rank >= len(b.Peers):
 		return book{}, fmt.Errorf("tcp: coordinator assigned rank %d of %d", b.Rank, len(b.Peers))
-	case strings.ContainsAny(b.Token, `/\`):
-		return book{}, fmt.Errorf("tcp: world token %q is not a file name part", b.Token)
 	}
 	return b, nil
-}
-
-// shmLinkRingBytes is the per-direction ring capacity of a shared-memory
-// link: a few large frames of headroom so the writer rarely stalls behind
-// the reader.
-const shmLinkRingBytes = 1 << 20
-
-// worldToken derives the filename-safe token namespacing one world's pair
-// segments from the coordinator's listen address.
-func worldToken(coordAddr string) string {
-	h := fnv.New64a()
-	h.Write([]byte(coordAddr))
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// segmentPath names the pair segment file for ranks lo < hi of the world
-// identified by token.
-func segmentPath(token string, lo, hi int) string {
-	return filepath.Join(shm.SegmentDir(), fmt.Sprintf("aapc-pair-%s-%d-%d", token, lo, hi))
-}
-
-// hostIdentity resolves the identity advertised to the coordinator.
-func hostIdentity(cfg *Config) string {
-	if cfg.Host != "" {
-		return cfg.Host
-	}
-	if h := os.Getenv("AAPC_HOST"); h != "" {
-		return h
-	}
-	if h, err := os.Hostname(); err == nil && h != "" {
-		return h
-	}
-	return "unknown-host"
 }
 
 // Join connects this process to a distributed world through the coordinator
@@ -348,8 +298,6 @@ func JoinRetry(coordAddr string, window time.Duration, opts ...Option) (mpi.Comm
 // join is Join with the coordinator dial's retry window and the mesh phase's
 // bound (meshTimeout outside tests) spelled out.
 func join(coordAddr string, retryWindow, meshBound time.Duration, opts ...Option) (mpi.Comm, func() error, error) {
-	cfg := newConfig(opts)
-	shmOK := !cfg.NoShm && shm.MapAvailable() && os.Getenv("AAPC_SHM") != "0"
 	coord, err := dialRetry(coordAddr, retryWindow)
 	if err != nil {
 		return nil, nil, err
@@ -359,69 +307,29 @@ func join(coordAddr string, retryWindow, meshBound time.Duration, opts ...Option
 		coord.Close()
 		return nil, nil, err
 	}
-	b, err := rendezvous(coord, hello{Addr: ln.Addr().String(), Host: hostIdentity(&cfg), Shm: shmOK})
+	b, err := rendezvous(coord, hello{Addr: ln.Addr().String()})
 	if err != nil {
 		ln.Close()
 		return nil, nil, err
 	}
 	rank, n := b.Rank, len(b.Peers)
-
-	// The host map decides each pair's medium from broadcast data alone, so
-	// both sides always agree: a shared-memory pair segment when co-located
-	// and capable on both ends — it cannot be redialed, so its break fails
-	// closed — and a socket otherwise.
-	sh := &shared{cfg: cfg, start: time.Now(), ln: ln, addrs: make([]string, n), nodes: make([]*node, n)}
+	sh := &shared{cfg: newConfig(opts), start: time.Now(), ln: ln, addrs: make([]string, n), nodes: make([]*node, n)}
 	nd := newNode(rank, n, sh)
 	sh.nodes[rank] = nd
-	me := b.Peers[rank]
 	for p, peer := range b.Peers {
 		sh.addrs[p] = peer.Addr
-		if p != rank && peer.Shm && me.Shm && peer.Host == me.Host {
-			nd.links[p].shm = true
-			nd.stats.shmLinks.Add(1)
-		}
 	}
 	closeFn := sync.OnceValue(sh.shutdown)
 	sh.accepting.Add(1)
 	go sh.serve()
-	if err := nd.mesh(b.Token, meshBound); err != nil {
+	if err = nd.dialMesh(meshBound); err == nil {
+		err = nd.awaitMesh()
+	}
+	if err != nil {
 		closeFn()
 		return nil, nil, err
 	}
 	return nd, closeFn, nil
-}
-
-// mesh links a joined node to every peer within bound: segments first, then
-// sockets.
-func (nd *node) mesh(token string, bound time.Duration) error {
-	me := nd.rank
-	// Create the segments this rank owns (it is the lower rank of the pair)
-	// before attaching to any: attachers poll for them, so publishing first
-	// keeps the mesh free of ordering deadlocks.
-	local := fmt.Sprintf("shm:%d", me)
-	for _, create := range [2]bool{true, false} {
-		for p, lk := range nd.links {
-			if lk == nil || !lk.shm || (p > me) != create {
-				continue
-			}
-			path, remote := segmentPath(token, min(me, p), max(me, p)), fmt.Sprintf("shm:%d", p)
-			var conn *shm.Conn
-			var err error
-			if create {
-				conn, err = shm.CreatePairConn(path, shmLinkRingBytes, local, remote)
-			} else {
-				conn, err = shm.OpenPairConn(path, shmLinkRingBytes, local, remote, bound)
-			}
-			if err != nil {
-				return fmt.Errorf("tcp: rank %d linking to %d over shm: %w", me, p, err)
-			}
-			lk.install(conn)
-		}
-	}
-	if err := nd.dialMesh(bound); err != nil {
-		return err
-	}
-	return nd.awaitMesh()
 }
 
 // listenAddr is where a joiner listens: on the local IP of its connection

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -16,19 +15,11 @@ import (
 	"github.com/aapc-sched/aapcsched/internal/alltoall"
 	"github.com/aapc-sched/aapcsched/internal/harness"
 	"github.com/aapc-sched/aapcsched/internal/mpi"
-	"github.com/aapc-sched/aapcsched/internal/mpi/shm"
 )
 
-// shmAvailableForTest mirrors the runtime gate Join applies when deciding
-// whether co-located pairs may use shared-memory segments.
-func shmAvailableForTest() bool {
-	return shm.MapAvailable() && os.Getenv("AAPC_SHM") != "0"
-}
-
 // joinWorld starts a coordinator and joins n ranks concurrently (each
-// standing in for a separate process). Everything rendezvouses over real
-// sockets; co-located pairs then link through shared-memory segments when
-// the platform supports it, unless opts say otherwise.
+// standing in for a separate process). Everything rendezvouses and links
+// over real sockets.
 func joinWorld(t *testing.T, n int, opts ...Option) ([]mpi.Comm, func()) {
 	t.Helper()
 	comms, closers := joinRanks(t, n, opts...)
@@ -209,184 +200,6 @@ func TestDistributedScheduledAlltoall(t *testing.T) {
 	}
 }
 
-// TestDistributedShmLinkSelection checks the host map puts co-located
-// pairs on shared-memory segments (bytes flow over shm, not sockets), that
-// WithoutSharedMemory forces every pair back to TCP, and that both meshes
-// deliver the same traffic.
-func TestDistributedShmLinkSelection(t *testing.T) {
-	if !shmAvailableForTest() {
-		t.Skip("shared-memory segments unsupported on this platform")
-	}
-	for _, tc := range []struct {
-		name    string
-		opts    []Option
-		wantShm bool
-	}{
-		{"shm-auto", nil, true},
-		{"tcp-forced", []Option{WithoutSharedMemory()}, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			const n = 3
-			comms, cleanup := joinWorld(t, n, tc.opts...)
-			defer cleanup()
-			var wg sync.WaitGroup
-			errs := make(chan error, n)
-			for _, c := range comms {
-				wg.Add(1)
-				go func(c mpi.Comm) {
-					defer wg.Done()
-					next := (c.Rank() + 1) % n
-					prev := (c.Rank() + n - 1) % n
-					out := make([]byte, 2048)
-					for i := range out {
-						out[i] = byte(c.Rank() + i)
-					}
-					in := make([]byte, 2048)
-					if err := mpi.Sendrecv(c, out, next, 8, in, prev, 8); err != nil {
-						errs <- err
-						return
-					}
-					for i := range in {
-						if in[i] != byte(prev+i) {
-							errs <- fmt.Errorf("rank %d: corrupted byte %d", c.Rank(), i)
-							return
-						}
-					}
-					errs <- nil
-				}(c)
-			}
-			wg.Wait()
-			for i := 0; i < n; i++ {
-				if err := <-errs; err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, c := range comms {
-				s := c.(*node).TransportStats()
-				if tc.wantShm {
-					if s.ShmLinks != n-1 {
-						t.Fatalf("rank %d: %d shm links, want %d", c.Rank(), s.ShmLinks, n-1)
-					}
-					if s.ShmBytesSent == 0 || s.TCPBytesSent != 0 {
-						t.Fatalf("rank %d: byte split shm=%d tcp=%d, want all shm", c.Rank(), s.ShmBytesSent, s.TCPBytesSent)
-					}
-				} else {
-					if s.ShmLinks != 0 || s.ShmBytesSent != 0 {
-						t.Fatalf("rank %d: shm used with shm disabled: %+v", c.Rank(), s)
-					}
-					if s.TCPBytesSent == 0 {
-						t.Fatalf("rank %d: no TCP bytes recorded", c.Rank())
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestDistributedMixedHosts advertises two distinct host identities: pairs
-// sharing one ride shm, cross-host pairs stay on TCP, and the mesh still
-// delivers everything.
-func TestDistributedMixedHosts(t *testing.T) {
-	if !shmAvailableForTest() {
-		t.Skip("shared-memory segments unsupported on this platform")
-	}
-	const n = 4
-	coord, err := StartCoordinator("127.0.0.1:0", n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comms := make([]mpi.Comm, n)
-	closers := make([]func() error, n)
-	var wg sync.WaitGroup
-	joinErrs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// Arrival order assigns ranks, so hosts interleave arbitrarily;
-			// what matters is two ranks per identity.
-			c, closeFn, err := Join(coord.Addr(), WithHostID(fmt.Sprintf("node%d", i%2)))
-			if err != nil {
-				joinErrs <- err
-				return
-			}
-			comms[c.Rank()] = c
-			closers[c.Rank()] = closeFn
-		}(i)
-	}
-	wg.Wait()
-	select {
-	case err := <-joinErrs:
-		t.Fatal(err)
-	default:
-	}
-	defer func() {
-		for _, fn := range closers {
-			if fn != nil {
-				fn()
-			}
-		}
-	}()
-	errs := make(chan error, n)
-	for _, c := range comms {
-		wg.Add(1)
-		go func(c mpi.Comm) {
-			defer wg.Done()
-			// All-to-all so both shm and TCP pairs carry payload.
-			var reqs []mpi.Request
-			got := make([][]byte, n)
-			for p := 0; p < n; p++ {
-				if p == c.Rank() {
-					continue
-				}
-				got[p] = make([]byte, 512)
-				reqs = append(reqs, mpi.Irecv(c, got[p], p, 2))
-			}
-			for p := 0; p < n; p++ {
-				if p == c.Rank() {
-					continue
-				}
-				out := make([]byte, 512)
-				for i := range out {
-					out[i] = byte(c.Rank()*13 + i)
-				}
-				reqs = append(reqs, mpi.Isend(c, out, p, 2))
-			}
-			if err := mpi.WaitAll(reqs); err != nil {
-				errs <- err
-				return
-			}
-			for p := 0; p < n; p++ {
-				if p == c.Rank() {
-					continue
-				}
-				for i := range got[p] {
-					if got[p][i] != byte(p*13+i) {
-						errs <- fmt.Errorf("rank %d: corrupted payload from %d", c.Rank(), p)
-						return
-					}
-				}
-			}
-			errs <- nil
-		}(c)
-	}
-	wg.Wait()
-	for i := 0; i < n; i++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, c := range comms {
-		s := c.(*node).TransportStats()
-		if s.ShmLinks != 1 {
-			t.Fatalf("rank %d: %d shm links, want 1 (one co-located peer)", c.Rank(), s.ShmLinks)
-		}
-		if s.ShmBytesSent == 0 || s.TCPBytesSent == 0 {
-			t.Fatalf("rank %d: byte split shm=%d tcp=%d, want both non-zero", c.Rank(), s.ShmBytesSent, s.TCPBytesSent)
-		}
-	}
-}
-
 func TestCoordinatorValidation(t *testing.T) {
 	if _, err := StartCoordinator("127.0.0.1:0", 0); err == nil {
 		t.Error("want error for zero-rank world")
@@ -417,7 +230,7 @@ func TestJoinMeshDeadline(t *testing.T) {
 	errs := make(chan error, n-1)
 	for i := 0; i < n-1; i++ {
 		go func() {
-			_, closeFn, err := join(coord.Addr(), 0, meshBound, WithoutSharedMemory())
+			_, closeFn, err := join(coord.Addr(), 0, meshBound)
 			if err == nil {
 				closeFn()
 			}
@@ -456,7 +269,7 @@ func sendHello(t *testing.T, coordAddr, addr string) net.Conn {
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg, _ := json.Marshal(hello{Addr: addr, Host: "ghost"})
+	msg, _ := json.Marshal(hello{Addr: addr})
 	if _, err := conn.Write(msg); err != nil {
 		t.Fatal(err)
 	}
@@ -485,34 +298,32 @@ func ghostJoin(t *testing.T, coordAddr string) int {
 // an all-to-all and close at different times. A closing rank drains its acks
 // and says goodbye, so the ranks still running must not answer with redials,
 // backoff or retransmissions: every recovery counter stays zero on every
-// rank, over sockets and over shm segments alike.
+// rank.
 func TestJoinedCleanCloseIsNotAFault(t *testing.T) {
-	for _, opts := range [][]Option{{WithoutSharedMemory()}, nil} {
-		const n = 4
-		comms, closers := joinRanks(t, n, opts...)
-		var wg sync.WaitGroup
-		errs := make(chan error, n)
-		for _, c := range comms {
-			wg.Add(1)
-			go func(c mpi.Comm) {
-				defer wg.Done()
-				err := exchangeAll(c, 4096)
-				time.Sleep(time.Duration(c.Rank()) * 15 * time.Millisecond)
-				if cerr := closers[c.Rank()](); err == nil {
-					err = cerr
-				}
-				errs <- err
-			}(c)
-		}
-		wg.Wait()
-		for i := 0; i < n; i++ {
-			if err := <-errs; err != nil {
-				t.Fatal(err)
+	const n = 4
+	comms, closers := joinRanks(t, n)
+	var wg sync.WaitGroup
+	errs := make(chan error, n)
+	for _, c := range comms {
+		wg.Add(1)
+		go func(c mpi.Comm) {
+			defer wg.Done()
+			err := exchangeAll(c, 4096)
+			time.Sleep(time.Duration(c.Rank()) * 15 * time.Millisecond)
+			if cerr := closers[c.Rank()](); err == nil {
+				err = cerr
 			}
+			errs <- err
+		}(c)
+	}
+	wg.Wait()
+	for i := 0; i < n; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
 		}
-		if s := sumStats(comms); s.Reconnects+s.ReconnectFailures+s.Retransmits+s.BackoffSleeps != 0 {
-			t.Errorf("clean staggered close looked like a fault (opts %d): %+v", len(opts), s)
-		}
+	}
+	if s := sumStats(comms); s.Reconnects+s.ReconnectFailures+s.Retransmits+s.BackoffSleeps != 0 {
+		t.Errorf("clean staggered close looked like a fault: %+v", s)
 	}
 }
 
@@ -522,7 +333,7 @@ func joinAsync(coordAddr string, k int) <-chan error {
 	errs := make(chan error, k)
 	for i := 0; i < k; i++ {
 		go func() {
-			_, closeFn, err := Join(coordAddr, WithoutSharedMemory())
+			_, closeFn, err := Join(coordAddr)
 			if err == nil {
 				closeFn()
 			}
@@ -608,7 +419,7 @@ func TestJoinRetryWindow(t *testing.T) {
 		}
 		started <- coord
 	}()
-	c, closeFn, err := JoinRetry(addr, 5*time.Second, WithoutSharedMemory())
+	c, closeFn, err := JoinRetry(addr, 5*time.Second)
 	coord := <-started
 	if err != nil {
 		t.Fatalf("JoinRetry to a late coordinator: %v", err)
@@ -654,7 +465,7 @@ func TestJoinAdvertisesCoordinatorFacingIP(t *testing.T) {
 			t.Logf("no coordinator on %s: %v", host, err)
 			continue
 		}
-		comms, closers := joinAll(t, coord.Addr(), 2, WithoutSharedMemory())
+		comms, closers := joinAll(t, coord.Addr(), 2)
 		for _, c := range comms {
 			for p, addr := range c.(*node).addrs {
 				if h, _, _ := net.SplitHostPort(addr); h != host {
@@ -685,12 +496,12 @@ func TestRendezvousSurplusJoiner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, closers := joinAll(t, coord.Addr(), n, WithoutSharedMemory())
+	_, closers := joinAll(t, coord.Addr(), n)
 	for _, fn := range closers {
 		fn()
 	}
 	surplus.SetDeadline(time.Now().Add(rendezvousIO))
-	_, err = rendezvous(surplus, hello{Addr: "127.0.0.1:1", Host: "surplus"})
+	_, err = rendezvous(surplus, hello{Addr: "127.0.0.1:1"})
 	const reason = "rendezvous aborted by coordinator: world of 2 is complete"
 	if err == nil || !strings.Contains(err.Error(), reason) {
 		t.Fatalf("surplus joiner: %v, want %q", err, reason)
@@ -721,7 +532,7 @@ func TestRendezvousIdleConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer idle.Close()
-	_, closers := joinAll(t, coord.Addr(), n, WithoutSharedMemory())
+	_, closers := joinAll(t, coord.Addr(), n)
 	start := time.Now()
 	if err := coord.Wait(); err != nil {
 		t.Fatal(err)
@@ -740,6 +551,69 @@ func TestRendezvousIdleConnection(t *testing.T) {
 		if time.Now().After(end) {
 			t.Fatalf("%d goroutines running, %d before the rendezvous", runtime.NumGoroutine(), before)
 		}
+	}
+}
+
+// TestRendezvousWire pins the two rendezvous messages byte for byte: a
+// joiner's hello is {"Addr":"host:port"} and nothing after it, and a
+// coordinator's book carries Rank and Peers, each peer only its Addr.
+func TestRendezvousWire(t *testing.T) {
+	t.Run("hello", testHelloWire)
+	t.Run("book", testBookWire)
+}
+
+// testHelloWire has Join dial a bare listener and reads what it sends.
+func testHelloWire(t *testing.T) {
+	fake, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fake.Close()
+	joined := make(chan error, 1)
+	go func() {
+		_, _, err := Join(fake.Addr().String())
+		joined <- err
+	}()
+	conn, err := fake.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(rendezvousIO))
+	dec := json.NewDecoder(conn)
+	var raw json.RawMessage
+	if err := dec.Decode(&raw); err != nil {
+		t.Fatal(err)
+	}
+	var h hello
+	json.Unmarshal(raw, &h)
+	rest, _ := io.ReadAll(dec.Buffered())
+	if string(raw) != `{"Addr":"`+h.Addr+`"}` || !strings.HasPrefix(h.Addr, "127.0.0.1:") || len(rest) != 0 {
+		t.Errorf("joiner's hello is %s%s, want {\"Addr\":\"127.0.0.1:port\"} alone", raw, rest)
+	}
+	sendBook(conn, book{Abort: "wire checked"})
+	if err := <-joined; err == nil || !strings.Contains(err.Error(), "wire checked") {
+		t.Errorf("Join after an aborted rendezvous: %v", err)
+	}
+}
+
+// testBookWire has a one-rank coordinator answer a hello and reads the book.
+func testBookWire(t *testing.T) {
+	coord, err := StartCoordinator("127.0.0.1:0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := sendHello(t, coord.Addr(), "127.0.0.1:1")
+	defer conn.Close()
+	conn.SetReadDeadline(time.Now().Add(rendezvousIO))
+	got, err := io.ReadAll(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"Rank":0,"Peers":[{"Addr":"127.0.0.1:1"}]}` + "\n"; string(got) != want {
+		t.Errorf("coordinator's book is %q, want %q", got, want)
+	}
+	if err := coord.Wait(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -765,7 +639,7 @@ func FuzzRendezvousBook(f *testing.F) {
 	peers := func(n int) []hello {
 		ps := make([]hello, n)
 		for i := range ps {
-			ps[i] = hello{Addr: fmt.Sprintf("127.0.0.1:%d", 40000+i), Host: fmt.Sprintf("node%d", i%2), Shm: i%2 == 0}
+			ps[i] = hello{Addr: fmt.Sprintf("127.0.0.1:%d", 40000+i)}
 		}
 		return ps
 	}
@@ -776,13 +650,17 @@ func FuzzRendezvousBook(f *testing.F) {
 		}
 		return msg
 	}
-	valid := seed(book{Rank: 2, Token: worldToken("127.0.0.1:7791"), Peers: peers(4)})
+	valid := seed(book{Rank: 2, Peers: peers(4)})
 	f.Add(valid)
 	f.Add(seed(book{Abort: "tcp: rendezvous timed out with 2 of 3 ranks"}))
-	f.Add(seed(book{Rank: 4, Token: "t", Peers: peers(4)}))
-	f.Add(seed(book{Rank: -1, Token: "t", Peers: peers(4)}))
+	f.Add(seed(book{Rank: 4, Peers: peers(4)}))
+	f.Add(seed(book{Rank: -1, Peers: peers(4)}))
 	f.Add(valid[:len(valid)/2])
-	big := seed(book{Rank: 0, Token: "t", Peers: peers(12)})
+	// Books in the older wire format, with a world Token (the second one
+	// naming a path) and per-peer Host/Shm fields, meet the same predicate.
+	f.Add([]byte(`{"Rank":1,"Token":"w1","Peers":[{"Addr":"127.0.0.1:40000","Host":"node0","Shm":true},{"Addr":"127.0.0.1:40001","Host":"node0","Shm":true}]}` + "\n"))
+	f.Add([]byte(`{"Rank":0,"Token":"../escape","Peers":[{"Addr":"127.0.0.1:40000"}]}` + "\n"))
+	big := seed(book{Rank: 0, Peers: peers(24)})
 	if len(big) <= smallBound {
 		f.Fatalf("over-bound seed is only %d bytes", len(big))
 	}
@@ -797,7 +675,7 @@ func FuzzRendezvousBook(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			if b.Rank < 0 || b.Rank >= len(b.Peers) || b.Abort != "" || strings.ContainsAny(b.Token, `/\`) {
+			if b.Rank < 0 || b.Rank >= len(b.Peers) || b.Abort != "" {
 				t.Fatalf("accepted a book no coordinator sends: %+v", b)
 			}
 		}

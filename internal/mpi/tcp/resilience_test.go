@@ -244,7 +244,7 @@ func wantRankError(t *testing.T, what string, req mpi.Request, rank int, within 
 // unanswered, or every attempt "succeeds", the budget never runs out and the
 // peer redials forever instead of failing closed.
 func TestKilledLowerRankFailsHigherPeer(t *testing.T) {
-	comms, cleanup := joinWorld(t, 2, WithoutSharedMemory())
+	comms, cleanup := joinWorld(t, 2)
 	defer cleanup()
 	recv := mpi.Irecv(comms[1], make([]byte, 8), 0, 3)
 	if err := comms[0].(mpi.Killer).Kill(); err != nil {

@@ -596,11 +596,6 @@ func (lk *link) writer() {
 		nd.stats.writevs.Add(1)
 		nd.stats.framesSent.Add(b.sent)
 		nd.stats.bytesSent.Add(b.bytes)
-		if lk.shm {
-			nd.stats.shmBytesSent.Add(b.bytes)
-		} else {
-			nd.stats.tcpBytesSent.Add(b.bytes)
-		}
 		if b.haveAck {
 			nd.stats.acksSent.Add(1)
 		}

@@ -17,8 +17,7 @@
 // unacknowledged frames are retransmitted. Sequence numbers make
 // re-delivery idempotent — a retried frame that already arrived is
 // discarded, never double-matched. A pair that cannot be reconnected (its
-// redial budget ran out, its link is a shared-memory segment, or its peer
-// was killed) fails closed: every operation naming the peer returns a typed
+// redial budget ran out, or its peer was killed) fails closed: every operation naming the peer returns a typed
 // *mpi.RankError instead of hanging. A rank that closes says goodbye first,
 // so its peers see a departure, not a fault.
 //
@@ -99,12 +98,6 @@ type Config struct {
 	// Recorder, when non-nil, receives the transport counters (mirrored at
 	// close) so they show up on the obsv metrics endpoint.
 	Recorder *obsv.Recorder
-	// Host is the identity a joining rank advertises to the coordinator
-	// (see WithHostID); NoShm keeps its links on sockets even when
-	// co-located (see WithoutSharedMemory). An in-process world is always
-	// sockets and reads neither.
-	Host  string
-	NoShm bool
 }
 
 // Option customizes a World or a Join.
@@ -146,20 +139,8 @@ func WithRecorder(r *obsv.Recorder) Option {
 	return func(c *Config) { c.Recorder = r }
 }
 
-// WithHostID overrides the host identity a joining rank advertises to the
-// coordinator. Ranks advertising the same identity (and shm capability) link
-// through shared-memory pair segments instead of sockets. Defaults to the
-// AAPC_HOST environment variable, then os.Hostname.
-func WithHostID(host string) Option {
-	return func(c *Config) { c.Host = host }
-}
-
-// WithoutSharedMemory disables shared-memory links for a joining rank: every
-// pair involving it uses TCP even when co-located. The choice is advertised
-// through the rendezvous, so both sides of each pair agree.
-func WithoutSharedMemory() Option {
-	return func(c *Config) { c.NoShm = true }
-}
+// Deprecated: WithoutSharedMemory does nothing; every link is a socket.
+func WithoutSharedMemory() Option { return func(*Config) {} }
 
 // Stats is a snapshot of the transport counters — a whole in-process
 // world's, or one joined rank's: traffic volume plus every recovery action
@@ -209,13 +190,6 @@ type Stats struct {
 	// ZeroCopyRecvs counts data frames whose payload was read off the
 	// socket directly into the posted receive buffer (no staging copy).
 	ZeroCopyRecvs uint64
-	// ShmLinks counts links riding shared-memory pair segments instead of
-	// sockets (joined ranks on one host); ShmBytesSent and TCPBytesSent
-	// split the payload volume by link kind. An in-process world has no shm
-	// links.
-	ShmLinks     uint64
-	ShmBytesSent uint64
-	TCPBytesSent uint64
 }
 
 // recovered reports whether any resilience machinery fired.
@@ -240,9 +214,6 @@ type stats struct {
 	copiedSends       atomic.Uint64
 	payloadCopies     atomic.Uint64
 	zeroCopyRecvs     atomic.Uint64
-	shmLinks          atomic.Uint64
-	shmBytesSent      atomic.Uint64
-	tcpBytesSent      atomic.Uint64
 }
 
 func (st *stats) snapshot() Stats {
@@ -261,9 +232,6 @@ func (st *stats) snapshot() Stats {
 		CopiedSends:       st.copiedSends.Load(),
 		PayloadCopies:     st.payloadCopies.Load(),
 		ZeroCopyRecvs:     st.zeroCopyRecvs.Load(),
-		ShmLinks:          st.shmLinks.Load(),
-		ShmBytesSent:      st.shmBytesSent.Load(),
-		TCPBytesSent:      st.tcpBytesSent.Load(),
 	}
 }
 

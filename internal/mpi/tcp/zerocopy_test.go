@@ -40,7 +40,7 @@ func TestTCPZeroCopySteadyState(t *testing.T) {
 			}
 		}},
 		{"join-mesh", func(t *testing.T) ([]mpi.Comm, func() Stats, func()) {
-			comms, cleanup := joinWorld(t, n, WithoutSharedMemory())
+			comms, cleanup := joinWorld(t, n)
 			return comms, func() Stats { return sumStats(comms) }, cleanup
 		}},
 	} {
