@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build build-obsv-off test race alloc-gates bench bench-sim bench-transport bench-sched bench-trace microbench fuzz
+.PHONY: check fmt vet build build-obsv-off test race alloc-gates bench fuzz
 
 # check is the one-command gate: formatting (gofmt), stock go vet over both
 # build configurations, full build (with and without the observability
@@ -72,48 +72,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench regenerates the machine-readable evaluation reports: the Fig. 1
-# example cluster and the 32-node star topology (b), written as
-# BENCH_fig1.json and BENCH_b.json.
+# bench is the repository's one benchmark: it runs every workload of
+# BENCHMARK.json twice (bench/run.sh) and fails if the two sets disagree.
+# The packages' Benchmark* functions stay runnable with go test -bench.
 bench:
-	$(GO) run ./cmd/aapcbench -topo fig1 -json .
-	$(GO) run ./cmd/aapcbench -topo b -json .
-
-# bench-sim measures raw simulator-engine throughput (events/s, allocs) on
-# jittered 32/128-rank and windowed 512-rank AAPC runs; committed reference
-# numbers live in BENCH_sim.json.
-bench-sim:
-	$(GO) test -bench=BenchmarkSimAAPC -benchmem -benchtime=1x -run=^$$ ./internal/simnet/
-
-# bench-transport measures the transport data plane: scheduled all-to-all
-# over the mem, shm and tcp transports across a world-size x message-size
-# grid, with copies/op tracking the zero-copy path; committed reference
-# numbers live in BENCH_transport.json.
-bench-transport:
-	$(GO) test -bench 'BenchmarkMemAlltoall|BenchmarkShmAlltoall|BenchmarkTCPAlltoall' -run=^$$ -benchtime 30x ./internal/alltoall/
-	$(GO) test -bench 'BenchmarkBuildGreedy/N=64|BenchmarkBuildGreedy/N=256' -run=^$$ -benchtime 1x ./internal/schedule/
-
-# microbench runs the go-test benchmarks (paper tables/figures, transport
-# and instrumentation costs).
-microbench:
-	$(GO) test -bench=. -benchmem -run=^$$ ./...
-
-# bench-sched measures the schedule daemon's compile paths: from-scratch
-# parallel greedy compiles vs incremental reschedule after a one-node
-# delta, at N=128 and N=512 (committed reference numbers live in
-# BENCH_sched.json), and the sync plan of the paper's schedule at N=32, 64
-# and 128 with its allocations.
-bench-sched:
-	$(GO) test -bench 'BenchmarkBuildGreedyParallel|BenchmarkReschedule' -run=^$$ -benchtime 1x ./internal/schedule/
-	$(GO) test -bench 'BenchmarkBuild' -benchmem -run=^$$ ./internal/syncplan/
-
-# bench-trace measures the causal-tracing pipeline: per-operation overhead
-# of the instrumented wrapper, collector JSONL ingest and merge throughput
-# (spans/s), full-report analysis cost, and the multi-host clock-offset
-# estimator; committed reference numbers live in BENCH_trace.json.
-bench-trace:
-	$(GO) test -bench=BenchmarkInstrumentedOpCost -benchmem -run=^$$ ./internal/obsv/
-	$(GO) test -bench 'BenchmarkIngestJSONL|BenchmarkMerge|BenchmarkAnalyze|BenchmarkEstimateOffsets' -benchmem -run=^$$ ./internal/obsv/collect/
+	bash bench/run.sh --check
 
 # Short fuzz passes over every DSL parser, the daemon's request grammar,
 # the pair form of schedule bodies (against encoding/json), the tcp

@@ -4,8 +4,7 @@
 // automatically generated routine across message sizes, printing the tables
 // and series behind Figs. 6, 7 and 8. It can additionally run the
 // synchronization-mode and scheduler ablations, draw a traced simulated run
-// of the generated routine (-trace) and emit machine-readable
-// BENCH_<name>.json reports (-json). A simulated run is traced like a real
+// of the generated routine (-trace). A simulated run is traced like a real
 // one (instrumented events), so -trace draws with the collect functions
 // aapctrace -report uses on a recorded trace: flow statistics and Gantt rows
 // of each rank's sends from post to completion.
@@ -15,27 +14,21 @@
 //	aapcbench [-topo a|b|c|bg|fig1|all] [-file cluster.topo] [-msizes 8KB,64KB]
 //	          [-bw Mbps] [-alpha seconds] [-mineff f] [-jitter f]
 //	          [-parallel n]
-//	          [-ablation] [-plot] [-trace] [-json dir]
+//	          [-ablation] [-plot] [-trace]
 //	          [-cpuprofile file] [-memprofile file]
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"sort"
 	"strings"
-	"time"
 
 	"github.com/aapc-sched/aapcsched/internal/alltoall"
 	"github.com/aapc-sched/aapcsched/internal/harness"
-	"github.com/aapc-sched/aapcsched/internal/mpi"
-	"github.com/aapc-sched/aapcsched/internal/mpi/mem"
 	"github.com/aapc-sched/aapcsched/internal/obsv"
 	"github.com/aapc-sched/aapcsched/internal/obsv/collect"
 	"github.com/aapc-sched/aapcsched/internal/simnet"
@@ -57,7 +50,6 @@ type options struct {
 	control  float64
 	csvPath  string
 	iters    int
-	jsonDir  string
 	parallel int
 	cpuProf  string
 	memProf  string
@@ -168,7 +160,6 @@ func (o *options) bind(fs *flag.FlagSet) {
 	fs.Float64Var(&o.control, "control", 0, "startup latency for control-sized messages (seconds; 0 = same as -alpha)")
 	fs.StringVar(&o.csvPath, "csv", "", "append results as CSV to this file ('-' for stdout)")
 	fs.IntVar(&o.iters, "iters", 1, "back-to-back invocations per cell, reporting the mean (the paper uses 10)")
-	fs.StringVar(&o.jsonDir, "json", "", "write a machine-readable BENCH_<name>.json report per topology into this directory")
 	fs.IntVar(&o.parallel, "parallel", runtime.GOMAXPROCS(0), "measure up to n (algorithm, msize) cells concurrently; 1 = serial")
 	fs.StringVar(&o.cpuProf, "cpuprofile", "", "write a CPU profile of the run to this file")
 	fs.StringVar(&o.memProf, "memprofile", "", "write a heap profile at exit to this file")
@@ -211,18 +202,18 @@ func run(o options) error {
 		JitterSeed:     1,
 		ControlLatency: o.control,
 	}
-	shorts := []string{o.topo} // file-name stems for -json
+	presets := []string{o.topo}
 	if o.file == "" && o.topo == "all" {
-		shorts = []string{"a", "b", "c"}
+		presets = []string{"a", "b", "c"}
 	}
-	for _, short := range shorts {
-		g, _, err := harness.LoadTopology(o.file, short, false)
+	for _, preset := range presets {
+		g, _, err := harness.LoadTopology(o.file, preset, false)
 		if err != nil {
 			return err
 		}
-		name := "topology (" + short + ")" // the report label
+		name := "topology (" + preset + ")" // the report label
 		if o.file != "" {
-			name, short = o.file, strings.TrimSuffix(filepath.Base(o.file), filepath.Ext(o.file))
+			name = o.file
 		}
 		algs := []harness.Algorithm{harness.LAM(), harness.MPICHAlg(), harness.Ours(alltoall.PairwiseSync)}
 		if o.ablation {
@@ -259,161 +250,9 @@ func run(o options) error {
 				return err
 			}
 		}
-		if o.jsonDir != "" {
-			path, err := writeJSONReport(o.jsonDir, short, g, net, rep)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", path)
-		}
 		fmt.Println()
 	}
 	return nil
-}
-
-// benchCell is one (algorithm, msize) measurement of the JSON report.
-type benchCell struct {
-	Algorithm      string  `json:"algorithm"`
-	Msize          int     `json:"msize"`
-	Seconds        float64 `json:"seconds"`
-	ThroughputMbps float64 `json:"throughput_mbps"`
-}
-
-// benchPhases is the per-msize phase breakdown of the generated routine:
-// its simulated run recorded through the obsv instrumentation layer and
-// attributed by the collector.
-type benchPhases struct {
-	Msize           int                 `json:"msize"`
-	Seconds         float64             `json:"seconds"`
-	Events          int                 `json:"events"`
-	SyncWaitSeconds float64             `json:"sync_wait_seconds"`
-	Phases          []collect.PhaseStat `json:"phases"`
-}
-
-// benchOverhead quantifies the instrumentation cost: the compiled routine on
-// the in-process mem transport, wall-clocked bare versus instrumented
-// (best-of-N; see measureOverhead).
-type benchOverhead struct {
-	Msize               int     `json:"msize"`
-	BareWallSeconds     float64 `json:"bare_wall_seconds"`
-	ObservedWallSeconds float64 `json:"observed_wall_seconds"`
-	OverheadFrac        float64 `json:"overhead_frac"`
-	EventsPerRank       float64 `json:"events_per_rank"`
-}
-
-// benchJSON is the schema of BENCH_<name>.json.
-type benchJSON struct {
-	Name       string        `json:"name"`
-	Machines   int           `json:"machines"`
-	Load       int           `json:"load"`
-	PeakMbps   float64       `json:"peak_mbps"`
-	Msizes     []int         `json:"msizes"`
-	Algorithms []string      `json:"algorithms"`
-	Cells      []benchCell   `json:"cells"`
-	Phases     []benchPhases `json:"phases,omitempty"`
-	Overhead   benchOverhead `json:"overhead"`
-}
-
-// writeJSONReport measures the generated routine once more per message size
-// through the obsv instrumentation layer (phase drift, sync stalls) and
-// writes the full machine-readable report as BENCH_<short>.json in dir.
-func writeJSONReport(dir, short string, g *topology.Graph, net simnet.Config, rep *harness.Report) (string, error) {
-	out := benchJSON{
-		Name:       short,
-		Machines:   rep.Machines,
-		Load:       rep.Load,
-		PeakMbps:   rep.PeakMbps,
-		Msizes:     rep.Msizes,
-		Algorithms: rep.Algorithms,
-	}
-	for _, r := range rep.Rows {
-		out.Cells = append(out.Cells, benchCell{
-			Algorithm:      r.Algorithm,
-			Msize:          r.Msize,
-			Seconds:        r.Seconds,
-			ThroughputMbps: r.ThroughputMbps,
-		})
-	}
-	sc, err := harness.CompileRoutine(g, alltoall.PairwiseSync)
-	if err != nil {
-		return "", err
-	}
-	cfg := net
-	cfg.Graph = g
-	for i, msize := range rep.Msizes {
-		w, recs, err := harness.MeasureObserved(cfg, sc.Fn(), msize)
-		if err != nil {
-			return "", err
-		}
-		store := collect.NewStore()
-		store.SetCommonClock(true) // one virtual clock
-		for _, r := range recs {
-			store.AddEvents(r.Events())
-		}
-		ph := benchPhases{Msize: msize, Seconds: w.Elapsed(), Events: store.NumSpans(),
-			Phases: store.Analyze(g).Phases}
-		for _, st := range ph.Phases {
-			ph.SyncWaitSeconds += st.SyncWait
-		}
-		out.Phases = append(out.Phases, ph)
-		// Overhead is measured at the largest message size, where data
-		// movement (not per-run fixed costs) dominates — the regime the
-		// paper's claims are about.
-		if i == len(rep.Msizes)-1 {
-			ov, err := measureOverhead(sc, msize)
-			if err != nil {
-				return "", err
-			}
-			ov.EventsPerRank = float64(ph.Events) / float64(rep.Machines)
-			out.Overhead = ov
-		}
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, "BENCH_"+short+".json")
-	buf, err := json.MarshalIndent(&out, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return path, os.WriteFile(path, append(buf, '\n'), 0o644)
-}
-
-// measureOverhead times the compiled routine on the in-process mem transport
-// (real byte movement — the configuration the ≤5% overhead target is stated
-// for) bare versus instrumented. Best-of-N interleaved wall times, so
-// scheduler noise and first-run warmup drop out.
-func measureOverhead(sc *alltoall.Scheduled, msize int) (benchOverhead, error) {
-	n := sc.NumRanks()
-	runOnce := func(instrument bool) (float64, error) {
-		t0 := time.Now()
-		err := mem.Run(n, func(c mpi.Comm) error {
-			if instrument {
-				c = obsv.Instrument(c, obsv.NewRecorder(c.Rank()))
-			}
-			return sc.Fn()(c, alltoall.NewShared(msize), msize)
-		})
-		return time.Since(t0).Seconds(), err
-	}
-	ov := benchOverhead{Msize: msize}
-	bareWall, obsWall := math.Inf(1), math.Inf(1)
-	const reps = 7
-	for r := 0; r < reps; r++ {
-		w, err := runOnce(false)
-		if err != nil {
-			return ov, err
-		}
-		bareWall = math.Min(bareWall, w)
-		if w, err = runOnce(true); err != nil {
-			return ov, err
-		}
-		obsWall = math.Min(obsWall, w)
-	}
-	ov.BareWallSeconds, ov.ObservedWallSeconds = bareWall, obsWall
-	if bareWall > 0 {
-		ov.OverheadFrac = obsWall/bareWall - 1
-	}
-	return ov, nil
 }
 
 // appendCSV writes CSV rows to a file or stdout.

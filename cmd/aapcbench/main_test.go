@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
-	"os"
-	"path/filepath"
+	"io"
 	"strings"
 	"testing"
 
@@ -60,32 +58,6 @@ func TestRunTopologyFile(t *testing.T) {
 	}))
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRunJSONReport(t *testing.T) {
-	dir := t.TempDir()
-	if err := run(benchOpts(func(o *options) { o.jsonDir = dir })); err != nil {
-		t.Fatal(err)
-	}
-	buf, err := os.ReadFile(filepath.Join(dir, "BENCH_fig1.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep benchJSON
-	if err := json.Unmarshal(buf, &rep); err != nil {
-		t.Fatalf("BENCH_fig1.json does not parse: %v", err)
-	}
-	if rep.Name != "fig1" || rep.Machines == 0 || len(rep.Cells) == 0 {
-		t.Fatalf("unexpected report: %+v", rep)
-	}
-	if len(rep.Phases) == 0 || len(rep.Phases[0].Phases) == 0 {
-		t.Fatalf("report has no phase breakdown: %+v", rep.Phases)
-	}
-	for _, c := range rep.Cells {
-		if c.Seconds <= 0 || c.ThroughputMbps <= 0 {
-			t.Errorf("degenerate cell %+v", c)
-		}
 	}
 }
 
@@ -148,5 +120,17 @@ func TestTopoHelpNamesEveryPreset(t *testing.T) {
 	new(options).bind(fs)
 	if u := fs.Lookup("topo").Usage; !strings.Contains(u, harness.PresetList()) {
 		t.Errorf("-topo help %q does not list %s", u, harness.PresetList())
+	}
+}
+
+// TestRejectsJSONFlag: BENCHMARK.json is the one benchmark, so -json is an
+// unknown flag.
+func TestRejectsJSONFlag(t *testing.T) {
+	fs := flag.NewFlagSet("aapcbench", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	new(options).bind(fs)
+	err := fs.Parse([]string{"-json", "out"})
+	if err == nil || !strings.Contains(err.Error(), "not defined: -json") {
+		t.Errorf("-json parsed with err = %v, want an unknown-flag error", err)
 	}
 }

@@ -31,9 +31,7 @@ import (
 
 	"github.com/aapc-sched/aapcsched/internal/harness"
 	"github.com/aapc-sched/aapcsched/internal/obsv"
-	"github.com/aapc-sched/aapcsched/internal/obsv/collect"
 	"github.com/aapc-sched/aapcsched/internal/sched"
-	"github.com/aapc-sched/aapcsched/internal/topology"
 )
 
 // options collects the command-line configuration.
@@ -92,17 +90,7 @@ func newServer(o *options) (*http.Server, net.Listener, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	// The trace collector rides on the daemon mux: nodes POST their JSONL
-	// traces to /v1/trace/ingest and anyone can pull the merged
-	// critical-path/straggler report. Link attribution always resolves
-	// against the daemon's CURRENT topology version, so reports stay
-	// truthful across join/leave deltas.
-	store := collect.NewStore()
-	reg.AddCounters(store.Counters())
 	mux := http.NewServeMux()
-	mux.Handle("/v1/trace/", collect.HandlerLive(store, func() *topology.Graph {
-		return d.Store().Current().Graph
-	}))
 	if o.pprof {
 		// The obsv import registers net/http/pprof and expvar on the
 		// default mux; profiling the scheduler's lock and block behavior

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"github.com/aapc-sched/aapcsched/internal/harness"
-	"github.com/aapc-sched/aapcsched/internal/obsv"
 	"github.com/aapc-sched/aapcsched/internal/sched"
 	"github.com/aapc-sched/aapcsched/internal/schedule"
 	"github.com/aapc-sched/aapcsched/internal/topology"
@@ -137,10 +136,9 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 }
 
-// TestDaemonTraceCollector: the trace collector rides the daemon mux —
-// ingest merges into the shared store, reports resolve against the daemon's
-// topology, the trace counters land on /metrics, and -pprof exposes the
-// profiling endpoints.
+// TestDaemonTraceCollector: the daemon mounts no trace collector (aapctrace
+// serves one), the scheduler API resolves through the outer mux, and -pprof
+// exposes the profiling endpoints.
 func TestDaemonTraceCollector(t *testing.T) {
 	srv, ln, err := newServer(testOptions(func(o *options) { o.pprof = true }))
 	if err != nil {
@@ -150,68 +148,19 @@ func TestDaemonTraceCollector(t *testing.T) {
 	defer srv.Close()
 	base := "http://" + ln.Addr().String()
 
-	meta := obsv.Meta{Version: 1, Ranks: 2, Transport: "mem", Name: "ours", Msize: 64}
-	evs := []obsv.Event{
-		{Kind: obsv.KindSend, Rank: 0, Peer: 1, Seq: 1, Start: 0.1, End: 0.2, Bytes: 4096},
-		{Kind: obsv.KindRecv, Rank: 1, Peer: 0, Seq: 1, LinkSeq: 1, Start: 0.1, End: 0.3, Deliver: 0.2, Bytes: 4096},
-	}
-	var buf bytes.Buffer
-	if err := obsv.WriteJSONL(&buf, meta, evs); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(base+"/v1/trace/ingest", "application/x-ndjson", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("ingest status %d", resp.StatusCode)
-	}
-
-	resp, err = http.Get(base + "/v1/trace/report?format=text")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var body bytes.Buffer
-	if _, err := body.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if !strings.Contains(body.String(), "2 spans (1 causally linked)") {
-		t.Errorf("trace report wrong:\n%s", body.String())
-	}
-
-	resp, err = http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body.Reset()
-	if _, err := body.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if !strings.Contains(body.String(), "aapc_trace_spans_total 2") {
-		t.Errorf("metrics missing trace counters:\n%s", body.String())
-	}
-
-	// The scheduler API still resolves through the outer mux.
-	resp, err = http.Get(base + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("healthz through outer mux: %d", resp.StatusCode)
-	}
-
-	// -pprof exposes the profile index.
-	resp, err = http.Get(base + "/debug/pprof/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("pprof index: %d", resp.StatusCode)
+	for path, want := range map[string]int{
+		"/v1/trace/report": http.StatusNotFound,
+		"/healthz":         http.StatusOK,
+		"/debug/pprof/":    http.StatusOK,
+	} {
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("GET %s: %d, want %d", path, resp.StatusCode, want)
+		}
 	}
 }
 

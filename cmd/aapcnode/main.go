@@ -92,7 +92,7 @@ func (o *options) bind(fs *flag.FlagSet) {
 	fs.StringVar(&o.tracePath, "trace", "",
 		"write the run's obsv event trace as JSONL to this file (report it with aapctrace -report)")
 	fs.StringVar(&o.tracePush, "push", "",
-		"POST the run's obsv event trace to this collector ingest URL (e.g. http://host:8642/v1/trace/ingest)")
+		"POST the run's obsv event trace to this collector ingest URL (e.g. http://host:8643/v1/trace/ingest)")
 	fs.BoolVar(&o.pprof, "pprof", false,
 		"enable block/mutex profiling and serve /debug/pprof for the run (implies -metrics 127.0.0.1:0 when -metrics is unset)")
 	fs.BoolVar(&o.xportStats, "transport-stats", false,

@@ -1,19 +1,31 @@
 package harness
 
 import (
+	"fmt"
 	"testing"
 
+	"github.com/aapc-sched/aapcsched/internal/alltoall"
 	"github.com/aapc-sched/aapcsched/internal/schedule"
 	"github.com/aapc-sched/aapcsched/internal/topology"
 )
 
 // TestPaperShapes asserts the qualitative claims of the paper's evaluation
 // (Section 6) on the simulator, for all three topologies of Fig. 5. It is
-// the automated version of EXPERIMENTS.md. Skipped under -short: the full
-// sweep simulates 3 topologies x 3 algorithms x 3 sizes.
+// the automated version of EXPERIMENTS.md. Every cell of Figs. 6-8 and of
+// the ablations (synchronization modes, greedy scheduler, send windows)
+// must simulate; the claims read the baselines and Ours at 8, 64 and 256 KB.
+// Skipped under -short: the full sweep simulates 3 topologies x 11
+// algorithms x 6 sizes.
 func TestPaperShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-shape sweep skipped in -short mode")
+	}
+	algs := []Algorithm{LAM(), MPICHAlg(), Ours(alltoall.PairwiseSync),
+		Ours(alltoall.BarrierSync), Ours(alltoall.NoSync), OursGreedy()}
+	for _, window := range []int{1, 2, 4, 8, 23} {
+		fn := alltoall.Windowed(window)
+		algs = append(algs, Algorithm{Name: fmt.Sprintf("window-%d", window),
+			Make: func(*topology.Graph) (alltoall.Func, error) { return fn, nil }})
 	}
 	msizes := []int{8 << 10, 64 << 10, 256 << 10}
 	for _, preset := range []string{"a", "b", "c"} {
@@ -21,7 +33,7 @@ func TestPaperShapes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exp := &Experiment{Name: preset, Graph: g, Msizes: msizes}
+		exp := &Experiment{Name: preset, Graph: g, Msizes: PaperMsizes, Algorithms: algs}
 		rep, err := exp.Run()
 		if err != nil {
 			t.Fatal(err)

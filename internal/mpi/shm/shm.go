@@ -10,15 +10,16 @@ import (
 	"github.com/aapc-sched/aapcsched/internal/obsv"
 )
 
-// World is a set of co-located communicator endpoints exchanging bytes
-// through per-pair shared-memory rings. Two data paths exist:
+// World is an in-process ring transport: its communicator endpoints live in
+// one process and exchange bytes through per-pair rings. Only the
+// benchmark's a2a_shm_1k workload and the tests run it. Two data paths
+// exist:
 //
 //   - single-copy handoff: when a matching receive is already posted, the
 //     send copies straight from the sender's buffer into the receiver's —
 //     one memcpy, no staging anywhere;
 //   - ring transit: with no receive posted, the payload is copied into the
-//     directed pair's ring segment and out of it at match time — the exact
-//     path co-located aapcnode processes use across /dev/shm.
+//     directed pair's ring segment and out of it at match time.
 //
 // A scheduled all-to-all pre-posts its receives, so its steady state rides
 // the single-copy path; the ring absorbs sender/receiver skew.

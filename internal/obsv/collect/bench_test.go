@@ -7,9 +7,10 @@ import (
 	"github.com/aapc-sched/aapcsched/internal/obsv"
 )
 
-// Collector benchmarks behind `make bench-trace`: JSONL ingest throughput,
-// merge rate, and full-analysis cost, reported as spans/sec so the numbers
-// compare across trace sizes (committed reference: BENCH_trace.json).
+// Collector benchmarks: JSONL ingest throughput, merge rate, and
+// full-analysis cost, reported as spans/sec so the numbers compare across
+// trace sizes. The repository benchmark's collect.ingest_spans_per_s and
+// collect.analyze_ms rows track the same costs on a traced all-to-all.
 
 // benchTrace synthesizes a linked all-to-all trace: ranks x rounds, one
 // send+recv pair per directed pair per round plus a phase marker, with

@@ -403,13 +403,6 @@ func (r *Report) Text() string {
 //
 // The graph, when non-nil, enables link attribution in reports.
 func Handler(s *Store, g *topology.Graph) http.Handler {
-	return HandlerLive(s, func() *topology.Graph { return g })
-}
-
-// HandlerLive is Handler with a graph provider, for hosts whose topology
-// evolves while the collector runs (the schedule daemon re-resolves its
-// current version on every report). graph may return nil.
-func HandlerLive(s *Store, graph func() *topology.Graph) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/trace/ingest", func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodPost {
@@ -424,7 +417,7 @@ func HandlerLive(s *Store, graph func() *topology.Graph) http.Handler {
 		fmt.Fprintf(w, "{\"spans\":%d}\n", s.NumSpans())
 	})
 	mux.HandleFunc("/v1/trace/report", func(w http.ResponseWriter, req *http.Request) {
-		rep := s.Analyze(graph())
+		rep := s.Analyze(g)
 		if req.URL.Query().Get("format") == "text" {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 			rep.WriteText(w)

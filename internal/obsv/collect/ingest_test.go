@@ -7,8 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"github.com/aapc-sched/aapcsched/internal/topology"
 )
 
 // post sends one request through the handler in-process and returns the
@@ -27,7 +25,7 @@ func post(h http.Handler, method, path, body string) *httptest.ResponseRecorder 
 func TestIngestRejectsOutOfWorldRanks(t *testing.T) {
 	g := starGraph(t, 4)
 	s := NewStore()
-	h := HandlerLive(s, func() *topology.Graph { return g })
+	h := Handler(s, g)
 	header := func(ranks int) string { return fmt.Sprintf(`{"meta":{"version":1,"ranks":%d}}`+"\n", ranks) }
 	send := func(rank, peer int) string {
 		return fmt.Sprintf(`{"kind":"send","rank":%d,"peer":%d,"phase":-1,"start":0,"end":0.001,"seq":1,"bytes":4096}`+"\n", rank, peer)
@@ -88,7 +86,7 @@ func FuzzTraceIngest(f *testing.F) {
 	f.Add([]byte("not json\n"))
 	g := starGraph(f, 4)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		h := HandlerLive(NewStore(), func() *topology.Graph { return g })
+		h := Handler(NewStore(), g)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/trace/ingest", bytes.NewReader(body)))
 		if rec.Code != http.StatusOK && rec.Code != http.StatusBadRequest {

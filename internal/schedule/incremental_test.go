@@ -291,8 +291,8 @@ func BenchmarkBuildGreedyParallel(b *testing.B) {
 }
 
 // BenchmarkReschedule measures the steady-state incremental patch latency
-// for a single join at daemon-relevant sizes; committed reference numbers
-// live in BENCH_sched.json.
+// for a single join at daemon-relevant sizes; the repository benchmark's
+// schedule.reschedule_ms row reads the daemon's patch latency.
 func BenchmarkReschedule(b *testing.B) {
 	for _, n := range []int{128, 512} {
 		g := greedyBenchCluster(n)

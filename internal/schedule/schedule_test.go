@@ -46,7 +46,7 @@ func fig1Root(t testing.TB, g *topology.Graph) *topology.RootInfo {
 
 // TestRingTable1 checks the ring schedule against Table 1 of the paper.
 func TestRingTable1(t *testing.T) {
-	for _, k := range []int{2, 3, 4, 5, 8, 9} {
+	for _, k := range []int{2, 3, 4, 5, 8, 9, 24} {
 		phases := Ring(k)
 		if len(phases) != k-1 {
 			t.Fatalf("k=%d: %d phases, want %d", k, len(phases), k-1)
